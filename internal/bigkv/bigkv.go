@@ -56,7 +56,6 @@ import (
 	"hdnh/internal/kv"
 	"hdnh/internal/nvm"
 	"hdnh/internal/obs"
-	"hdnh/internal/scheme"
 	"hdnh/internal/vlog"
 )
 
@@ -549,28 +548,14 @@ func (s *Session) Put(key, value []byte) error {
 	if err != nil {
 		return err
 	}
-	// Upsert: update the common case, fall back to insert, and loop — a
-	// concurrent deleter can invalidate the key between our failed Insert
-	// and a retried Update, so neither single call is conclusive.
-	for {
-		old, err := s.ts.UpdateExchange(k, sv)
-		if err == nil {
-			s.retire(k, old)
-			return nil
-		}
-		if !errors.Is(err, scheme.ErrNotFound) {
-			s.retire(k, sv) // the appended record never got indexed
-			return err
-		}
-		err = s.ts.Insert(k, sv)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, scheme.ErrExists) {
-			s.retire(k, sv)
-			return err
-		}
+	old, hadOld, err := s.ts.PutExchange(k, sv)
+	switch {
+	case err != nil:
+		s.retire(k, sv) // the appended record never got indexed
+	case hadOld:
+		s.retire(k, old)
 	}
+	return err
 }
 
 // Get returns the value for key.

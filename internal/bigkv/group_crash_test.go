@@ -18,7 +18,9 @@ import (
 // key/value words before their commit words, and an update's both-copies
 // window — and every recovery must satisfy: nothing the pre-batch history
 // acknowledged is lost, no key reads anything but its old or new value, no
-// key is committed twice, and the liveness counters re-add.
+// key is committed twice, and the liveness counters re-add. The sweep then
+// repeats with the same history issued one key at a time (Put, Delete):
+// single-key writes run the same staged protocol as groups of one.
 
 const (
 	groupSweepPreload = 48 // keys present before the batch phase
@@ -99,6 +101,22 @@ func groupSweepBatchPhase(st *Store) []error {
 	return append(errs, s.MultiDelete(del)...)
 }
 
+// groupSweepSoloPhase is the same history one key at a time: every write a
+// staged group of one through Put and Delete — the path a solo write and a
+// contended batch key both take.
+func groupSweepSoloPhase(st *Store) []error {
+	s := st.NewSession()
+	defer s.Close()
+	var errs []error
+	for i := 0; i < groupSweepBatch; i++ {
+		errs = append(errs, s.Put(groupSweepKey(i), groupSweepVal(i, 1)))
+	}
+	for i := 0; i < groupSweepPreload; i += 4 {
+		errs = append(errs, s.Delete(groupSweepKey(i)))
+	}
+	return errs
+}
+
 // groupSweepVerifyCrash checks the recovered store against the only states
 // a mid-batch crash may expose: a preloaded key reads gen 0 or gen 1 (or,
 // for a delete target, nothing); a fresh insert reads gen 1 or nothing.
@@ -132,7 +150,15 @@ func groupSweepVerifyCrash(t *testing.T, st *Store) {
 }
 
 func TestGroupCommitCrashSweep(t *testing.T) {
-	// Reference run: find the persist-call window [c0+1, c1] the batch
+	groupCrashSweep(t, "persist", groupSweepBatchPhase)
+	groupCrashSweep(t, "solo-persist", groupSweepSoloPhase)
+}
+
+// groupCrashSweep replays the preload plus one write phase once per strict
+// persist call the phase makes, crashing there; subtests are named
+// <name><absolute persist call>.
+func groupCrashSweep(t *testing.T, name string, phase func(*Store) []error) {
+	// Reference run: find the persist-call window [c0+1, c1] the write
 	// phase spans. PersistCalls, not TotalFlushes: staged write-backs
 	// persist per call while only barriers count as flushes, and the sweep
 	// must land between the staged calls inside a group.
@@ -142,21 +168,21 @@ func TestGroupCommitCrashSweep(t *testing.T) {
 	}
 	st := groupSweepPreloadStore(t, dev)
 	c0 := dev.PersistCalls()
-	for i, err := range groupSweepBatchPhase(st) {
+	for i, err := range phase(st) {
 		if err != nil {
-			t.Fatalf("reference batch op %d: %v", i, err)
+			t.Fatalf("reference %s op %d: %v", name, i, err)
 		}
 	}
 	c1 := dev.PersistCalls()
 	st.Close()
 	if c1 <= c0 {
-		t.Fatalf("batch phase persisted nothing (%d..%d)", c0, c1)
+		t.Fatalf("%s phase persisted nothing (%d..%d)", name, c0, c1)
 	}
-	t.Logf("sweeping %d crash points through the grouped batch phase", c1-c0)
+	t.Logf("sweeping %d crash points through the %s phase", c1-c0, name)
 
 	for c := c0 + 1; c <= c1; c++ {
 		c := c
-		t.Run(fmt.Sprintf("persist%d", c), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s%d", name, c), func(t *testing.T) {
 			dev, err := nvm.New(groupSweepCfg(1))
 			if err != nil {
 				t.Fatal(err)
@@ -168,7 +194,7 @@ func TestGroupCommitCrashSweep(t *testing.T) {
 			if err := dev.SetCrashAfterFlushes(c - c0); err != nil {
 				t.Fatal(err)
 			}
-			groupSweepBatchPhase(st)
+			phase(st)
 			img := dev.CrashImage()
 			st.Close()
 			if img == nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sort"
 	"time"
 
@@ -26,11 +25,10 @@ import (
 //     (same-bucket keys touch adjacent NVT lines back-to-back) with hot
 //     mirror capture on, so the chunk's DRAM mirrors coalesce into one
 //     writer-pool request per background writer instead of one
-//     dispatch-and-wait per key. The NVT commits themselves are staged and
-//     group-committed — the chunk's line write-backs drain behind three
-//     flush barriers instead of ~5 fences per key — with the solo
-//     protocol's store ordering preserved phase by phase, so crash
-//     consistency is exactly the single-key story (see groupcommit.go).
+//     dispatch-and-wait per key. The NVT commits are the same staged
+//     protocol a single-key write runs as a group of one (groupcommit.go),
+//     so the chunk's line write-backs drain behind at most three barriers
+//     for all its keys together.
 //
 // Results are written into caller-provided slices so a steady-state caller
 // allocates nothing; the session's scratch is reused across calls.
@@ -73,7 +71,7 @@ type batchScratch struct {
 
 	// Write-group scratch: idx is the bucket-sorted commit order, mirrors
 	// the chunk's captured hot mutations, byWriter the per-writer split
-	// flushHotMirrors dispatches (see syncwrite.go), pending the staged
+	// dispatchHotMirrors ships (see syncwrite.go), pending the staged
 	// group-commit writes awaiting their barriers (see groupcommit.go).
 	idx      []int
 	mirrors  []hotMirror
@@ -223,7 +221,8 @@ func (s *Session) applyFills() {
 	if ht == nil || len(fills) == 0 {
 		return
 	}
-	top, bottom := ht.top.Load(), ht.bottom.Load()
+	hp := ht.pair()
+	top, bottom := hp.top, hp.bottom
 	sort.Slice(fills, func(a, b int) bool {
 		ta, tb := top.bucket(fills[a].h1), top.bucket(fills[b].h1)
 		if ta != tb {
@@ -299,7 +298,7 @@ func (s *Session) MultiPut(keys []kv.Key, vals []kv.Value, errs []error) int {
 	if len(vals) != n || len(errs) != n {
 		panic("core: MultiPut slice lengths must match len(keys)")
 	}
-	return s.multiPut(keys, vals, nil, nil, errs)
+	return s.multiWrite(verbPut, keys, vals, nil, nil, errs)
 }
 
 // MultiPutExchange is MultiPut that also reports each key's displaced
@@ -312,113 +311,17 @@ func (s *Session) MultiPutExchange(keys []kv.Key, vals, olds []kv.Value, hadOld 
 	if len(vals) != n || len(olds) != n || len(hadOld) != n || len(errs) != n {
 		panic("core: MultiPutExchange slice lengths must match len(keys)")
 	}
-	return s.multiPut(keys, vals, olds, hadOld, errs)
-}
-
-// multiPut is the grouped upsert core: hash up front, sort by bucket, then
-// commit WriteGroupChunk keys per group with hot-mirror capture on, ending
-// each group with one coalesced mirror flush per background writer.
-func (s *Session) multiPut(keys []kv.Key, vals, olds []kv.Value, hadOld []bool, errs []error) int {
-	n := len(keys)
-	if n == 0 {
-		return 0
-	}
-	bs := &s.batch
-	bs.ensure(n)
-	for i := range keys {
-		bk := &bs.keys[i]
-		bk.k = keys[i]
-		bk.h1, bk.h2, bk.fp = hashKV(keys[i][:])
-	}
-	s.orderByBucket(n)
-	chunk := s.t.opts.WriteGroupChunk
-	if chunk <= 0 {
-		chunk = DefaultWriteGroupChunk
-	}
-	fails := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		start := time.Now()
-		s.capturing = true
-		s.helpDrainStep()
-		s.enterCritical()
-		for _, i := range bs.idx[lo:hi] {
-			bk := &bs.keys[i]
-			// A duplicate of a staged key must see the staged write: drain
-			// first (a staged insert is invisible to lookups and holds its
-			// slot locked — see pendingHas).
-			if s.pendingHas(bk.k) {
-				s.drainPending()
-			}
-			old, had, staged := s.stagePut(bk.k, vals[i], bk.h1, bk.h2, bk.fp)
-			if staged {
-				errs[i] = nil
-				if olds != nil {
-					olds[i], hadOld[i] = old, had
-				}
-				continue
-			}
-			// Solo fallback (contended probe or full candidate set): drain
-			// the group — the blocking path may wait on or move the staged
-			// slots — and run the key through the per-key upsert, which
-			// opens its own critical sections and may expand the table.
-			s.drainPending()
-			s.exitCritical()
-			old, had, err := s.putExchangeHashed(bk.k, vals[i], bk.h1, bk.h2, bk.fp)
-			errs[i] = err
-			if err != nil {
-				fails++
-			}
-			if olds != nil {
-				olds[i], hadOld[i] = old, had
-			}
-			s.enterCritical()
-		}
-		s.drainPending()
-		s.exitCritical()
-		s.capturing = false
-		groups := s.flushHotMirrors()
-		s.fl.GroupCommit(int64(hi-lo), int64(groups), time.Since(start))
-	}
-	return fails
-}
-
-// putHashed is the upsert: update-else-insert, retrying the (rare) window
-// where a concurrent writer flips the key's existence between the two.
-func (s *Session) putHashed(k kv.Key, v kv.Value, h1, h2 uint64, fp uint8) error {
-	_, _, err := s.putExchangeHashed(k, v, h1, h2, fp)
-	return err
-}
-
-// putExchangeHashed is putHashed reporting the displaced value: hadOld is
-// true when the upsert replaced an existing record, false when it inserted
-// fresh.
-func (s *Session) putExchangeHashed(k kv.Key, v kv.Value, h1, h2 uint64, fp uint8) (kv.Value, bool, error) {
-	for {
-		old, err := s.updateHashed(k, v, nil, h1, h2, fp)
-		if !errors.Is(err, scheme.ErrNotFound) {
-			return old, err == nil, err
-		}
-		err = s.insertHashed(k, v, h1, h2, fp)
-		if !errors.Is(err, scheme.ErrExists) {
-			var zero kv.Value
-			return zero, false, err
-		}
-	}
+	return s.multiWrite(verbPut, keys, vals, olds, hadOld, errs)
 }
 
 // MultiDelete deletes every key, recording a per-key verdict in errs
 // (scheme.ErrNotFound for absent keys) and returning the number of
 // failures. errs must have the same length as keys.
 func (s *Session) MultiDelete(keys []kv.Key, errs []error) int {
-	n := len(keys)
-	if len(errs) != n {
+	if len(errs) != len(keys) {
 		panic("core: MultiDelete slice lengths must match len(keys)")
 	}
-	return s.multiDelete(keys, nil, errs)
+	return s.multiWrite(verbDelete, keys, nil, nil, nil, errs)
 }
 
 // MultiDeleteExchange is MultiDelete that also reports each deleted key's
@@ -430,11 +333,16 @@ func (s *Session) MultiDeleteExchange(keys []kv.Key, olds []kv.Value, errs []err
 	if len(olds) != n || len(errs) != n {
 		panic("core: MultiDeleteExchange slice lengths must match len(keys)")
 	}
-	return s.multiDelete(keys, olds, errs)
+	return s.multiWrite(verbDelete, keys, nil, olds, nil, errs)
 }
 
-// multiDelete is the grouped delete core; see multiPut for the shape.
-func (s *Session) multiDelete(keys []kv.Key, olds []kv.Value, errs []error) int {
+// multiWrite is the grouped write core behind the four methods above: hash
+// up front, sort by bucket, then stage WriteGroupChunk keys per group with
+// hot-mirror capture on and commit each group with one drainPending, which
+// also ships the group's mirrors as one coalesced request per background
+// writer. vals is read only for verbPut; olds and hadOld are filled when
+// non-nil.
+func (s *Session) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []kv.Value, hadOld []bool, errs []error) int {
 	n := len(keys)
 	if n == 0 {
 		return 0
@@ -453,36 +361,32 @@ func (s *Session) multiDelete(keys []kv.Key, olds []kv.Value, errs []error) int 
 	}
 	fails := 0
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		start := time.Now()
+		groups := 0
 		s.capturing = true
 		s.helpDrainStep()
 		s.enterCritical()
 		for _, i := range bs.idx[lo:hi] {
 			bk := &bs.keys[i]
-			if s.pendingHas(bk.k) {
-				s.drainPending()
+			var v kv.Value
+			if verb != verbDelete {
+				v = vals[i]
 			}
-			old, err, staged := s.stageDelete(bk.k, bk.h1, bk.h2, bk.fp)
-			if staged {
-				errs[i] = nil
-				if olds != nil {
-					olds[i] = old
-				}
-				continue
+			w := s.beginWrite(verb, bk.k, v, nil, bk.h1, bk.h2, bk.fp)
+			old, had, err := s.stage(&w, false)
+			if err == scheme.ErrContended || err == errNeedResize {
+				// A slot in the probe path is locked — possibly by this very
+				// group: a second write to a key it already staged lands here
+				// — or the candidate set is full. Commit the group, so no
+				// staged lock is held, and finish the key as a solo write: it
+				// may wait on locks, opens its own critical sections, and may
+				// expand the table.
+				groups += s.drainPending()
+				s.exitCritical()
+				old, had, err = s.writeSolo(&w)
+				s.enterCritical()
 			}
-			if err != nil { // conclusive miss, resolved at stage time
-				errs[i] = err
-				fails++
-				continue
-			}
-			// Contended probe: drain and take the blocking solo delete.
-			s.drainPending()
-			s.exitCritical()
-			old, err = s.deleteHashed(bk.k, bk.h1, bk.h2, bk.fp)
 			errs[i] = err
 			if err != nil {
 				fails++
@@ -490,12 +394,13 @@ func (s *Session) multiDelete(keys []kv.Key, olds []kv.Value, errs []error) int 
 			if olds != nil {
 				olds[i] = old
 			}
-			s.enterCritical()
+			if hadOld != nil {
+				hadOld[i] = had
+			}
 		}
-		s.drainPending()
+		groups += s.drainPending()
 		s.exitCritical()
 		s.capturing = false
-		groups := s.flushHotMirrors()
 		s.fl.GroupCommit(int64(hi-lo), int64(groups), time.Since(start))
 	}
 	return fails

@@ -123,7 +123,8 @@ func (t *Table) checkHotCoherence(hh interface {
 	Load(int64) uint64
 }, nvt map[kv.Key]slotRef) []error {
 	var errs []error
-	for li, l := range [2]*hotLevel{t.hot.top.Load(), t.hot.bottom.Load()} {
+	hp := t.hot.pair()
+	for li, l := range [2]*hotLevel{hp.top, hp.bottom} {
 		for idx := int64(0); idx < int64(len(l.ctrl)); idx++ {
 			c := l.loadCtrl(idx)
 			if c&hotValid == 0 {

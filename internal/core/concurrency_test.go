@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hdnh/internal/scheme"
@@ -173,6 +174,78 @@ func TestConcurrentUpdatesSameKey(t *testing.T) {
 	if v[0] != 'v' {
 		t.Fatalf("corrupt value %q", v.String())
 	}
+}
+
+// TestConcurrentSameKeyWriters races writers of the SAME keys, the case the
+// per-slot protocol used to leave to the caller. Phase one: every worker
+// inserts every key, and exactly one insert per key may win — before the
+// announce-and-count step in Session.stage two sessions could both pass the
+// duplicate check and commit the key twice. Phase two: the workers upsert
+// and delete a small shared keyset with background hot writers on; the
+// invariant checker then demands one committed copy per key and a cache that
+// matches the NVT — a mirror enqueued after its writer unlocked could be
+// overtaken by the next writer's, leaving a stale (or, after a delete,
+// resurrected) cache entry.
+func TestConcurrentSameKeyWriters(t *testing.T) {
+	tbl := newTable(t, func(o *Options) {
+		o.SyncWrites = true
+		o.BackgroundWriters = 2
+	})
+	const workers, keys = 4, 1500
+	var wins [keys]atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := tbl.NewSession()
+			defer s.Close()
+			for i := 0; i < keys; i++ {
+				switch err := s.Insert(key(i), value(w*keys+i)); err {
+				case nil:
+					wins[i].Add(1)
+				case scheme.ErrExists:
+				default:
+					t.Errorf("worker %d insert %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range wins {
+		if n := wins[i].Load(); n != 1 {
+			t.Fatalf("key %d: %d inserts succeeded, want exactly 1", i, n)
+		}
+	}
+	assertHealthy(t, tbl, "after racing same-key inserts")
+
+	const hot = 48
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := tbl.NewSession()
+			defer s.Close()
+			for i := 0; i < 4000; i++ {
+				k := key((w*31 + i) % hot)
+				var err error
+				if i%5 == 4 {
+					if err = s.Delete(k); err == scheme.ErrNotFound {
+						err = nil
+					}
+				} else {
+					err = s.Put(k, value(w*10000+i))
+				}
+				if err != nil {
+					t.Errorf("worker %d op %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	assertHealthy(t, tbl, "after racing same-key upserts and deletes")
 }
 
 func TestConcurrentInsertsThroughResizes(t *testing.T) {

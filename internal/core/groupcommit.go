@@ -1,251 +1,493 @@
 package core
 
 import (
+	"runtime"
 	"time"
 
 	"hdnh/internal/kv"
+	"hdnh/internal/nvm"
 	"hdnh/internal/obs"
 	"hdnh/internal/scheme"
 )
 
-// Group commit: the staged NVT write protocol behind MultiPut/MultiDelete.
+// The write protocol. Every foreground NVT write — Insert, Update, Delete,
+// Put, and each key of MultiPut/MultiDelete — commits through the one staged
+// group protocol below; a single-key write is a group of one. (Record movers
+// — the drain, displacement, recovery — keep writeSlotCommit/clearSlotCommit
+// in ops.go; they relocate committed records, they do not accept writes.)
 //
-// The solo write paths pay the full persist protocol per key — flush the
-// key/value words, fence, atomically persist the commit word, and for
-// updates a second persist to retire the old slot. The grouped path runs
-// the same stores in the same order but batches the waits: each key's line
-// write-backs are staged (StageFlush) and the whole chunk drains behind
-// three barriers instead of ~5 fences per key:
-//
-//	phase A (stagePut/stageDelete, per key)
-//	        lock the slots, store key+value words, stage their lines
-//	phase B  one FlushBarrier+Fence — every staged key/value word durable
+//	phase A (stage, per key)
+//	        one findAndLock probe decides the write (insert, out-of-place
+//	        update, delete, or a verdict that writes nothing); lock the
+//	        slots, store key+value words, stage their lines
+//	phase B  barrier — every staged key/value word durable
 //	phase C  store every commit word (valid bit for inserts/updates,
-//	         cleared bit for deletes), stage, one FlushBarrier+Fence
+//	         cleared bit for deletes), stage, barrier
 //	phase D  publish the new slots in the OCF, stage the update old-slot
-//	         clears, one FlushBarrier+Fence, then retire old slots,
-//	         mirror into the hot table, and close the op spans
+//	         clears, barrier, then retire old slots, mirror into the hot
+//	         table, and close the ops
 //
-// Crash ordering is the solo protocol's, phase-shifted: a commit word is
-// stored only after its key/value words are fence-durable (B precedes C),
-// a record becomes visible only after its commit word is durable (C's
-// barrier precedes D's publishes), an update's old slot is cleared only
-// after the new copy is durable (C precedes D) and retired from the OCF
-// only after the clear is durable (D's barrier precedes the releases), and
-// a delete's absence is visible only after its clear is durable. A crash
-// between C and D's barrier leaves an update's both copies durable —
-// exactly the solo crash window — and recovery keeps the newer stamp.
+// A barrier is FlushBarrier+Fence, and a phase that staged nothing skips
+// both: with no write-back issued since the previous fence there is nothing
+// to order. A lone insert therefore pays two barriers, a lone update three,
+// a lone delete one — the paper's per-key protocol exactly — while a group
+// of n pays the same two, three or one for all n keys together.
+//
+// Crash ordering (the only such argument in this package; INTERNALS §2 has
+// the long form): a commit word is stored only after its key/value words are
+// fence-durable (B precedes C), a record becomes visible only after its
+// commit word is durable (C's barrier precedes D's publishes), an update's
+// old slot is cleared only after the new copy is durable (C precedes D) and
+// retired from the OCF only after the clear is durable (D's barrier precedes
+// the releases), and a delete's absence is visible only after its clear is
+// durable. A crash between C and D's barrier leaves an update's both copies
+// durable, and recovery keeps the newer stamp.
 //
 // Locking: every staged slot (the old record's and the new one's) stays
 // locked from phase A until phase D, so the exchange guarantee holds — the
-// displaced value read in phase A is the one this write replaces. The
-// stage functions probe with wait=false lookups, so colliding with any
-// locked slot (including our own staged ones) falls back instead of
-// spinning; the batch loop then drains the pending group and runs that key
-// through the blocking solo path. The pending group never crosses an
-// exitCritical: level pointers referenced by staged slots stay pinned.
+// displaced value read in phase A is the one this write replaces. That is
+// also why only an EMPTY group may probe with blocking waits: a session
+// parked on a locked slot cannot tell a foreign lock from one of its own
+// staged ones, and its own never release until it drains. A solo write
+// stages into an empty group, so it waits like the paper's writer does; the
+// batch loop stages with wait=false, and a key that would block drains the
+// group and reruns as a solo write. That covers a key the group has already
+// staged, too: its slot is locked under its fingerprint (an insert's is
+// announced, see stage), so the duplicate's probe reports contention, the
+// first write commits, and the second sees it. The pending group never
+// crosses an exitCritical: level pointers referenced by staged slots stay
+// pinned.
 
-// pendKind discriminates a staged write awaiting its group barriers.
-type pendKind uint8
+// writeVerb is what a write asks of the one probe every verb starts with.
+type writeVerb uint8
 
 const (
-	pendInsert pendKind = iota
-	pendUpdate
-	pendDelete
+	verbPut    writeVerb = iota // upsert: update when present, insert when absent
+	verbInsert                  // scheme.ErrExists when present
+	verbUpdate                  // scheme.ErrNotFound when absent, ErrConflict on an expect mismatch
+	verbDelete                  // scheme.ErrNotFound when absent
 )
 
-// pendingCommit is one staged write: the slots it holds locked, the commit
-// word to store in phase C, and the op bookkeeping to close in phase D.
-type pendingCommit struct {
-	kind   pendKind
+// nominalOp is the op a verb's span opens as and its inconclusive failures
+// (contended, full) are counted under. An upsert's kind is unknown until its
+// probe concludes; it is filed as an update until then.
+var nominalOp = [...]obs.Op{verbPut: obs.OpUpdate, verbInsert: obs.OpInsert, verbUpdate: obs.OpUpdate, verbDelete: obs.OpDelete}
+
+// writeOp is one write request plus its open op accounting (metrics start
+// time and flight span), carried from beginWrite through every stage attempt.
+type writeOp struct {
+	verb   writeVerb
 	k      kv.Key
-	v      kv.Value // new value; zero for deletes
-	newRef slotRef  // staged slot (inserts/updates)
-	newC   uint32   // its pre-lock control word
-	w3     uint64   // commit word for the staged slot
-	oldRef slotRef  // displaced slot (updates/deletes)
-	oldC   uint32
-	oldW3  uint64
-	h1     uint64
+	v      kv.Value  // new value; zero for deletes
+	expect *kv.Value // verbUpdate only: replace only while the value equals *expect
+	h1, h2 uint64
 	fp     uint8
+	op     obs.Op // nominalOp[verb]
 	start  time.Time
 	ft     int64
 }
 
-// pendingHas reports whether the key already has a staged write in the
-// pending group. Duplicate keys in one chunk must drain the group first:
-// a staged insert is invisible to lookups (its slot is locked, fingerprint
-// unpublished), so staging the duplicate would plant a second live copy.
-func (s *Session) pendingHas(k kv.Key) bool {
-	for i := range s.batch.pending {
-		if s.batch.pending[i].k == k {
-			return true
-		}
-	}
-	return false
+func (s *Session) beginWrite(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value, h1, h2 uint64, fp uint8) writeOp {
+	op := nominalOp[verb]
+	return writeOp{verb: verb, k: k, v: v, expect: expect, h1: h1, h2: h2, fp: fp,
+		op: op, start: s.rec.Start(), ft: s.fl.OpBegin(op)}
 }
 
-// stagePut stages one upsert into the pending group. On success the
-// displaced value is returned with the exchange guarantee (read under the
-// old slot's lock, which the group holds until phase D). staged=false
-// means the key needs the blocking solo fallback — a locked slot in its
-// probe path or a full candidate set — with nothing held and nothing
-// recorded. Caller must be inside an epoch critical section and must have
-// checked pendingHas.
-func (s *Session) stagePut(k kv.Key, v kv.Value, h1, h2 uint64, fp uint8) (old kv.Value, hadOld, staged bool) {
-	start := s.rec.Start()
+// pendingCommit is one staged write: the slots it holds locked, the commit
+// word to store in phase C, and the op bookkeeping to close in phase D.
+type pendingCommit struct {
+	op      obs.Op // OpInsert, OpUpdate or OpDelete: what the probe made of the verb
+	k       kv.Key
+	v       kv.Value // new value; zero for deletes
+	newRef  slotRef  // staged slot (inserts/updates)
+	newC    uint32   // its pre-lock control word
+	w3      uint64   // commit word for the staged slot
+	oldRef  slotRef  // displaced slot (updates/deletes)
+	oldC    uint32
+	oldW3   uint64
+	h1      uint64
+	fp      uint8
+	hotOwed bool // its hot mirror is with a background writer and the signal still owed
+	start   time.Time
+	ft      int64
+}
+
+// release unlocks the slot with the given validity, bumping the version of
+// the control word c the lock was taken over.
+func (r slotRef) release(valid bool, fp uint8, c uint32) {
+	r.lvl.ocfRelease(r.b, r.s, valid, fp, ocfVer(c))
+}
+
+// writeSlotStage stores a record's key and value words into the locked slot
+// and queues their lines behind the session's next FlushBarrier. The final
+// word — value tail, valid bit and stamp — is returned for drainPending to
+// commit after that barrier's fence. The slot stays locked and unpublished.
+func (t *Table) writeSlotStage(h *nvm.Handle, ref slotRef, k kv.Key, v kv.Value, stamp uint8) uint64 {
+	off := ref.wordOff()
+	var w [slotWords]uint64
+	kv.PackRecord(w[:], k, v, packMeta(true, stamp))
+	h.Store(off, w[0])
+	h.Store(off+1, w[1])
+	h.Store(off+2, w[2])
+	h.WriteAccess(off, 3)
+	h.StageFlush(off, 3)
+	return w[3]
+}
+
+// stageClear stages the clear of a committed slot's valid bit behind the
+// next FlushBarrier.
+func (t *Table) stageClear(h *nvm.Handle, ref slotRef, w3 uint64) {
+	cleared := kv.WithMeta(w3, packMeta(false, metaStamp(kv.MetaOf(w3))))
+	off := ref.wordOff() + 3
+	h.Store(off, cleared)
+	h.WriteAccess(off, 1)
+	h.StageFlush(off, 1)
+}
+
+// settle closes an op whose probe concluded without anything to write.
+func (s *Session) settle(w *writeOp, op obs.Op, out obs.Outcome, err error) error {
+	s.heat.Touch(op, w.k)
+	s.opDone(op, out, w.start, w.ft)
+	return err
+}
+
+// enqueue adds a staged write to the pending group.
+func (s *Session) enqueue(w *writeOp, p pendingCommit) {
+	p.k, p.v, p.h1, p.fp, p.start, p.ft = w.k, w.v, w.h1, w.fp, w.start, w.ft
+	s.heat.Touch(p.op, p.k)
+	s.batch.pending = append(s.batch.pending, p)
+}
+
+// stage is phase A for one key: probe once, and either stage the write the
+// verb asks for into the pending group (nil error; its slots stay locked
+// until drainPending) or conclude without one. old/hadOld carry the value
+// the probe found, with the exchange guarantee when the write staged. The
+// errors:
+//
+//	scheme.ErrExists, ErrNotFound, ErrConflict — the verdict; the op is closed
+//	scheme.ErrContended — inconclusive probe (or, with wait=false, a slot
+//	        that would block); nothing held, retry
+//	errNeedResize — no free slot in the candidate set; nothing held; hadOld
+//	        says whether it was an update (often transient) or an insert
+//
+// Caller must be inside an epoch critical section. wait=true requires an
+// empty pending group.
+func (s *Session) stage(w *writeOp, wait bool) (old kv.Value, hadOld bool, err error) {
+	if wait && len(s.batch.pending) != 0 {
+		panic("core: blocking probe while holding staged slot locks")
+	}
+	moves := s.t.moveShard(w.h1)
+	seen := moves.Load()
 	var ps probeStats
-	oldHit, res := s.t.findAndLockWith(s.h, k, h1, h2, fp, &ps, false)
+	cur, res := s.t.findAndLock(s.h, w.k, w.h1, w.h2, w.fp, &ps, wait)
 	ps.report(s.rec, s.fl)
 	switch res {
-	case lookupFound:
-		// Prefer the old record's own bucket only while it lives in the
-		// current structure (see updateHashed).
-		pr := s.t.pair()
-		prefer := &oldHit.ref
-		if oldHit.ref.lvl != pr.top && oldHit.ref.lvl != pr.bottom {
-			prefer = nil
-		}
-		ref, c, ok := s.t.lockEmptySlot(h1, h2, prefer)
-		if !ok {
-			// Put the old slot back untouched; the solo path retries with
-			// displacement and expansion available.
-			oldHit.ref.lvl.ocfRelease(oldHit.ref.b, oldHit.ref.s, true, fp, ocfVer(oldHit.ctrl))
-			return kv.Value{}, false, false
-		}
-		ft := s.fl.OpBegin(obs.OpUpdate)
-		s.heat.Touch(obs.OpUpdate, k)
-		stamp := metaStamp(kv.MetaOf(oldHit.w3)) + 1
-		w3 := s.t.writeSlotStage(s.h, ref, k, v, stamp)
-		s.batch.pending = append(s.batch.pending, pendingCommit{
-			kind: pendUpdate, k: k, v: v,
-			newRef: ref, newC: c, w3: w3,
-			oldRef: oldHit.ref, oldC: oldHit.ctrl, oldW3: oldHit.w3,
-			h1: h1, fp: fp, start: start, ft: ft,
-		})
-		return oldHit.val, true, true
+	case lookupContended:
+		return kv.Value{}, false, scheme.ErrContended
 	case lookupMissing:
-		// Conclusive miss: findAndLockWith completed a full quiescent pass,
-		// which is the same duplicate check insertHashed runs.
-		ref, c, ok := s.t.lockEmptySlot(h1, h2, nil)
-		if !ok {
-			return kv.Value{}, false, false
+		if w.verb == verbUpdate || w.verb == verbDelete {
+			return kv.Value{}, false, s.settle(w, w.op, obs.OutNotFound, scheme.ErrNotFound)
 		}
-		ft := s.fl.OpBegin(obs.OpInsert)
-		s.heat.Touch(obs.OpInsert, k)
-		w3 := s.t.writeSlotStage(s.h, ref, k, v, 1)
-		s.batch.pending = append(s.batch.pending, pendingCommit{
-			kind: pendInsert, k: k, v: v,
-			newRef: ref, newC: c, w3: w3,
-			h1: h1, fp: fp, start: start, ft: ft,
-		})
-		return kv.Value{}, false, true
-	default:
-		return kv.Value{}, false, false
+		// Conclusive miss — findAndLock completed a full quiescent pass —
+		// which is the insert's duplicate check. Inserting without it could
+		// plant a second copy of a live key.
+		ref, c, ok := s.t.lockEmptySlot(w.h1, w.h2, nil)
+		// Displacement makes room — but not while a drain is in flight: it
+		// packs the new levels toward 100% without ever calling expand, the
+		// only place an insert waits for the drain, and the records still in
+		// the drain level need those slots.
+		if !ok && s.t.opts.DisplaceOnInsert && !s.t.Resizing() && s.t.displaceOne(s.h, w.h1, w.h2) {
+			ref, c, ok = s.t.lockEmptySlot(w.h1, w.h2, nil)
+		}
+		if !ok {
+			return kv.Value{}, false, errNeedResize
+		}
+		// Two writers inserting the same fresh key both get here: neither
+		// probe could see the other's slot. The key's movement counter picks
+		// one. Announce the slot under the key's fingerprint, then bump the
+		// counter: unchanged since before the probe means no other insert
+		// (or move) in this shard went by, so nobody else holds a slot for
+		// this key; and whoever samples the counter after our bump probes
+		// after our announce, finds this slot, and waits on it. A changed
+		// counter may be the other inserter — give the slot back and
+		// re-probe.
+		ref.lvl.ocfAnnounce(ref.b, ref.s, w.fp, c)
+		if moves.Add(1) != seen+1 {
+			ref.release(false, 0, c)
+			return kv.Value{}, false, scheme.ErrContended
+		}
+		// The hot mirror goes out before the NVT write so the DRAM copy
+		// overlaps it (paper §3.4; the key is fresh, so nothing can race
+		// it). Inside a batch chunk this only captures the mirror.
+		owed := s.beginHotWrite(hotOpPut, w.k, w.v, w.h1, w.fp)
+		s.enqueue(w, pendingCommit{op: obs.OpInsert, hotOwed: owed,
+			newRef: ref, newC: c, w3: s.t.writeSlotStage(s.h, ref, w.k, w.v, 1)})
+		return kv.Value{}, false, nil
 	}
+	// Found: cur's slot is locked and cur.val is current.
+	switch {
+	case w.verb == verbInsert:
+		cur.ref.release(true, w.fp, cur.ctrl)
+		return cur.val, true, s.settle(w, obs.OpInsert, obs.OutExists, scheme.ErrExists)
+	case w.expect != nil && cur.val != *w.expect:
+		// Conditional update, wrong current value: put the slot back
+		// untouched and report the value that won.
+		cur.ref.release(true, w.fp, cur.ctrl)
+		return cur.val, true, s.settle(w, obs.OpUpdate, obs.OutConflict, scheme.ErrConflict)
+	case w.verb == verbDelete:
+		s.enqueue(w, pendingCommit{op: obs.OpDelete, oldRef: cur.ref, oldC: cur.ctrl, oldW3: cur.w3})
+		return cur.val, true, nil
+	}
+	// Out-of-place update (paper Figure 10): the new copy goes into a free
+	// slot, preferring the old record's own bucket so a crash leaves the
+	// duplicate bucket-local — but only while that bucket is in the current
+	// structure: a record found in the drain level must move to top/bottom,
+	// never back into the level being emptied.
+	pr := s.t.pair()
+	prefer := &cur.ref
+	if cur.ref.lvl != pr.top && cur.ref.lvl != pr.bottom {
+		prefer = nil
+	}
+	ref, c, ok := s.t.lockEmptySlot(w.h1, w.h2, prefer)
+	if !ok {
+		cur.ref.release(true, w.fp, cur.ctrl) // put the old slot back untouched
+		return kv.Value{}, true, errNeedResize
+	}
+	stamp := metaStamp(kv.MetaOf(cur.w3)) + 1
+	s.enqueue(w, pendingCommit{op: obs.OpUpdate,
+		newRef: ref, newC: c, w3: s.t.writeSlotStage(s.h, ref, w.k, w.v, stamp),
+		oldRef: cur.ref, oldC: cur.ctrl, oldW3: cur.w3})
+	return cur.val, true, nil
 }
 
-// stageDelete stages one delete into the pending group. A conclusive miss
-// is resolved immediately (err=scheme.ErrNotFound, staged=false); a
-// contended probe returns staged=false with a nil err, sending the key to
-// the solo fallback. Caller contract matches stagePut.
-func (s *Session) stageDelete(k kv.Key, h1, h2 uint64, fp uint8) (old kv.Value, err error, staged bool) {
-	start := s.rec.Start()
-	var ps probeStats
-	oldHit, res := s.t.findAndLockWith(s.h, k, h1, h2, fp, &ps, false)
-	ps.report(s.rec, s.fl)
-	switch res {
-	case lookupFound:
-		ft := s.fl.OpBegin(obs.OpDelete)
-		s.heat.Touch(obs.OpDelete, k)
-		s.batch.pending = append(s.batch.pending, pendingCommit{
-			kind: pendDelete, k: k,
-			oldRef: oldHit.ref, oldC: oldHit.ctrl, oldW3: oldHit.w3,
-			h1: h1, fp: fp, start: start, ft: ft,
-		})
-		return oldHit.val, nil, true
-	case lookupMissing:
-		ft := s.fl.OpBegin(obs.OpDelete)
-		s.heat.Touch(obs.OpDelete, k)
-		s.opDone(obs.OpDelete, obs.OutNotFound, start, ft)
-		return kv.Value{}, scheme.ErrNotFound, false
-	default:
-		return kv.Value{}, nil, false
-	}
-}
-
-// drainPending runs phases B-D over the staged group: two barrier+fence
-// pairs commit every staged write, a third covers the update old-slot
-// clears, and the final pass retires old slots, feeds the hot mirrors
-// (captured — the batch loop flushes them per chunk), and closes each op.
-// Must run inside the same critical section the stages ran in.
-func (s *Session) drainPending() {
+// drainPending runs phases B-D over the staged group (see the protocol at
+// the top of the file) and closes each op. Must run inside the critical
+// section the stages ran in. Returns how many coalesced hot-mirror requests
+// it sent to background writers (always 0 outside a batch chunk).
+func (s *Session) drainPending() int {
 	bs := &s.batch
 	if len(bs.pending) == 0 {
-		return
+		return 0
 	}
 	h := s.h
 
-	// Phase B: every staged key/value word becomes durable at once.
-	h.FlushBarrier()
-	h.Fence()
+	// Phase B: every staged key/value word becomes durable at once. (A group
+	// of deletes staged none.)
+	if h.FlushBarrier() {
+		h.Fence()
+	}
 
 	// Phase C: store and stage every commit word, then one barrier. Commit
 	// words only land after B's fence, so no slot can be durable-valid with
 	// non-durable contents.
 	for i := range bs.pending {
 		p := &bs.pending[i]
-		switch p.kind {
-		case pendInsert, pendUpdate:
-			off := p.newRef.wordOff() + 3
-			h.Store(off, p.w3)
-			h.WriteAccess(off, 1)
-			h.StageFlush(off, 1)
-		case pendDelete:
+		if p.op == obs.OpDelete {
 			s.t.stageClear(h, p.oldRef, p.oldW3)
+			continue
 		}
+		off := p.newRef.wordOff() + 3
+		h.Store(off, p.w3)
+		h.WriteAccess(off, 1)
+		h.StageFlush(off, 1)
 	}
-	h.FlushBarrier()
-	h.Fence()
+	if h.FlushBarrier() {
+		h.Fence()
+	}
 
-	// Phase D: publish. New slots enter the OCF only now (their commit
-	// words are durable); each update publishes its new copy and signals
-	// the move before its old-slot clear is staged, exactly the solo
-	// publish-before-retire order.
+	// Hot mirrors go out here: after C, so what they cache is durable, and
+	// before D unlocks anything, so the next writer of any of these keys
+	// enqueues its mirror behind ours (see syncwrite.go). Inserts enqueued
+	// theirs at stage time. Inside a batch chunk beginHotWrite only captures
+	// and dispatchHotMirrors ships the group, one request per writer.
 	for i := range bs.pending {
 		p := &bs.pending[i]
-		switch p.kind {
-		case pendInsert:
-			p.newRef.lvl.ocfRelease(p.newRef.b, p.newRef.s, true, p.fp, ocfVer(p.newC))
+		switch p.op {
+		case obs.OpUpdate:
+			p.hotOwed = s.beginHotWrite(hotOpPut, p.k, p.v, p.h1, p.fp)
+		case obs.OpDelete:
+			p.hotOwed = s.beginHotWrite(hotOpDel, p.k, kv.Value{}, p.h1, p.fp)
+		}
+	}
+	groups := s.dispatchHotMirrors()
+
+	// Phase D: publish. New slots enter the OCF only now (their commit
+	// words are durable). An update publishes its new copy BEFORE its old
+	// slot is retired — a reader that already passed the new slot's bucket
+	// waits on the old slot's lock and must still find the key somewhere
+	// when that lock releases — and signals the move while both copies are
+	// visible: a reader that misses re-checks the counter and rescans (see
+	// Table.moves).
+	for i := range bs.pending {
+		p := &bs.pending[i]
+		switch p.op {
+		case obs.OpInsert:
+			p.newRef.release(true, p.fp, p.newC)
 			s.t.count.Add(1)
-		case pendUpdate:
-			p.newRef.lvl.ocfRelease(p.newRef.b, p.newRef.s, true, p.fp, ocfVer(p.newC))
+		case obs.OpUpdate:
+			p.newRef.release(true, p.fp, p.newC)
 			s.t.moveShard(p.h1).Add(1)
 			s.t.stageClear(h, p.oldRef, p.oldW3)
 		}
 	}
-	h.FlushBarrier()
-	h.Fence()
+	if h.FlushBarrier() { // only updates staged a clear
+		h.Fence()
+	}
 
+	// Retire the old slots, then collect the sync_write_signals: the ops
+	// return only once their DRAM halves have been applied.
 	for i := range bs.pending {
 		p := &bs.pending[i]
-		switch p.kind {
-		case pendInsert:
-			owed := s.beginHotWrite(hotOpPut, p.k, p.v, p.h1, p.fp)
-			s.waitHotWrite(owed)
-			s.opDone(obs.OpInsert, obs.OutOK, p.start, p.ft)
-		case pendUpdate:
-			p.oldRef.lvl.ocfRelease(p.oldRef.b, p.oldRef.s, false, 0, ocfVer(p.oldC))
-			owed := s.beginHotWrite(hotOpPut, p.k, p.v, p.h1, p.fp)
-			s.waitHotWrite(owed)
-			s.opDone(obs.OpUpdate, obs.OutOK, p.start, p.ft)
-		case pendDelete:
-			p.oldRef.lvl.ocfRelease(p.oldRef.b, p.oldRef.s, false, 0, ocfVer(p.oldC))
+		switch p.op {
+		case obs.OpUpdate:
+			p.oldRef.release(false, 0, p.oldC)
+		case obs.OpDelete:
+			p.oldRef.release(false, 0, p.oldC)
 			s.t.count.Add(-1)
-			owed := s.beginHotWrite(hotOpDel, p.k, kv.Value{}, p.h1, p.fp)
-			s.waitHotWrite(owed)
-			s.opDone(obs.OpDelete, obs.OutOK, p.start, p.ft)
 		}
+		s.waitHotWrite(p.hotOwed)
+		s.opDone(p.op, obs.OutOK, p.start, p.ft)
+	}
+	for owed := groups; owed > 0; owed-- {
+		<-s.done
 	}
 	bs.pending = bs.pending[:0]
+	return groups
+}
+
+// writeSolo runs one write to completion as a group of one: stage with
+// blocking probes (the pending group is empty), drain, and absorb what a
+// single attempt cannot — an inconclusive probe retries with capped backoff
+// up to contendedRetryMax rounds before surfacing ErrContended (ErrNotFound
+// and ErrExists are returned only after a conclusive scan), and a full
+// candidate set expands the table, up to Options.MaxExpansions doublings,
+// before surfacing ErrFull. Must be called outside any critical section.
+func (s *Session) writeSolo(w *writeOp) (kv.Value, bool, error) {
+	transientRetries, contendedRounds := 0, 0
+	for attempt := 0; attempt <= s.t.opts.MaxExpansions; attempt++ {
+		s.helpDrainStep()
+		s.enterCritical()
+		old, hadOld, err := s.stage(w, true)
+		switch err {
+		case nil:
+			s.drainPending()
+			s.exitCritical()
+			return old, hadOld, nil
+		case scheme.ErrContended:
+			s.exitCritical()
+			s.rec.Contended()
+			if contendedRounds < contendedRetryMax {
+				contendedRounds++
+				attempt--
+				spinBackoff(spinYields + contendedRounds)
+				continue
+			}
+			s.opDone(w.op, obs.OutContended, w.start, w.ft)
+			return kv.Value{}, false, err
+		case errNeedResize:
+			gen := s.t.state().generation
+			lf := s.t.LoadFactor()
+			s.exitCritical()
+			// An update's full candidate set at moderate load is usually
+			// transient — concurrent updaters of nearby (skewed) keys each
+			// hold one extra slot mid-move. Retry before paying for an
+			// expansion, which would stall every thread for a full rehash.
+			if hadOld && lf < 0.85 && transientRetries < 8 {
+				transientRetries++
+				attempt--
+				runtime.Gosched()
+				continue
+			}
+			if err := s.t.expand(gen); err != nil {
+				s.opDone(w.op, expandOutcome(err), w.start, w.ft)
+				return kv.Value{}, false, err
+			}
+		default: // the probe's verdict; stage closed the op
+			s.exitCritical()
+			return old, hadOld, err
+		}
+	}
+	s.opDone(w.op, obs.OutFull, w.start, w.ft)
+	return kv.Value{}, false, scheme.ErrFull
+}
+
+// writeHashed is the single-key write entry with the hashing hoisted out:
+// the router hashes once to pick a shard and reuses h1/h2/fp here.
+func (s *Session) writeHashed(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value, h1, h2 uint64, fp uint8) (kv.Value, bool, error) {
+	w := s.beginWrite(verb, k, v, expect, h1, h2, fp)
+	return s.writeSolo(&w)
+}
+
+func (s *Session) write(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value) (kv.Value, bool, error) {
+	h1, h2, fp := hashKV(k[:])
+	return s.writeHashed(verb, k, v, expect, h1, h2, fp)
+}
+
+// Insert adds a new record (foreground thread of paper Figure 9), returning
+// scheme.ErrExists if the key is present. The hot table write is dispatched
+// to a background writer before the NVM work so the two overlap; Insert
+// returns only after both halves complete.
+func (s *Session) Insert(k kv.Key, v kv.Value) error {
+	_, _, err := s.write(verbInsert, k, v, nil)
+	return err
+}
+
+// Update replaces the value out-of-place (paper Figure 10): the old slot is
+// locked, the new record committed into a free slot — preferring the old
+// record's own bucket — and only then is the old slot invalidated. A crash
+// between the two commits leaves a stamped duplicate that recovery resolves
+// toward the newer record. Returns scheme.ErrNotFound for an absent key.
+func (s *Session) Update(k kv.Key, v kv.Value) error {
+	_, _, err := s.write(verbUpdate, k, v, nil)
+	return err
+}
+
+// UpdateExchange is Update returning the value it displaced. The read and
+// the replacement are atomic under the old slot's lock, so exactly one
+// concurrent writer observes any given value as its predecessor — the
+// hook bigkv's liveness accounting hangs exactly-once decrements on.
+func (s *Session) UpdateExchange(k kv.Key, v kv.Value) (kv.Value, error) {
+	old, _, err := s.write(verbUpdate, k, v, nil)
+	return old, err
+}
+
+// UpdateIf replaces the value only if the current value equals expect,
+// returning ErrConflict (with nothing changed) otherwise. The compare and
+// the replacement are atomic under the slot lock. This is the GC's
+// conditional index rewrite: a racing user update changes the value first
+// and the GC's rewrite then loses cleanly.
+func (s *Session) UpdateIf(k kv.Key, expect, v kv.Value) error {
+	_, _, err := s.write(verbUpdate, k, v, &expect)
+	return err
+}
+
+// Put upserts: update when the key is present, insert when it is absent,
+// decided by one probe.
+func (s *Session) Put(k kv.Key, v kv.Value) error {
+	_, _, err := s.write(verbPut, k, v, nil)
+	return err
+}
+
+// PutExchange is Put reporting the displaced value: hadOld is true when the
+// upsert replaced an existing record (old is then its value, with
+// UpdateExchange's exactly-once guarantee), false when it inserted fresh.
+func (s *Session) PutExchange(k kv.Key, v kv.Value) (old kv.Value, hadOld bool, err error) {
+	return s.write(verbPut, k, v, nil)
+}
+
+// Delete invalidates the record with a single atomic persist of its final
+// word, then removes any cache entry. Returns scheme.ErrNotFound for an
+// absent key.
+func (s *Session) Delete(k kv.Key) error {
+	_, _, err := s.write(verbDelete, k, kv.Value{}, nil)
+	return err
+}
+
+// DeleteExchange is Delete returning the value it removed. Like
+// UpdateExchange, the read and the invalidation are atomic under the slot
+// lock, so exactly one writer observes any given value as the one it
+// destroyed.
+func (s *Session) DeleteExchange(k kv.Key) (kv.Value, error) {
+	old, _, err := s.write(verbDelete, k, kv.Value{}, nil)
+	return old, err
 }

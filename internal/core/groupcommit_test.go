@@ -17,7 +17,7 @@ import (
 
 // TestGroupCommitDuplicateKeys drives duplicate keys through one MultiPut
 // batch: a fresh key staged three times (the second occurrence collides
-// with a staged, still-invisible insert — the pendingHas drain window) and
+// with the staged, still-locked insert and must drain the group first) and
 // a preloaded key twice. Verdicts, exchange chains, and final values must
 // match running the same stream through solo upserts.
 func TestGroupCommitDuplicateKeys(t *testing.T) {

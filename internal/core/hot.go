@@ -146,15 +146,25 @@ type hotTable struct {
 	replacer Replacer
 	rec      obs.Recorder  // shared, atomic-only events (evictions, fills)
 	fl       flight.Tracer // table-level tracer (multi-writer safe)
-	top      atomic.Pointer[hotLevel]
-	bottom   atomic.Pointer[hotLevel]
-	clock    atomic.Uint64 // LRU recency source
+	// lv is the level pair, published as one immutable struct the way
+	// Table.lv is: every reader loads it once, so no mutator can observe a
+	// half-promoted pair (top == bottom) and take one bucket lock twice.
+	lv    atomic.Pointer[hotPair]
+	clock atomic.Uint64 // LRU recency source
 }
+
+// hotPair is the atomically published hot level pair.
+type hotPair struct {
+	top, bottom *hotLevel
+}
+
+// pair loads the current hot level pair (one atomic pointer read).
+func (ht *hotTable) pair() *hotPair { return ht.lv.Load() }
 
 func newHotTable(topSegs, bottomSegs, m int64, slotsPer int, replacer Replacer) *hotTable {
 	ht := &hotTable{slotsPer: slotsPer, replacer: replacer, rec: obs.Nop{}, fl: flight.Nop{}}
-	ht.top.Store(newHotLevel(topSegs, m, slotsPer, replacer == ReplacerLRU))
-	ht.bottom.Store(newHotLevel(bottomSegs, m, slotsPer, replacer == ReplacerLRU))
+	lru := replacer == ReplacerLRU
+	ht.lv.Store(&hotPair{top: newHotLevel(topSegs, m, slotsPer, lru), bottom: newHotLevel(bottomSegs, m, slotsPer, lru)})
 	return ht
 }
 
@@ -163,8 +173,10 @@ func newHotTable(topSegs, bottomSegs, m int64, slotsPer int, replacer Replacer) 
 // cache entries die with it. Called with the table's resize lock held
 // exclusively.
 func (ht *hotTable) promote(newTopSegs, m int64) {
-	ht.bottom.Store(ht.top.Load())
-	ht.top.Store(newHotLevel(newTopSegs, m, ht.slotsPer, ht.replacer == ReplacerLRU))
+	ht.lv.Store(&hotPair{
+		top:    newHotLevel(newTopSegs, m, ht.slotsPer, ht.replacer == ReplacerLRU),
+		bottom: ht.pair().top,
+	})
 }
 
 // get looks the key up in both levels without locks. On a hit it performs
@@ -172,7 +184,8 @@ func (ht *hotTable) promote(newTopSegs, m int64) {
 // LRU takes the bucket lock to update the recency stamp.
 func (ht *hotTable) get(k kv.Key, h1 uint64, fp uint8) (kv.Value, bool) {
 	kw0, kw1 := k.Pack()
-	for _, l := range [2]*hotLevel{ht.top.Load(), ht.bottom.Load()} {
+	pr := ht.pair()
+	for _, l := range [2]*hotLevel{pr.top, pr.bottom} {
 		b := l.bucket(h1)
 		for s := 0; s < l.slotsPer; s++ {
 			idx := l.slotIdx(b, s)
@@ -214,7 +227,8 @@ func (ht *hotTable) touch(l *hotLevel, b, idx int64, observed uint32) {
 // lockBuckets takes the write locks for the key's bucket in both levels in
 // a fixed order (top before bottom) so concurrent mutators cannot deadlock.
 func (ht *hotTable) lockBuckets(h1 uint64) (top, bottom *hotLevel, tb, bb int64) {
-	top, bottom = ht.top.Load(), ht.bottom.Load()
+	pr := ht.pair()
+	top, bottom = pr.top, pr.bottom
 	tb, bb = top.bucket(h1), bottom.bucket(h1)
 	top.locks[tb].lock()
 	bottom.locks[bb].lock()
@@ -346,7 +360,8 @@ func (ht *hotTable) fill(k kv.Key, v kv.Value, h1 uint64, fp uint8, src *level, 
 // countValid reports cached entries; stats/test helper.
 func (ht *hotTable) countValid() int64 {
 	var n int64
-	for _, l := range [2]*hotLevel{ht.top.Load(), ht.bottom.Load()} {
+	pr := ht.pair()
+	for _, l := range [2]*hotLevel{pr.top, pr.bottom} {
 		for i := range l.ctrl {
 			if atomic.LoadUint32(&l.ctrl[i])&hotValid != 0 {
 				n++

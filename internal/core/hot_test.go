@@ -1,7 +1,10 @@
 package core
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hdnh/internal/hashfn"
 	"hdnh/internal/kv"
@@ -70,12 +73,12 @@ func TestHotGetSetsHotBit(t *testing.T) {
 	k, h1, fp := hk(1)
 	ht.put(k, kv.MustValue([]byte("v")), h1, fp, r)
 	w0, w1, kfp := mustPack(k)
-	top := ht.top.Load()
+	top := ht.pair().top
 	b := top.bucket(h1)
 	idx := top.findKey(b, w0, w1, kfp)
 	if idx < 0 {
 		// Entry may be in the bottom level.
-		bot := ht.bottom.Load()
+		bot := ht.pair().bottom
 		idx = bot.findKey(bot.bucket(h1), w0, w1, kfp)
 		top = bot
 	}
@@ -100,7 +103,7 @@ func TestRAFLEvictsColdFirst(t *testing.T) {
 	// Fill one bucket, heat all but one entry, then overflow: the cold one
 	// must be the victim (Figure 6a).
 	ht, r := hotFixture(ReplacerRAFL, 2)
-	top := ht.top.Load()
+	top := ht.pair().top
 
 	// Find keys colliding into one top-level bucket (and, to keep the test
 	// focused, whose bottom bucket we will saturate too).
@@ -108,7 +111,7 @@ func TestRAFLEvictsColdFirst(t *testing.T) {
 	var h1s []uint64
 	var fps []uint8
 	targetTop, targetBot := int64(-1), int64(-1)
-	bot := ht.bottom.Load()
+	bot := ht.pair().bottom
 	for i := 0; len(ks) < 5 && i < 100000; i++ {
 		k, h1, fp := hk(i)
 		tb, bb := top.bucket(h1), bot.bucket(h1)
@@ -157,8 +160,8 @@ func TestRAFLRandomReplacementClearsHotBits(t *testing.T) {
 	// When every slot is hot, a random victim is evicted and the bucket's
 	// hotmap bits are all cleared (Figure 6b).
 	ht, r := hotFixture(ReplacerRAFL, 2)
-	top := ht.top.Load()
-	bot := ht.bottom.Load()
+	top := ht.pair().top
+	bot := ht.pair().bottom
 	var ks []kv.Key
 	var h1s []uint64
 	var fps []uint8
@@ -193,8 +196,8 @@ func TestRAFLRandomReplacementClearsHotBits(t *testing.T) {
 
 func TestLRUReplacerEvictsOldest(t *testing.T) {
 	ht, r := hotFixture(ReplacerLRU, 2)
-	top := ht.top.Load()
-	bot := ht.bottom.Load()
+	top := ht.pair().top
+	bot := ht.pair().bottom
 	var ks []kv.Key
 	var h1s []uint64
 	var fps []uint8
@@ -238,19 +241,90 @@ func TestHotPromote(t *testing.T) {
 	ht, r := hotFixture(ReplacerRAFL, 4)
 	k, h1, fp := hk(1)
 	ht.put(k, kv.MustValue([]byte("v")), h1, fp, r)
-	oldTop := ht.top.Load()
+	oldTop := ht.pair().top
 	ht.promote(4, 4)
-	if ht.bottom.Load() != oldTop {
+	if ht.pair().bottom != oldTop {
 		t.Fatal("promote did not demote the old top level")
 	}
-	if ht.top.Load().segments != 4 {
-		t.Fatalf("new top has %d segments", ht.top.Load().segments)
+	if ht.pair().top.segments != 4 {
+		t.Fatalf("new top has %d segments", ht.pair().top.segments)
 	}
 	// An entry that lived in the old top must still be findable if its
 	// bucket mapping in the bottom level matches — by construction it does,
 	// since the demoted level keeps its geometry.
 	if _, ok := ht.get(k, h1, fp); !ok {
 		t.Fatal("entry lost by promote")
+	}
+}
+
+// TestHotPromoteRacesMutators is the regression test for the torn promote:
+// the level pair used to be published as two stores (bottom, then top) and
+// read as two loads, so a mutator landing between them saw top == bottom,
+// computed the same bucket twice, and took that non-reentrant spinLock
+// twice — spinning forever with the lock held, with every later mutator of
+// the bucket queued behind it. A promote loop races every mutator here; the
+// pair every lockBuckets returns must be two distinct levels, and the
+// watchdog turns a wedge into a failure that names this test instead of a
+// package timeout.
+func TestHotPromoteRacesMutators(t *testing.T) {
+	tbl := newTable(t, func(o *Options) { o.SyncWrites = false })
+	ht := newHotTable(2, 1, 4, 4, ReplacerRAFL)
+	tbl.hot = ht // tiny geometry: every mutator hits the same few buckets
+	src := newLevel(0, 1, 4)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	race := func(fn func(i int, r *rng.Xorshift128)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rng.New(7)
+			for i := 0; !stop.Load(); i++ {
+				fn(i, r)
+			}
+		}()
+	}
+	race(func(i int, _ *rng.Xorshift128) { ht.promote(int64(2+2*(i&1)), 4) })
+	race(func(i int, r *rng.Xorshift128) {
+		k, h1, fp := hk(i % 16)
+		ht.put(k, kv.MustValue([]byte("v")), h1, fp, r)
+	})
+	race(func(i int, _ *rng.Xorshift128) {
+		k, h1, fp := hk(i % 16)
+		ht.del(k, h1, fp)
+	})
+	race(func(i int, r *rng.Xorshift128) {
+		k, h1, fp := hk(i % 16)
+		ht.fill(k, kv.MustValue([]byte("f")), h1, fp, src, 0, 0, src.ocfLoad(0, 0), r)
+	})
+	s := tbl.NewSession()
+	race(func(i int, _ *rng.Xorshift128) {
+		for j := 0; j < 4; j++ {
+			k, h1, fp := hk((i + j) % 16)
+			s.batch.fills = append(s.batch.fills, pendingFill{k: k, v: kv.MustValue([]byte("b")), h1: h1, fp: fp, src: src})
+		}
+		s.applyFills()
+	})
+	race(func(i int, _ *rng.Xorshift128) {
+		_, h1, _ := hk(i % 16)
+		top, bottom, tb, bb := ht.lockBuckets(h1)
+		if top == bottom {
+			t.Error("lockBuckets returned a half-promoted pair: top == bottom")
+			stop.Store(true)
+		}
+		unlockBuckets(top, bottom, tb, bb)
+	})
+
+	done := make(chan struct{})
+	go func() {
+		time.Sleep(300 * time.Millisecond)
+		stop.Store(true)
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("TestHotPromoteRacesMutators: hot-table mutators wedged (a bucket spinLock taken twice across a torn promote?)")
 	}
 }
 

@@ -111,6 +111,16 @@ func (l *level) ocfRelease(b int64, s int, valid bool, fp uint8, prevVer uint32)
 	atomic.StoreUint32(&l.ocf[b*SlotsPerBucket+int64(s)], ocfWord(false, 0, prevVer+1))
 }
 
+// ocfAnnounce publishes fp on a slot the caller has locked empty, leaving it
+// locked and invalid: from here on a probe for any key with this fingerprint
+// waits on the slot (or reports contention) instead of walking past it. That
+// is how an in-flight insert becomes visible to a second writer of the same
+// key (see Session.stage). SWAR byte before the word store, as in ocfRelease.
+func (l *level) ocfAnnounce(b int64, s int, fp uint8, locked uint32) {
+	l.fpwSet(b, s, fp)
+	atomic.StoreUint32(&l.ocf[b*SlotsPerBucket+int64(s)], ocfWord(false, fp, ocfVer(locked))|ocfOp)
+}
+
 // ocfSet writes a control word directly; recovery-only (single-writer).
 // It keeps the SWAR word coherent, which is how recovery's OCF rebuild gets
 // the fingerprint words rebuilt for free.

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"hdnh/internal/obs"
 )
@@ -25,6 +26,12 @@ func TestObsReconcilesWithNVMStats(t *testing.T) {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The inserts started drains, and drain workers bridge their own NVM
+	// reads into the registry when they finish (drainWorker's rec.AddNVM):
+	// let that land before the base snapshot, not inside the Get phase.
+	for tbl.Resizing() {
+		time.Sleep(time.Millisecond)
 	}
 	s.SyncObs()
 	base := tbl.MetricsSnapshot()

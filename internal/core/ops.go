@@ -174,15 +174,6 @@ type hit struct {
 // lookupContended, never lookupMissing. Caller must be inside an epoch
 // critical section (enterCritical).
 func (t *Table) lookup(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats) (hit, lookupResult) {
-	return t.lookupWith(h, k, h1, h2, fp, ps, true)
-}
-
-// lookupWith is lookup with the blocking policy explicit: wait=false turns
-// every would-block point (a locked slot) into an immediate lookupContended
-// instead of parking in waitUnlocked. The group-commit path runs with
-// wait=false while it holds its own staged slot locks, so a fingerprint
-// collision against one of them can never self-deadlock.
-func (t *Table) lookupWith(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats, wait bool) (hit, lookupResult) {
 	kw0, kw1 := k.Pack()
 	for pass := 0; pass < t.opts.LookupRetryBudget; pass++ {
 		ps.passes++
@@ -208,9 +199,6 @@ func (t *Table) lookupWith(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps 
 						continue // SWAR false positive, or the slot changed since the word load
 					}
 					if ocfIsLocked(c) {
-						if !wait {
-							return hit{}, lookupContended
-						}
 						c = waitUnlocked(lvl, b, s, ps)
 						if ocfFP(c) != fp || !ocfIsValid(c) {
 							mayHaveMoved = true
@@ -246,20 +234,18 @@ func (t *Table) lookupWith(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps 
 	return hit{}, lookupContended
 }
 
-// findAndLock locates the key and acquires its slot's OCF lock, the entry
-// point for update and delete. On success the caller owns the slot and the
-// observed state is current (the lock CAS covers the whole control word).
+// findAndLock locates the key and acquires its slot's OCF lock — the one
+// probe every write verb starts with. On success the caller owns the slot and
+// the observed state is current (the lock CAS covers the whole control word).
 // Like lookup, budget exhaustion is reported as lookupContended, not as a
 // miss.
-func (t *Table) findAndLock(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats) (hit, lookupResult) {
-	return t.findAndLockWith(h, k, h1, h2, fp, ps, true)
-}
-
-// findAndLockWith is findAndLock with the blocking policy explicit (see
-// lookupWith): wait=false reports any locked or racing slot as
-// lookupContended immediately rather than spinning, letting the
-// group-commit path drain its staged locks and fall back to the solo path.
-func (t *Table) findAndLockWith(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats, wait bool) (hit, lookupResult) {
+//
+// wait=false turns every would-block point (a locked slot, a lost lock race)
+// into an immediate lookupContended instead of parking in waitUnlocked: a
+// session that already holds staged slot locks probes this way, so a
+// fingerprint collision against one of its own locks can never self-deadlock
+// (see groupcommit.go).
+func (t *Table) findAndLock(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats, wait bool) (hit, lookupResult) {
 	kw0, kw1 := k.Pack()
 	for attempt := 0; attempt < t.opts.LookupRetryBudget; attempt++ {
 		ps.passes++
@@ -373,7 +359,8 @@ func lockEmptyIn(lvl *level, b int64) (slotRef, uint32, bool) {
 // writeSlotCommit persists a record into the locked slot with the paper's
 // crash-atomic ordering: key and first value word are written and flushed,
 // then the final word — value tail, valid bit and stamp — is committed with
-// one atomic 8-byte persist.
+// one atomic 8-byte persist. Record movers only (drain, displacement);
+// user writes commit through the staged protocol in groupcommit.go.
 func (t *Table) writeSlotCommit(h *nvm.Handle, ref slotRef, k kv.Key, v kv.Value, stamp uint8) {
 	off := ref.wordOff()
 	var w [slotWords]uint64
@@ -387,34 +374,8 @@ func (t *Table) writeSlotCommit(h *nvm.Handle, ref slotRef, k kv.Key, v kv.Value
 	h.StorePersist(off+3, w[3])
 }
 
-// writeSlotStage is writeSlotCommit with the persistence staged: key and
-// value words are stored and their lines queued behind the session's next
-// FlushBarrier, and the final word — value tail, valid bit and stamp — is
-// returned for the caller to commit after that barrier's fence (see
-// drainPending). The slot stays locked and unpublished throughout.
-func (t *Table) writeSlotStage(h *nvm.Handle, ref slotRef, k kv.Key, v kv.Value, stamp uint8) uint64 {
-	off := ref.wordOff()
-	var w [slotWords]uint64
-	kv.PackRecord(w[:], k, v, packMeta(true, stamp))
-	h.Store(off, w[0])
-	h.Store(off+1, w[1])
-	h.Store(off+2, w[2])
-	h.WriteAccess(off, 3)
-	h.StageFlush(off, 3)
-	return w[3]
-}
-
-// stageClear stages the clear of a committed slot's valid bit behind the
-// next FlushBarrier — the staged form of clearSlotCommit.
-func (t *Table) stageClear(h *nvm.Handle, ref slotRef, w3 uint64) {
-	cleared := kv.WithMeta(w3, packMeta(false, metaStamp(kv.MetaOf(w3))))
-	off := ref.wordOff() + 3
-	h.Store(off, cleared)
-	h.WriteAccess(off, 1)
-	h.StageFlush(off, 1)
-}
-
-// clearSlotCommit durably clears the valid bit of a committed slot.
+// clearSlotCommit durably clears the valid bit of a committed slot (record
+// movers and recovery only, like writeSlotCommit).
 func (t *Table) clearSlotCommit(h *nvm.Handle, ref slotRef, w3 uint64) {
 	cleared := kv.WithMeta(w3, packMeta(false, metaStamp(kv.MetaOf(w3))))
 	h.StorePersist(ref.wordOff()+3, cleared)
@@ -507,75 +468,6 @@ func (t *Table) lockEmptySlotExcluding(h1, h2 uint64, excl slotRef) (slotRef, ui
 
 // --- Session operations -------------------------------------------------
 
-// Insert adds a new record (foreground thread of paper Figure 9). The hot
-// table write is dispatched to a background writer before the NVM work so
-// the two overlap; Insert returns only after both halves complete.
-//
-// When the duplicate check's rescan budget exhausts under sustained record
-// movement, Insert retries with capped backoff and eventually returns
-// ErrContended — inserting without a conclusive duplicate check could plant
-// a second copy of a live key.
-func (s *Session) Insert(k kv.Key, v kv.Value) error {
-	h1, h2, fp := hashKV(k[:])
-	return s.insertHashed(k, v, h1, h2, fp)
-}
-
-// insertHashed is Insert with the hashing hoisted out — the batch paths
-// hash every key up front and call the hashed cores directly.
-func (s *Session) insertHashed(k kv.Key, v kv.Value, h1, h2 uint64, fp uint8) error {
-	start := s.rec.Start()
-	ft := s.fl.OpBegin(obs.OpInsert)
-	s.heat.Touch(obs.OpInsert, k)
-	contendedRounds := 0
-	for attempt := 0; attempt <= s.t.opts.MaxExpansions; attempt++ {
-		s.helpDrainStep()
-		s.enterCritical()
-		var ps probeStats
-		_, res := s.t.lookup(s.h, k, h1, h2, fp, &ps)
-		if res != lookupMissing {
-			s.exitCritical()
-			ps.report(s.rec, s.fl)
-			if res == lookupFound {
-				s.opDone(obs.OpInsert, obs.OutExists, start, ft)
-				return scheme.ErrExists
-			}
-			s.rec.Contended()
-			if contendedRounds < contendedRetryMax {
-				contendedRounds++
-				attempt--
-				spinBackoff(spinYields + contendedRounds)
-				continue
-			}
-			s.opDone(obs.OpInsert, obs.OutContended, start, ft)
-			return scheme.ErrContended
-		}
-		ps.report(s.rec, s.fl)
-		ref, c, ok := s.t.lockEmptySlot(h1, h2, nil)
-		if !ok && s.t.opts.DisplaceOnInsert && s.t.displaceOne(s.h, h1, h2) {
-			ref, c, ok = s.t.lockEmptySlot(h1, h2, nil)
-		}
-		if !ok {
-			gen := s.t.state().generation
-			s.exitCritical()
-			if err := s.t.expand(gen); err != nil {
-				s.opDone(obs.OpInsert, expandOutcome(err), start, ft)
-				return err
-			}
-			continue
-		}
-		owed := s.beginHotWrite(hotOpPut, k, v, h1, fp)
-		s.t.writeSlotCommit(s.h, ref, k, v, 1)
-		ref.lvl.ocfRelease(ref.b, ref.s, true, fp, ocfVer(c))
-		s.t.count.Add(1)
-		s.waitHotWrite(owed)
-		s.exitCritical()
-		s.opDone(obs.OpInsert, obs.OutOK, start, ft)
-		return nil
-	}
-	s.opDone(obs.OpInsert, obs.OutFull, start, ft)
-	return scheme.ErrFull
-}
-
 // Get is the paper's time-efficient read (Figure 8): hot table first, then
 // OCF fingerprints, and NVM only on a fingerprint hit. A record found in
 // the NVT is re-cached (validated against the observed OCF word) so hot
@@ -590,8 +482,8 @@ func (s *Session) Get(k kv.Key) (kv.Value, bool) {
 	return s.getHashed(k, h1, h2, fp)
 }
 
-// getHashed is Get with the hashing hoisted out (see insertHashed) — the
-// router hashes once to pick a shard and reuses h1/h2/fp here.
+// getHashed is Get with the hashing hoisted out: the router hashes once to
+// pick a shard and reuses h1/h2/fp here.
 func (s *Session) getHashed(k kv.Key, h1, h2 uint64, fp uint8) (kv.Value, bool) {
 	start := s.rec.Start()
 	ft := s.fl.OpBegin(obs.OpGet)
@@ -635,7 +527,7 @@ func (s *Session) Lookup(k kv.Key) (kv.Value, error) {
 	return s.lookupHashed(k, h1, h2, fp)
 }
 
-// lookupHashed is Lookup with the hashing hoisted out (see insertHashed).
+// lookupHashed is Lookup with the hashing hoisted out (see getHashed).
 func (s *Session) lookupHashed(k kv.Key, h1, h2 uint64, fp uint8) (kv.Value, error) {
 	start := s.rec.Start()
 	ft := s.fl.OpBegin(obs.OpGet)
@@ -665,195 +557,5 @@ func (s *Session) lookupHashed(k kv.Key, h1, h2 uint64, fp uint8) (kv.Value, err
 	default:
 		s.opDone(obs.OpGet, obs.OutMiss, start, ft)
 		return kv.Value{}, scheme.ErrNotFound
-	}
-}
-
-// Update replaces the value out-of-place (paper Figure 10): the old slot is
-// locked, the new record committed into a free slot — preferring the old
-// record's own bucket — and only then is the old slot invalidated. A crash
-// between the two commits leaves a stamped duplicate that recovery resolves
-// toward the newer record.
-//
-// Budget-exhausted searches retry with capped backoff and then surface
-// ErrContended; ErrNotFound is returned only after a conclusive scan.
-func (s *Session) Update(k kv.Key, v kv.Value) error {
-	_, err := s.updateWith(k, v, nil)
-	return err
-}
-
-// UpdateExchange is Update returning the value it displaced. The read and
-// the replacement are atomic under the old slot's lock, so exactly one
-// concurrent writer observes any given value as its predecessor — the
-// hook bigkv's liveness accounting hangs exactly-once decrements on.
-func (s *Session) UpdateExchange(k kv.Key, v kv.Value) (kv.Value, error) {
-	return s.updateWith(k, v, nil)
-}
-
-// UpdateIf replaces the value only if the current value equals expect,
-// returning ErrConflict (with nothing changed) otherwise. The compare and
-// the replacement are atomic under the slot lock. This is the GC's
-// conditional index rewrite: a racing user update changes the value first
-// and the GC's rewrite then loses cleanly.
-func (s *Session) UpdateIf(k kv.Key, expect, v kv.Value) error {
-	_, err := s.updateWith(k, v, &expect)
-	return err
-}
-
-// updateWith is the shared out-of-place update: a nil expect updates
-// unconditionally, a non-nil one makes the replacement conditional on the
-// current value.
-func (s *Session) updateWith(k kv.Key, v kv.Value, expect *kv.Value) (kv.Value, error) {
-	h1, h2, fp := hashKV(k[:])
-	return s.updateHashed(k, v, expect, h1, h2, fp)
-}
-
-// updateHashed is updateWith with the hashing hoisted out (see insertHashed).
-func (s *Session) updateHashed(k kv.Key, v kv.Value, expect *kv.Value, h1, h2 uint64, fp uint8) (kv.Value, error) {
-	start := s.rec.Start()
-	ft := s.fl.OpBegin(obs.OpUpdate)
-	s.heat.Touch(obs.OpUpdate, k)
-	transientRetries := 0
-	contendedRounds := 0
-	for attempt := 0; attempt <= s.t.opts.MaxExpansions; attempt++ {
-		s.helpDrainStep()
-		s.enterCritical()
-		var ps probeStats
-		old, res := s.t.findAndLock(s.h, k, h1, h2, fp, &ps)
-		if res != lookupFound {
-			s.exitCritical()
-			ps.report(s.rec, s.fl)
-			if res == lookupMissing {
-				s.opDone(obs.OpUpdate, obs.OutNotFound, start, ft)
-				return kv.Value{}, scheme.ErrNotFound
-			}
-			s.rec.Contended()
-			if contendedRounds < contendedRetryMax {
-				contendedRounds++
-				attempt--
-				spinBackoff(spinYields + contendedRounds)
-				continue
-			}
-			s.opDone(obs.OpUpdate, obs.OutContended, start, ft)
-			return kv.Value{}, scheme.ErrContended
-		}
-		ps.report(s.rec, s.fl)
-		if expect != nil && old.val != *expect {
-			// Conditional update, wrong current value: put the old slot back
-			// untouched and report the value that won.
-			old.ref.lvl.ocfRelease(old.ref.b, old.ref.s, true, fp, ocfVer(old.ctrl))
-			s.exitCritical()
-			s.opDone(obs.OpUpdate, obs.OutConflict, start, ft)
-			return old.val, scheme.ErrConflict
-		}
-		// Prefer the old record's own bucket only while it lives in the
-		// current structure: a record found in the drain level must move to
-		// top/bottom, never back into the level being emptied.
-		pr := s.t.pair()
-		prefer := &old.ref
-		if old.ref.lvl != pr.top && old.ref.lvl != pr.bottom {
-			prefer = nil
-		}
-		ref, c, okEmpty := s.t.lockEmptySlot(h1, h2, prefer)
-		if !okEmpty {
-			// Put the old slot back.
-			old.ref.lvl.ocfRelease(old.ref.b, old.ref.s, true, fp, ocfVer(old.ctrl))
-			gen := s.t.state().generation
-			lf := float64(s.t.count.Load()) / float64(pr.top.slots()+pr.bottom.slots())
-			s.exitCritical()
-			// A full candidate set at moderate load is usually transient —
-			// concurrent updaters of nearby (skewed) keys each hold one
-			// extra slot mid-move. Retry before paying for an expansion,
-			// which would stall every thread for a full rehash.
-			if lf < 0.85 && transientRetries < 8 {
-				transientRetries++
-				attempt--
-				runtime.Gosched()
-				continue
-			}
-			if err := s.t.expand(gen); err != nil {
-				s.opDone(obs.OpUpdate, expandOutcome(err), start, ft)
-				return kv.Value{}, err
-			}
-			continue
-		}
-		stamp := metaStamp(kv.MetaOf(old.w3)) + 1
-		s.t.writeSlotCommit(s.h, ref, k, v, stamp)
-		// Publish the new slot in the OCF *before* retiring the old one:
-		// a reader that already passed the new slot's bucket waits on the
-		// old slot's lock, and must still find the key somewhere when that
-		// lock releases. (A crash in between leaves both copies committed;
-		// recovery keeps the newer stamp.)
-		ref.lvl.ocfRelease(ref.b, ref.s, true, fp, ocfVer(c))
-		// Signal the move while both copies are visible: a reader that
-		// misses re-checks this counter and rescans (see Table.moves).
-		s.t.moveShard(h1).Add(1)
-		s.t.clearSlotCommit(s.h, old.ref, old.w3)
-		old.ref.lvl.ocfRelease(old.ref.b, old.ref.s, false, 0, ocfVer(old.ctrl))
-		// Mirror into the cache after the commit so stale fills lose.
-		owed := s.beginHotWrite(hotOpPut, k, v, h1, fp)
-		s.waitHotWrite(owed)
-		s.exitCritical()
-		s.opDone(obs.OpUpdate, obs.OutOK, start, ft)
-		return old.val, nil
-	}
-	s.opDone(obs.OpUpdate, obs.OutFull, start, ft)
-	return kv.Value{}, scheme.ErrFull
-}
-
-// Delete invalidates the record with a single atomic persist of its final
-// word, then removes any cache entry. Like Update, an inconclusive
-// (budget-exhausted) search retries and then returns ErrContended rather
-// than masquerading as ErrNotFound.
-func (s *Session) Delete(k kv.Key) error {
-	_, err := s.deleteWith(k)
-	return err
-}
-
-// DeleteExchange is Delete returning the value it removed. Like
-// UpdateExchange, the read and the invalidation are atomic under the slot
-// lock, so exactly one writer observes any given value as the one it
-// destroyed.
-func (s *Session) DeleteExchange(k kv.Key) (kv.Value, error) {
-	return s.deleteWith(k)
-}
-
-func (s *Session) deleteWith(k kv.Key) (kv.Value, error) {
-	h1, h2, fp := hashKV(k[:])
-	return s.deleteHashed(k, h1, h2, fp)
-}
-
-// deleteHashed is deleteWith with the hashing hoisted out (see insertHashed).
-func (s *Session) deleteHashed(k kv.Key, h1, h2 uint64, fp uint8) (kv.Value, error) {
-	start := s.rec.Start()
-	ft := s.fl.OpBegin(obs.OpDelete)
-	s.heat.Touch(obs.OpDelete, k)
-	for round := 0; ; round++ {
-		s.enterCritical()
-		var ps probeStats
-		old, res := s.t.findAndLock(s.h, k, h1, h2, fp, &ps)
-		if res != lookupFound {
-			s.exitCritical()
-			ps.report(s.rec, s.fl)
-			if res == lookupMissing {
-				s.opDone(obs.OpDelete, obs.OutNotFound, start, ft)
-				return kv.Value{}, scheme.ErrNotFound
-			}
-			s.rec.Contended()
-			if round < contendedRetryMax {
-				spinBackoff(spinYields + round)
-				continue
-			}
-			s.opDone(obs.OpDelete, obs.OutContended, start, ft)
-			return kv.Value{}, scheme.ErrContended
-		}
-		ps.report(s.rec, s.fl)
-		s.t.clearSlotCommit(s.h, old.ref, old.w3)
-		old.ref.lvl.ocfRelease(old.ref.b, old.ref.s, false, 0, ocfVer(old.ctrl))
-		s.t.count.Add(-1)
-		owed := s.beginHotWrite(hotOpDel, k, kv.Value{}, h1, fp)
-		s.waitHotWrite(owed)
-		s.exitCritical()
-		s.opDone(obs.OpDelete, obs.OutOK, start, ft)
-		return old.val, nil
 	}
 }

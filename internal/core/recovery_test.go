@@ -127,8 +127,15 @@ func TestCrashWithoutCloseLosesNothingCommitted(t *testing.T) {
 // flush f, then recovers from the snapshot and checks invariants.
 func crashPointHarness(t *testing.T, f int64, run func(s *Session, tbl *Table), check func(t *testing.T, s *Session, tbl *Table)) {
 	t.Helper()
+	crashPointHarnessEvict(t, f, 0.3, run, check)
+}
+
+// crashPointHarnessEvict is crashPointHarness with the probability that a
+// dirty line reaches the crash image on its own (cache eviction) explicit.
+func crashPointHarnessEvict(t *testing.T, f int64, evict float64, run func(s *Session, tbl *Table), check func(t *testing.T, s *Session, tbl *Table)) {
+	t.Helper()
 	cfg := nvm.StrictConfig(1 << 21)
-	cfg.EvictProb = 0.3
+	cfg.EvictProb = evict
 	cfg.Seed = uint64(f)*2654435761 + 1
 	dev, err := nvm.New(cfg)
 	if err != nil {
@@ -253,6 +260,91 @@ func TestCrashAtEveryPointDuringUpdates(t *testing.T) {
 						}
 						if v != value(i) && v != value(1000+i) {
 							t.Fatalf("key %d has impossible value %q", i, v.String())
+						}
+					}
+				})
+		})
+	}
+}
+
+// soloVerbHistory is the write phase of TestCrashAtEveryPersistCallThroughVerbs:
+// every single-key verb, each a staged group of one, over keys preloaded
+// with value(i) — Put over a present key, UpdateIf, Delete and Update by
+// i%4 — then Put of fresh keys. Returns the first error.
+func soloVerbHistory(s *Session, preloaded, fresh int) error {
+	for i := 0; i < preloaded+fresh; i++ {
+		var err error
+		switch {
+		case i >= preloaded || i%4 == 0:
+			err = s.Put(key(i), value(1000+i))
+		case i%4 == 1:
+			err = s.UpdateIf(key(i), value(i), value(1000+i))
+		case i%4 == 2:
+			err = s.Delete(key(i))
+		default:
+			err = s.Update(key(i), value(1000+i))
+		}
+		if err != nil {
+			return fmt.Errorf("key %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+func TestCrashAtEveryPersistCallThroughVerbs(t *testing.T) {
+	// The insert and update sweeps above sample every third flush of one
+	// verb; this one lands on EVERY strict persist call of a history that
+	// goes through all of them, with half the dirty lines evicted into each
+	// crash image. Invariant: each key reads its old or its new state —
+	// nothing torn, nothing duplicated, nothing acknowledged lost.
+	const preloaded, fresh = 24, 8
+	var c0, c1 int64
+	crashPointHarnessEvict(t, 1<<40, 0.5, func(s *Session, tbl *Table) { // reference run: never crashes
+		for i := 0; i < preloaded; i++ {
+			if err := s.Insert(key(i), value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c0 = tbl.Device().PersistCalls()
+		if err := soloVerbHistory(s, preloaded, fresh); err != nil {
+			t.Fatal(err)
+		}
+		c1 = tbl.Device().PersistCalls()
+	}, nil)
+	// 3 persist calls per out-of-place update, 1 per delete, 2 per insert.
+	if want := int64(3*(preloaded-preloaded/4) + preloaded/4 + 2*fresh); c1-c0 != want {
+		t.Fatalf("verb history made %d persist calls, want %d", c1-c0, want)
+	}
+	for f := int64(1); f <= c1-c0; f++ {
+		f := f
+		t.Run(fmt.Sprintf("persist%d", f), func(t *testing.T) {
+			crashPointHarnessEvict(t, f, 0.5, // f seeds the evictions; the crash point is re-armed after the preload
+				func(s *Session, tbl *Table) {
+					for i := 0; i < preloaded; i++ {
+						if err := s.Insert(key(i), value(i)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := tbl.Device().SetCrashAfterFlushes(f); err != nil {
+						t.Fatal(err)
+					}
+					if err := soloVerbHistory(s, preloaded, fresh); err != nil {
+						t.Fatal(err)
+					}
+				},
+				func(t *testing.T, s *Session, tbl *Table) {
+					if errs := tbl.CheckInvariants(); len(errs) != 0 {
+						t.Fatalf("invariants violated after crash at persist call %d: %v", f, errs[0])
+					}
+					for i := 0; i < preloaded+fresh; i++ {
+						v, ok := s.Get(key(i))
+						deleted := i < preloaded && i%4 == 2
+						switch {
+						case ok && v == value(1000+i) && !deleted:
+						case ok && v == value(i) && i < preloaded:
+						case !ok && (deleted || i >= preloaded):
+						default:
+							t.Fatalf("key %d reads %q (present=%v): neither its old nor its new state", i, v.String(), ok)
 						}
 					}
 				})

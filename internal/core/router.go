@@ -433,10 +433,16 @@ func (s *RouterSession) Close() error {
 // shard returns the inner session h1 routes to.
 func (s *RouterSession) shard(h1 uint64) *Session { return s.ss[h1>>s.r.shift] }
 
+// write routes a single-key write to its key's shard, hashing once.
+func (s *RouterSession) write(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value) (kv.Value, bool, error) {
+	h1, h2, fp := hashKV(k[:])
+	return s.shard(h1).writeHashed(verb, k, v, expect, h1, h2, fp)
+}
+
 // Insert adds a new record to its key's shard.
 func (s *RouterSession) Insert(k kv.Key, v kv.Value) error {
-	h1, h2, fp := hashKV(k[:])
-	return s.shard(h1).insertHashed(k, v, h1, h2, fp)
+	_, _, err := s.write(verbInsert, k, v, nil)
+	return err
 }
 
 // Get reads a key from its shard (Get semantics: blocking retry, never a
@@ -454,41 +460,44 @@ func (s *RouterSession) Lookup(k kv.Key) (kv.Value, error) {
 
 // Update replaces an existing record's value in its shard.
 func (s *RouterSession) Update(k kv.Key, v kv.Value) error {
-	h1, h2, fp := hashKV(k[:])
-	_, err := s.shard(h1).updateHashed(k, v, nil, h1, h2, fp)
+	_, _, err := s.write(verbUpdate, k, v, nil)
 	return err
 }
 
 // UpdateExchange is Update returning the displaced value.
 func (s *RouterSession) UpdateExchange(k kv.Key, v kv.Value) (kv.Value, error) {
-	h1, h2, fp := hashKV(k[:])
-	return s.shard(h1).updateHashed(k, v, nil, h1, h2, fp)
+	old, _, err := s.write(verbUpdate, k, v, nil)
+	return old, err
 }
 
 // UpdateIf replaces the value only if it currently equals expect.
 func (s *RouterSession) UpdateIf(k kv.Key, expect, v kv.Value) error {
-	h1, h2, fp := hashKV(k[:])
-	_, err := s.shard(h1).updateHashed(k, v, &expect, h1, h2, fp)
+	_, _, err := s.write(verbUpdate, k, v, &expect)
 	return err
 }
 
 // Delete removes a record from its shard.
 func (s *RouterSession) Delete(k kv.Key) error {
-	h1, h2, fp := hashKV(k[:])
-	_, err := s.shard(h1).deleteHashed(k, h1, h2, fp)
+	_, _, err := s.write(verbDelete, k, kv.Value{}, nil)
 	return err
 }
 
 // DeleteExchange is Delete returning the removed value.
 func (s *RouterSession) DeleteExchange(k kv.Key) (kv.Value, error) {
-	h1, h2, fp := hashKV(k[:])
-	return s.shard(h1).deleteHashed(k, h1, h2, fp)
+	old, _, err := s.write(verbDelete, k, kv.Value{}, nil)
+	return old, err
 }
 
-// Put upserts (update-else-insert) into the key's shard.
+// Put upserts (update when present, insert when absent — one probe) into
+// the key's shard.
 func (s *RouterSession) Put(k kv.Key, v kv.Value) error {
-	h1, h2, fp := hashKV(k[:])
-	return s.shard(h1).putHashed(k, v, h1, h2, fp)
+	_, _, err := s.write(verbPut, k, v, nil)
+	return err
+}
+
+// PutExchange is Put reporting the displaced value (see Session.PutExchange).
+func (s *RouterSession) PutExchange(k kv.Key, v kv.Value) (old kv.Value, hadOld bool, err error) {
+	return s.write(verbPut, k, v, nil)
 }
 
 // MultiGet partitions the batch by shard, runs each shard's native MultiGet
@@ -517,8 +526,8 @@ func (s *RouterSession) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) i
 		if len(ks) == 0 {
 			continue
 		}
-		sc.vals[sh] = sizeVals(sc.vals[sh], len(ks))
-		sc.found[sh] = sizeFound(sc.found[sh], len(ks))
+		sc.vals[sh] = sized(sc.vals[sh], len(ks))
+		sc.found[sh] = sized(sc.found[sh], len(ks))
 		hits += s.ss[sh].MultiGet(ks, sc.vals[sh], sc.found[sh])
 		for j, oi := range sc.idx[sh] {
 			vals[oi] = sc.vals[sh][j]
@@ -528,20 +537,26 @@ func (s *RouterSession) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) i
 	return hits
 }
 
-// fanOutWrite partitions the batch by shard (scattering vals alongside when
-// non-nil) and runs fn once per populated shard, in parallel — one goroutine
-// per shard, each driving that shard's own inner Session, so the fan-out
-// never shares a session across goroutines. fn returns the shard group's
-// failure count and scatters its own results back into the caller's slices;
-// that is race-free because every input index belongs to exactly one shard.
-func (s *RouterSession) fanOutWrite(keys []kv.Key, vals []kv.Value, fn func(sh int) int) int {
+// multiWrite is the one scatter/gather body behind the four grouped write
+// methods below: partition the batch by shard, run each populated shard's
+// grouped Session.multiWrite (bucket-sorted group commits, coalesced hot
+// mirrors) in parallel — one goroutine per shard, each driving that shard's
+// own inner Session, so the fan-out never shares a session across
+// goroutines — and scatter verdicts and displaced values back into the
+// caller's slices in input order. The gather is race-free because every
+// input index belongs to exactly one shard. olds and hadOld are filled when
+// non-nil. Unsharded routers delegate straight through.
+func (s *RouterSession) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []kv.Value, hadOld []bool, errs []error) int {
+	if len(s.ss) == 1 {
+		return s.ss[0].multiWrite(verb, keys, vals, olds, hadOld, errs)
+	}
 	sc := &s.sc
 	sc.reset(len(s.ss))
 	for i := range keys {
 		h1, _, _ := hashKV(keys[i][:])
 		sh := int(h1 >> s.r.shift)
 		sc.keys[sh] = append(sc.keys[sh], keys[i])
-		if vals != nil {
+		if verb != verbDelete {
 			sc.vals[sh] = append(sc.vals[sh], vals[i])
 		}
 		sc.idx[sh] = append(sc.idx[sh], int32(i))
@@ -554,7 +569,19 @@ func (s *RouterSession) fanOutWrite(keys []kv.Key, vals []kv.Value, fn func(sh i
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
-			sc.fails[sh] = fn(sh)
+			n := len(sc.keys[sh])
+			es, ov, ho := sized(sc.errs[sh], n), sized(sc.olds[sh], n), sized(sc.hadOld[sh], n)
+			sc.errs[sh], sc.olds[sh], sc.hadOld[sh] = es, ov, ho
+			sc.fails[sh] = s.ss[sh].multiWrite(verb, sc.keys[sh], sc.vals[sh], ov, ho, es)
+			for j, oi := range sc.idx[sh] {
+				errs[oi] = es[j]
+				if olds != nil {
+					olds[oi] = ov[j]
+				}
+				if hadOld != nil {
+					hadOld[oi] = ho[j]
+				}
+			}
 		}(sh)
 	}
 	wg.Wait()
@@ -565,30 +592,15 @@ func (s *RouterSession) fanOutWrite(keys []kv.Key, vals []kv.Value, fn func(sh i
 	return fails
 }
 
-// MultiPut partitions the batch by shard and fans the groups out in
-// parallel, each shard running its grouped MultiPut (bucket-sorted group
-// commits, coalesced hot mirrors) on its own session. Per-key verdicts land
-// in errs; returns the failure count. Unsharded routers delegate straight
-// through.
+// MultiPut upserts the batch with Session.MultiPut's per-key semantics,
+// fanned out across shards. Per-key verdicts land in errs; returns the
+// failure count.
 func (s *RouterSession) MultiPut(keys []kv.Key, vals []kv.Value, errs []error) int {
 	n := len(keys)
 	if len(vals) != n || len(errs) != n {
 		panic("core: MultiPut slice lengths must match len(keys)")
 	}
-	if len(s.ss) == 1 {
-		return s.ss[0].MultiPut(keys, vals, errs)
-	}
-	sc := &s.sc
-	return s.fanOutWrite(keys, vals, func(sh int) int {
-		ks := sc.keys[sh]
-		es := sizeErrs(sc.errs[sh], len(ks))
-		sc.errs[sh] = es
-		fails := s.ss[sh].MultiPut(ks, sc.vals[sh], es)
-		for j, oi := range sc.idx[sh] {
-			errs[oi] = es[j]
-		}
-		return fails
-	})
+	return s.multiWrite(verbPut, keys, vals, nil, nil, errs)
 }
 
 // MultiPutExchange is MultiPut that also gathers each key's displaced value
@@ -599,46 +611,16 @@ func (s *RouterSession) MultiPutExchange(keys []kv.Key, vals, olds []kv.Value, h
 	if len(vals) != n || len(olds) != n || len(hadOld) != n || len(errs) != n {
 		panic("core: MultiPutExchange slice lengths must match len(keys)")
 	}
-	if len(s.ss) == 1 {
-		return s.ss[0].MultiPutExchange(keys, vals, olds, hadOld, errs)
-	}
-	sc := &s.sc
-	return s.fanOutWrite(keys, vals, func(sh int) int {
-		ks := sc.keys[sh]
-		es := sizeErrs(sc.errs[sh], len(ks))
-		ov := sizeVals(sc.olds[sh], len(ks))
-		ho := sizeFound(sc.hadOld[sh], len(ks))
-		sc.errs[sh], sc.olds[sh], sc.hadOld[sh] = es, ov, ho
-		fails := s.ss[sh].MultiPutExchange(ks, sc.vals[sh], ov, ho, es)
-		for j, oi := range sc.idx[sh] {
-			olds[oi], hadOld[oi], errs[oi] = ov[j], ho[j], es[j]
-		}
-		return fails
-	})
+	return s.multiWrite(verbPut, keys, vals, olds, hadOld, errs)
 }
 
-// MultiDelete partitions the batch by shard and fans the groups out in
-// parallel, recording per-key verdicts in errs and returning the failure
-// count.
+// MultiDelete deletes the batch across shards, recording per-key verdicts
+// in errs and returning the failure count.
 func (s *RouterSession) MultiDelete(keys []kv.Key, errs []error) int {
-	n := len(keys)
-	if len(errs) != n {
+	if len(errs) != len(keys) {
 		panic("core: MultiDelete slice lengths must match len(keys)")
 	}
-	if len(s.ss) == 1 {
-		return s.ss[0].MultiDelete(keys, errs)
-	}
-	sc := &s.sc
-	return s.fanOutWrite(keys, nil, func(sh int) int {
-		ks := sc.keys[sh]
-		es := sizeErrs(sc.errs[sh], len(ks))
-		sc.errs[sh] = es
-		fails := s.ss[sh].MultiDelete(ks, es)
-		for j, oi := range sc.idx[sh] {
-			errs[oi] = es[j]
-		}
-		return fails
-	})
+	return s.multiWrite(verbDelete, keys, nil, nil, nil, errs)
 }
 
 // MultiDeleteExchange is MultiDelete that also gathers each deleted key's
@@ -648,21 +630,7 @@ func (s *RouterSession) MultiDeleteExchange(keys []kv.Key, olds []kv.Value, errs
 	if len(olds) != n || len(errs) != n {
 		panic("core: MultiDeleteExchange slice lengths must match len(keys)")
 	}
-	if len(s.ss) == 1 {
-		return s.ss[0].MultiDeleteExchange(keys, olds, errs)
-	}
-	sc := &s.sc
-	return s.fanOutWrite(keys, nil, func(sh int) int {
-		ks := sc.keys[sh]
-		es := sizeErrs(sc.errs[sh], len(ks))
-		ov := sizeVals(sc.olds[sh], len(ks))
-		sc.errs[sh], sc.olds[sh] = es, ov
-		fails := s.ss[sh].MultiDeleteExchange(ks, ov, es)
-		for j, oi := range sc.idx[sh] {
-			olds[oi], errs[oi] = ov[j], es[j]
-		}
-		return fails
-	})
+	return s.multiWrite(verbDelete, keys, nil, olds, nil, errs)
 }
 
 // Scan visits every committed record across all shards (shard-major order,
@@ -729,23 +697,11 @@ func (sc *routerScratch) reset(n int) {
 	}
 }
 
-func sizeErrs(s []error, n int) []error {
+// sized returns s resliced to n elements, reallocating only when it has to
+// grow.
+func sized[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]error, n)
-	}
-	return s[:n]
-}
-
-func sizeVals(s []kv.Value, n int) []kv.Value {
-	if cap(s) < n {
-		return make([]kv.Value, n)
-	}
-	return s[:n]
-}
-
-func sizeFound(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

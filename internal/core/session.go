@@ -18,7 +18,7 @@ type Session struct {
 	t    *Table
 	h    *nvm.Handle
 	rng  *rng.Xorshift128
-	done chan struct{} // reusable sync_write_signal (one outstanding write)
+	done chan struct{} // reusable sync_write_signal, one slot per background writer
 	ep   *epochSlot    // this session's padded resize-protection slot
 
 	rec     obs.Recorder
@@ -32,7 +32,7 @@ type Session struct {
 	batch batchScratch
 
 	// capturing redirects beginHotWrite into batch.mirrors while a grouped
-	// write chunk commits; flushHotMirrors ships the captured mirrors as
+	// write chunk commits; drainPending ships each group's mirrors as
 	// one coalesced request per background writer (see syncwrite.go).
 	capturing bool
 }
@@ -40,11 +40,14 @@ type Session struct {
 // NewSession returns a fresh session on the table.
 func (t *Table) NewSession() *Session {
 	id := t.sessionSeq.Add(1)
+	// done holds a slot per background writer: a group's mirrors go out as
+	// one request per writer and are collected only after the group publishes
+	// (drainPending), and no writer should sit on its signal until then.
 	s := &Session{
 		t:    t,
 		h:    t.dev.NewHandle(),
 		rng:  rng.New(t.opts.Seed ^ (id * 0x9E3779B97F4A7C15)),
-		done: make(chan struct{}, 1),
+		done: make(chan struct{}, max(1, t.opts.BackgroundWriters)),
 		ep:   t.registerEpochSlot(),
 		rec:  t.recorderHandle(),
 		fl:   t.flight.Handle("session"),

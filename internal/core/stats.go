@@ -66,7 +66,8 @@ func (t *Table) Stats() TableStats {
 	}
 	if t.hot != nil {
 		st.HotEntries = t.hot.countValid()
-		top, bottom := t.hot.top.Load(), t.hot.bottom.Load()
+		hp := t.hot.pair()
+		top, bottom := hp.top, hp.bottom
 		st.HotCapacity = (top.segments*top.m)*int64(top.slotsPer) +
 			(bottom.segments*bottom.m)*int64(bottom.slotsPer)
 	}

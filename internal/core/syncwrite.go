@@ -15,10 +15,17 @@ import (
 //
 // Ordering rules that keep the cache coherent:
 //
+//   - Every write enqueues its mirror while it still holds the key's slot
+//     locks — before drainPending publishes or retires anything — so two
+//     writers of one key enqueue in the order they commit. Enqueued after
+//     the unlock, the later writer's mirror could overtake the earlier
+//     one's: a stale, or for a delete a resurrected, cache entry.
 //   - Inserts enqueue before the NVT write (full overlap; the key is fresh,
 //     so nothing can race it).
-//   - Updates and deletes enqueue after their NVT commit, so any cache fill
-//     validated against the pre-commit OCF word is rejected.
+//   - Updates and deletes enqueue after their commit words are durable, so
+//     the cache never shows a value a crash could take back; any cache fill
+//     validated against the pre-commit OCF word is rejected, because the old
+//     slot is locked by then and retires with a version bump.
 //   - Search-path fills (hotOpFill) carry the OCF control word the reader
 //     observed and are re-validated when applied.
 //
@@ -55,7 +62,7 @@ type hotRequest struct {
 
 // hotMirror is one captured hot-table mutation of a grouped write. A chunk
 // of MultiPut/MultiDelete records its mirrors instead of dispatching them
-// one by one; flushHotMirrors then ships each writer its members as a
+// one by one; dispatchHotMirrors then ships each writer its members as a
 // single hotRequest, replacing N channel round-trips with one per writer.
 type hotMirror struct {
 	op  uint8
@@ -182,8 +189,8 @@ func (s *Session) beginHotWrite(op uint8, k kv.Key, v kv.Value, h1 uint64, fp ui
 	}
 	if s.capturing {
 		// A grouped write is in flight: record the mirror instead of
-		// dispatching it. flushHotMirrors ships the whole chunk later, so
-		// no wait is owed here.
+		// dispatching it. drainPending ships the group's mirrors together,
+		// so no wait is owed here.
 		s.batch.mirrors = append(s.batch.mirrors, hotMirror{op: op, fp: fp, key: k, val: v, h1: h1})
 		return false
 	}
@@ -208,20 +215,19 @@ func (s *Session) waitHotWrite(owed bool) {
 	}
 }
 
-// flushHotMirrors drains the mirrors a grouped chunk captured: one
-// coalesced request per background writer, then one wait per dispatched
-// request. Routing by writerFor keeps every key on the writer the per-key
-// path would use, and per-writer slices preserve capture order, so
-// duplicate keys within a batch still apply last-write-wins. Returns how
-// many writer requests the flush dispatched (0 when everything applied
-// inline), which the callers surface as the group's coalescing factor.
-func (s *Session) flushHotMirrors() int {
+// dispatchHotMirrors ships the mirrors a grouped chunk captured: one
+// coalesced request per background writer. Routing by writerFor keeps every
+// key on the writer the per-key path would use, and per-writer slices
+// preserve capture order, so duplicate keys within a batch still apply
+// last-write-wins. Returns how many writer requests it dispatched (0 when
+// everything applied inline): the caller owes one receive on s.done for
+// each, and surfaces the count as the group's coalescing factor.
+func (s *Session) dispatchHotMirrors() int {
 	bs := &s.batch
 	if len(bs.mirrors) == 0 {
 		return 0
 	}
-	t := s.t
-	pool := t.pool
+	pool := s.t.pool
 	if pool == nil {
 		for i := range bs.mirrors {
 			s.applyMirrorInline(&bs.mirrors[i])
@@ -240,6 +246,7 @@ func (s *Session) flushHotMirrors() int {
 		w := pool.writerFor(bs.mirrors[i].h1)
 		bs.byWriter[w] = append(bs.byWriter[w], bs.mirrors[i])
 	}
+	bs.mirrors = bs.mirrors[:0]
 	owed := 0
 	for w := range bs.byWriter {
 		if len(bs.byWriter[w]) == 0 {
@@ -254,12 +261,7 @@ func (s *Session) flushHotMirrors() int {
 			}
 		}
 	}
-	dispatched := owed
-	for ; owed > 0; owed-- {
-		<-s.done
-	}
-	bs.mirrors = bs.mirrors[:0]
-	return dispatched
+	return owed
 }
 
 func (s *Session) applyMirrorInline(m *hotMirror) {

@@ -136,11 +136,13 @@ func (h *Handle) StageFlush(w, n int64) {
 // FlushBarrier drains every line staged since the previous barrier: one
 // write latency (the first CLWB's completion the subsequent fence waits on)
 // plus the bandwidth cost of the whole burst. A no-op when nothing is
-// staged. A Fence is still required for ordering, as after Flush.
-func (h *Handle) FlushBarrier() {
+// staged, reported as false: there is then nothing for a Fence to order,
+// so the caller may skip it. Otherwise a Fence is still required for
+// ordering, as after Flush.
+func (h *Handle) FlushBarrier() bool {
 	lines := h.stagedLines
 	if lines == 0 {
-		return
+		return false
 	}
 	h.stagedLines = 0
 	h.dev.totalFlushes.Add(1)
@@ -152,6 +154,7 @@ func (h *Handle) FlushBarrier() {
 		}
 		spinWait(h.writeLatency)
 	}
+	return true
 }
 
 // Fence accounts an SFENCE ordering point.
