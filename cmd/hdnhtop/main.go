@@ -31,7 +31,15 @@ type metricsDoc struct {
 	Contended  uint64                       `json:"contended"`
 	HitRatio   float64                      `json:"hot_hit_ratio"`
 	GCWriteAmp float64                      `json:"gc_write_amplification"`
-	NVM        struct {
+	// NVT slot reads over the walks the op counters imply is the OCF's
+	// selectivity: about 1 when walks find their key, under 0.5 when they do
+	// not, and far above either when the fingerprints of a bucket's records
+	// stop differing. ProbeReadsPerWalk is the server's since-start value;
+	// the two counters give the ratio between scrapes.
+	ProbeReadsPerWalk float64 `json:"nvt_probe_reads_per_walk"`
+	NVTProbes         uint64  `json:"nvt_probe_reads"`
+	LookupRescans     uint64  `json:"lookup_rescans"`
+	NVM               struct {
 		ReadWords  uint64 `json:"read_words"`
 		WriteWords uint64 `json:"write_words"`
 	} `json:"nvm"`
@@ -177,6 +185,23 @@ func render(client *http.Client, base string, prev *metricsDoc, prevAt time.Time
 	fmt.Fprintf(&b, "nvm/s   read %-10s write %-10s words    hot hit %.1f%%   gc amp %.2f\n",
 		rate(cur.NVM.ReadWords, prevR), rate(cur.NVM.WriteWords, prevW),
 		cur.HitRatio*100, cur.GCWriteAmp)
+	// Like the rates, the filter line is the interval's; a filter that starts
+	// failing on a long-lived server barely moves the since-start ratio, which
+	// is all the first frame has.
+	if prev == nil {
+		fmt.Fprintf(&b, "filter  %.2f NVT slot reads per walk (since start)\n", cur.ProbeReadsPerWalk)
+	} else {
+		// obs.Snapshot.NVTWalks, from the JSON form.
+		walks := func(d *metricsDoc) uint64 {
+			return opTotal(d, "get") - d.Ops["get"]["hot_hit"] +
+				opTotal(d, "insert") + opTotal(d, "update") + opTotal(d, "delete") + d.LookupRescans
+		}
+		perWalk := "-"
+		if w := walks(&cur) - walks(prev); w > 0 {
+			perWalk = fmt.Sprintf("%.2f", float64(cur.NVTProbes-prev.NVTProbes)/float64(w))
+		}
+		fmt.Fprintf(&b, "filter  %s NVT slot reads per walk\n", perWalk)
+	}
 
 	g := cur.Gauges
 	resizing := "-"

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hdnh/internal/kv"
 	"hdnh/internal/obs"
 )
 
@@ -65,6 +66,31 @@ func TestObsReconcilesWithNVMStats(t *testing.T) {
 	// Reads only: the Get phase must not have written the device.
 	if d.NVM.WriteAccesses != 0 || d.NVM.Flushes != 0 {
 		t.Fatalf("cold-read phase wrote the device: %+v", d.NVM)
+	}
+
+	// The same keys as MultiGet batches walk the same slots. A batch shares
+	// one probe accounting; its second and later keys are walks, not rescans,
+	// or reads per walk would show half its value for batched traffic.
+	base = tbl.MetricsSnapshot()
+	const batch = 64
+	keys, vals, found := make([]kv.Key, 0, batch), make([]kv.Value, batch), make([]bool, batch)
+	for i := 0; i < n; i += len(keys) {
+		keys = keys[:0]
+		for j := i; j < n && j < i+batch; j++ {
+			keys = append(keys, key(j))
+		}
+		if got := s.MultiGet(keys, vals[:len(keys)], found[:len(keys)]); got != len(keys) {
+			t.Fatalf("MultiGet at %d found %d of %d", i, got, len(keys))
+		}
+	}
+	s.SyncObs()
+	b := tbl.MetricsSnapshot().Sub(base)
+	if b.LookupRescans != 0 || b.NVTWalks() != n {
+		t.Fatalf("batched gets: %d rescans, %d walks, want 0 and %d", b.LookupRescans, b.NVTWalks(), n)
+	}
+	if b.NVTProbes != d.NVTProbes || b.ProbeReadsPerWalk() != d.ProbeReadsPerWalk() {
+		t.Fatalf("batched gets read %d slots (%.3f per walk), single gets %d (%.3f)",
+			b.NVTProbes, b.ProbeReadsPerWalk(), d.NVTProbes, d.ProbeReadsPerWalk())
 	}
 }
 

@@ -95,21 +95,21 @@ func (s *Session) helpDrainStep() {
 	}
 }
 
-// probeStats accumulates one operation's NVT-walk accounting: rescan passes,
-// accounted slot reads, and lock-wait spin iterations. Stack-allocated by the
-// session paths and reported through the obs.Recorder in one call.
+// probeStats accumulates NVT-walk accounting over one operation, or over the
+// keys of one batch: rescans (passes beyond each walk's first), accounted slot
+// reads, and lock-wait spin iterations. Stack-allocated by the session paths
+// and reported through the obs.Recorder in one call.
 type probeStats struct {
-	passes int64
-	probes int64
-	spins  int64
+	rescans int64
+	probes  int64
+	spins   int64
 }
 
-// report publishes the walk's accounting (rescans are passes beyond the
-// first) to both recording surfaces. The flight tracer drops the events
-// unless the current op is trace-sampled.
+// report publishes the accounting to both recording surfaces. The flight
+// tracer drops the events unless the current op is trace-sampled.
 func (ps *probeStats) report(rec obs.Recorder, fl flight.Tracer) {
-	rec.Probe(ps.passes-1, ps.probes, ps.spins)
-	fl.Probe(ps.probes, ps.passes-1, ps.spins)
+	rec.Probe(ps.rescans, ps.probes, ps.spins)
+	fl.Probe(ps.probes, ps.rescans, ps.spins)
 }
 
 // opDone finishes one operation on both recording surfaces: the metrics
@@ -176,7 +176,9 @@ type hit struct {
 func (t *Table) lookup(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats) (hit, lookupResult) {
 	kw0, kw1 := k.Pack()
 	for pass := 0; pass < t.opts.LookupRetryBudget; pass++ {
-		ps.passes++
+		if pass > 0 {
+			ps.rescans++
+		}
 		moveSnapshot := t.moveShard(h1).Load()
 		if hook := t.testHookLookupPass; hook != nil {
 			hook()
@@ -248,7 +250,9 @@ func (t *Table) lookup(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *pro
 func (t *Table) findAndLock(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats, wait bool) (hit, lookupResult) {
 	kw0, kw1 := k.Pack()
 	for attempt := 0; attempt < t.opts.LookupRetryBudget; attempt++ {
-		ps.passes++
+		if attempt > 0 {
+			ps.rescans++
+		}
 		moveSnapshot := t.moveShard(h1).Load()
 		if hook := t.testHookLookupPass; hook != nil {
 			hook()

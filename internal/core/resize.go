@@ -577,7 +577,7 @@ func (t *Table) drainBucket(h *nvm.Handle, task *drainTask, b int64) (int64, err
 func (t *Table) drainSlot(h *nvm.Handle, src *level, b int64, s int, c uint32) (int64, error) {
 	ref := slotRef{src, b, s}
 	off := ref.wordOff()
-	h.ReadAccess(off, slotWords)
+	// No ReadAccess: the slot lies in the one media block drainBucket charged.
 	w3 := h.Load(off + 3)
 	if !kv.ValidOf(w3) {
 		// OCF said valid but the record is gone — never expected while we

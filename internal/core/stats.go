@@ -80,12 +80,26 @@ func (t *Table) Stats() TableStats {
 // Scan runs inside one epoch critical section with the same lock-free
 // per-slot validation as Get, so it can race concurrent writers: each record
 // it yields was committed at the moment it was read, but the scan as a whole
-// is not a snapshot. Useful for backups, audits and debugging. Note a long
-// scan extends any concurrent resize's grace period (it delays the drain
-// start, not the swap).
+// is not a snapshot. Useful for backups, audits and debugging.
+//
+// A drain moves records from the drain level into levels a walk has already
+// passed, so Scan never overlaps one: it waits out a rehash in flight before
+// it starts, and its critical section holds back the drain of any doubling
+// that begins later (a long scan delays that drain's start, not the swap).
 func (s *Session) Scan(fn func(k kv.Key, v kv.Value) bool) int64 {
 	t := s.t
-	s.enterCritical()
+	for {
+		s.enterCritical()
+		// No task seen from inside the section means any later one bumps the
+		// epoch past ours and its grace period waits for this section. A failed
+		// drain moves nothing; its level is walked like any other.
+		task := t.draining.Load()
+		if task == nil || task.failed.Load() {
+			break
+		}
+		s.exitCritical()
+		<-task.done
+	}
 	defer s.exitCritical()
 	var visited int64
 	var lv [3]*level

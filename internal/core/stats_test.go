@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -84,6 +85,56 @@ func TestScanVisitsEverything(t *testing.T) {
 	for k, v := range want {
 		if got[k] != v {
 			t.Fatalf("key %q = %q, want %q", k.String(), got[k].String(), v.String())
+		}
+	}
+}
+
+// TestScanDuringDrain starts a Scan while a doubling's drain is certainly in
+// flight: a session pinned across the swap holds the drain at its grace
+// period and lets go only as the Scan begins. The drain then moves records
+// out of the drain level into levels a concurrent walk would already have
+// passed; Scan must still yield every record once.
+func TestScanDuringDrain(t *testing.T) {
+	tbl := newTable(t, nil)
+	w, pin, s := tbl.NewSession(), tbl.NewSession(), tbl.NewSession()
+	next := 0
+	for round := 0; round < 4; round++ {
+		pin.enterCritical()
+		// The insert that swaps the levels parks behind the pin until the
+		// drain may start, so the writer runs aside and that one key is still
+		// in flight while the Scan walks.
+		before, inserted := tbl.pair(), make(chan error, 1)
+		go func() {
+			var err error
+			for err == nil && tbl.pair() == before {
+				err = w.Insert(key(next), value(next))
+				next++
+			}
+			inserted <- err
+		}()
+		for !tbl.Resizing() {
+			runtime.Gosched()
+		}
+		go pin.exitCritical()
+
+		got := map[kv.Key]bool{}
+		s.Scan(func(k kv.Key, _ kv.Value) bool {
+			if got[k] {
+				t.Errorf("round %d: Scan yielded key %q twice", round, k.String())
+			}
+			got[k] = true
+			return true
+		})
+		if tbl.Resizing() {
+			t.Fatalf("round %d: Scan returned with the drain it met still running", round)
+		}
+		if err := <-inserted; err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < next-1; i++ {
+			if !got[key(i)] {
+				t.Fatalf("round %d: Scan missed key %d of %d (visited %d)", round, i, next, len(got))
+			}
 		}
 	}
 }

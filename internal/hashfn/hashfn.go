@@ -92,11 +92,26 @@ func Hash2(key []byte) uint64 { return Sum64(Seed2, key) }
 // Pair computes both hashes in one call.
 func Pair(key []byte) (h1, h2 uint64) { return Hash1(key), Hash2(key) }
 
-// Fingerprint is the HDNH OCF fingerprint: the least significant byte of the
-// primary hash, as the paper specifies. A zero fingerprint is remapped to 1
-// so that 0 can mean "empty slot" in filter words.
+// Fingerprint is the HDNH OCF and hot-table fingerprint: one byte derived
+// from the primary hash. A zero fingerprint is remapped to 1 so that 0 can
+// mean "empty slot" in filter words.
+//
+// The contract is that the byte stays near-uniform among keys that agree on
+// every hash bit placement consumes — the low bits `h1 % segments` takes
+// (all of the low k at 2^k segments), the `h1>>32` and `h1>>48` bucket bits,
+// the router's top bits — because the keys a probe compares fingerprints
+// with are exactly the keys that share its candidate buckets. The paper's
+// "least significant byte of h1" breaks it: from 256 power-of-two segments
+// on, every h1-placed record of a segment carries the same byte and the
+// filter passes everything. The top byte of a multiply-shift takes a
+// contribution from every bit of h1 (bit p adds the constant shifted left
+// by p), so fixing any of those subsets leaves it spread by the rest.
+// docs/INTERNALS.md §"Hash-bit budget" lists who consumes which bits.
+//
+// Fingerprints live only in DRAM and are recomputed from the keys on Open,
+// so the derivation is not part of the persisted format.
 func Fingerprint(h1 uint64) uint8 {
-	fp := uint8(h1)
+	fp := uint8(h1 * prime1 >> 56)
 	if fp == 0 {
 		return 1
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -106,16 +107,83 @@ func TestBucketDistribution(t *testing.T) {
 	}
 }
 
+// fpChiSquare draws n hashes from next and returns the chi-square statistic
+// of their fingerprints against the distribution Fingerprint promises: 2..255
+// at 1/256 each and 1 at twice that (it absorbs the remapped zero). 254
+// degrees of freedom: mean 254, standard deviation 22.5.
+func fpChiSquare(t *testing.T, n int, next func() uint64) float64 {
+	t.Helper()
+	var counts [256]int
+	for i := 0; i < n; i++ {
+		counts[Fingerprint(next())]++
+	}
+	if counts[0] != 0 {
+		t.Fatalf("Fingerprint returned 0 for %d of %d hashes", counts[0], n)
+	}
+	x := 0.0
+	for v := 1; v < 256; v++ {
+		e := float64(n) / 256
+		if v == 1 {
+			e *= 2
+		}
+		d := float64(counts[v]) - e
+		x += d * d / e
+	}
+	return x
+}
+
+// TestFingerprint pins the contract of the OCF fingerprint: never zero,
+// uniform over keys, and still uniform among keys that agree on the hash bits
+// placement consumes — which is what a probe's candidate buckets hold. The
+// conditional cases fix a bit field of h1 and randomise the rest, the model
+// of "all keys of one segment / bucket / shard" that needs no 2^24-segment
+// table to sample from.
 func TestFingerprint(t *testing.T) {
-	if Fingerprint(0x1200) != 1 {
-		t.Fatal("zero LSB must remap to 1")
-	}
-	if Fingerprint(0x12ab) != 0xab {
-		t.Fatal("fingerprint must be the hash LSB")
-	}
-	f := func(h uint64) bool { return Fingerprint(h) != 0 }
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(func(h uint64) bool { return Fingerprint(h) != 0 }, nil); err != nil {
 		t.Fatal(err)
+	}
+
+	// About 6 standard deviations over the mean: one class in ~10^8 crosses
+	// it by chance, and the seed is fixed anyway. A fingerprint that repeats
+	// a placement bit scores in the thousands.
+	const limit = 390
+	const perClass = 20000
+
+	key := 0
+	if x := fpChiSquare(t, 500000, func() uint64 {
+		key++
+		return Hash1([]byte(fmt.Sprintf("user%08d", key)))
+	}); x > limit {
+		t.Errorf("fingerprints of 500000 distinct keys: chi-square %.0f > %d", x, limit)
+	}
+
+	r := rand.New(rand.NewSource(1))
+	within := func(class string, mask, val uint64) {
+		t.Helper()
+		x := fpChiSquare(t, perClass, func() uint64 { return r.Uint64()&^mask | val })
+		if x > limit {
+			t.Fatalf("%s (h1&%#x == %#x): chi-square %.0f > %d", class, mask, val, x, limit)
+		}
+	}
+	// Segment: h1 % segments at 2^k segments is the low k bits.
+	for _, k := range []uint{8, 12, 16, 24} {
+		mask := uint64(1)<<k - 1
+		for c := 0; c < 64; c++ {
+			within(fmt.Sprintf("residue class of h1 mod 2^%d", k), mask, r.Uint64()&mask)
+		}
+	}
+	// Router: shard = the top log2(Shards) bits.
+	for lg := uint(1); lg <= 6; lg++ {
+		for shard := uint64(0); shard < 1<<lg; shard++ {
+			within(fmt.Sprintf("shard %d of %d", shard, 1<<lg), ^uint64(0)<<(64-lg), shard<<(64-lg))
+		}
+	}
+	// Everything one probe's neighbours share at once, at the default
+	// geometry: 2^24 segments, both h1 bucket choices of 64 buckets, one of
+	// 64 shards.
+	const all = 1<<24 - 1 | 0x3f<<32 | 0x3f<<48 | 0x3f<<58
+	for c := 0; c < 64; c++ {
+		within("segment+buckets+shard", all, r.Uint64()&all)
 	}
 }
 

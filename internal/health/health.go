@@ -7,11 +7,11 @@
 // The evaluator is deliberately snapshot-in, report-out: it holds no
 // references into the store, so the rules are unit-testable with synthetic
 // snapshots and the serve layer can run it from a ticker without lock-order
-// concerns. Two rules are stateful across evaluations — resize-stall
+// concerns. Three rules are stateful across evaluations — resize-stall
 // detection (progress must be *observed* to stall, a point-in-time gauge
-// cannot say that) and error *rates* (deltas over the evaluation interval) —
-// which is why Evaluate goes through an Evaluator rather than a free
-// function.
+// cannot say that), error *rates* and the filter's reads per walk (deltas
+// over the evaluation interval) — which is why Evaluate goes through an
+// Evaluator rather than a free function.
 package health
 
 import (
@@ -55,14 +55,15 @@ func (s Severity) MarshalJSON() ([]byte, error) {
 // Condition rule names. Fixed so the hdnh_health_condition series set is
 // stable whether or not a rule currently fires.
 const (
-	CondVLogFreeLow    = "vlog_free_low"
-	CondGCBacklog      = "gc_backlog"
-	CondResizeStall    = "resize_stall"
-	CondEpochPressure  = "epoch_pressure"
-	CondLoadFactorHigh = "load_factor_high"
-	CondShardImbalance = "shard_imbalance"
-	CondErrorRate      = "error_rate"
-	CondRESPInFlight   = "resp_in_flight"
+	CondVLogFreeLow       = "vlog_free_low"
+	CondGCBacklog         = "gc_backlog"
+	CondResizeStall       = "resize_stall"
+	CondEpochPressure     = "epoch_pressure"
+	CondLoadFactorHigh    = "load_factor_high"
+	CondShardImbalance    = "shard_imbalance"
+	CondErrorRate         = "error_rate"
+	CondRESPInFlight      = "resp_in_flight"
+	CondFilterIneffective = "filter_ineffective"
 )
 
 // ConditionNames lists every rule, in exposition order.
@@ -75,6 +76,7 @@ var ConditionNames = []string{
 	CondShardImbalance,
 	CondErrorRate,
 	CondRESPInFlight,
+	CondFilterIneffective,
 }
 
 // Condition is one fired rule: which rule, how bad, where, and why.
@@ -321,8 +323,17 @@ func (e *Evaluator) Evaluate(snap obs.Snapshot, now time.Time) Report {
 	e.evalEpochPressure(snap, add)
 	e.evalLoadFactor(snap, add)
 	e.evalImbalance(snap, add)
-	e.evalErrorRate(snap, add)
+	// The two rate rules read the same interval; rules run in ConditionNames
+	// order, which is the order Report.Conditions lists them in.
+	var d obs.Snapshot
+	if e.havePrev {
+		d = snap.Sub(e.prev)
+		e.evalErrorRate(d, add)
+	}
 	e.evalRESP(snap, add)
+	if e.havePrev {
+		e.evalFilter(d, add)
+	}
 
 	e.prev, e.prevAt, e.havePrev = snap, now, true
 	e.last = r
@@ -515,11 +526,7 @@ func (e *Evaluator) evalImbalance(snap obs.Snapshot, add func(Condition)) {
 // evalErrorRate fires error_rate on the interval's Contended+Full outcome
 // fraction: a store answering a visible share of requests with backpressure
 // errors is degraded no matter what the gauges say.
-func (e *Evaluator) evalErrorRate(snap obs.Snapshot, add func(Condition)) {
-	if !e.havePrev {
-		return
-	}
-	d := snap.Sub(e.prev)
+func (e *Evaluator) evalErrorRate(d obs.Snapshot, add func(Condition)) {
 	var total, bad uint64
 	for op := obs.Op(0); op < obs.NumOps; op++ {
 		for out := obs.Outcome(0); out < obs.NumOutcomes; out++ {
@@ -569,5 +576,39 @@ func (e *Evaluator) evalRESP(snap obs.Snapshot, add func(Condition)) {
 		Cause: fmt.Sprintf("%d RESP commands in flight >= %d; pipelines are backing up",
 			inFlight, e.cfg.RESPInFlightDegraded),
 		Value: float64(inFlight), Threshold: float64(e.cfg.RESPInFlightDegraded),
+	})
+}
+
+// The filter_ineffective limits are properties of the index, not of a
+// deployment, so they are constants rather than Config fields: a walk reads
+// the one slot that holds its key plus fingerprint false positives, at most
+// 96 occupied candidate slots / 255 ≈ 0.4, so no workload on a working
+// filter reaches 2 reads per walk; and below a thousand walks one unlucky
+// bucket moves the ratio.
+const (
+	filterReadsPerWalkDegraded = 2.0
+	filterMinWalks             = 1000
+)
+
+// evalFilter fires filter_ineffective when the interval's NVT walks read
+// more slots than a one-byte fingerprint filter should let through. That is
+// a defect in the index, not load — it is how a fingerprint drawn from the
+// same hash bits as the segment index showed, at 15-23 reads per walk — and
+// it costs one media read per extra slot, so it only ever degrades.
+func (e *Evaluator) evalFilter(d obs.Snapshot, add func(Condition)) {
+	walks := d.NVTWalks()
+	if walks < filterMinWalks {
+		return
+	}
+	ratio := d.ProbeReadsPerWalk()
+	sev := OK
+	if ratio >= filterReadsPerWalkDegraded {
+		sev = Degraded
+	}
+	add(Condition{
+		Name: CondFilterIneffective, Severity: sev, Shard: -1,
+		Cause: fmt.Sprintf("%d NVT slot reads over %d walks this interval (%.1f per walk >= %.1f); the fingerprint filter is not filtering",
+			d.NVTProbes, walks, ratio, filterReadsPerWalkDegraded),
+		Value: ratio, Threshold: filterReadsPerWalkDegraded,
 	})
 }

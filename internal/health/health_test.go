@@ -218,6 +218,68 @@ func TestErrorRate(t *testing.T) {
 	}
 }
 
+// filter_ineffective is a delta rule over counters the store already keeps:
+// the interval's NVT slot reads over the walks its op counters imply. The
+// broken interval is the shape a fingerprint aliased with the segment index
+// produced — fresh-key inserts reading ~15 slots each.
+func TestFilterIneffective(t *testing.T) {
+	e := NewEvaluator(Config{})
+	var s0 obs.Snapshot
+	e.Evaluate(s0, at(0))
+
+	// A working filter: hot hits walk nothing, NVT hits read their one slot,
+	// misses and inserts read the odd false positive.
+	s1 := s0
+	s1.Ops[obs.OpGet][obs.OutHotHit] = 50000
+	s1.Ops[obs.OpGet][obs.OutNVTHit] = 4000
+	s1.Ops[obs.OpGet][obs.OutMiss] = 1000
+	s1.Ops[obs.OpInsert][obs.OutOK] = 5000
+	s1.NVTProbes = 4000 + 6000*3/10
+	if r := e.Evaluate(s1, at(1)); r.Status != OK {
+		t.Fatalf("5800 reads over 10000 walks = %+v, want OK", r)
+	}
+
+	s2 := s1
+	s2.Ops[obs.OpInsert][obs.OutOK] += 5000
+	s2.NVTProbes += 75000
+	r := e.Evaluate(s2, at(2))
+	c, ok := findCond(r, CondFilterIneffective)
+	if !ok || c.Severity != Degraded || c.Value != 15 || !strings.Contains(c.Cause, "75000 NVT slot reads over 5000 walks") {
+		t.Fatalf("15 reads per walk = %+v (found %v), want degraded naming the counts", c, ok)
+	}
+
+	// The same ratio over too few walks to mean anything stays quiet, and the
+	// rule reads the interval, not the totals the bad one left behind.
+	s3 := s2
+	s3.Ops[obs.OpGet][obs.OutMiss] += 100
+	s3.NVTProbes += 1500
+	if r := e.Evaluate(s3, at(3)); r.Status != OK {
+		t.Fatalf("100 walks = %+v, want OK", r)
+	}
+}
+
+// Report.Conditions lists fired rules in ConditionNames order, the order the
+// docs table and the Prometheus series use.
+func TestConditionsInExpositionOrder(t *testing.T) {
+	e := NewEvaluator(Config{})
+	var s0 obs.Snapshot
+	e.Evaluate(s0, at(0))
+	s1 := s0
+	s1.Ops[obs.OpInsert][obs.OutOK] = 4000
+	s1.Ops[obs.OpInsert][obs.OutFull] = 1000
+	s1.NVTProbes = 75000
+	s1.RESP = &obs.RESPSnapshot{InFlight: 2000}
+	r := e.Evaluate(s1, at(1))
+	var got []string
+	for _, c := range r.Conditions {
+		got = append(got, c.Name)
+	}
+	want := []string{CondErrorRate, CondRESPInFlight, CondFilterIneffective}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("conditions fired as %v, want %v", got, want)
+	}
+}
+
 // resp_in_flight reads the listener gauge when present.
 func TestRESPInFlight(t *testing.T) {
 	e := NewEvaluator(Config{})

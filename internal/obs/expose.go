@@ -136,6 +136,7 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	gauge("hdnh_hot_capacity_slots", "Hot-table slot capacity.", "%d", s.Gauges.HotCapacity)
 	gauge("hdnh_hot_fill_ratio", "Hot entries over hot capacity.", "%g", s.Gauges.HotFillRatio)
 	gauge("hdnh_hot_hit_ratio", "Hot-table hits over all Gets.", "%g", s.HitRatio())
+	gauge("hdnh_nvt_probe_reads_per_walk", "NVT slot reads per walk (hdnh_nvt_probe_reads_total over the walks the op counters imply); a working OCF stays under 2.", "%g", s.ProbeReadsPerWalk())
 	gauge("hdnh_device_words", "Device capacity in words.", "%d", s.Gauges.DeviceWords)
 	gauge("hdnh_device_words_used", "Device words bump-allocated.", "%d", s.Gauges.DeviceWordsUsed)
 	gauge("hdnh_device_flushes", "Device-wide flush count.", "%d", s.Gauges.DeviceFlushes)
@@ -268,7 +269,8 @@ type jsonForm struct {
 	GCRecycles       uint64  `json:"gc_recycles"`
 	GCWriteAmp       float64 `json:"gc_write_amplification"`
 
-	HitRatio float64 `json:"hot_hit_ratio"`
+	HitRatio          float64 `json:"hot_hit_ratio"`
+	ProbeReadsPerWalk float64 `json:"nvt_probe_reads_per_walk"`
 
 	NVM struct {
 		ReadAccesses    uint64 `json:"read_accesses"`
@@ -321,6 +323,7 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 		GCRecycles:         s.GCRecycles,
 		GCWriteAmp:         s.GCWriteAmplification(),
 		HitRatio:           s.HitRatio(),
+		ProbeReadsPerWalk:  s.ProbeReadsPerWalk(),
 		Gauges:             s.Gauges,
 		RESP:               s.RESP,
 	}

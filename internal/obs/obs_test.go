@@ -109,6 +109,26 @@ func TestHitRatio(t *testing.T) {
 	}
 }
 
+// Walks are every Get the hot table did not answer, every write verb and every
+// rescan; hot hits read no NVT slot and must not dilute the ratio.
+func TestProbeReadsPerWalk(t *testing.T) {
+	m := New(Config{})
+	h := m.Handle()
+	if r := m.Snapshot().ProbeReadsPerWalk(); r != 0 {
+		t.Fatalf("reads per walk with no walks = %g, want 0", r)
+	}
+	for i := 0; i < 10; i++ {
+		h.Op(OpGet, OutHotHit, time.Time{})
+	}
+	h.Op(OpGet, OutNVTHit, time.Time{})
+	h.Op(OpGet, OutMiss, time.Time{})
+	h.Op(OpInsert, OutOK, time.Time{})
+	h.Probe(1, 6, 0)
+	if r := m.Snapshot().ProbeReadsPerWalk(); r != 1.5 {
+		t.Fatalf("6 reads over 3 ops + 1 rescan = %g per walk, want 1.5", r)
+	}
+}
+
 func TestWritePromFormat(t *testing.T) {
 	m := New(Config{SampleEvery: 1})
 	h := m.Handle()

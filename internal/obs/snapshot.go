@@ -289,6 +289,30 @@ func (s Snapshot) OpTotal(op Op) uint64 {
 	return n
 }
 
+// NVTWalks derives, from the op counters, how many passes the counted
+// operations made over a key's candidate buckets: one for every Get the hot
+// table did not answer and for every write verb (each starts with one probe),
+// plus the movement-hazard rescans. A probe that gave up contended and was
+// retried inside the operation walked again without being counted here, so
+// under heavy contention this runs a little low.
+func (s Snapshot) NVTWalks() uint64 {
+	return s.OpTotal(OpGet) - s.Ops[OpGet][OutHotHit] +
+		s.OpTotal(OpInsert) + s.OpTotal(OpUpdate) + s.OpTotal(OpDelete) + s.LookupRescans
+}
+
+// ProbeReadsPerWalk returns NVT slot reads per walk, the OCF's selectivity as
+// an operator sees it: a walk that finds its key reads one slot, and every
+// other read is a fingerprint false positive, at most 96 occupied candidate
+// slots / 255 ≈ 0.4 per walk, so a working filter stays under 2. 0 when nothing
+// walked.
+func (s Snapshot) ProbeReadsPerWalk() float64 {
+	walks := s.NVTWalks()
+	if walks == 0 {
+		return 0
+	}
+	return float64(s.NVTProbes) / float64(walks)
+}
+
 // HitRatio returns hot-table hits over all completed Gets, the paper's
 // headline cache metric; 0 when no Gets happened.
 func (s Snapshot) HitRatio() float64 {
