@@ -107,6 +107,7 @@ func main() {
 	fmt.Printf("  OCF rebuild       %v\n", rs.OCFRebuild.Round(time.Microsecond))
 	fmt.Printf("  hot table rebuild %v\n", rs.HotRebuild.Round(time.Microsecond))
 	fmt.Printf("  total             %v\n", rs.Total.Round(time.Microsecond))
+	fmt.Printf("  media block reads %d\n", rs.MediaBlockReads)
 	fmt.Printf("  items recovered   %d\n", rs.Items)
 	fmt.Printf("  resumed rehash    %v\n", rs.ResumedRehash)
 	fmt.Printf("  duplicates fixed  %v\n", rs.DuplicatesResolved)

@@ -9,8 +9,9 @@
 //	tag 0x02: pointer — bytes 1..8 the log address (little endian),
 //	          bytes 9..12 the record's total word count
 //
-// Carrying the word count in the pointer lets every index operation adjust
-// the log's per-segment liveness counters without touching NVM.
+// Carrying the word count in the pointer lets every index operation — and
+// Open, which recounts from the recovered index alone — adjust the log's
+// per-segment liveness counters without reading a log record.
 //
 // Crash ordering: a value is appended (and committed) to the log before
 // the index is updated, so a crash can only leak an unreferenced log
@@ -50,6 +51,7 @@ package bigkv
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"hdnh/internal/core"
 	"hdnh/internal/flight"
@@ -141,7 +143,8 @@ type Store struct {
 	idx  *core.Router
 	logs []*vlog.Log // one per index shard
 	dev  *nvm.Device
-	opts Options // withDefaults applied; Segments is PER SHARD
+	h    *nvm.Handle // the store's own log traffic: Create/Open, and Close's Sync
+	opts Options     // withDefaults applied; Segments is PER SHARD
 	rec  obs.Recorder
 	fl   flight.Tracer // GC tracer; flight.Nop when tracing is off
 
@@ -186,64 +189,83 @@ func Create(dev *nvm.Device, opts Options) (*Store, error) {
 		h.StorePersist(dirOff, logDirMagic)
 		dev.SetRoot(h, logDirRootSlot, uint64(dirOff))
 	}
-	st := &Store{idx: idx, logs: logs, dev: dev, opts: opts}
+	st := &Store{idx: idx, logs: logs, dev: dev, h: h, opts: opts}
 	st.start()
 	return st, nil
 }
 
-// Open recovers the store: the HDNH index replays its own recovery (per
-// shard), each shard's log recovers its segment states and committed tails,
-// and the liveness counters are rebuilt by checking every log record
-// against its shard's index.
+// Open recovers the store: each shard's log recovers its segment states and
+// the active segment's tail, then the HDNH index replays its own recovery (per
+// shard) with a visitor that rebuilds the liveness counters from the pointers
+// it holds — no log record is read (why the counts are exact: INTERNALS §7).
+// A pointer outside its shard log's appended records fails the Open with
+// vlog.ErrCorrupt.
 func Open(dev *nvm.Device, opts Options) (*Store, error) {
-	idx, err := core.OpenRouter(dev, opts.Table)
+	h := dev.NewHandle()
+	logs, err := openLogs(dev, h)
 	if err != nil {
 		return nil, err
 	}
-	n := idx.NumShards()
-	opts = opts.withDefaults(n)
-	h := dev.NewHandle()
-	logs := make([]*vlog.Log, n)
-	if n == 1 {
-		base := int64(dev.Root(logRootSlot))
-		if base == 0 {
-			idx.Close()
-			return nil, errors.New("bigkv: device has no value log")
+	var mu sync.Mutex
+	var bad error // a dangling pointer, or logs and index disagreeing on the shard count
+	idx, err := core.OpenRouterVisit(dev, opts.Table, func(shard int, _ kv.Key, sv kv.Value) {
+		if sv[0] != tagPointer || shard >= len(logs) {
+			return
 		}
-		log, err := vlog.Open(dev, h, base)
-		if err != nil {
-			idx.Close()
-			return nil, err
+		addr, words := unpackPointer(sv)
+		if !logs[shard].Covers(addr, words) {
+			mu.Lock()
+			bad = fmt.Errorf("bigkv: shard %d index points at log address %d (%d words), outside the appended records: %w", shard, addr, words, vlog.ErrCorrupt)
+			mu.Unlock()
+			return
 		}
-		logs[0] = log
-	} else {
-		dirOff := int64(dev.Root(logDirRootSlot))
-		if dirOff == 0 {
-			idx.Close()
-			return nil, errors.New("bigkv: sharded index but no value-log directory")
-		}
-		if dev.Load(dirOff) != logDirMagic {
-			idx.Close()
-			return nil, errors.New("bigkv: value-log directory magic mismatch")
-		}
-		if c := int(dev.Load(dirOff + logDirCountWord)); c != n {
-			idx.Close()
-			return nil, fmt.Errorf("bigkv: value-log directory holds %d shards, index holds %d", c, n)
-		}
-		for i := range logs {
-			base := int64(dev.Load(dirOff + logDirShardBase + int64(i)))
-			log, err := vlog.Open(dev, h, base)
-			if err != nil {
-				idx.Close()
-				return nil, fmt.Errorf("bigkv: opening shard %d log: %w", i, err)
-			}
-			logs[i] = log
-		}
+		logs[shard].AddLive(addr, words)
+	})
+	if err != nil {
+		return nil, err
 	}
-	st := &Store{idx: idx, logs: logs, dev: dev, opts: opts}
-	st.rebuildLiveness(h)
+	if n := idx.NumShards(); n != len(logs) {
+		bad = fmt.Errorf("bigkv: device holds %d value logs, index holds %d shards", len(logs), n)
+	}
+	if bad != nil {
+		idx.Close()
+		return nil, bad
+	}
+	st := &Store{idx: idx, logs: logs, dev: dev, h: h, opts: opts.withDefaults(len(logs))}
 	st.start()
 	return st, nil
+}
+
+// openLogs opens the value log(s) the device holds — the single log under
+// logRootSlot, or every log of the shard directory under logDirRootSlot.
+func openLogs(dev *nvm.Device, h *nvm.Handle) ([]*vlog.Log, error) {
+	if base := int64(dev.Root(logRootSlot)); base != 0 {
+		log, err := vlog.Open(dev, h, base)
+		if err != nil {
+			return nil, err
+		}
+		return []*vlog.Log{log}, nil
+	}
+	dirOff := int64(dev.Root(logDirRootSlot))
+	if dirOff == 0 {
+		return nil, errors.New("bigkv: device has no value log")
+	}
+	if dev.Load(dirOff) != logDirMagic {
+		return nil, errors.New("bigkv: value-log directory magic mismatch")
+	}
+	n := int64(dev.Load(dirOff + logDirCountWord))
+	if n < 2 || n > core.MaxShards {
+		return nil, fmt.Errorf("bigkv: value-log directory holds %d shards", n)
+	}
+	logs := make([]*vlog.Log, n)
+	for i := range logs {
+		log, err := vlog.Open(dev, h, int64(dev.Load(dirOff+logDirShardBase+int64(i))))
+		if err != nil {
+			return nil, fmt.Errorf("bigkv: opening shard %d log: %w", i, err)
+		}
+		logs[i] = log
+	}
+	return logs, nil
 }
 
 // start wires the recorder and tracers and launches the GC workers.
@@ -258,23 +280,6 @@ func (st *Store) start() {
 		log.SetTracer(st.idx.Flight().Handle("vlog"))
 	}
 	st.startGC()
-}
-
-// rebuildLiveness recomputes every segment's live-word counter after a
-// recovery, one shard at a time: a record is live iff its shard's index
-// still points at its address. Shard i's log holds only shard i's keys, so
-// each pass needs only that shard's session.
-func (st *Store) rebuildLiveness(h *nvm.Handle) {
-	for i, log := range st.logs {
-		s := st.idx.Shard(i).NewSession()
-		log.ScanAll(h, func(addr, words int64, key kv.Key, _ []byte) bool {
-			if sv, ok := s.Get(key); ok && sv == packPointer(addr, words) {
-				log.AddLive(addr, words)
-			}
-			return true
-		})
-		s.Close()
-	}
 }
 
 // Index exposes the underlying sharded index (stats, invariants,
@@ -357,9 +362,8 @@ func (st *Store) Close() error {
 	for _, g := range st.gcs {
 		g.sess.Close()
 	}
-	h := st.dev.NewHandle()
 	for _, log := range st.logs {
-		log.Sync(h)
+		log.Sync(st.h)
 	}
 	return st.idx.Close()
 }

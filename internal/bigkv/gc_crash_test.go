@@ -167,6 +167,7 @@ func TestGCCrashSweep(t *testing.T) {
 				t.Fatalf("open after crash at flush %d: %v", f, err)
 			}
 			defer st2.Close()
+			auditLivenessFromLog(t, st2, "after crash")
 			gcSweepVerify(t, st2, want, "after crash")
 			// The recovered store must still collect garbage and accept
 			// writes: finish the interrupted cycle, then overwrite a key.

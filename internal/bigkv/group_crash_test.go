@@ -209,6 +209,7 @@ func groupCrashSweep(t *testing.T, name string, phase func(*Store) []error) {
 				t.Fatalf("open after crash at persist call %d: %v", c, err)
 			}
 			defer st2.Close()
+			auditLivenessFromLog(t, st2, "after crash")
 			groupSweepVerifyCrash(t, st2)
 			if errs := st2.Index().CheckInvariants(); len(errs) > 0 {
 				t.Fatalf("index invariants violated after crash: %v", errs[0])

@@ -167,8 +167,9 @@ func TestShardedConcurrentChurn(t *testing.T) {
 }
 
 // TestShardedRecovery closes a 4-shard store and re-opens it on the same
-// device: the shard directory re-links each shard's log, rebuildLiveness
-// scans per shard, and every value (inline and pointer) survives.
+// device: the shard directory re-links each shard's log, each shard's index
+// recovery re-adds its own log's live words, and every value (inline and
+// pointer) survives.
 func TestShardedRecovery(t *testing.T) {
 	dev, err := nvm.New(nvm.DefaultConfig(1 << 23))
 	if err != nil {
@@ -201,6 +202,7 @@ func TestShardedRecovery(t *testing.T) {
 	if got := st2.Index().NumShards(); got != 4 {
 		t.Fatalf("recovered NumShards = %d, want 4", got)
 	}
+	auditLivenessFromLog(t, st2, "after reopen")
 	s2 := st2.NewSession()
 	defer s2.Close()
 	for i := 0; i < n; i++ {

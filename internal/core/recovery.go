@@ -30,11 +30,23 @@ type RecoveryStats struct {
 	DuplicatesResolved int64
 	// CleanShutdown reports whether the table was closed cleanly.
 	CleanShutdown bool
+	// MediaBlockReads is the 256-byte media blocks charged to recovery's own
+	// handle and its parallel bucket traversals (OCF, dedup, final pass); a
+	// resumed drain's workers charge the resize machinery's handles instead.
+	MediaBlockReads uint64
 }
 
+// RecoveryVisitor receives every committed record of a table from
+// recovery's last traversal — after resize replay and torn-update dedup, so
+// each key arrives exactly once, with the value an Open'ed table will serve.
+// It runs on Options.RecoveryWorkers goroutines at once and must be safe for
+// that. Layers that keep DRAM state derived from the index (bigkv's
+// per-segment liveness) rebuild it here instead of scanning the table again.
+type RecoveryVisitor func(k kv.Key, v kv.Value)
+
 // recover rebuilds all volatile state from the persisted image and replays
-// any interrupted resize (paper §3.7).
-func (t *Table) recover() error {
+// any interrupted resize (paper §3.7). visit may be nil.
+func (t *Table) recover(visit RecoveryVisitor) error {
 	start := time.Now()
 	dev := t.dev
 	h := dev.NewHandle()
@@ -134,15 +146,19 @@ func (t *Table) recover() error {
 	t.count.Store(t.countFromOCF())
 	stats.Items = t.count.Load()
 
-	// Rebuild the hot table with a second parallel traversal.
-	if t.opts.HotSlotsPerBucket > 0 {
+	// Rebuild the hot table, and feed the visitor, with a second parallel
+	// traversal; with neither there is nothing left to read.
+	if t.opts.HotSlotsPerBucket > 0 || visit != nil {
 		hotStart := time.Now()
-		t.hot = newHotTable(pr.top.segments, pr.bottom.segments, m, t.opts.HotSlotsPerBucket, t.opts.Replacer)
-		t.rebuildHot()
+		if t.opts.HotSlotsPerBucket > 0 {
+			t.hot = newHotTable(pr.top.segments, pr.bottom.segments, m, t.opts.HotSlotsPerBucket, t.opts.Replacer)
+		}
+		t.rebuildHot(visit)
 		stats.HotRebuild = time.Since(hotStart)
 		t.fl.RecoveryStep(flight.RecHot, stats.HotRebuild, stats.Items)
 	}
 
+	stats.MediaBlockReads = t.recoveryReads.Load() + h.Stats().MediaBlockReads
 	stats.Total = time.Since(start)
 	t.recovery = stats
 	return nil
@@ -174,9 +190,11 @@ func (t *Table) rebuildOCFLevel(lvl *level) {
 	})
 }
 
-// rebuildHot repopulates the cache from the NVT. Entries enter cold, just
-// as after any other insert; the workload's own searches re-warm them.
-func (t *Table) rebuildHot() {
+// rebuildHot is recovery's last traversal of the NVT: it repopulates the
+// cache (when there is one) and hands every committed record to visit (when
+// there is one). Entries enter cold, just as after any other insert; the
+// workload's own searches re-warm them.
+func (t *Table) rebuildHot(visit RecoveryVisitor) {
 	var seq atomic.Uint64
 	pr := t.pair()
 	for _, lvl := range [2]*level{pr.top, pr.bottom} {
@@ -191,15 +209,21 @@ func (t *Table) rebuildHot() {
 				}
 				k := kv.UnpackKey(h.Load(off), h.Load(off+1))
 				v, _ := kv.UnpackValue(h.Load(off+2), w3)
-				h1 := hashfn.Hash1(k[:])
-				t.hot.put(k, v, h1, hashfn.Fingerprint(h1), r)
+				if t.hot != nil {
+					h1 := hashfn.Hash1(k[:])
+					t.hot.put(k, v, h1, hashfn.Fingerprint(h1), r)
+				}
+				if visit != nil {
+					visit(k, v)
+				}
 			}
 		})
 	}
 }
 
 // parallelBuckets runs fn over every bucket of lvl using the configured
-// recovery workers, each with its own NVM handle.
+// recovery workers, each with its own NVM handle, whose media block reads
+// accumulate into t.recoveryReads.
 func (t *Table) parallelBuckets(lvl *level, fn func(h *nvm.Handle, lvl *level, b int64)) {
 	workers := t.opts.RecoveryWorkers
 	buckets := lvl.buckets()
@@ -211,6 +235,7 @@ func (t *Table) parallelBuckets(lvl *level, fn func(h *nvm.Handle, lvl *level, b
 		for b := int64(0); b < buckets; b++ {
 			fn(h, lvl, b)
 		}
+		t.recoveryReads.Add(h.Stats().MediaBlockReads)
 		return
 	}
 	var wg sync.WaitGroup
@@ -231,6 +256,7 @@ func (t *Table) parallelBuckets(lvl *level, fn func(h *nvm.Handle, lvl *level, b
 			for b := lo; b < hi; b++ {
 				fn(h, lvl, b)
 			}
+			t.recoveryReads.Add(h.Stats().MediaBlockReads)
 		}(lo, hi)
 	}
 	wg.Wait()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"hdnh/internal/kv"
@@ -10,6 +11,31 @@ import (
 	"hdnh/internal/rng"
 	"hdnh/internal/scheme"
 )
+
+// visitLog collects what a recovery visitor is handed, from however many
+// recovery workers call it, and fails the test on a key handed out twice.
+type visitLog struct {
+	t      *testing.T
+	mu     sync.Mutex
+	vals   map[kv.Key]kv.Value
+	shards map[kv.Key]int
+}
+
+func newVisitLog(t *testing.T) *visitLog {
+	return &visitLog{t: t, vals: map[kv.Key]kv.Value{}, shards: map[kv.Key]int{}}
+}
+
+// visitShard has OpenRouterVisit's visitor shape; visit is a RecoveryVisitor.
+func (l *visitLog) visitShard(shard int, k kv.Key, v kv.Value) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, dup := l.vals[k]; dup {
+		l.t.Errorf("recovery visitor saw key %q twice", k.String())
+	}
+	l.vals[k], l.shards[k] = v, shard
+}
+
+func (l *visitLog) visit(k kv.Key, v kv.Value) { l.visitShard(0, k, v) }
 
 func newStrictDev(t *testing.T, words int64, evictProb float64) *nvm.Device {
 	t.Helper()
@@ -529,36 +555,77 @@ func TestRecoveryPreservesUpdatesAcrossResizes(t *testing.T) {
 	}
 }
 
+// TestRecoveryWorkerCounts reopens one image with 1, 2 and 7 recovery
+// workers, with and without a hot table, through a visitor: every committed
+// record arrives exactly once whatever the worker count, the last traversal
+// runs for the visitor alone when there is no cache to fill, and
+// RecoveryStats.MediaBlockReads is the traversals' block count.
 func TestRecoveryWorkerCounts(t *testing.T) {
-	for _, workers := range []int{1, 2, 7} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			dev := newStrictDev(t, 1<<21, 0)
-			opts := DefaultOptions()
-			tbl, err := Create(dev, opts)
-			if err != nil {
-				t.Fatal(err)
+	for _, hotSlots := range []int{DefaultOptions().HotSlotsPerBucket, 0} {
+		for _, workers := range []int{1, 2, 7} {
+			name := fmt.Sprintf("workers%d", workers)
+			if hotSlots == 0 {
+				name = "nohot-" + name
 			}
-			s := tbl.NewSession()
-			for i := 0; i < 1500; i++ {
-				if err := s.Insert(key(i), value(i)); err != nil {
+			t.Run(name, func(t *testing.T) {
+				dev := newStrictDev(t, 1<<21, 0)
+				opts := DefaultOptions()
+				opts.HotSlotsPerBucket = hotSlots
+				tbl, err := Create(dev, opts)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			tbl.Close()
-			opts.RecoveryWorkers = workers
-			dev2, err := nvm.FromImage(dev.Config(), dev.PersistedImage())
-			if err != nil {
-				t.Fatal(err)
-			}
-			tbl2, err := Open(dev2, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tbl2.Close()
-			if tbl2.Count() != 1500 {
-				t.Fatalf("Count = %d with %d workers", tbl2.Count(), workers)
-			}
-		})
+				s := tbl.NewSession()
+				for i := 0; i < 1500; i++ {
+					if err := s.Insert(key(i), value(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tbl.Close()
+				opts.RecoveryWorkers = workers
+				dev2, err := nvm.FromImage(dev.Config(), dev.PersistedImage())
+				if err != nil {
+					t.Fatal(err)
+				}
+				visits := newVisitLog(t)
+				tbl2, err := openRoot(dev2, opts, visits.visit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tbl2.Close()
+				if tbl2.Count() != 1500 {
+					t.Fatalf("Count = %d with %d workers", tbl2.Count(), workers)
+				}
+				if len(visits.vals) != 1500 {
+					t.Fatalf("visitor saw %d records with %d workers, want 1500", len(visits.vals), workers)
+				}
+				for i := 0; i < 1500; i++ {
+					if visits.vals[key(i)] != value(i) {
+						t.Fatalf("visitor saw key %d as %q", i, visits.vals[key(i)].String())
+					}
+				}
+				// A clean image takes two traversals of one block per bucket:
+				// the OCF rebuild and the last one.
+				if got, want := tbl2.LastRecovery().MediaBlockReads, uint64(2*tbl2.Capacity()/SlotsPerBucket); got != want {
+					t.Fatalf("recovery charged %d media block reads, want %d", got, want)
+				}
+				// Without a visitor and without a cache there is no last traversal.
+				if hotSlots == 0 {
+					dev3, err := nvm.FromImage(dev.Config(), dev.PersistedImage())
+					if err != nil {
+						t.Fatal(err)
+					}
+					tbl3, err := Open(dev3, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer tbl3.Close()
+					if got, want := tbl3.LastRecovery().MediaBlockReads, uint64(tbl3.Capacity()/SlotsPerBucket); got != want {
+						t.Fatalf("visitor-less, cache-less recovery charged %d media block reads, want %d", got, want)
+					}
+				}
+			})
+		}
 	}
 }
 

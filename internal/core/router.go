@@ -152,6 +152,21 @@ func CreateRouter(dev *nvm.Device, opts Options) (*Router, error) {
 // must match it (a clear mismatch error beats silently re-routing keys into
 // the wrong shard). Each shard replays its own recovery, in shard order.
 func OpenRouter(dev *nvm.Device, opts Options) (*Router, error) {
+	return OpenRouterVisit(dev, opts, nil)
+}
+
+// OpenRouterVisit is OpenRouter with a visitor: when visit is non-nil, each
+// shard's recovery hands it every committed record together with the shard
+// index, under RecoveryVisitor's contract (each key once, after replay and
+// dedup, from several goroutines at once). Shards recover one after another,
+// so calls for different shards never overlap.
+func OpenRouterVisit(dev *nvm.Device, opts Options, visit func(shard int, k kv.Key, v kv.Value)) (*Router, error) {
+	shardVisit := func(shard int) RecoveryVisitor {
+		if visit == nil {
+			return nil
+		}
+		return func(k kv.Key, v kv.Value) { visit(shard, k, v) }
+	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -163,7 +178,7 @@ func OpenRouter(dev *nvm.Device, opts Options) (*Router, error) {
 			}
 			return nil, errors.New("core: device holds no table; use CreateRouter")
 		}
-		t, err := Open(dev, opts)
+		t, err := openRoot(dev, opts, shardVisit(0))
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +198,7 @@ func OpenRouter(dev *nvm.Device, opts Options) (*Router, error) {
 	shards := make([]*Table, n)
 	for i := range shards {
 		metaOff := int64(dev.Load(dirOff + shardDirShardBase + int64(i)))
-		t, err := openAt(dev, perShardOptions(opts, n, i), metaOff)
+		t, err := openAt(dev, perShardOptions(opts, n, i), metaOff, shardVisit(i))
 		if err != nil {
 			return nil, fmt.Errorf("core: opening shard %d/%d: %w", i, n, err)
 		}

@@ -241,13 +241,23 @@ func TestRouterRecoveryMultiShard(t *testing.T) {
 
 	adopt := DefaultOptions()
 	adopt.Shards = 0 // adopt the persisted count
-	reopened, err := OpenRouter(dev, adopt)
+	// The visitor sees every record once, labelled with the shard it routes to.
+	visits := newVisitLog(t)
+	reopened, err := OpenRouterVisit(dev, adopt, visits.visitShard)
 	if err != nil {
 		t.Fatalf("OpenRouter after crash: %v", err)
 	}
 	defer reopened.Close()
 	if got := reopened.NumShards(); got != 4 {
 		t.Fatalf("recovered NumShards = %d, want 4", got)
+	}
+	if len(visits.shards) != n {
+		t.Fatalf("visitor saw %d records, want %d", len(visits.shards), n)
+	}
+	for k, shard := range visits.shards {
+		if want := reopened.ShardForKey(k); shard != want {
+			t.Fatalf("visitor got key %q from shard %d, it routes to %d", k.String(), shard, want)
+		}
 	}
 	if got := reopened.Count(); got != n {
 		t.Fatalf("recovered Count = %d, want %d", got, n)

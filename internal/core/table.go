@@ -68,6 +68,10 @@ type Table struct {
 	closed      atomic.Bool
 	poolStopped atomic.Bool
 
+	// recoveryReads gathers the recovery workers' media block reads for
+	// RecoveryStats.MediaBlockReads; untouched after Open returns.
+	recoveryReads atomic.Uint64
+
 	// testHookLookupPass, when non-nil, runs at the start of every NVT-walk
 	// pass (after the movement snapshot). Tests use it to simulate sustained
 	// record movement deterministically — real interleaving cannot be forced
@@ -213,19 +217,26 @@ func createDetached(dev *nvm.Device, opts Options) (*Table, error) {
 // out-of-place update. RecoveryStats are available afterwards via
 // LastRecovery.
 func Open(dev *nvm.Device, opts Options) (*Table, error) {
+	return openRoot(dev, opts, nil)
+}
+
+// openRoot is Open with an optional recovery visitor; the unsharded router
+// opens through it.
+func openRoot(dev *nvm.Device, opts Options, visit RecoveryVisitor) (*Table, error) {
 	if dev.Root(rootSlot) == 0 {
 		if n := shardDirCount(dev); n > 1 {
 			return nil, fmt.Errorf("core: device holds a sharded table (%d shards); use OpenRouter with Options.Shards=%d", n, n)
 		}
 		return nil, errors.New("core: device holds no table; use Create")
 	}
-	return openAt(dev, opts, int64(dev.Root(rootSlot)))
+	return openAt(dev, opts, int64(dev.Root(rootSlot)), visit)
 }
 
 // openAt recovers the table whose metadata block lives at metaOff. Open
 // resolves metaOff through root slot 0; the router resolves each shard's
-// through the shard directory.
-func openAt(dev *nvm.Device, opts Options, metaOff int64) (*Table, error) {
+// through the shard directory. visit, when non-nil, sees every committed
+// record once (see RecoveryVisitor).
+func openAt(dev *nvm.Device, opts Options, metaOff int64, visit RecoveryVisitor) (*Table, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -236,7 +247,7 @@ func openAt(dev *nvm.Device, opts Options, metaOff int64) (*Table, error) {
 	if dev.Load(t.metaOff+metaMagicWord) != tableMagic {
 		return nil, errors.New("core: table metadata magic mismatch")
 	}
-	if err := t.recover(); err != nil {
+	if err := t.recover(visit); err != nil {
 		return nil, err
 	}
 	t.initVolatile()

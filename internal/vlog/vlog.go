@@ -16,12 +16,15 @@
 //	words 1..2  the 16-byte key
 //	words 3..n  payload, zero-padded to a word boundary
 //
-// The key rides in every record so (a) recovery can rebuild per-segment
-// liveness by checking each record against the index and (b) a reader
-// holding a stale address into a recycled-and-reused segment detects the
-// mismatch instead of returning another key's bytes. The checksum covers
-// key and payload and is computed in DRAM from the bytes in hand — never
-// by re-reading NVM.
+// The key rides in every record so (a) the GC can ask the index whether a
+// record it walks past is still referenced and (b) a reader holding a stale
+// address into a recycled-and-reused segment detects the mismatch instead
+// of returning another key's bytes. The checksum covers key and payload and
+// is computed in DRAM from the bytes in hand — never by re-reading NVM.
+//
+// Recovery reads no record beyond the active segment's unsynced tail: the
+// owner rebuilds the liveness counters from the pointers its index holds
+// (AddLive per pointer, Covers to reject a dangling one).
 //
 // Append protocol: payload and key words are written and flushed first,
 // then the header word is persisted last (8-byte atomic commit). A torn
@@ -140,6 +143,7 @@ type Log struct {
 	head      int64 // append cursor within the active segment
 	sinceSync int64
 	free      []int64
+	nfree     atomic.Int64 // len(free), stored under mu, read lock-free
 	state     []SegState
 	used      []int64 // appended words per segment (exact; DRAM)
 
@@ -193,6 +197,7 @@ func Create(dev *nvm.Device, h *nvm.Handle, segWords, numSegs int64) (*Log, erro
 	for seg := numSegs - 1; seg >= 0; seg-- {
 		l.free = append(l.free, seg)
 	}
+	l.nfree.Store(numSegs)
 	return l, nil
 }
 
@@ -267,6 +272,7 @@ func Open(dev *nvm.Device, h *nvm.Handle, base int64) (*Log, error) {
 			return nil, fmt.Errorf("vlog: segment %d: corrupt state %d", seg, uint8(st))
 		}
 	}
+	l.nfree.Store(int64(len(l.free)))
 	return l, nil
 }
 
@@ -282,12 +288,9 @@ func (l *Log) Segments() int64 { return l.numSegs }
 // Capacity returns the total data capacity in words.
 func (l *Log) Capacity() int64 { return l.numSegs * l.segWords }
 
-// FreeSegments returns the number of segments on the free list.
-func (l *Log) FreeSegments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.free)
-}
+// FreeSegments returns the number of segments on the free list. Lock-free:
+// callers poll it after every append.
+func (l *Log) FreeSegments() int { return int(l.nfree.Load()) }
 
 // State returns segment seg's lifecycle state.
 func (l *Log) State(seg int64) SegState {
@@ -310,6 +313,19 @@ func (l *Log) SegLive(seg int64) int64 { return l.live[seg].Load() }
 // The owner calls this with the record's word count when an index entry
 // starts or stops referencing the record at addr.
 func (l *Log) AddLive(addr, delta int64) { l.live[addr/l.segWords].Add(delta) }
+
+// Covers reports whether words [addr, addr+words) lie inside the appended
+// part of a SEALED or ACTIVE segment — what a pointer to a committed record
+// satisfies and a dangling one does not.
+func (l *Log) Covers(addr, words int64) bool {
+	if addr < 0 || addr >= l.Capacity() || words < recordHeaderWords {
+		return false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	st := l.state[addr/l.segWords]
+	return (st == SegSealed || st == SegActive) && addr%l.segWords+words <= l.used[addr/l.segWords]
+}
 
 // LiveWords returns the total live words across all segments.
 func (l *Log) LiveWords() int64 {
@@ -580,6 +596,7 @@ func (l *Log) roll(h *nvm.Handle, reserve int) error {
 	}
 	seg := l.free[len(l.free)-1]
 	l.free = l.free[:len(l.free)-1]
+	l.nfree.Store(int64(len(l.free)))
 	// Head resets before the state flips: a crash between the two leaves
 	// the segment FREE with head 0, and sealing strictly precedes the next
 	// activation, so any crash image holds at most one ACTIVE segment.
@@ -622,14 +639,16 @@ func (l *Log) Read(h *nvm.Handle, addr int64) (kv.Key, []byte, error) {
 	}
 	inSeg := addr % l.segWords
 	off := l.dataOff(addr)
-	h.ReadAccess(off, 1)
 	hdr := l.dev.Load(off)
 	length := int64(hdr >> 32)
 	if length <= 0 || inSeg+recordHeaderWords+payloadWords(length) > l.segWords {
+		h.ReadAccess(off, 1)
 		return key, nil, fmt.Errorf("%w: bad length %d at %d", ErrCorrupt, length, addr)
 	}
 	words := payloadWords(length)
-	h.ReadAccess(off+1, 2+words)
+	// One access for the whole record, charged once its extent is known: the
+	// header's block is paid for once, not again with the key behind it.
+	h.ReadAccess(off, recordHeaderWords+words)
 	copyWordBytes(key[0:8], l.dev.Load(off+1))
 	copyWordBytes(key[8:16], l.dev.Load(off+2))
 	out := make([]byte, length)
@@ -654,31 +673,6 @@ func (l *Log) Read(h *nvm.Handle, addr int64) (kv.Key, []byte, error) {
 // prefix committed before the call.
 func (l *Log) ScanSegment(h *nvm.Handle, seg int64, fn func(addr, words int64, key kv.Key, value []byte) bool) {
 	l.scanFrom(h, seg, 0, fn)
-}
-
-// ScanAll walks the committed records of every sealed and active segment.
-// The owner uses this on recovery to rebuild liveness counters against
-// its index.
-func (l *Log) ScanAll(h *nvm.Handle, fn func(addr, words int64, key kv.Key, value []byte) bool) {
-	l.mu.Lock()
-	segs := make([]int64, 0, l.numSegs)
-	for seg := int64(0); seg < l.numSegs; seg++ {
-		if l.state[seg] == SegSealed || l.state[seg] == SegActive {
-			segs = append(segs, seg)
-		}
-	}
-	l.mu.Unlock()
-	for _, seg := range segs {
-		stop := false
-		l.scanFrom(h, seg, 0, func(addr, words int64, key kv.Key, value []byte) bool {
-			ok := fn(addr, words, key, value)
-			stop = !ok
-			return ok
-		})
-		if stop {
-			return
-		}
-	}
 }
 
 // scanFrom walks valid records of segment seg starting at the in-segment
@@ -739,6 +733,7 @@ func (l *Log) Recycle(h *nvm.Handle, seg int64) error {
 	l.fl.VLogSeg(uint8(SegFree), seg)
 	l.used[seg] = 0
 	l.free = append(l.free, seg)
+	l.nfree.Store(int64(len(l.free)))
 	l.recycles.Add(1)
 	return nil
 }

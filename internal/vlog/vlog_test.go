@@ -131,6 +131,9 @@ func TestSegmentLifecycleAndRecycle(t *testing.T) {
 	if st := l.State(seg0); st != SegSealed {
 		t.Fatalf("first segment is %s, want sealed", st)
 	}
+	if got := l.FreeSegments(); got != 2 {
+		t.Fatalf("%d free segments with one sealed and one active of 4, want 2", got)
+	}
 	// Still live: Recycle must refuse.
 	if err := l.Recycle(h, seg0); !errors.Is(err, ErrSegmentLive) {
 		t.Fatalf("recycled a live segment: %v", err)
@@ -147,6 +150,9 @@ func TestSegmentLifecycleAndRecycle(t *testing.T) {
 	}
 	if l.Recycles() != 1 {
 		t.Fatalf("recycles = %d, want 1", l.Recycles())
+	}
+	if got := l.FreeSegments(); got != 3 {
+		t.Fatalf("%d free segments after the recycle, want 3", got)
 	}
 	// Reads into the recycled segment fail instead of returning stale data.
 	if _, _, err := l.Read(h, addrs[0]); !errors.Is(err, ErrCorrupt) {
@@ -288,6 +294,82 @@ func TestOpenRecoversEveryState(t *testing.T) {
 	if l2.LiveWords() != 0 {
 		t.Fatalf("liveness %d after Open, want 0", l2.LiveWords())
 	}
+	if got := l2.FreeSegments(); got != 2 {
+		t.Fatalf("%d free segments after Open, want 2 (the recycled one and the never-used one)", got)
+	}
+	// Covers: what the owner checks each index pointer against while it
+	// rebuilds liveness. Committed records pass; FREE space, the words past
+	// the active head and addresses outside the log do not.
+	cw := RecordWords(len("active tail"))
+	for _, tc := range []struct {
+		name        string
+		addr, words int64
+		want        bool
+	}{
+		{"sealed record", b0, w, true},
+		{"active record", c0, cw, true},
+		{"recycled segment", a0, w, false},
+		{"past the sealed head", b0 + w, w, false},
+		{"straddling the active head", c0 + 1, cw, false},
+		{"shorter than a record header", b0, 2, false},
+		{"negative address", -1, w, false},
+		{"past the log", l2.Capacity(), w, false},
+	} {
+		if got := l2.Covers(tc.addr, tc.words); got != tc.want {
+			t.Errorf("Covers(%d, %d) [%s] = %v, want %v", tc.addr, tc.words, tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestReadChargesEachBlockOnce: a record costs the media blocks it spans —
+// the header's block once, not once for the header word and again for the
+// key behind it.
+func TestReadChargesEachBlockOnce(t *testing.T) {
+	_, h, l := logFixture(t, 256, 4)
+	val := make([]byte, 100) // 16 words a record: addresses 0, 16, 32, 48 ...
+	var addrs []int64
+	for i := 0; i < 2; i++ {
+		addr, _, err := l.Append(h, testKey(i), val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, addr)
+	}
+	// After a 24-word filler the next record starts at 56 and straddles
+	// blocks 1 and 2.
+	if _, _, err := l.Append(h, testKey(2), make([]byte, 168)); err != nil {
+		t.Fatal(err)
+	}
+	straddler, _, err := l.Append(h, testKey(3), val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		addr   int64
+		blocks uint64
+	}{{addrs[0], 1}, {addrs[1], 1}, {straddler, 2}} {
+		off := l.dataOff(tc.addr)
+		if span := uint64((off+15)/nvm.BlockWords - off/nvm.BlockWords + 1); span != tc.blocks {
+			t.Fatalf("record at %d spans %d blocks, the test wants one spanning %d", tc.addr, span, tc.blocks)
+		}
+		before := h.Stats()
+		if _, _, err := l.Read(h, tc.addr); err != nil {
+			t.Fatal(err)
+		}
+		d := h.Stats().Sub(before)
+		if d.MediaBlockReads != tc.blocks || d.ReadAccesses != 1 || d.ReadWords != 16 {
+			t.Errorf("Read of the record at %d charged %d blocks, %d accesses, %d words; want %d, 1, 16",
+				tc.addr, d.MediaBlockReads, d.ReadAccesses, d.ReadWords, tc.blocks)
+		}
+	}
+	// A header that fails validation still costs the block it sits in.
+	before := h.Stats()
+	if _, _, err := l.Read(h, straddler+16); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("read past the head: %v", err)
+	}
+	if d := h.Stats().Sub(before); d.MediaBlockReads != 1 {
+		t.Errorf("rejected header charged %d blocks, want 1", d.MediaBlockReads)
+	}
 }
 
 func TestOpenReZeroesFreeingSegment(t *testing.T) {
@@ -362,6 +444,16 @@ func TestOpenBadMagic(t *testing.T) {
 	}
 }
 
+// scanAllSegments walks the committed records of every sealed and active
+// segment through ScanSegment.
+func scanAllSegments(l *Log, h *nvm.Handle, fn func(addr, words int64, key kv.Key, value []byte) bool) {
+	for seg := int64(0); seg < l.Segments(); seg++ {
+		if st := l.State(seg); st == SegSealed || st == SegActive {
+			l.ScanSegment(h, seg, fn)
+		}
+	}
+}
+
 func TestScanSegmentWalksRecords(t *testing.T) {
 	_, h, l := logFixture(t, 256, 4)
 	want := map[int64]int{}
@@ -373,7 +465,7 @@ func TestScanSegmentWalksRecords(t *testing.T) {
 		want[addr] = i
 	}
 	seen := 0
-	l.ScanAll(h, func(addr, words int64, key kv.Key, value []byte) bool {
+	scanAllSegments(l, h, func(addr, words int64, key kv.Key, value []byte) bool {
 		i, ok := want[addr]
 		if !ok {
 			t.Fatalf("scan surfaced unknown address %d", addr)
@@ -634,7 +726,7 @@ func TestAppendBatchTornGroupRecovery(t *testing.T) {
 			t.Fatalf("crash-point %d: post-recovery append: %v", f, err)
 		}
 		seen := map[int64]bool{}
-		l2.ScanAll(ch, func(a, _ int64, _ kv.Key, _ []byte) bool {
+		scanAllSegments(l2, ch, func(a, _ int64, _ kv.Key, _ []byte) bool {
 			seen[a] = true
 			return true
 		})
