@@ -43,9 +43,7 @@ func main() {
 		fatal("device: %v", err)
 	}
 
-	opts := core.DefaultOptions()
-	opts.SyncWrites = false // deterministic flush stream in strict mode
-	tbl, err := core.Create(dev, opts)
+	tbl, err := core.Create(dev, core.DefaultOptions())
 	if err != nil {
 		fatal("create: %v", err)
 	}

@@ -23,9 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	opts := hdnh.DefaultOptions()
-	opts.SyncWrites = false // keep the flush stream deterministic
-	table, err := hdnh.Create(dev, opts)
+	table, err := hdnh.Create(dev, hdnh.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -90,7 +90,6 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := hdnh.DefaultOptions()
-	opts.SyncWrites = false
 	table, err := hdnh.Create(dev, opts)
 	if err != nil {
 		t.Fatal(err)

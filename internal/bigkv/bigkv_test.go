@@ -460,7 +460,6 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.Table.SyncWrites = false
 	st, err := Create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +518,6 @@ func TestCrashMidPutNeverDangles(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := DefaultOptions()
-			opts.Table.SyncWrites = false
 			st, err := Create(dev, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -30,7 +30,6 @@ func gcSweepCfg(seed uint64) nvm.Config {
 
 func gcSweepOpts() Options {
 	opts := DefaultOptions()
-	opts.Table.SyncWrites = false
 	opts.SegmentWords = gcSweepSegWords
 	opts.Segments = gcSweepSegs
 	opts.DisableAutoGC = true // the test drives every pass itself

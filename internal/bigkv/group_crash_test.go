@@ -42,7 +42,6 @@ func groupSweepCfg(seed uint64) nvm.Config {
 
 func groupSweepOpts() Options {
 	opts := DefaultOptions()
-	opts.Table.SyncWrites = false
 	opts.SegmentWords = groupSweepSegWs
 	opts.Segments = groupSweepSegs
 	opts.DisableAutoGC = true

@@ -60,7 +60,6 @@ func init() {
 	register("HDNH", nil)
 	register("HDNH-LRU", func(o *Options) { o.Replacer = ReplacerLRU })
 	register("HDNH-NOHOT", func(o *Options) { o.HotSlotsPerBucket = 0 })
-	register("HDNH-INLINE", func(o *Options) { o.SyncWrites = false })
 	register("HDNH-DISPLACE", func(o *Options) { o.DisplaceOnInsert = true })
 }
 

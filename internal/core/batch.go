@@ -22,13 +22,10 @@ import (
 //     lockBuckets/unlockBuckets round trip.
 //   - MultiPut and MultiDelete hash up front, then commit in groups of
 //     Options.WriteGroupChunk keys: each chunk runs in bucket-sorted order
-//     (same-bucket keys touch adjacent NVT lines back-to-back) with hot
-//     mirror capture on, so the chunk's DRAM mirrors coalesce into one
-//     writer-pool request per background writer instead of one
-//     dispatch-and-wait per key. The NVT commits are the same staged
-//     protocol a single-key write runs as a group of one (groupcommit.go),
-//     so the chunk's line write-backs drain behind at most three barriers
-//     for all its keys together.
+//     (same-bucket keys touch adjacent NVT lines back-to-back) through the
+//     same staged protocol a single-key write runs as a group of one
+//     (groupcommit.go), so the chunk's line write-backs drain behind at
+//     most three barriers for all its keys together.
 //
 // Results are written into caller-provided slices so a steady-state caller
 // allocates nothing; the session's scratch is reused across calls.
@@ -69,14 +66,11 @@ type batchScratch struct {
 	// raced a promotion.
 	leftover []pendingFill
 
-	// Write-group scratch: idx is the bucket-sorted commit order, mirrors
-	// the chunk's captured hot mutations, byWriter the per-writer split
-	// dispatchHotMirrors ships (see syncwrite.go), pending the staged
-	// group-commit writes awaiting their barriers (see groupcommit.go).
-	idx      []int
-	mirrors  []hotMirror
-	byWriter [][]hotMirror
-	pending  []pendingCommit
+	// Write-group scratch: idx is the bucket-sorted commit order, pending
+	// the staged group-commit writes awaiting their barriers (see
+	// groupcommit.go).
+	idx     []int
+	pending []pendingCommit
 }
 
 func (bs *batchScratch) ensure(n int) {
@@ -86,7 +80,6 @@ func (bs *batchScratch) ensure(n int) {
 	bs.keys = bs.keys[:n]
 	bs.fills = bs.fills[:0]
 	bs.leftover = bs.leftover[:0]
-	bs.mirrors = bs.mirrors[:0]
 	bs.pending = bs.pending[:0]
 }
 
@@ -337,11 +330,9 @@ func (s *Session) MultiDeleteExchange(keys []kv.Key, olds []kv.Value, errs []err
 }
 
 // multiWrite is the grouped write core behind the four methods above: hash
-// up front, sort by bucket, then stage WriteGroupChunk keys per group with
-// hot-mirror capture on and commit each group with one drainPending, which
-// also ships the group's mirrors as one coalesced request per background
-// writer. vals is read only for verbPut; olds and hadOld are filled when
-// non-nil.
+// up front, sort by bucket, then stage WriteGroupChunk keys per group and
+// commit each group with one drainPending. vals is read only for verbPut;
+// olds and hadOld are filled when non-nil.
 func (s *Session) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []kv.Value, hadOld []bool, errs []error) int {
 	n := len(keys)
 	if n == 0 {
@@ -363,8 +354,6 @@ func (s *Session) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []kv.Valu
 	for lo := 0; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
 		start := time.Now()
-		groups := 0
-		s.capturing = true
 		s.helpDrainStep()
 		s.enterCritical()
 		for _, i := range bs.idx[lo:hi] {
@@ -382,7 +371,7 @@ func (s *Session) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []kv.Valu
 				// staged lock is held, and finish the key as a solo write: it
 				// may wait on locks, opens its own critical sections, and may
 				// expand the table.
-				groups += s.drainPending()
+				s.drainPending()
 				s.exitCritical()
 				old, had, err = s.writeSolo(&w)
 				s.enterCritical()
@@ -398,10 +387,9 @@ func (s *Session) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []kv.Valu
 				hadOld[i] = had
 			}
 		}
-		groups += s.drainPending()
+		s.drainPending()
 		s.exitCritical()
-		s.capturing = false
-		s.fl.GroupCommit(int64(hi-lo), int64(groups), time.Since(start))
+		s.fl.GroupCommit(int64(hi-lo), time.Since(start))
 	}
 	return fails
 }

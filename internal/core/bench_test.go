@@ -101,6 +101,40 @@ func TestGetHotZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestWriteSteadyStateZeroAllocs is the write-path twin: on a pre-sized table
+// an update, and a delete followed by a re-insert, allocate nothing — the
+// mirror is applied by the caller, so no request or signal is built per write.
+func TestWriteSteadyStateZeroAllocs(t *testing.T) {
+	tbl := newTable(t, func(o *Options) { o.InitBottomSegments = 4 })
+	s := tbl.NewSession()
+	const n = 64
+	ks, vs := benchKeys(n), benchVals(n)
+	for i := range ks {
+		if err := s.Insert(ks[i], vs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	update := testing.AllocsPerRun(1000, func() {
+		i++
+		if err := s.Put(ks[i%n], vs[(i+1)%n]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	reinsert := testing.AllocsPerRun(1000, func() {
+		i++
+		if err := s.Delete(ks[i%n]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Insert(ks[i%n], vs[i%n]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if update != 0 || reinsert != 0 {
+		t.Fatalf("steady-state writes allocate: update %.1f, delete+insert %.1f per op, want 0", update, reinsert)
+	}
+}
+
 func BenchmarkGetNVT(b *testing.B) {
 	// Hot table disabled: every Get walks OCF + NVT.
 	tbl := benchTable(b, func(o *Options) { o.HotSlotsPerBucket = 0 })

@@ -48,11 +48,7 @@ func TestInvariantsAfterMixedOps(t *testing.T) {
 }
 
 func TestInvariantsAfterConcurrentChurn(t *testing.T) {
-	tbl := newTable(t, func(o *Options) {
-		o.SyncWrites = true
-		o.BackgroundWriters = 2
-		o.SegmentBuckets = 16 // force resizes during the churn
-	})
+	tbl := newTable(t, func(o *Options) { o.SegmentBuckets = 16 }) // force resizes during the churn
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -92,7 +88,6 @@ func TestInvariantsAfterCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.SyncWrites = false
 	tbl, err := Create(dev, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -181,16 +181,12 @@ func TestConcurrentUpdatesSameKey(t *testing.T) {
 // inserts every key, and exactly one insert per key may win — before the
 // announce-and-count step in Session.stage two sessions could both pass the
 // duplicate check and commit the key twice. Phase two: the workers upsert
-// and delete a small shared keyset with background hot writers on; the
-// invariant checker then demands one committed copy per key and a cache that
-// matches the NVT — a mirror enqueued after its writer unlocked could be
-// overtaken by the next writer's, leaving a stale (or, after a delete,
-// resurrected) cache entry.
+// and delete a small shared keyset; the invariant checker then demands one
+// committed copy per key and a cache that matches the NVT — a mirror applied
+// after its writer unlocked could be overtaken by the next writer's, leaving
+// a stale (or, after a delete, resurrected) cache entry.
 func TestConcurrentSameKeyWriters(t *testing.T) {
-	tbl := newTable(t, func(o *Options) {
-		o.SyncWrites = true
-		o.BackgroundWriters = 2
-	})
+	tbl := newTable(t, nil)
 	const workers, keys = 4, 1500
 	var wins [keys]atomic.Int32
 	var wg sync.WaitGroup

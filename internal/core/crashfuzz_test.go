@@ -48,7 +48,6 @@ func runCrashFuzz(t *testing.T, seed uint64) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.SyncWrites = false
 	opts.SegmentBuckets = 16 // small segments: crashes land in resizes too
 	tbl, err := Create(dev, opts)
 	if err != nil {

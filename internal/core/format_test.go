@@ -21,7 +21,6 @@ func TestPersistedFormatPinned(t *testing.T) {
 	const words = 1 << 17
 	opts := DefaultOptions()
 	opts.InitBottomSegments = 4 // 6144 slots: the history below never resizes
-	opts.SyncWrites = false
 	dev, err := nvm.New(nvm.StrictConfig(words))
 	if err != nil {
 		t.Fatal(err)

@@ -22,10 +22,10 @@ import (
 //	        slots, store key+value words, stage their lines
 //	phase B  barrier — every staged key/value word durable
 //	phase C  store every commit word (valid bit for inserts/updates,
-//	         cleared bit for deletes), stage, barrier
+//	         cleared bit for deletes), stage, barrier; then mirror the
+//	         updates and deletes into the hot table (syncwrite.go)
 //	phase D  publish the new slots in the OCF, stage the update old-slot
-//	         clears, barrier, then retire old slots, mirror into the hot
-//	         table, and close the ops
+//	         clears, barrier, then retire old slots and close the ops
 //
 // A barrier is FlushBarrier+Fence, and a phase that staged nothing skips
 // both: with no write-back issued since the previous fence there is nothing
@@ -96,20 +96,19 @@ func (s *Session) beginWrite(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Va
 // pendingCommit is one staged write: the slots it holds locked, the commit
 // word to store in phase C, and the op bookkeeping to close in phase D.
 type pendingCommit struct {
-	op      obs.Op // OpInsert, OpUpdate or OpDelete: what the probe made of the verb
-	k       kv.Key
-	v       kv.Value // new value; zero for deletes
-	newRef  slotRef  // staged slot (inserts/updates)
-	newC    uint32   // its pre-lock control word
-	w3      uint64   // commit word for the staged slot
-	oldRef  slotRef  // displaced slot (updates/deletes)
-	oldC    uint32
-	oldW3   uint64
-	h1      uint64
-	fp      uint8
-	hotOwed bool // its hot mirror is with a background writer and the signal still owed
-	start   time.Time
-	ft      int64
+	op     obs.Op // OpInsert, OpUpdate or OpDelete: what the probe made of the verb
+	k      kv.Key
+	v      kv.Value // new value; zero for deletes
+	newRef slotRef  // staged slot (inserts/updates)
+	newC   uint32   // its pre-lock control word
+	w3     uint64   // commit word for the staged slot
+	oldRef slotRef  // displaced slot (updates/deletes)
+	oldC   uint32
+	oldW3  uint64
+	h1     uint64
+	fp     uint8
+	start  time.Time
+	ft     int64
 }
 
 // release unlocks the slot with the given validity, bumping the version of
@@ -216,11 +215,10 @@ func (s *Session) stage(w *writeOp, wait bool) (old kv.Value, hadOld bool, err e
 			ref.release(false, 0, c)
 			return kv.Value{}, false, scheme.ErrContended
 		}
-		// The hot mirror goes out before the NVT write so the DRAM copy
-		// overlaps it (paper §3.4; the key is fresh, so nothing can race
-		// it). Inside a batch chunk this only captures the mirror.
-		owed := s.beginHotWrite(hotOpPut, w.k, w.v, w.h1, w.fp)
-		s.enqueue(w, pendingCommit{op: obs.OpInsert, hotOwed: owed,
+		// The hot mirror goes in first, where the paper starts it (§3.4):
+		// the key is fresh and its slot announced, so nothing can race it.
+		s.mirrorPut(w.k, w.v, w.h1, w.fp)
+		s.enqueue(w, pendingCommit{op: obs.OpInsert,
 			newRef: ref, newC: c, w3: s.t.writeSlotStage(s.h, ref, w.k, w.v, 1)})
 		return kv.Value{}, false, nil
 	}
@@ -262,12 +260,11 @@ func (s *Session) stage(w *writeOp, wait bool) (old kv.Value, hadOld bool, err e
 
 // drainPending runs phases B-D over the staged group (see the protocol at
 // the top of the file) and closes each op. Must run inside the critical
-// section the stages ran in. Returns how many coalesced hot-mirror requests
-// it sent to background writers (always 0 outside a batch chunk).
-func (s *Session) drainPending() int {
+// section the stages ran in.
+func (s *Session) drainPending() {
 	bs := &s.batch
 	if len(bs.pending) == 0 {
-		return 0
+		return
 	}
 	h := s.h
 
@@ -295,21 +292,19 @@ func (s *Session) drainPending() int {
 		h.Fence()
 	}
 
-	// Hot mirrors go out here: after C, so what they cache is durable, and
-	// before D unlocks anything, so the next writer of any of these keys
-	// enqueues its mirror behind ours (see syncwrite.go). Inserts enqueued
-	// theirs at stage time. Inside a batch chunk beginHotWrite only captures
-	// and dispatchHotMirrors ships the group, one request per writer.
+	// Hot mirrors are applied here, in staging order: after C, so what they
+	// cache is durable, and before D unlocks anything, so the next writer of
+	// any of these keys mirrors after us (see syncwrite.go). Inserts applied
+	// theirs at stage time.
 	for i := range bs.pending {
 		p := &bs.pending[i]
 		switch p.op {
 		case obs.OpUpdate:
-			p.hotOwed = s.beginHotWrite(hotOpPut, p.k, p.v, p.h1, p.fp)
+			s.mirrorPut(p.k, p.v, p.h1, p.fp)
 		case obs.OpDelete:
-			p.hotOwed = s.beginHotWrite(hotOpDel, p.k, kv.Value{}, p.h1, p.fp)
+			s.mirrorDel(p.k, p.h1, p.fp)
 		}
 	}
-	groups := s.dispatchHotMirrors()
 
 	// Phase D: publish. New slots enter the OCF only now (their commit
 	// words are durable). An update publishes its new copy BEFORE its old
@@ -334,8 +329,7 @@ func (s *Session) drainPending() int {
 		h.Fence()
 	}
 
-	// Retire the old slots, then collect the sync_write_signals: the ops
-	// return only once their DRAM halves have been applied.
+	// Retire the old slots and close the ops.
 	for i := range bs.pending {
 		p := &bs.pending[i]
 		switch p.op {
@@ -345,14 +339,9 @@ func (s *Session) drainPending() int {
 			p.oldRef.release(false, 0, p.oldC)
 			s.t.count.Add(-1)
 		}
-		s.waitHotWrite(p.hotOwed)
 		s.opDone(p.op, obs.OutOK, p.start, p.ft)
 	}
-	for owed := groups; owed > 0; owed-- {
-		<-s.done
-	}
 	bs.pending = bs.pending[:0]
-	return groups
 }
 
 // writeSolo runs one write to completion as a group of one: stage with
@@ -424,9 +413,8 @@ func (s *Session) write(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value) 
 }
 
 // Insert adds a new record (foreground thread of paper Figure 9), returning
-// scheme.ErrExists if the key is present. The hot table write is dispatched
-// to a background writer before the NVM work so the two overlap; Insert
-// returns only after both halves complete.
+// scheme.ErrExists if the key is present. Insert returns only after both the
+// NVT record and its hot-table mirror are in place.
 func (s *Session) Insert(k kv.Key, v kv.Value) error {
 	_, _, err := s.write(verbInsert, k, v, nil)
 	return err

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hdnh/internal/kv"
+	"hdnh/internal/nvm"
 	"hdnh/internal/scheme"
 )
 
@@ -14,6 +15,52 @@ import (
 // The contract is the solo paths', unchanged: exactly-once exchange values,
 // last-write-wins for duplicate keys in one batch, conclusive miss verdicts,
 // and clean invariants after any mix of staging, draining, and fallback.
+
+// TestSoloWriteBarrierCounts pins what one write costs the device: a lone
+// insert pays two barriers, an update three, a delete one, each draining one
+// line, and the latency model charges exactly reads, lines and fences times
+// the configured constants — a one-line barrier carries no bandwidth term
+// (nvm.Handle.FlushBarrier), which the write bandwidth set here would expose.
+func TestSoloWriteBarrierCounts(t *testing.T) {
+	cfg := nvm.DefaultConfig(1 << 22)
+	cfg.WriteBandwidth = 1 << 30
+	dev, err := nvm.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Create(dev, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	s := tbl.NewSession()
+	k := key(1)
+	for _, c := range []struct {
+		name   string
+		run    func() error
+		lines  uint64
+		fences uint64
+	}{
+		{"insert", func() error { return s.Insert(k, value(1)) }, 2, 2},
+		{"update", func() error { return s.Update(k, value(2)) }, 3, 3},
+		{"delete", func() error { return s.Delete(k) }, 1, 1},
+	} {
+		s.ResetNVMStats()
+		if err := c.run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		st := s.NVMStats()
+		if st.Flushes != c.lines || st.Fences != c.fences {
+			t.Errorf("%s: %d lines / %d fences, want %d / %d", c.name, st.Flushes, st.Fences, c.lines, c.fences)
+		}
+		want := time.Duration(st.MediaBlockReads)*cfg.ReadLatency +
+			time.Duration(st.Flushes)*cfg.WriteLatency + time.Duration(st.Fences)*cfg.FenceLatency
+		if st.Modeled() != want {
+			t.Errorf("%s: modeled %v, want %v (%d block reads, %d lines, %d fences)",
+				c.name, st.Modeled(), want, st.MediaBlockReads, st.Flushes, st.Fences)
+		}
+	}
+}
 
 // TestGroupCommitDuplicateKeys drives duplicate keys through one MultiPut
 // batch: a fresh key staged three times (the second occurrence collides

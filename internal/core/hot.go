@@ -341,8 +341,8 @@ func (ht *hotTable) del(k kv.Key, h1 uint64, fp uint8) {
 // fill is the search-path re-cache: it inserts (k, v) only if the source
 // NVT slot still carries the control word the reader observed, so a fill
 // racing a newer update or delete of the key can never plant a stale entry.
-// Called from the background writers (or inline), after any same-key write
-// op that committed earlier has been applied.
+// A same-key write that locked the source slot earlier fails the check; one
+// that locks it later applies its own mirror afterwards, under these locks.
 func (ht *hotTable) fill(k kv.Key, v kv.Value, h1 uint64, fp uint8, src *level, srcBucket int64, srcSlot int, observed uint32, r *rng.Xorshift128) {
 	kw0, kw1 := k.Pack()
 	top, bottom, tb, bb := ht.lockBuckets(h1)

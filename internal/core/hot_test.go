@@ -267,7 +267,7 @@ func TestHotPromote(t *testing.T) {
 // watchdog turns a wedge into a failure that names this test instead of a
 // package timeout.
 func TestHotPromoteRacesMutators(t *testing.T) {
-	tbl := newTable(t, func(o *Options) { o.SyncWrites = false })
+	tbl := newTable(t, nil)
 	ht := newHotTable(2, 1, 4, 4, ReplacerRAFL)
 	tbl.hot = ht // tiny geometry: every mutator hits the same few buckets
 	src := newLevel(0, 1, 4)

@@ -10,25 +10,19 @@ import (
 
 // These tests race the search-path cache fill against same-key writes and
 // assert the fill's OCF validation holds: the hot table must never resurrect
-// a deleted key or retain a superseded value once the writer pool drains.
-// Run them under -race; the interleavings are driven by repetition.
+// a deleted key or retain a superseded value once the racers return. Run
+// them under -race; the interleavings are driven by repetition.
 
-// fillRaceRound builds a fresh table (fresh writer pool), runs the racing
-// closures, drains the background writers, and hands the table to check.
+// fillRaceRound builds a fresh table, runs the racing closures, and hands
+// the table to check.
 func fillRaceRound(t *testing.T, race func(get, write *Session), check func(tbl *Table)) {
 	t.Helper()
-	tbl := newTable(t, func(o *Options) {
-		o.SyncWrites = true // force the async fill path even on 1 CPU
-		o.BackgroundWriters = 2
-	})
+	tbl := newTable(t, nil)
 	get, write := tbl.NewSession(), tbl.NewSession()
 	if err := write.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
 	}
 	race(get, write)
-	// Drain barrier: stop closes the writer channels and joins the workers,
-	// so every dispatched fill has been applied (or rejected) after this.
-	tbl.StopBackground()
 	check(tbl)
 }
 
@@ -42,8 +36,8 @@ func TestHotFillNeverResurrectsDeletedKey(t *testing.T) {
 				wg.Add(2)
 				go func() {
 					defer wg.Done()
-					// Each hit on the NVT dispatches a fire-and-forget fill
-					// that races the delete below.
+					// Each hit on the NVT fills the cache, racing the delete
+					// below.
 					for i := 0; i < 200; i++ {
 						get.Get(k)
 					}
@@ -104,8 +98,7 @@ func TestHotFillNeverRetainsStaleValue(t *testing.T) {
 				if v, ok := tbl.hot.get(k, h1, fp); ok && v != final {
 					t.Fatalf("hot table kept stale value %q after updates settled", v.String())
 				}
-				// The pool is stopped, so read the NVT directly (Get would
-				// dispatch a cache fill onto the closed writer channels).
+				// Read the NVT directly: a Get could answer from the cache.
 				s := tbl.NewSession()
 				var ps probeStats
 				ht, res := tbl.lookup(s.h, k, h1, h2, fp, &ps)

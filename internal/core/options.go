@@ -13,14 +13,13 @@
 //     (or LRU, for the paper's HDNH(LRU) comparison).
 //
 // Writes go to the NVT with crash-atomic slot commits and are mirrored into
-// the hot table by background writer goroutines (the paper's synchronous
-// write mechanism). Reads try the hot table, then the OCF, and touch NVM
-// only on a fingerprint hit.
+// the hot table before they return (the paper's synchronous write mechanism,
+// applied by the writing goroutine itself). Reads try the hot table, then the
+// OCF, and touch NVM only on a fingerprint hit.
 package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"hdnh/internal/flight"
 	"hdnh/internal/heat"
@@ -68,12 +67,11 @@ type Options struct {
 	// Replacer selects RAFL (default) or LRU replacement.
 	Replacer Replacer
 
-	// SyncWrites enables the paper's synchronous write mechanism: hot-table
-	// updates run on background writer goroutines overlapping the foreground
-	// NVM write. When false, hot-table updates run inline (ablation mode).
+	// SyncWrites is ignored. It used to move the hot-table mirror onto
+	// background writer goroutines; every write now applies its own mirror
+	// (syncwrite.go). The field stays only because the repository benchmark
+	// under bench/ assigns it, and goes when that does.
 	SyncWrites bool
-	// BackgroundWriters is the size of the background writer pool.
-	BackgroundWriters int
 
 	// DisplaceOnInsert allows one cuckoo displacement before resorting to a
 	// resize when all candidate buckets are full (a PFHT-style extension;
@@ -112,7 +110,7 @@ type Options struct {
 
 	// Shards splits the keyspace across that many independent tables behind
 	// a hash router (CreateRouter/OpenRouter): each shard owns its epoch
-	// registry, resize state, writer pool and hot table, so resizes, drains
+	// registry, resize state and hot table, so resizes, drains
 	// and slot-lock traffic parallelise across shards. Must be a power of
 	// two (the router routes on the high bits of h1, leaving the bits every
 	// in-shard placement uses untouched), at most MaxShards. 0 and 1 both
@@ -131,14 +129,13 @@ type Options struct {
 
 	// WriteGroupChunk bounds how many keys of one MultiPut/MultiDelete
 	// commit as a single group: the chunk's NVT writes run back-to-back in
-	// bucket-sorted order and its hot-table mirrors coalesce into one
-	// writer-pool request per background writer. Larger chunks amortise
-	// the mirror handoff further but hold captured mirrors (and their
-	// value references) longer. 0 picks the default (DefaultWriteGroupChunk).
+	// bucket-sorted order and share each phase's barrier. Larger chunks
+	// amortise the barriers further but hold more slot locks at once. 0
+	// picks the default (DefaultWriteGroupChunk).
 	WriteGroupChunk int
 
-	// Metrics, when non-nil, enables observability: sessions and background
-	// writers record into it (see internal/obs). nil compiles the accounting
+	// Metrics, when non-nil, enables observability: sessions and drain
+	// workers record into it (see internal/obs). nil compiles the accounting
 	// down to no-ops.
 	Metrics *obs.Metrics
 
@@ -179,7 +176,7 @@ const DefaultBatchEpochChunk = 64
 
 // DefaultWriteGroupChunk is the group size a zero WriteGroupChunk means:
 // matches DefaultBatchEpochChunk so one group is also one epoch chunk, and
-// is past the knee where the per-writer mirror handoff is fully amortised.
+// is past the knee where the per-phase barriers are fully amortised.
 const DefaultWriteGroupChunk = 64
 
 // DefaultLookupRetryBudget is the rescan cap a zero LookupRetryBudget means.
@@ -189,19 +186,13 @@ const DefaultWriteGroupChunk = 64
 // the silent false miss it used to.
 const DefaultLookupRetryBudget = 1024
 
-// DefaultOptions returns the paper's tuned configuration. The synchronous
-// write mechanism assumes spare cores for the background writers (the
-// paper's foreground/background split); on a single-CPU host the channel
-// handoff would cost two context switches per write, so the default enables
-// it only when GOMAXPROCS > 1. Set SyncWrites explicitly to override.
+// DefaultOptions returns the paper's tuned configuration.
 func DefaultOptions() Options {
 	return Options{
 		SegmentBuckets:     64, // 16KB segments
 		InitBottomSegments: 1,
 		HotSlotsPerBucket:  4,
 		Replacer:           ReplacerRAFL,
-		SyncWrites:         runtime.GOMAXPROCS(0) > 1,
-		BackgroundWriters:  2,
 		DisplaceOnInsert:   false,
 		MaxExpansions:      24,
 		DrainWorkers:       DefaultDrainWorkers,
@@ -251,9 +242,6 @@ func (o Options) Validate() error {
 	}
 	if o.Replacer != ReplacerRAFL && o.Replacer != ReplacerLRU {
 		return fmt.Errorf("core: unknown replacer %d", int(o.Replacer))
-	}
-	if o.SyncWrites && o.BackgroundWriters <= 0 {
-		return fmt.Errorf("core: SyncWrites requires BackgroundWriters > 0")
 	}
 	if o.MaxExpansions <= 0 {
 		return fmt.Errorf("core: MaxExpansions %d must be positive", o.MaxExpansions)

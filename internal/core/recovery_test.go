@@ -168,7 +168,6 @@ func crashPointHarnessEvict(t *testing.T, f int64, evict float64, run func(s *Se
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.SyncWrites = false // deterministic flush ordering for crash points
 	tbl, err := Create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +391,6 @@ func TestCrashAtEveryPointDuringResize(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := DefaultOptions()
-			opts.SyncWrites = false
 			opts.SegmentBuckets = 8 // tiny segments: quick resizes
 			tbl, err := Create(dev, opts)
 			if err != nil {
@@ -659,7 +657,7 @@ func TestStateTwoCrashIgnoresStaleDrainLayout(t *testing.T) {
 	if tbl.Generation() < 3 {
 		t.Fatal("inserts never triggered an expansion")
 	}
-	tbl.StopBackground() // quiesce drain workers and the writer pool
+	tbl.StopBackground() // quiesce drain workers
 
 	// Plant the residue a completed parallel resize leaves: a range layout
 	// whose per-range done counts are plausible for the level the NEXT

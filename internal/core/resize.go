@@ -225,8 +225,8 @@ func (t *Table) expandLocked(st tableState) error {
 	t.draining.Store(task)
 	t.lv.Store(&tablePair{top: newLevel(base, newSegs, m), bottom: pr.top})
 	if t.hot != nil {
-		// promote already composes with concurrent hot readers/writers (the
-		// background writer pool races it today); no exclusivity needed.
+		// promote already composes with concurrent hot readers and mutators;
+		// no exclusivity needed.
 		t.hot.promote(newSegs, m)
 	}
 	target := t.epochGlobal.Add(1)

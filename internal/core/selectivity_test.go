@@ -52,7 +52,6 @@ func TestOCFSelectivityAcrossSegmentCounts(t *testing.T) {
 			opts.SegmentBuckets = 8
 			opts.InitBottomSegments = segs
 			opts.HotSlotsPerBucket = 0 // every Get is one NVT walk
-			opts.SyncWrites = false
 			tbl, err := Create(newDev(t, 3*int64(segs)*8*BucketWords+1<<16), opts)
 			if err != nil {
 				t.Fatal(err)

@@ -9,17 +9,16 @@ import (
 )
 
 // Session is a per-goroutine handle on a Table. It owns an NVM accounting
-// handle, a deterministic RNG stream for replacement decisions, the reusable
-// sync_write_signal, and (when metrics are enabled) a shard-bound recorder,
-// so the operation paths allocate nothing.
+// handle, a deterministic RNG stream for replacement decisions, and (when
+// metrics are enabled) a shard-bound recorder, so the operation paths
+// allocate nothing.
 //
 // A Session must not be used concurrently; create one per goroutine.
 type Session struct {
-	t    *Table
-	h    *nvm.Handle
-	rng  *rng.Xorshift128
-	done chan struct{} // reusable sync_write_signal, one slot per background writer
-	ep   *epochSlot    // this session's padded resize-protection slot
+	t   *Table
+	h   *nvm.Handle
+	rng *rng.Xorshift128
+	ep  *epochSlot // this session's padded resize-protection slot
 
 	rec     obs.Recorder
 	fl      flight.Tracer
@@ -30,24 +29,15 @@ type Session struct {
 	// calls so batches allocate only when they outgrow the previous high
 	// water mark (see batch.go).
 	batch batchScratch
-
-	// capturing redirects beginHotWrite into batch.mirrors while a grouped
-	// write chunk commits; drainPending ships each group's mirrors as
-	// one coalesced request per background writer (see syncwrite.go).
-	capturing bool
 }
 
 // NewSession returns a fresh session on the table.
 func (t *Table) NewSession() *Session {
 	id := t.sessionSeq.Add(1)
-	// done holds a slot per background writer: a group's mirrors go out as
-	// one request per writer and are collected only after the group publishes
-	// (drainPending), and no writer should sit on its signal until then.
 	s := &Session{
 		t:    t,
 		h:    t.dev.NewHandle(),
 		rng:  rng.New(t.opts.Seed ^ (id * 0x9E3779B97F4A7C15)),
-		done: make(chan struct{}, max(1, t.opts.BackgroundWriters)),
 		ep:   t.registerEpochSlot(),
 		rec:  t.recorderHandle(),
 		fl:   t.flight.Handle("session"),

@@ -13,8 +13,7 @@ import (
 
 // Shard-router scaling benchmarks and the acceptance tripwire for the PR's
 // headline claim: write-heavy mixed workloads stop funnelling through one
-// table's serial sections (writer pool, resize drains, slot-lock
-// neighbourhoods) once the keyspace splits across shards.
+// table's serial sections (resize drains, slot-lock neighbourhoods) once the keyspace splits across shards.
 
 // benchRouter builds a sharded router sized like benchTable: big enough
 // that no resize fires mid-benchmark, with the initial segments divided
@@ -40,7 +39,7 @@ func benchRouter(b *testing.B, shards int) *Router {
 // upserts over a bounded keyspace (first pass inserts, steady state
 // updates), swept over shard counts. On one core the shards=4 line should
 // match shards=1 (routing is a shift and an index); with real cores it
-// should pull ahead as the writer-pool and slot-lock serial sections split.
+// should pull ahead as the slot-lock serial sections split.
 func BenchmarkPutParallel(b *testing.B) {
 	const n = 10000
 	for _, shards := range []int{1, 4} {

@@ -1,32 +1,26 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
-// Tests that pin the synchronous write mechanism on, regardless of the
-// host-adaptive default, so the background-writer path is always covered.
-
-func syncTable(t *testing.T, writers int) *Table {
-	t.Helper()
-	return newTable(t, func(o *Options) {
-		o.SyncWrites = true
-		o.BackgroundWriters = writers
-	})
-}
+// Tests of the synchronous write mechanism (syncwrite.go): a write returns
+// with its hot-table mirror applied, and the cache stays coherent with the
+// NVT through updates, deletes, concurrent writers and resizes.
 
 func TestSyncWritesBasic(t *testing.T) {
-	tbl := syncTable(t, 2)
+	tbl := newTable(t, nil)
 	s := tbl.NewSession()
 	for i := 0; i < 2000; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The background writers must have populated the cache.
 	if tbl.HotEntries() == 0 {
-		t.Fatal("sync writers cached nothing")
+		t.Fatal("writes mirrored nothing into the cache")
 	}
 	for i := 0; i < 2000; i++ {
 		if v, ok := s.Get(key(i)); !ok || v != value(i) {
@@ -36,9 +30,9 @@ func TestSyncWritesBasic(t *testing.T) {
 }
 
 func TestSyncWritesReadYourWrites(t *testing.T) {
-	// The foreground waits for the sync_write_signal, so a write is in the
-	// cache before the call returns: an immediate Get must see it from DRAM.
-	tbl := syncTable(t, 1)
+	// A write is in the cache before the call returns: an immediate Get must
+	// see it from DRAM.
+	tbl := newTable(t, nil)
 	s := tbl.NewSession()
 	for i := 0; i < 500; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -55,7 +49,7 @@ func TestSyncWritesReadYourWrites(t *testing.T) {
 }
 
 func TestSyncWritesUpdateCoherence(t *testing.T) {
-	tbl := syncTable(t, 2)
+	tbl := newTable(t, nil)
 	s := tbl.NewSession()
 	if err := s.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
@@ -71,7 +65,7 @@ func TestSyncWritesUpdateCoherence(t *testing.T) {
 }
 
 func TestSyncWritesDeleteCoherence(t *testing.T) {
-	tbl := syncTable(t, 2)
+	tbl := newTable(t, nil)
 	s := tbl.NewSession()
 	for i := 0; i < 300; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -87,7 +81,7 @@ func TestSyncWritesDeleteCoherence(t *testing.T) {
 }
 
 func TestSyncWritesConcurrent(t *testing.T) {
-	tbl := syncTable(t, 4)
+	tbl := newTable(t, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
@@ -118,11 +112,7 @@ func TestSyncWritesConcurrent(t *testing.T) {
 }
 
 func TestSyncWritesSurviveResize(t *testing.T) {
-	tbl := newTable(t, func(o *Options) {
-		o.SyncWrites = true
-		o.BackgroundWriters = 2
-		o.SegmentBuckets = 8 // force many resizes
-	})
+	tbl := newTable(t, func(o *Options) { o.SegmentBuckets = 8 }) // force many resizes
 	s := tbl.NewSession()
 	const n = 6000
 	for i := 0; i < n; i++ {
@@ -135,23 +125,133 @@ func TestSyncWritesSurviveResize(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		if v, ok := s.Get(key(i)); !ok || v != value(i) {
-			t.Fatalf("key %d wrong after resizes with sync writes", i)
+			t.Fatalf("key %d wrong after resizes", i)
 		}
 	}
 }
 
-func TestCloseStopsWriters(t *testing.T) {
-	tbl := syncTable(t, 3)
-	s := tbl.NewSession()
-	if err := s.Insert(key(1), value(1)); err != nil {
+// TestSyncWritesSameKeyMirrorOrder pins the ordering rule deterministically:
+// writer B, parked on a slot lock writer A holds, finds A's mirror already
+// applied the moment the lock lets it through, and the cache ends at B's
+// value. A is played by the test goroutine (stage, then drain on cue); the
+// lookup-pass hook reports B's passes: the first while A still holds the
+// lock, the second the rescan B makes once A's retired slot releases.
+func TestSyncWritesSameKeyMirrorOrder(t *testing.T) {
+	// B reaches A's lock within nanoseconds of its first pass starting and A
+	// drains only after hearing of that pass, so B waits in practice; a round
+	// where the scheduler parks B in between proves nothing and is rerun.
+	for round := 0; round < 5; round++ {
+		if sameKeyMirrorOrderRound(t) {
+			return
+		}
+	}
+	t.Fatal("writer B never had to wait on writer A's slot lock")
+}
+
+func sameKeyMirrorOrderRound(t *testing.T) (bWaited bool) {
+	tbl := newTable(t, nil)
+	sA, sB := tbl.NewSession(), tbl.NewSession()
+	k, vA, vB := key(1), value(100), value(200)
+	h1, h2, fp := hashKV(k[:])
+	if err := sA.Insert(k, value(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Close(); err != nil {
+
+	sA.enterCritical()
+	w := sA.beginWrite(verbUpdate, k, vA, nil, h1, h2, fp)
+	if _, _, err := sA.stage(&w, true); err != nil {
+		t.Fatalf("A stage: %v", err)
+	}
+
+	bProbing := make(chan struct{})
+	passes := 0 // B's goroutine only, read after bDone
+	tbl.testHookLookupPass = func() {
+		passes++
+		switch passes {
+		case 1:
+			close(bProbing)
+		case 2:
+			if v, ok := tbl.hot.get(k, h1, fp); !ok || v != vA {
+				t.Errorf("B got past A's lock with the cache at %q (cached %v), want A's %q", v.String(), ok, vA.String())
+			}
+		}
+	}
+	bDone := make(chan error, 1)
+	go func() { bDone <- sB.Update(k, vB) }()
+
+	<-bProbing
+	sA.drainPending()
+	sA.exitCritical()
+	if err := <-bDone; err != nil {
+		t.Fatalf("B update: %v", err)
+	}
+	tbl.testHookLookupPass = nil
+
+	if v, ok := tbl.hot.get(k, h1, fp); !ok || v != vB {
+		t.Fatalf("cache ended at %q (cached %v), want B's %q", v.String(), ok, vB.String())
+	}
+	assertHealthy(t, tbl, "after ordered same-key writers")
+	return passes >= 2
+}
+
+// settledGoroutines reads runtime.NumGoroutine once it has stopped moving,
+// so goroutines still exiting from earlier tests are not counted.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for same := 0; same < 5; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
+// TestTableAtRestOwnsNoGoroutines: with the writer pool gone, a table that is
+// not mid-resize runs nothing in the background — creating one, driving it,
+// and closing it leave the process's goroutine count where it was.
+func TestTableAtRestOwnsNoGoroutines(t *testing.T) {
+	before := settledGoroutines()
+	opts := DefaultOptions()
+	opts.Shards = 2
+	opts.InitBottomSegments = 16 // pre-sized: the traffic below never resizes
+	r, err := CreateRouter(newDev(t, 1<<23), opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Double close and StopBackground after close must be safe.
-	tbl.StopBackground()
-	if err := tbl.Close(); err != nil {
+	s := r.NewSession()
+	for i := 0; i < 10000; i++ {
+		k := key(i / 4) // each key: insert, update, read, delete
+		switch i % 4 {
+		case 0, 1:
+			if err := s.Put(k, value(i)); err != nil {
+				t.Fatalf("put %d: %v", i, err)
+			}
+		case 2:
+			if _, ok := s.Get(k); !ok {
+				t.Fatalf("get %d: missing", i)
+			}
+		case 3:
+			if err := s.Delete(k); err != nil {
+				t.Fatalf("delete %d: %v", i, err)
+			}
+		}
+	}
+	for i, st := range r.Stats() {
+		if st.Generation != 1 {
+			t.Fatalf("shard %d resized (generation %d): pre-size it, drain workers would count", i, st.Generation)
+		}
+	}
+	if n := settledGoroutines(); n != before {
+		t.Fatalf("%d goroutines with a table at rest, %d before it existed", n, before)
+	}
+	s.Close()
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if n := settledGoroutines(); n != before {
+		t.Fatalf("%d goroutines after Close, %d before the table existed", n, before)
 	}
 }

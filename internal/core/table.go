@@ -45,8 +45,7 @@ type Table struct {
 	// it; writers that run out of space help it along (see Table.expand).
 	draining atomic.Pointer[drainTask]
 
-	hot  *hotTable // nil when Options.HotSlotsPerBucket == 0
-	pool *writerPool
+	hot *hotTable // nil when Options.HotSlotsPerBucket == 0
 
 	// metrics is Options.Metrics (nil when observability is off); rec is a
 	// table-level recorder handle for events not tied to one session
@@ -62,11 +61,10 @@ type Table struct {
 	flight *flight.Recorder
 	fl     flight.Tracer
 
-	count       atomic.Int64
-	sessionSeq  atomic.Uint64
-	recovery    RecoveryStats
-	closed      atomic.Bool
-	poolStopped atomic.Bool
+	count      atomic.Int64
+	sessionSeq atomic.Uint64
+	recovery   RecoveryStats
+	closed     atomic.Bool
 
 	// recoveryReads gathers the recovery workers' media block reads for
 	// RecoveryStats.MediaBlockReads; untouched after Open returns.
@@ -274,9 +272,6 @@ func (t *Table) initVolatile() {
 		}
 		t.hot.rec = t.rec
 		t.hot.fl = t.fl
-		if t.opts.SyncWrites {
-			t.pool = newWriterPool(t, t.opts.BackgroundWriters)
-		}
 	}
 }
 
@@ -377,10 +372,9 @@ func (t *Table) HotEntries() int64 {
 // (zero-valued for tables built by Create).
 func (t *Table) LastRecovery() RecoveryStats { return t.recovery }
 
-// Close marks a clean shutdown and stops the background writer pool, first
-// letting any in-flight incremental rehash finish so the clean flag never
-// covers a half-drained image. The caller must have quiesced all sessions
-// first.
+// Close marks a clean shutdown, first letting any in-flight incremental
+// rehash finish so the clean flag never covers a half-drained image. The
+// caller must have quiesced all sessions first.
 func (t *Table) Close() error {
 	if t.closed.Swap(true) {
 		return nil
@@ -391,16 +385,8 @@ func (t *Table) Close() error {
 	return nil
 }
 
-// StopBackground halts the background machinery — the drain workers of any
-// in-flight rehash, then the writer pool — without marking a clean shutdown:
+// StopBackground waits out the only background machinery a table has — the
+// drain workers of an in-flight rehash — without marking a clean shutdown:
 // the recovery benchmarks' stand-in for pulling the power cord on a model-
 // mode device. Idempotent; Close calls it too.
-func (t *Table) StopBackground() {
-	if t.poolStopped.Swap(true) {
-		return
-	}
-	t.waitDrain()
-	if t.pool != nil {
-		t.pool.stop()
-	}
-}
+func (t *Table) StopBackground() { t.waitDrain() }

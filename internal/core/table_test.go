@@ -47,7 +47,6 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.HotSlotsPerBucket = -1 },
 		func(o *Options) { o.HotSlotsPerBucket = 33 },
 		func(o *Options) { o.Replacer = Replacer(9) },
-		func(o *Options) { o.SyncWrites = true; o.BackgroundWriters = 0 },
 		func(o *Options) { o.MaxExpansions = 0 },
 		func(o *Options) { o.RecoveryWorkers = 0 },
 	}
@@ -263,21 +262,6 @@ func TestNoHotTableMode(t *testing.T) {
 	}
 }
 
-func TestInlineWritesMode(t *testing.T) {
-	tbl := newTable(t, func(o *Options) { o.SyncWrites = false })
-	s := tbl.NewSession()
-	for i := 0; i < 2000; i++ {
-		if err := s.Insert(key(i), value(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 2000; i++ {
-		if v, ok := s.Get(key(i)); !ok || v != value(i) {
-			t.Fatalf("key %d wrong in inline mode", i)
-		}
-	}
-}
-
 func TestDisplacementMode(t *testing.T) {
 	tbl := newTable(t, func(o *Options) { o.DisplaceOnInsert = true })
 	s := tbl.NewSession()
@@ -314,6 +298,8 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := tbl.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A second Close, and StopBackground after Close, must be safe.
+	tbl.StopBackground()
 	if err := tbl.Close(); err != nil {
 		t.Fatal("second Close errored")
 	}
@@ -389,7 +375,7 @@ func TestNegativeSearchRarelyTouchesNVM(t *testing.T) {
 }
 
 func TestSchemeRegistryVariants(t *testing.T) {
-	for _, name := range []string{"HDNH", "HDNH-LRU", "HDNH-NOHOT", "HDNH-INLINE", "HDNH-DISPLACE"} {
+	for _, name := range []string{"HDNH", "HDNH-LRU", "HDNH-NOHOT", "HDNH-DISPLACE"} {
 		t.Run(name, func(t *testing.T) {
 			dev := newDev(t, 1<<21)
 			store, err := scheme.Open(name, dev, 2000)

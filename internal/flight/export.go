@@ -138,7 +138,6 @@ func chromeFromEvent(ev Event) (chromeEvent, bool) {
 	case KindGroupCommit:
 		return span(ev, "group-commit", ev.Args[0], map[string]any{
 			"keys": ev.Args[1],
-			"runs": ev.Args[2],
 		}), true
 	default:
 		return chromeEvent{}, false
@@ -226,8 +225,8 @@ func writeEventLine(w io.Writer, labels map[uint32]string, ev Event) {
 		fmt.Fprintf(w, "%-14v %-12s recovery %s: count=%d in %v\n",
 			ts, ring, RecoveryStep(ev.A), ev.Args[1], time.Duration(ev.Args[0]))
 	case KindGroupCommit:
-		fmt.Fprintf(w, "%-14v %-12s group commit: %d keys in %d runs, %v\n",
-			ts, ring, ev.Args[1], ev.Args[2], time.Duration(ev.Args[0]))
+		fmt.Fprintf(w, "%-14v %-12s group commit: %d keys, %v\n",
+			ts, ring, ev.Args[1], time.Duration(ev.Args[0]))
 	default:
 		fmt.Fprintf(w, "%-14v %-12s event kind=%d\n", ts, ring, ev.Kind)
 	}

@@ -80,8 +80,7 @@ const (
 	// RecoveryStep, Args[0] the duration, Args[1] a step-specific count.
 	KindRecoveryStep
 	// KindGroupCommit spans one grouped write commit: Args[0] is the
-	// duration in nanoseconds, Args[1] the keys committed, Args[2] the
-	// flush runs the group took.
+	// duration in nanoseconds, Args[1] the keys committed.
 	KindGroupCommit
 
 	numKinds
@@ -247,9 +246,8 @@ type Tracer interface {
 	VLogSeg(state uint8, seg int64)
 	// RecoveryStep records one timed phase of crash recovery.
 	RecoveryStep(step RecoveryStep, d time.Duration, count int64)
-	// GroupCommit records one grouped write commit of keys records that
-	// took runs flush runs.
-	GroupCommit(keys, runs int64, d time.Duration)
+	// GroupCommit records one grouped write commit of keys records.
+	GroupCommit(keys int64, d time.Duration)
 }
 
 // Nop is the disabled Tracer.
@@ -269,7 +267,7 @@ func (Nop) ResizeDone(uint64, time.Duration)                {}
 func (Nop) GCPhase(GCPhase, int64, time.Duration, int64)    {}
 func (Nop) VLogSeg(uint8, int64)                            {}
 func (Nop) RecoveryStep(RecoveryStep, time.Duration, int64) {}
-func (Nop) GroupCommit(int64, int64, time.Duration)         {}
+func (Nop) GroupCommit(int64, time.Duration)                {}
 
 // Config tunes a Recorder. The zero value picks defaults.
 type Config struct {
@@ -536,8 +534,8 @@ func (h *Handle) RecoveryStep(step RecoveryStep, d time.Duration, count int64) {
 	h.rg.emit(h.r.now(), KindRecoveryStep, uint8(step), 0, uint64(d.Nanoseconds()), uint64(count), 0, 0)
 }
 
-func (h *Handle) GroupCommit(keys, runs int64, d time.Duration) {
-	h.rg.emit(h.r.now(), KindGroupCommit, 0, 0, uint64(d.Nanoseconds()), uint64(keys), uint64(runs), 0)
+func (h *Handle) GroupCommit(keys int64, d time.Duration) {
+	h.rg.emit(h.r.now(), KindGroupCommit, 0, 0, uint64(d.Nanoseconds()), uint64(keys), 0, 0)
 }
 
 // RingInfo labels one ring in a Dump.

@@ -30,7 +30,7 @@ func TestRingRecordAndSnapshot(t *testing.T) {
 	tr.GCPhase(GCRewrite, 9, 2*time.Microsecond, 11)
 	tr.VLogSeg(2, 5)
 	tr.RecoveryStep(RecOCF, 3*time.Microsecond, 1000)
-	tr.GroupCommit(64, 2, 4*time.Microsecond)
+	tr.GroupCommit(64, 4*time.Microsecond)
 
 	d := r.Snapshot()
 	if len(d.Rings) != 1 || d.Rings[0].Label != "session" {
@@ -62,7 +62,7 @@ func TestRingRecordAndSnapshot(t *testing.T) {
 		t.Fatalf("gc-phase decoded as %+v", gc)
 	}
 	grp := d.Events[13]
-	if grp.Args[1] != 64 || grp.Args[2] != 2 || grp.Args[0] == 0 {
+	if grp.Args[1] != 64 || grp.Args[0] == 0 {
 		t.Fatalf("group-commit decoded as %+v", grp)
 	}
 }

@@ -12,24 +12,21 @@ import (
 //	HDNH          the full design (OCF + hot table + RAFL + sync writes)
 //	HDNH-LRU      RAFL replaced by LRU (paper §3.3 comparison)
 //	HDNH-NOHOT    hot table removed: searches rely on the OCF alone
-//	HDNH-INLINE   synchronous write mechanism off: hot mirror updated in
-//	              the foreground (paper §3.4 ablation)
 //	HDNH-DISPLACE PFHT-style single displacement before resizing (the
 //	              eviction trade the paper declines for LEVEL)
 //
 // Expected shape: NOHOT hurts skewed positive search most (every hit pays
-// NVM); LRU trails RAFL as skew rises; INLINE trails only when spare cores
-// exist to hide the mirror write; DISPLACE trades insert latency for fewer
-// resizes.
+// NVM); LRU trails RAFL as skew rises; DISPLACE trades insert latency for
+// fewer resizes.
 func Ablation(sc Scale) (*Experiment, error) {
-	variants := []string{"HDNH", "HDNH-LRU", "HDNH-NOHOT", "HDNH-INLINE", "HDNH-DISPLACE"}
+	variants := []string{"HDNH", "HDNH-LRU", "HDNH-NOHOT", "HDNH-DISPLACE"}
 	exp := &Experiment{
 		ID:      "ablation",
 		Title:   "HDNH design-choice ablation (single thread)",
 		XLabel:  "workload",
 		Columns: variants,
 		Notes: []string{
-			"NOHOT isolates the hot table; LRU isolates RAFL; INLINE isolates the sync write mechanism",
+			"NOHOT isolates the hot table; LRU isolates RAFL",
 			"DISPLACE adds one cuckoo move before resize (extension)",
 		},
 	}

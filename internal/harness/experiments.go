@@ -469,8 +469,8 @@ func Table1(sc Scale) (*Experiment, error) {
 			st.Close()
 			return nil, err
 		}
-		// Pull the power cord: stop the writer pool without the clean flag,
-		// then re-open on the same device image.
+		// Pull the power cord: quiesce any drain without the clean flag, then
+		// re-open on the same device image.
 		tbl.StopBackground()
 		reopened, err := core.Open(tbl.Device(), tbl.Options())
 		if err != nil {

@@ -254,7 +254,7 @@ func TestAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exp.Rows) != 4 || len(exp.Rows[0].Cells) != 5 {
+	if len(exp.Rows) != 4 || len(exp.Rows[0].Cells) != 4 {
 		t.Fatalf("ablation shape wrong: %d rows", len(exp.Rows))
 	}
 }

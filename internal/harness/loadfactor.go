@@ -43,7 +43,6 @@ func LoadFactorExperiment(sc Scale) (*Experiment, error) {
 			return nil, err
 		}
 		opts := core.DefaultOptions()
-		opts.SyncWrites = false
 		opts.HotSlotsPerBucket = 0
 		opts.MaxExpansions = 1
 		opts.DisplaceOnInsert = true // count displacement toward utilisation

@@ -13,11 +13,11 @@ import (
 // paper counterpart): upsert throughput over a preloaded keyspace, swept
 // over MultiPut batch sizes at 1 and 4 shards of a bigkv store. The batch=1
 // row is the looped single-key Put baseline: each op appends its value-log
-// record behind its own flush+fence pair and makes its own writer-pool round
-// trip. Every other row drives the same key stream through one MultiPut call
+// record behind its own flush+fence pair and commits its index entry behind
+// its own barriers. Every other row drives the same key stream through one MultiPut call
 // per batch, which appends each shard's records as contiguous runs behind
-// one persist barrier per run, commits the index entries sorted by bucket,
-// and hands the hot-table mirrors to each writer as one coalesced request.
+// one persist barrier per run and commits the index entries sorted by
+// bucket, one barrier per phase for the whole group.
 // At 4 shards the router additionally splits each batch across shards in
 // parallel goroutines.
 //

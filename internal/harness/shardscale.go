@@ -12,9 +12,9 @@ import (
 // FigShardScale measures what the hash router buys a write-heavy mixed
 // workload (extension; no paper counterpart): a 50% insert + 50% search run
 // at the scale's full thread count, swept over router shard counts. Each
-// shard owns its epoch registry, resize state, writer pool and hot table,
-// so the serial sections a single table funnels through — resize drains,
-// slot-lock neighbourhoods, writer-pool queues — split across shards.
+// shard owns its epoch registry, resize state and hot table, so the serial
+// sections a single table funnels through — resize drains, slot-lock
+// neighbourhoods — split across shards.
 // Expected shape on a multi-core host: throughput rises with shards until
 // it exhausts the host's parallelism, with the biggest step from 1 to 2;
 // on a single-core host the sweep is flat (the shards time-slice one CPU)

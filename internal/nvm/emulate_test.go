@@ -66,6 +66,31 @@ func TestModelModeDoesNotDelay(t *testing.T) {
 	}
 }
 
+// TestBarrierChargesOneLineLikeFlush pins the staged-flush latency model: a
+// one-line FlushBarrier is charged what a one-line Flush is (both wait one
+// write latency), and each further line of a burst adds its bandwidth drain.
+func TestBarrierChargesOneLineLikeFlush(t *testing.T) {
+	cfg := DefaultConfig(4096)
+	cfg.WriteBandwidth = 1 << 30 // the model charges bandwidth without waiting on it
+	d := newTestDevice(t, cfg)
+	drain := time.Duration(float64(time.Second) * CachelineBytes / float64(cfg.WriteBandwidth))
+
+	flush, barrier := d.NewHandle(), d.NewHandle()
+	flush.Flush(0, 1)
+	barrier.StageFlush(0, 1)
+	barrier.FlushBarrier()
+	if f, b := flush.Stats().Modeled(), barrier.Stats().Modeled(); f != b || b != cfg.WriteLatency {
+		t.Fatalf("one line: Flush charged %v, FlushBarrier %v, want both %v", f, b, cfg.WriteLatency)
+	}
+
+	burst := d.NewHandle()
+	burst.StageFlush(0, 5*CachelineWords)
+	burst.FlushBarrier()
+	if got, want := burst.Stats().Modeled(), cfg.WriteLatency+4*drain; got != want {
+		t.Fatalf("five-line barrier charged %v, want %v", got, want)
+	}
+}
+
 func TestSpinWaitZeroReturnsImmediately(t *testing.T) {
 	start := time.Now()
 	spinWait(0)

@@ -120,9 +120,10 @@ func (h *Handle) Flush(w, n int64) {
 // persisted image immediately, exactly as Flush), but the latency cost is
 // deferred. CLWB is non-blocking — a burst of line write-backs overlaps in
 // the memory subsystem and is only waited on at the ordering point — so a
-// group of staged lines costs one write latency plus the bandwidth drain at
-// the barrier, not one serialized latency per line. Wear, line counters, and
-// crash-point accounting are identical to Flush.
+// group of staged lines costs one write latency plus the bandwidth drain of
+// the lines behind the first at the barrier, not one serialized latency per
+// line. Wear, line counters, and crash-point accounting are identical to
+// Flush.
 func (h *Handle) StageFlush(w, n int64) {
 	lines := linesSpanned(w, n)
 	h.s.Flushes += uint64(lines)
@@ -134,10 +135,11 @@ func (h *Handle) StageFlush(w, n int64) {
 }
 
 // FlushBarrier drains every line staged since the previous barrier: one
-// write latency (the first CLWB's completion the subsequent fence waits on)
-// plus the bandwidth cost of the whole burst. A no-op when nothing is
-// staged, reported as false: there is then nothing for a Fence to order,
-// so the caller may skip it. Otherwise a Fence is still required for
+// write latency (the first CLWB's completion the subsequent fence waits on,
+// its own transfer included — a one-line barrier is charged what a one-line
+// Flush is) plus the bandwidth cost of each further line. A no-op when
+// nothing is staged, reported as false: there is then nothing for a Fence to
+// order, so the caller may skip it. Otherwise a Fence is still required for
 // ordering, as after Flush.
 func (h *Handle) FlushBarrier() bool {
 	lines := h.stagedLines
@@ -146,7 +148,7 @@ func (h *Handle) FlushBarrier() bool {
 	}
 	h.stagedLines = 0
 	h.dev.totalFlushes.Add(1)
-	d := h.writeLatency + time.Duration(lines)*h.drainPerLn
+	d := h.writeLatency + time.Duration(lines-1)*h.drainPerLn
 	h.s.ModeledNanos += uint64(d.Nanoseconds())
 	if h.emulate {
 		if h.dev.writeBW != nil {

@@ -79,7 +79,7 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	counter("hdnh_hot_fills_total", "Search-path hot-table fill attempts.", s.HotFills)
 	counter("hdnh_hot_fills_rejected_total", "Fills rejected by OCF validation (record moved or changed).", s.HotFillsRejected)
 	counter("hdnh_hot_evictions_total", "Hot-table replacement evictions.", s.HotEvictions)
-	counter("hdnh_bg_applies_total", "Requests applied by the background writer pool.", s.BGApplies)
+	counter("hdnh_bg_applies_total", "Retained, always 0: the background writer pool is gone.", s.BGApplies)
 	counter("hdnh_expansions_total", "Completed table expansions.", s.Expansions)
 	counter("hdnh_expansion_nanoseconds_total", "Total time spent expanding (swap through drain completion).", s.ExpansionNanos)
 	counter("hdnh_expansion_swaps_total", "Incremental-resize pointer swaps.", s.ExpansionSwaps)

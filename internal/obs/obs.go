@@ -126,8 +126,6 @@ type Recorder interface {
 	HotFill(rejected bool)
 	// HotEvict records one hot-table replacement (RAFL or LRU victim).
 	HotEvict()
-	// BGApply records one request applied by a background writer.
-	BGApply()
 	// Expansion records one completed table expansion and its end-to-end
 	// duration (swap through drain completion).
 	Expansion(d time.Duration)
@@ -172,7 +170,6 @@ func (Nop) Contended()                             {}
 func (Nop) GetRetry()                              {}
 func (Nop) HotFill(bool)                           {}
 func (Nop) HotEvict()                              {}
-func (Nop) BGApply()                               {}
 func (Nop) Expansion(time.Duration)                {}
 func (Nop) ExpansionSwap(time.Duration)            {}
 func (Nop) DrainChunk(int64, int64, time.Duration) {}
@@ -213,7 +210,6 @@ type shard struct {
 	hotFills       atomic.Uint64
 	hotFillsReject atomic.Uint64
 	hotEvictions   atomic.Uint64
-	bgApplies      atomic.Uint64
 	expansions     atomic.Uint64
 	expansionNanos atomic.Uint64
 
@@ -277,7 +273,7 @@ func New(cfg Config) *Metrics {
 }
 
 // Handle returns a Recorder bound to one shard. Each Session (and each
-// background writer) should own its own handle; a Handle's sampling counter
+// drain worker) should own its own handle; a Handle's sampling counter
 // is not safe for concurrent use.
 func (m *Metrics) Handle() *Handle {
 	return &Handle{m: m, sh: &m.shards[m.seq.Add(1)%shardCount]}
@@ -323,7 +319,6 @@ func (h *Handle) Probe(rescans, probes, spins int64) {
 func (h *Handle) Contended() { h.sh.contended.Add(1) }
 func (h *Handle) GetRetry()  { h.sh.getRetries.Add(1) }
 func (h *Handle) HotEvict()  { h.sh.hotEvictions.Add(1) }
-func (h *Handle) BGApply()   { h.sh.bgApplies.Add(1) }
 
 func (h *Handle) HotFill(rejected bool) {
 	h.sh.hotFills.Add(1)

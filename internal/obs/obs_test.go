@@ -202,7 +202,6 @@ func TestNopIsSafe(t *testing.T) {
 	r.GetRetry()
 	r.HotFill(false)
 	r.HotEvict()
-	r.BGApply()
 	r.Expansion(time.Second)
 	r.AddNVM(nvm.Stats{})
 }

@@ -89,7 +89,10 @@ type Snapshot struct {
 	HotFills         uint64
 	HotFillsRejected uint64
 	HotEvictions     uint64
-	// BGApplies counts requests the background writer pool applied.
+	// BGApplies is always 0: the background writer pool it counted is gone
+	// (writes mirror the hot table themselves). Retained, with
+	// hdnh_bg_applies_total, because the repository benchmark under bench/
+	// reads it.
 	BGApplies uint64
 
 	// Expansions counts completed resizes and ExpansionNanos their total
@@ -162,7 +165,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.HotFills += sh.hotFills.Load()
 		s.HotFillsRejected += sh.hotFillsReject.Load()
 		s.HotEvictions += sh.hotEvictions.Load()
-		s.BGApplies += sh.bgApplies.Load()
 		s.Expansions += sh.expansions.Load()
 		s.ExpansionNanos += sh.expansionNanos.Load()
 		s.ExpansionSwaps += sh.expansionSwaps.Load()
@@ -248,7 +250,6 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 	d.HotFills -= base.HotFills
 	d.HotFillsRejected -= base.HotFillsRejected
 	d.HotEvictions -= base.HotEvictions
-	d.BGApplies -= base.BGApplies
 	d.Expansions -= base.Expansions
 	d.ExpansionNanos -= base.ExpansionNanos
 	d.ExpansionSwaps -= base.ExpansionSwaps

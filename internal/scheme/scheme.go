@@ -47,7 +47,7 @@ type Store interface {
 	Capacity() int64
 	// LoadFactor returns live records divided by total slot capacity.
 	LoadFactor() float64
-	// Close releases background resources (e.g. HDNH's writer pool).
+	// Close releases background resources (e.g. HDNH's drain workers).
 	Close() error
 }
 
