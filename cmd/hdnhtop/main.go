@@ -39,7 +39,13 @@ type metricsDoc struct {
 	ProbeReadsPerWalk float64 `json:"nvt_probe_reads_per_walk"`
 	NVTProbes         uint64  `json:"nvt_probe_reads"`
 	LookupRescans     uint64  `json:"lookup_rescans"`
-	NVM               struct {
+	// The collector's cost and the appenders' queueing, as counters: records
+	// read out of victims over segments recycled, and appends that waited for
+	// an earlier one's acknowledgment.
+	GCRecycles   uint64 `json:"gc_recycles"`
+	GCVisited    uint64 `json:"gc_visited_records"`
+	VLogAckWaits uint64 `json:"vlog_ack_waits"`
+	NVM          struct {
 		ReadWords  uint64 `json:"read_words"`
 		WriteWords uint64 `json:"write_words"`
 	} `json:"nvm"`
@@ -219,8 +225,17 @@ func render(client *http.Client, base string, prev *metricsDoc, prevAt time.Time
 		if g.VLogUsedWords > 0 {
 			garbage = 1 - float64(g.VLogLiveWords)/float64(g.VLogUsedWords)
 		}
-		fmt.Fprintf(&b, "vlog    free %d/%d segments   garbage %.1f%%\n",
-			g.VLogFreeSegments, g.VLogSegments, garbage*100)
+		// Since start on the first frame, the interval's after it.
+		var was metricsDoc
+		if prev != nil {
+			was = *prev
+		}
+		visited := "-"
+		if n := cur.GCRecycles - was.GCRecycles; n > 0 {
+			visited = fmt.Sprintf("%.1f", float64(cur.GCVisited-was.GCVisited)/float64(n))
+		}
+		fmt.Fprintf(&b, "vlog    free %d/%d segments   garbage %.1f%%   gc visited/recycle %s   ack waits/s %s\n",
+			g.VLogFreeSegments, g.VLogSegments, garbage*100, visited, rate(cur.VLogAckWaits, was.VLogAckWaits))
 	}
 	for _, sh := range g.PerShard {
 		if sh.Resizing != 0 || sh.LoadFactor >= 0.9 {

@@ -51,6 +51,7 @@ package bigkv
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"hdnh/internal/core"
@@ -328,30 +329,58 @@ func (st *Store) MetricsSnapshot() obs.Snapshot {
 }
 
 // AuditLiveness recounts every segment's live words from the index and
-// compares against the maintained counters, shard by shard. Valid only
-// while the store is quiesced (no concurrent sessions, no GC pass in
-// flight).
+// compares against the maintained counters, shard by shard, and checks the
+// liveness bitmap the collector walks against the same pointers: the set
+// bits must be exactly the addresses the index points at — a stray bit makes
+// a pass read a dead record, a missing one strands a live record in a
+// segment that can then never be recycled. With the two sets equal, the
+// words behind a segment's set bits are the pointers' words, which the
+// counter comparison covers. Valid only while the store is quiesced (no
+// concurrent sessions, no GC pass in flight).
 func (st *Store) AuditLiveness() error {
 	var firstErr error
+	fail := func(format string, args ...any) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf(format, args...)
+		}
+	}
 	for si, log := range st.logs {
 		want := make([]int64, log.Segments())
+		var indexed []int64
 		s := st.idx.Shard(si).NewSession()
 		s.Scan(func(_ kv.Key, sv kv.Value) bool {
 			if sv[0] == tagPointer {
 				addr, words := unpackPointer(sv)
 				want[addr/log.SegmentWords()] += words
+				indexed = append(indexed, addr)
 			}
 			return true
 		})
 		s.Close()
-		for seg := range want {
-			if got := log.SegLive(int64(seg)); got != want[seg] {
-				err := fmt.Errorf("bigkv: shard %d segment %d live counter %d, index says %d", si, seg, got, want[seg])
-				if firstErr == nil {
-					firstErr = err
-				}
+		slices.Sort(indexed)
+		// Both walks ascend: indexed[next:] are the pointers no set bit has
+		// matched yet, and one passed over had its bit clear.
+		next := 0
+		passOver := func(limit int64) {
+			for ; next < len(indexed) && indexed[next] < limit; next++ {
+				fail("bigkv: shard %d index points at log address %d, whose liveness bit is clear", si, indexed[next])
 			}
 		}
+		for seg := range want {
+			if got := log.SegLive(int64(seg)); got != want[seg] {
+				fail("bigkv: shard %d segment %d live counter %d, index says %d", si, seg, got, want[seg])
+			}
+			log.VisitLive(int64(seg), func(addr int64) bool {
+				passOver(addr)
+				if next < len(indexed) && indexed[next] == addr {
+					next++
+				} else {
+					fail("bigkv: shard %d liveness bit set at log address %d, which no index entry points at", si, addr)
+				}
+				return true
+			})
+		}
+		passOver(log.Capacity())
 	}
 	return firstErr
 }
@@ -360,7 +389,10 @@ func (st *Store) AuditLiveness() error {
 func (st *Store) Close() error {
 	st.stopGC()
 	for _, g := range st.gcs {
+		g.mu.Lock()
+		g.syncGCObs()
 		g.sess.Close()
+		g.mu.Unlock()
 	}
 	for _, log := range st.logs {
 		log.Sync(st.h)

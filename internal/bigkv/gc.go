@@ -8,7 +8,6 @@ import (
 
 	"hdnh/internal/core"
 	"hdnh/internal/flight"
-	"hdnh/internal/kv"
 	"hdnh/internal/nvm"
 	"hdnh/internal/scheme"
 	"hdnh/internal/vlog"
@@ -36,6 +35,10 @@ type gcShard struct {
 	// without this baseline the background reclaim traffic would be
 	// invisible in hdnh_nvm_*. Guarded by mu.
 	nvmBase nvm.Stats
+	// ackBase is the same kind of baseline for the log's own count of appends
+	// that waited for an acknowledgment (every session's and the GC's: the log
+	// cannot tell them apart, so the shard's collector publishes for all).
+	ackBase int64
 
 	kick chan struct{}
 }
@@ -180,14 +183,18 @@ func (g *gcShard) gcOnce() (bool, error) {
 	return true, nil
 }
 
-// syncGCObs publishes the GC's NVM traffic into the metrics registry: the
-// index session's via its own bridge, and the log handle's via the baseline
-// delta. Called with mu held, at the end of every pass.
+// syncGCObs publishes the GC's NVM traffic into the metrics registry — the
+// index session's via its own bridge, the log handle's via the baseline
+// delta — and the log's acknowledgment waits. Called with mu held, at the
+// end of every pass and once more from Close.
 func (g *gcShard) syncGCObs() {
 	g.sess.SyncObs()
 	cur := g.h.Stats()
 	g.st.rec.AddNVM(cur.Sub(g.nvmBase))
 	g.nvmBase = cur
+	waits := g.log.AckWaits()
+	g.st.rec.VLogAckWait(waits - g.ackBase)
+	g.ackBase = waits
 }
 
 // pickVictim selects the shard's sealed segment with the lowest live
@@ -195,6 +202,8 @@ func (g *gcShard) syncGCObs() {
 func (g *gcShard) pickVictim() (int64, bool) {
 	best := int64(-1)
 	var bestScore float64
+	// State, SegLive and SegUsed are lock-free reads: a pass over every
+	// segment never queues behind, or in front of, an append's reservation.
 	for seg := int64(0); seg < g.log.Segments(); seg++ {
 		if g.log.State(seg) != vlog.SegSealed {
 			continue
@@ -215,72 +224,67 @@ func (g *gcShard) pickVictim() (int64, bool) {
 }
 
 // relocate copies every still-referenced record out of seg and swings the
-// index to the copies. Ordering per record: copy committed to the log
+// index to the copies. It visits the records whose liveness bit is set —
+// the live few of a victim, not every record the segment ever held — and
+// asks the index about each, because a bit only says a record was referenced
+// when the walk read it. Ordering per record: copy committed to the log
 // first, then the index entry conditionally rewritten — a crash between
 // the two leaks only the copy, and a user write that races the rewrite
 // wins (the GC drops its copy and the segment keeps the record's liveness
 // until the user's own displacement retires it).
 func (g *gcShard) relocate(seg int64) error {
-	type rec struct {
-		addr, words int64
-		key         kv.Key
-	}
-	var live []rec
-	scanStart := time.Now()
-	g.log.ScanSegment(g.h, seg, func(addr, words int64, key kv.Key, _ []byte) bool {
-		live = append(live, rec{addr, words, key})
-		return true
-	})
-	g.st.fl.GCPhase(flight.GCCopy, seg, time.Since(scanStart), int64(len(live)))
-	var persistDur, rewriteDur time.Duration
-	var copiedWords, rewrites int64
-	for _, r := range live {
-		expect := packPointer(r.addr, r.words)
-		cur, ok := g.sess.Get(r.key)
+	// One span per phase and pass: per-record spans would swamp the ring on
+	// big segments. find is reading a live record and asking the index.
+	var findDur, persistDur, rewriteDur time.Duration
+	var visited, copiedWords, rewrites int64
+	var err error
+	g.log.VisitLive(seg, func(src int64) bool {
+		visited++
+		start := time.Now()
+		key, value, rerr := g.log.Read(g.h, src)
+		if rerr != nil {
+			findDur += time.Since(start)
+			return true // unreadable: nothing to copy, and the segment stays live
+		}
+		srcWords := vlog.RecordWords(len(value))
+		expect := packPointer(src, srcWords)
+		cur, ok := g.sess.Get(key)
+		findDur += time.Since(start)
 		if !ok || cur != expect {
-			continue // dead: overwritten or deleted, its winner decrements
+			return true // dead: overwritten or deleted, its winner decrements
 		}
-		persistStart := time.Now()
-		key, value, err := g.log.Read(g.h, r.addr)
-		if err != nil || key != r.key {
-			persistDur += time.Since(persistStart)
-			continue // already overwritten by a racing reuse; not ours
-		}
-		addr, words, err := g.log.AppendGC(g.h, r.key, value)
-		persistDur += time.Since(persistStart)
-		if err != nil {
-			g.flushGCPhases(seg, persistDur, copiedWords, rewriteDur, rewrites)
-			return err
+		start = time.Now()
+		addr, words, aerr := g.log.AppendGC(g.h, key, value)
+		persistDur += time.Since(start)
+		if aerr != nil {
+			err = aerr
+			return false
 		}
 		copiedWords += words
-		rewriteStart := time.Now()
-		err = g.sess.UpdateIf(r.key, expect, packPointer(addr, words))
-		rewriteDur += time.Since(rewriteStart)
+		start = time.Now()
+		uerr := g.sess.UpdateIf(key, expect, packPointer(addr, words))
+		rewriteDur += time.Since(start)
 		switch {
-		case err == nil:
+		case uerr == nil:
 			rewrites++
-			g.log.AddLive(r.addr, -r.words)
+			g.log.AddLive(src, -srcWords)
 			g.st.rec.GCRelocate(words)
-		case errors.Is(err, scheme.ErrConflict),
-			errors.Is(err, scheme.ErrNotFound),
-			errors.Is(err, scheme.ErrContended):
+		case errors.Is(uerr, scheme.ErrConflict),
+			errors.Is(uerr, scheme.ErrNotFound),
+			errors.Is(uerr, scheme.ErrContended):
 			// Lost to a racing user write: our copy was never indexed.
 			g.log.AddLive(addr, -words)
 			g.st.rec.GCRaced()
 		default:
 			g.log.AddLive(addr, -words)
-			g.flushGCPhases(seg, persistDur, copiedWords, rewriteDur, rewrites)
-			return err
+			err = uerr
+			return false
 		}
-	}
-	g.flushGCPhases(seg, persistDur, copiedWords, rewriteDur, rewrites)
-	return nil
-}
-
-// flushGCPhases emits the pass's aggregated copy-persist and index-rewrite
-// phase spans. Per-record spans would swamp the ring on big segments, so
-// relocate accumulates and emits once per pass.
-func (g *gcShard) flushGCPhases(seg int64, persistDur time.Duration, copiedWords int64, rewriteDur time.Duration, rewrites int64) {
+		return true
+	})
+	g.st.fl.GCPhase(flight.GCCopy, seg, findDur, visited)
 	g.st.fl.GCPhase(flight.GCPersist, seg, persistDur, copiedWords)
 	g.st.fl.GCPhase(flight.GCRewrite, seg, rewriteDur, rewrites)
+	g.st.rec.GCVisit(visited)
+	return err
 }

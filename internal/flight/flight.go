@@ -122,9 +122,11 @@ func (k Kind) String() string {
 	}
 }
 
-// GCPhase enumerates the phases of one value-log GC pass, in the order the
-// pass runs them: scan the victim for live records, copy-and-persist them
-// into the active segment, rewrite the index pointers, recycle the victim.
+// GCPhase enumerates the phases of one value-log GC pass: visit the victim's
+// live records (read each and ask the index whether it is still referenced;
+// the span's count is the records visited), copy-and-persist them into the
+// active segment, rewrite the index pointers, recycle the victim. The first
+// three interleave per record and are reported as one span each per pass.
 type GCPhase uint8
 
 const (

@@ -42,7 +42,7 @@ func FigVlogGC(sc Scale) (*Experiment, error) {
 		ID:      "ext-vloggc",
 		Title:   "Value-log churn at fixed footprint: GC off vs online GC (extension)",
 		XLabel:  "gc mode",
-		Columns: []string{"appended/cap", "put Mops/s", "write amp", "recycles", "logfull errs", "device growth words"},
+		Columns: []string{"appended/cap", "put Mops/s", "write amp", "recycles", "logfull errs", "device growth words", "visited/recycle", "ack waits/put"},
 		Notes: []string{
 			fmt.Sprintf("%d keys, %d-byte values, %d%% overwrite, log sized at %dx the live set",
 				keys, valueBytes, 100, capacityFactor),
@@ -175,6 +175,8 @@ func FigVlogGC(sc Scale) (*Experiment, error) {
 			Cell{"recycles", float64(recycles)},
 			Cell{"logfull errs", float64(logFull.Load())},
 			Cell{"device growth words", float64(deviceGrowth)},
+			Cell{"visited/recycle", delta.GCVisitedPerRecycle()},
+			Cell{"ack waits/put", float64(delta.VLogAckWaits) / float64(max(puts.Load(), 1))},
 		)
 	}
 	return exp, nil

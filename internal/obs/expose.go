@@ -116,6 +116,8 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	counter("hdnh_gc_relocated_words_total", "Words the GC copied between segments.", s.GCRelocatedWords)
 	counter("hdnh_gc_raced_total", "GC index rewrites lost to racing user writes.", s.GCRaced)
 	counter("hdnh_gc_recycles_total", "Value-log segments recycled to the free list.", s.GCRecycles)
+	counter("hdnh_gc_visited_records_total", "Records the GC read out of victim segments (their live ones).", s.GCVisited)
+	counter("hdnh_vlog_ack_waits_total", "Value-log appends that waited for an earlier append's acknowledgment.", s.VLogAckWaits)
 
 	counter("hdnh_nvm_read_accesses_total", "Bridged device logical reads.", s.NVM.ReadAccesses)
 	counter("hdnh_nvm_read_words_total", "Bridged device words read.", s.NVM.ReadWords)
@@ -267,6 +269,8 @@ type jsonForm struct {
 	GCRelocatedWords uint64  `json:"gc_relocated_words"`
 	GCRaced          uint64  `json:"gc_raced"`
 	GCRecycles       uint64  `json:"gc_recycles"`
+	GCVisited        uint64  `json:"gc_visited_records"`
+	VLogAckWaits     uint64  `json:"vlog_ack_waits"`
 	GCWriteAmp       float64 `json:"gc_write_amplification"`
 
 	HitRatio          float64 `json:"hot_hit_ratio"`
@@ -321,6 +325,8 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 		GCRelocatedWords:   s.GCRelocatedWords,
 		GCRaced:            s.GCRaced,
 		GCRecycles:         s.GCRecycles,
+		GCVisited:          s.GCVisited,
+		VLogAckWaits:       s.VLogAckWaits,
 		GCWriteAmp:         s.GCWriteAmplification(),
 		HitRatio:           s.HitRatio(),
 		ProbeReadsPerWalk:  s.ProbeReadsPerWalk(),

@@ -154,6 +154,12 @@ type Recorder interface {
 	GCRaced()
 	// GCRecycle records one value-log segment recycled to the free list.
 	GCRecycle()
+	// GCVisit records how many records one GC pass read out of its victim:
+	// the ones whose liveness bit was set, not every record the segment held.
+	GCVisit(records int64)
+	// VLogAckWait records n value-log appends that, their own record
+	// durable, waited for an earlier reservation to be acknowledged.
+	VLogAckWait(n int64)
 	// AddNVM merges a device-traffic delta bridged from nvm.Stats.
 	AddNVM(delta nvm.Stats)
 }
@@ -179,6 +185,8 @@ func (Nop) WriteGroup(int64, int64)                {}
 func (Nop) GCRelocate(int64)                       {}
 func (Nop) GCRaced()                               {}
 func (Nop) GCRecycle()                             {}
+func (Nop) GCVisit(int64)                          {}
+func (Nop) VLogAckWait(int64)                      {}
 func (Nop) AddNVM(nvm.Stats)                       {}
 
 // shardCount bounds counter contention: handles are dealt shards round-robin,
@@ -230,6 +238,8 @@ type shard struct {
 	gcRelocatedWords atomic.Uint64
 	gcRaced          atomic.Uint64
 	gcRecycles       atomic.Uint64
+	gcVisited        atomic.Uint64
+	vlogAckWaits     atomic.Uint64
 
 	nvm [nvmFields]atomic.Uint64
 
@@ -365,6 +375,9 @@ func (h *Handle) GCRelocate(words int64) {
 
 func (h *Handle) GCRaced()   { h.sh.gcRaced.Add(1) }
 func (h *Handle) GCRecycle() { h.sh.gcRecycles.Add(1) }
+
+func (h *Handle) GCVisit(records int64) { h.sh.gcVisited.Add(uint64(records)) }
+func (h *Handle) VLogAckWait(n int64)   { h.sh.vlogAckWaits.Add(uint64(n)) }
 
 func (h *Handle) AddNVM(delta nvm.Stats) {
 	n := &h.sh.nvm

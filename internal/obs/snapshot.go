@@ -125,13 +125,19 @@ type Snapshot struct {
 
 	// Value-log traffic: user appends vs GC relocation copies (their word
 	// ratio is the GC write amplification), rewrites the GC lost to racing
-	// user writes, and segments recycled.
+	// user writes, and segments recycled. GCVisited counts the records the
+	// collector read out of its victims (the live ones; over GCRecycles it is
+	// what a recycle costs), VLogAckWaits the appends that waited for an
+	// earlier one's acknowledgment (over VLogAppends+GCRelocations, how often
+	// concurrent appenders queue on each other).
 	VLogAppends      uint64
 	VLogAppendWords  uint64
+	VLogAckWaits     uint64
 	GCRelocations    uint64
 	GCRelocatedWords uint64
 	GCRaced          uint64
 	GCRecycles       uint64
+	GCVisited        uint64
 
 	// NVM aggregates the device traffic sessions published via SyncObs.
 	NVM nvm.Stats
@@ -182,6 +188,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.GCRelocatedWords += sh.gcRelocatedWords.Load()
 		s.GCRaced += sh.gcRaced.Load()
 		s.GCRecycles += sh.gcRecycles.Load()
+		s.GCVisited += sh.gcVisited.Load()
+		s.VLogAckWaits += sh.vlogAckWaits.Load()
 		s.NVM.Add(nvm.Stats{
 			ReadAccesses:    sh.nvm[nvmReadAccesses].Load(),
 			ReadWords:       sh.nvm[nvmReadWords].Load(),
@@ -267,6 +275,8 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 	d.GCRelocatedWords -= base.GCRelocatedWords
 	d.GCRaced -= base.GCRaced
 	d.GCRecycles -= base.GCRecycles
+	d.GCVisited -= base.GCVisited
+	d.VLogAckWaits -= base.VLogAckWaits
 	d.NVM = s.NVM.Sub(base.NVM)
 	return d
 }
@@ -279,6 +289,15 @@ func (s Snapshot) GCWriteAmplification() float64 {
 		return 0
 	}
 	return float64(s.VLogAppendWords+s.GCRelocatedWords) / float64(s.VLogAppendWords)
+}
+
+// GCVisitedPerRecycle returns the records the collector read per segment it
+// recycled. 0 when nothing was recycled.
+func (s Snapshot) GCVisitedPerRecycle() float64 {
+	if s.GCRecycles == 0 {
+		return 0
+	}
+	return float64(s.GCVisited) / float64(s.GCRecycles)
 }
 
 // OpTotal sums one op's count across all outcomes.

@@ -26,10 +26,18 @@
 // owner rebuilds the liveness counters from the pointers its index holds
 // (AddLive per pointer, Covers to reject a dangling one).
 //
-// Append protocol: payload and key words are written and flushed first,
-// then the header word is persisted last (8-byte atomic commit). A torn
-// append therefore leaves a zero or garbage header that fails validation
-// and is treated as the end of the segment during recovery scans.
+// Append protocol: an append takes the log mutex only to reserve its words
+// in the active segment. With no lock held it writes and flushes the key
+// and payload words, then persists the header word last (8-byte atomic
+// commit), and finally acknowledges in reservation order: it waits until
+// every earlier reservation has been acknowledged, does the segment
+// bookkeeping and returns. Headers may become durable out of order, but the
+// acknowledged records — the only ones a caller ever holds an address of —
+// are a contiguous prefix of the segment whose headers all read valid. A
+// torn or unacknowledged append leaves a zero or garbage header that fails
+// validation and is treated as the end of the segment during recovery
+// scans; whatever valid record lies beyond it was never acknowledged, so
+// nothing references it (docs/INTERNALS.md §9 has the full argument).
 //
 // Segment lifecycle: FREE → ACTIVE (appends go here) → SEALED (full) →
 // FREEING (being zeroed) → FREE. Every transition is a single 8-byte
@@ -41,8 +49,11 @@
 package vlog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -138,14 +149,25 @@ type Log struct {
 	numSegs   int64
 	metaWords int64
 
-	mu        sync.Mutex
-	active    int64 // index of the ACTIVE segment, -1 if none
-	head      int64 // append cursor within the active segment
-	sinceSync int64
-	free      []int64
-	nfree     atomic.Int64 // len(free), stored under mu, read lock-free
-	state     []SegState
-	used      []int64 // appended words per segment (exact; DRAM)
+	// mu guards reservation and the segment lifecycle: which segment is
+	// active, how much of it is reserved, the free list. No device wait
+	// happens under it except roll's four state persists (see roll).
+	mu     sync.Mutex
+	active int64 // index of the ACTIVE segment, -1 if none
+	head   int64 // reservation cursor within the active segment
+	free   []int64
+	nfree  atomic.Int64    // len(free), stored under mu, read lock-free
+	state  []atomic.Uint32 // SegState per segment, stored under mu, read lock-free
+
+	// frontier is the log address up to which the active segment's
+	// reservations are acknowledged. The append whose reservation starts
+	// there owns it — and with it used[active] and sinceSync — until it
+	// stores its own end; roll, SealActive and Sync take over only once
+	// frontier has caught up with head, under mu, when no owner is left.
+	frontier  atomic.Int64
+	sinceSync int64          // acknowledged words since the last durable head sync
+	used      []atomic.Int64 // acknowledged words per segment (exact; DRAM)
+	ackWaits  atomic.Int64   // appends that found an earlier reservation still unacknowledged
 
 	// live counts the words of records an index still references, one
 	// counter per segment. Append increments its destination optimistically;
@@ -153,9 +175,16 @@ type Log struct {
 	// count (see bigkv's accounting protocol). Atomic so index operations
 	// never take the log mutex.
 	live []atomic.Int64
+	// liveBits holds one bit per data word, set where a record counted in
+	// live starts: the collector walks a victim's set bits and so reads its
+	// live records only. Set and cleared together with live.
+	liveBits []atomic.Uint64
 
 	appended atomic.Int64 // lifetime appended words, user + GC copies
 	recycles atomic.Int64 // segments recycled back to the free list
+
+	// hook is the test seam of SetAppendHook; nil outside tests.
+	hook func(stage AppendStage, addr int64)
 
 	// fl traces segment lifecycle transitions; flight.Nop until the owner
 	// installs a real tracer via SetTracer. Guarded by mu on the mutating
@@ -172,6 +201,29 @@ func (l *Log) SetTracer(fl flight.Tracer) {
 		fl = flight.Nop{}
 	}
 	l.fl = fl
+}
+
+// AppendStage names a point inside an append for SetAppendHook.
+type AppendStage uint8
+
+// The stages of one append (or one AppendBatch run), in the order it passes
+// them; none is reached with the log mutex held.
+const (
+	StageReserved       AppendStage = iota // words reserved, nothing stored yet
+	StagePayloadDurable                    // key and payload flushed and fenced, header still zero
+	StageHeaderDurable                     // header persisted, not yet acknowledged
+)
+
+// SetAppendHook installs a test seam: fn runs on the appending goroutine at
+// every stage of every append, with the address the append reserved, and may
+// block there to hold the append at that stage. Call before the log sees
+// traffic; production code never sets it.
+func (l *Log) SetAppendHook(fn func(stage AppendStage, addr int64)) { l.hook = fn }
+
+func (l *Log) atStage(stage AppendStage, addr int64) {
+	if l.hook != nil {
+		l.hook(stage, addr)
+	}
 }
 
 // Create allocates a log of numSegs segments of segWords data words each.
@@ -209,9 +261,10 @@ func newLog(dev *nvm.Device, base, segWords, numSegs, metaWords int64) *Log {
 		numSegs:   numSegs,
 		metaWords: metaWords,
 		active:    -1,
-		state:     make([]SegState, numSegs),
-		used:      make([]int64, numSegs),
+		state:     make([]atomic.Uint32, numSegs),
+		used:      make([]atomic.Int64, numSegs),
 		live:      make([]atomic.Int64, numSegs),
+		liveBits:  make([]atomic.Uint64, (numSegs*segWords+63)/64),
 		fl:        flight.Nop{},
 	}
 }
@@ -248,11 +301,10 @@ func Open(dev *nvm.Device, h *nvm.Handle, base int64) (*Log, error) {
 			l.zeroSegment(h, seg, segWords)
 			h.StorePersist(l.segHeadOff(seg), 0)
 			h.StorePersist(l.segStateOff(seg), uint64(SegFree))
-			l.state[seg] = SegFree
 			l.free = append(l.free, seg)
 		case SegSealed:
-			l.state[seg] = SegSealed
-			l.used[seg] = head
+			l.setState(seg, SegSealed)
+			l.used[seg].Store(head)
 		case SegActive:
 			if l.active >= 0 {
 				return nil, fmt.Errorf("vlog: segments %d and %d both active", l.active, seg)
@@ -264,10 +316,11 @@ func Open(dev *nvm.Device, h *nvm.Handle, base int64) (*Log, error) {
 				end += words
 				return true
 			})
-			l.state[seg] = SegActive
+			l.setState(seg, SegActive)
 			l.active = seg
 			l.head = end
-			l.used[seg] = end
+			l.used[seg].Store(end)
+			l.frontier.Store(seg*segWords + end)
 		default:
 			return nil, fmt.Errorf("vlog: segment %d: corrupt state %d", seg, uint8(st))
 		}
@@ -292,27 +345,77 @@ func (l *Log) Capacity() int64 { return l.numSegs * l.segWords }
 // callers poll it after every append.
 func (l *Log) FreeSegments() int { return int(l.nfree.Load()) }
 
-// State returns segment seg's lifecycle state.
-func (l *Log) State(seg int64) SegState {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.state[seg]
-}
+// State returns segment seg's lifecycle state. Lock-free, like SegUsed and
+// SegLive: the collector reads all three for every segment on every pass.
+func (l *Log) State(seg int64) SegState { return SegState(l.state[seg].Load()) }
 
-// SegUsed returns the words appended into segment seg.
-func (l *Log) SegUsed(seg int64) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.used[seg]
-}
+// setState records a lifecycle transition in DRAM. Called with the mutex held
+// (or from Open, before the log is shared).
+func (l *Log) setState(seg int64, st SegState) { l.state[seg].Store(uint32(st)) }
+
+// SegUsed returns the acknowledged words appended into segment seg.
+func (l *Log) SegUsed(seg int64) int64 { return l.used[seg].Load() }
 
 // SegLive returns segment seg's live-word count.
 func (l *Log) SegLive(seg int64) int64 { return l.live[seg].Load() }
 
-// AddLive adjusts the live-word counter of the segment containing addr.
-// The owner calls this with the record's word count when an index entry
-// starts or stops referencing the record at addr.
-func (l *Log) AddLive(addr, delta int64) { l.live[addr/l.segWords].Add(delta) }
+// AddLive adjusts the liveness of the record that starts at addr: a positive
+// delta (its word count) when an index entry starts referencing it, the
+// negative when the last one stops. The segment's live-word counter moves by
+// delta and the record's liveness bit follows its sign.
+func (l *Log) AddLive(addr, delta int64) {
+	l.live[addr/l.segWords].Add(delta)
+	if delta > 0 {
+		l.setLiveBit(addr)
+	} else {
+		l.clearLiveBit(addr)
+	}
+}
+
+// setLiveBit and clearLiveBit are CAS loops because go.mod's go 1.22 has no
+// atomic Or/And; neighbouring records share a bitmap word.
+func (l *Log) setLiveBit(addr int64) {
+	w, bit := &l.liveBits[addr/64], uint64(1)<<(addr%64)
+	for {
+		old := w.Load()
+		if old&bit != 0 || w.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
+}
+
+func (l *Log) clearLiveBit(addr int64) {
+	w, bit := &l.liveBits[addr/64], uint64(1)<<(addr%64)
+	for {
+		old := w.Load()
+		if old&bit == 0 || w.CompareAndSwap(old, old&^bit) {
+			return
+		}
+	}
+}
+
+// VisitLive calls fn with the address of every record of segment seg whose
+// liveness bit is set, in address order; fn returning false stops the walk.
+// Bits cleared while the walk runs may or may not be seen: a caller that
+// needs to know a record is still referenced asks its index.
+func (l *Log) VisitLive(seg int64, fn func(addr int64) bool) {
+	lo, hi := seg*l.segWords, (seg+1)*l.segWords
+	for w := lo / 64; w*64 < hi; w++ {
+		for set := l.liveBits[w].Load(); set != 0; set &= set - 1 {
+			addr := w*64 + int64(bits.TrailingZeros64(set))
+			if addr < lo || addr >= hi {
+				continue // a segment size off the 64-word grid shares this bitmap word
+			}
+			if !fn(addr) {
+				return
+			}
+		}
+	}
+}
+
+// AckWaits returns how many appends, having persisted their own record,
+// found an earlier reservation still unacknowledged and had to wait for it.
+func (l *Log) AckWaits() int64 { return l.ackWaits.Load() }
 
 // Covers reports whether words [addr, addr+words) lie inside the appended
 // part of a SEALED or ACTIVE segment — what a pointer to a committed record
@@ -321,10 +424,9 @@ func (l *Log) Covers(addr, words int64) bool {
 	if addr < 0 || addr >= l.Capacity() || words < recordHeaderWords {
 		return false
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st := l.state[addr/l.segWords]
-	return (st == SegSealed || st == SegActive) && addr%l.segWords+words <= l.used[addr/l.segWords]
+	seg := addr / l.segWords
+	st := l.State(seg)
+	return (st == SegSealed || st == SegActive) && addr%l.segWords+words <= l.used[seg].Load()
 }
 
 // LiveWords returns the total live words across all segments.
@@ -339,11 +441,9 @@ func (l *Log) LiveWords() int64 {
 // UsedWords returns the total words appended into sealed and active
 // segments (recycled segments drop out).
 func (l *Log) UsedWords() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var sum int64
-	for _, u := range l.used {
-		sum += u
+	for i := range l.used {
+		sum += l.used[i].Load()
 	}
 	return sum
 }
@@ -397,57 +497,78 @@ func (l *Log) append(h *nvm.Handle, key kv.Key, value []byte, reserve int) (int6
 	if len(value) == 0 {
 		return 0, 0, errors.New("vlog: empty value")
 	}
-	length := int64(len(value))
-	words := recordHeaderWords + payloadWords(length)
+	words := RecordWords(len(value))
 	if words > l.segWords {
 		return 0, 0, fmt.Errorf("vlog: value needs %d words, segment holds %d", words, l.segWords)
 	}
 
-	// The mutex is held across the whole append so committed records form a
-	// contiguous prefix of the active segment: if appends could commit out
-	// of order, a crash in an earlier (still uncommitted) record would hide
-	// later committed ones from Open's forward scan.
+	// Reserve under the mutex, persist outside it: the two flush waits and
+	// the header persist below are most of an append, and concurrent
+	// appenders (and the collector's AppendGC) overlap them.
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.active < 0 || l.head+words > l.segWords {
 		if err := l.roll(h, reserve); err != nil {
+			l.mu.Unlock()
 			return 0, 0, err
 		}
 	}
-	seg, inSeg := l.active, l.head
-	addr := seg*l.segWords + inSeg
-	off := l.dataOff(addr)
+	addr := l.active*l.segWords + l.head
+	l.head += words
+	l.mu.Unlock()
+	l.atStage(StageReserved, addr)
 
 	// Key and payload first...
-	l.dev.Store(off+1, wordOf(key[0:8]))
-	l.dev.Store(off+2, wordOf(key[8:16]))
-	for i := int64(0); i < payloadWords(length); i++ {
-		var w uint64
-		for b := 0; b < 8; b++ {
-			if idx := i*8 + int64(b); idx < length {
-				w |= uint64(value[idx]) << (8 * b)
-			}
-		}
-		l.dev.Store(off+recordHeaderWords+i, w)
-	}
+	off := l.dataOff(addr)
+	l.storeBody(off, key, value)
 	h.WriteAccess(off+1, words-1)
 	h.Flush(off+1, words-1)
 	h.Fence()
+	l.atStage(StagePayloadDurable, addr)
 	// ...then the committing header. The checksum comes from the bytes in
 	// hand — re-reading the payload from NVM would charge phantom read
 	// traffic to every append.
-	h.StorePersist(off, uint64(length)<<32|uint64(Checksum(key, value)))
+	h.StorePersist(off, headerWord(key, value))
+	l.atStage(StageHeaderDurable, addr)
 
-	l.head += words
-	l.used[seg] = l.head
+	l.setLiveBit(addr)
+	l.acknowledge(h, addr, words)
+	return addr, words, nil
+}
+
+// acknowledge publishes the reservation [addr, addr+words), whose records are
+// durable, once every earlier reservation of the segment is published: only
+// then may the caller hand the addresses out. Keeping the acknowledged
+// records a contiguous prefix is what lets Open's forward scan — which stops
+// at the first header that does not validate — find every record an index
+// can point at. The wait yields: at GOMAXPROCS 1 the goroutine waited on
+// needs this P to finish.
+func (l *Log) acknowledge(h *nvm.Handle, addr, words int64) {
+	if l.frontier.Load() != addr {
+		l.ackWaits.Add(1)
+		for l.frontier.Load() != addr {
+			runtime.Gosched()
+		}
+	}
+	// Sole owner of the frontier from here to the Store below.
+	seg, end := addr/l.segWords, addr%l.segWords+words
+	l.used[seg].Store(end)
 	l.live[seg].Add(words)
 	l.appended.Add(words)
 	l.sinceSync += words
 	if l.sinceSync >= headSyncInterval {
 		l.sinceSync = 0
-		h.StorePersist(l.segHeadOff(seg), uint64(l.head))
+		h.StorePersist(l.segHeadOff(seg), uint64(end))
 	}
-	return addr, words, nil
+	l.frontier.Store(addr + words)
+}
+
+// drain waits until every reservation of the active segment is acknowledged.
+// Called with the mutex held, so no new reservation can start; the appends
+// waited on finish without it.
+func (l *Log) drain() {
+	for head := l.active*l.segWords + l.head; l.frontier.Load() != head; {
+		runtime.Gosched()
+	}
 }
 
 // BatchRecord is one record of an AppendBatch call. Key and Value are
@@ -467,35 +588,34 @@ type BatchRecord struct {
 // only happens with a non-nil error (ErrLogFull once the free-list reserve
 // is reached); the committed prefix is durable and usable.
 //
-// Crash ordering within a run: every record's key and payload words are
-// stored, then one staged barrier+fence covers the whole run, then the
-// committing headers are staged (one line write-back per header line) and
-// drained behind a second barrier+fence. A crash during the header burst
-// can leave any subset of the headers durable, not just a prefix — but the
-// whole batch acknowledges together only after AppendBatch returns, so
-// Open's forward scan stopping at the first zero header can only drop
-// records that were never acknowledged, and it never misreads one: a line
-// persists atomically and anything past the first gap is unreachable.
+// Each run is reserved under the mutex and acknowledged in reservation
+// order like a single append. Crash ordering within a run: every record's
+// key and payload words are stored, then one staged barrier+fence covers the
+// whole run, then the committing headers are staged (one line write-back per
+// header line) and drained behind a second barrier+fence. A crash during the
+// header burst can leave any subset of the headers durable, not just a
+// prefix — but the whole batch acknowledges together only after AppendBatch
+// returns, so Open's forward scan stopping at the first zero header can only
+// drop records that were never acknowledged, and it never misreads one: a
+// line persists atomically and anything past the first gap is unreachable.
 // Liveness and durable-head accounting match per-record Append exactly.
 func (l *Log) AppendBatch(h *nvm.Handle, recs []BatchRecord) (n, runs int, err error) {
 	for i := range recs {
 		if len(recs[i].Value) == 0 {
 			return 0, 0, errors.New("vlog: empty value")
 		}
-		w := recordHeaderWords + payloadWords(int64(len(recs[i].Value)))
+		w := RecordWords(len(recs[i].Value))
 		if w > l.segWords {
 			return 0, 0, fmt.Errorf("vlog: value needs %d words, segment holds %d", w, l.segWords)
 		}
 		recs[i].Words = w
 	}
 
-	// The mutex spans the whole batch for the same reason append holds it:
-	// committed records must form a contiguous prefix of the active segment.
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for n < len(recs) {
+		l.mu.Lock()
 		if l.active < 0 || l.head+recs[n].Words > l.segWords {
 			if rerr := l.roll(h, 1); rerr != nil {
+				l.mu.Unlock()
 				return n, runs, rerr
 			}
 		}
@@ -506,45 +626,37 @@ func (l *Log) AppendBatch(h *nvm.Handle, recs []BatchRecord) (n, runs int, err e
 			fit += recs[end].Words
 			end++
 		}
-		l.appendRun(h, recs[n:end])
+		addr := l.active*l.segWords + l.head
+		l.head = fit
+		l.mu.Unlock()
+		l.appendRun(h, addr, recs[n:end])
 		n = end
 		runs++
 	}
 	return n, runs, nil
 }
 
-// appendRun commits records into the active segment as one flush run.
-// Called with the mutex held; every record is known to fit.
-func (l *Log) appendRun(h *nvm.Handle, run []BatchRecord) {
-	seg := l.active
-	runStart := l.head
-	inSeg := runStart
+// appendRun commits records into the words reserved at addr as one flush
+// run and acknowledges them together.
+func (l *Log) appendRun(h *nvm.Handle, addr int64, run []BatchRecord) {
+	l.atStage(StageReserved, addr)
+	next := addr
 	for i := range run {
 		rec := &run[i]
-		rec.Addr = seg*l.segWords + inSeg
+		rec.Addr = next
 		off := l.dataOff(rec.Addr)
-		length := int64(len(rec.Value))
-		l.dev.Store(off+1, wordOf(rec.Key[0:8]))
-		l.dev.Store(off+2, wordOf(rec.Key[8:16]))
-		for w := int64(0); w < payloadWords(length); w++ {
-			var word uint64
-			for b := 0; b < 8; b++ {
-				if idx := w*8 + int64(b); idx < length {
-					word |= uint64(rec.Value[idx]) << (8 * b)
-				}
-			}
-			l.dev.Store(off+recordHeaderWords+w, word)
-		}
+		l.storeBody(off, rec.Key, rec.Value)
 		h.WriteAccess(off+1, rec.Words-1)
-		inSeg += rec.Words
+		next += rec.Words
 	}
+	words := next - addr
 	// One barrier makes every key and payload word of the run durable. The
 	// range spans the (still zero) header words too, which is harmless: the
 	// persisted image already holds zeroes there.
-	runOff := l.dataOff(seg*l.segWords + runStart)
-	h.StageFlush(runOff, inSeg-runStart)
+	h.StageFlush(l.dataOff(addr), words)
 	h.FlushBarrier()
 	h.Fence()
+	l.atStage(StagePayloadDurable, addr)
 
 	// Commit headers as one staged burst: store all of them, write back each
 	// header line once (lines sharing headers coalesce), and drain behind a
@@ -557,7 +669,7 @@ func (l *Log) appendRun(h *nvm.Handle, run []BatchRecord) {
 		for j < len(run) && l.dataOff(run[j].Addr)/nvm.CachelineWords == line {
 			rec := &run[j]
 			off := l.dataOff(rec.Addr)
-			l.dev.Store(off, uint64(len(rec.Value))<<32|uint64(Checksum(rec.Key, rec.Value)))
+			l.dev.Store(off, headerWord(rec.Key, rec.Value))
 			h.WriteAccess(off, 1)
 			j++
 		}
@@ -566,33 +678,52 @@ func (l *Log) appendRun(h *nvm.Handle, run []BatchRecord) {
 	}
 	h.FlushBarrier()
 	h.Fence()
+	l.atStage(StageHeaderDurable, addr)
 
-	words := inSeg - runStart
-	l.head = inSeg
-	l.used[seg] = l.head
-	l.live[seg].Add(words)
-	l.appended.Add(words)
-	l.sinceSync += words
-	if l.sinceSync >= headSyncInterval {
-		l.sinceSync = 0
-		h.StorePersist(l.segHeadOff(seg), uint64(l.head))
+	for i := range run {
+		l.setLiveBit(run[i].Addr)
 	}
+	l.acknowledge(h, addr, words)
+}
+
+// storeBody stores a record's key and payload words behind the header word
+// at device offset off: whole words straight from the value, the tail bytes
+// zero-padded.
+func (l *Log) storeBody(off int64, key kv.Key, value []byte) {
+	l.dev.Store(off+1, binary.LittleEndian.Uint64(key[0:8]))
+	l.dev.Store(off+2, binary.LittleEndian.Uint64(key[8:16]))
+	off += recordHeaderWords
+	for ; len(value) >= 8; value, off = value[8:], off+1 {
+		l.dev.Store(off, binary.LittleEndian.Uint64(value))
+	}
+	if len(value) > 0 {
+		var tail [8]byte
+		copy(tail[:], value)
+		l.dev.Store(off, binary.LittleEndian.Uint64(tail[:]))
+	}
+}
+
+func headerWord(key kv.Key, value []byte) uint64 {
+	return uint64(len(value))<<32 | uint64(Checksum(key, value))
 }
 
 // roll seals the active segment (if any) and activates a free one. Called
 // with the mutex held. The free-list check comes first so a failed roll
 // leaves the active segment intact for smaller records.
+//
+// Its persists are the only device waits left under the mutex, and they
+// have to be: a reservation in the new segment may only exist once ACTIVE is
+// durable — an append there could otherwise be acknowledged and indexed while
+// a crash still recovers the segment as FREE — and ACTIVE may only follow
+// the old segment's SEALED, so that no crash image holds two active
+// segments. Between the two there is no segment to reserve in, so nothing
+// is gained by letting go. It is four persists per segment, not per record.
 func (l *Log) roll(h *nvm.Handle, reserve int) error {
 	if len(l.free) <= reserve {
 		return fmt.Errorf("%w: %d free segments (reserve %d)", ErrLogFull, len(l.free), reserve)
 	}
 	if l.active >= 0 {
-		h.StorePersist(l.segHeadOff(l.active), uint64(l.head))
-		h.StorePersist(l.segStateOff(l.active), uint64(SegSealed))
-		l.state[l.active] = SegSealed
-		l.fl.VLogSeg(uint8(SegSealed), l.active)
-		l.active = -1
-		l.head = 0
+		l.seal(h)
 	}
 	seg := l.free[len(l.free)-1]
 	l.free = l.free[:len(l.free)-1]
@@ -602,12 +733,27 @@ func (l *Log) roll(h *nvm.Handle, reserve int) error {
 	// activation, so any crash image holds at most one ACTIVE segment.
 	h.StorePersist(l.segHeadOff(seg), 0)
 	h.StorePersist(l.segStateOff(seg), uint64(SegActive))
-	l.state[seg] = SegActive
+	l.setState(seg, SegActive)
 	l.fl.VLogSeg(uint8(SegActive), seg)
 	l.active = seg
 	l.head = 0
-	l.used[seg] = 0
+	l.used[seg].Store(0)
+	l.frontier.Store(seg * l.segWords)
 	return nil
+}
+
+// seal waits out the reservations in flight — a SEALED segment never holds
+// an unacknowledged record, so its durable head is exact and its records
+// are a gapless run — and seals the active segment. Called with the mutex
+// held and a segment active.
+func (l *Log) seal(h *nvm.Handle) {
+	l.drain()
+	h.StorePersist(l.segHeadOff(l.active), uint64(l.head))
+	h.StorePersist(l.segStateOff(l.active), uint64(SegSealed))
+	l.setState(l.active, SegSealed)
+	l.fl.VLogSeg(uint8(SegSealed), l.active)
+	l.active = -1
+	l.head = 0
 }
 
 // SealActive seals the active segment so no further appends land in it.
@@ -619,12 +765,7 @@ func (l *Log) SealActive(h *nvm.Handle) {
 	if l.active < 0 {
 		return
 	}
-	h.StorePersist(l.segHeadOff(l.active), uint64(l.head))
-	h.StorePersist(l.segStateOff(l.active), uint64(SegSealed))
-	l.state[l.active] = SegSealed
-	l.fl.VLogSeg(uint8(SegSealed), l.active)
-	l.active = -1
-	l.head = 0
+	l.seal(h)
 	l.sinceSync = 0
 }
 
@@ -645,20 +786,21 @@ func (l *Log) Read(h *nvm.Handle, addr int64) (kv.Key, []byte, error) {
 		h.ReadAccess(off, 1)
 		return key, nil, fmt.Errorf("%w: bad length %d at %d", ErrCorrupt, length, addr)
 	}
-	words := payloadWords(length)
 	// One access for the whole record, charged once its extent is known: the
 	// header's block is paid for once, not again with the key behind it.
-	h.ReadAccess(off, recordHeaderWords+words)
-	copyWordBytes(key[0:8], l.dev.Load(off+1))
-	copyWordBytes(key[8:16], l.dev.Load(off+2))
+	h.ReadAccess(off, recordHeaderWords+payloadWords(length))
+	binary.LittleEndian.PutUint64(key[0:8], l.dev.Load(off+1))
+	binary.LittleEndian.PutUint64(key[8:16], l.dev.Load(off+2))
 	out := make([]byte, length)
-	for i := int64(0); i < words; i++ {
-		w := l.dev.Load(off + recordHeaderWords + i)
-		for b := 0; b < 8; b++ {
-			if idx := i*8 + int64(b); idx < length {
-				out[idx] = byte(w >> (8 * b))
-			}
-		}
+	off += recordHeaderWords
+	rest := out
+	for ; len(rest) >= 8; rest, off = rest[8:], off+1 {
+		binary.LittleEndian.PutUint64(rest, l.dev.Load(off))
+	}
+	if len(rest) > 0 {
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], l.dev.Load(off))
+		copy(rest, tail[:])
 	}
 	if Checksum(key, out) != uint32(hdr) {
 		return key, nil, fmt.Errorf("%w: checksum mismatch at %d", ErrCorrupt, addr)
@@ -670,7 +812,9 @@ func (l *Log) Read(h *nvm.Handle, addr int64) (kv.Key, []byte, error) {
 // calling fn with each record's address, total word count, key, and
 // value. fn returning false stops the walk. The segment should be SEALED
 // (its records are then immutable); scanning the active segment sees the
-// prefix committed before the call.
+// prefix committed before the call. It reads every record the segment ever
+// held: the collector walks VisitLive instead, and this is the reference
+// walker tests check it against.
 func (l *Log) ScanSegment(h *nvm.Handle, seg int64, fn func(addr, words int64, key kv.Key, value []byte) bool) {
 	l.scanFrom(h, seg, 0, fn)
 }
@@ -685,7 +829,7 @@ func (l *Log) scanFrom(h *nvm.Handle, seg, start int64, fn func(addr, words int6
 		if err != nil {
 			return
 		}
-		words := recordHeaderWords + payloadWords(int64(len(value)))
+		words := RecordWords(len(value))
 		if !fn(addr, words, key, value) {
 			return
 		}
@@ -700,38 +844,42 @@ func (l *Log) scanFrom(h *nvm.Handle, seg, start int64, fn func(addr, words int6
 // (FREEING, zeroed again on Open). Zeroing before reuse is what lets a
 // recovery scan of the reused segment stop at the end of the new records
 // instead of walking into stale committed ones.
+//
+// The mutex covers only the two DRAM transitions, since every append's
+// reservation queues behind it. None of Recycle's persists needs it: once
+// the DRAM state reads FREEING the segment is this caller's alone — no
+// append targets a segment off the free list, a second Recycle is refused —
+// and the FREE persist is ordered before any reactivation because the
+// segment joins the free list, under the mutex, only after it.
 func (l *Log) Recycle(h *nvm.Handle, seg int64) error {
-	l.mu.Lock()
 	if seg < 0 || seg >= l.numSegs {
-		l.mu.Unlock()
 		return fmt.Errorf("vlog: segment %d out of range", seg)
 	}
-	if l.state[seg] != SegSealed {
+	l.mu.Lock()
+	if st := l.State(seg); st != SegSealed {
 		l.mu.Unlock()
-		return fmt.Errorf("vlog: recycling %s segment %d", l.state[seg], seg)
+		return fmt.Errorf("vlog: recycling %s segment %d", st, seg)
 	}
 	if live := l.live[seg].Load(); live != 0 {
 		l.mu.Unlock()
 		return fmt.Errorf("%w: segment %d, %d words", ErrSegmentLive, seg, live)
 	}
-	h.StorePersist(l.segStateOff(seg), uint64(SegFreeing))
-	l.state[seg] = SegFreeing
+	l.setState(seg, SegFreeing)
 	l.fl.VLogSeg(uint8(SegFreeing), seg)
-	end := l.used[seg]
 	l.mu.Unlock()
 
-	// Zero outside the mutex: appends cannot target a FREEING segment, and
-	// a racing reader holding a stale address fails its checksum and
+	// A racing reader holding a stale address fails its checksum and
 	// re-reads its index.
-	l.zeroSegment(h, seg, end)
+	h.StorePersist(l.segStateOff(seg), uint64(SegFreeing))
+	l.zeroSegment(h, seg, l.used[seg].Load())
+	h.StorePersist(l.segHeadOff(seg), 0)
+	h.StorePersist(l.segStateOff(seg), uint64(SegFree))
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	h.StorePersist(l.segHeadOff(seg), 0)
-	h.StorePersist(l.segStateOff(seg), uint64(SegFree))
-	l.state[seg] = SegFree
+	l.setState(seg, SegFree)
 	l.fl.VLogSeg(uint8(SegFree), seg)
-	l.used[seg] = 0
+	l.used[seg].Store(0)
 	l.free = append(l.free, seg)
 	l.nfree.Store(int64(len(l.free)))
 	l.recycles.Add(1)
@@ -758,27 +906,15 @@ func (l *Log) zeroSegment(h *nvm.Handle, seg, end int64) {
 }
 
 // Sync persists the active segment's append cursor so the next Open's
-// scan starts here.
+// scan starts here. It waits out the appends in flight first: the durable
+// head may never pass an unacknowledged record.
 func (l *Log) Sync(h *nvm.Handle) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.active < 0 {
 		return
 	}
+	l.drain()
 	l.sinceSync = 0
 	h.StorePersist(l.segHeadOff(l.active), uint64(l.head))
-}
-
-func wordOf(b []byte) uint64 {
-	var w uint64
-	for i := 0; i < 8; i++ {
-		w |= uint64(b[i]) << (8 * i)
-	}
-	return w
-}
-
-func copyWordBytes(dst []byte, w uint64) {
-	for i := 0; i < 8; i++ {
-		dst[i] = byte(w >> (8 * i))
-	}
 }
