@@ -11,9 +11,10 @@
 //	GET    /kv/<key>      value bytes, or 404
 //	PUT    /kv/<key>      body is the value (≤64 KiB); upsert
 //	DELETE /kv/<key>      remove the record
-//	POST   /batch         JSON batch of get/put/delete ops; runs of
-//	       consecutive same-kind ops drain through the store's MultiGet/
-//	       MultiPut/MultiDelete, one response entry per op
+//	POST   /batch         JSON batch of get/put/delete ops; each stretch of
+//	       ops in which no key occurs under two kinds drains through one
+//	       MultiGet, one MultiPut and one MultiDelete; one response entry
+//	       per op, in request order
 //	GET    /metrics       Prometheus text exposition (includes the RESP
 //	       listener's counters when -resp is set)
 //	GET    /metrics.json  the same counters as indented JSON
@@ -64,7 +65,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
 		respAddr = flag.String("resp", "", "RESP (binary wire protocol) listen address, e.g. :6380; empty disables")
-		pipeline = flag.Int("pipeline-depth", 128, "RESP per-connection in-flight command queue depth (coalescing window)")
+		pipeline = flag.Int("pipeline-depth", 128, "most RESP commands a connection executes before it writes their replies (coalescing window)")
 		capacity = flag.Int64("capacity", 100_000, "record capacity the device is sized for")
 		mode     = flag.String("mode", "model", "device mode: model | emulate")
 		sample   = flag.Uint64("sample", obs.DefaultSampleEvery, "latency-sample one in N operations (1 samples all)")

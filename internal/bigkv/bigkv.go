@@ -410,8 +410,8 @@ type Session struct {
 	ms      multiScratch
 }
 
-// multiScratch is the session-held reusable state for MultiPut/MultiDelete:
-// a steady-state batch caller allocates only the returned errs slice.
+// multiScratch is the session-held reusable state for the Multi* calls: a
+// steady-state batch caller allocates only the slices it is handed back.
 // Sessions are single-goroutine, so the scratch needs no locking.
 type multiScratch struct {
 	kks    []kv.Key
@@ -640,16 +640,15 @@ func (s *Session) decodeRetrying(k kv.Key, sv kv.Value) ([]byte, bool, error) {
 func (s *Session) MultiGet(keys [][]byte) (vals [][]byte, found []bool, errs []error) {
 	n := len(keys)
 	vals, found, errs = make([][]byte, n), make([]bool, n), make([]error, n)
-	kks := make([]kv.Key, n)
-	svs := make([]kv.Value, n)
-	hit := make([]bool, n)
+	ms := &s.ms
+	kks := scratchSlice(ms.kks, n)
+	svs := scratchSlice(ms.svs, n)
+	hit := scratchSlice(ms.ok, n)
+	ms.kks, ms.svs, ms.ok = kks, svs, hit
 	for i, key := range keys {
-		k, err := kv.MakeKey(key)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		kks[i] = k
+		// A key that does not convert is looked up as the zero key and its
+		// result ignored below.
+		kks[i], errs[i] = kv.MakeKey(key)
 	}
 	s.ts.MultiGet(kks, svs, hit)
 	for i := range kks {

@@ -155,6 +155,70 @@ func TestMultiPutSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestMultiGetSteadyStateAllocs pins the batch read path's scratch reuse:
+// the key, slot-value and hit slices MultiGet works in come from the
+// session, so a steady-state call allocates the three slices it hands back
+// (the caller keeps those) and one copy per value found — six plus the
+// copies before. The bounds leave one stray for GC noise.
+func TestMultiGetSteadyStateAllocs(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Table.InitBottomSegments = 32
+	dev, err := nvm.New(nvm.DefaultConfig(1 << 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Create(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const n = 256
+	present := make([][]byte, n)
+	absent := make([][]byte, n)
+	vals := make([][]byte, n)
+	for i := range present {
+		present[i] = []byte(fmt.Sprintf("here%08d", i))
+		absent[i] = []byte(fmt.Sprintf("gone%08d", i))
+		vals[i] = []byte("inline")
+	}
+	s := st.NewSession()
+	defer s.Close()
+	for _, err := range s.MultiPut(present, vals) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		keys [][]byte
+		hits int
+		max  float64
+	}{
+		{"all absent", absent, 0, 3 + 1},
+		{"all present", present, n, 3 + n + 1},
+	} {
+		get := func() {
+			_, found, errs := s.MultiGet(tc.keys)
+			hits := 0
+			for i := range found {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if found[i] {
+					hits++
+				}
+			}
+			if hits != tc.hits {
+				t.Fatalf("%s: %d hits, want %d", tc.name, hits, tc.hits)
+			}
+		}
+		get() // warm: grow the scratch to its high-water mark
+		if allocs := testing.AllocsPerRun(50, get); allocs > tc.max {
+			t.Errorf("%s: steady-state MultiGet(%d) allocates %.1f times per call, want <= %.0f", tc.name, n, allocs, tc.max)
+		}
+	}
+}
+
 // benchStore builds one preloaded store shared by the grouped/looped
 // update benchmarks below.
 func benchUpdateStore(b *testing.B, cfg nvm.Config) (*Session, [][]byte, [][]byte) {

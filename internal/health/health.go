@@ -556,9 +556,9 @@ func (e *Evaluator) evalErrorRate(d obs.Snapshot, add func(Condition)) {
 	})
 }
 
-// evalRESP fires resp_in_flight on the listener's queued-command gauge: a
-// deep standing queue means clients are pipelining faster than the store
-// drains, and served latency includes all of it.
+// evalRESP fires resp_in_flight on the listener's gauge of commands parsed
+// and not yet answered: a high standing figure means many connections are
+// inside deep bursts at once, and served latency includes all of it.
 func (e *Evaluator) evalRESP(snap obs.Snapshot, add func(Condition)) {
 	if snap.RESP == nil {
 		return

@@ -179,7 +179,7 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	if r := s.RESP; r != nil {
 		counter("hdnh_resp_connections_total", "RESP connections accepted.", r.ConnsTotal)
 		gauge("hdnh_resp_connections_open", "RESP connections currently open.", "%d", r.ConnsOpen)
-		gauge("hdnh_resp_inflight_commands", "Parsed RESP commands queued or executing (pipeline depth across connections).", "%d", r.InFlight)
+		gauge("hdnh_resp_inflight_commands", "RESP commands parsed and not yet answered, across connections.", "%d", r.InFlight)
 		counter("hdnh_resp_proto_errors_total", "RESP framing errors (connection closed).", r.ProtoErrors)
 		p("# HELP hdnh_resp_commands_total Served RESP commands by command.\n# TYPE hdnh_resp_commands_total counter\n")
 		for c := RESPCmd(0); c < NumRESPCmds; c++ {
@@ -205,11 +205,11 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 			p("hdnh_resp_command_latency_nanoseconds_sum{%s} %.0f\n", lbl, l.MeanNs*float64(l.Sampled))
 			p("hdnh_resp_command_latency_nanoseconds_count{%s} %d\n", lbl, l.Sampled)
 		}
-		counter("hdnh_resp_runs_total", "Coalesced batch runs executed by the RESP pipeline.", r.Runs)
+		counter("hdnh_resp_runs_total", "Store batch calls made by the RESP pipeline.", r.Runs)
 		counter("hdnh_resp_run_ops_total", "Commands drained through coalesced batch runs.", r.RunOps)
-		counter("hdnh_resp_flushes_total", "Reply-buffer flushes (one per drained pipeline burst).", r.Flushes)
+		counter("hdnh_resp_flushes_total", "Reply writes (one per executed pipeline burst).", r.Flushes)
 		if l := r.RunLength; l.Sampled > 0 {
-			p("# HELP hdnh_resp_run_length Commands per coalesced run (a length, not a duration).\n")
+			p("# HELP hdnh_resp_run_length Keys per store batch call (a length, not a duration).\n")
 			p("# TYPE hdnh_resp_run_length summary\n")
 			p("hdnh_resp_run_length{quantile=\"0.5\"} %d\n", l.P50Ns)
 			p("hdnh_resp_run_length{quantile=\"0.99\"} %d\n", l.P99Ns)

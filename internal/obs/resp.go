@@ -47,9 +47,9 @@ func (c RESPCmd) String() string {
 }
 
 // RESPMetrics instruments the binary wire listener: connection lifecycle,
-// the in-flight pipeline depth, how well the executor coalesces commands
-// into batch runs, and the served per-command latency (parse to reply
-// written — queueing included, which is what a pipelined client observes).
+// the in-flight pipeline depth, how well the listener coalesces commands
+// into batch runs, and the served per-command latency (burst read to burst
+// written, which is what a pipelined client observes).
 //
 // Unlike the table counters these are plain shared atomics, not per-session
 // shards: every command already crosses a syscall boundary, so one
@@ -97,16 +97,17 @@ func (m *RESPMetrics) ConnClosed() {
 	m.connsOpen.Add(-1)
 }
 
-// Enqueued records a parsed command entering the in-flight queue.
-func (m *RESPMetrics) Enqueued() {
-	if m == nil {
+// Enqueued records a parsed burst of n commands going into execution: they
+// are in flight until each is Served or the lot is Dropped.
+func (m *RESPMetrics) Enqueued(n int) {
+	if m == nil || n == 0 {
 		return
 	}
-	m.inFlight.Add(1)
+	m.inFlight.Add(int64(n))
 }
 
-// Dropped records n enqueued commands discarded unserved (connection torn
-// down with a pipeline still in flight); it only rebalances the gauge.
+// Dropped records n enqueued commands whose replies never left (the write
+// failed: the client went away mid-burst); it only rebalances the gauge.
 func (m *RESPMetrics) Dropped(n int) {
 	if m == nil || n == 0 {
 		return
@@ -114,9 +115,10 @@ func (m *RESPMetrics) Dropped(n int) {
 	m.inFlight.Add(int64(-n))
 }
 
-// Served records one command's reply hitting the write buffer: the command,
-// whether it answered with an error reply, and its served latency (enqueue
-// to reply written).
+// Served records one command's reply handed to the socket: the command,
+// whether it answered with an error reply, and its served latency — from the
+// Read that completed its burst to the return of the Write that carried the
+// burst's replies, the same figure for every command of the burst.
 func (m *RESPMetrics) Served(cmd RESPCmd, isErr bool, d time.Duration) {
 	if m == nil {
 		return
@@ -129,7 +131,8 @@ func (m *RESPMetrics) Served(cmd RESPCmd, isErr bool, d time.Duration) {
 	m.lat[cmd].Record(d.Nanoseconds())
 }
 
-// Run records one coalesced batch run of n same-kind commands.
+// Run records one batch call carrying n keys: the commands of one kind in
+// one conflict-free stretch of a burst, or one MGET/MSET/multi-key DEL.
 func (m *RESPMetrics) Run(n int) {
 	if m == nil {
 		return
@@ -151,8 +154,8 @@ func (m *RESPMetrics) WriteRun(n int) {
 	m.writeRunLen.Record(int64(n))
 }
 
-// Flush records one buffered-writer flush (at most one syscall per drained
-// pipeline burst is the whole point; flushes/runs tells you if that holds).
+// Flush records one reply Write (one syscall per executed burst is the
+// whole point; flushes/runs tells you if that holds).
 func (m *RESPMetrics) Flush() {
 	if m == nil {
 		return

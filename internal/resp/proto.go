@@ -7,20 +7,24 @@
 // layer, no path cleaning, none of the /kv/ URL hazards.
 //
 // The point of the protocol is the pipelining contract: a client may write
-// any number of commands before reading replies, and the server coalesces
-// runs of consecutive same-kind commands into the store's batch entry
-// points (MultiGet/MultiPut/MultiDelete via internal/batchrun), writing
-// replies in order through one buffered writer flushed once per drained
-// burst. BENCH_5's conclusion — batching pays at the protocol boundary —
-// is this package.
+// any number of commands before reading replies. One goroutine per
+// connection reads what the socket holds into a buffer it owns, parses every
+// complete command there in place (arguments alias the buffer; nothing is
+// copied until the store copies it), runs the burst's GET/SET/DEL commands
+// through internal/batchrun — one MultiGet, one MultiPut and one MultiDelete
+// per stretch of the burst in which no key occurs under two kinds — appends
+// the replies, in request order, to one reused byte slice and hands that to
+// the socket with one Write. A connection does not read while it executes:
+// that is all the back-pressure there is. BENCH_5's conclusion — batching
+// pays at the protocol boundary — is this package.
 //
 // Wire format and reply taxonomy are documented in docs/PROTOCOL.md.
 package resp
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
-	"io"
+	"math"
 	"strconv"
 )
 
@@ -31,7 +35,7 @@ const (
 	// pairs plus the command name, mirroring the HTTP /batch op cap).
 	DefaultMaxArgs = 1 + 2*4096
 	// maxLineBytes bounds one protocol line (array/bulk headers, inline
-	// commands).
+	// commands), terminator included.
 	maxLineBytes = 16 << 10
 )
 
@@ -42,51 +46,88 @@ type ProtoError struct{ Msg string }
 
 func (e *ProtoError) Error() string { return "resp: protocol error: " + e.Msg }
 
-func protoErrf(format string, args ...any) error {
+func protoErrf(format string, args ...any) *ProtoError {
 	return &ProtoError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// readLine reads one \r\n-terminated line, rejecting bare \n and oversized
-// lines.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	if err != nil {
-		if err == bufio.ErrBufferFull {
-			return nil, protoErrf("line longer than %d bytes", maxLineBytes)
+// parseLine splits the first \r\n-terminated line off buf: line excludes the
+// terminator, n counts it. n == 0 with a nil error means buf holds no whole
+// line yet. Bare \n and lines over maxLineBytes are errors.
+func parseLine(buf []byte) (line []byte, n int, err *ProtoError) {
+	window := buf
+	if len(window) > maxLineBytes {
+		window = window[:maxLineBytes]
+	}
+	i := bytes.IndexByte(window, '\n')
+	if i < 0 {
+		if len(buf) >= maxLineBytes {
+			return nil, 0, protoErrf("line longer than %d bytes", maxLineBytes)
 		}
-		return nil, err
+		return nil, 0, nil
 	}
-	if len(line) < 2 || line[len(line)-2] != '\r' {
-		return nil, protoErrf("line not terminated by CRLF")
+	if i < 1 || buf[i-1] != '\r' {
+		return nil, 0, protoErrf("line not terminated by CRLF")
 	}
-	return line[:len(line)-2], nil
+	return buf[:i-1], i + 1, nil
 }
 
-// parseLen parses a decimal length from a header line.
-func parseLen(b []byte) (int, error) {
-	n, err := strconv.Atoi(string(b))
-	if err != nil {
+// parseLen parses a decimal length from a header line the way strconv.Atoi
+// does (optional sign, digits only, overflow rejected), without converting
+// the bytes to a string.
+func parseLen(b []byte) (int, *ProtoError) {
+	digits := b
+	neg := false
+	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
+		neg = digits[0] == '-'
+		digits = digits[1:]
+	}
+	if len(digits) == 0 {
 		return 0, protoErrf("bad length %q", b)
 	}
-	return n, nil
+	const (
+		maxInt = uint64(math.MaxInt)
+		cutoff = maxInt/10 + 1 // the smallest n for which n*10 passes maxInt+1
+	)
+	var n uint64
+	for _, c := range digits {
+		if c < '0' || c > '9' || n >= cutoff {
+			return 0, protoErrf("bad length %q", b)
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	if n > maxInt && !(neg && n == maxInt+1) {
+		return 0, protoErrf("bad length %q", b)
+	}
+	if neg {
+		return -int(n), nil
+	}
+	return int(n), nil
 }
 
-// ReadCommand reads one client command: a RESP array of bulk strings, or an
-// inline (space-separated plain text) command for telnet-style debugging.
-// It returns the argument list (command name first), nil for an empty
-// inline line (the caller skips it), io.EOF at clean end of stream, or a
-// *ProtoError for framing violations.
-func ReadCommand(br *bufio.Reader, maxArgs, maxBulk int) ([][]byte, error) {
-	line, err := readLine(br)
-	if err != nil {
-		return nil, err
+// parse decodes the first client command in buf: a RESP array of bulk
+// strings, or an inline (space-separated plain text) command for
+// telnet-style debugging. It is a pure function of buf: the arguments it
+// appends to argv (command name first) alias buf, and nothing else is kept.
+//
+//   - n > 0: buf[:n] held one command, or an empty inline line when argv
+//     comes back no longer than it went in (the caller skips it).
+//   - n == 0, err == nil: buf ends inside the command; argv comes back as it
+//     went in, and need is the least len(buf) at which another attempt can
+//     come out differently (the end of the bulk string buf stops in, else
+//     one byte more). Every attempt starts over, so a command trickling in
+//     costs one scan of its header lines per attempt; MaxArgs bounds that.
+//   - err != nil: a framing violation.
+func parse(buf []byte, argv [][]byte, maxArgs, maxBulk int) (out [][]byte, n, need int, err *ProtoError) {
+	line, pos, err := parseLine(buf)
+	if err != nil || pos == 0 {
+		return argv, 0, len(buf) + 1, err
 	}
 	if len(line) == 0 {
-		return nil, nil
+		return argv, pos, 0, nil
 	}
+	out = argv
 	if line[0] != '*' {
 		// Inline command: fields split on spaces, no quoting.
-		var args [][]byte
 		for lo := 0; lo < len(line); {
 			for lo < len(line) && line[lo] == ' ' {
 				lo++
@@ -96,100 +137,96 @@ func ReadCommand(br *bufio.Reader, maxArgs, maxBulk int) ([][]byte, error) {
 				hi++
 			}
 			if hi > lo {
-				args = append(args, append([]byte(nil), line[lo:hi]...))
+				out = append(out, line[lo:hi:hi])
 			}
 			lo = hi
 		}
-		if len(args) > maxArgs {
-			return nil, protoErrf("too many arguments (%d > %d)", len(args), maxArgs)
+		if got := len(out) - len(argv); got > maxArgs {
+			return argv, 0, 0, protoErrf("too many arguments (%d > %d)", got, maxArgs)
 		}
-		return args, nil
+		return out, pos, 0, nil
 	}
-	n, err := parseLen(line[1:])
+	count, err := parseLen(line[1:])
 	if err != nil {
-		return nil, err
+		return argv, 0, 0, err
 	}
-	if n < 1 {
-		return nil, protoErrf("bad array length %d", n)
+	if count < 1 {
+		return argv, 0, 0, protoErrf("bad array length %d", count)
 	}
-	if n > maxArgs {
-		return nil, protoErrf("too many arguments (%d > %d)", n, maxArgs)
+	if count > maxArgs {
+		return argv, 0, 0, protoErrf("too many arguments (%d > %d)", count, maxArgs)
 	}
-	args := make([][]byte, n)
-	for i := range args {
-		hdr, err := readLine(br)
+	for i := 0; i < count; i++ {
+		hdr, hn, err := parseLine(buf[pos:])
 		if err != nil {
-			if err == io.EOF {
-				return nil, io.ErrUnexpectedEOF
-			}
-			return nil, err
+			return argv, 0, 0, err
+		}
+		if hn == 0 {
+			return argv, 0, len(buf) + 1, nil
 		}
 		if len(hdr) == 0 || hdr[0] != '$' {
-			return nil, protoErrf("expected bulk string, got %q", hdr)
+			return argv, 0, 0, protoErrf("expected bulk string, got %q", hdr)
 		}
 		ln, err := parseLen(hdr[1:])
 		if err != nil {
-			return nil, err
+			return argv, 0, 0, err
 		}
 		if ln < 0 || ln > maxBulk {
-			return nil, protoErrf("bad bulk length %d (max %d)", ln, maxBulk)
+			return argv, 0, 0, protoErrf("bad bulk length %d (max %d)", ln, maxBulk)
 		}
-		buf := make([]byte, ln+2)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			if err == io.EOF {
-				return nil, io.ErrUnexpectedEOF
-			}
-			return nil, err
+		pos += hn
+		end := pos + ln
+		if len(buf) < end+2 {
+			return argv, 0, end + 2, nil
 		}
-		if buf[ln] != '\r' || buf[ln+1] != '\n' {
-			return nil, protoErrf("bulk string not terminated by CRLF")
+		if buf[end] != '\r' || buf[end+1] != '\n' {
+			return argv, 0, 0, protoErrf("bulk string not terminated by CRLF")
 		}
-		args[i] = buf[:ln]
+		out = append(out, buf[pos:end:end])
+		pos = end + 2
 	}
-	return args, nil
+	return out, pos, 0, nil
 }
 
-// Reply writers. All write into a buffered writer; the executor flushes
-// once per drained pipeline burst.
+// Reply encoders. All append to the connection's reply buffer, which goes to
+// the socket once per burst.
 
-// WriteSimple writes a +simple string reply.
-func WriteSimple(bw *bufio.Writer, s string) {
-	bw.WriteByte('+')
-	bw.WriteString(s)
-	bw.WriteString("\r\n")
+// appendSimple appends a +simple string reply.
+func appendSimple(b []byte, s string) []byte {
+	b = append(b, '+')
+	b = append(b, s...)
+	return append(b, '\r', '\n')
 }
 
-// WriteError writes an -error reply. msg must not contain CR or LF.
-func WriteError(bw *bufio.Writer, msg string) {
-	bw.WriteByte('-')
-	bw.WriteString(msg)
-	bw.WriteString("\r\n")
+// appendError appends an -error reply. msg must not contain CR or LF.
+func appendError(b []byte, msg string) []byte {
+	b = append(b, '-')
+	b = append(b, msg...)
+	return append(b, '\r', '\n')
 }
 
-// WriteInt writes a :integer reply.
-func WriteInt(bw *bufio.Writer, n int64) {
-	bw.WriteByte(':')
-	bw.WriteString(strconv.FormatInt(n, 10))
-	bw.WriteString("\r\n")
+// appendInt appends a :integer reply.
+func appendInt(b []byte, n int64) []byte {
+	b = append(b, ':')
+	b = strconv.AppendInt(b, n, 10)
+	return append(b, '\r', '\n')
 }
 
-// WriteBulk writes a $bulk string reply carrying b verbatim (binary-safe).
-func WriteBulk(bw *bufio.Writer, b []byte) {
-	bw.WriteByte('$')
-	bw.WriteString(strconv.Itoa(len(b)))
-	bw.WriteString("\r\n")
-	bw.Write(b)
-	bw.WriteString("\r\n")
+// appendBulk appends a $bulk string reply carrying v verbatim (binary-safe).
+func appendBulk(b, v []byte) []byte {
+	b = append(b, '$')
+	b = strconv.AppendInt(b, int64(len(v)), 10)
+	b = append(b, '\r', '\n')
+	b = append(b, v...)
+	return append(b, '\r', '\n')
 }
 
-// WriteNil writes the RESP2 null bulk reply ($-1), the "not found" answer.
-func WriteNil(bw *bufio.Writer) {
-	bw.WriteString("$-1\r\n")
-}
+// appendNil appends the RESP2 null bulk reply ($-1), the "not found" answer.
+func appendNil(b []byte) []byte { return append(b, "$-1\r\n"...) }
 
-// WriteArrayLen writes a *array header; the caller writes the elements.
-func WriteArrayLen(bw *bufio.Writer, n int) {
-	bw.WriteByte('*')
-	bw.WriteString(strconv.Itoa(n))
-	bw.WriteString("\r\n")
+// appendArrayLen appends a *array header; the caller appends the elements.
+func appendArrayLen(b []byte, n int) []byte {
+	b = append(b, '*')
+	b = strconv.AppendInt(b, int64(n), 10)
+	return append(b, '\r', '\n')
 }

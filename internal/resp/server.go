@@ -1,7 +1,6 @@
 package resp
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -27,7 +26,7 @@ import (
 type BackendSession interface {
 	batchrun.Executor
 	// SyncObs publishes session-local device counters to the shared
-	// recorder; the executor calls it once per drained burst.
+	// recorder; the connection calls it once per burst.
 	SyncObs()
 	// Close releases the session (epoch slots, tracer handles).
 	Close() error
@@ -47,11 +46,11 @@ func (b StoreBackend) NewSession() BackendSession { return b.St.NewSession() }
 
 // Options tunes a Server. The zero value is usable.
 type Options struct {
-	// PipelineDepth bounds the per-connection in-flight command queue: how
-	// many parsed-but-unanswered commands the reader goroutine may buffer
-	// ahead of the executor. Deeper queues give the executor longer
-	// same-kind runs to coalesce at the cost of per-connection memory.
-	// Default 128.
+	// PipelineDepth is the most commands one burst executes before its
+	// replies are written: however much a client pipelines, the connection
+	// parses this many, runs them, answers, and only then goes on. Deeper
+	// bursts give batchrun longer stretches to coalesce at the cost of
+	// reply latency and per-connection memory. Default 128.
 	PipelineDepth int
 	// MaxValueBytes caps one bulk string (values and, transitively, keys).
 	// Default 64 KiB, matching the HTTP layer's cap.
@@ -247,23 +246,70 @@ func (s *Server) Close() error {
 	return err
 }
 
-// command is one parsed client command in flight between the reader
-// goroutine and the executor.
+// Buffer sizes a connection starts with and returns to when idle. The read
+// buffer holds one protocol line at least; a command that needs more grows
+// it, and it shrinks back once everything in it has been consumed.
+const (
+	readBufBytes  = maxLineBytes
+	replyBufBytes = 16 << 10
+)
+
+// command is one parsed client command of the burst being executed.
 type command struct {
 	kind obs.RESPCmd
-	args [][]byte
-	t    time.Time
-	// errMsg, when non-empty, is a command-level error discovered at parse
-	// time (bad arity, oversized key); the executor replies and moves on.
+	// lo and hi bound the command's arguments in conn.argv, name first.
+	lo, hi int
+	// errMsg, when non-empty, is a command-level error found while
+	// classifying (bad arity, oversized key); the command is answered with
+	// it and never reaches the store.
 	errMsg string
-	// proto marks a framing violation: the executor replies errMsg and
-	// closes the connection.
-	proto bool
+	// failed records that the reply was an error reply, for the metrics.
+	failed bool
 }
 
-// serveConn runs one connection: a reader goroutine parses commands into a
-// bounded queue while this goroutine drains it, coalescing runs through
-// batchrun and flushing replies once per drained burst.
+// conn is one connection's state. Its one goroutine reads, parses, executes
+// and writes, in that order, so nothing here is shared.
+type conn struct {
+	s    *Server
+	nc   net.Conn
+	sess BackendSession
+	tr   flight.Tracer
+	run  batchrun.Runner
+
+	// in[r:w] is received and not yet parsed; need is the least w-r at which
+	// another parse can get further.
+	in         []byte
+	r, w, need int
+	// out collects the burst's replies for one Write.
+	out []byte
+
+	// argv holds every argument of the burst, aliasing in; cmds index it.
+	argv [][]byte
+	cmds []command
+	// ops are the GET/SET/single-key DEL commands waiting for the next
+	// command that cannot join them (or the burst's end); results line up
+	// with ops.
+	ops     []batchrun.Op
+	results []batchrun.Result
+	// keys and vals are MSET's scratch.
+	keys, vals [][]byte
+	// spanBegin is the open batchrun run's flight-span token.
+	spanBegin int64
+}
+
+func newConn(s *Server, nc net.Conn, sess BackendSession, tr flight.Tracer) *conn {
+	return &conn{
+		s: s, nc: nc, sess: sess, tr: tr,
+		in: make([]byte, readBufBytes), need: 1,
+		out: make([]byte, 0, replyBufBytes),
+	}
+}
+
+// serveConn runs one connection on the calling goroutine: read what the
+// socket holds, parse every whole command in place, execute up to
+// PipelineDepth of them, write their replies with one Write, repeat. Every
+// parsed command is counted in flight until it is served or, when the write
+// fails, dropped.
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -283,93 +329,129 @@ func (s *Server) serveConn(nc net.Conn) {
 	tr := s.getTracer()
 	defer s.putTracer(tr)
 
-	queue := make(chan command, s.opts.PipelineDepth)
-	readerDone := make(chan struct{})
-	go s.readLoop(nc, queue, readerDone)
-	// The reader owns nc reads and exits on any read error; closing nc
-	// unblocks its Read, and draining the queue unblocks a send stuck on a
-	// full pipeline so the reader can observe the closed conn.
-	defer func() {
-		nc.Close()
-		dropped := 0
-		for c := range queue {
-			if !c.proto {
-				dropped++
-			}
-		}
-		m.Dropped(dropped)
-		<-readerDone
-	}()
-
-	bw := bufio.NewWriterSize(nc, 16<<10)
-	ex := &connExec{s: s, sess: sess, bw: bw, tr: tr}
-	burst := make([]command, 0, s.opts.PipelineDepth)
+	c := newConn(s, nc, sess, tr)
+	// arrived is when the Read that completed the burst returned: its
+	// commands arrive together and leave together, so one pair of clock
+	// reads times them all. The clock is read only for the metrics.
+	var arrived time.Time
 	for {
-		c, ok := <-queue
-		if !ok {
-			return
-		}
-		burst = append(burst[:0], c)
-		// Drain whatever else the client pipelined without blocking: the
-		// burst is the coalescing window.
-	drain:
-		for len(burst) < s.opts.PipelineDepth {
-			select {
-			case c, ok := <-queue:
-				if !ok {
-					break drain
-				}
-				burst = append(burst, c)
-			default:
-				break drain
+		perr := c.parseBurst()
+		if len(c.cmds) == 0 && perr == nil {
+			if err := c.fill(); err != nil {
+				return
 			}
+			if m != nil {
+				arrived = time.Now()
+			}
+			continue
 		}
-		quit := ex.run(burst)
+		m.Enqueued(len(c.cmds))
+		c.execute()
+		if perr != nil {
+			m.ProtoError()
+			c.out = appendError(c.out, "ERR Protocol error: "+perr.Msg)
+		}
 		m.Flush()
 		sess.SyncObs()
-		if err := bw.Flush(); err != nil || quit {
+		_, err := nc.Write(c.out)
+		if c.out = c.out[:0]; cap(c.out) > replyBufBytes {
+			c.out = make([]byte, 0, replyBufBytes)
+		}
+		if err != nil {
+			m.Dropped(len(c.cmds))
 			return
 		}
-		if s.draining.Load() {
+		if m != nil {
+			d := time.Since(arrived)
+			for i := range c.cmds {
+				m.Served(c.cmds[i].kind, c.cmds[i].failed, d)
+			}
+		}
+		quit := len(c.cmds) > 0 && c.cmds[len(c.cmds)-1].kind == obs.RESPQuit
+		if quit || perr != nil || s.draining.Load() {
 			return
 		}
 	}
 }
 
-// readLoop parses commands off the wire into the queue until the
-// connection errors or closes. Framing violations enqueue one proto
-// sentinel and stop reading.
-func (s *Server) readLoop(nc net.Conn, queue chan<- command, done chan<- struct{}) {
-	defer close(done)
-	defer close(queue)
-	m := s.opts.Metrics
-	br := bufio.NewReaderSize(nc, maxLineBytes)
-	for {
-		args, err := ReadCommand(br, s.opts.MaxArgs, s.opts.MaxValueBytes)
-		if err != nil {
-			var pe *ProtoError
-			if errors.As(err, &pe) {
-				m.ProtoError()
-				queue <- command{proto: true, errMsg: "ERR Protocol error: " + pe.Msg}
-			}
-			return
+// parseBurst parses commands off in[r:w] into cmds until the buffer runs out
+// of whole commands, PipelineDepth is reached, or a command ends the
+// connection: QUIT is the burst's last command, a framing violation is
+// returned. Nothing behind either is parsed, so nothing behind either is
+// ever in flight.
+func (c *conn) parseBurst() *ProtoError {
+	c.cmds, c.argv = c.cmds[:0], c.argv[:0]
+	o := &c.s.opts
+	for len(c.cmds) < o.PipelineDepth && c.w-c.r >= c.need {
+		lo := len(c.argv)
+		argv, n, need, perr := parse(c.in[c.r:c.w], c.argv, o.MaxArgs, o.MaxValueBytes)
+		if perr != nil {
+			return perr
 		}
-		if args == nil { // empty inline line
+		if n == 0 {
+			c.need = need
+			break
+		}
+		c.argv, c.need = argv, 1
+		c.r += n
+		if len(argv) == lo { // empty inline line
 			continue
 		}
-		c := s.classify(args)
-		m.Enqueued()
-		queue <- c
+		cm := c.s.classify(argv[lo:])
+		cm.lo, cm.hi = lo, len(argv)
+		c.cmds = append(c.cmds, cm)
+		if cm.kind == obs.RESPQuit {
+			break
+		}
 	}
+	return nil
+}
+
+// fill reads once from the socket behind the unparsed bytes, first making
+// room for need of them. It runs only between bursts, when no argument
+// aliases the buffer.
+func (c *conn) fill() error {
+	switch {
+	case c.r == c.w:
+		c.r, c.w = 0, 0
+		if len(c.in) > readBufBytes {
+			c.in = make([]byte, readBufBytes)
+		}
+	case c.r+c.need > len(c.in):
+		unparsed := c.in[c.r:c.w]
+		if c.need > len(c.in) {
+			c.in = make([]byte, max(c.need, 2*len(c.in)))
+		}
+		c.w = copy(c.in, unparsed)
+		c.r = 0
+	}
+	n, err := c.nc.Read(c.in[c.w:])
+	c.w += n
+	return err
+}
+
+// upperName folds a command name to upper case into buf, ASCII only.
+// Names longer than any command come back empty.
+func upperName(buf *[8]byte, name []byte) []byte {
+	if len(name) > len(buf) {
+		return nil
+	}
+	for i, ch := range name {
+		if 'a' <= ch && ch <= 'z' {
+			ch -= 'a' - 'A'
+		}
+		buf[i] = ch
+	}
+	return buf[:len(name)]
 }
 
 // classify validates one parsed command and tags it with its kind. Arity
 // and size violations become command-level error replies; the stream stays
 // in sync, so the connection lives on.
 func (s *Server) classify(args [][]byte) command {
-	c := command{args: args, t: time.Now(), kind: obs.RESPOther}
-	name := strings.ToUpper(string(args[0]))
-	switch name {
+	c := command{kind: obs.RESPOther}
+	var buf [8]byte
+	switch string(upperName(&buf, args[0])) {
 	case "GET":
 		c.kind = obs.RESPGet
 		if len(args) != 2 {
@@ -452,165 +534,125 @@ func (s *Server) checkKey(k []byte) string {
 	return ""
 }
 
-// connExec executes drained bursts for one connection, coalescing
-// consecutive single-key commands into batchrun runs.
-type connExec struct {
-	s    *Server
-	sess BackendSession
-	bw   *bufio.Writer
-	tr   flight.Tracer
-
-	// pending accumulates coalescible ops across the burst until a
-	// non-coalescible command (MGET, MSET, multi-key DEL, PING, errors)
-	// forces a flush; pendCmds lines replies back up with their commands.
-	pending  []batchrun.Op
-	pendCmds []command
-	results  []batchrun.Result
-}
-
-// run executes one drained burst in order and reports whether the
-// connection should close (QUIT or protocol error).
-func (e *connExec) run(burst []command) (quit bool) {
-	for _, c := range burst {
+// execute runs the parsed burst in order and appends every reply to out.
+// GET, SET and single-key DEL commands collect in ops and go through
+// batchrun together; any other command first flushes them.
+func (c *conn) execute() {
+	for i := range c.cmds {
+		cm := &c.cmds[i]
+		args := c.argv[cm.lo:cm.hi]
 		switch {
-		case c.proto:
-			e.flushPending()
-			WriteError(e.bw, c.errMsg)
-			return true
-		case c.errMsg != "":
-			e.flushPending()
-			WriteError(e.bw, c.errMsg)
-			e.s.opts.Metrics.Served(c.kind, true, time.Since(c.t))
-		case c.kind == obs.RESPGet:
-			e.push(c, batchrun.Op{Kind: batchrun.Get, Key: c.args[1]})
-		case c.kind == obs.RESPSet:
-			e.push(c, batchrun.Op{Kind: batchrun.Put, Key: c.args[1], Value: c.args[2]})
-		case c.kind == obs.RESPDel && len(c.args) == 2:
-			e.push(c, batchrun.Op{Kind: batchrun.Delete, Key: c.args[1]})
+		case cm.errMsg != "":
+			c.flushPending(i)
+			c.out = appendError(c.out, cm.errMsg)
+			cm.failed = true
+		case cm.kind == obs.RESPGet:
+			c.ops = append(c.ops, batchrun.Op{Kind: batchrun.Get, Key: args[1]})
+		case cm.kind == obs.RESPSet:
+			c.ops = append(c.ops, batchrun.Op{Kind: batchrun.Put, Key: args[1], Value: args[2]})
+		case cm.kind == obs.RESPDel && len(args) == 2:
+			c.ops = append(c.ops, batchrun.Op{Kind: batchrun.Delete, Key: args[1]})
 		default:
-			e.flushPending()
-			if e.direct(c) {
-				return true
-			}
+			c.flushPending(i)
+			c.direct(cm, args)
 		}
 	}
-	e.flushPending()
-	return false
+	c.flushPending(len(c.cmds))
 }
 
-func (e *connExec) push(c command, op batchrun.Op) {
-	e.pending = append(e.pending, op)
-	e.pendCmds = append(e.pendCmds, c)
-}
-
-// flushPending drains the accumulated coalescible ops through batchrun and
-// writes each command's reply in order.
-func (e *connExec) flushPending() {
-	if len(e.pending) == 0 {
+// flushPending drains the collected ops — the commands just before
+// cmds[next] — through batchrun and appends each command's reply in order.
+func (c *conn) flushPending(next int) {
+	if len(c.ops) == 0 {
 		return
 	}
-	if cap(e.results) < len(e.pending) {
-		e.results = make([]batchrun.Result, len(e.pending))
+	if cap(c.results) < len(c.ops) {
+		c.results = make([]batchrun.Result, len(c.ops))
 	}
-	results := e.results[:len(e.pending)]
-	m := e.s.opts.Metrics
+	c.results = c.results[:len(c.ops)]
+	c.run.Execute(c.sess, c.ops, c.results, c)
 
-	// Flight spans cover each run; the visitor fires before a run executes,
-	// so the previous run's span closes when the next opens (or when
-	// Execute returns).
-	cursor := 0
-	var openOp obs.Op
-	var openBegin int64
-	openLo, openN := 0, 0
-	closeSpan := func() {
-		if openN == 0 {
-			return
-		}
-		out := obs.OutOK
-		for i := openLo; i < openLo+openN; i++ {
-			if err := results[i].Err; err != nil && !errors.Is(err, scheme.ErrNotFound) {
-				out = outcomeFor(err)
-				break
-			}
-		}
-		e.tr.OpEnd(openOp, out, openBegin)
-		openN = 0
-	}
-	visit := func(kind batchrun.Kind, n int) {
-		closeSpan()
-		m.Run(n)
-		if kind != batchrun.Get {
-			m.WriteRun(n) // write batch shape: what group commit turns into one barrier run
-		}
-		openOp = opFor(kind)
-		openLo, openN = cursor, n
-		cursor += n
-		openBegin = e.tr.OpBegin(openOp)
-	}
-	batchrun.Execute(e.sess, e.pending, results, visit)
-	closeSpan()
-
-	for i, c := range e.pendCmds {
-		res := results[i]
-		isErr := false
-		switch c.kind {
+	pending := c.cmds[next-len(c.ops) : next]
+	for i := range pending {
+		cm, res := &pending[i], &c.results[i]
+		switch cm.kind {
 		case obs.RESPGet:
 			switch {
 			case res.Err != nil && !errors.Is(res.Err, scheme.ErrNotFound):
-				WriteError(e.bw, errReply(res.Err))
-				isErr = true
+				c.out = appendError(c.out, errReply(res.Err))
+				cm.failed = true
 			case !res.Found:
-				WriteNil(e.bw)
+				c.out = appendNil(c.out)
 			default:
-				WriteBulk(e.bw, res.Value)
+				c.out = appendBulk(c.out, res.Value)
 			}
 		case obs.RESPSet:
 			if res.Err != nil {
-				WriteError(e.bw, errReply(res.Err))
-				isErr = true
+				c.out = appendError(c.out, errReply(res.Err))
+				cm.failed = true
 			} else {
-				WriteSimple(e.bw, "OK")
+				c.out = appendSimple(c.out, "OK")
 			}
 		case obs.RESPDel:
 			switch {
 			case res.Err == nil:
-				WriteInt(e.bw, 1)
+				c.out = appendInt(c.out, 1)
 			case errors.Is(res.Err, scheme.ErrNotFound):
-				WriteInt(e.bw, 0)
+				c.out = appendInt(c.out, 0)
 			default:
-				WriteError(e.bw, errReply(res.Err))
-				isErr = true
+				c.out = appendError(c.out, errReply(res.Err))
+				cm.failed = true
 			}
 		}
-		m.Served(c.kind, isErr, time.Since(c.t))
 	}
-	e.pending = e.pending[:0]
-	e.pendCmds = e.pendCmds[:0]
+	c.ops = c.ops[:0]
+	clear(c.results) // an idle connection must not pin the values it last served
+}
+
+// RunBegin implements batchrun.RunVisitor: run-length metrics, and a flight
+// span around the batch call.
+func (c *conn) RunBegin(kind batchrun.Kind, n int) {
+	m := c.s.opts.Metrics
+	m.Run(n)
+	if kind != batchrun.Get {
+		m.WriteRun(n) // write batch shape: what group commit turns into one barrier run
+	}
+	c.spanBegin = c.tr.OpBegin(opFor(kind))
+}
+
+// RunEnd implements batchrun.RunVisitor: the span closes with the first
+// verdict in the run that is neither success nor a miss.
+func (c *conn) RunEnd(kind batchrun.Kind, pos []int) {
+	out := obs.OutOK
+	for _, p := range pos {
+		if err := c.results[p].Err; err != nil && !errors.Is(err, scheme.ErrNotFound) {
+			out = outcomeFor(err)
+			break
+		}
+	}
+	c.tr.OpEnd(opFor(kind), out, c.spanBegin)
 }
 
 // direct executes the commands that bypass coalescing (already-batched or
-// trivial ones) and reports whether the connection should close.
-func (e *connExec) direct(c command) (quit bool) {
-	m := e.s.opts.Metrics
-	isErr := false
-	switch c.kind {
+// trivial ones).
+func (c *conn) direct(cm *command, args [][]byte) {
+	m := c.s.opts.Metrics
+	switch cm.kind {
 	case obs.RESPPing:
-		if len(c.args) == 2 {
-			WriteBulk(e.bw, c.args[1])
+		if len(args) == 2 {
+			c.out = appendBulk(c.out, args[1])
 		} else {
-			WriteSimple(e.bw, "PONG")
+			c.out = appendSimple(c.out, "PONG")
 		}
 	case obs.RESPQuit:
-		WriteSimple(e.bw, "OK")
-		m.Served(c.kind, false, time.Since(c.t))
-		return true
+		c.out = appendSimple(c.out, "OK")
 	case obs.RESPDel:
 		// Multi-key DEL (the single-key form coalesces via flushPending).
-		keys := c.args[1:]
+		keys := args[1:]
 		m.Run(len(keys))
 		m.WriteRun(len(keys))
-		begin := e.tr.OpBegin(obs.OpDelete)
-		errs := e.sess.MultiDelete(keys)
+		begin := c.tr.OpBegin(obs.OpDelete)
+		errs := c.sess.MultiDelete(keys)
 		out := obs.OutOK
 		deleted := int64(0)
 		var firstErr error
@@ -624,47 +666,45 @@ func (e *connExec) direct(c command) (quit bool) {
 				out = outcomeFor(err)
 			}
 		}
-		e.tr.OpEnd(obs.OpDelete, out, begin)
+		c.tr.OpEnd(obs.OpDelete, out, begin)
 		if firstErr != nil {
-			WriteError(e.bw, errReply(firstErr))
-			isErr = true
+			c.out = appendError(c.out, errReply(firstErr))
+			cm.failed = true
 		} else {
-			WriteInt(e.bw, deleted)
+			c.out = appendInt(c.out, deleted)
 		}
 	case obs.RESPMGet:
-		keys := c.args[1:]
+		keys := args[1:]
 		m.Run(len(keys))
-		begin := e.tr.OpBegin(obs.OpGet)
-		vals, found, errs := e.sess.MultiGet(keys)
+		begin := c.tr.OpBegin(obs.OpGet)
+		vals, found, errs := c.sess.MultiGet(keys)
 		out := obs.OutOK
-		WriteArrayLen(e.bw, len(keys))
+		c.out = appendArrayLen(c.out, len(keys))
 		for i := range keys {
 			switch {
 			case errs[i] != nil && !errors.Is(errs[i], scheme.ErrNotFound):
-				WriteError(e.bw, errReply(errs[i]))
-				isErr = true
+				c.out = appendError(c.out, errReply(errs[i]))
+				cm.failed = true
 				if out == obs.OutOK {
 					out = outcomeFor(errs[i])
 				}
 			case !found[i]:
-				WriteNil(e.bw)
+				c.out = appendNil(c.out)
 			default:
-				WriteBulk(e.bw, vals[i])
+				c.out = appendBulk(c.out, vals[i])
 			}
 		}
-		e.tr.OpEnd(obs.OpGet, out, begin)
+		c.tr.OpEnd(obs.OpGet, out, begin)
 	case obs.RESPMSet:
-		n := (len(c.args) - 1) / 2
-		keys := make([][]byte, n)
-		vals := make([][]byte, n)
-		for i := 0; i < n; i++ {
-			keys[i] = c.args[1+2*i]
-			vals[i] = c.args[2+2*i]
+		keys, vals := c.keys[:0], c.vals[:0]
+		for i := 1; i < len(args); i += 2 {
+			keys, vals = append(keys, args[i]), append(vals, args[i+1])
 		}
-		m.Run(n)
-		m.WriteRun(n)
-		begin := e.tr.OpBegin(obs.OpUpdate)
-		errs := e.sess.MultiPut(keys, vals)
+		c.keys, c.vals = keys, vals
+		m.Run(len(keys))
+		m.WriteRun(len(keys))
+		begin := c.tr.OpBegin(obs.OpUpdate)
+		errs := c.sess.MultiPut(keys, vals)
 		out := obs.OutOK
 		var firstErr error
 		for _, err := range errs {
@@ -674,36 +714,34 @@ func (e *connExec) direct(c command) (quit bool) {
 				break
 			}
 		}
-		e.tr.OpEnd(obs.OpUpdate, out, begin)
+		c.tr.OpEnd(obs.OpUpdate, out, begin)
 		// MSET is atomic in reply shape only: earlier pairs may have landed
 		// when a later pair fails, and the error reply says which error hit
 		// first.
 		if firstErr != nil {
-			WriteError(e.bw, errReply(firstErr))
-			isErr = true
+			c.out = appendError(c.out, errReply(firstErr))
+			cm.failed = true
 		} else {
-			WriteSimple(e.bw, "OK")
+			c.out = appendSimple(c.out, "OK")
 		}
 	case obs.RESPInfo:
 		section := ""
-		if len(c.args) == 2 {
-			section = string(c.args[1])
+		if len(args) == 2 {
+			section = string(args[1])
 		}
-		info := e.s.opts.Info
+		info := c.s.opts.Info
 		if info == nil {
 			info = builtinInfo
 		}
 		if text, ok := info(section); ok {
-			WriteBulk(e.bw, []byte(text))
+			c.out = appendBulk(c.out, []byte(text))
 		} else {
-			WriteError(e.bw, fmt.Sprintf("ERR unknown INFO section '%.32s'", section))
-			isErr = true
+			c.out = appendError(c.out, fmt.Sprintf("ERR unknown INFO section '%.32s'", section))
+			cm.failed = true
 		}
 	case obs.RESPOther: // COMMAND
-		WriteArrayLen(e.bw, 0)
+		c.out = appendArrayLen(c.out, 0)
 	}
-	m.Served(c.kind, isErr, time.Since(c.t))
-	return false
 }
 
 // builtinInfo is the Options.Info fallback: enough of a Server section to

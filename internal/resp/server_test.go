@@ -101,14 +101,13 @@ func bulk(parts ...string) string {
 	return b.String()
 }
 
-func TestConformance(t *testing.T) {
-	st := newTestStore(t, 1)
-	m := obs.NewRESPMetrics()
-	_, addr := startServer(t, StoreBackend{St: st}, Options{Metrics: m})
-
+// conformanceCases is the protocol surface as conversations. Each leaves the
+// store as it found it or re-creates what it needs, so the list can be
+// replayed against one store any number of times.
+func conformanceCases() []conversation {
 	binKey := "a\r\nb\x00!"
 	binVal := "v\x00\r\n$-1\r\nv"
-	cases := []conversation{
+	return []conversation{
 		{name: "inline ping", send: "PING\r\n", want: "+PONG\r\n"},
 		{name: "bulk ping echo", send: bulk("PING", "hello"), want: "$5\r\nhello\r\n"},
 		{name: "empty inline skipped", send: "\r\nPING\r\n", want: "+PONG\r\n"},
@@ -188,6 +187,14 @@ func TestConformance(t *testing.T) {
 			close: true,
 		},
 	}
+}
+
+func TestConformance(t *testing.T) {
+	st := newTestStore(t, 1)
+	m := obs.NewRESPMetrics()
+	_, addr := startServer(t, StoreBackend{St: st}, Options{Metrics: m})
+
+	cases := conformanceCases()
 	for _, cv := range cases {
 		t.Run(cv.name, func(t *testing.T) { runConversation(t, addr, cv) })
 	}

@@ -407,10 +407,11 @@ type batchResult struct {
 }
 
 // batch runs a JSON list of operations through the store's batch entry
-// points via batchrun: runs of consecutive same-kind ops become one
-// MultiGet/MultiPut/MultiDelete call, so a read-heavy batch gets the
-// up-front hashing and epoch-chunked table walks the batch path exists
-// for. The request is validated whole before any op executes — a malformed
+// points via batchrun: each stretch of ops in which no key occurs under two
+// kinds becomes one MultiGet, one MultiPut and one MultiDelete call, so a
+// mixed batch gets the up-front hashing, epoch-chunked table walks and group
+// commits the batch path exists for, and every op still answers what it
+// would have answered run one at a time. The request is validated whole before any op executes — a malformed
 // op late in the list must not leave earlier ops half-applied.
 func (s *Server) batch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

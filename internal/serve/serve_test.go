@@ -284,7 +284,7 @@ func TestRESPMetricsRideTheExposition(t *testing.T) {
 	m := obs.NewRESPMetrics()
 	srv.respMetrics = m
 	m.ConnOpened()
-	m.Enqueued()
+	m.Enqueued(1)
 	m.Served(obs.RESPGet, false, 1234)
 	m.Run(1)
 	m.Flush()
