@@ -17,13 +17,6 @@ func assertHealthy(t *testing.T, tbl *Table, context string) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestInvariantsAfterMixedOps(t *testing.T) {
 	tbl := newTable(t, nil)
 	s := tbl.NewSession()

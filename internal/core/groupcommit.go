@@ -10,38 +10,44 @@ import (
 	"hdnh/internal/scheme"
 )
 
-// The write protocol. Every foreground NVT write — Insert, Update, Delete,
-// Put, and each key of MultiPut/MultiDelete — commits through the one staged
-// group protocol below; a single-key write is a group of one. (Record movers
-// — the drain, displacement, recovery — keep writeSlotCommit/clearSlotCommit
-// in ops.go; they relocate committed records, they do not accept writes.)
+// The write protocol. Every NVT slot write — Insert, Update, Delete, Put,
+// each key of MultiPut/MultiDelete, and every record a drain or a
+// displacement relocates — commits through the one staged group protocol
+// below; a single-key write (and a displacement) is a group of one.
 //
 //	phase A (stage, per key)
-//	        one findAndLock probe decides the write (insert, out-of-place
-//	        update, delete, or a verdict that writes nothing); lock the
-//	        slots, store key+value words, stage their lines
+//	        a write: one findAndLock probe decides it (insert, out-of-place
+//	        update, delete, or a verdict that writes nothing); a move: the
+//	        mover locks the record's slot and a free destination. Store
+//	        key+value words into the new slot, stage their lines
 //	phase B  barrier — every staged key/value word durable
-//	phase C  store every commit word (valid bit for inserts/updates,
+//	phase C  store every commit word (valid bit for inserts/updates/moves,
 //	         cleared bit for deletes), stage, barrier; then mirror the
 //	         updates and deletes into the hot table (syncwrite.go)
-//	phase D  publish the new slots in the OCF, stage the update old-slot
-//	         clears, barrier, then retire old slots and close the ops
+//	phase D  store the old-slot clears of updates and moves, stage them (a
+//	         line that neighbouring moves share, once), barrier; then, key
+//	         by key, publish the new slot in the OCF, bump the movement
+//	         counter of an update or move, release the old slot and close
+//	         the op
 //
 // A barrier is FlushBarrier+Fence, and a phase that staged nothing skips
 // both: with no write-back issued since the previous fence there is nothing
-// to order. A lone insert therefore pays two barriers, a lone update three,
-// a lone delete one — the paper's per-key protocol exactly — while a group
-// of n pays the same two, three or one for all n keys together.
+// to order. A lone insert therefore pays two barriers, a lone update or move
+// three, a lone delete one — the paper's per-key protocol exactly — while a
+// group of n pays the same two, three or one for all n keys together. A move
+// whose record is already committed in the new structure (a resumed drain)
+// stages nothing and only clears its source: one barrier.
 //
 // Crash ordering (the only such argument in this package; INTERNALS §2 has
 // the long form): a commit word is stored only after its key/value words are
-// fence-durable (B precedes C), a record becomes visible only after its
-// commit word is durable (C's barrier precedes D's publishes), an update's
-// old slot is cleared only after the new copy is durable (C precedes D) and
-// retired from the OCF only after the clear is durable (D's barrier precedes
-// the releases), and a delete's absence is visible only after its clear is
-// durable. A crash between C and D's barrier leaves an update's both copies
-// durable, and recovery keeps the newer stamp.
+// fence-durable (B precedes C), an update's or move's old slot is cleared
+// only after the new copy is durable (C precedes D), a record becomes
+// visible only after its commit word and — if it replaces one — the old
+// copy's clear are durable (D's barrier precedes the publishes), the old
+// slot leaves the OCF only after that too, and a delete's absence is visible
+// only after its clear is durable. A crash between C and D's barrier leaves
+// both copies durable, and recovery keeps the newer stamp — or, for a move,
+// whose copies are identical, finds the new one and only clears the source.
 //
 // Locking: every staged slot (the old record's and the new one's) stays
 // locked from phase A until phase D, so the exchange guarantee holds — the
@@ -56,7 +62,8 @@ import (
 // announced, see stage), so the duplicate's probe reports contention, the
 // first write commits, and the second sees it. The pending group never
 // crosses an exitCritical: level pointers referenced by staged slots stay
-// pinned.
+// pinned. A drain worker's group is the exception that may wait while it
+// holds staged locks; INTERNALS §6 argues why that cannot deadlock.
 
 // writeVerb is what a write asks of the one probe every verb starts with.
 type writeVerb uint8
@@ -93,16 +100,22 @@ func (s *Session) beginWrite(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Va
 		op: op, start: s.rec.Start(), ft: s.fl.OpBegin(op)}
 }
 
+// opMove is the pendingCommit kind of a relocated record (drain,
+// displacement): an update's phases under the record's own value, with no
+// hot mirror (the value does not change), no count change and no op to close.
+// It never reaches a Recorder.
+const opMove = obs.NumOps
+
 // pendingCommit is one staged write: the slots it holds locked, the commit
 // word to store in phase C, and the op bookkeeping to close in phase D.
 type pendingCommit struct {
-	op     obs.Op // OpInsert, OpUpdate or OpDelete: what the probe made of the verb
+	op     obs.Op // OpInsert, OpUpdate or OpDelete — what the probe made of the verb — or opMove
 	k      kv.Key
 	v      kv.Value // new value; zero for deletes
-	newRef slotRef  // staged slot (inserts/updates)
+	newRef slotRef  // staged slot (inserts/updates/moves; lvl nil for a move that only clears)
 	newC   uint32   // its pre-lock control word
 	w3     uint64   // commit word for the staged slot
-	oldRef slotRef  // displaced slot (updates/deletes)
+	oldRef slotRef  // displaced slot (updates/deletes/moves)
 	oldC   uint32
 	oldW3  uint64
 	h1     uint64
@@ -118,10 +131,10 @@ func (r slotRef) release(valid bool, fp uint8, c uint32) {
 }
 
 // writeSlotStage stores a record's key and value words into the locked slot
-// and queues their lines behind the session's next FlushBarrier. The final
-// word — value tail, valid bit and stamp — is returned for drainPending to
-// commit after that barrier's fence. The slot stays locked and unpublished.
-func (t *Table) writeSlotStage(h *nvm.Handle, ref slotRef, k kv.Key, v kv.Value, stamp uint8) uint64 {
+// and queues their lines behind the handle's next FlushBarrier. The final
+// word — value tail, valid bit and stamp — is returned for commitGroup to
+// store after that barrier's fence. The slot stays locked and unpublished.
+func writeSlotStage(h *nvm.Handle, ref slotRef, k kv.Key, v kv.Value, stamp uint8) uint64 {
 	off := ref.wordOff()
 	var w [slotWords]uint64
 	kv.PackRecord(w[:], k, v, packMeta(true, stamp))
@@ -133,14 +146,19 @@ func (t *Table) writeSlotStage(h *nvm.Handle, ref slotRef, k kv.Key, v kv.Value,
 	return w[3]
 }
 
+// storeClear stores the clear of a committed slot's valid bit and returns
+// the word's offset; the caller stages its line.
+func storeClear(h *nvm.Handle, ref slotRef, w3 uint64) int64 {
+	off := ref.wordOff() + 3
+	h.Store(off, kv.WithMeta(w3, packMeta(false, metaStamp(kv.MetaOf(w3)))))
+	h.WriteAccess(off, 1)
+	return off
+}
+
 // stageClear stages the clear of a committed slot's valid bit behind the
 // next FlushBarrier.
-func (t *Table) stageClear(h *nvm.Handle, ref slotRef, w3 uint64) {
-	cleared := kv.WithMeta(w3, packMeta(false, metaStamp(kv.MetaOf(w3))))
-	off := ref.wordOff() + 3
-	h.Store(off, cleared)
-	h.WriteAccess(off, 1)
-	h.StageFlush(off, 1)
+func stageClear(h *nvm.Handle, ref slotRef, w3 uint64) {
+	h.StageFlush(storeClear(h, ref, w3), 1)
 }
 
 // settle closes an op whose probe concluded without anything to write.
@@ -219,7 +237,7 @@ func (s *Session) stage(w *writeOp, wait bool) (old kv.Value, hadOld bool, err e
 		// the key is fresh and its slot announced, so nothing can race it.
 		s.mirrorPut(w.k, w.v, w.h1, w.fp)
 		s.enqueue(w, pendingCommit{op: obs.OpInsert,
-			newRef: ref, newC: c, w3: s.t.writeSlotStage(s.h, ref, w.k, w.v, 1)})
+			newRef: ref, newC: c, w3: writeSlotStage(s.h, ref, w.k, w.v, 1)})
 		return kv.Value{}, false, nil
 	}
 	// Found: cur's slot is locked and cur.val is current.
@@ -253,20 +271,26 @@ func (s *Session) stage(w *writeOp, wait bool) (old kv.Value, hadOld bool, err e
 	}
 	stamp := metaStamp(kv.MetaOf(cur.w3)) + 1
 	s.enqueue(w, pendingCommit{op: obs.OpUpdate,
-		newRef: ref, newC: c, w3: s.t.writeSlotStage(s.h, ref, w.k, w.v, stamp),
+		newRef: ref, newC: c, w3: writeSlotStage(s.h, ref, w.k, w.v, stamp),
 		oldRef: cur.ref, oldC: cur.ctrl, oldW3: cur.w3})
 	return cur.val, true, nil
 }
 
-// drainPending runs phases B-D over the staged group (see the protocol at
-// the top of the file) and closes each op. Must run inside the critical
-// section the stages ran in.
+// drainPending commits the session's staged group and closes each op. Must
+// run inside the critical section the stages ran in.
 func (s *Session) drainPending() {
-	bs := &s.batch
-	if len(bs.pending) == 0 {
+	s.t.commitGroup(s.h, s.batch.pending, s)
+	s.batch.pending = s.batch.pending[:0]
+}
+
+// commitGroup runs phases B-D over a staged group (see the protocol at the
+// top of the file) on the handle its phase A staged through. s is the
+// session whose writes these are — it applies their hot mirrors and closes
+// their ops — and nil for a record mover, whose entries are all opMove.
+func (t *Table) commitGroup(h *nvm.Handle, group []pendingCommit, s *Session) {
+	if len(group) == 0 {
 		return
 	}
-	h := s.h
 
 	// Phase B: every staged key/value word becomes durable at once. (A group
 	// of deletes staged none.)
@@ -276,17 +300,18 @@ func (s *Session) drainPending() {
 
 	// Phase C: store and stage every commit word, then one barrier. Commit
 	// words only land after B's fence, so no slot can be durable-valid with
-	// non-durable contents.
-	for i := range bs.pending {
-		p := &bs.pending[i]
-		if p.op == obs.OpDelete {
-			s.t.stageClear(h, p.oldRef, p.oldW3)
-			continue
+	// non-durable contents. A move with nothing staged waits for phase D.
+	for i := range group {
+		p := &group[i]
+		switch {
+		case p.op == obs.OpDelete:
+			stageClear(h, p.oldRef, p.oldW3)
+		case p.newRef.lvl != nil:
+			off := p.newRef.wordOff() + 3
+			h.Store(off, p.w3)
+			h.WriteAccess(off, 1)
+			h.StageFlush(off, 1)
 		}
-		off := p.newRef.wordOff() + 3
-		h.Store(off, p.w3)
-		h.WriteAccess(off, 1)
-		h.StageFlush(off, 1)
 	}
 	if h.FlushBarrier() {
 		h.Fence()
@@ -296,8 +321,8 @@ func (s *Session) drainPending() {
 	// cache is durable, and before D unlocks anything, so the next writer of
 	// any of these keys mirrors after us (see syncwrite.go). Inserts applied
 	// theirs at stage time.
-	for i := range bs.pending {
-		p := &bs.pending[i]
+	for i := range group {
+		p := &group[i]
 		switch p.op {
 		case obs.OpUpdate:
 			s.mirrorPut(p.k, p.v, p.h1, p.fp)
@@ -306,42 +331,65 @@ func (s *Session) drainPending() {
 		}
 	}
 
-	// Phase D: publish. New slots enter the OCF only now (their commit
-	// words are durable). An update publishes its new copy BEFORE its old
-	// slot is retired — a reader that already passed the new slot's bucket
-	// waits on the old slot's lock and must still find the key somewhere
-	// when that lock releases — and signals the move while both copies are
-	// visible: a reader that misses re-checks the counter and rescans (see
-	// Table.moves).
-	for i := range bs.pending {
-		p := &bs.pending[i]
-		switch p.op {
-		case obs.OpInsert:
-			p.newRef.release(true, p.fp, p.newC)
-			s.t.count.Add(1)
-		case obs.OpUpdate:
-			p.newRef.release(true, p.fp, p.newC)
-			s.t.moveShard(p.h1).Add(1)
-			s.t.stageClear(h, p.oldRef, p.oldW3)
+	// Phase D, first half: the old slots of updates and moves are cleared
+	// durably while nothing of the group is visible yet. The slots a drain
+	// clears are neighbours — two to a cache line — so a move whose line the
+	// entry before it has staged does not stage it again, and every clear is
+	// stored before any line is staged: a line staged between two of its
+	// stores would be written back without the second. An update's clear is
+	// staged on its own, as it always was (its neighbours in a batch are
+	// rarely its neighbours in the table).
+	for i := range group {
+		if p := &group[i]; p.op == obs.OpUpdate || p.op == opMove {
+			storeClear(h, p.oldRef, p.oldW3)
 		}
 	}
-	if h.FlushBarrier() { // only updates staged a clear
+	last := int64(-1)
+	for i := range group {
+		p := &group[i]
+		if p.op != obs.OpUpdate && p.op != opMove {
+			continue
+		}
+		off := p.oldRef.wordOff() + 3
+		line := off / nvm.CachelineWords
+		if p.op == opMove && line == last {
+			continue
+		}
+		h.StageFlush(off, 1)
+		last = line
+	}
+	if h.FlushBarrier() { // only updates and moves staged a clear
 		h.Fence()
 	}
 
-	// Retire the old slots and close the ops.
-	for i := range bs.pending {
-		p := &bs.pending[i]
+	// Second half: publish, retire, close. A new slot enters the OCF only
+	// now, with its commit word durable and — for an update or move — the old
+	// copy durably gone: a delete that found the new copy any earlier could
+	// be acknowledged while a crash would still bring the old one back. The
+	// new copy is published BEFORE the old slot is released — a reader that
+	// already passed the new slot's bucket waits on the old slot's lock and
+	// must still find the key somewhere when that lock releases — and the
+	// move is signalled while both are visible: a reader that misses
+	// re-checks the counter and rescans (see Table.moves).
+	for i := range group {
+		p := &group[i]
+		if p.newRef.lvl != nil {
+			p.newRef.release(true, p.fp, p.newC)
+		}
 		switch p.op {
-		case obs.OpUpdate:
+		case obs.OpInsert:
+			t.count.Add(1)
+		case obs.OpUpdate, opMove:
+			t.moveShard(p.h1).Add(1)
 			p.oldRef.release(false, 0, p.oldC)
 		case obs.OpDelete:
 			p.oldRef.release(false, 0, p.oldC)
-			s.t.count.Add(-1)
+			t.count.Add(-1)
 		}
-		s.opDone(p.op, obs.OutOK, p.start, p.ft)
+		if p.op != opMove {
+			s.opDone(p.op, obs.OutOK, p.start, p.ft)
+		}
 	}
-	bs.pending = bs.pending[:0]
 }
 
 // writeSolo runs one write to completion as a group of one: stage with

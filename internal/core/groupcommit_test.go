@@ -62,6 +62,172 @@ func TestSoloWriteBarrierCounts(t *testing.T) {
 	}
 }
 
+// TestDrainBarrierCounts pins what growth costs the device, as counts: a
+// drain commits its moves WriteGroupChunk at a time (groups end on bucket
+// boundaries and at the chunk's end), each group pays the protocol's three
+// barriers however many records it carries, each chunk one progress word,
+// and the clears of one bucket share lines. A resumed drain's records are
+// already in the new structure, and a group of those pays one barrier. The
+// source level is built by hand — fixed slots, so the expectation is plain
+// arithmetic — and drained by one handle calling drainChunk, as a worker
+// does. A displacement is a move group of one.
+func TestDrainBarrierCounts(t *testing.T) {
+	const (
+		m       = 16 // buckets per segment; the source level has two segments
+		buckets = 2 * m
+		chunk   = 8
+		groupAt = 16
+		// finishDrain: the state word, the range count and the progress words.
+		finishPersists = 2 + MaxDrainRanges
+	)
+	cfg := nvm.DefaultConfig(1 << 22)
+	cfg.WriteBandwidth = 1 << 30
+	perLine := time.Duration(float64(time.Second) * nvm.CachelineBytes / float64(cfg.WriteBandwidth))
+	modeled := func(st nvm.Stats) time.Duration {
+		// Every barrier here is followed by one fence, so fences count them;
+		// each charges one write latency, each further line its transfer.
+		return time.Duration(st.MediaBlockReads)*cfg.ReadLatency +
+			time.Duration(st.Fences)*(cfg.WriteLatency+cfg.FenceLatency) +
+			time.Duration(st.Flushes-st.Fences)*perLine
+	}
+	dev, err := nvm.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.SegmentBuckets = m
+	opts.DrainWorkers = 1
+	opts.DrainChunkBuckets = chunk
+	opts.WriteGroupChunk = groupAt
+	tbl, err := Create(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	s := tbl.NewSession()
+
+	// Bucket b holds (5b+3) mod 9 records, in slots scattered by 3s mod 8.
+	holds := func(b int64, slot int) bool { return (slot*3+int(b))%SlotsPerBucket < int(b*5+3)%9 }
+	var records, groups, clearLines uint64
+	for lo := int64(0); lo < buckets; lo += chunk {
+		pending := 0
+		for b := lo; b < lo+chunk; b++ {
+			for slot := 0; slot < SlotsPerBucket; slot++ {
+				if holds(b, slot) {
+					records++
+					pending++
+					if slot%2 == 0 || !holds(b, slot-1) {
+						clearLines++ // two slots to a line
+					}
+				}
+			}
+			if pending >= groupAt || (b == lo+chunk-1 && pending > 0) {
+				groups++
+				pending = 0
+			}
+		}
+	}
+
+	for _, c := range []struct {
+		name     string
+		present  bool // the records are already committed in the table
+		barriers uint64
+		lines    uint64
+	}{
+		{"moves", false, 3 * groups, 2*records + clearLines},
+		{"resumed: already in the new structure", true, groups, clearLines},
+	} {
+		h := dev.NewHandle()
+		base, err := dev.Alloc(h, buckets*BucketWords, nvm.BlockWords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := newLevel(base, buckets/m, m)
+		i := 0
+		for b := int64(0); b < buckets; b++ {
+			for slot := 0; slot < SlotsPerBucket; slot++ {
+				if !holds(b, slot) {
+					continue
+				}
+				var w [slotWords]uint64
+				kv.PackRecord(w[:], key(i), value(i), packMeta(true, 1))
+				for j, word := range w {
+					dev.Store(src.slotWord(b, slot)+int64(j), word)
+				}
+				i++
+			}
+		}
+		tbl.rebuildOCFLevel(src)
+		task := tbl.newDrainTask(src, 1, time.Now(), true, tbl.state())
+		tbl.draining.Store(task)
+
+		h.ResetStats()
+		flushes := dev.TotalFlushes()
+		var group []pendingCommit
+		chunks := uint64(0)
+		for {
+			r, lo, hi, ok := task.claim(0)
+			if !ok {
+				break
+			}
+			tbl.drainChunk(h, &group, task, r, lo, hi)
+			chunks++
+		}
+		<-task.done
+		if task.err != nil {
+			t.Fatalf("%s: %v", c.name, task.err)
+		}
+		if !c.present {
+			tbl.count.Add(int64(records)) // they arrived without an insert
+		}
+
+		st := h.Stats()
+		wantFences := c.barriers + chunks + finishPersists
+		wantLines := c.lines + chunks + finishPersists
+		if st.Fences != wantFences || st.Flushes != wantLines {
+			t.Errorf("%s: %d barriers / %d lines for %d records in %d groups and %d chunks, want %d / %d",
+				c.name, st.Fences, st.Flushes, records, groups, chunks, wantFences, wantLines)
+		}
+		if got := uint64(dev.TotalFlushes() - flushes); got != wantFences {
+			t.Errorf("%s: device counted %d write-backs, want %d", c.name, got, wantFences)
+		}
+		if st.Modeled() != modeled(st) {
+			t.Errorf("%s: modeled %v, want %v (%d block reads, %d lines, %d fences)",
+				c.name, st.Modeled(), modeled(st), st.MediaBlockReads, st.Flushes, st.Fences)
+		}
+		for j := 0; j < i; j++ {
+			if v, ok := s.Get(key(j)); !ok || v != value(j) {
+				t.Fatalf("%s: key %d reads %v (ok=%v) after the drain", c.name, j, v, ok)
+			}
+		}
+		for w := range src.ocf {
+			if ocfIsValid(src.ocf[w]) {
+				t.Fatalf("%s: source slot %d still valid after the drain", c.name, w)
+			}
+		}
+		if errs := tbl.CheckInvariants(); len(errs) != 0 {
+			t.Fatalf("%s: %v", c.name, errs[0])
+		}
+	}
+
+	// Displacement: one record out of key 0's candidate buckets, three
+	// barriers of one line each, as before it went through the group code.
+	h := dev.NewHandle()
+	flushes := dev.TotalFlushes()
+	k0 := key(0)
+	h1, h2, _ := hashKV(k0[:])
+	if !tbl.displaceOne(h, h1, h2) {
+		t.Fatal("displaceOne moved nothing")
+	}
+	if st := h.Stats(); st.Fences != 3 || st.Flushes != 3 || dev.TotalFlushes()-flushes != 3 || st.Modeled() != modeled(st) {
+		t.Errorf("displaceOne: %d barriers / %d lines / %d write-backs, modeled %v; want 3 / 3 / 3, %v",
+			st.Fences, st.Flushes, dev.TotalFlushes()-flushes, st.Modeled(), modeled(st))
+	}
+	if errs := tbl.CheckInvariants(); len(errs) != 0 {
+		t.Fatalf("after displaceOne: %v", errs[0])
+	}
+}
+
 // TestGroupCommitDuplicateKeys drives duplicate keys through one MultiPut
 // batch: a fresh key staged three times (the second occurrence collides
 // with the staged, still-locked insert and must drain the group first) and

@@ -49,12 +49,10 @@ func stampNewer(a, b uint8) bool {
 //	word 1       state: levelNumber | role indexes | generation (atomic)
 //	words 2..7   three level descriptors: (base ptr, segment count) x 3
 //	word 8       segmentBuckets (m)
-//	word 9       legacy rehash progress: next bucket index to drain in the
-//	             old bottom level (single-threaded drains; still honoured on
-//	             open when word 11 is zero)
+//	word 9       unused, zero
 //	word 10      clean-shutdown flag
-//	word 11      drain range count R for the parallel rehash (0 = legacy
-//	             single-range layout)
+//	word 11      drain range count R for the parallel rehash (0 = no drain
+//	             layout persisted)
 //	words 12..27 per-range drain progress: buckets durably rehashed from the
 //	             start of range i (i < R ≤ MaxDrainRanges)
 const (
@@ -64,7 +62,6 @@ const (
 	metaStateWord    = 1
 	metaLevelBase    = 2 // descriptor i at words 2+2i, 3+2i
 	metaMWord        = 8
-	metaRehashWord   = 9
 	metaCleanWord    = 10
 	metaDrainRanges  = 11
 	metaDrainBase    = 12

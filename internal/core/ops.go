@@ -90,7 +90,9 @@ func (s *Session) helpDrainStep() {
 		return
 	}
 	if r, lo, hi, ok := task.claim(0); ok {
-		s.t.drainChunk(s.h, task, r, lo, hi)
+		// Outside a critical section the session's own group is empty, so its
+		// buffer is free to carry the chunk's moves.
+		s.t.drainChunk(s.h, &s.batch.pending, task, r, lo, hi)
 		s.rec.DrainHelp()
 	}
 }
@@ -360,31 +362,6 @@ func lockEmptyIn(lvl *level, b int64) (slotRef, uint32, bool) {
 	return slotRef{}, 0, false
 }
 
-// writeSlotCommit persists a record into the locked slot with the paper's
-// crash-atomic ordering: key and first value word are written and flushed,
-// then the final word — value tail, valid bit and stamp — is committed with
-// one atomic 8-byte persist. Record movers only (drain, displacement);
-// user writes commit through the staged protocol in groupcommit.go.
-func (t *Table) writeSlotCommit(h *nvm.Handle, ref slotRef, k kv.Key, v kv.Value, stamp uint8) {
-	off := ref.wordOff()
-	var w [slotWords]uint64
-	kv.PackRecord(w[:], k, v, packMeta(true, stamp))
-	h.Store(off, w[0])
-	h.Store(off+1, w[1])
-	h.Store(off+2, w[2])
-	h.WriteAccess(off, 3)
-	h.Flush(off, 3)
-	h.Fence()
-	h.StorePersist(off+3, w[3])
-}
-
-// clearSlotCommit durably clears the valid bit of a committed slot (record
-// movers and recovery only, like writeSlotCommit).
-func (t *Table) clearSlotCommit(h *nvm.Handle, ref slotRef, w3 uint64) {
-	cleared := kv.WithMeta(w3, packMeta(false, metaStamp(kv.MetaOf(w3))))
-	h.StorePersist(ref.wordOff()+3, cleared)
-}
-
 // readSlot loads a full slot with read accounting.
 func readSlot(h *nvm.Handle, ref slotRef) (k kv.Key, v kv.Value, meta uint8) {
 	off := ref.wordOff()
@@ -427,14 +404,15 @@ func (t *Table) displaceOne(h *nvm.Handle, h1, h2 uint64) bool {
 					lvl.ocfRelease(b, s, true, ocfFP(c), ocfVer(c))
 					continue
 				}
-				stamp := metaStamp(meta) + 1
-				t.writeSlotCommit(h, dst, vk, vv, stamp)
-				// Same publish-before-retire ordering as Update, so readers
-				// racing the displacement never miss the moved record.
-				dst.lvl.ocfRelease(dst.b, dst.s, true, vfp, ocfVer(dc))
-				t.moveShard(vh1).Add(1)
-				t.clearSlotCommit(h, victim, packW3(vv, meta))
-				lvl.ocfRelease(b, s, false, 0, ocfVer(c))
+				// A move group of one: the protocol's publish-before-retire
+				// order means readers racing the displacement never miss the
+				// record. Nothing on this path waits for a lock, so a caller
+				// with staged slots of its own (a batch mid-stage, a drain
+				// worker) may run it.
+				move := [1]pendingCommit{{op: opMove, h1: vh1, fp: vfp,
+					newRef: dst, newC: dc, w3: writeSlotStage(h, dst, vk, vv, metaStamp(meta)+1),
+					oldRef: victim, oldC: c, oldW3: packW3(vv, meta)}}
+				t.commitGroup(h, move[:], nil)
 				return true
 			}
 		}

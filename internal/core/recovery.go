@@ -106,10 +106,10 @@ func (t *Table) recover(visit RecoveryVisitor) error {
 	t.fl.RecoveryStep(flight.RecOCF, stats.OCFRebuild, pr.top.buckets()+pr.bottom.buckets())
 
 	// Level number 3: resume draining the old bottom level from the
-	// persisted per-range progress words (or the legacy single-range word),
-	// using the same parallel chunked machinery as a live expansion — run
-	// synchronously here so the table is stable before sessions exist. The
-	// drain reads OCF validity, so the drain level's filter is rebuilt first.
+	// persisted per-range progress words, using the same parallel chunked
+	// machinery as a live expansion — run synchronously here so the table is
+	// stable before sessions exist. The drain reads OCF validity, so the
+	// drain level's filter is rebuilt first.
 	if st.levelNumber == levelNumRehash {
 		stats.ResumedRehash = true
 		drainStart := time.Now()
@@ -284,8 +284,9 @@ func (t *Table) dedupTornUpdates(h *nvm.Handle) int64 {
 	clearLoser := func(loser slotRef) {
 		clearMu.Lock()
 		defer clearMu.Unlock()
-		w3 := t.dev.Load(loser.wordOff() + 3)
-		t.clearSlotCommit(h, loser, w3)
+		stageClear(h, loser, t.dev.Load(loser.wordOff()+3))
+		h.FlushBarrier()
+		h.Fence()
 		loser.lvl.ocfSet(loser.b, loser.s, ocfWord(false, 0, ocfVer(loser.lvl.ocfLoad(loser.b, loser.s))+1))
 		removed.Add(1)
 	}

@@ -632,7 +632,7 @@ func TestRecoveryWorkerCounts(t *testing.T) {
 // layout (metaDrainRanges plus per-range progress words). A crash inside the
 // next expansion's state-2 window — after the state word flips to
 // levelNumRequest but before persistDrainProgress writes the new layout —
-// used to replay into state 3 with only metaRehashWord zeroed, so
+// used to replay into state 3 with only the old single-range word zeroed, so
 // resumeDrainTask honoured the stale layout. Its per-range done counts pass
 // the done<=hi-lo validation against the new, roughly twice-as-large drain
 // level, so whole bucket prefixes were treated as already rehashed and their

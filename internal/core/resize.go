@@ -33,10 +33,12 @@ import (
 // chunks under per-slot OCF locks only. Foreground operations proceed
 // throughout state 3 — they walk the drain level as a third lookup level
 // until it empties — and foreground writers that run out of space during
-// state 3 help drain before retrying. A crash mid-drain resumes from the
-// per-range progress words, which only ever under-report: re-draining a
-// bucket is idempotent because the per-record move is copy-then-invalidate
-// behind an existence check.
+// state 3 help drain before retrying. Records move as groups of staged moves
+// through the one write protocol (groupcommit.go): up to WriteGroupChunk
+// records share the three barriers. A crash mid-drain resumes from the
+// per-range progress words, which only ever under-report — a chunk's word
+// is persisted after its last group's clears — and re-draining a bucket is
+// idempotent because a move stages behind an existence check.
 
 // drainRange is one worker's share of the drain level's buckets. Claiming is
 // in-memory (the chunk cursor); completion is durable (the progress word
@@ -191,7 +193,7 @@ func (t *Table) expandLocked(st tableState) error {
 	t.writeLevelDescriptor(h, free, base, newSegs)
 
 	drainLvl := pr.bottom
-	task := t.newDrainTask(drainLvl, began, t.opts.BlockingResize,
+	task := t.newDrainTask(drainLvl, int64(t.opts.DrainWorkers), began, t.opts.BlockingResize,
 		tableState{levelNumber: levelNumStable, top: free, bottom: st.top, drain: levelSlotUnused, generation: st.generation + 1})
 	t.persistDrainProgress(h, task)
 
@@ -261,12 +263,13 @@ func (t *Table) helpDrain(task *drainTask) error {
 	}
 	h := t.dev.NewHandle()
 	base := h.Stats()
+	var group []pendingCommit
 	for !task.failed.Load() {
 		r, lo, hi, ok := task.claim(0)
 		if !ok {
 			break
 		}
-		t.drainChunk(h, task, r, lo, hi)
+		t.drainChunk(h, &group, task, r, lo, hi)
 		t.rec.DrainHelp()
 	}
 	t.rec.AddNVM(h.Stats().Sub(base))
@@ -306,28 +309,14 @@ func (t *Table) retryFailedDrain(failed *drainTask) *drainTask {
 	return task
 }
 
-// newDrainTask splits src into up to DrainWorkers disjoint ranges. resumedTo,
-// when building from a crash image, is applied by the recovery path after
-// construction; live expansions start every range at its lo.
-func (t *Table) newDrainTask(src *level, began time.Time, blocking bool, final tableState) *drainTask {
+// newDrainTask splits src into up to nr disjoint ranges, each starting at
+// its lo; resumeDrainTask applies a crash image's progress afterwards.
+func (t *Table) newDrainTask(src *level, nr int64, began time.Time, blocking bool, final tableState) *drainTask {
 	buckets := src.buckets()
-	nr := int64(t.opts.DrainWorkers)
-	if nr < 1 {
-		nr = 1
-	}
-	if nr > MaxDrainRanges {
-		nr = MaxDrainRanges
-	}
-	if nr > buckets {
-		nr = buckets
-	}
-	chunk := int64(t.opts.DrainChunkBuckets)
-	if chunk < 1 {
-		chunk = 1
-	}
+	nr = max(1, min(nr, MaxDrainRanges, buckets))
 	task := &drainTask{
 		src:        src,
-		chunk:      chunk,
+		chunk:      max(1, int64(t.opts.DrainChunkBuckets)),
 		began:      began,
 		finalState: final,
 		blocking:   blocking,
@@ -340,10 +329,7 @@ func (t *Table) newDrainTask(src *level, began time.Time, blocking bool, final t
 	per := (buckets + nr - 1) / nr
 	for i := int64(0); i < nr; i++ {
 		lo := i * per
-		hi := lo + per
-		if hi > buckets {
-			hi = buckets
-		}
+		hi := min(lo+per, buckets)
 		if lo >= hi {
 			break
 		}
@@ -359,55 +345,26 @@ func (t *Table) newDrainTask(src *level, began time.Time, blocking bool, final t
 // persisted: the range count from the meta block and each range's durable
 // progress. Progress words only ever under-report, so resuming re-drains at
 // most the chunks that were in flight — idempotent by the existence check.
-// Images without a persisted range layout (a crash inside state 2's replay,
-// or a table written by the earlier single-threaded drain) fall back to the
-// legacy single-progress word, or to a fresh parallel layout when that word
-// says nothing has been drained yet. Recovery tasks run blocking: no
-// sessions exist, so no shared-lock choreography is needed.
+// An image without a persisted range layout (a crash inside state 2's
+// replay) has drained nothing under one and gets a fresh layout. Recovery
+// tasks run blocking: no sessions exist, so no shared-lock choreography is
+// needed.
 func (t *Table) resumeDrainTask(h *nvm.Handle, src *level, final tableState) *drainTask {
-	buckets := src.buckets()
 	nr := int64(t.dev.Load(t.metaOff + metaDrainRanges))
-	if nr < 1 || nr > MaxDrainRanges || nr > buckets {
-		from := int64(t.dev.Load(t.metaOff + metaRehashWord))
-		if from < 0 || from > buckets {
-			from = 0
-		}
-		if from == 0 {
-			task := t.newDrainTask(src, time.Now(), true, final)
-			t.persistDrainProgress(h, task)
-			return task
-		}
-		// Mid-drain legacy image: honour its linear progress with one range.
-		task := t.newDrainTask(src, time.Now(), true, final)
-		r := &drainRange{idx: 0, lo: 0, hi: buckets, completedTo: from, doneChunks: map[int64]int64{}}
-		r.next.Store(from)
-		task.ranges = []*drainRange{r}
-		task.remaining.Store(buckets - from)
+	if nr < 1 || nr > MaxDrainRanges || nr > src.buckets() {
+		task := t.newDrainTask(src, int64(t.opts.DrainWorkers), time.Now(), true, final)
 		t.persistDrainProgress(h, task)
 		return task
 	}
-
-	task := t.newDrainTask(src, time.Now(), true, final)
-	task.ranges = task.ranges[:0]
-	task.remaining.Store(0)
-	per := (buckets + nr - 1) / nr
-	for i := int64(0); i < nr; i++ {
-		lo := i * per
-		hi := lo + per
-		if hi > buckets {
-			hi = buckets
-		}
-		if lo >= hi {
-			break
-		}
-		done := int64(t.dev.Load(t.metaOff + metaDrainBase + i))
-		if done < 0 || done > hi-lo {
+	task := t.newDrainTask(src, nr, time.Now(), true, final)
+	for _, r := range task.ranges {
+		done := int64(t.dev.Load(t.metaOff + metaDrainBase + int64(r.idx)))
+		if done < 0 || done > r.hi-r.lo {
 			done = 0
 		}
-		r := &drainRange{idx: int(i), lo: lo, hi: hi, completedTo: lo + done, doneChunks: map[int64]int64{}}
-		r.next.Store(lo + done)
-		task.ranges = append(task.ranges, r)
-		task.remaining.Add(hi - (lo + done))
+		r.completedTo += done
+		r.next.Store(r.completedTo)
+		task.remaining.Add(-done)
 	}
 	return task
 }
@@ -416,7 +373,6 @@ func (t *Table) resumeDrainTask(h *nvm.Handle, src *level, final tableState) *dr
 // progress word, so a crash any time after state 3 resumes with the same
 // geometry. Must run before the state word flips to levelNumRehash.
 func (t *Table) persistDrainProgress(h *nvm.Handle, task *drainTask) {
-	h.StorePersist(t.metaOff+metaRehashWord, 0)
 	for _, r := range task.ranges {
 		h.StorePersist(t.metaOff+metaDrainBase+int64(r.idx), uint64(r.completedTo-r.lo))
 	}
@@ -429,7 +385,6 @@ func (t *Table) persistDrainProgress(h *nvm.Handle, task *drainTask) {
 // sees no layout and builds a fresh one sized to the level it is draining.
 func (t *Table) clearDrainLayout(h *nvm.Handle) {
 	h.StorePersist(t.metaOff+metaDrainRanges, 0)
-	h.StorePersist(t.metaOff+metaRehashWord, 0)
 	for i := int64(0); i < MaxDrainRanges; i++ {
 		h.StorePersist(t.metaOff+metaDrainBase+i, 0)
 	}
@@ -461,12 +416,13 @@ func (t *Table) drainWorker(task *drainTask, worker int) {
 	h := t.dev.NewHandle()
 	base := h.Stats()
 	rec := t.recorderHandle()
+	var group []pendingCommit
 	for !task.failed.Load() {
 		r, lo, hi, ok := task.claim(worker)
 		if !ok {
 			break
 		}
-		t.drainChunk(h, task, r, lo, hi)
+		t.drainChunk(h, &group, task, r, lo, hi)
 	}
 	rec.AddNVM(h.Stats().Sub(base))
 }
@@ -475,18 +431,48 @@ func (t *Table) drainWorker(task *drainTask, worker int) {
 // them. No table-wide lock is needed: the level pointers cannot change while
 // the task is installed (expansion is gated on draining being nil), the
 // device words are individually atomic, and record movement is covered by
-// the per-slot OCF locks. A failed bucket fails the whole task; its records
-// stay committed and readable in the drain level.
-func (t *Table) drainChunk(h *nvm.Handle, task *drainTask, r *drainRange, lo, hi int64) {
+// the per-slot OCF locks. Each committed record is staged as a move
+// (stageMove), and the staged moves commit as a group once there are
+// WriteGroupChunk of them and when the chunk ends; the progress word follows
+// the last group, so it is never durable ahead of the clears it covers.
+// Groups end on bucket boundaries: the clears of one bucket share cache
+// lines, and a line staged by one group is not dirtied by the next. group is
+// the caller's reusable buffer. A record that cannot be staged fails the
+// whole task — after the group staged so far has committed, so a retry
+// resumes from a consistent image; its record stays committed and readable
+// in the drain level.
+func (t *Table) drainChunk(h *nvm.Handle, group *[]pendingCommit, task *drainTask, r *drainRange, lo, hi int64) {
 	start := time.Now()
+	src := task.src
+	pending := (*group)[:0]
 	var moved int64
+	var err error
+chunk:
 	for b := lo; b < hi; b++ {
-		n, err := t.drainBucket(h, task, b)
-		if err != nil {
-			task.fail(err)
-			return
+		h.ReadAccess(src.bucketWord(b), BucketWords)
+		for s := 0; s < SlotsPerBucket; s++ {
+			p, staged, e := t.stageMove(h, slotRef{src, b, s})
+			if e != nil {
+				err = e
+				break chunk
+			}
+			if staged {
+				pending = append(pending, p)
+				if p.newRef.lvl != nil {
+					moved++
+				}
+			}
 		}
-		moved += n
+		if len(pending) >= t.opts.WriteGroupChunk {
+			t.commitGroup(h, pending, nil)
+			pending = pending[:0]
+		}
+	}
+	t.commitGroup(h, pending, nil) // the chunk's last group, or what a failure found staged
+	*group = pending[:0]
+	if err != nil {
+		task.fail(err)
+		return
 	}
 	t.rec.DrainChunk(hi-lo, moved, time.Since(start))
 	t.fl.DrainChunk(hi-lo, moved, time.Since(start))
@@ -535,93 +521,69 @@ func (t *Table) finishDrain(h *nvm.Handle, task *drainTask) {
 	close(task.done)
 }
 
-// drainBucket rehashes every committed record of one drain-level bucket into
-// the current two-level structure, returning how many records it moved.
-// Slots are taken with their OCF locks, so the drain composes with foreground
-// updates and deletes that still target the drain level; a slot locked by a
-// foreground writer is waited out.
-func (t *Table) drainBucket(h *nvm.Handle, task *drainTask, b int64) (int64, error) {
-	src := task.src
-	h.ReadAccess(src.bucketWord(b), BucketWords)
-	var moved int64
-	for s := 0; s < SlotsPerBucket; s++ {
-		for attempt := 0; ; attempt++ {
-			c := src.ocfLoad(b, s)
-			if ocfIsLocked(c) {
-				// A foreground op owns the slot (update moving the record
-				// out, delete clearing it). Its critical section is short.
-				spinBackoff(attempt)
-				continue
-			}
-			if !ocfIsValid(c) {
-				break // empty (or emptied since the bucket read)
-			}
-			if !src.ocfTryLock(b, s, c) {
-				continue
-			}
-			n, err := t.drainSlot(h, src, b, s, c)
-			if err != nil {
-				return moved, err
-			}
-			moved += n
+// stageMove is phase A of one drain move. It takes the source slot's OCF
+// lock — a foreground writer that owns it (an update moving the record out, a
+// delete clearing it) has a short critical section and is waited out — and,
+// for a committed record, stages a copy under its own stamp into a free slot
+// of the new structure; a record already committed there (the crash-resume
+// case) becomes an entry that only clears the source. staged=false with a nil
+// error means the slot holds nothing to move. On error the source is released
+// as it was found. The waits here run with the caller's earlier moves still
+// locked; INTERNALS §6 argues why nobody they wait on can be waiting on those.
+func (t *Table) stageMove(h *nvm.Handle, ref slotRef) (p pendingCommit, staged bool, err error) {
+	src, b, s := ref.lvl, ref.b, ref.s
+	var c uint32
+	for attempt := 0; ; attempt++ {
+		c = src.ocfLoad(b, s)
+		if ocfIsLocked(c) {
+			spinBackoff(attempt)
+			continue
+		}
+		if !ocfIsValid(c) {
+			return p, false, nil // empty (or emptied since the bucket read)
+		}
+		if src.ocfTryLock(b, s, c) {
 			break
 		}
 	}
-	return moved, nil
-}
-
-// drainSlot moves one locked, committed record: publish a copy in the new
-// structure (unless one already exists — the crash-resume case), bump the
-// movement counter, then retire the source. Caller holds the slot's OCF lock;
-// drainSlot releases it.
-func (t *Table) drainSlot(h *nvm.Handle, src *level, b int64, s int, c uint32) (int64, error) {
-	ref := slotRef{src, b, s}
+	// No ReadAccess: the slot lies in the one media block drainChunk charged.
 	off := ref.wordOff()
-	// No ReadAccess: the slot lies in the one media block drainBucket charged.
 	w3 := h.Load(off + 3)
 	if !kv.ValidOf(w3) {
 		// OCF said valid but the record is gone — never expected while we
 		// hold the lock; repair the OCF rather than lose the invariant.
-		src.ocfRelease(b, s, false, 0, ocfVer(c))
-		return 0, nil
+		ref.release(false, 0, c)
+		return p, false, nil
 	}
 	k := kv.UnpackKey(h.Load(off), h.Load(off+1))
 	v, meta := kv.UnpackValue(h.Load(off+2), w3)
 	h1, h2, fp := hashKV(k[:])
+	p = pendingCommit{op: opMove, h1: h1, fp: fp, oldRef: ref, oldC: c, oldW3: w3}
 
 	exists, err := t.committedInNew(h, k, h1, h2, fp)
 	if err != nil {
-		src.ocfRelease(b, s, true, fp, ocfVer(c))
-		return 0, err
+		ref.release(true, fp, c)
+		return p, false, err
 	}
-	var moved int64
-	if !exists {
-		dst, dc, ok := t.lockEmptySlot(h1, h2, nil)
-		for attempt := 0; !ok && attempt < contendedRetryMax; attempt++ {
-			// Transient fullness: concurrent writers each hold one extra
-			// slot mid-move. Displace once, back off, retry.
-			if t.displaceOne(h, h1, h2) {
-				dst, dc, ok = t.lockEmptySlot(h1, h2, nil)
-				continue
-			}
+	if exists {
+		return p, true, nil
+	}
+	dst, dc, ok := t.lockEmptySlot(h1, h2, nil)
+	for attempt := 0; !ok && attempt < contendedRetryMax; attempt++ {
+		// Transient fullness: concurrent writers each hold one extra slot
+		// mid-move. Displace once, back off, retry.
+		if !t.displaceOne(h, h1, h2) {
 			spinBackoff(spinYields + attempt)
-			dst, dc, ok = t.lockEmptySlot(h1, h2, nil)
 		}
-		if !ok {
-			src.ocfRelease(b, s, true, fp, ocfVer(c))
-			return 0, fmt.Errorf("%w: rehash found no slot for a record (load factor anomaly)", scheme.ErrFull)
-		}
-		t.writeSlotCommit(h, dst, k, v, metaStamp(meta))
-		dst.lvl.ocfRelease(dst.b, dst.s, true, fp, ocfVer(dc))
-		moved = 1
+		dst, dc, ok = t.lockEmptySlot(h1, h2, nil)
 	}
-	// Signal the move while both copies are visible, then retire the source
-	// with a version bump so stale cache fills are rejected — the same
-	// publish-before-retire ordering as Update.
-	t.moveShard(h1).Add(1)
-	t.clearSlotCommit(h, ref, w3)
-	src.ocfRelease(b, s, false, 0, ocfVer(c))
-	return moved, nil
+	if !ok {
+		ref.release(true, fp, c)
+		return p, false, fmt.Errorf("%w: rehash found no slot for a record (load factor anomaly)", scheme.ErrFull)
+	}
+	p.newRef, p.newC = dst, dc
+	p.w3 = writeSlotStage(h, dst, k, v, metaStamp(meta))
+	return p, true, nil
 }
 
 // committedInNew reports whether the key is already committed in the current

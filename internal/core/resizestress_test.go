@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -204,9 +205,113 @@ func TestCloseRacesInFlightOps(t *testing.T) {
 	}
 }
 
+// TestDrainGroupsCollideWithWriters pins the deadlock argument of INTERNALS
+// §6: a drain worker waits — for a source slot a foreground writer holds, for
+// a locked slot its existence check meets — while the moves it has staged stay
+// locked, and that is safe only because everybody it can wait for releases
+// without waiting: solo writers wait holding nothing, foreground groups and
+// displacement only try-lock, and a worker's staged destinations are locked
+// empty, where no probe waits. Four drain workers, two MultiPut writers and
+// two solo writers share a table that starts at one four-bucket segment, so
+// the keys the writers keep rewriting sit in the level being drained, doubling
+// after doubling. The test is that it ends.
+func TestDrainGroupsCollideWithWriters(t *testing.T) {
+	const (
+		rounds = 8
+		stable = 256  // rewritten throughout by groups and solo writers
+		fresh  = 1500 // inserted one by one: five doublings a round
+	)
+	for round := 0; round < rounds; round++ {
+		m := obs.New(obs.Config{})
+		tbl := newTable(t, func(o *Options) {
+			o.Metrics = m
+			o.SegmentBuckets = 4
+			o.DrainWorkers = 4
+			o.DrainChunkBuckets = 2
+			o.WriteGroupChunk = 16
+		})
+		load := tbl.NewSession()
+		for i := 0; i < stable; i++ {
+			if err := load.Insert(key(i), value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		run := func(f func(s *Session)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f(tbl.NewSession())
+			}()
+		}
+		run(func(s *Session) { // the grower
+			defer stop.Store(true)
+			for i := 0; i < fresh; i++ {
+				if err := s.Insert(key(stable+i), value(stable+i)); err != nil {
+					t.Errorf("round %d: insert %d: %v", round, stable+i, err)
+					return
+				}
+			}
+		})
+		for g := 0; g < 2; g++ {
+			g := g
+			run(func(s *Session) { // a group writer over every stable key
+				const batch = 32
+				keys := make([]kv.Key, batch)
+				vals := make([]kv.Value, batch)
+				errs := make([]error, batch)
+				for base := g * 7; !stop.Load(); base += batch {
+					for i := range keys {
+						k := (base + i) % stable
+						keys[i], vals[i] = key(k), value(k+100000*(g+1))
+					}
+					if fails := s.MultiPut(keys, vals, errs); fails != 0 {
+						t.Errorf("round %d: MultiPut failed %d keys: %v", round, fails, errs)
+						return
+					}
+				}
+			})
+			run(func(s *Session) { // a solo writer over the same keys
+				for i := g * 13; !stop.Load(); i++ {
+					k := i % stable
+					if err := s.Update(key(k), value(k+300000)); err != nil {
+						t.Errorf("round %d: update %d: %v", round, k, err)
+						return
+					}
+				}
+			})
+		}
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Minute):
+			buf := make([]byte, 1<<20)
+			t.Fatalf("round %d: writers and drain workers did not finish\n%s", round, buf[:runtime.Stack(buf, true)])
+		}
+		tbl.waitDrain()
+		for k := 0; k < stable; k++ {
+			v, ok := load.Get(key(k))
+			if !ok || (v != value(k) && v != value(k+100000) && v != value(k+200000) && v != value(k+300000)) {
+				t.Fatalf("round %d: key %d reads %q (found=%v)", round, k, v.String(), ok)
+			}
+		}
+		if errs := tbl.CheckInvariants(); len(errs) != 0 {
+			t.Fatalf("round %d: %v", round, errs[0])
+		}
+		snap := m.Snapshot()
+		t.Logf("round %d: %d doublings, %d chunks (%d by writers), %d lock-wait spins, %d contended probes",
+			round, snap.Expansions, snap.DrainChunks, snap.DrainHelps, snap.Spins, snap.Contended)
+	}
+}
+
 // TestFailedDrainTaskRetried regresses the sticky-failure bug: a drain task
 // that failed transiently (retry-budget exhaustion under heavy same-shard
-// churn, momentary fullness in drainSlot) stayed installed forever, and every
+// churn, momentary fullness in stageMove) stayed installed forever, and every
 // subsequent expand loaded it, claimed nothing, and surfaced the same error —
 // freezing all table growth until restart. expand must instead retire the
 // failed task and resume from the persisted per-range progress, which the

@@ -199,7 +199,6 @@ func createDetached(dev *nvm.Device, opts Options) (*Table, error) {
 	h.StorePersist(metaOff+metaMWord, uint64(m))
 	t.writeLevelDescriptor(h, 0, topBase, topSegs)
 	t.writeLevelDescriptor(h, 1, bottomBase, bottomSegs)
-	h.StorePersist(metaOff+metaRehashWord, 0)
 	h.StorePersist(metaOff+metaCleanWord, 0)
 	t.setState(h, tableState{levelNumber: levelNumStable, top: 0, bottom: 1, drain: levelSlotUnused, generation: 1})
 	h.StorePersist(metaOff+metaMagicWord, tableMagic)

@@ -89,7 +89,7 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	counter("hdnh_drain_records_moved_total", "Records moved into the new structure by the incremental drain.", s.DrainRecordsMoved)
 	counter("hdnh_drain_helps_total", "Drain chunks contributed by foreground writers.", s.DrainHelps)
 	if l := s.DrainChunkLatency; l.Sampled > 0 {
-		p("# HELP hdnh_drain_chunk_nanoseconds Shared-lock residency per drain chunk.\n")
+		p("# HELP hdnh_drain_chunk_nanoseconds Time to rehash one drain chunk, its group commits included.\n")
 		p("# TYPE hdnh_drain_chunk_nanoseconds summary\n")
 		p("hdnh_drain_chunk_nanoseconds{quantile=\"0.5\"} %d\n", l.P50Ns)
 		p("hdnh_drain_chunk_nanoseconds{quantile=\"0.99\"} %d\n", l.P99Ns)

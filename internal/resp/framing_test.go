@@ -138,7 +138,7 @@ func TestConformanceAcrossReads(t *testing.T) {
 			}
 		})
 	}
-	if s := m.Snapshot(); s.InFlight != 0 {
+	if s := settled(t, m); s.InFlight != 0 {
 		t.Errorf("InFlight = %d after all connections closed, want 0", s.InFlight)
 	}
 }
@@ -234,19 +234,8 @@ func TestInFlightGaugeBalances(t *testing.T) {
 			t.Fatal(err)
 		}
 		nc.Close()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			s := m.Snapshot()
-			if s.ConnsOpen == 0 {
-				if s.InFlight != 0 {
-					t.Fatalf("InFlight = %d after a failed write, want 0", s.InFlight)
-				}
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("connection never closed")
-			}
-			time.Sleep(time.Millisecond)
+		if s := settled(t, m); s.InFlight != 0 {
+			t.Fatalf("InFlight = %d after a failed write, want 0", s.InFlight)
 		}
 	})
 }

@@ -58,7 +58,7 @@ func TestInfoCommand(t *testing.T) {
 
 	// The command rides the metrics like any other: served info commands and
 	// the unknown-section error are both attributed to cmd="info".
-	snap := m.Snapshot()
+	snap := settled(t, m)
 	if snap.Commands["info"] < 6 {
 		t.Fatalf("info commands counted = %d, want >= 6", snap.Commands["info"])
 	}

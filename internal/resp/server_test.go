@@ -92,6 +92,25 @@ func runConversation(t *testing.T, addr string, cv conversation) {
 	}
 }
 
+// settled waits for every connection the server accepted to finish and
+// returns the metrics as they stand then. A reply counts as served once it has
+// left, so a client that has read its replies and hung up can still be ahead
+// of the connection's last accounting; only a conversation the server itself
+// closes (the client's EOF follows it) needs no wait.
+func settled(t *testing.T, m *obs.RESPMetrics) *obs.RESPSnapshot {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if s := m.Snapshot(); s.ConnsOpen == 0 {
+			return s
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("connections never closed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func bulk(parts ...string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "*%d\r\n", len(parts))
@@ -199,7 +218,7 @@ func TestConformance(t *testing.T) {
 		t.Run(cv.name, func(t *testing.T) { runConversation(t, addr, cv) })
 	}
 
-	s := m.Snapshot()
+	s := settled(t, m)
 	if s.ConnsTotal != uint64(len(cases)) {
 		t.Errorf("ConnsTotal = %d, want %d", s.ConnsTotal, len(cases))
 	}
