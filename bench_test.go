@@ -68,7 +68,7 @@ func BenchmarkFig11aSegmentSize(b *testing.B) {
 			dev := mustDevice(b, int64(b.N+benchRecords)*96+1<<20)
 			opts := core.DefaultOptions()
 			opts.SegmentBuckets = segBuckets
-			tbl, err := core.Create(dev, opts)
+			tbl, err := core.CreateRouter(dev, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -86,12 +86,12 @@ func BenchmarkFig11aSegmentSize(b *testing.B) {
 			opts := core.DefaultOptions()
 			opts.SegmentBuckets = segBuckets
 			opts.InitBottomSegments = int(benchRecords/(3*int64(segBuckets)*core.SlotsPerBucket)) + 1
-			tbl, err := core.Create(dev, opts)
+			tbl, err := core.CreateRouter(dev, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer tbl.Close()
-			mustPreload(b, core.NewStore(tbl), benchRecords)
+			mustPreload(b, core.NewRouterStore(tbl), benchRecords)
 			s := tbl.NewSession()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -113,12 +113,12 @@ func BenchmarkFig11bHotSlots(b *testing.B) {
 				opts := core.DefaultOptions()
 				opts.HotSlotsPerBucket = slots
 				opts.InitBottomSegments = int(benchRecords/(3*int64(opts.SegmentBuckets)*core.SlotsPerBucket)) + 1
-				tbl, err := core.Create(dev, opts)
+				tbl, err := core.CreateRouter(dev, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer tbl.Close()
-				mustPreload(b, core.NewStore(tbl), benchRecords)
+				mustPreload(b, core.NewRouterStore(tbl), benchRecords)
 				s := tbl.NewSession()
 				zipf, err := ycsb.NewZipf(benchRecords, 0.99)
 				if err != nil {
@@ -304,17 +304,17 @@ func BenchmarkTable1Recovery(b *testing.B) {
 			dev := mustDevice(b, records*96+1<<20)
 			opts := core.DefaultOptions()
 			opts.InitBottomSegments = int(records/(3*int64(opts.SegmentBuckets)*core.SlotsPerBucket)) + 1
-			tbl, err := core.Create(dev, opts)
+			tbl, err := core.CreateRouter(dev, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := harness.Preload(core.NewStore(tbl), records, 4); err != nil {
+			if err := harness.Preload(core.NewRouterStore(tbl), records, 4); err != nil {
 				b.Fatal(err)
 			}
 			tbl.StopBackground()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				re, err := core.Open(dev, opts)
+				re, err := core.OpenRouter(dev, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,7 +1,8 @@
 // Command hdnhinspect examines a persisted device image (produced by
 // `hdnhload -out` or a crash snapshot): it prints the device superblock,
-// recovers the HDNH table stored on it, and reports occupancy statistics
-// and bucket-fill histograms — the debugging view of a table's shape.
+// recovers the HDNH store on it (any shard count), and reports occupancy
+// statistics and bucket-fill histograms per shard — the debugging view of a
+// store's shape.
 //
 //	hdnhload -scheme HDNH -n 100000 -out /tmp/t.img
 //	hdnhinspect -img /tmp/t.img
@@ -17,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -50,68 +52,82 @@ func main() {
 		fatal("booting image: %v", err)
 	}
 
-	fmt.Printf("device\n")
-	fmt.Printf("  capacity   %d words (%.1f MB)\n", dev.Words(), float64(dev.Words())*8/(1<<20))
-	fmt.Printf("  allocated  %d words (%.1f MB)\n", dev.Words()-dev.FreeWords(),
-		float64(dev.Words()-dev.FreeWords())*8/(1<<20))
-	fmt.Printf("  roots     ")
-	for i := 0; i < nvm.NumRoots; i++ {
-		if v := dev.Root(i); v != 0 {
-			fmt.Printf(" [%d]=%d", i, v)
-		}
-	}
-	fmt.Println()
-
-	if dev.Root(0) == 0 {
-		fmt.Println("\nno HDNH table on this device (root 0 empty)")
-		return
-	}
-
 	opts := core.DefaultOptions()
 	opts.RecoveryWorkers = *workers
-	start := time.Now()
-	tbl, err := core.Open(dev, opts)
-	if err != nil {
-		fatal("recovering table: %v", err)
+	if err := inspect(os.Stdout, dev, opts, *check); err != nil {
+		fatal("%v", err)
 	}
-	defer tbl.Close()
-	rs := tbl.LastRecovery()
+}
 
-	fmt.Printf("\nhdnh table (recovered in %v: OCF %v, hot %v, clean=%v, dups=%d)\n",
-		time.Since(start).Round(time.Microsecond),
-		rs.OCFRebuild.Round(time.Microsecond), rs.HotRebuild.Round(time.Microsecond),
-		rs.CleanShutdown, rs.DuplicatesResolved)
-	st := tbl.Stats()
-	fmt.Printf("  items       %d\n", st.Items)
-	fmt.Printf("  capacity    %d slots (load %.3f)\n", st.Capacity, st.LoadFactor)
-	fmt.Printf("  levels      top %d + bottom %d segments, m=%d (segment %d KB)\n",
-		st.TopSegments, st.BottomSegments, st.SegmentBuckets, st.SegmentBuckets*256/1024)
-	fmt.Printf("  generation  %d\n", st.Generation)
-	fmt.Printf("  hot table   %d / %d entries\n", st.HotEntries, st.HotCapacity)
-
-	top, bottom := tbl.OccupancyHistogram()
-	fmt.Printf("\nbucket occupancy (buckets holding k of %d slots)\n", core.SlotsPerBucket)
-	fmt.Printf("  k:      %s\n", header(core.SlotsPerBucket))
-	fmt.Printf("  top:    %s\n", row(top[:]))
-	fmt.Printf("  bottom: %s\n", row(bottom[:]))
-
-	if *check {
-		start := time.Now()
-		errs := tbl.CheckInvariants()
-		if len(errs) == 0 {
-			fmt.Printf("\ninvariants: all hold (%v) ✓\n", time.Since(start).Round(time.Millisecond))
-		} else {
-			fmt.Printf("\ninvariants: %d VIOLATIONS\n", len(errs))
-			for i, e := range errs {
-				if i == 20 {
-					fmt.Printf("  ... and %d more\n", len(errs)-20)
-					break
-				}
-				fmt.Printf("  %v\n", e)
-			}
-			os.Exit(1)
+// inspect prints the device superblock, recovers the store on dev (any shard
+// count), and prints the store's totals, then each shard's shape, recovery
+// and bucket-fill histogram. With check it audits every shard's invariants
+// and reports violations as an error.
+func inspect(w io.Writer, dev *nvm.Device, opts core.Options, check bool) error {
+	fmt.Fprintf(w, "device\n")
+	fmt.Fprintf(w, "  capacity   %d words (%.1f MB)\n", dev.Words(), float64(dev.Words())*8/(1<<20))
+	fmt.Fprintf(w, "  allocated  %d words (%.1f MB)\n", dev.Words()-dev.FreeWords(),
+		float64(dev.Words()-dev.FreeWords())*8/(1<<20))
+	fmt.Fprintf(w, "  roots     ")
+	for i := 0; i < nvm.NumRoots; i++ {
+		if v := dev.Root(i); v != 0 {
+			fmt.Fprintf(w, " [%d]=%d", i, v)
 		}
 	}
+	fmt.Fprintln(w)
+
+	start := time.Now()
+	r, err := core.OpenRouter(dev, opts)
+	if err != nil {
+		return fmt.Errorf("recovering store: %w", err)
+	}
+	defer r.Close()
+	fmt.Fprintf(w, "\nhdnh store, %d shard(s) (recovered in %v)\n", r.NumShards(), time.Since(start).Round(time.Microsecond))
+	stats := r.Stats()
+	var hotCap int64
+	for _, st := range stats {
+		hotCap += st.HotCapacity
+	}
+	fmt.Fprintf(w, "  items       %d\n", r.Count())
+	fmt.Fprintf(w, "  capacity    %d slots (load %.3f)\n", r.Capacity(), r.LoadFactor())
+	fmt.Fprintf(w, "  hot table   %d / %d entries\n", r.HotEntries(), hotCap)
+
+	for i, st := range stats {
+		rs := r.Shard(i).LastRecovery()
+		fmt.Fprintf(w, "\nshard %d (recovery: OCF %v, hot %v, clean=%v, dups=%d)\n", i,
+			rs.OCFRebuild.Round(time.Microsecond), rs.HotRebuild.Round(time.Microsecond),
+			rs.CleanShutdown, rs.DuplicatesResolved)
+		fmt.Fprintf(w, "  items       %d\n", st.Items)
+		fmt.Fprintf(w, "  capacity    %d slots (load %.3f)\n", st.Capacity, st.LoadFactor)
+		fmt.Fprintf(w, "  levels      top %d + bottom %d segments, m=%d (segment %d KB)\n",
+			st.TopSegments, st.BottomSegments, st.SegmentBuckets, st.SegmentBuckets*256/1024)
+		fmt.Fprintf(w, "  generation  %d\n", st.Generation)
+		fmt.Fprintf(w, "  hot table   %d / %d entries\n", st.HotEntries, st.HotCapacity)
+		top, bottom := r.Shard(i).OccupancyHistogram()
+		fmt.Fprintf(w, "  bucket occupancy (buckets holding k of %d slots)\n", core.SlotsPerBucket)
+		fmt.Fprintf(w, "    k:      %s\n", header(core.SlotsPerBucket))
+		fmt.Fprintf(w, "    top:    %s\n", row(top[:]))
+		fmt.Fprintf(w, "    bottom: %s\n", row(bottom[:]))
+	}
+
+	if !check {
+		return nil
+	}
+	start = time.Now()
+	errs := r.CheckInvariants()
+	if len(errs) == 0 {
+		fmt.Fprintf(w, "\ninvariants: all hold (%v) ✓\n", time.Since(start).Round(time.Millisecond))
+		return nil
+	}
+	fmt.Fprintf(w, "\ninvariants: %d VIOLATIONS\n", len(errs))
+	for i, e := range errs {
+		if i == 20 {
+			fmt.Fprintf(w, "  ... and %d more\n", len(errs)-20)
+			break
+		}
+		fmt.Fprintf(w, "  %v\n", e)
+	}
+	return fmt.Errorf("%d invariant violations", len(errs))
 }
 
 // flightCmd renders or converts a binary flight-recorder dump.

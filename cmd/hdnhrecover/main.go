@@ -43,11 +43,11 @@ func main() {
 		fatal("device: %v", err)
 	}
 
-	tbl, err := core.Create(dev, core.DefaultOptions())
+	store, err := core.CreateRouter(dev, core.DefaultOptions())
 	if err != nil {
 		fatal("create: %v", err)
 	}
-	s := tbl.NewSession()
+	s := store.NewSession()
 
 	fmt.Printf("loading %d records on a strict-mode device...\n", *n)
 	loaded := int64(0)
@@ -94,12 +94,12 @@ func main() {
 	fmt.Printf("power failure simulated (unflushed lines survive with p=%.2f)\n", *evictProb)
 
 	start := time.Now()
-	recovered, err := core.Open(crashed, core.DefaultOptions())
+	recovered, err := core.OpenRouter(crashed, core.DefaultOptions())
 	if err != nil {
 		fatal("recovery: %v", err)
 	}
 	defer recovered.Close()
-	rs := recovered.LastRecovery()
+	rs := recovered.Shard(0).LastRecovery()
 
 	fmt.Printf("\nrecovery complete in %v\n", time.Since(start).Round(time.Microsecond))
 	fmt.Printf("  OCF rebuild       %v\n", rs.OCFRebuild.Round(time.Microsecond))

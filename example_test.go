@@ -47,14 +47,14 @@ func ExampleOpen() {
 	// Output: persisted true
 }
 
-// ExampleTable_Stats shows the occupancy snapshot.
-func ExampleTable_Stats() {
+// ExampleRouter_Stats shows the occupancy snapshot, one per shard.
+func ExampleRouter_Stats() {
 	dev, _ := hdnh.NewDevice(hdnh.DeviceConfig(1 << 20))
 	table, _ := hdnh.Create(dev, hdnh.DefaultOptions())
 	defer table.Close()
 	s := table.NewSession()
 	_ = s.Insert(hdnh.Key("a"), hdnh.Value("1"))
 	_ = s.Insert(hdnh.Key("b"), hdnh.Value("2"))
-	fmt.Println(table.Stats().Items)
+	fmt.Println(table.Stats()[0].Items)
 	// Output: 2
 }

@@ -19,7 +19,7 @@ func main() {
 	}
 
 	// The paper's tuned configuration: 16KB segments, a DRAM hot table with
-	// 4-slot buckets and RAFL replacement, background synchronous writes.
+	// 4-slot buckets and RAFL replacement, synchronous writes.
 	table, err := hdnh.Create(dev, hdnh.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)

@@ -6,11 +6,14 @@
 // Quick start:
 //
 //	dev, err := hdnh.NewDevice(hdnh.DeviceConfig(1 << 22))
-//	table, err := hdnh.Create(dev, hdnh.DefaultOptions())
-//	defer table.Close()
-//	s := table.NewSession() // one per goroutine
+//	store, err := hdnh.Create(dev, hdnh.DefaultOptions())
+//	defer store.Close()
+//	s := store.NewSession() // one per goroutine
 //	err = s.Insert(hdnh.Key("user1"), hdnh.Value("v1"))
 //	v, ok := s.Get(hdnh.Key("user1"))
+//
+// Set Options.Shards to split the keyspace across independent tables when
+// one table's resize and lock domains become the bottleneck.
 //
 // The heavy lifting lives in the internal packages:
 //
@@ -32,31 +35,27 @@ import (
 	"hdnh/internal/scheme"
 )
 
-// Re-exported core types. Table is safe for concurrent use via per-goroutine
-// Sessions.
+// Re-exported core types. A Router is safe for concurrent use via
+// per-goroutine RouterSessions.
 type (
-	// Table is an HDNH hash table.
-	Table = core.Table
-	// Session is a per-goroutine handle on a Table.
-	Session = core.Session
-	// Router splits the keyspace across Options.Shards independent tables;
-	// create one with CreateRouter when a single table's resize and lock
-	// domains become the bottleneck.
+	// Router is an HDNH store: one table, or Options.Shards independent
+	// tables behind a hash router.
 	Router = core.Router
 	// RouterSession is a per-goroutine handle on a Router.
 	RouterSession = core.RouterSession
-	// Options configures a Table.
+	// Options configures a Router.
 	Options = core.Options
 	// Replacer selects the hot-table replacement strategy.
 	Replacer = core.Replacer
-	// RecoveryStats describes what Open rebuilt.
+	// RecoveryStats describes what one table's recovery rebuilt; read it
+	// through Router.Shard(i).LastRecovery.
 	RecoveryStats = core.RecoveryStats
 	// Device is the emulated NVM device.
 	Device = nvm.Device
 	// DeviceOptions configures the emulated device.
 	DeviceOptions = nvm.Config
 	// Metrics is an opt-in metrics registry; attach one via Options.Metrics
-	// and scrape it with Table.MetricsSnapshot. See docs/OBSERVABILITY.md.
+	// and scrape it with Router.MetricsSnapshot. See docs/OBSERVABILITY.md.
 	Metrics = obs.Metrics
 	// MetricsConfig configures a Metrics registry.
 	MetricsConfig = obs.Config
@@ -112,28 +111,18 @@ func DeviceFromImage(cfg DeviceOptions, image []uint64) (*Device, error) {
 	return nvm.FromImage(cfg, image)
 }
 
-// Create formats a fresh table on the device.
-func Create(dev *Device, opts Options) (*Table, error) { return core.Create(dev, opts) }
+// Create formats a fresh store on the device: one table, or Options.Shards
+// tables behind a hash router.
+func Create(dev *Device, opts Options) (*Router, error) { return core.CreateRouter(dev, opts) }
 
-// Open recovers the table stored on the device (replays interrupted
-// resizes, rebuilds the OCF and hot table).
-func Open(dev *Device, opts Options) (*Table, error) { return core.Open(dev, opts) }
+// Open recovers the store on the device (replays interrupted resizes,
+// rebuilds the OCF and hot table of every shard). The persisted shard count
+// is authoritative: Options.Shards=0 adopts it, any other mismatch fails
+// with a clear error.
+func Open(dev *Device, opts Options) (*Router, error) { return core.OpenRouter(dev, opts) }
 
-// OpenOrCreate opens an existing table or creates a fresh one.
-func OpenOrCreate(dev *Device, opts Options) (*Table, error) { return core.OpenOrCreate(dev, opts) }
-
-// CreateRouter formats Options.Shards independent tables behind a hash
-// router. Shards=0 or 1 lays the device out byte-identically to Create.
-func CreateRouter(dev *Device, opts Options) (*Router, error) { return core.CreateRouter(dev, opts) }
-
-// OpenRouter recovers a table or sharded router from the device. The
-// persisted shard count is authoritative: Options.Shards=0 adopts it, any
-// other mismatch fails with a clear error.
-func OpenRouter(dev *Device, opts Options) (*Router, error) { return core.OpenRouter(dev, opts) }
-
-// OpenOrCreateRouter opens the router stored on the device or creates a
-// fresh one.
-func OpenOrCreateRouter(dev *Device, opts Options) (*Router, error) {
+// OpenOrCreate opens the store on the device or creates a fresh one.
+func OpenOrCreate(dev *Device, opts Options) (*Router, error) {
 	return core.OpenOrCreateRouter(dev, opts)
 }
 

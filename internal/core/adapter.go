@@ -50,11 +50,11 @@ func init() {
 			if mutate != nil {
 				mutate(&opts)
 			}
-			t, err := OpenOrCreate(dev, opts)
+			r, err := OpenOrCreateRouter(dev, opts)
 			if err != nil {
 				return nil, err
 			}
-			return &storeAdapter{t: t}, nil
+			return &routerAdapter{r: r}, nil
 		})
 	}
 	register("HDNH", nil)
@@ -84,12 +84,8 @@ func sizeBottomSegments(hint int64, m int) int {
 // cmd/hdnhserve) size them consistently with factory-built stores.
 func SizeBottomSegments(hint int64, m int) int { return sizeBottomSegments(hint, m) }
 
-// NewStore wraps an existing Table in the scheme interface; the sensitivity
-// experiments use it to sweep HDNH-specific options the registry fixes.
-func NewStore(t *Table) scheme.Store { return &storeAdapter{t: t} }
-
 // NewRouterStore wraps a Router in the scheme interface, so the harness can
-// sweep shard counts like any other scheme axis.
+// sweep shard counts and HDNH-specific options the registry fixes.
 func NewRouterStore(r *Router) scheme.Store { return &routerAdapter{r: r} }
 
 // routerAdapter exposes a Router through the scheme interface.
@@ -138,57 +134,9 @@ func (sa *routerSessionAdapter) MultiDelete(keys []kv.Key, errs []error) int {
 	return sa.s.MultiDelete(keys, errs)
 }
 
-func (sa *routerSessionAdapter) NVMStats() nvm.Stats {
-	sa.s.SyncObs()
-	return sa.s.NVMStats()
-}
-
-// storeAdapter exposes a Table through the scheme interface.
-type storeAdapter struct{ t *Table }
-
-var _ scheme.Store = (*storeAdapter)(nil)
-
-func (a *storeAdapter) Name() string               { return "HDNH" }
-func (a *storeAdapter) NewSession() scheme.Session { return &sessionAdapter{s: a.t.NewSession()} }
-func (a *storeAdapter) Count() int64               { return a.t.Count() }
-func (a *storeAdapter) Capacity() int64            { return a.t.Capacity() }
-func (a *storeAdapter) LoadFactor() float64        { return a.t.LoadFactor() }
-func (a *storeAdapter) Close() error               { return a.t.Close() }
-
-// Table returns the underlying HDNH table (for experiments that inspect
-// HDNH-specific state like hot-table occupancy).
-func (a *storeAdapter) Table() *Table { return a.t }
-
-type sessionAdapter struct{ s *Session }
-
-var (
-	_ scheme.Session      = (*sessionAdapter)(nil)
-	_ scheme.BatchSession = (*sessionAdapter)(nil)
-)
-
-func (sa *sessionAdapter) Insert(k kv.Key, v kv.Value) error { return sa.s.Insert(k, v) }
-func (sa *sessionAdapter) Get(k kv.Key) (kv.Value, bool)     { return sa.s.Get(k) }
-func (sa *sessionAdapter) Update(k kv.Key, v kv.Value) error { return sa.s.Update(k, v) }
-func (sa *sessionAdapter) Delete(k kv.Key) error             { return sa.s.Delete(k) }
-func (sa *sessionAdapter) Close() error                      { return sa.s.Close() }
-
-func (sa *sessionAdapter) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) int {
-	return sa.s.MultiGet(keys, vals, found)
-}
-func (sa *sessionAdapter) MultiPut(keys []kv.Key, vals []kv.Value, errs []error) int {
-	return sa.s.MultiPut(keys, vals, errs)
-}
-func (sa *sessionAdapter) MultiDelete(keys []kv.Key, errs []error) int {
-	return sa.s.MultiDelete(keys, errs)
-}
-
-// Lookup exposes the contention-surfacing read for callers that type-assert
-// past the scheme interface.
-func (sa *sessionAdapter) Lookup(k kv.Key) (kv.Value, error) { return sa.s.Lookup(k) }
-
 // NVMStats doubles as the harness's per-worker checkpoint, so it also
 // bridges the handle-local device counters into the metrics registry.
-func (sa *sessionAdapter) NVMStats() nvm.Stats {
+func (sa *routerSessionAdapter) NVMStats() nvm.Stats {
 	sa.s.SyncObs()
 	return sa.s.NVMStats()
 }

@@ -14,14 +14,14 @@ import (
 //
 //   - MultiGet hashes every key up front, probes the hot table for the whole
 //     batch lock-free, then walks the NVT for the remaining keys inside
-//     epoch critical sections of Options.BatchEpochChunk keys each — one
+//     epoch critical sections of one batch chunk (64 keys) each — one
 //     enter/exit pair per chunk instead of per key — and reports one merged
 //     probeStats for the whole walk. Hot-table re-caches are not applied
 //     one bucket-lock acquisition per key: they are collected, grouped by
 //     hot bucket pair, and each group is applied under a single
 //     lockBuckets/unlockBuckets round trip.
-//   - MultiPut and MultiDelete hash up front, then commit in groups of
-//     Options.WriteGroupChunk keys: each chunk runs in bucket-sorted order
+//   - MultiPut and MultiDelete hash up front, then commit one batch chunk
+//     of keys per group: each chunk runs in bucket-sorted order
 //     (same-bucket keys touch adjacent NVT lines back-to-back) through the
 //     same staged protocol a single-key write runs as a group of one
 //     (groupcommit.go), so the chunk's line write-backs drain behind at
@@ -126,17 +126,13 @@ func (s *Session) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) int {
 		}
 	}
 
-	// Pass 2: NVT walks, BatchEpochChunk keys per critical section so a
+	// Pass 2: NVT walks, one batch chunk of keys per critical section so a
 	// large batch never extends a concurrent resize's grace period by more
 	// than one chunk.
 	var ps probeStats
-	chunk := s.t.opts.BatchEpochChunk
-	if chunk <= 0 {
-		chunk = DefaultBatchEpochChunk
-	}
 	pending := 0
 	for i := 0; i < n; {
-		budget := chunk
+		budget := s.t.opts.batchChunk
 		s.enterCritical()
 		for i < n && budget > 0 {
 			bk := &bs.keys[i]
@@ -330,7 +326,7 @@ func (s *Session) MultiDeleteExchange(keys []kv.Key, olds []kv.Value, errs []err
 }
 
 // multiWrite is the grouped write core behind the four methods above: hash
-// up front, sort by bucket, then stage WriteGroupChunk keys per group and
+// up front, sort by bucket, then stage one batch chunk of keys per group and
 // commit each group with one drainPending. vals is read only for verbPut;
 // olds and hadOld are filled when non-nil.
 func (s *Session) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []kv.Value, hadOld []bool, errs []error) int {
@@ -346,10 +342,7 @@ func (s *Session) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []kv.Valu
 		bk.h1, bk.h2, bk.fp = hashKV(keys[i][:])
 	}
 	s.orderByBucket(n)
-	chunk := s.t.opts.WriteGroupChunk
-	if chunk <= 0 {
-		chunk = DefaultWriteGroupChunk
-	}
+	chunk := s.t.opts.batchChunk
 	fails := 0
 	for lo := 0; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)

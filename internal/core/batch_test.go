@@ -28,7 +28,7 @@ func TestMultiGetMixedHitsAndMisses(t *testing.T) {
 		// A chunk smaller than the batch forces multiple enter/exit rounds.
 		{"tiny-chunk", func(o *Options) {
 			o.HotSlotsPerBucket = 0
-			o.BatchEpochChunk = 3
+			o.batchChunk = 3
 		}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -164,9 +164,9 @@ func firstErr(errs []error) error {
 // a committed key and no updater observes corruption.
 func TestBatchStressThroughResizes(t *testing.T) {
 	tbl := newTable(t, func(o *Options) {
-		o.DrainChunkBuckets = 8
-		o.DrainWorkers = 2
-		o.BatchEpochChunk = 16
+		o.drainChunkBuckets = 8
+		o.drainWorkers = 2
+		o.batchChunk = 16
 	})
 	const stable = 2000 // keys committed before the churn starts
 	load := tbl.NewSession()
@@ -272,7 +272,7 @@ func TestBatchStressThroughResizes(t *testing.T) {
 func TestNoHotEndToEnd(t *testing.T) {
 	tbl := newTable(t, func(o *Options) {
 		o.HotSlotsPerBucket = 0
-		o.DrainChunkBuckets = 16
+		o.drainChunkBuckets = 16
 	})
 	s := tbl.NewSession()
 	const n = 6000 // enough to force doublings from one bottom segment
@@ -378,7 +378,7 @@ func TestMultiGetSpanBalanceUnderContention(t *testing.T) {
 	fr := flight.New(flight.Config{SampleEvery: 1, RingEvents: 1 << 16})
 	tbl := newTable(t, func(o *Options) {
 		o.HotSlotsPerBucket = 0 // force the NVT walk for every key
-		o.LookupRetryBudget = 2
+		o.lookupRetryBudget = 2
 		o.Flight = fr
 	})
 	s := tbl.NewSession()

@@ -23,7 +23,7 @@ func benchTable(b *testing.B, mutate func(*Options)) *Table {
 	if mutate != nil {
 		mutate(&opts)
 	}
-	tbl, err := Create(dev, opts)
+	tbl, err := create(dev, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 			opts := DefaultOptions()
 			opts.InitBottomSegments = 64
-			tbl, err := Create(dev, opts)
+			tbl, err := create(dev, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -256,7 +256,7 @@ func BenchmarkRecovery(b *testing.B) {
 			tbl.StopBackground()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				re, err := Open(dev, opts)
+				re, err := openRoot(dev, opts, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

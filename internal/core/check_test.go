@@ -81,7 +81,7 @@ func TestInvariantsAfterCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	tbl, err := Create(dev, opts)
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestInvariantsAfterCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl2, err := Open(dev2, opts)
+	tbl2, err := openRoot(dev2, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func runCrashFuzz(t *testing.T, seed uint64) {
 	}
 	opts := DefaultOptions()
 	opts.SegmentBuckets = 16 // small segments: crashes land in resizes too
-	tbl, err := Create(dev, opts)
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,9 +93,9 @@ func (w *drainCrashWorld) opts() Options {
 	o := DefaultOptions()
 	o.SegmentBuckets = 4
 	o.InitBottomSegments = 2 // the first doubling drains 8 buckets
-	o.DrainWorkers = w.workers
-	o.DrainChunkBuckets = 2
-	o.WriteGroupChunk = 6 // groups of one bucket and of two
+	o.drainWorkers = w.workers
+	o.drainChunkBuckets = 2
+	o.batchChunk = 6 // groups of one bucket and of two
 	return o
 }
 
@@ -113,7 +113,7 @@ func (w *drainCrashWorld) findTrigger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := Create(dev, w.opts())
+	tbl, err := create(dev, w.opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func (w *drainCrashWorld) run(t *testing.T, seed uint64, n int64) []uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := Create(dev, w.opts())
+	tbl, err := create(dev, w.opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func (w *drainCrashWorld) run(t *testing.T, seed uint64, n int64) []uint64 {
 func (w *drainCrashWorld) pacedDrain(t *testing.T, dev *nvm.Device, tbl *Table, s *Session) {
 	t.Helper()
 	src := tbl.pair().bottom
-	chunk := int64(w.opts().DrainChunkBuckets)
+	chunk := int64(w.opts().drainChunkBuckets)
 	type seat struct {
 		key  int
 		ref  slotRef
@@ -296,7 +296,7 @@ func (w *drainCrashWorld) recoverTwice(t *testing.T, what string, seed uint64, i
 				t.Fatal(err)
 			}
 		}
-		tbl, err := Open(dev, w.opts())
+		tbl, err := openRoot(dev, w.opts(), nil)
 		if err != nil {
 			t.Fatalf("%s: recovery failed: %v", what, err)
 		}

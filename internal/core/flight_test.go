@@ -96,7 +96,7 @@ func TestSlowOpCaptureExplainsTail(t *testing.T) {
 	})
 	tbl := newTable(t, func(o *Options) {
 		o.HotSlotsPerBucket = 0 // force the NVT walk
-		o.LookupRetryBudget = 2
+		o.lookupRetryBudget = 2
 		o.Flight = fr
 	})
 	s := tbl.NewSession()
@@ -181,7 +181,7 @@ func TestFlightRecordsResizeAndRecovery(t *testing.T) {
 	opts := DefaultOptions()
 	opts.InitBottomSegments = 1
 	opts.Flight = fr
-	tbl, err := Create(dev, opts)
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestFlightRecordsResizeAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tbl2, err := Open(dev, opts)
+	tbl2, err := openRoot(dev, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestFlightSpansBalanceAcrossFailedExpansion(t *testing.T) {
 	opts.SegmentBuckets = 4
 	opts.MaxExpansions = 2
 	opts.Flight = fr
-	tbl, err := Create(dev, opts)
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestFlightOverheadGuard(t *testing.T) {
 		opts := DefaultOptions()
 		opts.InitBottomSegments = 16
 		opts.Flight = fr
-		tbl, err := Create(newDev(t, 1<<22), opts)
+		tbl, err := create(newDev(t, 1<<22), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,10 +25,11 @@ func TestPersistedFormatPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := Create(dev, opts)
+	r, err := CreateRouter(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := r.Shard(0)
 	created := tbl.Generation()
 	s := tbl.NewSession()
 	const n = 3600
@@ -69,7 +70,7 @@ func TestPersistedFormatPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(redev, opts)
+	re, err := OpenRouter(redev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

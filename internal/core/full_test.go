@@ -15,7 +15,7 @@ func TestInsertErrFullOnDeviceExhaustion(t *testing.T) {
 	dev := newDev(t, 2048)
 	opts := DefaultOptions()
 	opts.SegmentBuckets = 4
-	tbl, err := Create(dev, opts)
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestUpdateErrFullOnDeviceExhaustion(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SegmentBuckets = 4
 	opts.MaxExpansions = 2
-	tbl, err := Create(dev, opts)
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCreateOnTooSmallDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Create(dev, DefaultOptions()); err == nil {
+	if _, err := create(dev, DefaultOptions()); err == nil {
 		t.Fatal("Create on a device too small for one level succeeded")
 	}
 }
@@ -108,7 +108,7 @@ func TestMaxExpansionsBoundsWork(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SegmentBuckets = 4
 	opts.MaxExpansions = 1
-	tbl, err := Create(dev, opts)
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestSoloWriteBarrierCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := Create(dev, DefaultOptions())
+	tbl, err := create(dev, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSoloWriteBarrierCounts(t *testing.T) {
 }
 
 // TestDrainBarrierCounts pins what growth costs the device, as counts: a
-// drain commits its moves WriteGroupChunk at a time (groups end on bucket
+// drain commits its moves batchChunk at a time (groups end on bucket
 // boundaries and at the chunk's end), each group pays the protocol's three
 // barriers however many records it carries, each chunk one progress word,
 // and the clears of one bucket share lines. A resumed drain's records are
@@ -96,10 +96,10 @@ func TestDrainBarrierCounts(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.SegmentBuckets = m
-	opts.DrainWorkers = 1
-	opts.DrainChunkBuckets = chunk
-	opts.WriteGroupChunk = groupAt
-	tbl, err := Create(dev, opts)
+	opts.drainWorkers = 1
+	opts.drainChunkBuckets = chunk
+	opts.batchChunk = groupAt
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestDrainBarrierCounts(t *testing.T) {
 // a preloaded key twice. Verdicts, exchange chains, and final values must
 // match running the same stream through solo upserts.
 func TestGroupCommitDuplicateKeys(t *testing.T) {
-	tbl := newTable(t, func(o *Options) { o.WriteGroupChunk = 4 })
+	tbl := newTable(t, func(o *Options) { o.batchChunk = 4 })
 	s := tbl.NewSession()
 	if err := s.Insert(key(1), value(0)); err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestGroupCommitDuplicateKeys(t *testing.T) {
 // (first wins, second reads a conclusive ErrNotFound) and a delete batch
 // mixing present and absent keys.
 func TestGroupDeleteDuplicateAndMixed(t *testing.T) {
-	tbl := newTable(t, func(o *Options) { o.WriteGroupChunk = 4 })
+	tbl := newTable(t, func(o *Options) { o.batchChunk = 4 })
 	s := tbl.NewSession()
 	for i := 0; i < 4; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -321,7 +321,7 @@ func TestGroupDeleteDuplicateAndMixed(t *testing.T) {
 // old slot's lock from stage to drain, so the guarantee must survive the
 // longer exchange window.
 func TestGroupExchangeObservesEachValueOnce(t *testing.T) {
-	tbl := newTable(t, func(o *Options) { o.WriteGroupChunk = 8 })
+	tbl := newTable(t, func(o *Options) { o.batchChunk = 8 })
 	boot := tbl.NewSession()
 	const hot = 3
 	for k := 0; k < hot; k++ {
@@ -408,7 +408,7 @@ func TestGroupExchangeObservesEachValueOnce(t *testing.T) {
 // group (the no-wait probe reports contention, the group drains, and the
 // key takes the blocking solo path) and must still commit correctly.
 func TestGroupCommitContentionFallback(t *testing.T) {
-	tbl := newTable(t, func(o *Options) { o.WriteGroupChunk = 8 })
+	tbl := newTable(t, func(o *Options) { o.batchChunk = 8 })
 	s := tbl.NewSession()
 	const n = 16
 	for i := 0; i < n; i++ {
@@ -495,9 +495,9 @@ func TestGroupCommitThroughExpansion(t *testing.T) {
 // never-deleted key is always found, with one of its possible values.
 func TestGroupWriteStressThroughResizes(t *testing.T) {
 	tbl := newTable(t, func(o *Options) {
-		o.DrainChunkBuckets = 8
-		o.DrainWorkers = 2
-		o.WriteGroupChunk = 16
+		o.drainChunkBuckets = 8
+		o.drainWorkers = 2
+		o.batchChunk = 16
 	})
 	const stable = 2000
 	load := tbl.NewSession()

@@ -72,7 +72,7 @@ func TestHeatMultiGet(t *testing.T) {
 	opts := DefaultOptions()
 	opts.InitBottomSegments = 4
 	opts.Heat = mon
-	tbl, err := Create(newDev(t, 1<<22), opts)
+	tbl, err := create(newDev(t, 1<<22), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestHeatUnsampledAllocs(t *testing.T) {
 	opts := DefaultOptions()
 	opts.InitBottomSegments = 4
 	opts.Heat = mon
-	tbl, err := Create(newDev(t, 1<<22), opts)
+	tbl, err := create(newDev(t, 1<<22), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestHeatOverheadGuard(t *testing.T) {
 		opts := DefaultOptions()
 		opts.InitBottomSegments = 16
 		opts.Heat = mon
-		tbl, err := Create(newDev(t, 1<<22), opts)
+		tbl, err := create(newDev(t, 1<<22), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,11 +16,11 @@ import (
 // and nothing else in the Get path touches the device.
 func TestObsReconcilesWithNVMStats(t *testing.T) {
 	m := obs.New(obs.Config{SampleEvery: 1})
-	tbl := newTable(t, func(o *Options) {
+	r := newRouterT(t, 1, func(o *Options) {
 		o.HotSlotsPerBucket = 0
 		o.Metrics = m
 	})
-	s := tbl.NewSession()
+	s := r.NewSession()
 
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -31,11 +31,11 @@ func TestObsReconcilesWithNVMStats(t *testing.T) {
 	// The inserts started drains, and drain workers bridge their own NVM
 	// reads into the registry when they finish (drainWorker's rec.AddNVM):
 	// let that land before the base snapshot, not inside the Get phase.
-	for tbl.Resizing() {
+	for r.Resizing() {
 		time.Sleep(time.Millisecond)
 	}
 	s.SyncObs()
-	base := tbl.MetricsSnapshot()
+	base := r.MetricsSnapshot()
 
 	for i := 0; i < n; i++ {
 		if _, ok := s.Get(key(i)); !ok {
@@ -43,7 +43,7 @@ func TestObsReconcilesWithNVMStats(t *testing.T) {
 		}
 	}
 	s.SyncObs()
-	d := tbl.MetricsSnapshot().Sub(base)
+	d := r.MetricsSnapshot().Sub(base)
 
 	if got := d.Ops[obs.OpGet][obs.OutNVTHit]; got != n {
 		t.Fatalf("nvt_hit gets = %d, want %d", got, n)
@@ -71,7 +71,7 @@ func TestObsReconcilesWithNVMStats(t *testing.T) {
 	// The same keys as MultiGet batches walk the same slots. A batch shares
 	// one probe accounting; its second and later keys are walks, not rescans,
 	// or reads per walk would show half its value for batched traffic.
-	base = tbl.MetricsSnapshot()
+	base = r.MetricsSnapshot()
 	const batch = 64
 	keys, vals, found := make([]kv.Key, 0, batch), make([]kv.Value, batch), make([]bool, batch)
 	for i := 0; i < n; i += len(keys) {
@@ -84,7 +84,7 @@ func TestObsReconcilesWithNVMStats(t *testing.T) {
 		}
 	}
 	s.SyncObs()
-	b := tbl.MetricsSnapshot().Sub(base)
+	b := r.MetricsSnapshot().Sub(base)
 	if b.LookupRescans != 0 || b.NVTWalks() != n {
 		t.Fatalf("batched gets: %d rescans, %d walks, want 0 and %d", b.LookupRescans, b.NVTWalks(), n)
 	}
@@ -98,8 +98,8 @@ func TestObsReconcilesWithNVMStats(t *testing.T) {
 // gauges and that the end-to-end exposition carries real numbers.
 func TestMetricsSnapshotGaugesAndExposition(t *testing.T) {
 	m := obs.New(obs.Config{SampleEvery: 1})
-	tbl := newTable(t, func(o *Options) { o.Metrics = m })
-	s := tbl.NewSession()
+	r := newRouterT(t, 1, func(o *Options) { o.Metrics = m })
+	s := r.NewSession()
 	const n = 500
 	for i := 0; i < n; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -112,7 +112,7 @@ func TestMetricsSnapshotGaugesAndExposition(t *testing.T) {
 		}
 	}
 	s.SyncObs()
-	snap := tbl.MetricsSnapshot()
+	snap := r.MetricsSnapshot()
 	if snap.Gauges.Items != n {
 		t.Fatalf("items gauge = %d, want %d", snap.Gauges.Items, n)
 	}
@@ -142,8 +142,7 @@ func TestMetricsSnapshotGaugesAndExposition(t *testing.T) {
 // doubles as the SyncObs checkpoint for factory-built tables.
 func TestNVMStatsBridgeThroughAdapter(t *testing.T) {
 	m := obs.New(obs.Config{})
-	tbl := newTable(t, func(o *Options) { o.Metrics = m })
-	sess := NewStore(tbl).NewSession()
+	sess := NewRouterStore(newRouterT(t, 1, func(o *Options) { o.Metrics = m })).NewSession()
 	if err := sess.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
 	}

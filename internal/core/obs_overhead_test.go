@@ -76,7 +76,7 @@ func TestMetricsOverheadGuard(t *testing.T) {
 		opts := DefaultOptions()
 		opts.InitBottomSegments = 16
 		opts.Metrics = m
-		tbl, err := Create(newDev(t, 1<<22), opts)
+		tbl, err := create(newDev(t, 1<<22), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

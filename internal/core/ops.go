@@ -172,12 +172,12 @@ type hit struct {
 // in a bucket this scan already passed. Whenever a pass both misses AND
 // observed a matching-fingerprint slot transition under a writer lock, the
 // scan restarts — the record may have moved behind us. The restart count is
-// capped by Options.LookupRetryBudget; exhausting it returns
+// capped by Options.lookupRetryBudget (1024); exhausting it returns
 // lookupContended, never lookupMissing. Caller must be inside an epoch
 // critical section (enterCritical).
 func (t *Table) lookup(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats) (hit, lookupResult) {
 	kw0, kw1 := k.Pack()
-	for pass := 0; pass < t.opts.LookupRetryBudget; pass++ {
+	for pass := 0; pass < t.opts.lookupRetryBudget; pass++ {
 		if pass > 0 {
 			ps.rescans++
 		}
@@ -251,7 +251,7 @@ func (t *Table) lookup(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *pro
 // (see groupcommit.go).
 func (t *Table) findAndLock(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats, wait bool) (hit, lookupResult) {
 	kw0, kw1 := k.Pack()
-	for attempt := 0; attempt < t.opts.LookupRetryBudget; attempt++ {
+	for attempt := 0; attempt < t.opts.lookupRetryBudget; attempt++ {
 		if attempt > 0 {
 			ps.rescans++
 		}

@@ -51,8 +51,8 @@ func (r Replacer) String() string {
 	}
 }
 
-// Options configures a Table. The zero value is not valid; start from
-// DefaultOptions.
+// Options configures a store: a Router and each shard table behind it. The
+// zero value is not valid; start from DefaultOptions.
 type Options struct {
 	// SegmentBuckets is the paper's m: buckets per segment. The default 64
 	// gives 16KB segments, the optimum the paper finds in Figure 11a.
@@ -82,16 +82,6 @@ type Options struct {
 	// table expansion before giving up with ErrFull.
 	MaxExpansions int
 
-	// DrainWorkers is how many background goroutines rehash the old bottom
-	// level during an expansion, each over its own disjoint bucket range with
-	// its own NVM handle and persisted progress word. Capped at the meta
-	// block's MaxDrainRanges. 0 picks the default (DefaultDrainWorkers).
-	DrainWorkers int
-	// DrainChunkBuckets bounds how many buckets a drain worker rehashes per
-	// shared-lock acquisition; smaller chunks tighten the tail latency of
-	// foreground operations racing the drain at the price of more progress
-	// persists. 0 picks the default (DefaultDrainChunkBuckets).
-	DrainChunkBuckets int
 	// BlockingResize restores the pre-incremental behaviour: the expanding
 	// goroutine holds the resize lock exclusively for the whole drain,
 	// stalling every foreground operation. Kept as the measurable baseline
@@ -102,37 +92,15 @@ type Options struct {
 	// and hot table after a restart (the paper's multi-threaded recovery).
 	RecoveryWorkers int
 
-	// LookupRetryBudget caps how many movement-hazard rescan passes one NVT
-	// walk may take before reporting ErrContended. 0 means the default
-	// (DefaultLookupRetryBudget); tests use tiny budgets to provoke the
-	// contended paths deterministically.
-	LookupRetryBudget int
-
 	// Shards splits the keyspace across that many independent tables behind
 	// a hash router (CreateRouter/OpenRouter): each shard owns its epoch
 	// registry, resize state and hot table, so resizes, drains
 	// and slot-lock traffic parallelise across shards. Must be a power of
 	// two (the router routes on the high bits of h1, leaving the bits every
 	// in-shard placement uses untouched), at most MaxShards. 0 and 1 both
-	// mean unsharded — the single-table on-device layout is byte-identical
-	// to a table created without the option, so existing images keep
-	// opening. Table.Create/Open ignore the field; only the router consumes
-	// it.
+	// mean unsharded: one table linked through root slot 0, the image
+	// unsharded stores have always had.
 	Shards int
-
-	// BatchEpochChunk bounds how many keys of one MultiGet/MultiPut/
-	// MultiDelete are processed per epoch critical section. Between chunks
-	// the batch exits and re-enters, so an arbitrarily large batch never
-	// extends a concurrent resize's grace period by more than one chunk's
-	// work. 0 picks the default (DefaultBatchEpochChunk).
-	BatchEpochChunk int
-
-	// WriteGroupChunk bounds how many keys of one MultiPut/MultiDelete
-	// commit as a single group: the chunk's NVT writes run back-to-back in
-	// bucket-sorted order and share each phase's barrier. Larger chunks
-	// amortise the barriers further but hold more slot locks at once. 0
-	// picks the default (DefaultWriteGroupChunk).
-	WriteGroupChunk int
 
 	// Metrics, when non-nil, enables observability: sessions and drain
 	// workers record into it (see internal/obs). nil compiles the accounting
@@ -156,35 +124,34 @@ type Options struct {
 
 	// Seed makes replacement decisions and any sampling deterministic.
 	Seed uint64
+
+	// Fixed internals: zero means the constant below. Only this package's
+	// tests set them, to reach rare paths (an exhausted rescan budget, a
+	// one-bucket drain chunk, a group of six) deterministically.
+	lookupRetryBudget int // movement-hazard rescans per NVT walk
+	drainWorkers      int // goroutines rehashing one drain
+	drainChunkBuckets int // buckets per drain claim and per progress word
+	batchChunk        int // keys per batch epoch section and per write group
 }
 
-// DefaultDrainWorkers balances rehash completion time against the NVM
-// bandwidth the drain steals from foreground writes; four workers finish a
-// doubling quickly without saturating the emulated device.
-const DefaultDrainWorkers = 4
-
-// DefaultDrainChunkBuckets is 64 buckets (16KB of NVT) per shared-lock
-// acquisition: large enough that progress persists are amortised, small
-// enough that a pointer-swapping expansion never waits long behind a chunk.
-const DefaultDrainChunkBuckets = 64
-
-// DefaultBatchEpochChunk is how many batch keys run per epoch critical
-// section when BatchEpochChunk is zero: large enough to amortise the
-// enter/exit pair to noise, small enough that a batch never stalls a resize
-// grace period for long.
-const DefaultBatchEpochChunk = 64
-
-// DefaultWriteGroupChunk is the group size a zero WriteGroupChunk means:
-// matches DefaultBatchEpochChunk so one group is also one epoch chunk, and
-// is past the knee where the per-phase barriers are fully amortised.
-const DefaultWriteGroupChunk = 64
-
-// DefaultLookupRetryBudget is the rescan cap a zero LookupRetryBudget means.
-// A conclusive pass needs no rescans at all unless a record the walk raced
-// actually moved, so real workloads spend the budget only under pathological
-// same-shard churn — where exhausting it now yields ErrContended instead of
-// the silent false miss it used to.
-const DefaultLookupRetryBudget = 1024
+// The fixed internals' values; docs/TUNING.md has the measurements behind
+// them.
+const (
+	// A conclusive pass needs no rescan unless a record the walk raced moved,
+	// so only pathological same-shard churn spends the budget, and exhausting
+	// it yields ErrContended, never a false miss.
+	defaultLookupRetryBudget = 1024
+	// Four workers finish a doubling quickly without saturating the emulated
+	// device's write bandwidth.
+	defaultDrainWorkers = 4
+	// 64 buckets (16KB of NVT) per claim amortise the progress persists, and
+	// a pointer-swapping expansion never waits long behind a chunk.
+	defaultDrainChunkBuckets = 64
+	// One batch chunk is both an epoch section (a large batch never stalls a
+	// resize grace period for long) and a write group (past the knee where
+	// the group's three barriers are amortised).
+	defaultBatchChunk = 64
+)
 
 // DefaultOptions returns the paper's tuned configuration.
 func DefaultOptions() Options {
@@ -195,36 +162,25 @@ func DefaultOptions() Options {
 		Replacer:           ReplacerRAFL,
 		DisplaceOnInsert:   false,
 		MaxExpansions:      24,
-		DrainWorkers:       DefaultDrainWorkers,
-		DrainChunkBuckets:  DefaultDrainChunkBuckets,
 		RecoveryWorkers:    4,
-		LookupRetryBudget:  DefaultLookupRetryBudget,
-		BatchEpochChunk:    DefaultBatchEpochChunk,
-		WriteGroupChunk:    DefaultWriteGroupChunk,
 		Seed:               1,
 	}
 }
 
-// withDefaults normalises optional zero values; Create and Open apply it
-// after Validate so the rest of the package never sees a zero budget.
+// withDefaults fills the fixed internals; tables and routers apply it after
+// Validate, so the rest of the package never sees a zero.
 func (o Options) withDefaults() Options {
-	if o.LookupRetryBudget == 0 {
-		o.LookupRetryBudget = DefaultLookupRetryBudget
+	if o.lookupRetryBudget == 0 {
+		o.lookupRetryBudget = defaultLookupRetryBudget
 	}
-	if o.DrainWorkers == 0 {
-		o.DrainWorkers = DefaultDrainWorkers
+	if o.drainWorkers == 0 {
+		o.drainWorkers = defaultDrainWorkers
 	}
-	if o.DrainWorkers > MaxDrainRanges {
-		o.DrainWorkers = MaxDrainRanges
+	if o.drainChunkBuckets == 0 {
+		o.drainChunkBuckets = defaultDrainChunkBuckets
 	}
-	if o.DrainChunkBuckets == 0 {
-		o.DrainChunkBuckets = DefaultDrainChunkBuckets
-	}
-	if o.BatchEpochChunk == 0 {
-		o.BatchEpochChunk = DefaultBatchEpochChunk
-	}
-	if o.WriteGroupChunk == 0 {
-		o.WriteGroupChunk = DefaultWriteGroupChunk
+	if o.batchChunk == 0 {
+		o.batchChunk = defaultBatchChunk
 	}
 	return o
 }
@@ -248,21 +204,6 @@ func (o Options) Validate() error {
 	}
 	if o.RecoveryWorkers <= 0 {
 		return fmt.Errorf("core: RecoveryWorkers %d must be positive", o.RecoveryWorkers)
-	}
-	if o.DrainWorkers < 0 {
-		return fmt.Errorf("core: DrainWorkers %d must not be negative", o.DrainWorkers)
-	}
-	if o.DrainChunkBuckets < 0 {
-		return fmt.Errorf("core: DrainChunkBuckets %d must not be negative", o.DrainChunkBuckets)
-	}
-	if o.LookupRetryBudget < 0 {
-		return fmt.Errorf("core: LookupRetryBudget %d must not be negative", o.LookupRetryBudget)
-	}
-	if o.BatchEpochChunk < 0 {
-		return fmt.Errorf("core: BatchEpochChunk %d must not be negative", o.BatchEpochChunk)
-	}
-	if o.WriteGroupChunk < 0 {
-		return fmt.Errorf("core: WriteGroupChunk %d must not be negative", o.WriteGroupChunk)
 	}
 	if o.Shards < 0 || o.Shards > MaxShards {
 		return fmt.Errorf("core: Shards %d outside [0,%d]", o.Shards, MaxShards)

@@ -13,8 +13,10 @@ import (
 	"hdnh/internal/rng"
 )
 
-// RecoveryStats reports what Open did, matching the breakdown in the
-// paper's Table 1 (OCF rebuild time, hot table rebuild time, total).
+// RecoveryStats reports what one table's recovery did, matching the
+// breakdown in the paper's Table 1 (OCF rebuild time, hot table rebuild
+// time, total). OpenRouter recovers each shard in turn; read shard i's
+// through Router.Shard(i).LastRecovery.
 type RecoveryStats struct {
 	// OCFRebuild is the time spent scanning the NVT to rebuild the filter.
 	OCFRebuild time.Duration
@@ -38,7 +40,7 @@ type RecoveryStats struct {
 
 // RecoveryVisitor receives every committed record of a table from
 // recovery's last traversal — after resize replay and torn-update dedup, so
-// each key arrives exactly once, with the value an Open'ed table will serve.
+// each key arrives exactly once, with the value the reopened table will serve.
 // It runs on Options.RecoveryWorkers goroutines at once and must be safe for
 // that. Layers that keep DRAM state derived from the index (bigkv's
 // per-segment liveness) rebuild it here instead of scanning the table again.

@@ -51,7 +51,7 @@ func newStrictDev(t *testing.T, words int64, evictProb float64) *nvm.Device {
 func TestReopenAfterCleanShutdown(t *testing.T) {
 	dev := newStrictDev(t, 1<<21, 0)
 	opts := DefaultOptions()
-	tbl, err := Create(dev, opts)
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestReopenAfterCleanShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl2, err := Open(dev2, opts)
+	tbl2, err := openRoot(dev2, opts, nil)
 	if err != nil {
 		t.Fatalf("Open after clean shutdown: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestReopenAfterCleanShutdown(t *testing.T) {
 func TestCrashWithoutCloseLosesNothingCommitted(t *testing.T) {
 	dev := newStrictDev(t, 1<<21, 0.5)
 	opts := DefaultOptions()
-	tbl, err := Create(dev, opts)
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCrashWithoutCloseLosesNothingCommitted(t *testing.T) {
 	if err := dev.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	tbl2, err := Open(dev, opts)
+	tbl2, err := openRoot(dev, opts, nil)
 	if err != nil {
 		t.Fatalf("Open after crash: %v", err)
 	}
@@ -168,7 +168,7 @@ func crashPointHarnessEvict(t *testing.T, f int64, evict float64, run func(s *Se
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	tbl, err := Create(dev, opts)
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func crashPointHarnessEvict(t *testing.T, f int64, evict float64, run func(s *Se
 	if err != nil {
 		t.Fatalf("crash image does not boot: %v", err)
 	}
-	tbl2, err := Open(dev2, opts)
+	tbl2, err := openRoot(dev2, opts, nil)
 	if err != nil {
 		t.Fatalf("recovery from crash at flush %d failed: %v", f, err)
 	}
@@ -392,7 +392,7 @@ func TestCrashAtEveryPointDuringResize(t *testing.T) {
 			}
 			opts := DefaultOptions()
 			opts.SegmentBuckets = 8 // tiny segments: quick resizes
-			tbl, err := Create(dev, opts)
+			tbl, err := create(dev, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -419,7 +419,7 @@ func TestCrashAtEveryPointDuringResize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tbl2, err := Open(dev2, opts)
+			tbl2, err := openRoot(dev2, opts, nil)
 			if err != nil {
 				t.Fatalf("recovery from mid-resize crash: %v", err)
 			}
@@ -450,7 +450,7 @@ func TestCrashAtEveryPointDuringResize(t *testing.T) {
 func TestRecoveryAfterDeletes(t *testing.T) {
 	dev := newStrictDev(t, 1<<21, 0)
 	opts := DefaultOptions()
-	tbl, err := Create(dev, opts)
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestRecoveryAfterDeletes(t *testing.T) {
 	if err := dev.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	tbl2, err := Open(dev, opts)
+	tbl2, err := openRoot(dev, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestRecoveryPreservesUpdatesAcrossResizes(t *testing.T) {
 	dev := newStrictDev(t, 1<<22, 0)
 	opts := DefaultOptions()
 	opts.SegmentBuckets = 8
-	tbl, err := Create(dev, opts)
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +536,7 @@ func TestRecoveryPreservesUpdatesAcrossResizes(t *testing.T) {
 	if err := dev.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	tbl2, err := Open(dev, opts)
+	tbl2, err := openRoot(dev, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +569,7 @@ func TestRecoveryWorkerCounts(t *testing.T) {
 				dev := newStrictDev(t, 1<<21, 0)
 				opts := DefaultOptions()
 				opts.HotSlotsPerBucket = hotSlots
-				tbl, err := Create(dev, opts)
+				tbl, err := create(dev, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -613,7 +613,7 @@ func TestRecoveryWorkerCounts(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					tbl3, err := Open(dev3, opts)
+					tbl3, err := openRoot(dev3, opts, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -641,8 +641,8 @@ func TestStateTwoCrashIgnoresStaleDrainLayout(t *testing.T) {
 	dev := newStrictDev(t, 1<<22, 0)
 	opts := DefaultOptions()
 	opts.SegmentBuckets = 16 // small segments: expansions come early
-	opts.DrainWorkers = 4
-	tbl, err := Create(dev, opts)
+	opts.drainWorkers = 4
+	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +686,7 @@ func TestStateTwoCrashIgnoresStaleDrainLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tbl2, err := Open(dev, opts)
+	tbl2, err := openRoot(dev, opts, nil)
 	if err != nil {
 		t.Fatalf("Open after state-2 crash: %v", err)
 	}

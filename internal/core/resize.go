@@ -27,15 +27,15 @@ import (
 // idle or past the bump, see epoch.go) before the drain starts; the grace
 // exists solely so that a straggler critical section still holding the old
 // pair finishes any placement into the old bottom before a drain worker can
-// scan past it. The old bottom is then rehashed by Options.DrainWorkers
-// goroutines, each owning a disjoint bucket range with its own NVM handle
-// and its own persisted progress word, working in DrainChunkBuckets-sized
-// chunks under per-slot OCF locks only. Foreground operations proceed
+// scan past it. The old bottom is then rehashed by four drain workers
+// (Options.drainWorkers), each owning a disjoint bucket range with its own
+// NVM handle and its own persisted progress word, working in 64-bucket
+// chunks (drainChunkBuckets) under per-slot OCF locks only. Foreground operations proceed
 // throughout state 3 — they walk the drain level as a third lookup level
 // until it empties — and foreground writers that run out of space during
 // state 3 help drain before retrying. Records move as groups of staged moves
-// through the one write protocol (groupcommit.go): up to WriteGroupChunk
-// records share the three barriers. A crash mid-drain resumes from the
+// through the one write protocol (groupcommit.go): up to one batch chunk
+// of records (batchChunk) share the three barriers. A crash mid-drain resumes from the
 // per-range progress words, which only ever under-report — a chunk's word
 // is persisted after its last group's clears — and re-draining a bucket is
 // idempotent because a move stages behind an existence check.
@@ -193,7 +193,7 @@ func (t *Table) expandLocked(st tableState) error {
 	t.writeLevelDescriptor(h, free, base, newSegs)
 
 	drainLvl := pr.bottom
-	task := t.newDrainTask(drainLvl, int64(t.opts.DrainWorkers), began, t.opts.BlockingResize,
+	task := t.newDrainTask(drainLvl, int64(t.opts.drainWorkers), began, t.opts.BlockingResize,
 		tableState{levelNumber: levelNumStable, top: free, bottom: st.top, drain: levelSlotUnused, generation: st.generation + 1})
 	t.persistDrainProgress(h, task)
 
@@ -316,7 +316,7 @@ func (t *Table) newDrainTask(src *level, nr int64, began time.Time, blocking boo
 	nr = max(1, min(nr, MaxDrainRanges, buckets))
 	task := &drainTask{
 		src:        src,
-		chunk:      max(1, int64(t.opts.DrainChunkBuckets)),
+		chunk:      int64(t.opts.drainChunkBuckets),
 		began:      began,
 		finalState: final,
 		blocking:   blocking,
@@ -352,7 +352,7 @@ func (t *Table) newDrainTask(src *level, nr int64, began time.Time, blocking boo
 func (t *Table) resumeDrainTask(h *nvm.Handle, src *level, final tableState) *drainTask {
 	nr := int64(t.dev.Load(t.metaOff + metaDrainRanges))
 	if nr < 1 || nr > MaxDrainRanges || nr > src.buckets() {
-		task := t.newDrainTask(src, int64(t.opts.DrainWorkers), time.Now(), true, final)
+		task := t.newDrainTask(src, int64(t.opts.drainWorkers), time.Now(), true, final)
 		t.persistDrainProgress(h, task)
 		return task
 	}
@@ -393,7 +393,7 @@ func (t *Table) clearDrainLayout(h *nvm.Handle) {
 // runDrainWorkers drains the task to completion on the calling goroutine
 // plus len(ranges)-1 helpers — the blocking baseline and the recovery path.
 // It joins the helpers (not merely the task) so the caller may mutate table
-// state the workers read — recovery's Open continues into initVolatile.
+// state the workers read — recovery continues into initVolatile.
 func (t *Table) runDrainWorkers(task *drainTask) {
 	n := len(task.ranges)
 	var wg sync.WaitGroup
@@ -433,7 +433,7 @@ func (t *Table) drainWorker(task *drainTask, worker int) {
 // device words are individually atomic, and record movement is covered by
 // the per-slot OCF locks. Each committed record is staged as a move
 // (stageMove), and the staged moves commit as a group once there are
-// WriteGroupChunk of them and when the chunk ends; the progress word follows
+// batchChunk of them and when the chunk ends; the progress word follows
 // the last group, so it is never durable ahead of the clears it covers.
 // Groups end on bucket boundaries: the clears of one bucket share cache
 // lines, and a line staged by one group is not dirtied by the next. group is
@@ -463,7 +463,7 @@ chunk:
 				}
 			}
 		}
-		if len(pending) >= t.opts.WriteGroupChunk {
+		if len(pending) >= t.opts.batchChunk {
 			t.commitGroup(h, pending, nil)
 			pending = pending[:0]
 		}
@@ -634,7 +634,7 @@ func (t *Table) committedInNew(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8)
 		if !mayHaveMoved && t.moveShard(h1).Load() == moveSnapshot {
 			return false, nil
 		}
-		if round >= t.opts.LookupRetryBudget+contendedRetryMax {
+		if round >= t.opts.lookupRetryBudget+contendedRetryMax {
 			return false, fmt.Errorf("core: drain existence check exhausted its retry budget")
 		}
 		spinBackoff(round)

@@ -24,8 +24,8 @@ func TestResizeStressMixedOps(t *testing.T) {
 	m := obs.New(obs.Config{SampleEvery: 1})
 	tbl := newTable(t, func(o *Options) {
 		o.Metrics = m
-		o.DrainChunkBuckets = 8
-		o.DrainWorkers = 4
+		o.drainChunkBuckets = 8
+		o.drainWorkers = 4
 	})
 	const workers = 6
 	const perW = 3000
@@ -171,7 +171,7 @@ func TestResizeStressMixedOps(t *testing.T) {
 // sessions, but an op that lands late must complete or fail, never panic.
 func TestCloseRacesInFlightOps(t *testing.T) {
 	for round := 0; round < 25; round++ {
-		tbl, err := Create(newDev(t, 1<<22), DefaultOptions())
+		tbl, err := create(newDev(t, 1<<22), DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,9 +226,9 @@ func TestDrainGroupsCollideWithWriters(t *testing.T) {
 		tbl := newTable(t, func(o *Options) {
 			o.Metrics = m
 			o.SegmentBuckets = 4
-			o.DrainWorkers = 4
-			o.DrainChunkBuckets = 2
-			o.WriteGroupChunk = 16
+			o.drainWorkers = 4
+			o.drainChunkBuckets = 2
+			o.batchChunk = 16
 		})
 		load := tbl.NewSession()
 		for i := 0; i < stable; i++ {
@@ -319,8 +319,8 @@ func TestDrainGroupsCollideWithWriters(t *testing.T) {
 func TestFailedDrainTaskRetried(t *testing.T) {
 	tbl := newTable(t, func(o *Options) {
 		o.SegmentBuckets = 16
-		o.DrainChunkBuckets = 1 // chunk boundaries are lock reacquisitions
-		o.DrainWorkers = 2
+		o.drainChunkBuckets = 1 // chunk boundaries are lock reacquisitions
+		o.drainWorkers = 2
 	})
 	s := tbl.NewSession()
 	const n = 1500

@@ -12,19 +12,19 @@ import (
 	"hdnh/internal/obs"
 )
 
-// The hash router splits the keyspace across Options.Shards independent
-// tables, the structural-partitioning move Dash uses for PM-hash
-// scalability: each shard owns its epoch registry, resize state, writer
-// pool and hot table, so resizes, drains and slot-lock traffic that used to
-// serialise on one table now run in parallel across shards.
+// The hash router is how every HDNH store is built and opened: it splits the
+// keyspace across Options.Shards independent tables, the structural-
+// partitioning move Dash uses for PM-hash scalability. Each shard owns its
+// epoch registry, resize state and hot table, so resizes, drains and
+// slot-lock traffic run in parallel across shards.
 //
 // Routing uses the TOP bits of h1 (shard = h1 >> (64 - log2(shards))).
 // Every in-shard placement decision uses other bits — segment choice takes
 // h1 mod the segment count, bucket choices take bits 32.. and 48.., and the
 // movement-counter shard takes bits 20.. — so a key's h1/h2/fp and its
 // in-table position are identical whether the table stands alone or behind
-// a router. Shards=1 therefore needs no routing at all, and the on-device
-// layout of a 1-shard router is byte-identical to a plain Create.
+// a router. Shards=1 therefore needs no routing at all: a 1-shard router is
+// one table linked through root slot 0.
 //
 // Persistence: a sharded image stores a shard directory in root slot 6
 // (slot 0, the single-table root, stays empty):
@@ -35,7 +35,7 @@ import (
 //	            have pointed at in a single-table image)
 //
 // The directory is fully written, then the root is set — the root write is
-// the commit point, exactly like the single-table Create. Opening a sharded
+// the commit point, exactly like the single-table root. Opening a sharded
 // image with the wrong Options.Shards (or a single-table image with
 // Shards>1) fails with a clear mismatch error; Options.Shards=0 adopts
 // whatever the device holds.
@@ -74,19 +74,6 @@ func perShardOptions(o Options, n, shard int) Options {
 	return o
 }
 
-// shardDirCount reads the persisted shard count, 0 when the device holds no
-// shard directory.
-func shardDirCount(dev *nvm.Device) int {
-	dirRoot := dev.Root(shardDirRootSlot)
-	if dirRoot == 0 {
-		return 0
-	}
-	if dev.Load(int64(dirRoot)) != shardDirMagic {
-		return 0
-	}
-	return int(dev.Load(int64(dirRoot) + shardDirCountWord))
-}
-
 // Router fans operations out across shard tables by the high bits of h1.
 // Like Table, a Router is safe for concurrent use through per-goroutine
 // RouterSessions.
@@ -107,25 +94,21 @@ func newRouter(dev *nvm.Device, opts Options, shards []*Table) *Router {
 }
 
 // CreateRouter formats a fresh table split across opts.Shards shards. With
-// Shards ≤ 1 it is exactly Create: one table, linked through root slot 0,
-// byte-identical on the device to an unsharded image.
+// Shards ≤ 1 it is one table, linked through root slot 0.
 func CreateRouter(dev *nvm.Device, opts Options) (*Router, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	if dev.Root(rootSlot) != 0 || dev.Root(shardDirRootSlot) != 0 {
+		return nil, errors.New("core: device already holds a table; use OpenRouter")
+	}
 	n := normalizeShards(opts)
 	if n == 1 {
-		t, err := Create(dev, opts)
+		t, err := create(dev, opts)
 		if err != nil {
 			return nil, err
 		}
 		return newRouter(dev, opts, []*Table{t}), nil
-	}
-	if dev.Root(rootSlot) != 0 {
-		return nil, errors.New("core: device already holds an unsharded table; use Open")
-	}
-	if dev.Root(shardDirRootSlot) != 0 {
-		return nil, errors.New("core: device already holds a sharded table; use OpenRouter")
 	}
 	h := dev.NewHandle()
 	dirOff, err := dev.Alloc(h, shardDirShardBase+int64(n), nvm.BlockWords)

@@ -291,11 +291,6 @@ func TestRouterShardCountMismatch(t *testing.T) {
 	if _, err := OpenRouter(dev, wrong); err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("OpenRouter with wrong Shards = %v, want mismatch error", err)
 	}
-	// The plain single-table Open must refuse the sharded image and point at
-	// OpenRouter rather than reading shard 0 as the whole table.
-	if _, err := Open(dev, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "OpenRouter") {
-		t.Fatalf("core.Open on sharded image = %v, want error naming OpenRouter", err)
-	}
 	// Re-creating over an existing image must refuse too.
 	if _, err := CreateRouter(dev, opts); err == nil {
 		t.Fatal("CreateRouter over an existing sharded image succeeded")
@@ -303,7 +298,7 @@ func TestRouterShardCountMismatch(t *testing.T) {
 
 	// The reverse direction: an unsharded image opened with Shards>1.
 	dev2 := newDev(t, 1<<22)
-	tbl, err := Create(dev2, DefaultOptions())
+	tbl, err := create(dev2, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +310,11 @@ func TestRouterShardCountMismatch(t *testing.T) {
 
 // TestRouterSingleShardCompat: Shards<=1 must be byte-compatible with the
 // unsharded layout in both directions — a plain table opens through the
-// router and a 1-shard router's image opens through plain Open.
+// router and a 1-shard router's image opens as a plain table.
 func TestRouterSingleShardCompat(t *testing.T) {
-	// Plain Create -> OpenRouter.
+	// Plain table -> OpenRouter.
 	dev := newDev(t, 1<<22)
-	tbl, err := Create(dev, DefaultOptions())
+	tbl, err := create(dev, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +345,7 @@ func TestRouterSingleShardCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// CreateRouter(Shards=1) -> plain Open.
+	// CreateRouter(Shards=1) -> plain table.
 	dev2 := newDev(t, 1<<22)
 	opts := DefaultOptions()
 	opts.Shards = 1
@@ -368,9 +363,9 @@ func TestRouterSingleShardCompat(t *testing.T) {
 	if err := r2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tbl2, err := Open(dev2, DefaultOptions())
+	tbl2, err := openRoot(dev2, DefaultOptions(), nil)
 	if err != nil {
-		t.Fatalf("plain Open on 1-shard router image: %v", err)
+		t.Fatalf("openRoot on 1-shard router image: %v", err)
 	}
 	defer tbl2.Close()
 	ts2 := tbl2.NewSession()

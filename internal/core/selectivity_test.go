@@ -52,7 +52,7 @@ func TestOCFSelectivityAcrossSegmentCounts(t *testing.T) {
 			opts.SegmentBuckets = 8
 			opts.InitBottomSegments = segs
 			opts.HotSlotsPerBucket = 0 // every Get is one NVT walk
-			tbl, err := Create(newDev(t, 3*int64(segs)*8*BucketWords+1<<16), opts)
+			tbl, err := create(newDev(t, 3*int64(segs)*8*BucketWords+1<<16), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestOCFSelectivityAcrossSegmentCounts(t *testing.T) {
 func TestInsertGrowthBlockReads(t *testing.T) {
 	const total, slice = 350000, 35000
 	opts := DefaultOptions()
-	tbl, err := Create(newDev(t, 1<<23), opts)
+	tbl, err := create(newDev(t, 1<<23), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func (s *Session) ResetNVMStats() {
 // SyncObs publishes the session's NVM traffic accumulated since the last
 // SyncObs into the metrics registry. The handle's stats are handle-local and
 // unsynchronised, so the bridge is an explicit pull by the owning goroutine —
-// call it at harness checkpoints or before reading Table.MetricsSnapshot.
+// call it at harness checkpoints or before reading Router.MetricsSnapshot.
 // No-op when metrics are disabled.
 func (s *Session) SyncObs() {
 	if s.t.metrics == nil {

@@ -19,7 +19,7 @@ import "hdnh/internal/kv"
 //     can race it).
 //   - Updates and deletes mirror after their commit words are durable and
 //     before anything is published or retired (between phases C and D of
-//     drainPending), so the cache never shows a value a crash could take
+//     commitGroup), so the cache never shows a value a crash could take
 //     back.
 //   - A search-path fill carries the OCF control word the reader observed
 //     and is validated against it under the hot bucket lock: a slot a writer

@@ -67,7 +67,7 @@ type Table struct {
 	closed     atomic.Bool
 
 	// recoveryReads gathers the recovery workers' media block reads for
-	// RecoveryStats.MediaBlockReads; untouched after Open returns.
+	// RecoveryStats.MediaBlockReads; untouched after recovery returns.
 	recoveryReads atomic.Uint64
 
 	// testHookLookupPass, when non-nil, runs at the start of every NVT-walk
@@ -143,35 +143,22 @@ func (t *Table) waitDrain() {
 // caller to expand and retry.
 var errNeedResize = errors.New("core: table needs resize")
 
-// Create formats a fresh HDNH table on the device. It fails if the device
-// already holds one (use Open to recover it).
-func Create(dev *nvm.Device, opts Options) (*Table, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if dev.Root(rootSlot) != 0 {
-		return nil, errors.New("core: device already holds a table; use Open")
-	}
-	if dev.Root(shardDirRootSlot) != 0 {
-		return nil, errors.New("core: device already holds a sharded table; use OpenRouter")
-	}
+// create formats a fresh table and links it through root slot 0: the
+// unsharded image. CreateRouter has checked the root slots.
+func create(dev *nvm.Device, opts Options) (*Table, error) {
 	t, err := createDetached(dev, opts)
 	if err != nil {
 		return nil, err
 	}
-	h := dev.NewHandle()
-	dev.SetRoot(h, rootSlot, uint64(t.metaOff))
+	dev.SetRoot(dev.NewHandle(), rootSlot, uint64(t.metaOff))
 	return t, nil
 }
 
 // createDetached formats a fresh table on the device without linking it into
-// root slot 0 — the caller owns publication. Create links the single-table
+// root slot 0 — the caller owns publication. create links the single-table
 // root; the router links each shard's metaOff into its shard directory
 // instead, leaving root slot 0 untouched.
 func createDetached(dev *nvm.Device, opts Options) (*Table, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	t := &Table{dev: dev, opts: opts.withDefaults(), rec: obs.Nop{}}
 	t.flight = t.opts.Flight
 	t.fl = t.flight.Handle("table")
@@ -208,35 +195,22 @@ func createDetached(dev *nvm.Device, opts Options) (*Table, error) {
 	return t, nil
 }
 
-// Open recovers the table stored on the device: it replays any interrupted
-// resize, rebuilds the OCF and hot table from the non-volatile table
-// (in parallel batches), and removes torn duplicates left by a crashed
-// out-of-place update. RecoveryStats are available afterwards via
-// LastRecovery.
-func Open(dev *nvm.Device, opts Options) (*Table, error) {
-	return openRoot(dev, opts, nil)
-}
-
-// openRoot is Open with an optional recovery visitor; the unsharded router
-// opens through it.
+// openRoot recovers the unsharded table root slot 0 links: it replays any
+// interrupted resize, rebuilds the OCF and hot table from the non-volatile
+// table (in parallel batches), and removes torn duplicates left by a crashed
+// out-of-place update. visit, when non-nil, sees every committed record once.
 func openRoot(dev *nvm.Device, opts Options, visit RecoveryVisitor) (*Table, error) {
 	if dev.Root(rootSlot) == 0 {
-		if n := shardDirCount(dev); n > 1 {
-			return nil, fmt.Errorf("core: device holds a sharded table (%d shards); use OpenRouter with Options.Shards=%d", n, n)
-		}
-		return nil, errors.New("core: device holds no table; use Create")
+		return nil, errors.New("core: device holds no table; use CreateRouter")
 	}
 	return openAt(dev, opts, int64(dev.Root(rootSlot)), visit)
 }
 
-// openAt recovers the table whose metadata block lives at metaOff. Open
+// openAt recovers the table whose metadata block lives at metaOff. openRoot
 // resolves metaOff through root slot 0; the router resolves each shard's
 // through the shard directory. visit, when non-nil, sees every committed
 // record once (see RecoveryVisitor).
 func openAt(dev *nvm.Device, opts Options, metaOff int64, visit RecoveryVisitor) (*Table, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	t := &Table{dev: dev, opts: opts.withDefaults(), rec: obs.Nop{}}
 	t.flight = t.opts.Flight
 	t.fl = t.flight.Handle("table")
@@ -249,14 +223,6 @@ func openAt(dev *nvm.Device, opts Options, metaOff int64, visit RecoveryVisitor)
 	}
 	t.initVolatile()
 	return t, nil
-}
-
-// OpenOrCreate opens an existing table or creates a fresh one.
-func OpenOrCreate(dev *nvm.Device, opts Options) (*Table, error) {
-	if dev.Root(rootSlot) == 0 && shardDirCount(dev) == 0 {
-		return Create(dev, opts)
-	}
-	return Open(dev, opts)
 }
 
 func (t *Table) initVolatile() {
@@ -290,35 +256,6 @@ func (t *Table) Metrics() *obs.Metrics { return t.metrics }
 // disabled. Layers above the table (bigkv's GC worker, the value log) hang
 // their own tracer handles off it.
 func (t *Table) Flight() *flight.Recorder { return t.flight }
-
-// MetricsSnapshot returns the current metrics counters with the table-shape
-// gauges filled in. Zero-valued when metrics are disabled.
-func (t *Table) MetricsSnapshot() obs.Snapshot {
-	if t.metrics == nil {
-		return obs.Snapshot{}
-	}
-	s := t.metrics.Snapshot()
-	ts := t.Stats()
-	s.Gauges = obs.Gauges{
-		Items:                 ts.Items,
-		Capacity:              ts.Capacity,
-		LoadFactor:            ts.LoadFactor,
-		Generation:            ts.Generation,
-		HotEntries:            ts.HotEntries,
-		HotCapacity:           ts.HotCapacity,
-		DeviceWords:           ts.DeviceWords,
-		DeviceWordsUsed:       ts.DeviceWordsUsed,
-		DeviceFlushes:         t.dev.TotalFlushes(),
-		DrainBucketsRemaining: ts.DrainBucketsRemaining,
-	}
-	if ts.Resizing {
-		s.Gauges.Resizing = 1
-	}
-	if ts.HotCapacity > 0 {
-		s.Gauges.HotFillRatio = float64(ts.HotEntries) / float64(ts.HotCapacity)
-	}
-	return s
-}
 
 // state reads the atomic persistent state word.
 func (t *Table) state() tableState {
@@ -367,8 +304,8 @@ func (t *Table) HotEntries() int64 {
 	return t.hot.countValid()
 }
 
-// LastRecovery returns statistics from the Open that built this table
-// (zero-valued for tables built by Create).
+// LastRecovery returns statistics from the recovery that built this table
+// (zero-valued for freshly created tables).
 func (t *Table) LastRecovery() RecoveryStats { return t.recovery }
 
 // Close marks a clean shutdown, first letting any in-flight incremental

@@ -25,7 +25,7 @@ func newTable(t *testing.T, mutate func(*Options)) *Table {
 	if mutate != nil {
 		mutate(&opts)
 	}
-	tbl, err := Create(newDev(t, 1<<22), opts)
+	tbl, err := create(newDev(t, 1<<22), opts)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -279,17 +279,17 @@ func TestDisplacementMode(t *testing.T) {
 
 func TestCreateTwiceFails(t *testing.T) {
 	dev := newDev(t, 1<<20)
-	if _, err := Create(dev, DefaultOptions()); err != nil {
+	if _, err := CreateRouter(dev, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Create(dev, DefaultOptions()); err == nil {
-		t.Fatal("second Create on the same device succeeded")
+	if _, err := CreateRouter(dev, DefaultOptions()); err == nil {
+		t.Fatal("second CreateRouter on the same device succeeded")
 	}
 }
 
 func TestOpenEmptyDeviceFails(t *testing.T) {
-	if _, err := Open(newDev(t, 1<<20), DefaultOptions()); err == nil {
-		t.Fatal("Open on an empty device succeeded")
+	if _, err := OpenRouter(newDev(t, 1<<20), DefaultOptions()); err == nil {
+		t.Fatal("OpenRouter on an empty device succeeded")
 	}
 }
 
@@ -374,8 +374,23 @@ func TestNegativeSearchRarelyTouchesNVM(t *testing.T) {
 	}
 }
 
+// TestSchemeRegistryVariants drives each registered HDNH variant through the
+// scheme interface. Every variant is a 1-shard router named "HDNH" whose
+// option change reached its table, on the unsharded image: root slot 0 set,
+// the shard directory slot empty.
 func TestSchemeRegistryVariants(t *testing.T) {
-	for _, name := range []string{"HDNH", "HDNH-LRU", "HDNH-NOHOT", "HDNH-DISPLACE"} {
+	for _, v := range []struct {
+		name    string
+		applied func(Options) bool
+	}{
+		{"HDNH", func(o Options) bool {
+			return o.Replacer == ReplacerRAFL && o.HotSlotsPerBucket > 0 && !o.DisplaceOnInsert
+		}},
+		{"HDNH-LRU", func(o Options) bool { return o.Replacer == ReplacerLRU }},
+		{"HDNH-NOHOT", func(o Options) bool { return o.HotSlotsPerBucket == 0 }},
+		{"HDNH-DISPLACE", func(o Options) bool { return o.DisplaceOnInsert }},
+	} {
+		name := v.name
 		t.Run(name, func(t *testing.T) {
 			dev := newDev(t, 1<<21)
 			store, err := scheme.Open(name, dev, 2000)
@@ -383,6 +398,17 @@ func TestSchemeRegistryVariants(t *testing.T) {
 				t.Fatalf("Open(%q): %v", name, err)
 			}
 			defer store.Close()
+			ra, ok := store.(*routerAdapter)
+			if !ok || ra.r.NumShards() != 1 || store.Name() != "HDNH" {
+				t.Fatalf("store %T named %q, want a 1-shard router named HDNH", store, store.Name())
+			}
+			if o := ra.r.Shard(0).Options(); !v.applied(o) {
+				t.Fatalf("variant's option change missing: %+v", o)
+			}
+			if dev.Root(rootSlot) == 0 || dev.Root(shardDirRootSlot) != 0 {
+				t.Fatalf("root slot %d = %d, slot %d = %d; want the unsharded image",
+					rootSlot, dev.Root(rootSlot), shardDirRootSlot, dev.Root(shardDirRootSlot))
+			}
 			sess := store.NewSession()
 			for i := 0; i < 1000; i++ {
 				if err := sess.Insert(key(i), value(i)); err != nil {

@@ -68,9 +68,9 @@ func (e *Experiment) addRow(x string, cells ...Cell) {
 // mops formats a throughput cell.
 func mops(label string, v float64) Cell { return Cell{Label: label, Value: v} }
 
-// openHDNHWith builds an HDNH table with mutated options on a fresh device
+// openHDNHWith builds an HDNH store with mutated options on a fresh device
 // sized for the scale.
-func openHDNHWith(sc Scale, hint int64, mutate func(*core.Options)) (scheme.Store, *core.Table, error) {
+func openHDNHWith(sc Scale, hint int64, mutate func(*core.Options)) (scheme.Store, *core.Router, error) {
 	words := autoDeviceWords(hint, hint)
 	cfg := nvm.DefaultConfig(words)
 	if sc.Mode == nvm.ModeEmulate {
@@ -85,11 +85,11 @@ func openHDNHWith(sc Scale, hint int64, mutate func(*core.Options)) (scheme.Stor
 	if mutate != nil {
 		mutate(&opts)
 	}
-	tbl, err := core.Create(dev, opts)
+	r, err := core.CreateRouter(dev, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return core.NewStore(tbl), tbl, nil
+	return core.NewRouterStore(r), r, nil
 }
 
 func bottomSegmentsFor(hint int64, m int) int {
@@ -461,7 +461,7 @@ func Table1(sc Scale) (*Experiment, error) {
 		if records <= 0 {
 			records = 1000
 		}
-		st, tbl, err := openHDNHWith(sc, records, nil)
+		st, r, err := openHDNHWith(sc, records, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -471,12 +471,12 @@ func Table1(sc Scale) (*Experiment, error) {
 		}
 		// Pull the power cord: quiesce any drain without the clean flag, then
 		// re-open on the same device image.
-		tbl.StopBackground()
-		reopened, err := core.Open(tbl.Device(), tbl.Options())
+		r.StopBackground()
+		reopened, err := core.OpenRouter(r.Device(), r.Options())
 		if err != nil {
 			return nil, fmt.Errorf("table1 recovery at %d records: %w", records, err)
 		}
-		rs := reopened.LastRecovery()
+		rs := reopened.Shard(0).LastRecovery()
 		if reopened.Count() != records {
 			return nil, fmt.Errorf("table1: recovered %d of %d records", reopened.Count(), records)
 		}

@@ -47,19 +47,19 @@ func LoadFactorExperiment(sc Scale) (*Experiment, error) {
 		opts.MaxExpansions = 1
 		opts.DisplaceOnInsert = true // count displacement toward utilisation
 		opts.InitBottomSegments = bottomSegmentsFor(sc.Records, opts.SegmentBuckets)
-		tbl, err := core.Create(dev, opts)
+		r, err := core.CreateRouter(dev, opts)
 		if err != nil {
 			return nil, err
 		}
-		gen := tbl.Generation()
-		capacityBefore := tbl.Capacity() // the resize doubles it, so capture now
-		s := tbl.NewSession()
+		gen := r.Shard(0).Generation()
+		capacityBefore := r.Capacity() // the resize doubles it, so capture now
+		s := r.NewSession()
 		var n int64
 		for i := int64(0); ; i++ {
 			if err := s.Insert(ycsb.RecordKey(i), ycsb.ValueFor(i)); err != nil {
 				break
 			}
-			if tbl.Generation() != gen || tbl.Resizing() {
+			if r.Shard(0).Generation() != gen || r.Resizing() {
 				// It managed to resize once; stop at the pre-resize count. The
 				// swap precedes the generation bump now (the drain is
 				// incremental), so an in-flight drain counts as resized too —
@@ -70,7 +70,7 @@ func LoadFactorExperiment(sc Scale) (*Experiment, error) {
 			n++
 		}
 		results = append(results, result{"HDNH", float64(n) / float64(capacityBefore), n})
-		tbl.Close()
+		r.Close()
 	}
 
 	// The static/semi-static baselines through the registry, sized so their

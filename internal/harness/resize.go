@@ -60,17 +60,17 @@ func FigResize(sc Scale) (*Experiment, error) {
 		opts.BlockingResize = mode.blocking
 		opts.Metrics = reg
 		opts.Seed = sc.Seed
-		tbl, err := core.Create(dev, opts)
+		r, err := core.CreateRouter(dev, opts)
 		if err != nil {
 			return nil, err
 		}
-		s := tbl.NewSession()
+		s := r.NewSession()
 		lat := histogram.New()
 		began := time.Now()
 		for i := int64(0); i < sc.Records; i++ {
 			t0 := time.Now()
 			if err := s.Insert(ycsb.RecordKey(i), ycsb.ValueFor(i)); err != nil {
-				tbl.Close()
+				r.Close()
 				return nil, fmt.Errorf("resize experiment (%s) insert %d: %w", mode.name, i, err)
 			}
 			lat.RecordDuration(time.Since(t0))
@@ -79,8 +79,8 @@ func FigResize(sc Scale) (*Experiment, error) {
 		// Close first: in incremental mode the last drain may still be in
 		// flight and the generation only bumps when it completes; Close waits
 		// it out, so the expansions cell counts every finished doubling.
-		tbl.Close()
-		expansions := tbl.Generation() - 1
+		r.Close()
+		expansions := r.Shard(0).Generation() - 1
 
 		exp.addRow(mode.name,
 			Cell{"p50 us", float64(lat.Percentile(50)) / 1e3},

@@ -15,7 +15,7 @@ type LatencyStat struct {
 }
 
 // Gauges are point-in-time table-shape readings a Snapshot carries alongside
-// the monotonic counters; core.Table.MetricsSnapshot fills them.
+// the monotonic counters; core.Router.MetricsSnapshot fills them.
 type Gauges struct {
 	Items           int64   `json:"items"`
 	Capacity        int64   `json:"capacity"`
