@@ -60,7 +60,7 @@ func TestPublicFacadeReopen(t *testing.T) {
 	if v, ok := re.NewSession().Get(hdnh.Key("persist")); !ok || v.String() != "me" {
 		t.Fatal("record lost across reopen through the facade")
 	}
-	if !re.Shard(0).LastRecovery().CleanShutdown {
+	if !re.LastRecovery()[0].CleanShutdown {
 		t.Fatal("clean shutdown flag lost")
 	}
 }

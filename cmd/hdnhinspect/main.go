@@ -92,8 +92,9 @@ func inspect(w io.Writer, dev *nvm.Device, opts core.Options, check bool) error 
 	fmt.Fprintf(w, "  capacity    %d slots (load %.3f)\n", r.Capacity(), r.LoadFactor())
 	fmt.Fprintf(w, "  hot table   %d / %d entries\n", r.HotEntries(), hotCap)
 
+	recoveries, occupancy := r.LastRecovery(), r.OccupancyHistogram()
 	for i, st := range stats {
-		rs := r.Shard(i).LastRecovery()
+		rs := recoveries[i]
 		fmt.Fprintf(w, "\nshard %d (recovery: OCF %v, hot %v, clean=%v, dups=%d)\n", i,
 			rs.OCFRebuild.Round(time.Microsecond), rs.HotRebuild.Round(time.Microsecond),
 			rs.CleanShutdown, rs.DuplicatesResolved)
@@ -103,11 +104,10 @@ func inspect(w io.Writer, dev *nvm.Device, opts core.Options, check bool) error 
 			st.TopSegments, st.BottomSegments, st.SegmentBuckets, st.SegmentBuckets*256/1024)
 		fmt.Fprintf(w, "  generation  %d\n", st.Generation)
 		fmt.Fprintf(w, "  hot table   %d / %d entries\n", st.HotEntries, st.HotCapacity)
-		top, bottom := r.Shard(i).OccupancyHistogram()
 		fmt.Fprintf(w, "  bucket occupancy (buckets holding k of %d slots)\n", core.SlotsPerBucket)
 		fmt.Fprintf(w, "    k:      %s\n", header(core.SlotsPerBucket))
-		fmt.Fprintf(w, "    top:    %s\n", row(top[:]))
-		fmt.Fprintf(w, "    bottom: %s\n", row(bottom[:]))
+		fmt.Fprintf(w, "    top:    %s\n", row(occupancy[i].Top[:]))
+		fmt.Fprintf(w, "    bottom: %s\n", row(occupancy[i].Bottom[:]))
 	}
 
 	if !check {

@@ -88,3 +88,47 @@ func TestInspectSavedImages(t *testing.T) {
 		})
 	}
 }
+
+// TestPerShardReadings: on a saved 4-shard image, the router's per-shard
+// readings — LastRecovery and OccupancyHistogram, one entry per shard — agree
+// with what each shard recovered, and inspect prints each shard's own.
+func TestPerShardReadings(t *testing.T) {
+	const shards, n = 4, 3000
+	dev := savedImage(t, shards, n)
+	var out strings.Builder
+	if err := inspect(&out, dev, core.DefaultOptions(), false); err != nil {
+		t.Fatalf("inspect: %v", err)
+	}
+	r, err := core.OpenRouter(dev, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	stats, recs, occ := r.Stats(), r.LastRecovery(), r.OccupancyHistogram()
+	if len(recs) != shards || len(occ) != shards {
+		t.Fatalf("%d recoveries and %d histograms for %d shards", len(recs), len(occ), shards)
+	}
+	var total int64
+	for i, st := range stats {
+		rs := recs[i]
+		if !rs.CleanShutdown || rs.Items != st.Items {
+			t.Errorf("shard %d: recovery clean=%v items=%d, shard holds %d", i, rs.CleanShutdown, rs.Items, st.Items)
+		}
+		var buckets, items int64
+		for k := 0; k <= core.SlotsPerBucket; k++ {
+			buckets += occ[i].Top[k] + occ[i].Bottom[k]
+			items += int64(k) * (occ[i].Top[k] + occ[i].Bottom[k])
+		}
+		if buckets*core.SlotsPerBucket != st.Capacity || items != rs.Items {
+			t.Errorf("shard %d: histogram covers %d buckets holding %d records; shard has %d slots, recovered %d",
+				i, buckets, items, st.Capacity, rs.Items)
+		}
+		if !strings.Contains(out.String(), "    top:    "+row(occ[i].Top[:])+"\n") {
+			t.Errorf("inspect output lacks shard %d's top-level histogram", i)
+		}
+		total += rs.Items
+	}
+	if total != n {
+		t.Fatalf("shards recovered %d records, want %d", total, n)
+	}
+}

@@ -99,7 +99,7 @@ func main() {
 		fatal("recovery: %v", err)
 	}
 	defer recovered.Close()
-	rs := recovered.Shard(0).LastRecovery()
+	rs := recovered.LastRecovery()[0]
 
 	fmt.Printf("\nrecovery complete in %v\n", time.Since(start).Round(time.Microsecond))
 	fmt.Printf("  OCF rebuild       %v\n", rs.OCFRebuild.Round(time.Microsecond))

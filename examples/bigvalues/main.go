@@ -77,7 +77,7 @@ func main() {
 	fmt.Printf("\nchurn: appended %.1f MB through a %.1f MB log (%d segment recycles)\n",
 		float64(lg.AppendedWords())*8/1e6, float64(lg.Capacity())*8/1e6, lg.Recycles())
 
-	fmt.Printf("\nindex: %s\n", st.Index().Shard(0).Stats())
+	fmt.Printf("\nindex: %s\n", st.Index().Stats()[0])
 	fmt.Printf("log:   %d of %d words live, %d of %d segments free\n",
 		lg.LiveWords(), lg.Capacity(), lg.FreeSegments(), lg.Segments())
 }

@@ -39,7 +39,7 @@ func main() {
 	}
 	defer table.Close()
 
-	gen0 := table.Shard(0).Generation()
+	gen0 := table.Stats()[0].Generation
 	var written atomic.Int64
 	var readsDone, hits atomic.Int64
 	var wg sync.WaitGroup
@@ -98,7 +98,7 @@ func main() {
 	rwg.Wait()
 
 	fmt.Printf("writers: %d records inserted, half updated, through %d resizes\n",
-		written.Load(), table.Shard(0).Generation()-gen0)
+		written.Load(), table.Stats()[0].Generation-gen0)
 	fmt.Printf("readers: %d lock-free reads, %d hits, zero torn values ✓\n",
 		readsDone.Load(), hits.Load())
 

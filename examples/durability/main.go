@@ -63,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer recovered.Close()
-	rs := recovered.Shard(0).LastRecovery()
+	rs := recovered.LastRecovery()[0]
 	fmt.Printf("recovered %d records in %v (OCF %v, hot table %v, torn updates fixed: %d)\n",
 		rs.Items, rs.Total.Round(0), rs.OCFRebuild.Round(0), rs.HotRebuild.Round(0), rs.DuplicatesResolved)
 

@@ -47,8 +47,8 @@ type (
 	Options = core.Options
 	// Replacer selects the hot-table replacement strategy.
 	Replacer = core.Replacer
-	// RecoveryStats describes what one table's recovery rebuilt; read it
-	// through Router.Shard(i).LastRecovery.
+	// RecoveryStats describes what one shard's recovery rebuilt;
+	// Router.LastRecovery returns one per shard.
 	RecoveryStats = core.RecoveryStats
 	// Device is the emulated NVM device.
 	Device = nvm.Device
@@ -63,7 +63,7 @@ type (
 	MetricsSnapshot = obs.Snapshot
 )
 
-// Sentinel errors returned by Session operations; test with errors.Is.
+// Sentinel errors returned by RouterSession operations; test with errors.Is.
 var (
 	// ErrNotFound: the key was conclusively absent.
 	ErrNotFound = scheme.ErrNotFound

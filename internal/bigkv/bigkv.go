@@ -347,7 +347,7 @@ func (st *Store) AuditLiveness() error {
 	for si, log := range st.logs {
 		want := make([]int64, log.Segments())
 		var indexed []int64
-		s := st.idx.Shard(si).NewSession()
+		s := st.idx.NewShardSession(si)
 		s.Scan(func(_ kv.Key, sv kv.Value) bool {
 			if sv[0] == tagPointer {
 				addr, words := unpackPointer(sv)

@@ -26,8 +26,8 @@ type gcShard struct {
 	log   *vlog.Log
 
 	mu   sync.Mutex
-	sess *core.Session // shard-table access for relocation, guarded by mu
-	h    *nvm.Handle   // log access for relocation, guarded by mu
+	sess *core.RouterSession // scoped to this shard: index access for relocation, guarded by mu
+	h    *nvm.Handle         // log access for relocation, guarded by mu
 
 	// nvmBase is the prefix of h's stats already published into the metrics
 	// registry. h carries the GC's log traffic (segment scans, record reads,
@@ -62,7 +62,7 @@ func (st *Store) startGC() {
 			st:    st,
 			shard: i,
 			log:   log,
-			sess:  st.idx.Shard(i).NewSession(),
+			sess:  st.idx.NewShardSession(i),
 			h:     st.dev.NewHandle(),
 			kick:  make(chan struct{}, 1),
 		}

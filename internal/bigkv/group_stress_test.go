@@ -236,10 +236,16 @@ func measureGroupSpeedup(t *testing.T, s *Session, keys, vals [][]byte, rounds i
 // TestGroupedWriteSpeedupSerial is the ungated floor: even on one core,
 // with no fan-out parallelism, collapsing per-key persist barriers into
 // three per chunk must buy a measurable wall-clock win on the emulated
-// device (measured ~1.6x; floor 1.2x leaves noise margin).
+// device (measured ~1.6x; floor 1.2x leaves noise margin). The race
+// detector's overhead swamps the barrier cost it measures (1.12–1.18x under
+// -race), so the floor is off there; TestMultiPutGroupEconomics pins the same
+// barrier economics as counts, which the detector cannot distort.
 func TestGroupedWriteSpeedupSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("timing floor; the race detector distorts it (TestMultiPutGroupEconomics pins the counts)")
 	}
 	s, keys, vals := groupSpeedupStore(t, 1, 256)
 	if ratio := measureGroupSpeedup(t, s, keys, vals, 5); ratio < 1.2 {

@@ -29,7 +29,7 @@ func auditLivenessFromLog(t *testing.T, st *Store, when string) {
 	t.Helper()
 	h := st.dev.NewHandle()
 	for si, log := range st.logs {
-		s := st.idx.Shard(si).NewSession()
+		s := st.idx.NewShardSession(si)
 		for seg := int64(0); seg < log.Segments(); seg++ {
 			if state := log.State(seg); state != vlog.SegSealed && state != vlog.SegActive {
 				if got := log.SegLive(seg); got != 0 {
@@ -213,8 +213,8 @@ func TestOpenRejectsDanglingPointer(t *testing.T) {
 // store's own, which opens the logs (and has done nothing else yet).
 func openBlockReads(st *Store) uint64 {
 	reads := st.h.Stats().MediaBlockReads
-	for i := 0; i < st.idx.NumShards(); i++ {
-		reads += st.idx.Shard(i).LastRecovery().MediaBlockReads
+	for _, rs := range st.idx.LastRecovery() {
+		reads += rs.MediaBlockReads
 	}
 	return reads
 }

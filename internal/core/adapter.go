@@ -107,10 +107,6 @@ func (a *routerAdapter) Capacity() int64     { return a.r.Capacity() }
 func (a *routerAdapter) LoadFactor() float64 { return a.r.LoadFactor() }
 func (a *routerAdapter) Close() error        { return a.r.Close() }
 
-// Router returns the underlying router (for experiments that inspect
-// per-shard state).
-func (a *routerAdapter) Router() *Router { return a.r }
-
 type routerSessionAdapter struct{ s *RouterSession }
 
 var (

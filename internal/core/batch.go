@@ -12,35 +12,36 @@ import (
 // Batched operations. The point of a batch is amortisation, in descending
 // order of value:
 //
-//   - MultiGet hashes every key up front, probes the hot table for the whole
-//     batch lock-free, then walks the NVT for the remaining keys inside
-//     epoch critical sections of one batch chunk (64 keys) each — one
-//     enter/exit pair per chunk instead of per key — and reports one merged
-//     probeStats for the whole walk. Hot-table re-caches are not applied
-//     one bucket-lock acquisition per key: they are collected, grouped by
-//     hot bucket pair, and each group is applied under a single
-//     lockBuckets/unlockBuckets round trip.
-//   - MultiPut and MultiDelete hash up front, then commit one batch chunk
-//     of keys per group: each chunk runs in bucket-sorted order
-//     (same-bucket keys touch adjacent NVT lines back-to-back) through the
-//     same staged protocol a single-key write runs as a group of one
-//     (groupcommit.go), so the chunk's line write-backs drain behind at
-//     most three barriers for all its keys together.
+//   - Every key is hashed once, as RouterSession partitions the batch by
+//     shard; each shard's part arrives here as batchKeys.
+//   - MultiGet probes the hot table for the whole batch lock-free, then
+//     walks the NVT for the remaining keys inside epoch critical sections
+//     of one batch chunk (64 keys) each — one enter/exit pair per chunk
+//     instead of per key — and reports one merged probeStats for the whole
+//     walk. Hot-table re-caches are not applied one bucket-lock acquisition
+//     per key: they are collected, grouped by hot bucket pair, and each
+//     group is applied under a single lockBuckets/unlockBuckets round trip.
+//   - MultiPut and MultiDelete commit one batch chunk of keys per group:
+//     each chunk runs in bucket-sorted order (same-bucket keys touch
+//     adjacent NVT lines back-to-back) through the same staged protocol a
+//     single-key write runs as a group of one (groupcommit.go), so the
+//     chunk's line write-backs drain behind at most three barriers for all
+//     its keys together.
 //
 // Results are written into caller-provided slices so a steady-state caller
-// allocates nothing; the session's scratch is reused across calls.
+// allocates nothing; the sessions' scratch is reused across calls.
 
-// batchKey is the per-key precomputed hash state for one batch entry.
+// batchKey is one batch entry with the hashes the router computed for it.
 type batchKey struct {
 	k         kv.Key
 	h1, h2    uint64
 	bucket    int64 // primary top-level candidate; write-group sort key
 	fp        uint8
-	done      bool // resolved by an earlier pass
-	contended bool // needs the blocking fallback
+	done      bool // multiGet: resolved by an earlier pass
+	contended bool // multiGet: needs the blocking fallback
 }
 
-// pendingFill is one deferred hot-table re-cache from a MultiGet NVT hit.
+// pendingFill is one deferred hot-table re-cache from a multiGet NVT hit.
 // The control word observed at read time travels with it so the fill is
 // validated (and skipped if stale) under the hot bucket lock, exactly like
 // the single-key fill path.
@@ -58,7 +59,6 @@ type pendingFill struct {
 // batchScratch is the session-held reusable batch state. Batches allocate
 // only when they outgrow the previous high-water mark.
 type batchScratch struct {
-	keys  []batchKey
 	fills []pendingFill
 	// leftover holds fills whose hot buckets moved under a racing hot-level
 	// promotion (see applyFills). Session-held like the others: allocating
@@ -73,49 +73,30 @@ type batchScratch struct {
 	pending []pendingCommit
 }
 
-func (bs *batchScratch) ensure(n int) {
-	if cap(bs.keys) < n {
-		bs.keys = make([]batchKey, n)
-	}
-	bs.keys = bs.keys[:n]
-	bs.fills = bs.fills[:0]
-	bs.leftover = bs.leftover[:0]
-	bs.pending = bs.pending[:0]
-}
-
-// MultiGet looks up every key, writing vals[i]/found[i] for each and
-// returning the number found. vals and found must have the same length as
-// keys. Per-key semantics are identical to Get — including the
-// never-report-a-present-key-absent guarantee: a key whose walk exhausts its
-// rescan budget under sustained movement falls back to Get's blocking retry
-// after the batch pass.
-func (s *Session) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) int {
+// multiGet looks up every key, writing vals[i]/found[i] for each and
+// returning the number found. Per-key semantics are identical to get with
+// retry — including the never-report-a-present-key-absent guarantee: a key
+// whose walk exhausts its rescan budget under sustained movement falls back
+// to get's blocking retry after the batch pass.
+func (s *session) multiGet(keys []batchKey, vals []kv.Value, found []bool) int {
 	n := len(keys)
-	if len(vals) != n || len(found) != n {
-		panic("core: MultiGet output slice lengths must match len(keys)")
-	}
 	if n == 0 {
 		return 0
 	}
 	bs := &s.batch
-	bs.ensure(n)
 	for i := range keys {
-		bk := &bs.keys[i]
-		bk.k = keys[i]
-		bk.h1, bk.h2, bk.fp = hashKV(keys[i][:])
-		bk.done, bk.contended = false, false
 		// One heat touch per batch key here; the hot/NVT passes below never
 		// see the same key twice and the rare pass-3 fallback re-touches
 		// only contended keys (noise at sketch granularity).
-		s.heat.Touch(obs.OpGet, bk.k)
+		s.heat.Touch(obs.OpGet, keys[i].k)
 	}
 	ft := s.fl.OpBegin(obs.OpGet)
 	hits := 0
 
 	// Pass 1: hot-table probes for the whole batch, lock-free, no epoch.
 	if ht := s.t.hot; ht != nil {
-		for i := range bs.keys {
-			bk := &bs.keys[i]
+		for i := range keys {
+			bk := &keys[i]
 			start := s.rec.Start()
 			if v, ok := ht.get(bk.k, bk.h1, bk.fp); ok {
 				vals[i], found[i] = v, true
@@ -135,14 +116,14 @@ func (s *Session) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) int {
 		budget := s.t.opts.batchChunk
 		s.enterCritical()
 		for i < n && budget > 0 {
-			bk := &bs.keys[i]
+			bk := &keys[i]
 			if bk.done {
 				i++
 				continue
 			}
 			budget--
 			start := s.rec.Start()
-			h, res := s.t.lookup(s.h, bk.k, bk.h1, bk.h2, bk.fp, &ps)
+			h, res := s.t.walk(s.h, bk.k, bk.h1, bk.h2, bk.fp, &ps, walkRead)
 			switch res {
 			case lookupFound:
 				vals[i], found[i] = h.val, true
@@ -169,7 +150,7 @@ func (s *Session) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) int {
 	s.applyFills()
 
 	// The batch span ends here, with the walk's real outcome — before the
-	// fallback loop below, whose Get calls open their own spans. Ending it
+	// fallback loop below, whose get calls open their own spans. Ending it
 	// after (the old behaviour) both misreported contended batches as OutOK
 	// and nested a second OpGet begin inside the still-open batch span,
 	// unbalancing begin/end counts exactly like PR 5's expansion-failure
@@ -180,17 +161,17 @@ func (s *Session) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) int {
 		s.fl.OpEnd(obs.OpGet, obs.OutOK, ft)
 	}
 
-	// Pass 3 (rare): keys that kept moving behind the scan take Get's
+	// Pass 3 (rare): keys that kept moving behind the scan take get's
 	// blocking retry loop, which records its own per-key metrics and spans.
 	if pending > 0 {
-		for i := range bs.keys {
-			bk := &bs.keys[i]
+		for i := range keys {
+			bk := &keys[i]
 			if !bk.contended {
 				continue
 			}
-			v, ok := s.Get(bk.k)
-			vals[i], found[i] = v, ok
-			if ok {
+			v, res := s.get(bk.k, bk.h1, bk.h2, bk.fp, true)
+			vals[i], found[i] = v, res == lookupFound
+			if found[i] {
 				hits++
 			}
 		}
@@ -202,7 +183,7 @@ func (s *Session) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) int {
 // their hot bucket pair and each run of same-bucket fills is applied under
 // one lockBuckets acquisition. Validation against the observed source OCF
 // word happens under the lock, same as hotTable.fill.
-func (s *Session) applyFills() {
+func (s *session) applyFills() {
 	bs := &s.batch
 	ht := s.t.hot
 	fills := bs.fills
@@ -259,11 +240,12 @@ func (s *Session) applyFills() {
 // swapping the level pair mid-batch merely degrades adjacency, never
 // correctness — and it is stable, so duplicate keys in one batch keep
 // caller order and commit last-write-wins.
-func (s *Session) orderByBucket(n int) {
+func (s *session) orderByBucket(keys []batchKey) {
 	bs := &s.batch
 	pr := s.t.pair()
-	for i := 0; i < n; i++ {
-		bk := &bs.keys[i]
+	n := len(keys)
+	for i := range keys {
+		bk := &keys[i]
 		bk.bucket = pr.top.candidates(bk.h1, bk.h2)[0]
 	}
 	if cap(bs.idx) < n {
@@ -273,75 +255,23 @@ func (s *Session) orderByBucket(n int) {
 	for i := range bs.idx {
 		bs.idx[i] = i
 	}
-	keys, idx := bs.keys, bs.idx
+	idx := bs.idx
 	sort.SliceStable(idx, func(a, b int) bool {
 		return keys[idx[a]].bucket < keys[idx[b]].bucket
 	})
 }
 
-// MultiPut upserts every key (update when present, insert when absent),
-// recording a per-key verdict in errs and returning the number of failures.
-// vals and errs must have the same length as keys.
-func (s *Session) MultiPut(keys []kv.Key, vals []kv.Value, errs []error) int {
-	n := len(keys)
-	if len(vals) != n || len(errs) != n {
-		panic("core: MultiPut slice lengths must match len(keys)")
-	}
-	return s.multiWrite(verbPut, keys, vals, nil, nil, errs)
-}
-
-// MultiPutExchange is MultiPut that also reports each key's displaced
-// value: olds[i]/hadOld[i] carry the previous value when errs[i] is nil,
-// with UpdateExchange's exactly-once guarantee (the read and the
-// replacement are atomic under the slot lock). bigkv hangs its value-log
-// liveness decrements on it. All slices must have the same length as keys.
-func (s *Session) MultiPutExchange(keys []kv.Key, vals, olds []kv.Value, hadOld []bool, errs []error) int {
-	n := len(keys)
-	if len(vals) != n || len(olds) != n || len(hadOld) != n || len(errs) != n {
-		panic("core: MultiPutExchange slice lengths must match len(keys)")
-	}
-	return s.multiWrite(verbPut, keys, vals, olds, hadOld, errs)
-}
-
-// MultiDelete deletes every key, recording a per-key verdict in errs
-// (scheme.ErrNotFound for absent keys) and returning the number of
-// failures. errs must have the same length as keys.
-func (s *Session) MultiDelete(keys []kv.Key, errs []error) int {
-	if len(errs) != len(keys) {
-		panic("core: MultiDelete slice lengths must match len(keys)")
-	}
-	return s.multiWrite(verbDelete, keys, nil, nil, nil, errs)
-}
-
-// MultiDeleteExchange is MultiDelete that also reports each deleted key's
-// displaced value (olds[i] is meaningful when errs[i] is nil), with
-// DeleteExchange's exactly-once guarantee. olds and errs must have the
-// same length as keys.
-func (s *Session) MultiDeleteExchange(keys []kv.Key, olds []kv.Value, errs []error) int {
-	n := len(keys)
-	if len(olds) != n || len(errs) != n {
-		panic("core: MultiDeleteExchange slice lengths must match len(keys)")
-	}
-	return s.multiWrite(verbDelete, keys, nil, olds, nil, errs)
-}
-
-// multiWrite is the grouped write core behind the four methods above: hash
-// up front, sort by bucket, then stage one batch chunk of keys per group and
-// commit each group with one drainPending. vals is read only for verbPut;
-// olds and hadOld are filled when non-nil.
-func (s *Session) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []kv.Value, hadOld []bool, errs []error) int {
+// multiWrite is the grouped write core behind RouterSession's Multi* writes:
+// sort by bucket, then stage one batch chunk of keys per group and commit
+// each group with one drainPending. vals is read only for verbPut; olds and
+// hadOld are filled when non-nil.
+func (s *session) multiWrite(verb writeVerb, keys []batchKey, vals, olds []kv.Value, hadOld []bool, errs []error) int {
 	n := len(keys)
 	if n == 0 {
 		return 0
 	}
 	bs := &s.batch
-	bs.ensure(n)
-	for i := range keys {
-		bk := &bs.keys[i]
-		bk.k = keys[i]
-		bk.h1, bk.h2, bk.fp = hashKV(keys[i][:])
-	}
-	s.orderByBucket(n)
+	s.orderByBucket(keys)
 	chunk := s.t.opts.batchChunk
 	fails := 0
 	for lo := 0; lo < n; lo += chunk {
@@ -350,13 +280,13 @@ func (s *Session) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []kv.Valu
 		s.helpDrainStep()
 		s.enterCritical()
 		for _, i := range bs.idx[lo:hi] {
-			bk := &bs.keys[i]
+			bk := &keys[i]
 			var v kv.Value
 			if verb != verbDelete {
 				v = vals[i]
 			}
 			w := s.beginWrite(verb, bk.k, v, nil, bk.h1, bk.h2, bk.fp)
-			old, had, err := s.stage(&w, false)
+			old, had, err := s.stage(&w, walkTryLock)
 			if err == scheme.ErrContended || err == errNeedResize {
 				// A slot in the probe path is locked — possibly by this very
 				// group: a second write to a key it already staged lands here

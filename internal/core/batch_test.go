@@ -33,7 +33,7 @@ func TestMultiGetMixedHitsAndMisses(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			tbl := newTable(t, cfg.mutate)
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			const n = 200
 			for i := 0; i < n; i++ {
 				if err := s.Insert(key(i), value(i)); err != nil {
@@ -73,7 +73,7 @@ func TestMultiGetMixedHitsAndMisses(t *testing.T) {
 
 func TestMultiGetEmptyAndSingle(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestMultiGetEmptyAndSingle(t *testing.T) {
 
 func TestMultiGetLengthMismatchPanics(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mismatched result slices did not panic")
@@ -100,7 +100,7 @@ func TestMultiGetLengthMismatchPanics(t *testing.T) {
 
 func TestMultiPutUpsertsAndMultiDelete(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 100
 	keys := make([]kv.Key, n)
 	vals := make([]kv.Value, n)
@@ -169,7 +169,7 @@ func TestBatchStressThroughResizes(t *testing.T) {
 		o.batchChunk = 16
 	})
 	const stable = 2000 // keys committed before the churn starts
-	load := tbl.NewSession()
+	load := sessionOn(tbl)
 	for i := 0; i < stable; i++ {
 		if err := load.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -183,7 +183,7 @@ func TestBatchStressThroughResizes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		for i := 0; i < 12000; i++ {
 			if err := s.Insert(key(stable+i), value(stable+i)); err != nil {
 				t.Errorf("insert %d: %v", stable+i, err)
@@ -197,7 +197,7 @@ func TestBatchStressThroughResizes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		for i := 0; !stop.Load(); i++ {
 			k := i % stable
 			if err := s.Update(key(k), value(k+100000)); err != nil {
@@ -213,7 +213,7 @@ func TestBatchStressThroughResizes(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			const batch = 64
 			keys := make([]kv.Key, batch)
 			vals := make([]kv.Value, batch)
@@ -242,7 +242,7 @@ func TestBatchStressThroughResizes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		for i := 0; !stop.Load(); i++ {
 			k := i % stable
 			v, ok := s.Get(key(k))
@@ -274,7 +274,7 @@ func TestNoHotEndToEnd(t *testing.T) {
 		o.HotSlotsPerBucket = 0
 		o.drainChunkBuckets = 16
 	})
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 6000 // enough to force doublings from one bottom segment
 	for i := 0; i < n; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -330,9 +330,9 @@ func TestNoHotEndToEnd(t *testing.T) {
 // batches of 64. The delta is the per-key epoch enter/exit plus call
 // overhead the batch path folds into one round per chunk.
 func BenchmarkReadPathBatching(b *testing.B) {
-	setup := func(b *testing.B) (*Session, []kv.Key) {
+	setup := func(b *testing.B) (*RouterSession, []kv.Key) {
 		tbl := benchTable(b, func(o *Options) { o.HotSlotsPerBucket = 0 })
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		const n = 10000
 		keys := make([]kv.Key, n)
 		for i := 0; i < n; i++ {
@@ -381,7 +381,7 @@ func TestMultiGetSpanBalanceUnderContention(t *testing.T) {
 		o.lookupRetryBudget = 2
 		o.Flight = fr
 	})
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestMultiGetSpanBalanceUnderContention(t *testing.T) {
 // keeps the occasional promotion race from breaking this.)
 func TestMultiGetSteadyStateAllocs(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 16
 	keys := make([]kv.Key, n)
 	vals := make([]kv.Value, n)

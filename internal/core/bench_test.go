@@ -52,7 +52,7 @@ func benchVals(n int) []kv.Value {
 
 func BenchmarkInsert(b *testing.B) {
 	tbl := benchTable(b, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	ks, vs := benchKeys(b.N), benchVals(b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -64,7 +64,7 @@ func BenchmarkInsert(b *testing.B) {
 
 func BenchmarkGetHot(b *testing.B) {
 	tbl := benchTable(b, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	k := key(1)
 	if err := s.Insert(k, value(1)); err != nil {
 		b.Fatal(err)
@@ -85,7 +85,7 @@ func BenchmarkGetHot(b *testing.B) {
 // instead of quietly inflating every benchmark.
 func TestGetHotZeroAllocs(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	k := key(1)
 	if err := s.Insert(k, value(1)); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestGetHotZeroAllocs(t *testing.T) {
 // mirror is applied by the caller, so no request or signal is built per write.
 func TestWriteSteadyStateZeroAllocs(t *testing.T) {
 	tbl := newTable(t, func(o *Options) { o.InitBottomSegments = 4 })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 64
 	ks, vs := benchKeys(n), benchVals(n)
 	for i := range ks {
@@ -138,7 +138,7 @@ func TestWriteSteadyStateZeroAllocs(t *testing.T) {
 func BenchmarkGetNVT(b *testing.B) {
 	// Hot table disabled: every Get walks OCF + NVT.
 	tbl := benchTable(b, func(o *Options) { o.HotSlotsPerBucket = 0 })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 10000
 	ks, vs := benchKeys(n), benchVals(n)
 	for i := 0; i < n; i++ {
@@ -156,7 +156,7 @@ func BenchmarkGetNVT(b *testing.B) {
 
 func BenchmarkGetNegative(b *testing.B) {
 	tbl := benchTable(b, func(o *Options) { o.HotSlotsPerBucket = 0 })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 10000
 	ks, vs := benchKeys(n), benchVals(n)
 	for i := 0; i < n; i++ {
@@ -178,7 +178,7 @@ func BenchmarkGetNegative(b *testing.B) {
 
 func BenchmarkUpdate(b *testing.B) {
 	tbl := benchTable(b, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 10000
 	ks, vs := benchKeys(n), benchVals(n)
 	for i := 0; i < n; i++ {
@@ -196,7 +196,7 @@ func BenchmarkUpdate(b *testing.B) {
 
 func BenchmarkDeleteInsertCycle(b *testing.B) {
 	tbl := benchTable(b, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	k := key(1)
 	vs := benchVals(2)
 	if err := s.Insert(k, vs[0]); err != nil {
@@ -247,7 +247,7 @@ func BenchmarkRecovery(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			for i := 0; i < n; i++ {
 				if err := s.Insert(key(i), value(i)); err != nil {
 					b.Fatal(err)

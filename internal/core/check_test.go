@@ -19,7 +19,7 @@ func assertHealthy(t *testing.T, tbl *Table, context string) {
 
 func TestInvariantsAfterMixedOps(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < 5000; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -47,7 +47,7 @@ func TestInvariantsAfterConcurrentChurn(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			base := w * 3000
 			for i := 0; i < 3000; i++ {
 				if err := s.Insert(key(base+i), value(i)); err != nil {
@@ -85,7 +85,7 @@ func TestInvariantsAfterCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := dev.SetCrashAfterFlushes(900); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestInvariantsAfterCrashRecovery(t *testing.T) {
 func TestCheckDetectsCorruption(t *testing.T) {
 	// Sanity: the checker must actually catch problems, not rubber-stamp.
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < 100; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)

@@ -17,7 +17,7 @@ func TestConcurrentDisjointInserts(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			for i := 0; i < perW; i++ {
 				if err := s.Insert(key(w*perW+i), value(w*perW+i)); err != nil {
 					t.Errorf("worker %d insert %d: %v", w, i, err)
@@ -30,7 +30,7 @@ func TestConcurrentDisjointInserts(t *testing.T) {
 	if tbl.Count() != workers*perW {
 		t.Fatalf("Count = %d, want %d", tbl.Count(), workers*perW)
 	}
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < workers*perW; i++ {
 		if v, ok := s.Get(key(i)); !ok || v != value(i) {
 			t.Fatalf("key %d wrong after concurrent inserts", i)
@@ -40,7 +40,7 @@ func TestConcurrentDisjointInserts(t *testing.T) {
 
 func TestConcurrentReadersWithWriter(t *testing.T) {
 	tbl := newTable(t, nil)
-	loader := tbl.NewSession()
+	loader := sessionOn(tbl)
 	const n = 4000
 	for i := 0; i < n; i++ {
 		if err := loader.Insert(key(i), value(i)); err != nil {
@@ -53,7 +53,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -72,7 +72,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 		readerWG.Add(1)
 		go func(r int) {
 			defer readerWG.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			for i := 0; i < 20000; i++ {
 				k := (r*7 + i) % n
 				v, ok := s.Get(key(k))
@@ -102,7 +102,7 @@ func TestConcurrentMixedOpsDisjointKeyRanges(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			base := w * perW
 			for i := 0; i < perW; i++ {
 				if err := s.Insert(key(base+i), value(i)); err != nil {
@@ -144,7 +144,7 @@ func TestConcurrentMixedOpsDisjointKeyRanges(t *testing.T) {
 
 func TestConcurrentUpdatesSameKey(t *testing.T) {
 	tbl := newTable(t, nil)
-	s0 := tbl.NewSession()
+	s0 := sessionOn(tbl)
 	if err := s0.Insert(key(1), value(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestConcurrentUpdatesSameKey(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			for i := 0; i < 300; i++ {
 				if err := s.Update(key(1), value(w*1000+i)); err != nil {
 					t.Errorf("update: %v", err)
@@ -179,7 +179,7 @@ func TestConcurrentUpdatesSameKey(t *testing.T) {
 // TestConcurrentSameKeyWriters races writers of the SAME keys, the case the
 // per-slot protocol used to leave to the caller. Phase one: every worker
 // inserts every key, and exactly one insert per key may win — before the
-// announce-and-count step in Session.stage two sessions could both pass the
+// announce-and-count step in session.stage two sessions could both pass the
 // duplicate check and commit the key twice. Phase two: the workers upsert
 // and delete a small shared keyset; the invariant checker then demands one
 // committed copy per key and a cache that matches the NVT — a mirror applied
@@ -194,7 +194,7 @@ func TestConcurrentSameKeyWriters(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			defer s.Close()
 			for i := 0; i < keys; i++ {
 				switch err := s.Insert(key(i), value(w*keys+i)); err {
@@ -221,7 +221,7 @@ func TestConcurrentSameKeyWriters(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			defer s.Close()
 			for i := 0; i < 4000; i++ {
 				k := key((w*31 + i) % hot)
@@ -254,7 +254,7 @@ func TestConcurrentInsertsThroughResizes(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			for i := 0; i < perW; i++ {
 				if err := s.Insert(key(w*perW+i), value(i)); err != nil {
 					t.Errorf("insert: %v", err)
@@ -267,7 +267,7 @@ func TestConcurrentInsertsThroughResizes(t *testing.T) {
 	if tbl.Generation() < 3 {
 		t.Fatalf("only %d generations; resize path untested", tbl.Generation())
 	}
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < workers*perW; i++ {
 		w, j := i/perW, i%perW
 		if v, ok := s.Get(key(w*perW + j)); !ok || v != value(j) {
@@ -278,7 +278,7 @@ func TestConcurrentInsertsThroughResizes(t *testing.T) {
 
 func TestConcurrentDeleteVsGet(t *testing.T) {
 	tbl := newTable(t, nil)
-	s0 := tbl.NewSession()
+	s0 := sessionOn(tbl)
 	const n = 2000
 	for i := 0; i < n; i++ {
 		if err := s0.Insert(key(i), value(i)); err != nil {
@@ -289,7 +289,7 @@ func TestConcurrentDeleteVsGet(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		for i := 0; i < n; i++ {
 			if err := s.Delete(key(i)); err != nil {
 				t.Errorf("delete %d: %v", i, err)
@@ -299,7 +299,7 @@ func TestConcurrentDeleteVsGet(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		for pass := 0; pass < 3; pass++ {
 			for i := 0; i < n; i++ {
 				if v, ok := s.Get(key(i)); ok && v != value(i) {
@@ -312,7 +312,7 @@ func TestConcurrentDeleteVsGet(t *testing.T) {
 	wg.Wait()
 	// After all deletes complete, nothing may remain — including in the
 	// hot table (the coherence protocol must not leave phantoms).
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < n; i++ {
 		if _, ok := s.Get(key(i)); ok {
 			t.Fatalf("phantom key %d after concurrent delete/get", i)

@@ -33,7 +33,7 @@ func TestBudgetExhaustionIsContendedNotMiss(t *testing.T) {
 		o.lookupRetryBudget = 2 // tiny budget: exhaust quickly
 		o.Metrics = m
 	})
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 
 	absent := key(424242)
 	h1, _, _ := hashKV(absent[:])
@@ -95,7 +95,7 @@ func TestGetRetriesThroughTransientContention(t *testing.T) {
 		o.lookupRetryBudget = 2
 		o.Metrics = m
 	})
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	k := key(9)
 	if err := s.Insert(k, value(9)); err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestGetNeverFalseMissesUnderMovement(t *testing.T) {
 		o.HotSlotsPerBucket = 0 // keep every Get on the racy NVT path
 		o.lookupRetryBudget = 1
 	})
-	w := tbl.NewSession()
+	w := sessionOn(tbl)
 	k := key(7)
 	if err := w.Insert(k, value(0)); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestGetNeverFalseMissesUnderMovement(t *testing.T) {
 		}
 	}()
 
-	r := tbl.NewSession()
+	r := sessionOn(tbl)
 	deadline := time.Now().Add(200 * time.Millisecond)
 	gets := 0
 	for time.Now().Before(deadline) {
@@ -234,7 +234,7 @@ func TestContendedRoundTripsThroughSchemeAdapter(t *testing.T) {
 
 	absent := key(515151)
 	h1, _, _ := hashKV(absent[:])
-	stop := simulateMovement(r.Shard(0), h1)
+	stop := simulateMovement(r.shards[0], h1)
 	defer stop()
 
 	if err := sess.Update(absent, value(1)); !errors.Is(err, scheme.ErrContended) {

@@ -53,7 +53,7 @@ func runCrashFuzz(t *testing.T, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	r := rng.New(seed ^ 0xfeedface)
 
 	// Arm the crash somewhere inside the run: 2000 ops, many of them misses
@@ -163,7 +163,7 @@ func runCrashFuzz(t *testing.T, seed uint64) {
 	// absence) must be *some* value the key legitimately held at *some*
 	// point — and values embed their writing op, so any torn or fabricated
 	// state fails the membership test below.
-	s2 := tbl2.NewSession()
+	s2 := sessionOn(tbl2)
 	for k := 0; k < keySpace; k++ {
 		got, present := s2.Get(key(k))
 		if seen, ok := visits.vals[key(k)]; ok != present || seen != got {

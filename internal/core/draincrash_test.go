@@ -118,7 +118,7 @@ func (w *drainCrashWorld) findTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tbl.Close()
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	gen := tbl.Generation()
 	for i := 0; !tbl.Resizing() && tbl.Generation() == gen; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -143,7 +143,7 @@ func (w *drainCrashWorld) run(t *testing.T, seed uint64, n int64) []uint64 {
 		t.Fatal(err)
 	}
 	defer tbl.Close()
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	w.want, w.unsure, w.after = map[int]kv.Value{}, -1, nil
 	for i := 0; i < w.trigger; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -183,7 +183,7 @@ func (w *drainCrashWorld) run(t *testing.T, seed uint64, n int64) []uint64 {
 // whose new copy has changed or gone, over a source slot that a resumed
 // drain must not bring back. The doubling is started directly, not by an
 // insert: a fresh key's probe could wait on one of the held slots.
-func (w *drainCrashWorld) pacedDrain(t *testing.T, dev *nvm.Device, tbl *Table, s *Session) {
+func (w *drainCrashWorld) pacedDrain(t *testing.T, dev *nvm.Device, tbl *Table, s *RouterSession) {
 	t.Helper()
 	src := tbl.pair().bottom
 	chunk := int64(w.opts().drainChunkBuckets)
@@ -199,9 +199,9 @@ func (w *drainCrashWorld) pacedDrain(t *testing.T, dev *nvm.Device, tbl *Table, 
 		k := key(i)
 		h1, h2, fp := hashKV(k[:])
 		var ps probeStats
-		s.enterCritical()
-		ht, _ := tbl.lookup(s.h, k, h1, h2, fp, &ps)
-		s.exitCritical()
+		s.ss[0].enterCritical()
+		ht, _ := tbl.walk(s.ss[0].h, k, h1, h2, fp, &ps, walkRead)
+		s.ss[0].exitCritical()
 		if ht.ref.lvl != src {
 			continue
 		}
@@ -340,7 +340,7 @@ func (w *drainCrashWorld) check(t *testing.T, what string, tbl *Table) {
 	if errs := tbl.CheckInvariants(); len(errs) != 0 {
 		t.Fatalf("%s: %v", what, errs[0])
 	}
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	defer s.Close()
 	present := int64(0)
 	for i := 0; i <= w.trigger; i++ {

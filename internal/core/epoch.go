@@ -5,7 +5,7 @@ import "sync/atomic"
 // Epoch-based resize protection (the Dash/crossbeam idea): the old global
 // reader-writer lock put every Get on one contended cache line — the RWMutex
 // reader count — which became the throughput ceiling at high core counts
-// long before the NVM device did. Instead, each Session owns a
+// long before the NVM device did. Instead, each session owns a
 // cache-line-padded epoch slot. Entering an operation's critical section is
 // two uncontended atomic stores (publish the observed epoch, clear it on
 // exit); no cross-core write sharing happens on the hot path at all.
@@ -79,7 +79,7 @@ func (t *Table) registerEpochSlot() *epochSlot {
 }
 
 // releaseEpochSlot returns a session's slot to the free list for the next
-// NewSession to reuse. The slot stays in the registry (removing it would
+// newSession to reuse. The slot stays in the registry (removing it would
 // race the lock-free grace-period scans), but it is idle — the owning
 // session published 0 on its last exitCritical and will never touch it
 // again — so scans skip it at the cost of one load.
@@ -100,7 +100,7 @@ func (t *Table) epochRegistryLen() int {
 }
 
 // EpochSlotsLive reports how many epoch slots are currently owned by open
-// sessions (registered minus free-listed) — the number of Sessions created
+// sessions (registered minus free-listed) — the number of sessions created
 // and not yet Closed. Serving layers assert this hits their baseline on
 // shutdown: a parked-but-never-Closed session pool shows up here as a
 // nonzero residue while the store goes down.
@@ -119,7 +119,7 @@ func (t *Table) EpochSlotsLive() int {
 // and re-check the epoch so a swap racing the entry is never missed. On the
 // uncontended path this is two atomic stores and two loads of
 // mostly-read-shared words — no read-modify-write on any shared line.
-func (s *Session) enterCritical() {
+func (s *session) enterCritical() {
 	t := s.t
 	e := t.epochGlobal.Load()
 	for {
@@ -144,7 +144,7 @@ func (s *Session) enterCritical() {
 
 // exitCritical ends the section. One store to a line only this session
 // writes.
-func (s *Session) exitCritical() {
+func (s *session) exitCritical() {
 	s.ep.val.Store(0)
 }
 

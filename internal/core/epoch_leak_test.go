@@ -7,17 +7,17 @@ import (
 
 // TestEpochRegistryBounded is the leak regression: churning sessions
 // serially must not grow the slot registry past the peak number open at
-// once. Before Session.Close existed, 5000 create/discard cycles meant
+// once. Before sessions could be closed, 5000 create/discard cycles meant
 // 5000 registry entries and every resize grace period scanned them all.
 func TestEpochRegistryBounded(t *testing.T) {
 	tbl := newTable(t, nil)
 	// The table may register internal slots (drain workers etc.); measure
 	// growth over a baseline that already includes one churned session.
-	warm := tbl.NewSession()
+	warm := sessionOn(tbl)
 	warm.Close()
 	base := tbl.epochRegistryLen()
 	for i := 0; i < 5000; i++ {
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
@@ -29,7 +29,7 @@ func TestEpochRegistryBounded(t *testing.T) {
 		t.Fatalf("registry grew from %d to %d over serial churn; slots are not being reused", base, got)
 	}
 	// Close is idempotent.
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	s.Close()
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
@@ -52,7 +52,7 @@ func TestEpochRegistryBoundedConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				s := tbl.NewSession()
+				s := sessionOn(tbl)
 				k := key(g*perG + i)
 				if err := s.Insert(k, value(i)); err != nil {
 					t.Errorf("insert: %v", err)
@@ -90,7 +90,7 @@ func TestEpochCloseVsResizeRace(t *testing.T) {
 					return
 				default:
 				}
-				s := tbl.NewSession()
+				s := sessionOn(tbl)
 				s.Get(key(g*1000 + i%1000))
 				s.Close()
 				i++
@@ -99,7 +99,7 @@ func TestEpochCloseVsResizeRace(t *testing.T) {
 	}
 	// Writer: grows the table through several resizes, each of whose grace
 	// periods scans the registry the churners are mutating.
-	w := tbl.NewSession()
+	w := sessionOn(tbl)
 	for i := 0; i < 20000; i++ {
 		if err := w.Insert(key(i), value(i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)

@@ -11,7 +11,7 @@ import (
 
 func TestUpdateExchangeReturnsOldValue(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestUpdateExchangeReturnsOldValue(t *testing.T) {
 
 func TestUpdateIfConditional(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestUpdateIfConditional(t *testing.T) {
 
 func TestDeleteExchangeReturnsOldValue(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Insert(key(1), value(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestDeleteExchangeReturnsOldValue(t *testing.T) {
 // by exactly one subsequent winner (or survives as the final value).
 func TestExchangeObservesEachValueOnce(t *testing.T) {
 	tbl := newTable(t, nil)
-	boot := tbl.NewSession()
+	boot := sessionOn(tbl)
 	if err := boot.Insert(key(1), value(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestExchangeObservesEachValueOnce(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			for i := 0; i < perWorker; i++ {
 				v := value(1 + w*perWorker + i)
 				old, err := s.UpdateExchange(key(1), v)
@@ -134,7 +134,7 @@ func TestExchangeObservesEachValueOnce(t *testing.T) {
 	}
 	wg.Wait()
 
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if final, ok := s.Get(key(1)); ok {
 		displaced[final]++
 	}

@@ -38,7 +38,7 @@ func TestFlightRecordsOps(t *testing.T) {
 		o.HotSlotsPerBucket = 0 // force NVT walks so probes are emitted
 		o.Flight = fr
 	})
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSlowOpCaptureExplainsTail(t *testing.T) {
 		o.lookupRetryBudget = 2
 		o.Flight = fr
 	})
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	k := key(7)
 	if err := s.Insert(k, value(7)); err != nil {
 		t.Fatal(err)
@@ -130,9 +130,9 @@ func TestSlowOpCaptureExplainsTail(t *testing.T) {
 	// waitUnlocked until the release.
 	h1, h2, fp := hashKV(k[:])
 	var ps probeStats
-	s.enterCritical()
-	ht, res := tbl.lookup(s.h, k, h1, h2, fp, &ps)
-	s.exitCritical()
+	s.ss[0].enterCritical()
+	ht, res := tbl.walk(s.ss[0].h, k, h1, h2, fp, &ps, walkRead)
+	s.ss[0].exitCritical()
 	if res != lookupFound {
 		t.Fatalf("lookup of the inserted key = %v", res)
 	}
@@ -185,7 +185,7 @@ func TestFlightRecordsResizeAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 5000
 	for i := 0; i < n; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -202,7 +202,7 @@ func TestFlightRecordsResizeAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tbl2.Close()
-	s2 := tbl2.NewSession()
+	s2 := sessionOn(tbl2)
 	if _, ok := s2.Get(key(1)); !ok {
 		t.Fatal("key lost across close/open")
 	}
@@ -250,7 +250,7 @@ func TestFlightSpansBalanceAcrossFailedExpansion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tbl.Close()
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	inserted := 0
 	sawFull := false
 	for i := 0; i < 100000; i++ {
@@ -312,7 +312,7 @@ func TestFlightOverheadGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tbl.Close()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		for i := 0; i < n; i++ {
 			if err := s.Insert(key(i), value(i)); err != nil {
 				t.Fatal(err)
@@ -345,7 +345,7 @@ func TestFlightOverheadGuard(t *testing.T) {
 // with a sampled tracer attached.
 func BenchmarkGetHotFlight(b *testing.B) {
 	tbl := benchTable(b, func(o *Options) { o.Flight = flight.New(flight.Config{SampleEvery: 8}) })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	k := key(1)
 	if err := s.Insert(k, value(1)); err != nil {
 		b.Fatal(err)

@@ -29,9 +29,9 @@ func TestPersistedFormatPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := r.Shard(0)
+	tbl := r.shards[0]
 	created := tbl.Generation()
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 3600
 	for i := 0; i < n; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {

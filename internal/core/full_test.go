@@ -20,7 +20,7 @@ func TestInsertErrFullOnDeviceExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tbl.Close()
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	inserted := 0
 	var lastErr error
 	for i := 0; i < 100000; i++ {
@@ -66,7 +66,7 @@ func TestUpdateErrFullOnDeviceExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tbl.Close()
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	inserted := 0
 	for i := 0; i < 100000; i++ {
 		if s.Insert(key(i), value(i)) != nil {
@@ -113,7 +113,7 @@ func TestMaxExpansionsBoundsWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tbl.Close()
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	sawFull := false
 	for i := 0; i < 100000; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {

@@ -16,7 +16,7 @@ import (
 // below; a single-key write (and a displacement) is a group of one.
 //
 //	phase A (stage, per key)
-//	        a write: one findAndLock probe decides it (insert, out-of-place
+//	        a write: one lock walk decides it (insert, out-of-place
 //	        update, delete, or a verdict that writes nothing); a move: the
 //	        mover locks the record's slot and a free destination. Store
 //	        key+value words into the new slot, stage their lines
@@ -56,7 +56,7 @@ import (
 // parked on a locked slot cannot tell a foreign lock from one of its own
 // staged ones, and its own never release until it drains. A solo write
 // stages into an empty group, so it waits like the paper's writer does; the
-// batch loop stages with wait=false, and a key that would block drains the
+// batch loop stages with walkTryLock, and a key that would block drains the
 // group and reruns as a solo write. That covers a key the group has already
 // staged, too: its slot is locked under its fingerprint (an insert's is
 // announced, see stage), so the duplicate's probe reports contention, the
@@ -94,7 +94,7 @@ type writeOp struct {
 	ft     int64
 }
 
-func (s *Session) beginWrite(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value, h1, h2 uint64, fp uint8) writeOp {
+func (s *session) beginWrite(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value, h1, h2 uint64, fp uint8) writeOp {
 	op := nominalOp[verb]
 	return writeOp{verb: verb, k: k, v: v, expect: expect, h1: h1, h2: h2, fp: fp,
 		op: op, start: s.rec.Start(), ft: s.fl.OpBegin(op)}
@@ -162,14 +162,14 @@ func stageClear(h *nvm.Handle, ref slotRef, w3 uint64) {
 }
 
 // settle closes an op whose probe concluded without anything to write.
-func (s *Session) settle(w *writeOp, op obs.Op, out obs.Outcome, err error) error {
+func (s *session) settle(w *writeOp, op obs.Op, out obs.Outcome, err error) error {
 	s.heat.Touch(op, w.k)
 	s.opDone(op, out, w.start, w.ft)
 	return err
 }
 
 // enqueue adds a staged write to the pending group.
-func (s *Session) enqueue(w *writeOp, p pendingCommit) {
+func (s *session) enqueue(w *writeOp, p pendingCommit) {
 	p.k, p.v, p.h1, p.fp, p.start, p.ft = w.k, w.v, w.h1, w.fp, w.start, w.ft
 	s.heat.Touch(p.op, p.k)
 	s.batch.pending = append(s.batch.pending, p)
@@ -182,21 +182,21 @@ func (s *Session) enqueue(w *writeOp, p pendingCommit) {
 // errors:
 //
 //	scheme.ErrExists, ErrNotFound, ErrConflict — the verdict; the op is closed
-//	scheme.ErrContended — inconclusive probe (or, with wait=false, a slot
+//	scheme.ErrContended — inconclusive probe (or, with walkTryLock, a slot
 //	        that would block); nothing held, retry
 //	errNeedResize — no free slot in the candidate set; nothing held; hadOld
 //	        says whether it was an update (often transient) or an insert
 //
-// Caller must be inside an epoch critical section. wait=true requires an
-// empty pending group.
-func (s *Session) stage(w *writeOp, wait bool) (old kv.Value, hadOld bool, err error) {
-	if wait && len(s.batch.pending) != 0 {
+// Caller must be inside an epoch critical section. mode is walkLock or
+// walkTryLock; walkLock requires an empty pending group.
+func (s *session) stage(w *writeOp, mode walkMode) (old kv.Value, hadOld bool, err error) {
+	if mode == walkLock && len(s.batch.pending) != 0 {
 		panic("core: blocking probe while holding staged slot locks")
 	}
 	moves := s.t.moveShard(w.h1)
 	seen := moves.Load()
 	var ps probeStats
-	cur, res := s.t.findAndLock(s.h, w.k, w.h1, w.h2, w.fp, &ps, wait)
+	cur, res := s.t.walk(s.h, w.k, w.h1, w.h2, w.fp, &ps, mode)
 	ps.report(s.rec, s.fl)
 	switch res {
 	case lookupContended:
@@ -205,7 +205,7 @@ func (s *Session) stage(w *writeOp, wait bool) (old kv.Value, hadOld bool, err e
 		if w.verb == verbUpdate || w.verb == verbDelete {
 			return kv.Value{}, false, s.settle(w, w.op, obs.OutNotFound, scheme.ErrNotFound)
 		}
-		// Conclusive miss — findAndLock completed a full quiescent pass —
+		// Conclusive miss — the walk completed a full quiescent pass —
 		// which is the insert's duplicate check. Inserting without it could
 		// plant a second copy of a live key.
 		ref, c, ok := s.t.lockEmptySlot(w.h1, w.h2, nil)
@@ -278,7 +278,7 @@ func (s *Session) stage(w *writeOp, wait bool) (old kv.Value, hadOld bool, err e
 
 // drainPending commits the session's staged group and closes each op. Must
 // run inside the critical section the stages ran in.
-func (s *Session) drainPending() {
+func (s *session) drainPending() {
 	s.t.commitGroup(s.h, s.batch.pending, s)
 	s.batch.pending = s.batch.pending[:0]
 }
@@ -287,7 +287,7 @@ func (s *Session) drainPending() {
 // top of the file) on the handle its phase A staged through. s is the
 // session whose writes these are — it applies their hot mirrors and closes
 // their ops — and nil for a record mover, whose entries are all opMove.
-func (t *Table) commitGroup(h *nvm.Handle, group []pendingCommit, s *Session) {
+func (t *Table) commitGroup(h *nvm.Handle, group []pendingCommit, s *session) {
 	if len(group) == 0 {
 		return
 	}
@@ -399,12 +399,12 @@ func (t *Table) commitGroup(h *nvm.Handle, group []pendingCommit, s *Session) {
 // and ErrExists are returned only after a conclusive scan), and a full
 // candidate set expands the table, up to Options.MaxExpansions doublings,
 // before surfacing ErrFull. Must be called outside any critical section.
-func (s *Session) writeSolo(w *writeOp) (kv.Value, bool, error) {
+func (s *session) writeSolo(w *writeOp) (kv.Value, bool, error) {
 	transientRetries, contendedRounds := 0, 0
 	for attempt := 0; attempt <= s.t.opts.MaxExpansions; attempt++ {
 		s.helpDrainStep()
 		s.enterCritical()
-		old, hadOld, err := s.stage(w, true)
+		old, hadOld, err := s.stage(w, walkLock)
 		switch err {
 		case nil:
 			s.drainPending()
@@ -448,82 +448,9 @@ func (s *Session) writeSolo(w *writeOp) (kv.Value, bool, error) {
 	return kv.Value{}, false, scheme.ErrFull
 }
 
-// writeHashed is the single-key write entry with the hashing hoisted out:
-// the router hashes once to pick a shard and reuses h1/h2/fp here.
-func (s *Session) writeHashed(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value, h1, h2 uint64, fp uint8) (kv.Value, bool, error) {
+// writeHashed is the single-key write entry: the router hashes the key once
+// to pick the shard and passes h1/h2/fp on.
+func (s *session) writeHashed(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value, h1, h2 uint64, fp uint8) (kv.Value, bool, error) {
 	w := s.beginWrite(verb, k, v, expect, h1, h2, fp)
 	return s.writeSolo(&w)
-}
-
-func (s *Session) write(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value) (kv.Value, bool, error) {
-	h1, h2, fp := hashKV(k[:])
-	return s.writeHashed(verb, k, v, expect, h1, h2, fp)
-}
-
-// Insert adds a new record (foreground thread of paper Figure 9), returning
-// scheme.ErrExists if the key is present. Insert returns only after both the
-// NVT record and its hot-table mirror are in place.
-func (s *Session) Insert(k kv.Key, v kv.Value) error {
-	_, _, err := s.write(verbInsert, k, v, nil)
-	return err
-}
-
-// Update replaces the value out-of-place (paper Figure 10): the old slot is
-// locked, the new record committed into a free slot — preferring the old
-// record's own bucket — and only then is the old slot invalidated. A crash
-// between the two commits leaves a stamped duplicate that recovery resolves
-// toward the newer record. Returns scheme.ErrNotFound for an absent key.
-func (s *Session) Update(k kv.Key, v kv.Value) error {
-	_, _, err := s.write(verbUpdate, k, v, nil)
-	return err
-}
-
-// UpdateExchange is Update returning the value it displaced. The read and
-// the replacement are atomic under the old slot's lock, so exactly one
-// concurrent writer observes any given value as its predecessor — the
-// hook bigkv's liveness accounting hangs exactly-once decrements on.
-func (s *Session) UpdateExchange(k kv.Key, v kv.Value) (kv.Value, error) {
-	old, _, err := s.write(verbUpdate, k, v, nil)
-	return old, err
-}
-
-// UpdateIf replaces the value only if the current value equals expect,
-// returning ErrConflict (with nothing changed) otherwise. The compare and
-// the replacement are atomic under the slot lock. This is the GC's
-// conditional index rewrite: a racing user update changes the value first
-// and the GC's rewrite then loses cleanly.
-func (s *Session) UpdateIf(k kv.Key, expect, v kv.Value) error {
-	_, _, err := s.write(verbUpdate, k, v, &expect)
-	return err
-}
-
-// Put upserts: update when the key is present, insert when it is absent,
-// decided by one probe.
-func (s *Session) Put(k kv.Key, v kv.Value) error {
-	_, _, err := s.write(verbPut, k, v, nil)
-	return err
-}
-
-// PutExchange is Put reporting the displaced value: hadOld is true when the
-// upsert replaced an existing record (old is then its value, with
-// UpdateExchange's exactly-once guarantee), false when it inserted fresh.
-func (s *Session) PutExchange(k kv.Key, v kv.Value) (old kv.Value, hadOld bool, err error) {
-	return s.write(verbPut, k, v, nil)
-}
-
-// Delete invalidates the record with a single atomic persist of its final
-// word, then removes any cache entry. Returns scheme.ErrNotFound for an
-// absent key.
-func (s *Session) Delete(k kv.Key) error {
-	_, _, err := s.write(verbDelete, k, kv.Value{}, nil)
-	return err
-}
-
-// DeleteExchange is Delete returning the value it removed. Like
-// UpdateExchange, the read and the invalidation are atomic under the slot
-// lock, so exactly one writer observes any given value as the one it
-// destroyed.
-func (s *Session) DeleteExchange(k kv.Key) (kv.Value, error) {
-	old, _, err := s.write(verbDelete, k, kv.Value{}, nil)
-	return old, err
 }

@@ -33,7 +33,7 @@ func TestSoloWriteBarrierCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tbl.Close()
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	k := key(1)
 	for _, c := range []struct {
 		name   string
@@ -104,7 +104,7 @@ func TestDrainBarrierCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tbl.Close()
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 
 	// Bucket b holds (5b+3) mod 9 records, in slots scattered by 3s mod 8.
 	holds := func(b int64, slot int) bool { return (slot*3+int(b))%SlotsPerBucket < int(b*5+3)%9 }
@@ -235,7 +235,7 @@ func TestDrainBarrierCounts(t *testing.T) {
 // match running the same stream through solo upserts.
 func TestGroupCommitDuplicateKeys(t *testing.T) {
 	tbl := newTable(t, func(o *Options) { o.batchChunk = 4 })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Insert(key(1), value(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestGroupCommitDuplicateKeys(t *testing.T) {
 // mixing present and absent keys.
 func TestGroupDeleteDuplicateAndMixed(t *testing.T) {
 	tbl := newTable(t, func(o *Options) { o.batchChunk = 4 })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < 4; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -322,7 +322,7 @@ func TestGroupDeleteDuplicateAndMixed(t *testing.T) {
 // longer exchange window.
 func TestGroupExchangeObservesEachValueOnce(t *testing.T) {
 	tbl := newTable(t, func(o *Options) { o.batchChunk = 8 })
-	boot := tbl.NewSession()
+	boot := sessionOn(tbl)
 	const hot = 3
 	for k := 0; k < hot; k++ {
 		if err := boot.Insert(key(k), value(k)); err != nil {
@@ -345,7 +345,7 @@ func TestGroupExchangeObservesEachValueOnce(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			keys := make([]kv.Key, batch)
 			vals := make([]kv.Value, batch)
 			olds := make([]kv.Value, batch)
@@ -384,7 +384,7 @@ func TestGroupExchangeObservesEachValueOnce(t *testing.T) {
 	}
 	wg.Wait()
 
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for k := 0; k < hot; k++ {
 		if final, ok := s.Get(key(k)); ok {
 			displaced[final]++
@@ -409,7 +409,7 @@ func TestGroupExchangeObservesEachValueOnce(t *testing.T) {
 // key takes the blocking solo path) and must still commit correctly.
 func TestGroupCommitContentionFallback(t *testing.T) {
 	tbl := newTable(t, func(o *Options) { o.batchChunk = 8 })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 16
 	for i := 0; i < n; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -422,9 +422,9 @@ func TestGroupCommitContentionFallback(t *testing.T) {
 	victim := key(5)
 	h1, h2, fp := hashKV(victim[:])
 	var ps probeStats
-	s.enterCritical()
-	ht, res := tbl.lookup(s.h, victim, h1, h2, fp, &ps)
-	s.exitCritical()
+	s.ss[0].enterCritical()
+	ht, res := tbl.walk(s.ss[0].h, victim, h1, h2, fp, &ps, walkRead)
+	s.ss[0].exitCritical()
 	if res != lookupFound {
 		t.Fatalf("lookup of victim = %v", res)
 	}
@@ -463,7 +463,7 @@ func TestGroupCommitContentionFallback(t *testing.T) {
 // doublings with nothing lost.
 func TestGroupCommitThroughExpansion(t *testing.T) {
 	tbl := newTable(t, func(o *Options) { o.InitBottomSegments = 1 })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 8000
 	const batch = 256
 	keys := make([]kv.Key, batch)
@@ -500,7 +500,7 @@ func TestGroupWriteStressThroughResizes(t *testing.T) {
 		o.batchChunk = 16
 	})
 	const stable = 2000
-	load := tbl.NewSession()
+	load := sessionOn(tbl)
 	for i := 0; i < stable; i++ {
 		if err := load.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -514,7 +514,7 @@ func TestGroupWriteStressThroughResizes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		const batch = 128
 		keys := make([]kv.Key, batch)
 		vals := make([]kv.Value, batch)
@@ -536,7 +536,7 @@ func TestGroupWriteStressThroughResizes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		const batch = 64
 		keys := make([]kv.Key, batch)
 		vals := make([]kv.Value, batch)
@@ -558,7 +558,7 @@ func TestGroupWriteStressThroughResizes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		const churnBase = 50000
 		const batch = 32
 		keys := make([]kv.Key, batch)
@@ -587,7 +587,7 @@ func TestGroupWriteStressThroughResizes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		const batch = 64
 		keys := make([]kv.Key, batch)
 		vals := make([]kv.Value, batch)
@@ -615,7 +615,7 @@ func TestGroupWriteStressThroughResizes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		for i := 0; !stop.Load(); i++ {
 			k := i % stable
 			v, ok := s.Get(key(k))

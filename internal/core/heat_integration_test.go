@@ -77,7 +77,7 @@ func TestHeatMultiGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tbl.Close()
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	defer s.Close()
 	for i := 0; i < 32; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -116,7 +116,7 @@ func TestHeatUnsampledAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tbl.Close()
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	defer s.Close()
 	if err := s.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestHeatOverheadGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tbl.Close()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		defer s.Close()
 		for i := 0; i < n; i++ {
 			if err := s.Insert(key(i), value(i)); err != nil {

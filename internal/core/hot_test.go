@@ -296,13 +296,13 @@ func TestHotPromoteRacesMutators(t *testing.T) {
 		k, h1, fp := hk(i % 16)
 		ht.fill(k, kv.MustValue([]byte("f")), h1, fp, src, 0, 0, src.ocfLoad(0, 0), r)
 	})
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	race(func(i int, _ *rng.Xorshift128) {
 		for j := 0; j < 4; j++ {
 			k, h1, fp := hk((i + j) % 16)
-			s.batch.fills = append(s.batch.fills, pendingFill{k: k, v: kv.MustValue([]byte("b")), h1: h1, fp: fp, src: src})
+			s.ss[0].batch.fills = append(s.ss[0].batch.fills, pendingFill{k: k, v: kv.MustValue([]byte("b")), h1: h1, fp: fp, src: src})
 		}
-		s.applyFills()
+		s.ss[0].applyFills()
 	})
 	race(func(i int, _ *rng.Xorshift128) {
 		_, h1, _ := hk(i % 16)
@@ -351,7 +351,7 @@ func TestHotFillValidation(t *testing.T) {
 func TestHotTableServesWithoutNVMReads(t *testing.T) {
 	// End-to-end: once a key is hot, repeated Gets must not touch NVM.
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,10 @@ import (
 
 // fillRaceRound builds a fresh table, runs the racing closures, and hands
 // the table to check.
-func fillRaceRound(t *testing.T, race func(get, write *Session), check func(tbl *Table)) {
+func fillRaceRound(t *testing.T, race func(get, write *RouterSession), check func(tbl *Table)) {
 	t.Helper()
 	tbl := newTable(t, nil)
-	get, write := tbl.NewSession(), tbl.NewSession()
+	get, write := sessionOn(tbl), sessionOn(tbl)
 	if err := write.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestHotFillNeverResurrectsDeletedKey(t *testing.T) {
 	h1, h2, fp := hashKV(k[:])
 	for round := 0; round < 30; round++ {
 		fillRaceRound(t,
-			func(get, write *Session) {
+			func(get, write *RouterSession) {
 				var wg sync.WaitGroup
 				wg.Add(2)
 				go func() {
@@ -54,9 +54,9 @@ func TestHotFillNeverResurrectsDeletedKey(t *testing.T) {
 				if _, ok := tbl.hot.get(k, h1, fp); ok {
 					t.Fatal("hot table resurrected a deleted key")
 				}
-				s := tbl.NewSession()
+				s := sessionOn(tbl)
 				var ps probeStats
-				if _, res := tbl.lookup(s.h, k, h1, h2, fp, &ps); res != lookupMissing {
+				if _, res := tbl.walk(s.ss[0].h, k, h1, h2, fp, &ps, walkRead); res != lookupMissing {
 					t.Fatalf("NVT still finds the deleted key (result %d)", res)
 				}
 			})
@@ -69,7 +69,7 @@ func TestHotFillNeverRetainsStaleValue(t *testing.T) {
 	final := value(99)
 	for round := 0; round < 30; round++ {
 		fillRaceRound(t,
-			func(get, write *Session) {
+			func(get, write *RouterSession) {
 				var wg sync.WaitGroup
 				wg.Add(2)
 				go func() {
@@ -99,9 +99,9 @@ func TestHotFillNeverRetainsStaleValue(t *testing.T) {
 					t.Fatalf("hot table kept stale value %q after updates settled", v.String())
 				}
 				// Read the NVT directly: a Get could answer from the cache.
-				s := tbl.NewSession()
+				s := sessionOn(tbl)
 				var ps probeStats
-				ht, res := tbl.lookup(s.h, k, h1, h2, fp, &ps)
+				ht, res := tbl.walk(s.ss[0].h, k, h1, h2, fp, &ps, walkRead)
 				if res != lookupFound || ht.val != final {
 					t.Fatalf("table lost the final value (result %d, %q)", res, ht.val.String())
 				}

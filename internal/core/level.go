@@ -115,7 +115,7 @@ func (l *level) ocfRelease(b int64, s int, valid bool, fp uint8, prevVer uint32)
 // locked and invalid: from here on a probe for any key with this fingerprint
 // waits on the slot (or reports contention) instead of walking past it. That
 // is how an in-flight insert becomes visible to a second writer of the same
-// key (see Session.stage). SWAR byte before the word store, as in ocfRelease.
+// key (see session.stage). SWAR byte before the word store, as in ocfRelease.
 func (l *level) ocfAnnounce(b int64, s int, fp uint8, locked uint32) {
 	l.fpwSet(b, s, fp)
 	atomic.StoreUint32(&l.ocf[b*SlotsPerBucket+int64(s)], ocfWord(false, fp, ocfVer(locked))|ocfOp)

@@ -13,7 +13,7 @@ import (
 // under a writer lock). Hot table disabled so every read walks the NVT.
 func TestReaderNeverMissesMovingKey(t *testing.T) {
 	tbl := newTable(t, func(o *Options) { o.HotSlotsPerBucket = 0 })
-	writer := tbl.NewSession()
+	writer := sessionOn(tbl)
 
 	// A handful of keys so updates constantly relocate records within a few
 	// candidate sets.
@@ -44,7 +44,7 @@ func TestReaderNeverMissesMovingKey(t *testing.T) {
 		workerWG.Add(1)
 		go func(r int) {
 			defer workerWG.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			for i := 0; i < 30000; i++ {
 				k := (r + i) % keys
 				if _, ok := s.Get(key(k)); !ok {
@@ -59,7 +59,7 @@ func TestReaderNeverMissesMovingKey(t *testing.T) {
 		workerWG.Add(1)
 		go func(u int) {
 			defer workerWG.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			for i := 0; i < 5000; i++ {
 				if err := s.Update(key(i%keys), value(1000000+i)); err != nil {
 					t.Errorf("racing updater: %v", err)

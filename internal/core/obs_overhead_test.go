@@ -16,7 +16,7 @@ import (
 
 func BenchmarkGetHotMetrics(b *testing.B) {
 	tbl := benchTable(b, func(o *Options) { o.Metrics = obs.New(obs.Config{}) })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	k := key(1)
 	if err := s.Insert(k, value(1)); err != nil {
 		b.Fatal(err)
@@ -35,7 +35,7 @@ func BenchmarkGetNVTMetrics(b *testing.B) {
 		o.HotSlotsPerBucket = 0
 		o.Metrics = obs.New(obs.Config{})
 	})
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 10000
 	ks, vs := benchKeys(n), benchVals(n)
 	for i := 0; i < n; i++ {
@@ -53,7 +53,7 @@ func BenchmarkGetNVTMetrics(b *testing.B) {
 
 func BenchmarkInsertMetrics(b *testing.B) {
 	tbl := benchTable(b, func(o *Options) { o.Metrics = obs.New(obs.Config{}) })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	ks, vs := benchKeys(b.N), benchVals(b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -81,7 +81,7 @@ func TestMetricsOverheadGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tbl.Close()
-		s := tbl.NewSession()
+		s := sessionOn(tbl)
 		for i := 0; i < n; i++ {
 			if err := s.Insert(key(i), value(i)); err != nil {
 				t.Fatal(err)

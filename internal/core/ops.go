@@ -79,7 +79,7 @@ func expandOutcome(err error) obs.Outcome {
 // milliseconds — long enough for an unthrottled insert loop to eat every
 // slot the undrained records need. A writer parked here only accelerates
 // the grace (its epoch slot is idle), so the wait cannot deadlock.
-func (s *Session) helpDrainStep() {
+func (s *session) helpDrainStep() {
 	task := s.t.draining.Load()
 	if task == nil || task.blocking || task.failed.Load() {
 		return
@@ -117,7 +117,7 @@ func (ps *probeStats) report(rec obs.Recorder, fl flight.Tracer) {
 // opDone finishes one operation on both recording surfaces: the metrics
 // counter/latency pair and, when the op was trace-sampled, its flight span
 // (which also drives slow-op promotion).
-func (s *Session) opDone(op obs.Op, out obs.Outcome, start time.Time, ft int64) {
+func (s *session) opDone(op obs.Op, out obs.Outcome, start time.Time, ft int64) {
 	s.rec.Op(op, out, start)
 	s.fl.OpEnd(op, out, ft)
 }
@@ -162,24 +162,47 @@ type hit struct {
 	w3   uint64
 }
 
-// lookup is the paper's time-efficient read path below the hot table: walk
-// the candidate buckets' OCF words in DRAM, and only on a fingerprint match
-// touch NVM to compare the full key. Lock-free: a version re-check detects
-// concurrent writers.
+// walkMode is what a walk does with the key's slot once it finds it.
+type walkMode uint8
+
+const (
+	// walkRead is the paper's lock-free read: take nothing, wait out any
+	// writer lock in the way.
+	walkRead walkMode = iota
+	// walkLock locks the key's slot — the one probe every write verb starts
+	// with — waiting out other writers' locks.
+	walkLock
+	// walkTryLock is walkLock that turns every would-block point (a locked
+	// slot, a lost lock race) into an immediate lookupContended instead of
+	// parking: a session that already holds staged slot locks probes this
+	// way, so a fingerprint collision against one of its own locks can never
+	// self-deadlock (see groupcommit.go).
+	walkTryLock
+)
+
+// walk is the one NVT walk below the hot table (paper Figure 8): visit the
+// candidate buckets' OCF words in DRAM, and only on a fingerprint match touch
+// NVM to compare the full key. A read walk is lock-free, a version re-check
+// detecting concurrent writers; a lock walk ends holding the key's slot lock,
+// and the observed state is current (the lock CAS covers the whole control
+// word).
 //
 // Movement hazard: an out-of-place update (or displacement) publishes the
 // record's new slot before retiring the old one, but the new slot may sit
-// in a bucket this scan already passed. Whenever a pass both misses AND
-// observed a matching-fingerprint slot transition under a writer lock, the
-// scan restarts — the record may have moved behind us. The restart count is
-// capped by Options.lookupRetryBudget (1024); exhausting it returns
-// lookupContended, never lookupMissing. Caller must be inside an epoch
-// critical section (enterCritical).
-func (t *Table) lookup(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats) (hit, lookupResult) {
+// in a bucket this pass already passed. Whenever a pass both misses AND
+// observed a matching-fingerprint slot transition under a writer lock, or the
+// key's movement counter changed, the walk rescans — the record may have
+// moved behind it. A slot whose control word changes under the walk is
+// re-examined in place (INTERNALS §10 argues why that needs no rescan of its
+// own). The rescans are capped by Options.lookupRetryBudget (1024), each
+// after a yield; exhausting it returns lookupContended, never lookupMissing.
+// Caller must be inside an epoch critical section (enterCritical).
+func (t *Table) walk(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats, mode walkMode) (hit, lookupResult) {
 	kw0, kw1 := k.Pack()
 	for pass := 0; pass < t.opts.lookupRetryBudget; pass++ {
 		if pass > 0 {
 			ps.rescans++
+			runtime.Gosched()
 		}
 		moveSnapshot := t.moveShard(h1).Load()
 		if hook := t.testHookLookupPass; hook != nil {
@@ -203,6 +226,9 @@ func (t *Table) lookup(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *pro
 						continue // SWAR false positive, or the slot changed since the word load
 					}
 					if ocfIsLocked(c) {
+						if mode == walkTryLock {
+							return hit{}, lookupContended
+						}
 						c = waitUnlocked(lvl, b, s, ps)
 						if ocfFP(c) != fp || !ocfIsValid(c) {
 							mayHaveMoved = true
@@ -219,12 +245,17 @@ func (t *Table) lookup(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *pro
 					w1 := h.Load(off + 1)
 					w2 := h.Load(off + 2)
 					w3 := h.Load(off + 3)
-					c2 := lvl.ocfLoad(b, s)
-					if c2 != c {
+					if lvl.ocfLoad(b, s) != c {
 						goto retrySlot // concurrent writer touched the slot
 					}
 					if w0 != kw0 || w1 != kw1 || !kv.ValidOf(w3) {
 						continue
+					}
+					if mode != walkRead && !lvl.ocfTryLock(b, s, c) {
+						if mode == walkTryLock {
+							return hit{}, lookupContended
+						}
+						goto retrySlot // a racing writer took the slot first
 					}
 					v, _ := kv.UnpackValue(w2, w3)
 					return hit{ref: slotRef{lvl, b, s}, ctrl: c, val: v, w3: w3}, lookupFound
@@ -234,87 +265,6 @@ func (t *Table) lookup(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *pro
 		if !mayHaveMoved && t.moveShard(h1).Load() == moveSnapshot {
 			return hit{}, lookupMissing
 		}
-	}
-	return hit{}, lookupContended
-}
-
-// findAndLock locates the key and acquires its slot's OCF lock — the one
-// probe every write verb starts with. On success the caller owns the slot and
-// the observed state is current (the lock CAS covers the whole control word).
-// Like lookup, budget exhaustion is reported as lookupContended, not as a
-// miss.
-//
-// wait=false turns every would-block point (a locked slot, a lost lock race)
-// into an immediate lookupContended instead of parking in waitUnlocked: a
-// session that already holds staged slot locks probes this way, so a
-// fingerprint collision against one of its own locks can never self-deadlock
-// (see groupcommit.go).
-func (t *Table) findAndLock(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats, wait bool) (hit, lookupResult) {
-	kw0, kw1 := k.Pack()
-	for attempt := 0; attempt < t.opts.lookupRetryBudget; attempt++ {
-		if attempt > 0 {
-			ps.rescans++
-		}
-		moveSnapshot := t.moveShard(h1).Load()
-		if hook := t.testHookLookupPass; hook != nil {
-			hook()
-		}
-		found := false
-		var lv [3]*level
-		for _, lvl := range lv[:t.walkLevels(&lv)] {
-			for _, b := range lvl.candidates(h1, h2) {
-				// Same SWAR pre-filter as lookup; see the comment there.
-				for m := swarMatch(lvl.fpwLoad(b), fp); m != 0; m &= m - 1 {
-					s := bits.TrailingZeros64(m) >> 3
-					c := lvl.ocfLoad(b, s)
-					if ocfFP(c) != fp {
-						continue
-					}
-					if ocfIsLocked(c) {
-						if !wait {
-							return hit{}, lookupContended
-						}
-						c = waitUnlocked(lvl, b, s, ps)
-						if ocfFP(c) != fp || !ocfIsValid(c) {
-							// The record may have moved behind this scan
-							// (same hazard as lookup): rescan from the top.
-							found = true
-							continue
-						}
-					}
-					if !ocfIsValid(c) {
-						continue
-					}
-					off := lvl.slotWord(b, s)
-					ps.probes++
-					h.ReadAccess(off, slotWords)
-					w0 := h.Load(off)
-					w1 := h.Load(off + 1)
-					w2 := h.Load(off + 2)
-					w3 := h.Load(off + 3)
-					if lvl.ocfLoad(b, s) != c {
-						found = true // state changed; rescan
-						continue
-					}
-					if w0 != kw0 || w1 != kw1 || !kv.ValidOf(w3) {
-						continue
-					}
-					if !lvl.ocfTryLock(b, s, c) {
-						if !wait {
-							return hit{}, lookupContended
-						}
-						found = true // racing writer; rescan
-						continue
-					}
-					v, _ := kv.UnpackValue(w2, w3)
-					return hit{ref: slotRef{lvl, b, s}, ctrl: c, val: v, w3: w3}, lookupFound
-				}
-			}
-		}
-		if !found && t.moveShard(h1).Load() == moveSnapshot {
-			return hit{}, lookupMissing
-		}
-		runtime.Gosched()
 	}
 	return hit{}, lookupContended
 }
@@ -448,38 +398,29 @@ func (t *Table) lockEmptySlotExcluding(h1, h2 uint64, excl slotRef) (slotRef, ui
 	return slotRef{}, 0, false
 }
 
-// --- Session operations -------------------------------------------------
-
-// Get is the paper's time-efficient read (Figure 8): hot table first, then
-// OCF fingerprints, and NVM only on a fingerprint hit. A record found in
-// the NVT is re-cached (validated against the observed OCF word) so hot
-// items that were evicted re-enter the hot table.
+// get is the paper's time-efficient read (Figure 8): hot table first, then
+// OCF fingerprints, and NVM only on a fingerprint hit. A record found in the
+// NVT is re-cached (validated against the observed OCF word) so hot items
+// that were evicted re-enter the hot table.
 //
 // When the walk's rescan budget exhausts — the key kept moving behind the
-// scan — Get retries with capped backoff instead of fabricating a miss: a
-// present key is never reported absent. Callers that would rather observe
-// the contention than wait it out use Lookup.
-func (s *Session) Get(k kv.Key) (kv.Value, bool) {
-	h1, h2, fp := hashKV(k[:])
-	return s.getHashed(k, h1, h2, fp)
-}
-
-// getHashed is Get with the hashing hoisted out: the router hashes once to
-// pick a shard and reuses h1/h2/fp here.
-func (s *Session) getHashed(k kv.Key, h1, h2 uint64, fp uint8) (kv.Value, bool) {
+// scan — get with retry waits it out with capped backoff instead of
+// fabricating a miss, so a present key is never reported absent; without
+// retry it reports lookupContended to the caller.
+func (s *session) get(k kv.Key, h1, h2 uint64, fp uint8, retry bool) (kv.Value, lookupResult) {
 	start := s.rec.Start()
 	ft := s.fl.OpBegin(obs.OpGet)
 	s.heat.Touch(obs.OpGet, k)
 	if s.t.hot != nil {
 		if v, ok := s.t.hot.get(k, h1, fp); ok {
 			s.opDone(obs.OpGet, obs.OutHotHit, start, ft)
-			return v, true
+			return v, lookupFound
 		}
 	}
 	for round := 0; ; round++ {
 		s.enterCritical()
 		var ps probeStats
-		ht, res := s.t.lookup(s.h, k, h1, h2, fp, &ps)
+		ht, res := s.t.walk(s.h, k, h1, h2, fp, &ps, walkRead)
 		if res == lookupFound {
 			s.fillHot(k, ht.val, h1, fp, ht.ref.lvl, ht.ref.b, ht.ref.s, ht.ctrl)
 		}
@@ -488,56 +429,17 @@ func (s *Session) getHashed(k kv.Key, h1, h2 uint64, fp uint8) (kv.Value, bool) 
 		switch res {
 		case lookupFound:
 			s.opDone(obs.OpGet, obs.OutNVTHit, start, ft)
-			return ht.val, true
+			return ht.val, res
 		case lookupMissing:
 			s.opDone(obs.OpGet, obs.OutMiss, start, ft)
-			return kv.Value{}, false
+			return kv.Value{}, res
 		}
 		s.rec.Contended()
+		if !retry {
+			s.opDone(obs.OpGet, obs.OutContended, start, ft)
+			return kv.Value{}, res
+		}
 		s.rec.GetRetry()
 		spinBackoff(spinYields + round)
-	}
-}
-
-// Lookup is Get with the contention surfaced: one rescan budget, and when it
-// exhausts the caller gets ErrContended instead of a blocking retry loop —
-// distinguishing "definitely absent at some point during the scan"
-// (ErrNotFound) from "gave up under sustained record movement". Returns nil
-// on a hit.
-func (s *Session) Lookup(k kv.Key) (kv.Value, error) {
-	h1, h2, fp := hashKV(k[:])
-	return s.lookupHashed(k, h1, h2, fp)
-}
-
-// lookupHashed is Lookup with the hashing hoisted out (see getHashed).
-func (s *Session) lookupHashed(k kv.Key, h1, h2 uint64, fp uint8) (kv.Value, error) {
-	start := s.rec.Start()
-	ft := s.fl.OpBegin(obs.OpGet)
-	s.heat.Touch(obs.OpGet, k)
-	if s.t.hot != nil {
-		if v, ok := s.t.hot.get(k, h1, fp); ok {
-			s.opDone(obs.OpGet, obs.OutHotHit, start, ft)
-			return v, nil
-		}
-	}
-	s.enterCritical()
-	var ps probeStats
-	ht, res := s.t.lookup(s.h, k, h1, h2, fp, &ps)
-	if res == lookupFound {
-		s.fillHot(k, ht.val, h1, fp, ht.ref.lvl, ht.ref.b, ht.ref.s, ht.ctrl)
-	}
-	s.exitCritical()
-	ps.report(s.rec, s.fl)
-	switch res {
-	case lookupFound:
-		s.opDone(obs.OpGet, obs.OutNVTHit, start, ft)
-		return ht.val, nil
-	case lookupContended:
-		s.rec.Contended()
-		s.opDone(obs.OpGet, obs.OutContended, start, ft)
-		return kv.Value{}, scheme.ErrContended
-	default:
-		s.opDone(obs.OpGet, obs.OutMiss, start, ft)
-		return kv.Value{}, scheme.ErrNotFound
 	}
 }

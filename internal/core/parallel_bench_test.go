@@ -34,7 +34,7 @@ func BenchmarkGetParallel(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			tbl := benchTable(b, cfg.mutate)
-			load := tbl.NewSession()
+			load := sessionOn(tbl)
 			const n = 10000
 			ks, vs := benchKeys(n), benchVals(n)
 			for i := 0; i < n; i++ {
@@ -51,7 +51,7 @@ func BenchmarkGetParallel(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				// Sessions are single-goroutine objects; each worker gets
 				// its own (and with it its own epoch slot).
-				s := tbl.NewSession()
+				s := sessionOn(tbl)
 				i := 0
 				for pb.Next() {
 					if _, ok := s.Get(ks[i%n]); !ok {
@@ -84,7 +84,7 @@ func TestParallelGetEfficiency(t *testing.T) {
 		o.HotSlotsPerBucket = 0 // force the NVT walk, the contended path
 		o.InitBottomSegments = 16
 	})
-	load := tbl.NewSession()
+	load := sessionOn(tbl)
 	const n = 10000
 	for i := 0; i < n; i++ {
 		if err := load.Insert(key(i), value(i)); err != nil {
@@ -105,7 +105,7 @@ func TestParallelGetEfficiency(t *testing.T) {
 				wg.Add(1)
 				go func(seed int) {
 					defer wg.Done()
-					s := tbl.NewSession()
+					s := sessionOn(tbl)
 					ops := int64(0)
 					for i := seed; !stop.Load(); i++ {
 						if _, ok := s.Get(key(i % n)); !ok {
@@ -149,7 +149,7 @@ func TestGetParallelSmoke(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			tbl := newTable(t, mutate)
-			load := tbl.NewSession()
+			load := sessionOn(tbl)
 			for i := 0; i < 512; i++ {
 				if err := load.Insert(key(i), value(i)); err != nil {
 					t.Fatal(err)
@@ -161,7 +161,7 @@ func TestGetParallelSmoke(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					s := tbl.NewSession()
+					s := sessionOn(tbl)
 					for i := 0; i < 2048; i++ {
 						k := (w*977 + i) % 512
 						if _, ok := s.Get(key(k)); !ok {

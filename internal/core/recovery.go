@@ -15,8 +15,8 @@ import (
 
 // RecoveryStats reports what one table's recovery did, matching the
 // breakdown in the paper's Table 1 (OCF rebuild time, hot table rebuild
-// time, total). OpenRouter recovers each shard in turn; read shard i's
-// through Router.Shard(i).LastRecovery.
+// time, total). OpenRouter recovers each shard in turn; Router.LastRecovery
+// returns one per shard.
 type RecoveryStats struct {
 	// OCFRebuild is the time spent scanning the NVT to rebuild the filter.
 	OCFRebuild time.Duration

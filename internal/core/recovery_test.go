@@ -55,7 +55,7 @@ func TestReopenAfterCleanShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 3000
 	for i := 0; i < n; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -89,7 +89,7 @@ func TestReopenAfterCleanShutdown(t *testing.T) {
 	if tbl2.Count() != n {
 		t.Fatalf("Count = %d after reopen", tbl2.Count())
 	}
-	s2 := tbl2.NewSession()
+	s2 := sessionOn(tbl2)
 	for i := 0; i < n; i++ {
 		if v, ok := s2.Get(key(i)); !ok || v != value(i) {
 			t.Fatalf("key %d wrong after reopen", i)
@@ -115,7 +115,7 @@ func TestCrashWithoutCloseLosesNothingCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 2000
 	for i := 0; i < n; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -141,7 +141,7 @@ func TestCrashWithoutCloseLosesNothingCommitted(t *testing.T) {
 	if tbl2.Count() != n {
 		t.Fatalf("recovered %d of %d committed inserts", tbl2.Count(), n)
 	}
-	s2 := tbl2.NewSession()
+	s2 := sessionOn(tbl2)
 	for i := 0; i < n; i++ {
 		if v, ok := s2.Get(key(i)); !ok || v != value(i) {
 			t.Fatalf("committed key %d lost or wrong after crash", i)
@@ -151,14 +151,14 @@ func TestCrashWithoutCloseLosesNothingCommitted(t *testing.T) {
 
 // crashPointHarness drives ops against a strict device armed to snapshot at
 // flush f, then recovers from the snapshot and checks invariants.
-func crashPointHarness(t *testing.T, f int64, run func(s *Session, tbl *Table), check func(t *testing.T, s *Session, tbl *Table)) {
+func crashPointHarness(t *testing.T, f int64, run func(s *RouterSession, tbl *Table), check func(t *testing.T, s *RouterSession, tbl *Table)) {
 	t.Helper()
 	crashPointHarnessEvict(t, f, 0.3, run, check)
 }
 
 // crashPointHarnessEvict is crashPointHarness with the probability that a
 // dirty line reaches the crash image on its own (cache eviction) explicit.
-func crashPointHarnessEvict(t *testing.T, f int64, evict float64, run func(s *Session, tbl *Table), check func(t *testing.T, s *Session, tbl *Table)) {
+func crashPointHarnessEvict(t *testing.T, f int64, evict float64, run func(s *RouterSession, tbl *Table), check func(t *testing.T, s *RouterSession, tbl *Table)) {
 	t.Helper()
 	cfg := nvm.StrictConfig(1 << 21)
 	cfg.EvictProb = evict
@@ -172,7 +172,7 @@ func crashPointHarnessEvict(t *testing.T, f int64, evict float64, run func(s *Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := dev.SetCrashAfterFlushes(f); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func crashPointHarnessEvict(t *testing.T, f int64, evict float64, run func(s *Se
 		t.Fatalf("recovery from crash at flush %d failed: %v", f, err)
 	}
 	defer tbl2.Close()
-	check(t, tbl2.NewSession(), tbl2)
+	check(t, sessionOn(tbl2), tbl2)
 }
 
 func TestCrashAtEveryPointDuringInserts(t *testing.T) {
@@ -204,14 +204,14 @@ func TestCrashAtEveryPointDuringInserts(t *testing.T) {
 		t.Run(fmt.Sprintf("flush%d", f), func(t *testing.T) {
 			crashPointHarness(t,
 				f,
-				func(s *Session, tbl *Table) {
+				func(s *RouterSession, tbl *Table) {
 					for i := 0; i < n; i++ {
 						if err := s.Insert(key(i), value(i)); err != nil {
 							t.Fatal(err)
 						}
 					}
 				},
-				func(t *testing.T, s *Session, tbl *Table) {
+				func(t *testing.T, s *RouterSession, tbl *Table) {
 					// Committed prefix property: keys acked before the crash
 					// point must exist. We don't know exactly how many were
 					// acked, but presence must be a prefix-closed set except
@@ -254,7 +254,7 @@ func TestCrashAtEveryPointDuringUpdates(t *testing.T) {
 			var preloadFlushes int64
 			crashPointHarness(t,
 				1<<40, // effectively never during preload; re-armed below
-				func(s *Session, tbl *Table) {
+				func(s *RouterSession, tbl *Table) {
 					for i := 0; i < n; i++ {
 						if err := s.Insert(key(i), value(i)); err != nil {
 							t.Fatal(err)
@@ -271,7 +271,7 @@ func TestCrashAtEveryPointDuringUpdates(t *testing.T) {
 						}
 					}
 				},
-				func(t *testing.T, s *Session, tbl *Table) {
+				func(t *testing.T, s *RouterSession, tbl *Table) {
 					if errs := tbl.CheckInvariants(); len(errs) != 0 {
 						t.Fatalf("invariants violated after crashed update recovery: %v", errs[0])
 					}
@@ -296,7 +296,7 @@ func TestCrashAtEveryPointDuringUpdates(t *testing.T) {
 // every single-key verb, each a staged group of one, over keys preloaded
 // with value(i) — Put over a present key, UpdateIf, Delete and Update by
 // i%4 — then Put of fresh keys. Returns the first error.
-func soloVerbHistory(s *Session, preloaded, fresh int) error {
+func soloVerbHistory(s *RouterSession, preloaded, fresh int) error {
 	for i := 0; i < preloaded+fresh; i++ {
 		var err error
 		switch {
@@ -324,7 +324,7 @@ func TestCrashAtEveryPersistCallThroughVerbs(t *testing.T) {
 	// nothing torn, nothing duplicated, nothing acknowledged lost.
 	const preloaded, fresh = 24, 8
 	var c0, c1 int64
-	crashPointHarnessEvict(t, 1<<40, 0.5, func(s *Session, tbl *Table) { // reference run: never crashes
+	crashPointHarnessEvict(t, 1<<40, 0.5, func(s *RouterSession, tbl *Table) { // reference run: never crashes
 		for i := 0; i < preloaded; i++ {
 			if err := s.Insert(key(i), value(i)); err != nil {
 				t.Fatal(err)
@@ -344,7 +344,7 @@ func TestCrashAtEveryPersistCallThroughVerbs(t *testing.T) {
 		f := f
 		t.Run(fmt.Sprintf("persist%d", f), func(t *testing.T) {
 			crashPointHarnessEvict(t, f, 0.5, // f seeds the evictions; the crash point is re-armed after the preload
-				func(s *Session, tbl *Table) {
+				func(s *RouterSession, tbl *Table) {
 					for i := 0; i < preloaded; i++ {
 						if err := s.Insert(key(i), value(i)); err != nil {
 							t.Fatal(err)
@@ -357,7 +357,7 @@ func TestCrashAtEveryPersistCallThroughVerbs(t *testing.T) {
 						t.Fatal(err)
 					}
 				},
-				func(t *testing.T, s *Session, tbl *Table) {
+				func(t *testing.T, s *RouterSession, tbl *Table) {
 					if errs := tbl.CheckInvariants(); len(errs) != 0 {
 						t.Fatalf("invariants violated after crash at persist call %d: %v", f, errs[0])
 					}
@@ -396,7 +396,7 @@ func TestCrashAtEveryPointDuringResize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			// Load until the first expansion completes at least once.
 			loaded := 0
 			gen0 := tbl.Generation()
@@ -424,7 +424,7 @@ func TestCrashAtEveryPointDuringResize(t *testing.T) {
 				t.Fatalf("recovery from mid-resize crash: %v", err)
 			}
 			defer tbl2.Close()
-			s2 := tbl2.NewSession()
+			s2 := sessionOn(tbl2)
 			// Same prefix-closure invariant as the insert sweep.
 			firstMissing := -1
 			for i := 0; i < loaded; i++ {
@@ -454,7 +454,7 @@ func TestRecoveryAfterDeletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < 1000; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -477,7 +477,7 @@ func TestRecoveryAfterDeletes(t *testing.T) {
 	if tbl2.Count() != 500 {
 		t.Fatalf("Count = %d, want 500", tbl2.Count())
 	}
-	s2 := tbl2.NewSession()
+	s2 := sessionOn(tbl2)
 	for i := 0; i < 1000; i++ {
 		v, ok := s2.Get(key(i))
 		if i%2 == 0 && ok {
@@ -497,7 +497,7 @@ func TestRecoveryPreservesUpdatesAcrossResizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	r := rng.New(99)
 	live := map[int]kv.Value{}
 	for i := 0; i < 4000; i++ {
@@ -544,7 +544,7 @@ func TestRecoveryPreservesUpdatesAcrossResizes(t *testing.T) {
 	if got, want := tbl2.Count(), int64(len(live)); got != want {
 		t.Fatalf("Count = %d, want %d", got, want)
 	}
-	s2 := tbl2.NewSession()
+	s2 := sessionOn(tbl2)
 	for k, want := range live {
 		v, ok := s2.Get(key(k))
 		if !ok || v != want {
@@ -573,7 +573,7 @@ func TestRecoveryWorkerCounts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := tbl.NewSession()
+				s := sessionOn(tbl)
 				for i := 0; i < 1500; i++ {
 					if err := s.Insert(key(i), value(i)); err != nil {
 						t.Fatal(err)
@@ -646,7 +646,7 @@ func TestStateTwoCrashIgnoresStaleDrainLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	n := 0
 	for tbl.Generation() < 3 && n < 100000 {
 		if err := s.Insert(key(n), value(n)); err != nil {
@@ -694,7 +694,7 @@ func TestStateTwoCrashIgnoresStaleDrainLayout(t *testing.T) {
 	if !tbl2.LastRecovery().ResumedRehash {
 		t.Fatal("recovery did not replay the interrupted resize")
 	}
-	s2 := tbl2.NewSession()
+	s2 := sessionOn(tbl2)
 	lost := 0
 	for i := 0; i < n; i++ {
 		if v, ok := s2.Get(key(i)); !ok || v != value(i) {

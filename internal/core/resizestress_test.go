@@ -51,7 +51,7 @@ func TestResizeStressMixedOps(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			exp := make([]expect, 0, perW)
 			for i := 0; i < perW; i++ {
 				k := w*perW + i
@@ -137,7 +137,7 @@ func TestResizeStressMixedOps(t *testing.T) {
 	// Quiesce, then verify every worker's final expectation and the count.
 	tbl.StopBackground()
 	var want int64
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for w := 0; w < workers; w++ {
 		for _, e := range final[w] {
 			v, ok := s.Get(key(e.k))
@@ -181,7 +181,7 @@ func TestCloseRacesInFlightOps(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				s := tbl.NewSession()
+				s := sessionOn(tbl)
 				for i := 0; ; i++ {
 					select {
 					case <-stop:
@@ -230,7 +230,7 @@ func TestDrainGroupsCollideWithWriters(t *testing.T) {
 			o.drainChunkBuckets = 2
 			o.batchChunk = 16
 		})
-		load := tbl.NewSession()
+		load := sessionOn(tbl)
 		for i := 0; i < stable; i++ {
 			if err := load.Insert(key(i), value(i)); err != nil {
 				t.Fatal(err)
@@ -238,14 +238,14 @@ func TestDrainGroupsCollideWithWriters(t *testing.T) {
 		}
 		var stop atomic.Bool
 		var wg sync.WaitGroup
-		run := func(f func(s *Session)) {
+		run := func(f func(s *RouterSession)) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				f(tbl.NewSession())
+				f(sessionOn(tbl))
 			}()
 		}
-		run(func(s *Session) { // the grower
+		run(func(s *RouterSession) { // the grower
 			defer stop.Store(true)
 			for i := 0; i < fresh; i++ {
 				if err := s.Insert(key(stable+i), value(stable+i)); err != nil {
@@ -256,7 +256,7 @@ func TestDrainGroupsCollideWithWriters(t *testing.T) {
 		})
 		for g := 0; g < 2; g++ {
 			g := g
-			run(func(s *Session) { // a group writer over every stable key
+			run(func(s *RouterSession) { // a group writer over every stable key
 				const batch = 32
 				keys := make([]kv.Key, batch)
 				vals := make([]kv.Value, batch)
@@ -272,7 +272,7 @@ func TestDrainGroupsCollideWithWriters(t *testing.T) {
 					}
 				}
 			})
-			run(func(s *Session) { // a solo writer over the same keys
+			run(func(s *RouterSession) { // a solo writer over the same keys
 				for i := g * 13; !stop.Load(); i++ {
 					k := i % stable
 					if err := s.Update(key(k), value(k+300000)); err != nil {
@@ -322,7 +322,7 @@ func TestFailedDrainTaskRetried(t *testing.T) {
 		o.drainChunkBuckets = 1 // chunk boundaries are lock reacquisitions
 		o.drainWorkers = 2
 	})
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 1500
 	for i := 0; i < n; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {

@@ -10,6 +10,7 @@ import (
 	"hdnh/internal/kv"
 	"hdnh/internal/nvm"
 	"hdnh/internal/obs"
+	"hdnh/internal/scheme"
 )
 
 // The hash router is how every HDNH store is built and opened: it splits the
@@ -203,9 +204,6 @@ func OpenOrCreateRouter(dev *nvm.Device, opts Options) (*Router, error) {
 // NumShards returns the shard count.
 func (r *Router) NumShards() int { return len(r.shards) }
 
-// Shard returns shard i's table (tests, tooling, per-shard stats).
-func (r *Router) Shard(i int) *Table { return r.shards[i] }
-
 // shardFor routes a primary hash to its shard index.
 func (r *Router) shardFor(h1 uint64) int { return int(h1 >> r.shift) }
 
@@ -269,10 +267,22 @@ func (r *Router) Resizing() bool {
 }
 
 // Stats returns each shard's shape snapshot, in shard order.
-func (r *Router) Stats() []TableStats {
-	out := make([]TableStats, len(r.shards))
+func (r *Router) Stats() []TableStats { return perShard(r, (*Table).Stats) }
+
+// LastRecovery returns what each shard's recovery rebuilt, in shard order
+// (zero-valued for a freshly created store).
+func (r *Router) LastRecovery() []RecoveryStats { return perShard(r, (*Table).LastRecovery) }
+
+// OccupancyHistogram returns each shard's bucket-fill histograms, in shard
+// order. Computed from the OCF (DRAM only), so it is cheap enough for
+// monitoring.
+func (r *Router) OccupancyHistogram() []Occupancy { return perShard(r, (*Table).occupancy) }
+
+// perShard collects one reading per shard, in shard order.
+func perShard[T any](r *Router, read func(*Table) T) []T {
+	out := make([]T, len(r.shards))
 	for i, t := range r.shards {
-		out[i] = t.Stats()
+		out[i] = read(t)
 	}
 	return out
 }
@@ -383,20 +393,22 @@ func (r *Router) StopBackground() {
 	}
 }
 
-// RouterSession is the per-goroutine handle on a Router: one inner Session
-// per shard, so each operation runs in its key's shard under that shard's
-// epoch protection. Like Session, not safe for concurrent use.
+// RouterSession is the per-goroutine handle on a Router, and core's only
+// session: one inner session per shard, so each operation runs in its key's
+// shard under that shard's epoch protection. The key is hashed once; the
+// hashes pick the shard and travel on into it. Not safe for concurrent use;
+// create one per goroutine.
 type RouterSession struct {
 	r  *Router
-	ss []*Session
+	ss []*session // nil for the shards a shard-scoped session does not cover
 	sc routerScratch
 }
 
-// routerScratch holds the batch scatter/gather state, per shard, reused
-// across batches so the steady state allocates nothing (slices keep their
-// high-water-mark capacity).
+// routerScratch holds the batch partition and the scatter/gather state, per
+// shard, reused across batches so the steady state allocates nothing (slices
+// keep their high-water-mark capacity).
 type routerScratch struct {
-	keys  [][]kv.Key
+	keys  [][]batchKey
 	idx   [][]int32
 	vals  [][]kv.Value
 	found [][]bool
@@ -412,10 +424,19 @@ type routerScratch struct {
 
 // NewSession returns a fresh session on every shard.
 func (r *Router) NewSession() *RouterSession {
-	ss := make([]*Session, len(r.shards))
+	ss := make([]*session, len(r.shards))
 	for i, t := range r.shards {
-		ss[i] = t.NewSession()
+		ss[i] = t.newSession()
 	}
+	return &RouterSession{r: r, ss: ss}
+}
+
+// NewShardSession returns a session scoped to shard i: it holds an epoch
+// slot on that shard only, for layers that keep one worker per shard (bigkv's
+// collectors). An operation on a key that routes to any other shard panics.
+func (r *Router) NewShardSession(i int) *RouterSession {
+	ss := make([]*session, len(r.shards))
+	ss[i] = r.shards[i].newSession()
 	return &RouterSession{r: r, ss: ss}
 }
 
@@ -423,113 +444,171 @@ func (r *Router) NewSession() *RouterSession {
 // shard's free list. Idempotent.
 func (s *RouterSession) Close() error {
 	for _, ts := range s.ss {
-		ts.Close()
+		if ts != nil {
+			ts.close()
+		}
 	}
 	return nil
 }
 
-// shard returns the inner session h1 routes to.
-func (s *RouterSession) shard(h1 uint64) *Session { return s.ss[h1>>s.r.shift] }
-
-// write routes a single-key write to its key's shard, hashing once.
-func (s *RouterSession) write(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value) (kv.Value, bool, error) {
-	h1, h2, fp := hashKV(k[:])
-	return s.shard(h1).writeHashed(verb, k, v, expect, h1, h2, fp)
+// at returns the inner session of shard sh, which a shard-scoped session
+// holds for its own shard only.
+func (s *RouterSession) at(sh int) *session {
+	if ts := s.ss[sh]; ts != nil {
+		return ts
+	}
+	panic(fmt.Sprintf("core: key routes to shard %d, outside this shard-scoped session", sh))
 }
 
-// Insert adds a new record to its key's shard.
+// write routes a single-key write to its key's shard.
+func (s *RouterSession) write(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value) (kv.Value, bool, error) {
+	h1, h2, fp := hashKV(k[:])
+	return s.at(s.r.shardFor(h1)).writeHashed(verb, k, v, expect, h1, h2, fp)
+}
+
+// get routes a read to its key's shard.
+func (s *RouterSession) get(k kv.Key, retry bool) (kv.Value, lookupResult) {
+	h1, h2, fp := hashKV(k[:])
+	return s.at(s.r.shardFor(h1)).get(k, h1, h2, fp, retry)
+}
+
+// Get is the paper's time-efficient read (Figure 8): hot table first, then
+// OCF fingerprints, and NVM only on a fingerprint hit. When the walk's
+// rescan budget exhausts — the key kept moving behind the scan — Get retries
+// with capped backoff instead of fabricating a miss: a present key is never
+// reported absent.
+func (s *RouterSession) Get(k kv.Key) (kv.Value, bool) {
+	v, res := s.get(k, true)
+	return v, res == lookupFound
+}
+
+// Lookup is Get that surfaces contention instead of waiting it out: when the
+// rescan budget exhausts it returns scheme.ErrContended, distinguishing "gave
+// up under sustained record movement" from "definitely absent at some point
+// during the scan" (scheme.ErrNotFound). Returns nil on a hit.
+func (s *RouterSession) Lookup(k kv.Key) (kv.Value, error) {
+	switch v, res := s.get(k, false); res {
+	case lookupFound:
+		return v, nil
+	case lookupMissing:
+		return kv.Value{}, scheme.ErrNotFound
+	}
+	return kv.Value{}, scheme.ErrContended
+}
+
+// Insert adds a new record (foreground thread of paper Figure 9), returning
+// scheme.ErrExists if the key is present. Insert returns only after both the
+// NVT record and its hot-table mirror are in place.
 func (s *RouterSession) Insert(k kv.Key, v kv.Value) error {
 	_, _, err := s.write(verbInsert, k, v, nil)
 	return err
 }
 
-// Get reads a key from its shard (Get semantics: blocking retry, never a
-// false miss).
-func (s *RouterSession) Get(k kv.Key) (kv.Value, bool) {
-	h1, h2, fp := hashKV(k[:])
-	return s.shard(h1).getHashed(k, h1, h2, fp)
-}
-
-// Lookup is Get with contention surfaced as scheme.ErrContended.
-func (s *RouterSession) Lookup(k kv.Key) (kv.Value, error) {
-	h1, h2, fp := hashKV(k[:])
-	return s.shard(h1).lookupHashed(k, h1, h2, fp)
-}
-
-// Update replaces an existing record's value in its shard.
+// Update replaces the value out-of-place (paper Figure 10): the old slot is
+// locked, the new record committed into a free slot — preferring the old
+// record's own bucket — and only then is the old slot invalidated. A crash
+// between the two commits leaves a stamped duplicate that recovery resolves
+// toward the newer record. Returns scheme.ErrNotFound for an absent key.
 func (s *RouterSession) Update(k kv.Key, v kv.Value) error {
 	_, _, err := s.write(verbUpdate, k, v, nil)
 	return err
 }
 
-// UpdateExchange is Update returning the displaced value.
+// UpdateExchange is Update returning the value it displaced. The read and
+// the replacement are atomic under the old slot's lock, so exactly one
+// concurrent writer observes any given value as its predecessor — the
+// hook bigkv's liveness accounting hangs exactly-once decrements on.
 func (s *RouterSession) UpdateExchange(k kv.Key, v kv.Value) (kv.Value, error) {
 	old, _, err := s.write(verbUpdate, k, v, nil)
 	return old, err
 }
 
-// UpdateIf replaces the value only if it currently equals expect.
+// UpdateIf replaces the value only if the current value equals expect,
+// returning scheme.ErrConflict (with nothing changed) otherwise. The compare
+// and the replacement are atomic under the slot lock. This is the GC's
+// conditional index rewrite: a racing user update changes the value first
+// and the GC's rewrite then loses cleanly.
 func (s *RouterSession) UpdateIf(k kv.Key, expect, v kv.Value) error {
 	_, _, err := s.write(verbUpdate, k, v, &expect)
 	return err
 }
 
-// Delete removes a record from its shard.
+// Delete invalidates the record with a single atomic persist of its final
+// word, then removes any cache entry. Returns scheme.ErrNotFound for an
+// absent key.
 func (s *RouterSession) Delete(k kv.Key) error {
 	_, _, err := s.write(verbDelete, k, kv.Value{}, nil)
 	return err
 }
 
-// DeleteExchange is Delete returning the removed value.
+// DeleteExchange is Delete returning the value it removed. Like
+// UpdateExchange, the read and the invalidation are atomic under the slot
+// lock, so exactly one writer observes any given value as the one it
+// destroyed.
 func (s *RouterSession) DeleteExchange(k kv.Key) (kv.Value, error) {
 	old, _, err := s.write(verbDelete, k, kv.Value{}, nil)
 	return old, err
 }
 
-// Put upserts (update when present, insert when absent — one probe) into
-// the key's shard.
+// Put upserts: update when the key is present, insert when it is absent,
+// decided by one probe.
 func (s *RouterSession) Put(k kv.Key, v kv.Value) error {
 	_, _, err := s.write(verbPut, k, v, nil)
 	return err
 }
 
-// PutExchange is Put reporting the displaced value (see Session.PutExchange).
+// PutExchange is Put reporting the displaced value: hadOld is true when the
+// upsert replaced an existing record (old is then its value, with
+// UpdateExchange's exactly-once guarantee), false when it inserted fresh.
 func (s *RouterSession) PutExchange(k kv.Key, v kv.Value) (old kv.Value, hadOld bool, err error) {
 	return s.write(verbPut, k, v, nil)
 }
 
-// MultiGet partitions the batch by shard, runs each shard's native MultiGet
-// (hot pass, chunked epoch sections, grouped hot fills — all per shard),
-// and scatters results back into the caller's slices in input order.
-// Unsharded routers delegate straight through.
-func (s *RouterSession) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) int {
-	if len(s.ss) == 1 {
-		return s.ss[0].MultiGet(keys, vals, found)
+// partition hashes every key once and splits the batch by shard: sc.keys[sh]
+// holds shard sh's entries with their hashes, in input order, and sc.idx[sh]
+// their input positions. vals, when non-nil, is split alongside into
+// sc.vals. A key outside a shard-scoped session panics here, before any
+// shard has run.
+func (s *RouterSession) partition(keys []kv.Key, vals []kv.Value) *routerScratch {
+	sc := &s.sc
+	sc.reset(len(s.ss))
+	for i, k := range keys {
+		h1, h2, fp := hashKV(k[:])
+		sh := s.r.shardFor(h1)
+		_ = s.at(sh)
+		sc.keys[sh] = append(sc.keys[sh], batchKey{k: k, h1: h1, h2: h2, fp: fp})
+		sc.idx[sh] = append(sc.idx[sh], int32(i))
+		if vals != nil {
+			sc.vals[sh] = append(sc.vals[sh], vals[i])
+		}
 	}
+	return sc
+}
+
+// MultiGet looks up every key, writing vals[i]/found[i] for each and
+// returning the number found; per-key semantics are Get's. Each shard's part
+// runs that shard's batch read (hot pass, chunked epoch sections, grouped hot
+// fills) and its results are scattered back in input order. vals and found
+// must have the same length as keys.
+func (s *RouterSession) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) int {
 	n := len(keys)
 	if len(vals) != n || len(found) != n {
 		panic("core: MultiGet output slice lengths must match len(keys)")
 	}
-	sc := &s.sc
-	sc.reset(len(s.ss))
-	for i := range keys {
-		h1, _, _ := hashKV(keys[i][:])
-		sh := int(h1 >> s.r.shift)
-		sc.keys[sh] = append(sc.keys[sh], keys[i])
-		sc.idx[sh] = append(sc.idx[sh], int32(i))
+	sc := s.partition(keys, nil)
+	if len(s.ss) == 1 {
+		return s.ss[0].multiGet(sc.keys[0], vals, found)
 	}
 	hits := 0
-	for sh := range s.ss {
-		ks := sc.keys[sh]
-		if len(ks) == 0 {
+	for sh, bks := range sc.keys {
+		if len(bks) == 0 {
 			continue
 		}
-		sc.vals[sh] = sized(sc.vals[sh], len(ks))
-		sc.found[sh] = sized(sc.found[sh], len(ks))
-		hits += s.ss[sh].MultiGet(ks, sc.vals[sh], sc.found[sh])
+		vs, fs := sized(sc.vals[sh], len(bks)), sized(sc.found[sh], len(bks))
+		sc.vals[sh], sc.found[sh] = vs, fs
+		hits += s.ss[sh].multiGet(bks, vs, fs)
 		for j, oi := range sc.idx[sh] {
-			vals[oi] = sc.vals[sh][j]
-			found[oi] = sc.found[sh][j]
+			vals[oi], found[oi] = vs[j], fs[j]
 		}
 	}
 	return hits
@@ -537,40 +616,35 @@ func (s *RouterSession) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) i
 
 // multiWrite is the one scatter/gather body behind the four grouped write
 // methods below: partition the batch by shard, run each populated shard's
-// grouped Session.multiWrite (bucket-sorted group commits, coalesced hot
+// grouped session.multiWrite (bucket-sorted group commits, coalesced hot
 // mirrors) in parallel — one goroutine per shard, each driving that shard's
-// own inner Session, so the fan-out never shares a session across
+// own inner session, so the fan-out never shares a session across
 // goroutines — and scatter verdicts and displaced values back into the
 // caller's slices in input order. The gather is race-free because every
 // input index belongs to exactly one shard. olds and hadOld are filled when
-// non-nil. Unsharded routers delegate straight through.
+// non-nil. An unsharded router runs the one shard's batch on the caller's
+// slices.
 func (s *RouterSession) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []kv.Value, hadOld []bool, errs []error) int {
 	if len(s.ss) == 1 {
-		return s.ss[0].multiWrite(verb, keys, vals, olds, hadOld, errs)
+		return s.ss[0].multiWrite(verb, s.partition(keys, nil).keys[0], vals, olds, hadOld, errs)
 	}
-	sc := &s.sc
-	sc.reset(len(s.ss))
-	for i := range keys {
-		h1, _, _ := hashKV(keys[i][:])
-		sh := int(h1 >> s.r.shift)
-		sc.keys[sh] = append(sc.keys[sh], keys[i])
-		if verb != verbDelete {
-			sc.vals[sh] = append(sc.vals[sh], vals[i])
-		}
-		sc.idx[sh] = append(sc.idx[sh], int32(i))
+	if verb == verbDelete {
+		vals = nil
 	}
+	sc := s.partition(keys, vals)
 	var wg sync.WaitGroup
-	for sh := range s.ss {
-		if len(sc.keys[sh]) == 0 {
+	for sh, bks := range sc.keys {
+		if len(bks) == 0 {
 			continue
 		}
+		ts := s.ss[sh]
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
-			n := len(sc.keys[sh])
+			n := len(bks)
 			es, ov, ho := sized(sc.errs[sh], n), sized(sc.olds[sh], n), sized(sc.hadOld[sh], n)
 			sc.errs[sh], sc.olds[sh], sc.hadOld[sh] = es, ov, ho
-			sc.fails[sh] = s.ss[sh].multiWrite(verb, sc.keys[sh], sc.vals[sh], ov, ho, es)
+			sc.fails[sh] = ts.multiWrite(verb, bks, sc.vals[sh], ov, ho, es)
 			for j, oi := range sc.idx[sh] {
 				errs[oi] = es[j]
 				if olds != nil {
@@ -590,9 +664,11 @@ func (s *RouterSession) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []k
 	return fails
 }
 
-// MultiPut upserts the batch with Session.MultiPut's per-key semantics,
-// fanned out across shards. Per-key verdicts land in errs; returns the
-// failure count.
+// MultiPut upserts every key (update when present, insert when absent),
+// recording a per-key verdict in errs and returning the number of failures.
+// Each shard commits its part in bucket-sorted groups of one batch chunk,
+// behind at most three barriers per group. vals and errs must have the same
+// length as keys.
 func (s *RouterSession) MultiPut(keys []kv.Key, vals []kv.Value, errs []error) int {
 	n := len(keys)
 	if len(vals) != n || len(errs) != n {
@@ -601,9 +677,10 @@ func (s *RouterSession) MultiPut(keys []kv.Key, vals []kv.Value, errs []error) i
 	return s.multiWrite(verbPut, keys, vals, nil, nil, errs)
 }
 
-// MultiPutExchange is MultiPut that also gathers each key's displaced value
-// (see Session.MultiPutExchange); bigkv retires superseded log records with
-// it. All slices must have the same length as keys.
+// MultiPutExchange is MultiPut that also reports each key's displaced value:
+// olds[i]/hadOld[i] carry the previous value when errs[i] is nil, with
+// UpdateExchange's exactly-once guarantee. bigkv retires superseded log
+// records with it. All slices must have the same length as keys.
 func (s *RouterSession) MultiPutExchange(keys []kv.Key, vals, olds []kv.Value, hadOld []bool, errs []error) int {
 	n := len(keys)
 	if len(vals) != n || len(olds) != n || len(hadOld) != n || len(errs) != n {
@@ -612,8 +689,9 @@ func (s *RouterSession) MultiPutExchange(keys []kv.Key, vals, olds []kv.Value, h
 	return s.multiWrite(verbPut, keys, vals, olds, hadOld, errs)
 }
 
-// MultiDelete deletes the batch across shards, recording per-key verdicts
-// in errs and returning the failure count.
+// MultiDelete deletes every key, recording a per-key verdict in errs
+// (scheme.ErrNotFound for absent keys) and returning the number of failures.
+// errs must have the same length as keys.
 func (s *RouterSession) MultiDelete(keys []kv.Key, errs []error) int {
 	if len(errs) != len(keys) {
 		panic("core: MultiDelete slice lengths must match len(keys)")
@@ -621,8 +699,10 @@ func (s *RouterSession) MultiDelete(keys []kv.Key, errs []error) int {
 	return s.multiWrite(verbDelete, keys, nil, nil, nil, errs)
 }
 
-// MultiDeleteExchange is MultiDelete that also gathers each deleted key's
-// displaced value (see Session.MultiDeleteExchange).
+// MultiDeleteExchange is MultiDelete that also reports each deleted key's
+// displaced value (olds[i] is meaningful when errs[i] is nil), with
+// DeleteExchange's exactly-once guarantee. olds and errs must have the same
+// length as keys.
 func (s *RouterSession) MultiDeleteExchange(keys []kv.Key, olds []kv.Value, errs []error) int {
 	n := len(keys)
 	if len(olds) != n || len(errs) != n {
@@ -631,14 +711,20 @@ func (s *RouterSession) MultiDeleteExchange(keys []kv.Key, olds []kv.Value, errs
 	return s.multiWrite(verbDelete, keys, nil, olds, nil, errs)
 }
 
-// Scan visits every committed record across all shards (shard-major order,
-// same per-record guarantees as Session.Scan), returning the number
-// visited.
+// Scan visits every committed record once and calls fn; returning false
+// stops the scan early. Scan returns the number of records visited. Shards
+// are visited in order (a shard-scoped session visits its own only), each
+// inside one epoch critical section: every record yielded was committed when
+// it was read, but the scan as a whole is not a snapshot. Useful for
+// backups, audits and debugging.
 func (s *RouterSession) Scan(fn func(k kv.Key, v kv.Value) bool) int64 {
 	var visited int64
 	for _, ts := range s.ss {
+		if ts == nil {
+			continue
+		}
 		stop := false
-		visited += ts.Scan(func(k kv.Key, v kv.Value) bool {
+		visited += ts.scan(func(k kv.Key, v kv.Value) bool {
 			if !fn(k, v) {
 				stop = true
 				return false
@@ -656,7 +742,9 @@ func (s *RouterSession) Scan(fn func(k kv.Key, v kv.Value) bool) int64 {
 func (s *RouterSession) NVMStats() nvm.Stats {
 	var st nvm.Stats
 	for _, ts := range s.ss {
-		st.Add(ts.NVMStats())
+		if ts != nil {
+			st.Add(ts.h.Stats())
+		}
 	}
 	return st
 }
@@ -664,21 +752,28 @@ func (s *RouterSession) NVMStats() nvm.Stats {
 // ResetNVMStats zeroes every shard session's NVM counters.
 func (s *RouterSession) ResetNVMStats() {
 	for _, ts := range s.ss {
-		ts.ResetNVMStats()
+		if ts != nil {
+			ts.resetNVMStats()
+		}
 	}
 }
 
-// SyncObs publishes every shard session's NVM traffic into the metrics
-// registry.
+// SyncObs publishes every shard session's NVM traffic accumulated since the
+// last SyncObs into the metrics registry. A session's device counters are
+// its own and unsynchronised, so the bridge is an explicit pull by the
+// owning goroutine — call it at harness checkpoints or before reading
+// Router.MetricsSnapshot. No-op when metrics are disabled.
 func (s *RouterSession) SyncObs() {
 	for _, ts := range s.ss {
-		ts.SyncObs()
+		if ts != nil {
+			ts.syncObs()
+		}
 	}
 }
 
 func (sc *routerScratch) reset(n int) {
 	if len(sc.keys) != n {
-		sc.keys = make([][]kv.Key, n)
+		sc.keys = make([][]batchKey, n)
 		sc.idx = make([][]int32, n)
 		sc.vals = make([][]kv.Value, n)
 		sc.found = make([][]bool, n)

@@ -61,14 +61,14 @@ func TestRouterCrossShardOps(t *testing.T) {
 	}
 	// Each shard holds a non-trivial cut of a uniform keyspace.
 	for i := 0; i < r.NumShards(); i++ {
-		if c := r.Shard(i).Count(); c == 0 {
+		if c := r.shards[i].Count(); c == 0 {
 			t.Fatalf("shard %d holds no keys; routing is degenerate", i)
 		}
 	}
 	// Routing invariant: present in the named shard, absent elsewhere.
-	shardSessions := make([]*Session, r.NumShards())
+	shardSessions := make([]*RouterSession, r.NumShards())
 	for i := range shardSessions {
-		shardSessions[i] = r.Shard(i).NewSession()
+		shardSessions[i] = sessionOn(r.shards[i])
 		defer shardSessions[i].Close()
 	}
 	for i := 0; i < n; i += 97 {
@@ -102,6 +102,64 @@ func TestRouterCrossShardOps(t *testing.T) {
 	}
 	if errs := r.CheckInvariants(); len(errs) > 0 {
 		t.Fatalf("invariants: %v", errs)
+	}
+}
+
+// TestShardSessionScope: a shard-scoped session serves its own shard's keys,
+// scans only that shard, holds one epoch slot, and panics on a key that
+// routes anywhere else — single-key and batch verbs alike.
+func TestShardSessionScope(t *testing.T) {
+	r := newRouterT(t, 4, nil)
+	s := r.NewSession()
+	defer s.Close()
+	const n = 400
+	for i := 0; i < n; i++ {
+		if err := s.Insert(key(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const home = 2
+	var own, foreign kv.Key
+	for i := 0; own == (kv.Key{}) || foreign == (kv.Key{}); i++ {
+		if r.ShardForKey(key(i)) == home {
+			own = key(i)
+		} else {
+			foreign = key(i)
+		}
+	}
+	before := r.EpochSlotsLive()
+	ss := r.NewShardSession(home)
+	if got := r.EpochSlotsLive() - before; got != 1 {
+		t.Fatalf("shard session holds %d epoch slots, want 1", got)
+	}
+	cur, ok := ss.Get(own)
+	if !ok {
+		t.Fatal("shard session misses a key of its own shard")
+	}
+	if err := ss.UpdateIf(own, cur, value(-1)); err != nil {
+		t.Fatalf("UpdateIf on the session's own shard: %v", err)
+	}
+	if got := ss.Scan(func(kv.Key, kv.Value) bool { return true }); got != r.shards[home].Count() {
+		t.Fatalf("shard session scanned %d records, shard %d holds %d", got, home, r.shards[home].Count())
+	}
+	for name, op := range map[string]func(){
+		"Get":      func() { ss.Get(foreign) },
+		"Put":      func() { ss.Put(foreign, value(1)) },
+		"MultiGet": func() { ss.MultiGet([]kv.Key{own, foreign}, make([]kv.Value, 2), make([]bool, 2)) },
+		"MultiPut": func() { ss.MultiPut([]kv.Key{own, foreign}, make([]kv.Value, 2), make([]error, 2)) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "outside this shard-scoped session") {
+					t.Errorf("%s on a foreign key: recovered %q, want the scope panic", name, msg)
+				}
+			}()
+			op()
+		}()
+	}
+	ss.Close()
+	if got := r.EpochSlotsLive(); got != before {
+		t.Fatalf("epoch slots after Close = %d, want %d", got, before)
 	}
 }
 
@@ -318,7 +376,7 @@ func TestRouterSingleShardCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := tbl.NewSession()
+	ts := sessionOn(tbl)
 	for i := 0; i < 500; i++ {
 		if err := ts.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -368,7 +426,7 @@ func TestRouterSingleShardCompat(t *testing.T) {
 		t.Fatalf("openRoot on 1-shard router image: %v", err)
 	}
 	defer tbl2.Close()
-	ts2 := tbl2.NewSession()
+	ts2 := sessionOn(tbl2)
 	defer ts2.Close()
 	for i := 0; i < 500; i++ {
 		if v, ok := ts2.Get(key(i)); !ok || v != value(i) {

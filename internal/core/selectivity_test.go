@@ -57,7 +57,7 @@ func TestOCFSelectivityAcrossSegmentCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer tbl.Close()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			created := tbl.Generation()
 			fill := int(tbl.Capacity() * 6 / 10)
 			for i := 0; i < fill; i++ {
@@ -124,7 +124,7 @@ func TestInsertGrowthBlockReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tbl.Close()
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	created := tbl.Generation()
 	for lo := 0; lo < total; lo += slice {
 		before := s.NVMStats().MediaBlockReads

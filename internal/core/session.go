@@ -8,13 +8,15 @@ import (
 	"hdnh/internal/rng"
 )
 
-// Session is a per-goroutine handle on a Table. It owns an NVM accounting
-// handle, a deterministic RNG stream for replacement decisions, and (when
-// metrics are enabled) a shard-bound recorder, so the operation paths
-// allocate nothing.
+// session is one RouterSession's handle on one shard's Table. It owns an NVM
+// accounting handle, a deterministic RNG stream for replacement decisions,
+// and (when metrics are enabled) a shard-bound recorder, so the operation
+// paths allocate nothing. Its entry points take the key's hashes, which the
+// router computed once to pick the shard.
 //
-// A Session must not be used concurrently; create one per goroutine.
-type Session struct {
+// A session must not be used concurrently; its RouterSession is owned by one
+// goroutine.
+type session struct {
 	t   *Table
 	h   *nvm.Handle
 	rng *rng.Xorshift128
@@ -23,18 +25,18 @@ type Session struct {
 	rec     obs.Recorder
 	fl      flight.Tracer
 	heat    heat.Sampler
-	nvmBase nvm.Stats // handle stats already published via SyncObs
+	nvmBase nvm.Stats // handle stats already published via syncObs
 
-	// batch is the MultiGet/MultiPut/MultiDelete scratch, reused across
-	// calls so batches allocate only when they outgrow the previous high
-	// water mark (see batch.go).
+	// batch is the multiGet/multiWrite scratch, reused across calls so
+	// batches allocate only when they outgrow the previous high water mark
+	// (see batch.go).
 	batch batchScratch
 }
 
-// NewSession returns a fresh session on the table.
-func (t *Table) NewSession() *Session {
+// newSession returns a fresh session on the table.
+func (t *Table) newSession() *session {
 	id := t.sessionSeq.Add(1)
-	s := &Session{
+	s := &session{
 		t:    t,
 		h:    t.dev.NewHandle(),
 		rng:  rng.New(t.opts.Seed ^ (id * 0x9E3779B97F4A7C15)),
@@ -49,41 +51,33 @@ func (t *Table) NewSession() *Session {
 	return s
 }
 
-// Table returns the session's table.
-func (s *Session) Table() *Table { return s.t }
-
-// Close returns the session's epoch slot to the table's free list so the
-// next NewSession reuses it instead of growing the registry. Without it a
+// close returns the session's epoch slot to the table's free list so the
+// next newSession reuses it instead of growing the registry. Without it a
 // create-session-per-request server grows the registry without bound and
-// every resize grace period scans every slot ever registered. Close is
-// idempotent; using the session after Close panics. Pending metrics are
-// flushed via SyncObs first so a closed session's traffic is not lost.
-func (s *Session) Close() error {
+// every resize grace period scans every slot ever registered. close is
+// idempotent; using the session after close panics. Pending metrics are
+// flushed via syncObs first so a closed session's traffic is not lost.
+func (s *session) close() {
 	if s.ep == nil {
-		return nil
+		return
 	}
-	s.SyncObs()
+	s.syncObs()
 	s.t.releaseEpochSlot(s.ep)
 	s.ep = nil
-	return nil
 }
 
-// NVMStats returns the NVM traffic generated through this session.
-func (s *Session) NVMStats() nvm.Stats { return s.h.Stats() }
-
-// ResetNVMStats zeroes the session's NVM counters, and the SyncObs baseline
+// resetNVMStats zeroes the session's NVM counters, and the syncObs baseline
 // with them so the bridge never underflows.
-func (s *Session) ResetNVMStats() {
+func (s *session) resetNVMStats() {
 	s.h.ResetStats()
 	s.nvmBase = nvm.Stats{}
 }
 
-// SyncObs publishes the session's NVM traffic accumulated since the last
-// SyncObs into the metrics registry. The handle's stats are handle-local and
-// unsynchronised, so the bridge is an explicit pull by the owning goroutine —
-// call it at harness checkpoints or before reading Router.MetricsSnapshot.
+// syncObs publishes the session's NVM traffic accumulated since the last
+// syncObs into the metrics registry. The handle's stats are handle-local and
+// unsynchronised, so the bridge is an explicit pull by the owning goroutine.
 // No-op when metrics are disabled.
-func (s *Session) SyncObs() {
+func (s *session) syncObs() {
 	if s.t.metrics == nil {
 		return
 	}

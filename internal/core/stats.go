@@ -74,19 +74,20 @@ func (t *Table) Stats() TableStats {
 	return st
 }
 
-// Scan visits every committed record once and calls fn; returning false
-// stops the scan early. Scan returns the number of records visited.
+// scan visits every committed record of the session's table once and calls
+// fn; fn returning false stops the scan early. scan returns the number of
+// records visited.
 //
-// Scan runs inside one epoch critical section with the same lock-free
-// per-slot validation as Get, so it can race concurrent writers: each record
+// scan runs inside one epoch critical section with the same lock-free
+// per-slot validation as get, so it can race concurrent writers: each record
 // it yields was committed at the moment it was read, but the scan as a whole
-// is not a snapshot. Useful for backups, audits and debugging.
+// is not a snapshot.
 //
 // A drain moves records from the drain level into levels a walk has already
-// passed, so Scan never overlaps one: it waits out a rehash in flight before
+// passed, so scan never overlaps one: it waits out a rehash in flight before
 // it starts, and its critical section holds back the drain of any doubling
 // that begins later (a long scan delays that drain's start, not the swap).
-func (s *Session) Scan(fn func(k kv.Key, v kv.Value) bool) int64 {
+func (s *session) scan(fn func(k kv.Key, v kv.Value) bool) int64 {
 	t := s.t
 	for {
 		s.enterCritical()
@@ -142,10 +143,15 @@ func (s *Session) Scan(fn func(k kv.Key, v kv.Value) bool) int64 {
 	return visited
 }
 
-// OccupancyHistogram reports bucket-fill distributions per level:
-// hist[k] = number of buckets holding exactly k valid records. Computed
-// from the OCF (DRAM only), so it is cheap enough for monitoring.
-func (t *Table) OccupancyHistogram() (top, bottom [SlotsPerBucket + 1]int64) {
+// Occupancy is one table's bucket-fill distribution per level: Top[k] and
+// Bottom[k] count the buckets holding exactly k valid records.
+type Occupancy struct {
+	Top, Bottom [SlotsPerBucket + 1]int64
+}
+
+// occupancy computes the table's bucket-fill histograms from the OCF (DRAM
+// only), so it is cheap enough for monitoring.
+func (t *Table) occupancy() (o Occupancy) {
 	pr := t.pair()
 	fill := func(lvl *level, out *[SlotsPerBucket + 1]int64) {
 		for b := int64(0); b < lvl.buckets(); b++ {
@@ -158,7 +164,7 @@ func (t *Table) OccupancyHistogram() (top, bottom [SlotsPerBucket + 1]int64) {
 			out[n]++
 		}
 	}
-	fill(pr.top, &top)
-	fill(pr.bottom, &bottom)
-	return top, bottom
+	fill(pr.top, &o.Top)
+	fill(pr.bottom, &o.Bottom)
+	return o
 }

@@ -10,7 +10,7 @@ import (
 
 func TestStatsSnapshot(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 2000
 	for i := 0; i < n; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -48,7 +48,7 @@ func TestStatsNoHotTable(t *testing.T) {
 
 func TestScanVisitsEverything(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 3000
 	want := map[kv.Key]kv.Value{}
 	for i := 0; i < n; i++ {
@@ -96,10 +96,10 @@ func TestScanVisitsEverything(t *testing.T) {
 // passed; Scan must still yield every record once.
 func TestScanDuringDrain(t *testing.T) {
 	tbl := newTable(t, nil)
-	w, pin, s := tbl.NewSession(), tbl.NewSession(), tbl.NewSession()
+	w, pin, s := sessionOn(tbl), sessionOn(tbl), sessionOn(tbl)
 	next := 0
 	for round := 0; round < 4; round++ {
-		pin.enterCritical()
+		pin.ss[0].enterCritical()
 		// The insert that swaps the levels parks behind the pin until the
 		// drain may start, so the writer runs aside and that one key is still
 		// in flight while the Scan walks.
@@ -115,7 +115,7 @@ func TestScanDuringDrain(t *testing.T) {
 		for !tbl.Resizing() {
 			runtime.Gosched()
 		}
-		go pin.exitCritical()
+		go pin.ss[0].exitCritical()
 
 		got := map[kv.Key]bool{}
 		s.Scan(func(k kv.Key, _ kv.Value) bool {
@@ -141,7 +141,7 @@ func TestScanDuringDrain(t *testing.T) {
 
 func TestScanEarlyStop(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < 100; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -159,7 +159,7 @@ func TestScanEarlyStop(t *testing.T) {
 
 func TestScanEmptyTable(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if n := s.Scan(func(kv.Key, kv.Value) bool { t.Fatal("callback on empty table"); return false }); n != 0 {
 		t.Fatalf("visited %d on empty table", n)
 	}
@@ -267,14 +267,15 @@ func TestOCFWordRoundTrip(t *testing.T) {
 
 func TestOccupancyHistogram(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 1000
 	for i := 0; i < n; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	top, bottom := tbl.OccupancyHistogram()
+	occ := tbl.occupancy()
+	top, bottom := occ.Top, occ.Bottom
 	var totalBuckets, totalItems int64
 	for k := 0; k <= SlotsPerBucket; k++ {
 		totalBuckets += top[k] + bottom[k]

@@ -28,14 +28,14 @@ import "hdnh/internal/kv"
 //     which takes the same bucket lock afterwards.
 
 // mirrorPut applies the DRAM half of an insert or update.
-func (s *Session) mirrorPut(k kv.Key, v kv.Value, h1 uint64, fp uint8) {
+func (s *session) mirrorPut(k kv.Key, v kv.Value, h1 uint64, fp uint8) {
 	if ht := s.t.hot; ht != nil {
 		ht.put(k, v, h1, fp, s.rng)
 	}
 }
 
 // mirrorDel applies the DRAM half of a delete.
-func (s *Session) mirrorDel(k kv.Key, h1 uint64, fp uint8) {
+func (s *session) mirrorDel(k kv.Key, h1 uint64, fp uint8) {
 	if ht := s.t.hot; ht != nil {
 		ht.del(k, h1, fp)
 	}
@@ -43,7 +43,7 @@ func (s *Session) mirrorDel(k kv.Key, h1 uint64, fp uint8) {
 
 // fillHot re-caches a record a search found in the NVT, validated against
 // the OCF word the search observed.
-func (s *Session) fillHot(k kv.Key, v kv.Value, h1 uint64, fp uint8, src *level, b int64, slot int, ctrl uint32) {
+func (s *session) fillHot(k kv.Key, v kv.Value, h1 uint64, fp uint8, src *level, b int64, slot int, ctrl uint32) {
 	if ht := s.t.hot; ht != nil {
 		ht.fill(k, v, h1, fp, src, b, slot, ctrl, s.rng)
 	}

@@ -13,7 +13,7 @@ import (
 
 func TestSyncWritesBasic(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < 2000; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -33,7 +33,7 @@ func TestSyncWritesReadYourWrites(t *testing.T) {
 	// A write is in the cache before the call returns: an immediate Get must
 	// see it from DRAM.
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < 500; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -50,7 +50,7 @@ func TestSyncWritesReadYourWrites(t *testing.T) {
 
 func TestSyncWritesUpdateCoherence(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSyncWritesUpdateCoherence(t *testing.T) {
 
 func TestSyncWritesDeleteCoherence(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < 300; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -87,7 +87,7 @@ func TestSyncWritesConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := tbl.NewSession()
+			s := sessionOn(tbl)
 			base := w * 1000
 			for i := 0; i < 1000; i++ {
 				if err := s.Insert(key(base+i), value(base+i)); err != nil {
@@ -113,7 +113,7 @@ func TestSyncWritesConcurrent(t *testing.T) {
 
 func TestSyncWritesSurviveResize(t *testing.T) {
 	tbl := newTable(t, func(o *Options) { o.SegmentBuckets = 8 }) // force many resizes
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 6000
 	for i := 0; i < n; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -150,16 +150,16 @@ func TestSyncWritesSameKeyMirrorOrder(t *testing.T) {
 
 func sameKeyMirrorOrderRound(t *testing.T) (bWaited bool) {
 	tbl := newTable(t, nil)
-	sA, sB := tbl.NewSession(), tbl.NewSession()
+	sA, sB := sessionOn(tbl), sessionOn(tbl)
 	k, vA, vB := key(1), value(100), value(200)
 	h1, h2, fp := hashKV(k[:])
 	if err := sA.Insert(k, value(1)); err != nil {
 		t.Fatal(err)
 	}
 
-	sA.enterCritical()
-	w := sA.beginWrite(verbUpdate, k, vA, nil, h1, h2, fp)
-	if _, _, err := sA.stage(&w, true); err != nil {
+	sA.ss[0].enterCritical()
+	w := sA.ss[0].beginWrite(verbUpdate, k, vA, nil, h1, h2, fp)
+	if _, _, err := sA.ss[0].stage(&w, walkLock); err != nil {
 		t.Fatalf("A stage: %v", err)
 	}
 
@@ -180,8 +180,8 @@ func sameKeyMirrorOrderRound(t *testing.T) (bWaited bool) {
 	go func() { bDone <- sB.Update(k, vB) }()
 
 	<-bProbing
-	sA.drainPending()
-	sA.exitCritical()
+	sA.ss[0].drainPending()
+	sA.ss[0].exitCritical()
 	if err := <-bDone; err != nil {
 		t.Fatalf("B update: %v", err)
 	}

@@ -11,8 +11,8 @@ import (
 	"hdnh/internal/obs"
 )
 
-// Table is an HDNH hash table bound to an NVM device. The Table itself is
-// safe for concurrent use through per-goroutine Sessions.
+// Table is one HDNH hash table bound to an NVM device: one shard of a
+// Router, safe for concurrent use through per-goroutine RouterSessions.
 type Table struct {
 	dev     *nvm.Device
 	opts    Options

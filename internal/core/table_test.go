@@ -67,7 +67,7 @@ func TestReplacerString(t *testing.T) {
 
 func TestInsertGet(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Insert(key(1), value(1)); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestInsertGet(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if _, ok := s.Get(key(404)); ok {
 		t.Fatal("Get on empty table found something")
 	}
@@ -96,7 +96,7 @@ func TestGetMissing(t *testing.T) {
 
 func TestInsertDuplicate(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestInsertDuplicate(t *testing.T) {
 
 func TestUpdate(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Update(key(1), value(9)); !errors.Is(err, scheme.ErrNotFound) {
 		t.Fatalf("update of missing key: %v, want ErrNotFound", err)
 	}
@@ -142,7 +142,7 @@ func TestUpdate(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Delete(key(1)); !errors.Is(err, scheme.ErrNotFound) {
 		t.Fatalf("delete of missing key: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestDelete(t *testing.T) {
 
 func TestManyKeysWithResize(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 20000 // far beyond the initial 1536-slot capacity
 	gen0 := tbl.Generation()
 	for i := 0; i < n; i++ {
@@ -199,7 +199,7 @@ func TestManyKeysWithResize(t *testing.T) {
 
 func TestLoadFactorReasonable(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < 5000; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -216,7 +216,7 @@ func TestLoadFactorReasonable(t *testing.T) {
 
 func TestDeleteThenFillReusesSpace(t *testing.T) {
 	tbl := newTable(t, nil)
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 1200
 	for i := 0; i < n; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -246,7 +246,7 @@ func TestDeleteThenFillReusesSpace(t *testing.T) {
 
 func TestNoHotTableMode(t *testing.T) {
 	tbl := newTable(t, func(o *Options) { o.HotSlotsPerBucket = 0 })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < 3000; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -264,7 +264,7 @@ func TestNoHotTableMode(t *testing.T) {
 
 func TestDisplacementMode(t *testing.T) {
 	tbl := newTable(t, func(o *Options) { o.DisplaceOnInsert = true })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < 8000; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -307,7 +307,7 @@ func TestCloseIdempotent(t *testing.T) {
 
 func TestNVMStatsAccumulate(t *testing.T) {
 	tbl := newTable(t, func(o *Options) { o.HotSlotsPerBucket = 0 })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	if err := s.Insert(key(1), value(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestLockFreeSearchDoesNotWriteNVM(t *testing.T) {
 	// therefore generate zero NVM writes. (Hot table disabled so searches
 	// actually reach the NVT.)
 	tbl := newTable(t, func(o *Options) { o.HotSlotsPerBucket = 0 })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	for i := 0; i < 500; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
 			t.Fatal(err)
@@ -354,7 +354,7 @@ func TestNegativeSearchRarelyTouchesNVM(t *testing.T) {
 	// OCF should filter nearly all negative probes: expected fingerprint
 	// collision rate is ~64 slots * 1/255 per probe.
 	tbl := newTable(t, func(o *Options) { o.HotSlotsPerBucket = 0 })
-	s := tbl.NewSession()
+	s := sessionOn(tbl)
 	const n = 2000
 	for i := 0; i < n; i++ {
 		if err := s.Insert(key(i), value(i)); err != nil {
@@ -402,7 +402,7 @@ func TestSchemeRegistryVariants(t *testing.T) {
 			if !ok || ra.r.NumShards() != 1 || store.Name() != "HDNH" {
 				t.Fatalf("store %T named %q, want a 1-shard router named HDNH", store, store.Name())
 			}
-			if o := ra.r.Shard(0).Options(); !v.applied(o) {
+			if o := ra.r.shards[0].Options(); !v.applied(o) {
 				t.Fatalf("variant's option change missing: %+v", o)
 			}
 			if dev.Root(rootSlot) == 0 || dev.Root(shardDirRootSlot) != 0 {
@@ -450,4 +450,11 @@ func TestSizeBottomSegments(t *testing.T) {
 			t.Errorf("hint %d: sized load factor %.2f too high", hint, lf)
 		}
 	}
+}
+
+// sessionOn opens a session on one table, the way a 1-shard Router's
+// NewSession does: the in-package tests' handle on a table they built
+// directly.
+func sessionOn(t *Table) *RouterSession {
+	return newRouter(t.dev, t.opts, []*Table{t}).NewSession()
 }

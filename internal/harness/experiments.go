@@ -476,7 +476,7 @@ func Table1(sc Scale) (*Experiment, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table1 recovery at %d records: %w", records, err)
 		}
-		rs := reopened.Shard(0).LastRecovery()
+		rs := reopened.LastRecovery()[0]
 		if reopened.Count() != records {
 			return nil, fmt.Errorf("table1: recovered %d of %d records", reopened.Count(), records)
 		}

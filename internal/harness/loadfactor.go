@@ -51,7 +51,6 @@ func LoadFactorExperiment(sc Scale) (*Experiment, error) {
 		if err != nil {
 			return nil, err
 		}
-		gen := r.Shard(0).Generation()
 		capacityBefore := r.Capacity() // the resize doubles it, so capture now
 		s := r.NewSession()
 		var n int64
@@ -59,12 +58,12 @@ func LoadFactorExperiment(sc Scale) (*Experiment, error) {
 			if err := s.Insert(ycsb.RecordKey(i), ycsb.ValueFor(i)); err != nil {
 				break
 			}
-			if r.Shard(0).Generation() != gen || r.Resizing() {
+			if r.Capacity() != capacityBefore {
 				// It managed to resize once; stop at the pre-resize count. The
-				// swap precedes the generation bump now (the drain is
-				// incremental), so an in-flight drain counts as resized too —
-				// otherwise inserts landing in the doubled structure would
-				// inflate the pre-resize load factor past 1.
+				// doubled structure is swapped in at the start of the drain,
+				// so capacity changes the moment a resize begins — inserts
+				// counted after it would inflate the pre-resize load factor
+				// past 1.
 				break
 			}
 			n++

@@ -80,7 +80,7 @@ func FigResize(sc Scale) (*Experiment, error) {
 		// flight and the generation only bumps when it completes; Close waits
 		// it out, so the expansions cell counts every finished doubling.
 		r.Close()
-		expansions := r.Shard(0).Generation() - 1
+		expansions := r.Stats()[0].Generation - 1
 
 		exp.addRow(mode.name,
 			Cell{"p50 us", float64(lat.Percentile(50)) / 1e3},
