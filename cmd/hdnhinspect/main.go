@@ -95,8 +95,8 @@ func inspect(w io.Writer, dev *nvm.Device, opts core.Options, check bool) error 
 	recoveries, occupancy := r.LastRecovery(), r.OccupancyHistogram()
 	for i, st := range stats {
 		rs := recoveries[i]
-		fmt.Fprintf(w, "\nshard %d (recovery: OCF %v, hot %v, clean=%v, dups=%d)\n", i,
-			rs.OCFRebuild.Round(time.Microsecond), rs.HotRebuild.Round(time.Microsecond),
+		fmt.Fprintf(w, "\nshard %d (recovery: scan %v, dedup %v, traversals=%d, clean=%v, dups=%d)\n", i,
+			rs.Scan.Round(time.Microsecond), rs.Dedup.Round(time.Microsecond), rs.Scans,
 			rs.CleanShutdown, rs.DuplicatesResolved)
 		fmt.Fprintf(w, "  items       %d\n", st.Items)
 		fmt.Fprintf(w, "  capacity    %d slots (load %.3f)\n", st.Capacity, st.LoadFactor)

@@ -75,7 +75,7 @@ func TestInspectSavedImages(t *testing.T) {
 				fmt.Sprintf("hdnh store, %d shard(s)", shards),
 				fmt.Sprintf("  items       %d\n", n),
 				fmt.Sprintf("shard %d (recovery:", shards-1),
-				"clean=true",
+				"traversals=1, clean=true",
 				"invariants: all hold",
 			} {
 				if !strings.Contains(got, want) {
@@ -111,8 +111,8 @@ func TestPerShardReadings(t *testing.T) {
 	var total int64
 	for i, st := range stats {
 		rs := recs[i]
-		if !rs.CleanShutdown || rs.Items != st.Items {
-			t.Errorf("shard %d: recovery clean=%v items=%d, shard holds %d", i, rs.CleanShutdown, rs.Items, st.Items)
+		if !rs.CleanShutdown || rs.Scans != 1 || rs.Items != st.Items {
+			t.Errorf("shard %d: recovery clean=%v traversals=%d items=%d, shard holds %d", i, rs.CleanShutdown, rs.Scans, rs.Items, st.Items)
 		}
 		var buckets, items int64
 		for k := 0; k <= core.SlotsPerBucket; k++ {

@@ -102,8 +102,9 @@ func main() {
 	rs := recovered.LastRecovery()[0]
 
 	fmt.Printf("\nrecovery complete in %v\n", time.Since(start).Round(time.Microsecond))
-	fmt.Printf("  OCF rebuild       %v\n", rs.OCFRebuild.Round(time.Microsecond))
-	fmt.Printf("  hot table rebuild %v\n", rs.HotRebuild.Round(time.Microsecond))
+	fmt.Printf("  scan              %v\n", rs.Scan.Round(time.Microsecond))
+	fmt.Printf("  dedup             %v\n", rs.Dedup.Round(time.Microsecond))
+	fmt.Printf("  table traversals  %d\n", rs.Scans)
 	fmt.Printf("  total             %v\n", rs.Total.Round(time.Microsecond))
 	fmt.Printf("  media block reads %d\n", rs.MediaBlockReads)
 	fmt.Printf("  items recovered   %d\n", rs.Items)

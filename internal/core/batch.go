@@ -223,8 +223,7 @@ func (s *session) applyFills() {
 			}
 			ht.rec.HotFill(false)
 			ht.fl.HotFill(false)
-			kw0, kw1 := f.k.Pack()
-			ht.putLocked(ltop, lbottom, tb, bb, kw0, kw1, f.k, f.v, f.fp, s.rng)
+			ht.putLocked(ltop, lbottom, tb, bb, f.k, f.v, f.fp, s.rng, false)
 		}
 		unlockBuckets(ltop, lbottom, tb, bb)
 		g = end

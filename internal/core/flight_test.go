@@ -219,15 +219,16 @@ func TestFlightRecordsResizeAndRecovery(t *testing.T) {
 			t.Fatalf("dump has no %v event", k)
 		}
 	}
-	// The OCF and hot-table rebuild steps always run on Open.
-	steps := map[flight.RecoveryStep]bool{}
+	// A clean Open is one step: the scan, which rebuilds the OCF and the hot
+	// table in one traversal.
+	steps := map[flight.RecoveryStep]int{}
 	for _, e := range d.Events {
 		if e.Kind == flight.KindRecoveryStep {
-			steps[flight.RecoveryStep(e.A)] = true
+			steps[flight.RecoveryStep(e.A)]++
 		}
 	}
-	if !steps[flight.RecOCF] || !steps[flight.RecHot] {
-		t.Fatalf("recovery steps missing from trace: %v", steps)
+	if len(steps) != 1 || steps[flight.RecScan] != 1 {
+		t.Fatalf("recovery steps in trace: %v, want one scan", steps)
 	}
 }
 

@@ -157,7 +157,7 @@ func TestDrainBarrierCounts(t *testing.T) {
 				i++
 			}
 		}
-		tbl.rebuildOCFLevel(src)
+		tbl.scanLevel(src, nil, nil)
 		task := tbl.newDrainTask(src, 1, time.Now(), true, tbl.state())
 		tbl.draining.Store(task)
 

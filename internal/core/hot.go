@@ -244,22 +244,27 @@ func unlockBuckets(top, bottom *hotLevel, tb, bb int64) {
 // when cached; otherwise the first empty slot in the top then bottom
 // candidate bucket; otherwise replacement in the top bucket.
 func (ht *hotTable) put(k kv.Key, v kv.Value, h1 uint64, fp uint8, r *rng.Xorshift128) {
-	kw0, kw1 := k.Pack()
 	top, bottom, tb, bb := ht.lockBuckets(h1)
 	defer unlockBuckets(top, bottom, tb, bb)
-	ht.putLocked(top, bottom, tb, bb, kw0, kw1, k, v, fp, r)
+	ht.putLocked(top, bottom, tb, bb, k, v, fp, r, false)
 }
 
-func (ht *hotTable) putLocked(top, bottom *hotLevel, tb, bb int64, kw0, kw1 uint64, k kv.Key, v kv.Value, fp uint8, r *rng.Xorshift128) {
+// putLocked is put with the bucket locks held. fresh promises that k has no
+// entry yet (recovery's fill, which meets each key once), so the in-place
+// update search is skipped.
+func (ht *hotTable) putLocked(top, bottom *hotLevel, tb, bb int64, k kv.Key, v kv.Value, fp uint8, r *rng.Xorshift128, fresh bool) {
 	levels := [2]*hotLevel{top, bottom}
 	bkts := [2]int64{tb, bb}
 
 	// Update in place if cached, preserving the hotmap bit.
-	for i, l := range levels {
-		if idx := l.findKey(bkts[i], kw0, kw1, fp); idx >= 0 {
-			c := l.loadCtrl(idx)
-			l.writeSlot(idx, c, k, v, fp, true, c&hotHot != 0)
-			return
+	if !fresh {
+		kw0, kw1 := k.Pack()
+		for i, l := range levels {
+			if idx := l.findKey(bkts[i], kw0, kw1, fp); idx >= 0 {
+				c := l.loadCtrl(idx)
+				l.writeSlot(idx, c, k, v, fp, true, c&hotHot != 0)
+				return
+			}
 		}
 	}
 	// First empty slot, top level first.
@@ -344,7 +349,6 @@ func (ht *hotTable) del(k kv.Key, h1 uint64, fp uint8) {
 // A same-key write that locked the source slot earlier fails the check; one
 // that locks it later applies its own mirror afterwards, under these locks.
 func (ht *hotTable) fill(k kv.Key, v kv.Value, h1 uint64, fp uint8, src *level, srcBucket int64, srcSlot int, observed uint32, r *rng.Xorshift128) {
-	kw0, kw1 := k.Pack()
 	top, bottom, tb, bb := ht.lockBuckets(h1)
 	defer unlockBuckets(top, bottom, tb, bb)
 	if src.ocfLoad(srcBucket, srcSlot) != observed {
@@ -354,7 +358,7 @@ func (ht *hotTable) fill(k kv.Key, v kv.Value, h1 uint64, fp uint8, src *level, 
 	}
 	ht.rec.HotFill(false)
 	ht.fl.HotFill(false)
-	ht.putLocked(top, bottom, tb, bb, kw0, kw1, k, v, fp, r)
+	ht.putLocked(top, bottom, tb, bb, k, v, fp, r, false)
 }
 
 // countValid reports cached entries; stats/test helper.

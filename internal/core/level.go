@@ -121,18 +121,6 @@ func (l *level) ocfAnnounce(b int64, s int, fp uint8, locked uint32) {
 	atomic.StoreUint32(&l.ocf[b*SlotsPerBucket+int64(s)], ocfWord(false, fp, ocfVer(locked))|ocfOp)
 }
 
-// ocfSet writes a control word directly; recovery-only (single-writer).
-// It keeps the SWAR word coherent, which is how recovery's OCF rebuild gets
-// the fingerprint words rebuilt for free.
-func (l *level) ocfSet(b int64, s int, w uint32) {
-	if ocfIsValid(w) {
-		l.fpwSet(b, s, ocfFP(w))
-	} else {
-		l.fpwSet(b, s, 0)
-	}
-	atomic.StoreUint32(&l.ocf[b*SlotsPerBucket+int64(s)], w)
-}
-
 // fpwLoad reads bucket b's packed fingerprint word.
 func (l *level) fpwLoad(b int64) uint64 { return atomic.LoadUint64(&l.fpw[b]) }
 

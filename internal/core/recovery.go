@@ -13,16 +13,23 @@ import (
 	"hdnh/internal/rng"
 )
 
-// RecoveryStats reports what one table's recovery did, matching the
-// breakdown in the paper's Table 1 (OCF rebuild time, hot table rebuild
-// time, total). OpenRouter recovers each shard in turn; Router.LastRecovery
-// returns one per shard.
+// RecoveryStats reports what one table's recovery did. The paper's Table 1
+// splits recovery into an OCF rebuild and a hot-table rebuild; here both are
+// the one traversal timed as Scan, so the breakdown is by pass instead.
+// OpenRouter recovers each shard in turn; Router.LastRecovery returns one per
+// shard.
 type RecoveryStats struct {
-	// OCFRebuild is the time spent scanning the NVT to rebuild the filter.
-	OCFRebuild time.Duration
-	// HotRebuild is the time spent repopulating the DRAM hot table.
-	HotRebuild time.Duration
-	// Total covers everything: resize replay, OCF, dedup, hot table.
+	// Scan is the time of the last traversal of the NVT, which rebuilds the
+	// OCF and SWAR words, the count and the hot table, and feeds the visitor.
+	Scan time.Duration
+	// Dedup is the time of the torn-update dedup pass; 0 after a clean
+	// shutdown, which skips it.
+	Dedup time.Duration
+	// Scans is how many traversals of the NVT recovery made: 1 on a clean
+	// image, one more for the dedup after an unclean shutdown, and one more
+	// for the OCF a resumed drain needs before it runs.
+	Scans int
+	// Total covers everything: resize replay, drain, dedup, scan.
 	Total time.Duration
 	// Items is the number of live records found.
 	Items int64
@@ -33,8 +40,8 @@ type RecoveryStats struct {
 	// CleanShutdown reports whether the table was closed cleanly.
 	CleanShutdown bool
 	// MediaBlockReads is the 256-byte media blocks charged to recovery's own
-	// handle and its parallel bucket traversals (OCF, dedup, final pass); a
-	// resumed drain's workers charge the resize machinery's handles instead.
+	// handle and its traversals, one block per bucket each; a resumed drain's
+	// workers charge the resize machinery's handles instead.
 	MediaBlockReads uint64
 }
 
@@ -93,34 +100,31 @@ func (t *Table) recover(visit RecoveryVisitor) error {
 	if topSegs <= 0 || bottomSegs <= 0 {
 		return fmt.Errorf("core: corrupt level descriptors (%d, %d segments)", topSegs, bottomSegs)
 	}
-	t.lv.Store(&tablePair{
+	pr := &tablePair{
 		top:    newLevel(topBase, topSegs, m),
 		bottom: newLevel(bottomBase, bottomSegs, m),
-	})
-
-	// Rebuild the OCF: one parallel traversal of the NVT, computing each
-	// live record's fingerprint from its key (bitmaps are persisted in the
-	// slots themselves; fingerprints are recomputed, as in the paper).
-	ocfStart := time.Now()
-	t.rebuildOCF()
-	stats.OCFRebuild = time.Since(ocfStart)
-	pr := t.pair()
-	t.fl.RecoveryStep(flight.RecOCF, stats.OCFRebuild, pr.top.buckets()+pr.bottom.buckets())
+	}
+	t.lv.Store(pr)
 
 	// Level number 3: resume draining the old bottom level from the
 	// persisted per-range progress words, using the same parallel chunked
 	// machinery as a live expansion — run synchronously here so the table is
-	// stable before sessions exist. The drain reads OCF validity, so the
-	// drain level's filter is rebuilt first.
+	// stable before sessions exist. The drain reads OCF validity in all
+	// three levels, so it costs one traversal of its own first.
 	if st.levelNumber == levelNumRehash {
 		stats.ResumedRehash = true
-		drainStart := time.Now()
 		drainBase, drainSegs := t.levelDescriptor(st.drain)
 		if drainSegs <= 0 {
 			return fmt.Errorf("core: corrupt drain descriptor (%d segments)", drainSegs)
 		}
 		drainLvl := newLevel(drainBase, drainSegs, m)
-		t.rebuildOCFLevel(drainLvl)
+		ocfStart := time.Now()
+		for _, lvl := range [3]*level{pr.top, pr.bottom, drainLvl} {
+			t.scanLevel(lvl, nil, nil)
+		}
+		stats.Scans++
+		t.fl.RecoveryStep(flight.RecOCF, time.Since(ocfStart), pr.top.buckets()+pr.bottom.buckets()+drainLvl.buckets())
+		drainStart := time.Now()
 		task := t.resumeDrainTask(h, drainLvl,
 			tableState{levelNumber: levelNumStable, top: st.top, bottom: st.bottom, drain: levelSlotUnused, generation: st.generation + 1})
 		t.draining.Store(task)
@@ -142,23 +146,25 @@ func (t *Table) recover(visit RecoveryVisitor) error {
 	if !clean {
 		dedupStart := time.Now()
 		stats.DuplicatesResolved = t.dedupTornUpdates(h)
-		t.fl.RecoveryStep(flight.RecDedup, time.Since(dedupStart), stats.DuplicatesResolved)
+		stats.Dedup = time.Since(dedupStart)
+		stats.Scans++
+		t.fl.RecoveryStep(flight.RecDedup, stats.Dedup, stats.DuplicatesResolved)
 	}
 
-	t.count.Store(t.countFromOCF())
-	stats.Items = t.count.Load()
-
-	// Rebuild the hot table, and feed the visitor, with a second parallel
-	// traversal; with neither there is nothing left to read.
-	if t.opts.HotSlotsPerBucket > 0 || visit != nil {
-		hotStart := time.Now()
-		if t.opts.HotSlotsPerBucket > 0 {
-			t.hot = newHotTable(pr.top.segments, pr.bottom.segments, m, t.opts.HotSlotsPerBucket, t.opts.Replacer)
-		}
-		t.rebuildHot(visit)
-		stats.HotRebuild = time.Since(hotStart)
-		t.fl.RecoveryStep(flight.RecHot, stats.HotRebuild, stats.Items)
+	// The scan (the paper's parallel recovery): one traversal rebuilds the
+	// OCF and SWAR words, counts the records, fills the hot table and feeds
+	// the visitor.
+	scanStart := time.Now()
+	if t.opts.HotSlotsPerBucket > 0 {
+		t.hot = newHotTable(pr.top.segments, pr.bottom.segments, m, t.opts.HotSlotsPerBucket, t.opts.Replacer)
 	}
+	for _, lvl := range [2]*level{pr.top, pr.bottom} {
+		stats.Items += t.scanLevel(lvl, t.hot, visit)
+	}
+	t.count.Store(stats.Items)
+	stats.Scans++
+	stats.Scan = time.Since(scanStart)
+	t.fl.RecoveryStep(flight.RecScan, stats.Scan, stats.Items)
 
 	stats.MediaBlockReads = t.recoveryReads.Load() + h.Stats().MediaBlockReads
 	stats.Total = time.Since(start)
@@ -166,100 +172,87 @@ func (t *Table) recover(visit RecoveryVisitor) error {
 	return nil
 }
 
-// rebuildOCF scans both levels with RecoveryWorkers goroutines, each
-// handling an independent batch of buckets (the paper's parallel recovery).
-func (t *Table) rebuildOCF() {
-	pr := t.pair()
-	for _, lvl := range [2]*level{pr.top, pr.bottom} {
-		t.rebuildOCFLevel(lvl)
-	}
-}
-
-// rebuildOCFLevel recomputes one level's filter from the persisted NVT.
-func (t *Table) rebuildOCFLevel(lvl *level) {
-	t.parallelBuckets(lvl, func(h *nvm.Handle, lvl *level, b int64) {
-		h.ReadAccess(lvl.bucketWord(b), BucketWords)
-		for s := 0; s < SlotsPerBucket; s++ {
-			off := lvl.slotWord(b, s)
-			w3 := h.Load(off + 3)
-			if !kv.ValidOf(w3) {
-				continue
-			}
-			k := kv.UnpackKey(h.Load(off), h.Load(off+1))
-			fp := hashfn.Fingerprint(hashfn.Hash1(k[:]))
-			lvl.ocfSet(b, s, ocfWord(true, fp, 0))
+// scanLevel is recovery's one per-bucket routine, run over lvl by
+// RecoveryWorkers goroutines. Each bucket is read once (one ReadAccess) and
+// each committed key hashed once; the bucket's eight OCF words and its SWAR
+// word are built locally and stored whole. Invalid slots are stored too, so
+// scanning a level whose OCF is already built (after a resumed drain) leaves
+// it as a fresh build would. Plain stores are safe: no session exists yet,
+// each worker owns disjoint buckets, and recover returns only after the
+// workers have joined. With hot non-nil every record also enters it — cold,
+// as after any other insert, and as a fresh fill: RecoveryVisitor's contract
+// (each key exactly once) means there is never an entry to update in place.
+// With visit non-nil every record is handed to it. Returns the records found.
+func (t *Table) scanLevel(lvl *level, hot *hotTable, visit RecoveryVisitor) int64 {
+	var items atomic.Int64
+	t.parallelBuckets(lvl, func(h *nvm.Handle, lo, hi int64) {
+		var r *rng.Xorshift128
+		if hot != nil {
+			r = rng.New(t.opts.Seed ^ uint64(lvl.base+lo+1)<<13)
 		}
-	})
-}
-
-// rebuildHot is recovery's last traversal of the NVT: it repopulates the
-// cache (when there is one) and hands every committed record to visit (when
-// there is one). Entries enter cold, just as after any other insert; the
-// workload's own searches re-warm them.
-func (t *Table) rebuildHot(visit RecoveryVisitor) {
-	var seq atomic.Uint64
-	pr := t.pair()
-	for _, lvl := range [2]*level{pr.top, pr.bottom} {
-		t.parallelBuckets(lvl, func(h *nvm.Handle, lvl *level, b int64) {
-			r := rng.New(t.opts.Seed ^ seq.Add(1)<<13)
+		var n int64
+		for b := lo; b < hi; b++ {
 			h.ReadAccess(lvl.bucketWord(b), BucketWords)
+			var fpw uint64
 			for s := 0; s < SlotsPerBucket; s++ {
 				off := lvl.slotWord(b, s)
 				w3 := h.Load(off + 3)
-				if !kv.ValidOf(w3) {
-					continue
-				}
-				k := kv.UnpackKey(h.Load(off), h.Load(off+1))
-				v, _ := kv.UnpackValue(h.Load(off+2), w3)
-				if t.hot != nil {
+				var c uint32
+				if kv.ValidOf(w3) {
+					k := kv.UnpackKey(h.Load(off), h.Load(off+1))
 					h1 := hashfn.Hash1(k[:])
-					t.hot.put(k, v, h1, hashfn.Fingerprint(h1), r)
+					fp := hashfn.Fingerprint(h1)
+					c = ocfWord(true, fp, 0)
+					fpw |= uint64(fp) << (8 * s)
+					n++
+					if hot != nil || visit != nil {
+						v, _ := kv.UnpackValue(h.Load(off+2), w3)
+						if hot != nil {
+							top, bottom, tb, bb := hot.lockBuckets(h1)
+							hot.putLocked(top, bottom, tb, bb, k, v, fp, r, true)
+							unlockBuckets(top, bottom, tb, bb)
+						}
+						if visit != nil {
+							visit(k, v)
+						}
+					}
 				}
-				if visit != nil {
-					visit(k, v)
-				}
+				lvl.ocf[b*SlotsPerBucket+int64(s)] = c
 			}
-		})
-	}
+			lvl.fpw[b] = fpw
+		}
+		items.Add(n)
+	})
+	return items.Load()
 }
 
-// parallelBuckets runs fn over every bucket of lvl using the configured
-// recovery workers, each with its own NVM handle, whose media block reads
-// accumulate into t.recoveryReads.
-func (t *Table) parallelBuckets(lvl *level, fn func(h *nvm.Handle, lvl *level, b int64)) {
+// parallelBuckets splits lvl's buckets into one contiguous range per
+// configured recovery worker and runs fn on each range on its own goroutine
+// with its own NVM handle, whose media block reads accumulate into
+// t.recoveryReads.
+func (t *Table) parallelBuckets(lvl *level, fn func(h *nvm.Handle, lo, hi int64)) {
 	workers := t.opts.RecoveryWorkers
 	buckets := lvl.buckets()
 	if int64(workers) > buckets {
 		workers = int(buckets)
 	}
-	if workers <= 1 {
+	run := func(lo, hi int64) {
 		h := t.dev.NewHandle()
-		for b := int64(0); b < buckets; b++ {
-			fn(h, lvl, b)
-		}
+		fn(h, lo, hi)
 		t.recoveryReads.Add(h.Stats().MediaBlockReads)
+	}
+	if workers <= 1 {
+		run(0, buckets)
 		return
 	}
 	var wg sync.WaitGroup
 	chunk := (buckets + int64(workers) - 1) / int64(workers)
-	for w := 0; w < workers; w++ {
-		lo := int64(w) * chunk
-		hi := lo + chunk
-		if hi > buckets {
-			hi = buckets
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := int64(0); lo < buckets; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int64) {
 			defer wg.Done()
-			h := t.dev.NewHandle()
-			for b := lo; b < hi; b++ {
-				fn(h, lvl, b)
-			}
-			t.recoveryReads.Add(h.Stats().MediaBlockReads)
-		}(lo, hi)
+			run(lo, hi)
+		}(lo, min(lo+chunk, buckets))
 	}
 	wg.Wait()
 }
@@ -268,7 +261,11 @@ func (t *Table) parallelBuckets(lvl *level, fn func(h *nvm.Handle, lvl *level, b
 // out-of-place update leaves) and invalidates the copy with the older
 // stamp. One parallel linear pass builds a sharded key index; a duplicate
 // can only be the pair an interrupted update left, so the loser is decided
-// by the commit stamps. Returns how many duplicates were resolved.
+// by the commit stamps. It reads each bucket once and judges validity from
+// the persisted valid bits, not the OCF, so it runs before the scan builds
+// the OCF; the scan also takes the losers' cleared bits into the OCF, which
+// is why a loser's clear touches only the NVT. Returns how many duplicates
+// were resolved.
 func (t *Table) dedupTornUpdates(h *nvm.Handle) int64 {
 	const shards = 256
 	type entry struct {
@@ -289,38 +286,43 @@ func (t *Table) dedupTornUpdates(h *nvm.Handle) int64 {
 		stageClear(h, loser, t.dev.Load(loser.wordOff()+3))
 		h.FlushBarrier()
 		h.Fence()
-		loser.lvl.ocfSet(loser.b, loser.s, ocfWord(false, 0, ocfVer(loser.lvl.ocfLoad(loser.b, loser.s))+1))
 		removed.Add(1)
 	}
 
 	pr := t.pair()
 	for _, lvl := range [2]*level{pr.top, pr.bottom} {
-		t.parallelBuckets(lvl, func(wh *nvm.Handle, lvl *level, b int64) {
-			for s := 0; s < SlotsPerBucket; s++ {
-				if !ocfIsValid(lvl.ocfLoad(b, s)) {
-					continue
-				}
-				self := slotRef{lvl, b, s}
-				k, _, meta := readSlot(wh, self)
-				shard := int(hashfn.Hash1(k[:]) % shards)
-				mus[shard].Lock()
-				prev, dup := seen[shard][k]
-				if !dup {
-					seen[shard][k] = entry{ref: self, stamp: metaStamp(meta)}
+		t.parallelBuckets(lvl, func(wh *nvm.Handle, lo, hi int64) {
+			for b := lo; b < hi; b++ {
+				wh.ReadAccess(lvl.bucketWord(b), BucketWords)
+				for s := 0; s < SlotsPerBucket; s++ {
+					self := slotRef{lvl, b, s}
+					off := self.wordOff()
+					w3 := wh.Load(off + 3)
+					if !kv.ValidOf(w3) {
+						continue
+					}
+					k := kv.UnpackKey(wh.Load(off), wh.Load(off+1))
+					stamp := metaStamp(kv.MetaOf(w3))
+					shard := int(hashfn.Hash1(k[:]) % shards)
+					mus[shard].Lock()
+					prev, dup := seen[shard][k]
+					if !dup {
+						seen[shard][k] = entry{ref: self, stamp: stamp}
+						mus[shard].Unlock()
+						continue
+					}
+					// Decide the winner: newer stamp, position as tie-break.
+					loser := self
+					winner := prev
+					if stampNewer(stamp, prev.stamp) ||
+						(!stampNewer(prev.stamp, stamp) && posLess(prev.ref, self)) {
+						loser = prev.ref
+						winner = entry{ref: self, stamp: stamp}
+					}
+					seen[shard][k] = winner
 					mus[shard].Unlock()
-					continue
+					clearLoser(loser)
 				}
-				// Decide the winner: newer stamp, position as tie-break.
-				loser := self
-				winner := prev
-				if stampNewer(metaStamp(meta), prev.stamp) ||
-					(!stampNewer(prev.stamp, metaStamp(meta)) && posLess(prev.ref, self)) {
-					loser = prev.ref
-					winner = entry{ref: self, stamp: metaStamp(meta)}
-				}
-				seen[shard][k] = winner
-				mus[shard].Unlock()
-				clearLoser(loser)
 			}
 		})
 	}
@@ -335,18 +337,4 @@ func posLess(a, b slotRef) bool {
 		return a.b < b.b
 	}
 	return a.s < b.s
-}
-
-// countFromOCF counts valid bits across both levels (DRAM-only).
-func (t *Table) countFromOCF() int64 {
-	var n int64
-	pr := t.pair()
-	for _, lvl := range [2]*level{pr.top, pr.bottom} {
-		for i := range lvl.ocf {
-			if atomic.LoadUint32(&lvl.ocf[i])&ocfValid != 0 {
-				n++
-			}
-		}
-	}
-	return n
 }

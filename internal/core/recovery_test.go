@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -83,7 +86,7 @@ func TestReopenAfterCleanShutdown(t *testing.T) {
 	if rs.Items != n {
 		t.Errorf("recovered %d items, want %d", rs.Items, n)
 	}
-	if rs.OCFRebuild <= 0 || rs.Total <= 0 {
+	if rs.Scan <= 0 || rs.Total <= 0 || rs.Scans != 1 || rs.Dedup != 0 {
 		t.Errorf("recovery stats not populated: %+v", rs)
 	}
 	if tbl2.Count() != n {
@@ -554,10 +557,12 @@ func TestRecoveryPreservesUpdatesAcrossResizes(t *testing.T) {
 }
 
 // TestRecoveryWorkerCounts reopens one image with 1, 2 and 7 recovery
-// workers, with and without a hot table, through a visitor: every committed
-// record arrives exactly once whatever the worker count, the last traversal
-// runs for the visitor alone when there is no cache to fill, and
-// RecoveryStats.MediaBlockReads is the traversals' block count.
+// workers, with and without a hot table, with and without a visitor, after a
+// clean and after an unclean shutdown. Every committed record reaches the
+// visitor exactly once whatever the worker count, and the traversals are
+// pinned in media block reads: a clean Open reads each bucket once — one
+// traversal rebuilds the OCF, the count, the hot table and the visitor's
+// state — and an unclean one twice, the dedup pass being the other.
 func TestRecoveryWorkerCounts(t *testing.T) {
 	for _, hotSlots := range []int{DefaultOptions().HotSlotsPerBucket, 0} {
 		for _, workers := range []int{1, 2, 7} {
@@ -574,56 +579,268 @@ func TestRecoveryWorkerCounts(t *testing.T) {
 					t.Fatal(err)
 				}
 				s := sessionOn(tbl)
-				for i := 0; i < 1500; i++ {
+				const n = 1500
+				for i := 0; i < n; i++ {
 					if err := s.Insert(key(i), value(i)); err != nil {
 						t.Fatal(err)
 					}
 				}
+				tbl.waitDrain()
+				unclean := dev.PersistedImage() // the open table's clean flag is down
 				tbl.Close()
+				clean := dev.PersistedImage()
 				opts.RecoveryWorkers = workers
-				dev2, err := nvm.FromImage(dev.Config(), dev.PersistedImage())
-				if err != nil {
-					t.Fatal(err)
-				}
-				visits := newVisitLog(t)
-				tbl2, err := openRoot(dev2, opts, visits.visit)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer tbl2.Close()
-				if tbl2.Count() != 1500 {
-					t.Fatalf("Count = %d with %d workers", tbl2.Count(), workers)
-				}
-				if len(visits.vals) != 1500 {
-					t.Fatalf("visitor saw %d records with %d workers, want 1500", len(visits.vals), workers)
-				}
-				for i := 0; i < 1500; i++ {
-					if visits.vals[key(i)] != value(i) {
-						t.Fatalf("visitor saw key %d as %q", i, visits.vals[key(i)].String())
-					}
-				}
-				// A clean image takes two traversals of one block per bucket:
-				// the OCF rebuild and the last one.
-				if got, want := tbl2.LastRecovery().MediaBlockReads, uint64(2*tbl2.Capacity()/SlotsPerBucket); got != want {
-					t.Fatalf("recovery charged %d media block reads, want %d", got, want)
-				}
-				// Without a visitor and without a cache there is no last traversal.
-				if hotSlots == 0 {
-					dev3, err := nvm.FromImage(dev.Config(), dev.PersistedImage())
+
+				for _, c := range []struct {
+					name    string
+					img     []uint64
+					visitor bool
+					scans   int
+				}{
+					{"clean", clean, true, 1},
+					{"clean, no visitor", clean, false, 1},
+					{"unclean", unclean, true, 2},
+				} {
+					dev2, err := nvm.FromImage(dev.Config(), c.img)
 					if err != nil {
 						t.Fatal(err)
 					}
-					tbl3, err := openRoot(dev3, opts, nil)
+					visits := newVisitLog(t)
+					var visit RecoveryVisitor
+					if c.visitor {
+						visit = visits.visit
+					}
+					tbl2, err := openRoot(dev2, opts, visit)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s: %v", c.name, err)
 					}
-					defer tbl3.Close()
-					if got, want := tbl3.LastRecovery().MediaBlockReads, uint64(tbl3.Capacity()/SlotsPerBucket); got != want {
-						t.Fatalf("visitor-less, cache-less recovery charged %d media block reads, want %d", got, want)
+					rs := tbl2.LastRecovery()
+					if tbl2.Count() != n || rs.Items != n {
+						t.Fatalf("%s: Count = %d, Items = %d, want %d", c.name, tbl2.Count(), rs.Items, n)
 					}
+					if c.visitor {
+						if len(visits.vals) != n {
+							t.Fatalf("%s: visitor saw %d records, want %d", c.name, len(visits.vals), n)
+						}
+						for i := 0; i < n; i++ {
+							if visits.vals[key(i)] != value(i) {
+								t.Fatalf("%s: visitor saw key %d as %q", c.name, i, visits.vals[key(i)].String())
+							}
+						}
+					}
+					buckets := uint64(tbl2.Capacity() / SlotsPerBucket)
+					if rs.Scans != c.scans || rs.MediaBlockReads != uint64(c.scans)*buckets {
+						t.Fatalf("%s: %d traversals charging %d media block reads, want %d charging %d",
+							c.name, rs.Scans, rs.MediaBlockReads, c.scans, uint64(c.scans)*buckets)
+					}
+					if (rs.Dedup > 0) != (c.scans == 2) {
+						t.Fatalf("%s: dedup took %v", c.name, rs.Dedup)
+					}
+					if errs := tbl2.CheckInvariants(); len(errs) != 0 {
+						t.Fatalf("%s: %v", c.name, errs[0])
+					}
+					tbl2.Close()
 				}
 			})
 		}
+	}
+}
+
+// TestRecoveryResumesDrainInThreeScans opens images a doubling crashed in,
+// mid-drain: one traversal rebuilds the OCF the resumed drain needs, the
+// unclean shutdown's dedup is the second and the scan the third. The visitor
+// runs after the drain, so it still meets each key once.
+func TestRecoveryResumesDrainInThreeScans(t *testing.T) {
+	w := drainCrashWorld{workers: 1}
+	w.findTrigger(t)
+	w.run(t, 0, 0)
+	resumed := 0
+	for n := w.window / 4; n <= w.window && resumed < 3; n += max(w.window/8, 1) {
+		img := w.run(t, 1, n)
+		if img == nil {
+			continue
+		}
+		dev, err := nvm.FromImage(w.config(1), img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visits := newVisitLog(t)
+		tbl, err := openRoot(dev, w.opts(), visits.visit)
+		if err != nil {
+			t.Fatalf("crash at call %d: %v", n, err)
+		}
+		rs := tbl.LastRecovery()
+		what := fmt.Sprintf("crash at call %d", n)
+		w.check(t, what, tbl) // CheckInvariants and the run's model
+		if int64(len(visits.vals)) != tbl.Count() {
+			t.Fatalf("%s: visitor saw %d records, the table holds %d", what, len(visits.vals), tbl.Count())
+		}
+		switch {
+		case rs.ResumedRehash:
+			resumed++
+			if rs.Scans != 3 {
+				t.Fatalf("%s: resumed drain recovered in %d traversals, want 3", what, rs.Scans)
+			}
+		case rs.Scans != 2:
+			t.Fatalf("%s: unclean recovery made %d traversals, want 2", what, rs.Scans)
+		}
+		tbl.Close()
+	}
+	if resumed == 0 {
+		t.Fatal("no crash point left a drain to resume")
+	}
+}
+
+// TestRecoveryResolvesPlantedTornDuplicate plants the image a crashed
+// out-of-place update leaves between publish and retire — the key committed
+// twice, the second copy under the next stamp — and opens it uncleanly: the
+// dedup reads each bucket once and keeps the newer copy, the scan after it
+// sees only the winner, and the visitor meets the key once.
+func TestRecoveryResolvesPlantedTornDuplicate(t *testing.T) {
+	dev := newStrictDev(t, 1<<21, 0)
+	opts := DefaultOptions()
+	tbl, err := create(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sessionOn(tbl)
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if err := s.Insert(key(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl.waitDrain()
+
+	const torn = 7
+	k := key(torn)
+	h1, h2, fp := hashKV(k[:])
+	var ps probeStats
+	s.ss[0].enterCritical()
+	hit, _ := tbl.walk(s.ss[0].h, k, h1, h2, fp, &ps, walkRead)
+	s.ss[0].exitCritical()
+	if hit.ref.lvl == nil {
+		t.Fatalf("key %d not found", torn)
+	}
+	_, _, meta := readSlot(s.ss[0].h, hit.ref)
+	var free slotRef
+	pr := tbl.pair()
+	for _, lvl := range [2]*level{pr.top, pr.bottom} {
+		for _, b := range lvl.candidates(h1, h2) {
+			for sl := 0; sl < SlotsPerBucket && free.lvl == nil; sl++ {
+				if c := lvl.ocfLoad(b, sl); !ocfIsValid(c) && !ocfIsLocked(c) {
+					free = slotRef{lvl, b, sl}
+				}
+			}
+		}
+	}
+	if free.lvl == nil {
+		t.Fatal("no free slot among the key's candidates")
+	}
+	newer := value(torn + 5000)
+	var words [slotWords]uint64
+	kv.PackRecord(words[:], k, newer, packMeta(true, (metaStamp(meta)+1)&metaStampMask))
+	h := dev.NewHandle()
+	for j, word := range words {
+		h.StorePersist(free.wordOff()+int64(j), word)
+	}
+	unclean := dev.PersistedImage()
+	tbl.Close()
+
+	dev2, err := nvm.FromImage(dev.Config(), unclean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	visits := newVisitLog(t)
+	tbl2, err := openRoot(dev2, opts, visits.visit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl2.Close()
+	rs := tbl2.LastRecovery()
+	if rs.DuplicatesResolved != 1 || rs.Scans != 2 || rs.Items != n {
+		t.Fatalf("resolved %d duplicates in %d traversals, %d items; want 1 in 2, %d", rs.DuplicatesResolved, rs.Scans, rs.Items, n)
+	}
+	if want := 2 * uint64(tbl2.Capacity()/SlotsPerBucket); rs.MediaBlockReads != want {
+		t.Fatalf("recovery charged %d media block reads, want %d", rs.MediaBlockReads, want)
+	}
+	if errs := tbl2.CheckInvariants(); len(errs) != 0 {
+		t.Fatal(errs[0])
+	}
+	if len(visits.vals) != n || visits.vals[k] != newer {
+		t.Fatalf("visitor saw %d records, key %d as %q; want %d, %q", len(visits.vals), torn, visits.vals[k].String(), n, newer.String())
+	}
+	if v, ok := sessionOn(tbl2).Get(k); !ok || v != newer {
+		t.Fatalf("key %d reads %q after dedup, want the newer copy %q", torn, v.String(), newer.String())
+	}
+}
+
+// hotDigest hashes the hot table's control and record words, top level first.
+func hotDigest(ht *hotTable) string {
+	d := sha256.New()
+	var buf [8]byte
+	pr := ht.pair()
+	for _, l := range [2]*hotLevel{pr.top, pr.bottom} {
+		for _, c := range l.ctrl {
+			binary.LittleEndian.PutUint32(buf[:4], c)
+			d.Write(buf[:4])
+		}
+		for _, w := range l.words {
+			binary.LittleEndian.PutUint64(buf[:], w)
+			d.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(d.Sum(nil))
+}
+
+// TestRecoveryHotFillMatchesTwoPass pins, at one recovery worker, the hot
+// table a clean reopen builds to the bytes the two-traversal recovery built
+// (digests taken from that code): the fused scan makes the same fills in the
+// same order, and the in-place-update search its fresh fills skip never
+// found anything. The image overflows the hot table, so replacement runs.
+func TestRecoveryHotFillMatchesTwoPass(t *testing.T) {
+	for _, c := range []struct {
+		replacer Replacer
+		digest   string
+	}{
+		{ReplacerRAFL, "517c52a007a24b87dfa8eab342097c3c026b6f1ecd5714fd06a9cc22d2fcc5d6"},
+		{ReplacerLRU, "3dc2d256094796dad1a30d56707836f25a70e11708e8db996e516a1c96578cca"},
+	} {
+		dev := newStrictDev(t, 1<<21, 0)
+		opts := DefaultOptions()
+		opts.InitBottomSegments = 4 // no doubling: one session, one placement
+		opts.Replacer = c.replacer
+		tbl, err := create(dev, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sessionOn(tbl)
+		const n = 3000
+		for i := 0; i < n; i++ {
+			if err := s.Insert(key(i), value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tbl.Generation() != 1 {
+			t.Fatalf("generation %d: the image doubled", tbl.Generation())
+		}
+		tbl.Close()
+		opts.RecoveryWorkers = 1
+		dev2, err := nvm.FromImage(dev.Config(), dev.PersistedImage())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl2, err := openRoot(dev2, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl2.HotEntries() >= n {
+			t.Fatalf("%d hot entries for %d records: nothing was replaced", tbl2.HotEntries(), n)
+		}
+		if got := hotDigest(tbl2.hot); got != c.digest {
+			t.Errorf("replacer %v: hot table digest %s, want %s", c.replacer, got, c.digest)
+		}
+		tbl2.Close()
 	}
 }
 

@@ -153,7 +153,7 @@ func (p GCPhase) String() string {
 	}
 }
 
-// RecoveryStep enumerates the phases of Table.recover, in run order.
+// RecoveryStep enumerates the phases of Table.recover.
 type RecoveryStep uint8
 
 const (
@@ -161,7 +161,10 @@ const (
 	RecOCF
 	RecDrain
 	RecDedup
-	RecHot
+	RecHot // no longer recorded: the scan rebuilds the hot table
+	// RecScan is recovery's last traversal: OCF and SWAR words, count, hot
+	// table and visitor in one pass. Appended, so saved dumps still decode.
+	RecScan
 	numRecoverySteps
 )
 
@@ -178,6 +181,8 @@ func (s RecoveryStep) String() string {
 		return "dedup"
 	case RecHot:
 		return "hot-rebuild"
+	case RecScan:
+		return "scan"
 	default:
 		return "unknown"
 	}
