@@ -12,16 +12,24 @@ import (
 	"hdnh/internal/vlog"
 )
 
-// TestCrashBetweenOutOfOrderHeaders pins the crash argument for appends that
-// persist outside the log mutex (INTERNALS §9): writer A is parked between
-// its payload fence and its header persist, writer B behind it persists its
-// whole record, and the power fails. B's record is valid on the device but
-// was never acknowledged — B's Put is still inside Append — so no index entry
-// can point at it: Open puts the head at A's start, neither key exists, the
-// liveness audit is clean, and the store survives the next append and a
-// second crash, whether that append overwrites B's stale record (a longer
-// value) or leaves it whole behind itself to be recovered as dead words (the
-// same length as A's).
+// TestCrashBetweenOutOfOrderHeaders pins the crash argument for logged
+// writes whose records persist outside the log mutex, inside their index
+// write's barrier train (INTERNALS §9): writer A is parked inside its train,
+// writer B behind it runs its own up to its header barrier (B′), and the
+// power fails. B's record is valid on the device but was never acknowledged
+// — B's acknowledgment waits for A's, and B's commit word waits for that —
+// so no index entry can point at it, nor at A's.
+//
+// A parks in one of two places. After its phase B (body and slot words
+// durable, header still zero), A's record is a hole in front of B's: Open
+// puts the head at A's start, neither key exists, the liveness audit is
+// clean, and the store survives the next append and a second crash, whether
+// that append overwrites B's stale record (a longer value) or leaves it
+// whole behind itself to be recovered as dead words (the same length as
+// A's). After its B′ (A's header durable too, acknowledgment pending), both
+// records read valid and Open's head passes them, but they are dead words:
+// neither key exists, the audit is clean, and the next append lands behind
+// them.
 func TestCrashBetweenOutOfOrderHeaders(t *testing.T) {
 	const preload = 5
 	key := func(i int) []byte { return []byte(fmt.Sprintf("ooo-%02d", i)) }
@@ -31,11 +39,14 @@ func TestCrashBetweenOutOfOrderHeaders(t *testing.T) {
 
 	for _, tc := range []struct {
 		name     string
-		nextLen  int   // the value appended after the first recovery
-		wantUsed int64 // the head the second recovery finds
+		park     vlog.AppendStage // where A waits while B runs to its B′
+		nextLen  int              // the value appended after the first recovery
+		wantHead int64            // the head the first recovery finds
+		wantUsed int64            // the head the second recovery finds
 	}{
-		{"next-overwrites-B", 2 * valLen, preload*w + vlog.RecordWords(2*valLen)},
-		{"next-leaves-B-whole", valLen, (preload + 2) * w},
+		{"next-overwrites-B", vlog.StagePayloadDurable, 2 * valLen, preload * w, preload*w + vlog.RecordWords(2*valLen)},
+		{"next-leaves-B-whole", vlog.StagePayloadDurable, valLen, preload * w, (preload + 2) * w},
+		{"acknowledgment-pending", vlog.StageHeaderDurable, valLen, (preload + 2) * w, (preload + 3) * w},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := nvm.StrictConfig(1 << 20)
@@ -64,7 +75,7 @@ func TestCrashBetweenOutOfOrderHeaders(t *testing.T) {
 			parked, bDurable, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
 			st.Log().SetAppendHook(func(stage vlog.AppendStage, addr int64) {
 				switch {
-				case stage == vlog.StagePayloadDurable && addr == addrA:
+				case stage == tc.park && addr == addrA:
 					close(parked)
 					<-release
 				case stage == vlog.StageHeaderDurable && addr == addrB:
@@ -125,11 +136,14 @@ func TestCrashBetweenOutOfOrderHeaders(t *testing.T) {
 			}
 
 			dev2, st2 := reopen(img)
-			if used := st2.Log().UsedWords(); used != addrA {
-				t.Fatalf("recovered head %d, want %d: A's start", used, addrA)
+			if used := st2.Log().UsedWords(); used != tc.wantHead {
+				t.Fatalf("recovered head %d, want %d", used, tc.wantHead)
 			}
 			if _, _, err := st2.Log().Read(dev2.NewHandle(), addrB); err != nil {
-				t.Fatalf("B's record should sit valid beyond the hole (the image this test is about): %v", err)
+				t.Fatalf("B's record should sit valid on the device (the image this test is about): %v", err)
+			}
+			if _, _, err := st2.Log().Read(dev2.NewHandle(), addrA); (err == nil) != (tc.park == vlog.StageHeaderDurable) {
+				t.Fatalf("A's record reads %v; want valid exactly when A parked after its header barrier", err)
 			}
 			check(st2, preload, preload, preload+1)
 			scan := st2.NewSession()

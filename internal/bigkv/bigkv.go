@@ -13,13 +13,15 @@
 // Open, which recounts from the recovered index alone — adjust the log's
 // per-segment liveness counters without reading a log record.
 //
-// Crash ordering: a value is appended (and committed) to the log before
-// the index is updated, so a crash can only leak an unreferenced log
-// record, never leave a dangling index entry. Space abandoned by
-// overwrites and deletes is reclaimed online by a background GC
-// (see gc.go) that copies live records out of mostly-dead segments and
-// recycles them in place — copy → persist → conditional index rewrite →
-// segment free, so any crash point again leaks at most one benign copy.
+// Crash ordering: a logged value and its index slot commit through one
+// barrier train (core.RecordLog): the record's body is durable with the
+// slot's key and value words, its header behind one more barrier, and it
+// is acknowledged before the index's commit word is stored — so a crash can
+// only leak an unreferenced log record, never leave a dangling index entry.
+// Space abandoned by overwrites and deletes is reclaimed online by a
+// background GC (see gc.go) that copies live records out of mostly-dead
+// segments through the same write, then recycles the segment, so any crash
+// point again leaks at most one benign copy.
 //
 // Sharding: when the index runs Options.Table.Shards > 1 tables behind the
 // core hash router, the store runs one value log — and one GC worker — per
@@ -34,14 +36,14 @@
 // segment's live counter equals the words of its records the index still
 // references):
 //
-//   - every append optimistically increments its destination segment at
-//     append time, before the record is indexed — so a segment with an
-//     in-flight, not-yet-indexed record can never look fully dead;
+//   - every record increments its destination segment when it is
+//     acknowledged, before its index entry commits — so a segment with an
+//     in-flight, not-yet-indexed record can never look fully dead — and a
+//     record is only ever stored by a write that then commits;
 //   - whoever makes an index entry stop referencing a record decrements
-//     that record's segment: an overwriter via UpdateExchange's returned
-//     old value, a deleter via DeleteExchange's, the GC via a successful
-//     conditional rewrite (the source record), or the appender itself
-//     when its own index operation fails or loses (the orphaned copy).
+//     that record's segment: an overwriter via PutRecord's or
+//     PutExchange's returned old value, a deleter via DeleteExchange's, the
+//     GC via a successful conditional rewrite (the source record).
 //
 // UpdateExchange/DeleteExchange hand each displaced value to exactly one
 // winner (the slot lock serialises them), so every decrement happens
@@ -404,27 +406,77 @@ func (st *Store) Close() error {
 type Session struct {
 	st      *Store
 	ts      *core.RouterSession
-	h       *nvm.Handle
+	h       *nvm.Handle // log reads; a logged write's traffic is the index session's
+	logs    []recordLog // one per shard, bound to ts
 	rec     obs.Recorder
 	nvmBase nvm.Stats
 	ms      multiScratch
+}
+
+// recordLog binds a shard's value log to an index session as its
+// core.RecordLog: a logged write's record is reserved, stored and published
+// by the index's own barrier train, so the record and the slot pointing at
+// it share their barriers. Each Session holds one per shard, and each
+// shard's collector one with gc set; core calls it from the session's
+// goroutine only, so run is private scratch from a Reserve to its Publish.
+type recordLog struct {
+	log  *vlog.Log
+	gc   bool // relocation copies: may take the log's reserved last free segment
+	run  []vlog.BatchRecord
+	runs int64 // runs reserved, for the write-group metrics
+}
+
+func (r *recordLog) Reserve(h *nvm.Handle, recs []core.Record) (int, error) {
+	run := scratchSlice(r.run, len(recs))
+	r.run = run
+	for i := range recs {
+		run[i] = vlog.BatchRecord{Key: recs[i].Key, Value: recs[i].Payload}
+	}
+	var n int
+	var err error
+	if r.gc {
+		n, err = r.log.ReserveGC(h, run)
+	} else {
+		n, err = r.log.Reserve(h, run)
+	}
+	for i := range run[:n] {
+		recs[i].Slot = packPointer(run[i].Addr, run[i].Words)
+	}
+	if n > 0 {
+		r.runs++
+	}
+	return n, err
+}
+
+func (r *recordLog) Publish(h *nvm.Handle, recs []core.Record) {
+	r.log.Publish(h, r.run[:len(recs)])
+}
+
+// bindLogs gives the index session ts a recordLog for every shard.
+func bindLogs(ts *core.RouterSession, logs []*vlog.Log) []recordLog {
+	rl := make([]recordLog, len(logs))
+	for sh := range rl {
+		rl[sh] = recordLog{log: logs[sh]}
+		ts.SetRecordLog(sh, &rl[sh])
+	}
+	return rl
 }
 
 // multiScratch is the session-held reusable state for the Multi* calls: a
 // steady-state batch caller allocates only the slices it is handed back.
 // Sessions are single-goroutine, so the scratch needs no locking.
 type multiScratch struct {
-	kks    []kv.Key
-	svs    []kv.Value
-	ok     []bool
-	shRecs [][]vlog.BatchRecord
-	shIdx  [][]int
-	fk     []kv.Key
-	fv     []kv.Value
-	fi     []int
-	folds  []kv.Value
-	fhad   []bool
-	ferrs  []error
+	kks   []kv.Key
+	svs   []kv.Value
+	ok    []bool
+	fk    []kv.Key
+	fv    []kv.Value
+	fr    [][]byte
+	fsh   []int
+	fi    []int
+	folds []kv.Value
+	fhad  []bool
+	ferrs []error
 }
 
 // scratchSlice returns s resized to n, reallocating only past the previous
@@ -442,7 +494,8 @@ func (st *Store) NewSession() *Session {
 	if m := st.idx.Metrics(); m != nil {
 		rec = m.Handle()
 	}
-	return &Session{st: st, ts: st.idx.NewSession(), h: st.dev.NewHandle(), rec: rec}
+	ts := st.idx.NewSession()
+	return &Session{st: st, ts: ts, logs: bindLogs(ts, st.logs), h: st.dev.NewHandle(), rec: rec}
 }
 
 // Close flushes the session's metrics and returns its index sessions' epoch
@@ -504,44 +557,34 @@ func (s *Session) retire(k kv.Key, sv kv.Value) {
 	}
 }
 
-// appendRecord commits value to k's shard log, running foreground GC
-// passes on that shard when its log is out of free segments.
-func (s *Session) appendRecord(k kv.Key, value []byte) (kv.Value, error) {
-	sh := s.shardOf(k)
-	log := s.st.logs[sh]
-	for tries := 0; ; tries++ {
-		addr, words, err := log.Append(s.h, k, value)
-		if err == nil {
-			s.rec.VLogAppend(words)
-			s.st.maybeKickGC(sh)
-			return packPointer(addr, words), nil
-		}
-		if !errors.Is(err, vlog.ErrLogFull) || s.st.opts.DisableAutoGC || tries >= 4 {
-			return kv.Value{}, err
-		}
-		// Help the shard's GC instead of failing: each pass recycles at most
-		// one segment. No progress means the log is genuinely full of live
-		// data.
-		progress, gcErr := s.st.gcs[sh].gcOnce()
-		if gcErr != nil {
-			return kv.Value{}, gcErr
-		}
-		if !progress && tries > 0 {
-			return kv.Value{}, err
-		}
+// helpGC answers a write that found shard sh's log full on its attempt
+// tries: it runs one of the shard's GC passes in the foreground and returns
+// nil when the write should try again, or the error to surface — err itself
+// once retrying is pointless (auto GC off, out of tries, or a pass that
+// freed nothing after the first). Called holding no index lock.
+func (s *Session) helpGC(sh, tries int, err error) error {
+	if s.st.opts.DisableAutoGC || tries >= 4 {
+		return err
 	}
+	// Each pass recycles at most one segment. No progress means the log is
+	// genuinely full of live data.
+	progress, gcErr := s.st.gcs[sh].gcOnce()
+	if gcErr != nil {
+		return gcErr
+	}
+	if !progress && tries > 0 {
+		return err
+	}
+	return nil
 }
 
-// encode packs v into a slot value, appending to the log when needed.
-func (s *Session) encode(k kv.Key, v []byte) (kv.Value, error) {
-	if len(v) <= maxInline {
-		var out kv.Value
-		out[0] = tagInline
-		out[1] = byte(len(v))
-		copy(out[2:], v)
-		return out, nil
-	}
-	return s.appendRecord(k, v)
+// inline packs a value of at most maxInline bytes into a slot value.
+func inline(v []byte) kv.Value {
+	var out kv.Value
+	out[0] = tagInline
+	out[1] = byte(len(v))
+	copy(out[2:], v)
+	return out
 }
 
 // decode resolves a slot value back to bytes, verifying for pointer
@@ -571,7 +614,9 @@ func (s *Session) decode(k kv.Key, sv kv.Value) ([]byte, error) {
 	}
 }
 
-// Put inserts or replaces the value for key (≤ 16 bytes).
+// Put inserts or replaces the value for key (≤ 16 bytes). A value too
+// large for the slot goes to the key's shard log, through the index write
+// itself (PutRecord): one barrier train commits record and slot.
 func (s *Session) Put(key, value []byte) error {
 	k, err := kv.MakeKey(key)
 	if err != nil {
@@ -580,18 +625,31 @@ func (s *Session) Put(key, value []byte) error {
 	if len(value) == 0 {
 		return errors.New("bigkv: empty value")
 	}
-	sv, err := s.encode(k, value) // log commit happens before the index write
-	if err != nil {
+	if len(value) <= maxInline {
+		old, hadOld, err := s.ts.PutExchange(k, inline(value))
+		if err == nil && hadOld {
+			s.retire(k, old)
+		}
 		return err
 	}
-	old, hadOld, err := s.ts.PutExchange(k, sv)
-	switch {
-	case err != nil:
-		s.retire(k, sv) // the appended record never got indexed
-	case hadOld:
-		s.retire(k, old)
+	sh := s.shardOf(k)
+	for tries := 0; ; tries++ {
+		old, hadOld, err := s.ts.PutRecord(k, value)
+		if err == nil {
+			if hadOld {
+				s.retire(k, old)
+			}
+			s.rec.VLogAppend(vlog.RecordWords(len(value)))
+			s.st.maybeKickGC(sh)
+			return nil
+		}
+		if !errors.Is(err, vlog.ErrLogFull) {
+			return err
+		}
+		if err := s.helpGC(sh, tries, err); err != nil {
+			return err
+		}
 	}
-	return err
 }
 
 // Get returns the value for key.
@@ -660,13 +718,13 @@ func (s *Session) MultiGet(keys [][]byte) (vals [][]byte, found []bool, errs []e
 	return vals, found, errs
 }
 
-// MultiPut upserts every key with Put's semantics — every log commit still
-// happens before its index write — but grouped end to end: the batch's
-// oversize values append to each shard's log through AppendBatch (one
-// persist barrier per contiguous segment run instead of two per record),
-// then all the index entries commit through the router's parallel grouped
-// MultiPutExchange, whose displaced values drive the same exactly-once
-// liveness retirement as Put. Returns one verdict per key.
+// MultiPut upserts every key with Put's semantics, grouped end to end: one
+// router MultiPutRecords commits every index entry, each shard's group
+// reserving its oversize values in the shard's log together and committing
+// them with the group's own barriers. The displaced values drive the same
+// exactly-once liveness retirement as Put, and keys whose log was full try
+// again once their shard's collector has run a pass, as a Put does. Returns
+// one verdict per key.
 func (s *Session) MultiPut(keys, values [][]byte) []error {
 	n := len(keys)
 	errs := make([]error, n)
@@ -674,138 +732,98 @@ func (s *Session) MultiPut(keys, values [][]byte) []error {
 		return errs
 	}
 	ms := &s.ms
-	kks := scratchSlice(ms.kks, n)
-	svs := scratchSlice(ms.svs, n)
-	ok := scratchSlice(ms.ok, n)
-	ms.kks, ms.svs, ms.ok = kks, svs, ok
-	if ms.shRecs == nil {
-		ms.shRecs = make([][]vlog.BatchRecord, len(s.st.logs))
-		ms.shIdx = make([][]int, len(s.st.logs))
-	}
-	shRecs, shIdx := ms.shRecs, ms.shIdx
-	for sh := range shRecs {
-		shRecs[sh] = shRecs[sh][:0]
-		shIdx[sh] = shIdx[sh][:0]
-	}
-	// Pass 1: validate and inline-encode; group oversize values by shard.
+	fk := scratchSlice(ms.fk, n)[:0]
+	fv := scratchSlice(ms.fv, n)[:0]
+	fr := scratchSlice(ms.fr, n)[:0]
+	fsh := scratchSlice(ms.fsh, n)[:0]
+	fi := scratchSlice(ms.fi, n)[:0]
+	// Validate and inline-encode; oversize values ride as records.
 	for i := range keys {
-		ok[i] = false
 		k, err := kv.MakeKey(keys[i])
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		kks[i] = k
-		if len(values[i]) == 0 {
+		v := values[i]
+		if len(v) == 0 {
 			errs[i] = errors.New("bigkv: empty value")
 			continue
 		}
-		if len(values[i]) <= maxInline {
-			svs[i] = kv.Value{}
-			svs[i][0] = tagInline
-			svs[i][1] = byte(len(values[i]))
-			copy(svs[i][2:], values[i])
-			ok[i] = true
-			continue
-		}
-		sh := s.st.idx.ShardForKey(k)
-		log := s.st.logs[sh]
-		if w := vlog.RecordWords(len(values[i])); w > log.SegmentWords() {
-			// AppendBatch rejects the whole batch on an oversize record;
-			// fail just this key, like the per-record path would.
-			errs[i] = fmt.Errorf("vlog: value needs %d words, segment holds %d", w, log.SegmentWords())
-			continue
-		}
-		shRecs[sh] = append(shRecs[sh], vlog.BatchRecord{Key: k, Value: values[i]})
-		shIdx[sh] = append(shIdx[sh], i)
-	}
-	// Pass 2: per-shard grouped log commits.
-	totalRuns := 0
-	for sh := range shRecs {
-		recs := shRecs[sh]
-		if len(recs) == 0 {
-			continue
-		}
-		done, runs, err := s.appendBatchShard(sh, recs)
-		totalRuns += runs
-		for j := range recs {
-			i := shIdx[sh][j]
-			if j < done {
-				svs[i] = packPointer(recs[j].Addr, recs[j].Words)
-				ok[i] = true
-			} else {
-				errs[i] = err
+		var sv kv.Value
+		var rec []byte
+		sh := -1
+		if len(v) <= maxInline {
+			sv = inline(v)
+		} else {
+			sh = s.shardOf(k)
+			if w := vlog.RecordWords(len(v)); w > s.st.logs[sh].SegmentWords() {
+				// The log would refuse the whole group's reservation; fail
+				// just this key, like Put.
+				errs[i] = fmt.Errorf("vlog: value needs %d words, segment holds %d", w, s.st.logs[sh].SegmentWords())
+				continue
 			}
+			rec = v
 		}
+		fk, fv, fr, fsh, fi = append(fk, k), append(fv, sv), append(fr, rec), append(fsh, sh), append(fi, i)
 	}
-	// Pass 3: one grouped index commit for everything that encoded.
-	m := 0
-	for i := range ok {
-		if ok[i] {
-			m++
-		}
+	var runs int64
+	for i := range s.logs {
+		runs -= s.logs[i].runs
 	}
-	if m > 0 {
-		fk := scratchSlice(ms.fk, m)[:0]
-		fv := scratchSlice(ms.fv, m)[:0]
-		fi := scratchSlice(ms.fi, m)[:0]
-		for i := range ok {
-			if ok[i] {
-				fk = append(fk, kks[i])
-				fv = append(fv, svs[i])
-				fi = append(fi, i)
-			}
-		}
+	for tries := 0; len(fk) > 0; tries++ {
+		m := len(fk)
 		folds := scratchSlice(ms.folds, m)
 		fhad := scratchSlice(ms.fhad, m)
 		ferrs := scratchSlice(ms.ferrs, m)
-		ms.fk, ms.fv, ms.fi, ms.folds, ms.fhad, ms.ferrs = fk, fv, fi, folds, fhad, ferrs
-		s.ts.MultiPutExchange(fk, fv, folds, fhad, ferrs)
+		ms.folds, ms.fhad, ms.ferrs = folds, fhad, ferrs
+		s.ts.MultiPutRecords(fk, fv, fr, folds, fhad, ferrs)
+		// Settle every verdict; the keys whose log was full stay behind.
+		full := 0
 		for j, i := range fi {
 			errs[i] = ferrs[j]
-			if ferrs[j] == nil {
+			switch {
+			case ferrs[j] == nil:
 				if fhad[j] {
-					s.retire(kks[i], folds[j])
+					s.retire(fk[j], folds[j])
 				}
-			} else {
-				s.retire(kks[i], fv[j]) // the appended record never got indexed
+				if fr[j] != nil {
+					s.rec.VLogAppend(vlog.RecordWords(len(fr[j])))
+					s.st.maybeKickGC(fsh[j])
+				}
+			case errors.Is(ferrs[j], vlog.ErrLogFull):
+				fk[full], fv[full], fr[full], fsh[full], fi[full] = fk[j], fv[j], fr[j], fsh[j], i
+				full++
 			}
 		}
+		fk, fv, fr, fsh, fi = fk[:full], fv[:full], fr[:full], fsh[:full], fi[:full]
+		// One collector pass per shard that ran out; its keys give up with
+		// the verdict helpGC returns when another round is pointless.
+		for sh := range s.st.logs {
+			var herr error
+			helped := false
+			kept := 0
+			for j := range fk {
+				if fsh[j] == sh {
+					if !helped {
+						herr, helped = s.helpGC(sh, tries, errs[fi[j]]), true
+					}
+					if herr != nil {
+						errs[fi[j]] = herr
+						continue
+					}
+				}
+				fk[kept], fv[kept], fr[kept], fsh[kept], fi[kept] = fk[j], fv[j], fr[j], fsh[j], fi[j]
+				kept++
+			}
+			fk, fv, fr, fsh, fi = fk[:kept], fv[:kept], fr[:kept], fsh[:kept], fi[:kept]
+		}
 	}
-	s.rec.WriteGroup(int64(n), int64(totalRuns))
+	ms.fk, ms.fv, ms.fr, ms.fsh, ms.fi = fk, fv, fr, fsh, fi
+	for i := range s.logs {
+		runs += s.logs[i].runs
+	}
+	s.rec.WriteGroup(int64(n), runs)
 	return errs
-}
-
-// appendBatchShard commits recs to shard sh's log, helping the shard's GC
-// through ErrLogFull exactly like appendRecord. It returns how many records
-// committed (always a prefix of recs; survivors carry their Addr/Words),
-// the flush runs the appends took, and the error that cut a batch short.
-func (s *Session) appendBatchShard(sh int, recs []vlog.BatchRecord) (int, int, error) {
-	log := s.st.logs[sh]
-	done, runs := 0, 0
-	for tries := 0; done < len(recs); tries++ {
-		n, r, err := log.AppendBatch(s.h, recs[done:])
-		for j := done; j < done+n; j++ {
-			s.rec.VLogAppend(recs[j].Words)
-		}
-		done += n
-		runs += r
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, vlog.ErrLogFull) || s.st.opts.DisableAutoGC || tries >= 4 {
-			return done, runs, err
-		}
-		progress, gcErr := s.st.gcs[sh].gcOnce()
-		if gcErr != nil {
-			return done, runs, gcErr
-		}
-		if !progress && tries > 0 {
-			return done, runs, err
-		}
-	}
-	s.st.maybeKickGC(sh)
-	return done, runs, nil
 }
 
 // MultiDelete removes every key with Delete's semantics through one grouped

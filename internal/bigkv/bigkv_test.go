@@ -452,6 +452,108 @@ func TestLogGenuinelyFull(t *testing.T) {
 	}
 }
 
+// TestLogFullLeavesWritesUntouched: a logged write reserves its record only
+// once its slots are locked, so a full log fails it there — and it must hand
+// every slot back untouched: the old value still reads, a fresh key stays
+// absent, nothing was stored in the log (the liveness audit re-adds), and the
+// same keys take the next write at once, alone or in a batch.
+func TestLogFullLeavesWritesUntouched(t *testing.T) {
+	st := smallLogStore(t, 1024, 2, false) // one segment for users, one in reserve
+	s := st.NewSession()
+	defer s.Close()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("lf-%03d", i)) }
+	// 16-word records: 64 of them fill the segment exactly.
+	val := func(i, gen int) []byte { return bytes.Repeat([]byte{byte(i), byte(gen)}, 50) }
+	for i := 0; i < 64; i++ {
+		if err := s.Put(key(i), val(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	used := st.Log().UsedWords()
+	if err := s.Put(key(0), val(0, 1)); !errors.Is(err, vlog.ErrLogFull) {
+		t.Fatalf("logged update into a full log: %v, want ErrLogFull", err)
+	}
+	if err := s.Put(key(100), val(100, 1)); !errors.Is(err, vlog.ErrLogFull) {
+		t.Fatalf("logged insert into a full log: %v, want ErrLogFull", err)
+	}
+	errs := s.MultiPut([][]byte{key(1), key(101), key(2)}, [][]byte{val(1, 1), val(101, 1), []byte("inline")})
+	if !errors.Is(errs[0], vlog.ErrLogFull) || !errors.Is(errs[1], vlog.ErrLogFull) || errs[2] != nil {
+		t.Fatalf("MultiPut into a full log: %v; want ErrLogFull, ErrLogFull, nil", errs)
+	}
+	if got := st.Log().UsedWords(); got != used {
+		t.Fatalf("the log holds %d words after the refused writes, %d before", got, used)
+	}
+	if err := st.AuditLiveness(); err != nil {
+		t.Fatal(err)
+	}
+	if errs := st.Index().CheckInvariants(); len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	for i, want := range map[int][]byte{0: val(0, 0), 1: val(1, 0), 2: []byte("inline"), 100: nil, 101: nil} {
+		got, ok, err := s.Get(key(i))
+		if err != nil || ok != (want != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("key %d after the refused writes: %q ok=%v err=%v", i, got, ok, err)
+		}
+	}
+	if st.Count() != 64 {
+		t.Fatalf("count %d, want 64", st.Count())
+	}
+	// The slots are free to write: inline values need no log.
+	for _, i := range []int{0, 1, 100} {
+		if err := s.Put(key(i), []byte("small")); err != nil {
+			t.Fatalf("key %d after the refusal: %v", i, err)
+		}
+	}
+	if err := st.AuditLiveness(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWritersHelpTheCollector: with the background collector stopped, a
+// full log is reclaimed only by the writers that hit it — Put and MultiPut
+// alike release their slots, run a collector pass (which relocates live
+// records through the index, possibly some of the very keys just refused)
+// and try again, so a churn far beyond the log's capacity never fails.
+func TestWritersHelpTheCollector(t *testing.T) {
+	st := smallLogStore(t, 256, 4, true) // 16 records a segment, 64 in all
+	st.stopGC()
+	s := st.NewSession()
+	defer s.Close()
+	keys, vals := make([][]byte, 8), make([][]byte, 8)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("help-%d", i))
+	}
+	for r := 0; r < 40; r++ { // 320 records of 16 words through a 1,024-word log
+		for i := range vals {
+			vals[i] = bytes.Repeat([]byte{byte(i), byte(r)}, 50)
+		}
+		if r%2 == 0 {
+			for i, err := range s.MultiPut(keys, vals) {
+				if err != nil {
+					t.Fatalf("round %d key %d: %v", r, i, err)
+				}
+			}
+			continue
+		}
+		for i := range keys {
+			if err := s.Put(keys[i], vals[i]); err != nil {
+				t.Fatalf("round %d key %d: %v", r, i, err)
+			}
+		}
+	}
+	if st.Log().Recycles() == 0 {
+		t.Fatal("the log never needed the writers' help; the test is vacuous")
+	}
+	for i := range keys {
+		if got, ok, err := s.Get(keys[i]); err != nil || !ok || !bytes.Equal(got, vals[i]) {
+			t.Fatalf("key %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if err := st.AuditLiveness(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCrashRecovery(t *testing.T) {
 	cfg := nvm.StrictConfig(1 << 22)
 	cfg.EvictProb = 0.4

@@ -56,8 +56,8 @@ func fillAndKill(t *testing.T, st *Store, n int) {
 }
 
 // TestObsCountsBackgroundNVM is the regression test for the background-NVM
-// bridge: the GC worker's log traffic (segment scans, record copies,
-// recycle zeroing) flows through gc.h, not the index session, and before
+// bridge: the GC worker's log reads and recycle zeroing flow through gc.h,
+// not the index session, and before
 // the syncGCObs baseline bridge it never reached the metrics registry —
 // hdnh_nvm_* silently under-reported every byte the collector moved. The
 // assertion is on WRITE traffic against a fully-dead victim: index reads

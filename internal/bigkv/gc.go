@@ -14,11 +14,11 @@ import (
 )
 
 // gcShard is one shard's online garbage collector. Shard i's log holds only
-// shard i's keys (appendRecord routes by the index router's ShardForKey), so
+// shard i's keys (writes route by the index router's ShardForKey), so
 // a pass relocates within a single (log, table-shard) pair and shards reclaim
 // independently — including in parallel with each other. Passes within a
 // shard are serialised by mu: the shard's background worker and foreground
-// helpers (appendRecord on ErrLogFull, explicit GCOnce calls) all funnel
+// helpers (writes that found the log full, explicit GCOnce calls) all funnel
 // through gcOnce.
 type gcShard struct {
 	st    *Store
@@ -26,12 +26,14 @@ type gcShard struct {
 	log   *vlog.Log
 
 	mu   sync.Mutex
-	sess *core.RouterSession // scoped to this shard: index access for relocation, guarded by mu
-	h    *nvm.Handle         // log access for relocation, guarded by mu
+	sess *core.RouterSession // scoped to this shard: relocation's index access and copies, guarded by mu
+	rlog recordLog           // sess's RecordLog: copies may take the log's reserved last segment
+	h    *nvm.Handle         // log reads and recycling, guarded by mu
 
 	// nvmBase is the prefix of h's stats already published into the metrics
-	// registry. h carries the GC's log traffic (segment scans, record reads,
-	// copy appends, recycle zeroing), which sess.SyncObs does not cover —
+	// registry. h carries the GC's log reads and recycle zeroing (a copy is
+	// an index write, and its traffic is sess's), which sess.SyncObs does
+	// not cover —
 	// without this baseline the background reclaim traffic would be
 	// invisible in hdnh_nvm_*. Guarded by mu.
 	nvmBase nvm.Stats
@@ -66,6 +68,8 @@ func (st *Store) startGC() {
 			h:     st.dev.NewHandle(),
 			kick:  make(chan struct{}, 1),
 		}
+		g.rlog = recordLog{log: log, gc: true}
+		g.sess.SetRecordLog(i, &g.rlog)
 		st.gcs[i] = g
 		if !st.opts.DisableAutoGC {
 			st.gcLife.wg.Add(1)
@@ -227,15 +231,17 @@ func (g *gcShard) pickVictim() (int64, bool) {
 // index to the copies. It visits the records whose liveness bit is set —
 // the live few of a victim, not every record the segment ever held — and
 // asks the index about each, because a bit only says a record was referenced
-// when the walk read it. Ordering per record: copy committed to the log
-// first, then the index entry conditionally rewritten — a crash between
-// the two leaks only the copy, and a user write that races the rewrite
-// wins (the GC drops its copy and the segment keeps the record's liveness
-// until the user's own displacement retires it).
+// when the walk read it. Each copy is one conditional index write that
+// carries the copy as its record (UpdateIfRecord): the expectation is
+// checked under the slot lock before the copy is reserved, so a copy that
+// would lose to a racing user write is never stored, and one that wins
+// commits with its pointer through one barrier train — a crash inside it
+// leaks at most the copy.
 func (g *gcShard) relocate(seg int64) error {
 	// One span per phase and pass: per-record spans would swamp the ring on
-	// big segments. find is reading a live record and asking the index.
-	var findDur, persistDur, rewriteDur time.Duration
+	// big segments. find is reading a live record and asking the index;
+	// persist is the copy's write, which is also its rewrite.
+	var findDur, persistDur time.Duration
 	var visited, copiedWords, rewrites int64
 	var err error
 	g.log.VisitLive(seg, func(src int64) bool {
@@ -254,29 +260,20 @@ func (g *gcShard) relocate(seg int64) error {
 			return true // dead: overwritten or deleted, its winner decrements
 		}
 		start = time.Now()
-		addr, words, aerr := g.log.AppendGC(g.h, key, value)
+		uerr := g.sess.UpdateIfRecord(key, expect, value)
 		persistDur += time.Since(start)
-		if aerr != nil {
-			err = aerr
-			return false
-		}
-		copiedWords += words
-		start = time.Now()
-		uerr := g.sess.UpdateIf(key, expect, packPointer(addr, words))
-		rewriteDur += time.Since(start)
 		switch {
 		case uerr == nil:
 			rewrites++
+			copiedWords += srcWords
 			g.log.AddLive(src, -srcWords)
-			g.st.rec.GCRelocate(words)
+			g.st.rec.GCRelocate(srcWords)
 		case errors.Is(uerr, scheme.ErrConflict),
 			errors.Is(uerr, scheme.ErrNotFound),
 			errors.Is(uerr, scheme.ErrContended):
-			// Lost to a racing user write: our copy was never indexed.
-			g.log.AddLive(addr, -words)
+			// Lost to a racing user write: nothing was copied.
 			g.st.rec.GCRaced()
 		default:
-			g.log.AddLive(addr, -words)
 			err = uerr
 			return false
 		}
@@ -284,7 +281,7 @@ func (g *gcShard) relocate(seg int64) error {
 	})
 	g.st.fl.GCPhase(flight.GCCopy, seg, findDur, visited)
 	g.st.fl.GCPhase(flight.GCPersist, seg, persistDur, copiedWords)
-	g.st.fl.GCPhase(flight.GCRewrite, seg, rewriteDur, rewrites)
+	g.st.fl.GCPhase(flight.GCRewrite, seg, 0, rewrites) // inside persist: one write
 	g.st.rec.GCVisit(visited)
 	return err
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // The GC crash sweep: run a deterministic workload plus one full GC cycle,
-// note the flush count at every boundary of the cycle, then replay the
+// note the persist-call count at every boundary of the cycle, then replay the
 // identical history once per boundary with a crash injected there. Every
 // recovery must read every surviving key's final value — the property the
 // old Compact violated (its index rewrites became durable before the log
@@ -99,15 +99,18 @@ func gcSweepVerify(t *testing.T, st *Store, want map[int][]byte, when string) {
 }
 
 func TestGCCrashSweep(t *testing.T) {
-	// Reference run: find the flush-count window [f0+1, f1] a full GC cycle
-	// spans.
+	// Reference run: find the persist-call window [f0+1, f1] a full GC cycle
+	// spans. PersistCalls, the unit SetCrashAfterFlushes counts in, not
+	// TotalFlushes: a barrier that drains a record's body together with its
+	// slot words is one flush but two persist calls, and the sweep must land
+	// between them.
 	cfg := gcSweepCfg(1)
 	dev, err := nvm.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, want := gcSweepWorkload(t, dev)
-	f0 := dev.TotalFlushes()
+	f0 := dev.PersistCalls()
 	for {
 		progress, err := st.GCOnce()
 		if err != nil {
@@ -117,18 +120,18 @@ func TestGCCrashSweep(t *testing.T) {
 			break
 		}
 	}
-	f1 := dev.TotalFlushes()
+	f1 := dev.PersistCalls()
 	if st.Log().Recycles() == 0 {
 		t.Fatal("reference GC cycle recycled nothing; sweep would be vacuous")
 	}
 	gcSweepVerify(t, st, want, "reference run")
 	st.Close()
 	if f1 <= f0 {
-		t.Fatalf("GC cycle issued no flushes (%d..%d)", f0, f1)
+		t.Fatalf("GC cycle persisted nothing (%d..%d)", f0, f1)
 	}
 	t.Logf("sweeping %d crash points through the GC cycle", f1-f0)
 
-	// One replay per flush boundary inside the cycle. EvictProb is 0 and the
+	// One replay per persist call inside the cycle. EvictProb is 0 and the
 	// history is single-threaded, so each replay reproduces the reference
 	// run exactly up to its crash point.
 	for f := f0 + 1; f <= f1; f++ {
@@ -139,11 +142,11 @@ func TestGCCrashSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			st, want := gcSweepWorkload(t, dev)
-			if got := dev.TotalFlushes(); got != f0 {
-				t.Fatalf("replay diverged: workload flushed %d times, reference %d", got, f0)
+			if got := dev.PersistCalls(); got != f0 {
+				t.Fatalf("replay diverged: workload persisted %d times, reference %d", got, f0)
 			}
 			// SetCrashAfterFlushes counts from now, so arm the distance into
-			// the GC cycle, not the absolute flush number.
+			// the GC cycle, not the absolute persist call.
 			if err := dev.SetCrashAfterFlushes(f - f0); err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +158,7 @@ func TestGCCrashSweep(t *testing.T) {
 			}
 			img := dev.CrashImage()
 			if img == nil {
-				t.Fatalf("crash at flush %d never triggered", f)
+				t.Fatalf("crash at persist call %d never triggered", f)
 			}
 			dev2, err := nvm.FromImage(gcSweepCfg(1), img)
 			if err != nil {
@@ -163,7 +166,7 @@ func TestGCCrashSweep(t *testing.T) {
 			}
 			st2, err := Open(dev2, gcSweepOpts())
 			if err != nil {
-				t.Fatalf("open after crash at flush %d: %v", f, err)
+				t.Fatalf("open after crash at persist call %d: %v", f, err)
 			}
 			defer st2.Close()
 			auditLivenessFromLog(t, st2, "after crash")

@@ -71,6 +71,11 @@ type batchScratch struct {
 	// groupcommit.go).
 	idx     []int
 	pending []pendingCommit
+	// recs is the group's out-of-line records as its RecordLog sees them,
+	// later the writes whose records wait for the next reservation (see
+	// stageRecords).
+	recs  []Record
+	later []pendingCommit
 }
 
 // multiGet looks up every key, writing vals[i]/found[i] for each and
@@ -262,9 +267,10 @@ func (s *session) orderByBucket(keys []batchKey) {
 
 // multiWrite is the grouped write core behind RouterSession's Multi* writes:
 // sort by bucket, then stage one batch chunk of keys per group and commit
-// each group with one drainPending. vals is read only for verbPut; olds and
-// hadOld are filled when non-nil.
-func (s *session) multiWrite(verb writeVerb, keys []batchKey, vals, olds []kv.Value, hadOld []bool, errs []error) int {
+// each group with one drainPending. vals is read only for verbPut, and recs,
+// when non-nil, marks the keys whose value is an out-of-line record (recs[i]
+// non-nil; vals[i] is then ignored); olds and hadOld are filled when non-nil.
+func (s *session) multiWrite(verb writeVerb, keys []batchKey, vals []kv.Value, recs [][]byte, olds []kv.Value, hadOld []bool, errs []error) int {
 	n := len(keys)
 	if n == 0 {
 		return 0
@@ -284,7 +290,12 @@ func (s *session) multiWrite(verb writeVerb, keys []batchKey, vals, olds []kv.Va
 			if verb != verbDelete {
 				v = vals[i]
 			}
-			w := s.beginWrite(verb, bk.k, v, nil, bk.h1, bk.h2, bk.fp)
+			var rec []byte
+			if recs != nil {
+				rec = recs[i]
+			}
+			w := s.beginWrite(verb, bk.k, v, rec, nil, bk.h1, bk.h2, bk.fp)
+			w.out = int32(i)
 			old, had, err := s.stage(&w, walkTryLock)
 			if err == scheme.ErrContended || err == errNeedResize {
 				// A slot in the probe path is locked — possibly by this very
@@ -293,15 +304,12 @@ func (s *session) multiWrite(verb writeVerb, keys []batchKey, vals, olds []kv.Va
 				// staged lock is held, and finish the key as a solo write: it
 				// may wait on locks, opens its own critical sections, and may
 				// expand the table.
-				s.drainPending()
+				s.drainPending(errs)
 				s.exitCritical()
 				old, had, err = s.writeSolo(&w)
 				s.enterCritical()
 			}
 			errs[i] = err
-			if err != nil {
-				fails++
-			}
 			if olds != nil {
 				olds[i] = old
 			}
@@ -309,9 +317,14 @@ func (s *session) multiWrite(verb writeVerb, keys []batchKey, vals, olds []kv.Va
 				hadOld[i] = had
 			}
 		}
-		s.drainPending()
+		s.drainPending(errs)
 		s.exitCritical()
 		s.fl.GroupCommit(int64(hi-lo), time.Since(start))
+		for _, i := range bs.idx[lo:hi] {
+			if errs[i] != nil {
+				fails++
+			}
+		}
 	}
 	return fails
 }

@@ -20,7 +20,13 @@ import (
 //	        update, delete, or a verdict that writes nothing); a move: the
 //	        mover locks the record's slot and a free destination. Store
 //	        key+value words into the new slot, stage their lines
-//	phase B  barrier — every staged key/value word durable
+//	        out-of-line records (once every slot of the group is locked):
+//	        reserve the group's records in the session's RecordLog, store
+//	        and stage their bodies, then store and stage the slot words
+//	        that point at them
+//	phase B  barrier — every staged key/value word and record body durable
+//	phase B′ (groups with records) store and stage the records' headers,
+//	        barrier; acknowledge the records in reservation order
 //	phase C  store every commit word (valid bit for inserts/updates/moves,
 //	         cleared bit for deletes), stage, barrier; then mirror the
 //	         updates and deletes into the hot table (syncwrite.go)
@@ -34,13 +40,17 @@ import (
 // both: with no write-back issued since the previous fence there is nothing
 // to order. A lone insert therefore pays two barriers, a lone update or move
 // three, a lone delete one — the paper's per-key protocol exactly — while a
-// group of n pays the same two, three or one for all n keys together. A move
-// whose record is already committed in the new structure (a resumed drain)
-// stages nothing and only clears its source: one barrier.
+// group of n pays the same two, three or one for all n keys together. A
+// group with out-of-line records pays one more, B′, for all its records: a
+// logged insert three, a logged update four. A move whose record is already
+// committed in the new structure (a resumed drain) stages nothing and only
+// clears its source: one barrier.
 //
 // Crash ordering (the only such argument in this package; INTERNALS §2 has
 // the long form): a commit word is stored only after its key/value words are
-// fence-durable (B precedes C), an update's or move's old slot is cleared
+// fence-durable (B precedes C) and after the record it points at, if any, is
+// durable whole and acknowledged (B′ precedes C: the body at B, the header
+// at B′), an update's or move's old slot is cleared
 // only after the new copy is durable (C precedes D), a record becomes
 // visible only after its commit word and — if it replaces one — the old
 // copy's clear are durable (D's barrier precedes the publishes), the old
@@ -64,6 +74,19 @@ import (
 // crosses an exitCritical: level pointers referenced by staged slots stay
 // pinned. A drain worker's group is the exception that may wait while it
 // holds staged locks; INTERNALS §6 argues why that cannot deadlock.
+//
+// Records: a group reserves its out-of-line records only after every one of
+// its slots is locked, and nothing from the reservation to the
+// acknowledgment waits on a slot lock — the acknowledgment itself waits for
+// every earlier reservation of the log, whose owners are past their own
+// locking for the same reason, so the wait chain always ends. A group
+// reserves once per train: when its records do not all fit the log's
+// active segment, the ones that fit commit first and the rest reserve again
+// afterwards (a reservation that rolls the log waits for every earlier
+// acknowledgment, its own group's included). A reservation that fails —
+// the log is full — releases the slots of the writes it could not place
+// untouched and closes them with the error, so a caller that helps the
+// log's collector does so holding nothing.
 
 // writeVerb is what a write asks of the one probe every verb starts with.
 type writeVerb uint8
@@ -80,24 +103,57 @@ const (
 // probe concludes; it is filed as an update until then.
 var nominalOp = [...]obs.Op{verbPut: obs.OpUpdate, verbInsert: obs.OpInsert, verbUpdate: obs.OpUpdate, verbDelete: obs.OpDelete}
 
+// RecordLog is where a session's writes keep values too large for a slot —
+// bigkv's value log. Such a write carries its value as a record; the log
+// stores it, and the slot gets the value Reserve returns, a pointer to it.
+// The record commits through the write's own barrier train (see the
+// protocol above), not through barriers of its own:
+//
+//	Reserve  called in phase A, once every slot of the group is locked:
+//	         claim space for a prefix of recs (at least one record unless it
+//	         fails), store each claimed record's body, stage its lines on h,
+//	         set its Slot, and return how many it claimed. The records left
+//	         over are offered to the next call.
+//	Publish  called after phase B made the bodies durable, with the prefix
+//	         Reserve claimed: store and stage the headers, drain them behind
+//	         one barrier (B′), and acknowledge the records in reservation
+//	         order. Phase C's commit words follow.
+//
+// A session's RecordLog is bound per shard (RouterSession.SetRecordLog) and
+// used by one goroutine at a time, so it may keep scratch between the two
+// calls.
+type RecordLog interface {
+	Reserve(h *nvm.Handle, recs []Record) (int, error)
+	Publish(h *nvm.Handle, recs []Record)
+}
+
+// Record is one write's out-of-line record as a RecordLog sees it.
+type Record struct {
+	Key     kv.Key
+	Payload []byte
+	Slot    kv.Value // set by Reserve: the slot value that points at the record
+}
+
 // writeOp is one write request plus its open op accounting (metrics start
 // time and flight span), carried from beginWrite through every stage attempt.
 type writeOp struct {
 	verb   writeVerb
 	k      kv.Key
-	v      kv.Value  // new value; zero for deletes
+	v      kv.Value  // new value; zero for deletes and until a record is reserved
+	rec    []byte    // out-of-line record (see RecordLog); nil for a slot-sized value
 	expect *kv.Value // verbUpdate only: replace only while the value equals *expect
 	h1, h2 uint64
 	fp     uint8
 	op     obs.Op // nominalOp[verb]
+	out    int32  // the write's index in its batch's verdicts, -1 for a lone write
 	start  time.Time
 	ft     int64
 }
 
-func (s *session) beginWrite(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value, h1, h2 uint64, fp uint8) writeOp {
+func (s *session) beginWrite(verb writeVerb, k kv.Key, v kv.Value, rec []byte, expect *kv.Value, h1, h2 uint64, fp uint8) writeOp {
 	op := nominalOp[verb]
-	return writeOp{verb: verb, k: k, v: v, expect: expect, h1: h1, h2: h2, fp: fp,
-		op: op, start: s.rec.Start(), ft: s.fl.OpBegin(op)}
+	return writeOp{verb: verb, k: k, v: v, rec: rec, expect: expect, h1: h1, h2: h2, fp: fp,
+		op: op, out: -1, start: s.rec.Start(), ft: s.fl.OpBegin(op)}
 }
 
 // opMove is the pendingCommit kind of a relocated record (drain,
@@ -111,7 +167,8 @@ const opMove = obs.NumOps
 type pendingCommit struct {
 	op     obs.Op // OpInsert, OpUpdate or OpDelete — what the probe made of the verb — or opMove
 	k      kv.Key
-	v      kv.Value // new value; zero for deletes
+	v      kv.Value // new value; zero for deletes, and for a record until it is reserved
+	rec    []byte   // out-of-line record; its slot words are stored once it is reserved
 	newRef slotRef  // staged slot (inserts/updates/moves; lvl nil for a move that only clears)
 	newC   uint32   // its pre-lock control word
 	w3     uint64   // commit word for the staged slot
@@ -120,6 +177,7 @@ type pendingCommit struct {
 	oldW3  uint64
 	h1     uint64
 	fp     uint8
+	out    int32 // writeOp.out
 	start  time.Time
 	ft     int64
 }
@@ -170,7 +228,7 @@ func (s *session) settle(w *writeOp, op obs.Op, out obs.Outcome, err error) erro
 
 // enqueue adds a staged write to the pending group.
 func (s *session) enqueue(w *writeOp, p pendingCommit) {
-	p.k, p.v, p.h1, p.fp, p.start, p.ft = w.k, w.v, w.h1, w.fp, w.start, w.ft
+	p.k, p.v, p.rec, p.h1, p.fp, p.out, p.start, p.ft = w.k, w.v, w.rec, w.h1, w.fp, w.out, w.start, w.ft
 	s.heat.Touch(p.op, p.k)
 	s.batch.pending = append(s.batch.pending, p)
 }
@@ -235,9 +293,14 @@ func (s *session) stage(w *writeOp, mode walkMode) (old kv.Value, hadOld bool, e
 		}
 		// The hot mirror goes in first, where the paper starts it (§3.4):
 		// the key is fresh and its slot announced, so nothing can race it.
-		s.mirrorPut(w.k, w.v, w.h1, w.fp)
-		s.enqueue(w, pendingCommit{op: obs.OpInsert,
-			newRef: ref, newC: c, w3: writeSlotStage(s.h, ref, w.k, w.v, 1)})
+		// A record's value is not known until it is reserved; its insert
+		// mirrors after phase C, like an update.
+		p := pendingCommit{op: obs.OpInsert, newRef: ref, newC: c}
+		if w.rec == nil {
+			s.mirrorPut(w.k, w.v, w.h1, w.fp)
+			p.w3 = writeSlotStage(s.h, ref, w.k, w.v, 1)
+		}
+		s.enqueue(w, p)
 		return kv.Value{}, false, nil
 	}
 	// Found: cur's slot is locked and cur.val is current.
@@ -269,33 +332,139 @@ func (s *session) stage(w *writeOp, mode walkMode) (old kv.Value, hadOld bool, e
 		cur.ref.release(true, w.fp, cur.ctrl) // put the old slot back untouched
 		return kv.Value{}, true, errNeedResize
 	}
-	stamp := metaStamp(kv.MetaOf(cur.w3)) + 1
-	s.enqueue(w, pendingCommit{op: obs.OpUpdate,
-		newRef: ref, newC: c, w3: writeSlotStage(s.h, ref, w.k, w.v, stamp),
-		oldRef: cur.ref, oldC: cur.ctrl, oldW3: cur.w3})
+	p := pendingCommit{op: obs.OpUpdate, newRef: ref, newC: c,
+		oldRef: cur.ref, oldC: cur.ctrl, oldW3: cur.w3}
+	if w.rec == nil {
+		p.w3 = writeSlotStage(s.h, ref, w.k, w.v, p.stamp())
+	}
+	s.enqueue(w, p)
 	return cur.val, true, nil
 }
 
+// stamp is the stamp of the record a write stages: 1 for an insert, one past
+// the displaced record's for an update.
+func (p *pendingCommit) stamp() uint8 {
+	if p.op == obs.OpInsert {
+		return 1
+	}
+	return metaStamp(kv.MetaOf(p.oldW3)) + 1
+}
+
 // drainPending commits the session's staged group and closes each op. Must
-// run inside the critical section the stages ran in.
-func (s *session) drainPending() {
-	s.t.commitGroup(s.h, s.batch.pending, s)
+// run inside the critical section the stages ran in. A group with records
+// commits in one train per reservation (see stageRecords). A write whose
+// record found the log full is closed with the error instead, which is
+// stored in errs at the write's batch index (when errs is non-nil) and
+// returned.
+func (s *session) drainPending(errs []error) error {
+	g := s.batch.pending
+	var err error
+	for len(g) > 0 {
+		n, run, rerr := s.stageRecords(g)
+		s.t.commitGroup(s.h, g[:n], s, run)
+		g = g[n:]
+		if rerr != nil {
+			for i := range g {
+				s.abandon(&g[i], rerr, errs)
+			}
+			g, err = nil, rerr
+		}
+	}
 	s.batch.pending = s.batch.pending[:0]
+	return err
+}
+
+// stageRecords finishes phase A for a group whose slots are all locked: it
+// reserves the group's out-of-line records in one call to the session's
+// RecordLog, and stores and stages the slot words of every write whose
+// record was reserved. The entries ready to commit move to the front —
+// g[:n]; run is their reserved records, for commitGroup to publish — and
+// the writes whose records did not fit wait behind them for the next train,
+// or, with a non-nil error, to be abandoned.
+func (s *session) stageRecords(g []pendingCommit) (n int, run []Record, err error) {
+	bs := &s.batch
+	recs := bs.recs[:0]
+	for i := range g {
+		if g[i].rec != nil {
+			recs = append(recs, Record{Key: g[i].k, Payload: g[i].rec})
+		}
+	}
+	bs.recs = recs
+	if len(recs) == 0 {
+		return len(g), nil, nil
+	}
+	if s.rlog == nil {
+		panic("core: an out-of-line record on a session with no RecordLog")
+	}
+	reserved, err := s.rlog.Reserve(s.h, recs)
+	r := 0
+	for i := range g {
+		if p := &g[i]; p.rec != nil {
+			if r == reserved {
+				break
+			}
+			p.v = recs[r].Slot
+			p.w3 = writeSlotStage(s.h, p.newRef, p.k, p.v, p.stamp())
+			r++
+		}
+	}
+	if reserved == len(recs) {
+		return len(g), recs, nil
+	}
+	// Some records wait for the next train: their writes move behind the
+	// ready ones, each side keeping its order.
+	later := bs.later[:0]
+	r = 0
+	for i := range g {
+		p := &g[i]
+		if p.rec != nil {
+			if r == reserved {
+				later = append(later, *p)
+				continue
+			}
+			r++
+		}
+		g[n] = *p
+		n++
+	}
+	copy(g[n:], later)
+	bs.later = later
+	return n, recs[:reserved], err
+}
+
+// abandon releases a staged write whose record could not be reserved — its
+// slots go back untouched — and closes it with err.
+func (s *session) abandon(p *pendingCommit, err error, errs []error) {
+	p.newRef.release(false, 0, p.newC)
+	if p.op == obs.OpUpdate {
+		p.oldRef.release(true, p.fp, p.oldC)
+	}
+	s.opDone(p.op, obs.OutError, p.start, p.ft)
+	if errs != nil && p.out >= 0 {
+		errs[p.out] = err
+	}
 }
 
 // commitGroup runs phases B-D over a staged group (see the protocol at the
 // top of the file) on the handle its phase A staged through. s is the
-// session whose writes these are — it applies their hot mirrors and closes
-// their ops — and nil for a record mover, whose entries are all opMove.
-func (t *Table) commitGroup(h *nvm.Handle, group []pendingCommit, s *session) {
+// session whose writes these are — it applies their hot mirrors, closes
+// their ops and publishes run, the group's reserved records — and nil for a
+// record mover, whose entries are all opMove.
+func (t *Table) commitGroup(h *nvm.Handle, group []pendingCommit, s *session, run []Record) {
 	if len(group) == 0 {
 		return
 	}
 
-	// Phase B: every staged key/value word becomes durable at once. (A group
-	// of deletes staged none.)
+	// Phase B: every staged key/value word and record body becomes durable at
+	// once. (A group of deletes staged none.)
 	if h.FlushBarrier() {
 		h.Fence()
+	}
+
+	// Phase B′: the records' headers, behind their own barrier, then their
+	// acknowledgment — after which a commit word may point at them.
+	if len(run) != 0 {
+		s.rlog.Publish(h, run)
 	}
 
 	// Phase C: store and stage every commit word, then one barrier. Commit
@@ -319,14 +488,14 @@ func (t *Table) commitGroup(h *nvm.Handle, group []pendingCommit, s *session) {
 
 	// Hot mirrors are applied here, in staging order: after C, so what they
 	// cache is durable, and before D unlocks anything, so the next writer of
-	// any of these keys mirrors after us (see syncwrite.go). Inserts applied
-	// theirs at stage time.
+	// any of these keys mirrors after us (see syncwrite.go). Inserts of
+	// slot-sized values applied theirs at stage time.
 	for i := range group {
 		p := &group[i]
-		switch p.op {
-		case obs.OpUpdate:
+		switch {
+		case p.op == obs.OpUpdate, p.op == obs.OpInsert && p.rec != nil:
 			s.mirrorPut(p.k, p.v, p.h1, p.fp)
-		case obs.OpDelete:
+		case p.op == obs.OpDelete:
 			s.mirrorDel(p.k, p.h1, p.fp)
 		}
 	}
@@ -407,8 +576,11 @@ func (s *session) writeSolo(w *writeOp) (kv.Value, bool, error) {
 		old, hadOld, err := s.stage(w, walkLock)
 		switch err {
 		case nil:
-			s.drainPending()
+			err = s.drainPending(nil)
 			s.exitCritical()
+			if err != nil {
+				return kv.Value{}, false, err
+			}
 			return old, hadOld, nil
 		case scheme.ErrContended:
 			s.exitCritical()
@@ -450,7 +622,7 @@ func (s *session) writeSolo(w *writeOp) (kv.Value, bool, error) {
 
 // writeHashed is the single-key write entry: the router hashes the key once
 // to pick the shard and passes h1/h2/fp on.
-func (s *session) writeHashed(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value, h1, h2 uint64, fp uint8) (kv.Value, bool, error) {
-	w := s.beginWrite(verb, k, v, expect, h1, h2, fp)
+func (s *session) writeHashed(verb writeVerb, k kv.Key, v kv.Value, rec []byte, expect *kv.Value, h1, h2 uint64, fp uint8) (kv.Value, bool, error) {
+	w := s.beginWrite(verb, k, v, rec, expect, h1, h2, fp)
 	return s.writeSolo(&w)
 }

@@ -362,7 +362,7 @@ func (t *Table) displaceOne(h *nvm.Handle, h1, h2 uint64) bool {
 				move := [1]pendingCommit{{op: opMove, h1: vh1, fp: vfp,
 					newRef: dst, newC: dc, w3: writeSlotStage(h, dst, vk, vv, metaStamp(meta)+1),
 					oldRef: victim, oldC: c, oldW3: packW3(vv, meta)}}
-				t.commitGroup(h, move[:], nil)
+				t.commitGroup(h, move[:], nil, nil)
 				return true
 			}
 		}

@@ -464,11 +464,11 @@ chunk:
 			}
 		}
 		if len(pending) >= t.opts.batchChunk {
-			t.commitGroup(h, pending, nil)
+			t.commitGroup(h, pending, nil, nil)
 			pending = pending[:0]
 		}
 	}
-	t.commitGroup(h, pending, nil) // the chunk's last group, or what a failure found staged
+	t.commitGroup(h, pending, nil, nil) // the chunk's last group, or what a failure found staged
 	*group = pending[:0]
 	if err != nil {
 		task.fail(err)

@@ -411,6 +411,7 @@ type routerScratch struct {
 	keys  [][]batchKey
 	idx   [][]int32
 	vals  [][]kv.Value
+	recs  [][][]byte
 	found [][]bool
 
 	// Write fan-out state: per-shard verdicts, displaced values, and each
@@ -461,10 +462,16 @@ func (s *RouterSession) at(sh int) *session {
 }
 
 // write routes a single-key write to its key's shard.
-func (s *RouterSession) write(verb writeVerb, k kv.Key, v kv.Value, expect *kv.Value) (kv.Value, bool, error) {
+func (s *RouterSession) write(verb writeVerb, k kv.Key, v kv.Value, rec []byte, expect *kv.Value) (kv.Value, bool, error) {
 	h1, h2, fp := hashKV(k[:])
-	return s.at(s.r.shardFor(h1)).writeHashed(verb, k, v, expect, h1, h2, fp)
+	return s.at(s.r.shardFor(h1)).writeHashed(verb, k, v, rec, expect, h1, h2, fp)
 }
+
+// SetRecordLog binds the RecordLog that takes the out-of-line records of
+// this session's writes to keys of shard sh (PutRecord, UpdateIfRecord,
+// MultiPutRecords). Call before such a write; the log is then used by this
+// session's goroutine only — a batch's shards each drive their own.
+func (s *RouterSession) SetRecordLog(sh int, l RecordLog) { s.at(sh).rlog = l }
 
 // get routes a read to its key's shard.
 func (s *RouterSession) get(k kv.Key, retry bool) (kv.Value, lookupResult) {
@@ -500,7 +507,7 @@ func (s *RouterSession) Lookup(k kv.Key) (kv.Value, error) {
 // scheme.ErrExists if the key is present. Insert returns only after both the
 // NVT record and its hot-table mirror are in place.
 func (s *RouterSession) Insert(k kv.Key, v kv.Value) error {
-	_, _, err := s.write(verbInsert, k, v, nil)
+	_, _, err := s.write(verbInsert, k, v, nil, nil)
 	return err
 }
 
@@ -510,7 +517,7 @@ func (s *RouterSession) Insert(k kv.Key, v kv.Value) error {
 // between the two commits leaves a stamped duplicate that recovery resolves
 // toward the newer record. Returns scheme.ErrNotFound for an absent key.
 func (s *RouterSession) Update(k kv.Key, v kv.Value) error {
-	_, _, err := s.write(verbUpdate, k, v, nil)
+	_, _, err := s.write(verbUpdate, k, v, nil, nil)
 	return err
 }
 
@@ -519,7 +526,7 @@ func (s *RouterSession) Update(k kv.Key, v kv.Value) error {
 // concurrent writer observes any given value as its predecessor — the
 // hook bigkv's liveness accounting hangs exactly-once decrements on.
 func (s *RouterSession) UpdateExchange(k kv.Key, v kv.Value) (kv.Value, error) {
-	old, _, err := s.write(verbUpdate, k, v, nil)
+	old, _, err := s.write(verbUpdate, k, v, nil, nil)
 	return old, err
 }
 
@@ -529,7 +536,7 @@ func (s *RouterSession) UpdateExchange(k kv.Key, v kv.Value) (kv.Value, error) {
 // conditional index rewrite: a racing user update changes the value first
 // and the GC's rewrite then loses cleanly.
 func (s *RouterSession) UpdateIf(k kv.Key, expect, v kv.Value) error {
-	_, _, err := s.write(verbUpdate, k, v, &expect)
+	_, _, err := s.write(verbUpdate, k, v, nil, &expect)
 	return err
 }
 
@@ -537,7 +544,7 @@ func (s *RouterSession) UpdateIf(k kv.Key, expect, v kv.Value) error {
 // word, then removes any cache entry. Returns scheme.ErrNotFound for an
 // absent key.
 func (s *RouterSession) Delete(k kv.Key) error {
-	_, _, err := s.write(verbDelete, k, kv.Value{}, nil)
+	_, _, err := s.write(verbDelete, k, kv.Value{}, nil, nil)
 	return err
 }
 
@@ -546,14 +553,14 @@ func (s *RouterSession) Delete(k kv.Key) error {
 // lock, so exactly one writer observes any given value as the one it
 // destroyed.
 func (s *RouterSession) DeleteExchange(k kv.Key) (kv.Value, error) {
-	old, _, err := s.write(verbDelete, k, kv.Value{}, nil)
+	old, _, err := s.write(verbDelete, k, kv.Value{}, nil, nil)
 	return old, err
 }
 
 // Put upserts: update when the key is present, insert when it is absent,
 // decided by one probe.
 func (s *RouterSession) Put(k kv.Key, v kv.Value) error {
-	_, _, err := s.write(verbPut, k, v, nil)
+	_, _, err := s.write(verbPut, k, v, nil, nil)
 	return err
 }
 
@@ -561,15 +568,33 @@ func (s *RouterSession) Put(k kv.Key, v kv.Value) error {
 // upsert replaced an existing record (old is then its value, with
 // UpdateExchange's exactly-once guarantee), false when it inserted fresh.
 func (s *RouterSession) PutExchange(k kv.Key, v kv.Value) (old kv.Value, hadOld bool, err error) {
-	return s.write(verbPut, k, v, nil)
+	return s.write(verbPut, k, v, nil, nil)
+}
+
+// PutRecord is PutExchange for a value kept out of line: the shard's
+// RecordLog (SetRecordLog) stores rec, and the slot holds the value its
+// Reserve returns. Record and slot commit through one barrier train, and the
+// record is stored only if the write commits: a failed PutRecord — the
+// log's error included, with every slot released untouched — leaves nothing
+// behind in the log.
+func (s *RouterSession) PutRecord(k kv.Key, rec []byte) (old kv.Value, hadOld bool, err error) {
+	return s.write(verbPut, k, kv.Value{}, rec, nil)
+}
+
+// UpdateIfRecord is UpdateIf for a value kept out of line, like PutRecord:
+// the comparison happens under the slot lock before the record is reserved,
+// so a write that loses (scheme.ErrConflict) stores nothing in the log.
+func (s *RouterSession) UpdateIfRecord(k kv.Key, expect kv.Value, rec []byte) error {
+	_, _, err := s.write(verbUpdate, k, kv.Value{}, rec, &expect)
+	return err
 }
 
 // partition hashes every key once and splits the batch by shard: sc.keys[sh]
 // holds shard sh's entries with their hashes, in input order, and sc.idx[sh]
 // their input positions. vals, when non-nil, is split alongside into
 // sc.vals. A key outside a shard-scoped session panics here, before any
-// shard has run.
-func (s *RouterSession) partition(keys []kv.Key, vals []kv.Value) *routerScratch {
+// shard has run. recs, when non-nil, is split the same way into sc.recs.
+func (s *RouterSession) partition(keys []kv.Key, vals []kv.Value, recs [][]byte) *routerScratch {
 	sc := &s.sc
 	sc.reset(len(s.ss))
 	for i, k := range keys {
@@ -580,6 +605,9 @@ func (s *RouterSession) partition(keys []kv.Key, vals []kv.Value) *routerScratch
 		sc.idx[sh] = append(sc.idx[sh], int32(i))
 		if vals != nil {
 			sc.vals[sh] = append(sc.vals[sh], vals[i])
+		}
+		if recs != nil {
+			sc.recs[sh] = append(sc.recs[sh], recs[i])
 		}
 	}
 	return sc
@@ -595,7 +623,7 @@ func (s *RouterSession) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) i
 	if len(vals) != n || len(found) != n {
 		panic("core: MultiGet output slice lengths must match len(keys)")
 	}
-	sc := s.partition(keys, nil)
+	sc := s.partition(keys, nil, nil)
 	if len(s.ss) == 1 {
 		return s.ss[0].multiGet(sc.keys[0], vals, found)
 	}
@@ -624,14 +652,14 @@ func (s *RouterSession) MultiGet(keys []kv.Key, vals []kv.Value, found []bool) i
 // input index belongs to exactly one shard. olds and hadOld are filled when
 // non-nil. An unsharded router runs the one shard's batch on the caller's
 // slices.
-func (s *RouterSession) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []kv.Value, hadOld []bool, errs []error) int {
+func (s *RouterSession) multiWrite(verb writeVerb, keys []kv.Key, vals []kv.Value, recs [][]byte, olds []kv.Value, hadOld []bool, errs []error) int {
 	if len(s.ss) == 1 {
-		return s.ss[0].multiWrite(verb, s.partition(keys, nil).keys[0], vals, olds, hadOld, errs)
+		return s.ss[0].multiWrite(verb, s.partition(keys, nil, nil).keys[0], vals, recs, olds, hadOld, errs)
 	}
 	if verb == verbDelete {
 		vals = nil
 	}
-	sc := s.partition(keys, vals)
+	sc := s.partition(keys, vals, recs)
 	var wg sync.WaitGroup
 	for sh, bks := range sc.keys {
 		if len(bks) == 0 {
@@ -644,7 +672,11 @@ func (s *RouterSession) multiWrite(verb writeVerb, keys []kv.Key, vals, olds []k
 			n := len(bks)
 			es, ov, ho := sized(sc.errs[sh], n), sized(sc.olds[sh], n), sized(sc.hadOld[sh], n)
 			sc.errs[sh], sc.olds[sh], sc.hadOld[sh] = es, ov, ho
-			sc.fails[sh] = ts.multiWrite(verb, bks, sc.vals[sh], ov, ho, es)
+			var rs [][]byte
+			if recs != nil {
+				rs = sc.recs[sh]
+			}
+			sc.fails[sh] = ts.multiWrite(verb, bks, sc.vals[sh], rs, ov, ho, es)
 			for j, oi := range sc.idx[sh] {
 				errs[oi] = es[j]
 				if olds != nil {
@@ -674,7 +706,7 @@ func (s *RouterSession) MultiPut(keys []kv.Key, vals []kv.Value, errs []error) i
 	if len(vals) != n || len(errs) != n {
 		panic("core: MultiPut slice lengths must match len(keys)")
 	}
-	return s.multiWrite(verbPut, keys, vals, nil, nil, errs)
+	return s.multiWrite(verbPut, keys, vals, nil, nil, nil, errs)
 }
 
 // MultiPutExchange is MultiPut that also reports each key's displaced value:
@@ -686,7 +718,20 @@ func (s *RouterSession) MultiPutExchange(keys []kv.Key, vals, olds []kv.Value, h
 	if len(vals) != n || len(olds) != n || len(hadOld) != n || len(errs) != n {
 		panic("core: MultiPutExchange slice lengths must match len(keys)")
 	}
-	return s.multiWrite(verbPut, keys, vals, olds, hadOld, errs)
+	return s.multiWrite(verbPut, keys, vals, nil, olds, hadOld, errs)
+}
+
+// MultiPutRecords is MultiPutExchange where some values are kept out of
+// line: recs[i] non-nil makes key i a PutRecord (vals[i] is then ignored),
+// and recs[i] nil a plain upsert of vals[i]. Each shard reserves its group's
+// records together, in its session's RecordLog, and commits them with the
+// group's barriers. All slices must have the same length as keys.
+func (s *RouterSession) MultiPutRecords(keys []kv.Key, vals []kv.Value, recs [][]byte, olds []kv.Value, hadOld []bool, errs []error) int {
+	n := len(keys)
+	if len(vals) != n || len(recs) != n || len(olds) != n || len(hadOld) != n || len(errs) != n {
+		panic("core: MultiPutRecords slice lengths must match len(keys)")
+	}
+	return s.multiWrite(verbPut, keys, vals, recs, olds, hadOld, errs)
 }
 
 // MultiDelete deletes every key, recording a per-key verdict in errs
@@ -696,7 +741,7 @@ func (s *RouterSession) MultiDelete(keys []kv.Key, errs []error) int {
 	if len(errs) != len(keys) {
 		panic("core: MultiDelete slice lengths must match len(keys)")
 	}
-	return s.multiWrite(verbDelete, keys, nil, nil, nil, errs)
+	return s.multiWrite(verbDelete, keys, nil, nil, nil, nil, errs)
 }
 
 // MultiDeleteExchange is MultiDelete that also reports each deleted key's
@@ -708,7 +753,7 @@ func (s *RouterSession) MultiDeleteExchange(keys []kv.Key, olds []kv.Value, errs
 	if len(olds) != n || len(errs) != n {
 		panic("core: MultiDeleteExchange slice lengths must match len(keys)")
 	}
-	return s.multiWrite(verbDelete, keys, nil, olds, nil, errs)
+	return s.multiWrite(verbDelete, keys, nil, nil, olds, nil, errs)
 }
 
 // Scan visits every committed record once and calls fn; returning false
@@ -776,6 +821,7 @@ func (sc *routerScratch) reset(n int) {
 		sc.keys = make([][]batchKey, n)
 		sc.idx = make([][]int32, n)
 		sc.vals = make([][]kv.Value, n)
+		sc.recs = make([][][]byte, n)
 		sc.found = make([][]bool, n)
 		sc.errs = make([][]error, n)
 		sc.olds = make([][]kv.Value, n)
@@ -786,6 +832,7 @@ func (sc *routerScratch) reset(n int) {
 		sc.keys[i] = sc.keys[i][:0]
 		sc.idx[i] = sc.idx[i][:0]
 		sc.vals[i] = sc.vals[i][:0]
+		sc.recs[i] = sc.recs[i][:0]
 		sc.fails[i] = 0
 	}
 }

@@ -27,6 +27,10 @@ type session struct {
 	heat    heat.Sampler
 	nvmBase nvm.Stats // handle stats already published via syncObs
 
+	// rlog takes the out-of-line records of this session's writes (see
+	// RecordLog); nil until RouterSession.SetRecordLog binds one.
+	rlog RecordLog
+
 	// batch is the multiGet/multiWrite scratch, reused across calls so
 	// batches allocate only when they outgrow the previous high water mark
 	// (see batch.go).

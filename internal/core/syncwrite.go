@@ -16,7 +16,10 @@ import "hdnh/internal/kv"
 //     later one cannot lock the slot until the earlier one's mirror is in.
 //   - An insert mirrors at stage time, right after it has announced its slot
 //     (the key is fresh and the slot locked under its fingerprint, so nothing
-//     can race it).
+//     can race it) — unless its value is an out-of-line record, whose
+//     pointer exists only once the record is reserved: that insert mirrors
+//     with the updates, after its commit word, so no reader follows the
+//     pointer to a record not yet acknowledged.
 //   - Updates and deletes mirror after their commit words are durable and
 //     before anything is published or retired (between phases C and D of
 //     commitGroup), so the cache never shows a value a crash could take

@@ -158,7 +158,7 @@ func sameKeyMirrorOrderRound(t *testing.T) (bWaited bool) {
 	}
 
 	sA.ss[0].enterCritical()
-	w := sA.ss[0].beginWrite(verbUpdate, k, vA, nil, h1, h2, fp)
+	w := sA.ss[0].beginWrite(verbUpdate, k, vA, nil, nil, h1, h2, fp)
 	if _, _, err := sA.ss[0].stage(&w, walkLock); err != nil {
 		t.Fatalf("A stage: %v", err)
 	}
@@ -180,7 +180,7 @@ func sameKeyMirrorOrderRound(t *testing.T) (bWaited bool) {
 	go func() { bDone <- sB.Update(k, vB) }()
 
 	<-bProbing
-	sA.ss[0].drainPending()
+	sA.ss[0].drainPending(nil)
 	sA.ss[0].exitCritical()
 	if err := <-bDone; err != nil {
 		t.Fatalf("B update: %v", err)

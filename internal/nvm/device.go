@@ -41,7 +41,8 @@ type Device struct {
 	flushCount int64
 	crashImage []uint64
 
-	// Global flush counter (all modes), for tests and reporting.
+	// Global barrier counter (all modes): Flush calls plus drained
+	// FlushBarriers, for tests and reporting. See TotalFlushes.
 	totalFlushes atomic.Int64
 }
 
@@ -289,7 +290,10 @@ func (d *Device) DirtyLines() int {
 	return len(d.dirty)
 }
 
-// TotalFlushes reports the number of Flush calls across all handles.
+// TotalFlushes reports the persist barriers issued across all handles: every
+// Flush call and every FlushBarrier that drained staged lines (however many
+// lines each covered). It is what a writer waits on the device for, and the
+// count write_amp is built from; PersistCalls counts the write-backs instead.
 func (d *Device) TotalFlushes() int64 { return d.totalFlushes.Load() }
 
 // PersistCalls returns how many strict-mode line write-back calls the

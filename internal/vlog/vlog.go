@@ -27,17 +27,21 @@
 // (AddLive per pointer, Covers to reject a dangling one).
 //
 // Append protocol: an append takes the log mutex only to reserve its words
-// in the active segment. With no lock held it writes and flushes the key
-// and payload words, then persists the header word last (8-byte atomic
-// commit), and finally acknowledges in reservation order: it waits until
-// every earlier reservation has been acknowledged, does the segment
-// bookkeeping and returns. Headers may become durable out of order, but the
-// acknowledged records — the only ones a caller ever holds an address of —
-// are a contiguous prefix of the segment whose headers all read valid. A
-// torn or unacknowledged append leaves a zero or garbage header that fails
-// validation and is treated as the end of the segment during recovery
-// scans; whatever valid record lies beyond it was never acknowledged, so
-// nothing references it (docs/INTERNALS.md §9 has the full argument).
+// in the active segment (Reserve). With no lock held it stores the key and
+// payload words and stages their lines; one barrier makes them durable; then
+// Publish stores the header word last (8-byte atomic commit), drains it
+// behind a second barrier, and acknowledges in reservation order: it waits
+// until every earlier reservation has been acknowledged, does the segment
+// bookkeeping and returns. Append and AppendBatch run the body barrier
+// themselves; a caller of Reserve and Publish supplies it (bigkv's logged
+// writes, whose index slot words share it). Headers may become durable out
+// of order, but the acknowledged records — the only ones a caller ever holds
+// an address of — are a contiguous prefix of the segment whose headers all
+// read valid. A torn or unacknowledged append leaves a zero or garbage
+// header that fails validation and is treated as the end of the segment
+// during recovery scans; whatever valid record lies beyond it was never
+// acknowledged, so nothing references it (docs/INTERNALS.md §9 has the full
+// argument).
 //
 // Segment lifecycle: FREE → ACTIVE (appends go here) → SEALED (full) →
 // FREEING (being zeroed) → FREE. Every transition is a single 8-byte
@@ -96,7 +100,8 @@ const (
 	// small enough bookkeeping to matter.
 	MinSegmentWords = 16
 
-	// zeroChunkWords is the flush granularity while zeroing a segment.
+	// zeroChunkWords is the staged write-back granularity while zeroing a
+	// segment (one persist call per chunk; one barrier for them all).
 	zeroChunkWords = 512
 )
 
@@ -206,8 +211,10 @@ func (l *Log) SetTracer(fl flight.Tracer) {
 // AppendStage names a point inside an append for SetAppendHook.
 type AppendStage uint8
 
-// The stages of one append (or one AppendBatch run), in the order it passes
-// them; none is reached with the log mutex held.
+// The stages of one append (or one AppendBatch run, or one Reserve+Publish
+// run), in the order it passes them; none is reached with the log mutex
+// held. StagePayloadDurable is Publish's entry: for a Reserve caller, after
+// its own barrier.
 const (
 	StageReserved       AppendStage = iota // words reserved, nothing stored yet
 	StagePayloadDurable                    // key and payload flushed and fenced, header still zero
@@ -480,59 +487,179 @@ func Checksum(key kv.Key, value []byte) uint32 {
 
 // Append durably stores a record for key and returns its address (the
 // record's word offset within the data region, which fits in 8 bytes and
-// can live in an HDNH slot value) and its total word count. Append keeps
-// one free segment in reserve for the GC's relocation copies; when only
-// the reserve is left it returns ErrLogFull — run a GC pass and retry.
+// can live in an HDNH slot value) and its total word count: an AppendBatch
+// of one. Append keeps one free segment in reserve for the GC's relocation
+// copies; when only the reserve is left it returns ErrLogFull — run a GC
+// pass and retry.
 func (l *Log) Append(h *nvm.Handle, key kv.Key, value []byte) (addr, words int64, err error) {
-	return l.append(h, key, value, 1)
+	rec := [1]BatchRecord{{Key: key, Value: value}}
+	if _, _, err := l.AppendBatch(h, rec[:]); err != nil {
+		return 0, 0, err
+	}
+	return rec[0].Addr, rec[0].Words, nil
 }
 
-// AppendGC is Append for the GC's relocation copies: it may activate the
+// BatchRecord is one record of an AppendBatch, Reserve or ReserveGC call.
+// Key and Value are inputs; Addr and Words are outputs, valid for the
+// records the call reports reserved or committed.
+type BatchRecord struct {
+	Key   kv.Key
+	Value []byte
+	Addr  int64
+	Words int64
+}
+
+// AppendBatch durably stores the records as one or more contiguous runs of
+// the active segment, one payload flush barrier per run instead of one per
+// record. Records are committed strictly in order; n is how many committed
+// and runs how many flush runs they took. A partial batch (n < len(recs))
+// only happens with a non-nil error (ErrLogFull once the free-list reserve
+// is reached); the committed prefix is durable and usable.
+//
+// Each run is Reserve, then one barrier+fence that makes every key and
+// payload word of the run durable, then Publish. A crash during Publish's
+// header burst can leave any subset of the headers durable, not just a
+// prefix — but the whole run acknowledges together only after its barrier,
+// so Open's forward scan stopping at the first zero header can only drop
+// records that were never acknowledged, and it never misreads one: a line
+// persists atomically and anything past the first gap is unreachable.
+// Liveness and durable-head accounting match per-record Append exactly.
+func (l *Log) AppendBatch(h *nvm.Handle, recs []BatchRecord) (n, runs int, err error) {
+	if err := l.check(recs); err != nil {
+		return 0, 0, err
+	}
+	for n < len(recs) {
+		k, err := l.reserve(h, recs[n:], 1)
+		if err != nil {
+			return n, runs, err
+		}
+		h.FlushBarrier()
+		h.Fence()
+		l.Publish(h, recs[n:n+k])
+		n += k
+		runs++
+	}
+	return n, runs, nil
+}
+
+// check validates every record and sets its Words.
+func (l *Log) check(recs []BatchRecord) error {
+	for i := range recs {
+		if len(recs[i].Value) == 0 {
+			return errors.New("vlog: empty value")
+		}
+		w := RecordWords(len(recs[i].Value))
+		if w > l.segWords {
+			return fmt.Errorf("vlog: value needs %d words, segment holds %d", w, l.segWords)
+		}
+		recs[i].Words = w
+	}
+	return nil
+}
+
+// Reserve is the first half of an append whose barriers the caller owns —
+// bigkv's logged writes, which commit their record and their index slot
+// through one barrier train. It reserves the longest prefix of recs that
+// fits the active segment as one contiguous run (rolling to a fresh segment
+// when not even the first record fits), stores each reserved record's key
+// and payload words and stages their lines on h, and returns how many it
+// reserved. Nothing is durable yet: the caller's next FlushBarrier+Fence
+// makes the bodies durable, and Publish then commits the run. Like Append
+// it keeps one free segment in reserve for the GC (ErrLogFull).
+//
+// Every reservation must reach Publish — the segment's acknowledged prefix
+// cannot pass an unpublished run — and the caller must not wait on anything
+// that can wait on this log in between: not on another reservation of its
+// own (Reserve again before Publish, which could roll and so wait for this
+// very run), and not on a lock another appender may hold while it waits for
+// this run's acknowledgment.
+func (l *Log) Reserve(h *nvm.Handle, recs []BatchRecord) (int, error) {
+	if err := l.check(recs); err != nil {
+		return 0, err
+	}
+	return l.reserve(h, recs, 1)
+}
+
+// ReserveGC is Reserve for the GC's relocation copies: it may activate the
 // reserved last free segment, so space reclamation can always proceed.
-func (l *Log) AppendGC(h *nvm.Handle, key kv.Key, value []byte) (addr, words int64, err error) {
-	return l.append(h, key, value, 0)
+func (l *Log) ReserveGC(h *nvm.Handle, recs []BatchRecord) (int, error) {
+	if err := l.check(recs); err != nil {
+		return 0, err
+	}
+	return l.reserve(h, recs, 0)
 }
 
-func (l *Log) append(h *nvm.Handle, key kv.Key, value []byte, reserve int) (int64, int64, error) {
-	if len(value) == 0 {
-		return 0, 0, errors.New("vlog: empty value")
-	}
-	words := RecordWords(len(value))
-	if words > l.segWords {
-		return 0, 0, fmt.Errorf("vlog: value needs %d words, segment holds %d", words, l.segWords)
-	}
-
-	// Reserve under the mutex, persist outside it: the two flush waits and
-	// the header persist below are most of an append, and concurrent
-	// appenders (and the collector's AppendGC) overlap them.
+// reserve is Reserve over checked records (Words set). It takes the mutex
+// only to claim the words: the stores and every device wait happen outside
+// it, so concurrent appenders (and the collector) overlap them.
+func (l *Log) reserve(h *nvm.Handle, recs []BatchRecord, reserve int) (int, error) {
 	l.mu.Lock()
-	if l.active < 0 || l.head+words > l.segWords {
+	if l.active < 0 || l.head+recs[0].Words > l.segWords {
 		if err := l.roll(h, reserve); err != nil {
 			l.mu.Unlock()
-			return 0, 0, err
+			return 0, err
 		}
 	}
+	// Greedily extend the run over every record that still fits in the
+	// active segment; the caller's next call rolls and starts a new run.
+	n, fit := 0, l.head
+	for n < len(recs) && fit+recs[n].Words <= l.segWords {
+		fit += recs[n].Words
+		n++
+	}
 	addr := l.active*l.segWords + l.head
-	l.head += words
+	l.head = fit
 	l.mu.Unlock()
 	l.atStage(StageReserved, addr)
 
-	// Key and payload first...
-	off := l.dataOff(addr)
-	l.storeBody(off, key, value)
-	h.WriteAccess(off+1, words-1)
-	h.Flush(off+1, words-1)
-	h.Fence()
+	next := addr
+	for i := range recs[:n] {
+		rec := &recs[i]
+		rec.Addr = next
+		off := l.dataOff(rec.Addr)
+		l.storeBody(off, rec.Key, rec.Value)
+		h.WriteAccess(off+1, rec.Words-1)
+		next += rec.Words
+	}
+	// One staged write-back covers the run's key and payload words. The range
+	// spans the (still zero) headers behind the first record too, which is
+	// harmless: the persisted image already holds zeroes there.
+	h.StageFlush(l.dataOff(addr)+1, next-addr-1)
+	return n, nil
+}
+
+// Publish commits a run Reserve returned, once the caller's barrier has made
+// its bodies durable: the committing headers go out as one staged burst —
+// every header stored, each header line written back once (lines sharing
+// headers coalesce) — drained behind a single barrier+fence, and the run is
+// then acknowledged in reservation order. The checksums come from the bytes
+// in hand: re-reading the payload from NVM would charge phantom read traffic
+// to every append.
+func (l *Log) Publish(h *nvm.Handle, run []BatchRecord) {
+	addr := run[0].Addr
 	l.atStage(StagePayloadDurable, addr)
-	// ...then the committing header. The checksum comes from the bytes in
-	// hand — re-reading the payload from NVM would charge phantom read
-	// traffic to every append.
-	h.StorePersist(off, headerWord(key, value))
+	for i := 0; i < len(run); {
+		line := l.dataOff(run[i].Addr) / nvm.CachelineWords
+		j := i
+		for j < len(run) && l.dataOff(run[j].Addr)/nvm.CachelineWords == line {
+			rec := &run[j]
+			off := l.dataOff(rec.Addr)
+			l.dev.Store(off, headerWord(rec.Key, rec.Value))
+			h.WriteAccess(off, 1)
+			j++
+		}
+		h.StageFlush(l.dataOff(run[i].Addr), 1)
+		i = j
+	}
+	h.FlushBarrier()
+	h.Fence()
 	l.atStage(StageHeaderDurable, addr)
 
-	l.setLiveBit(addr)
-	l.acknowledge(h, addr, words)
-	return addr, words, nil
+	for i := range run {
+		l.setLiveBit(run[i].Addr)
+	}
+	last := &run[len(run)-1]
+	l.acknowledge(h, addr, last.Addr+last.Words-addr)
 }
 
 // acknowledge publishes the reservation [addr, addr+words), whose records are
@@ -569,121 +696,6 @@ func (l *Log) drain() {
 	for head := l.active*l.segWords + l.head; l.frontier.Load() != head; {
 		runtime.Gosched()
 	}
-}
-
-// BatchRecord is one record of an AppendBatch call. Key and Value are
-// inputs; Addr and Words are outputs, valid for the records AppendBatch
-// reports committed.
-type BatchRecord struct {
-	Key   kv.Key
-	Value []byte
-	Addr  int64
-	Words int64
-}
-
-// AppendBatch durably stores the records as one or more contiguous runs of
-// the active segment, one payload flush barrier per run instead of one per
-// record. Records are committed strictly in order; n is how many committed
-// and runs how many flush runs they took. A partial batch (n < len(recs))
-// only happens with a non-nil error (ErrLogFull once the free-list reserve
-// is reached); the committed prefix is durable and usable.
-//
-// Each run is reserved under the mutex and acknowledged in reservation
-// order like a single append. Crash ordering within a run: every record's
-// key and payload words are stored, then one staged barrier+fence covers the
-// whole run, then the committing headers are staged (one line write-back per
-// header line) and drained behind a second barrier+fence. A crash during the
-// header burst can leave any subset of the headers durable, not just a
-// prefix — but the whole batch acknowledges together only after AppendBatch
-// returns, so Open's forward scan stopping at the first zero header can only
-// drop records that were never acknowledged, and it never misreads one: a
-// line persists atomically and anything past the first gap is unreachable.
-// Liveness and durable-head accounting match per-record Append exactly.
-func (l *Log) AppendBatch(h *nvm.Handle, recs []BatchRecord) (n, runs int, err error) {
-	for i := range recs {
-		if len(recs[i].Value) == 0 {
-			return 0, 0, errors.New("vlog: empty value")
-		}
-		w := RecordWords(len(recs[i].Value))
-		if w > l.segWords {
-			return 0, 0, fmt.Errorf("vlog: value needs %d words, segment holds %d", w, l.segWords)
-		}
-		recs[i].Words = w
-	}
-
-	for n < len(recs) {
-		l.mu.Lock()
-		if l.active < 0 || l.head+recs[n].Words > l.segWords {
-			if rerr := l.roll(h, 1); rerr != nil {
-				l.mu.Unlock()
-				return n, runs, rerr
-			}
-		}
-		// Greedily extend the run over every record that still fits in the
-		// active segment; the next iteration rolls and starts a new run.
-		end, fit := n, l.head
-		for end < len(recs) && fit+recs[end].Words <= l.segWords {
-			fit += recs[end].Words
-			end++
-		}
-		addr := l.active*l.segWords + l.head
-		l.head = fit
-		l.mu.Unlock()
-		l.appendRun(h, addr, recs[n:end])
-		n = end
-		runs++
-	}
-	return n, runs, nil
-}
-
-// appendRun commits records into the words reserved at addr as one flush
-// run and acknowledges them together.
-func (l *Log) appendRun(h *nvm.Handle, addr int64, run []BatchRecord) {
-	l.atStage(StageReserved, addr)
-	next := addr
-	for i := range run {
-		rec := &run[i]
-		rec.Addr = next
-		off := l.dataOff(rec.Addr)
-		l.storeBody(off, rec.Key, rec.Value)
-		h.WriteAccess(off+1, rec.Words-1)
-		next += rec.Words
-	}
-	words := next - addr
-	// One barrier makes every key and payload word of the run durable. The
-	// range spans the (still zero) header words too, which is harmless: the
-	// persisted image already holds zeroes there.
-	h.StageFlush(l.dataOff(addr), words)
-	h.FlushBarrier()
-	h.Fence()
-	l.atStage(StagePayloadDurable, addr)
-
-	// Commit headers as one staged burst: store all of them, write back each
-	// header line once (lines sharing headers coalesce), and drain behind a
-	// single barrier+fence. Durability of any subset of headers is safe —
-	// see AppendBatch: the batch acknowledges as a whole, so a scan stopping
-	// at the first zero header only loses unacknowledged records.
-	for i := 0; i < len(run); {
-		line := l.dataOff(run[i].Addr) / nvm.CachelineWords
-		j := i
-		for j < len(run) && l.dataOff(run[j].Addr)/nvm.CachelineWords == line {
-			rec := &run[j]
-			off := l.dataOff(rec.Addr)
-			l.dev.Store(off, headerWord(rec.Key, rec.Value))
-			h.WriteAccess(off, 1)
-			j++
-		}
-		h.StageFlush(l.dataOff(run[i].Addr), 1)
-		i = j
-	}
-	h.FlushBarrier()
-	h.Fence()
-	l.atStage(StageHeaderDurable, addr)
-
-	for i := range run {
-		l.setLiveBit(run[i].Addr)
-	}
-	l.acknowledge(h, addr, words)
 }
 
 // storeBody stores a record's key and payload words behind the header word
@@ -886,9 +898,10 @@ func (l *Log) Recycle(h *nvm.Handle, seg int64) error {
 	return nil
 }
 
-// zeroSegment zeroes the first end data words of segment seg and flushes
-// them, fencing before return so the zeroes are durably ordered before
-// any later state persist.
+// zeroSegment zeroes the first end data words of segment seg, staging each
+// chunk's write-back as it goes, and drains them all behind one barrier:
+// the zeroes are durably ordered before any later state persist, and a
+// recycle waits on the device once, not once per chunk.
 func (l *Log) zeroSegment(h *nvm.Handle, seg, end int64) {
 	off := l.dataOff(seg * l.segWords)
 	for chunk := int64(0); chunk < end; chunk += zeroChunkWords {
@@ -900,9 +913,11 @@ func (l *Log) zeroSegment(h *nvm.Handle, seg, end int64) {
 			l.dev.Store(off+chunk+i, 0)
 		}
 		h.WriteAccess(off+chunk, n)
-		h.Flush(off+chunk, n)
+		h.StageFlush(off+chunk, n)
 	}
-	h.Fence()
+	if h.FlushBarrier() {
+		h.Fence()
+	}
 }
 
 // Sync persists the active segment's append cursor so the next Open's

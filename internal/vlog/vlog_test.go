@@ -106,12 +106,22 @@ func TestAppendRejectsEmptyOversizedAndFull(t *testing.T) {
 		t.Fatal("no append landed before ErrLogFull")
 	}
 	// The user-append reserve must leave exactly one free segment for GC,
-	// and AppendGC must be able to take it.
+	// and ReserveGC must be able to take it.
 	if free := l.FreeSegments(); free != 1 {
 		t.Fatalf("ErrLogFull with %d free segments, want the 1 GC reserve", free)
 	}
-	if _, _, err := l.AppendGC(h, testKey(appends), make([]byte, 64)); err != nil {
-		t.Fatalf("AppendGC could not use the reserve: %v", err)
+	recs := []BatchRecord{{Key: testKey(appends), Value: make([]byte, 64)}}
+	if _, err := l.Reserve(h, recs); !errors.Is(err, ErrLogFull) {
+		t.Fatalf("Reserve into the GC reserve: %v, want ErrLogFull", err)
+	}
+	if n, err := l.ReserveGC(h, recs); err != nil || n != 1 {
+		t.Fatalf("ReserveGC could not use the reserve: %d, %v", n, err)
+	}
+	h.FlushBarrier()
+	h.Fence()
+	l.Publish(h, recs)
+	if _, got, err := l.Read(h, recs[0].Addr); err != nil || len(got) != 64 {
+		t.Fatalf("the GC-reserve record reads %d bytes, %v", len(got), err)
 	}
 }
 
