@@ -13,9 +13,7 @@ package cceh
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"hdnh/internal/hashfn"
 	"hdnh/internal/kv"
@@ -53,35 +51,17 @@ const (
 	dirWord   = 2
 )
 
-type rwSpin struct{ v atomic.Int32 }
-
-func (l *rwSpin) rlock() {
-	for {
-		v := l.v.Load()
-		if v >= 0 && l.v.CompareAndSwap(v, v+1) {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-func (l *rwSpin) runlock() { l.v.Add(-1) }
-func (l *rwSpin) lock() {
-	for !l.v.CompareAndSwap(0, -1) {
-		runtime.Gosched()
-	}
-}
-func (l *rwSpin) unlock() { l.v.Store(0) }
-
 // segment is the DRAM mirror of one NVM segment: base offset, cached local
-// depth, and the coarse segment lock.
+// depth, and the coarse segment lock (charged at the segment's base).
 type segment struct {
 	base       int64
 	localDepth uint8
-	lock       rwSpin
+	lock       scheme.NVMLock
 }
 
 // Table is a CCEH instance.
 type Table struct {
+	scheme.Base
 	dev     *nvm.Device
 	metaOff int64
 	dramDir bool
@@ -89,9 +69,9 @@ type Table struct {
 	dirMu       sync.RWMutex
 	dir         []*segment // DRAM mirror of the NVM directory
 	globalDepth uint8
-
-	count atomic.Int64
 }
+
+var _ scheme.Store = (*Table)(nil)
 
 // Options configures creation.
 type Options struct {
@@ -106,7 +86,7 @@ type Options struct {
 
 // New creates or opens a CCEH table on the device.
 func New(dev *nvm.Device, opts Options) (*Table, error) {
-	t := &Table{dev: dev, dramDir: opts.DRAMDirectory}
+	t := &Table{Base: scheme.Base{Label: "CCEH"}, dev: dev, dramDir: opts.DRAMDirectory}
 	h := dev.NewHandle()
 	if root := dev.Root(rootSlot); root != 0 {
 		t.metaOff = int64(root)
@@ -116,7 +96,9 @@ func New(dev *nvm.Device, opts Options) (*Table, error) {
 		if err := t.loadDirectory(h); err != nil {
 			return nil, err
 		}
-		t.count.Store(t.scanCount(h))
+		for _, seg := range t.segments() {
+			t.Live.Add(scheme.CountValid(h, seg.base+segmentHeaderWords, bucketsPerSegment*slotsPerBucket, slotsPerBucket))
+		}
 		return t, nil
 	}
 	if opts.InitGlobalDepth > maxGlobalDepth {
@@ -142,9 +124,7 @@ func New(dev *nvm.Device, opts Options) (*Table, error) {
 		h.Store(dirOff+i, uint64(segBase))
 		t.dir[i] = &segment{base: segBase, localDepth: t.globalDepth}
 	}
-	h.WriteAccess(dirOff, n)
-	h.Flush(dirOff, n)
-	h.Fence()
+	scheme.Persist(h, dirOff, n)
 	h.StorePersist(metaOff+dirWord, uint64(dirOff))
 	t.setState(h, uint64(t.globalDepth)|1<<16)
 	h.StorePersist(metaOff+magicWord, metaMagic)
@@ -187,19 +167,37 @@ func (t *Table) loadDirectory(h *nvm.Handle) error {
 	return nil
 }
 
+// segments lists the directory's distinct segments in directory order.
+func (t *Table) segments() []*segment {
+	seen := map[*segment]bool{}
+	var segs []*segment
+	for _, seg := range t.dir {
+		if !seen[seg] {
+			seen[seg] = true
+			segs = append(segs, seg)
+		}
+	}
+	return segs
+}
+
+// dirIndex is the directory entry owning hash h1: its globalDepth MSBs.
+func (t *Table) dirIndex(h1 uint64) int64 {
+	if t.globalDepth == 0 {
+		return 0
+	}
+	return int64(h1 >> (64 - t.globalDepth))
+}
+
 // segmentFor returns the segment owning hash h1 under the current directory.
 // The directory entry read is charged as NVM traffic (CCEH's directory
 // lives in NVM).
-func (t *Table) segmentFor(h *nvm.Handle, h1 uint64) (*segment, int64) {
-	idx := int64(0)
-	if t.globalDepth > 0 {
-		idx = int64(h1 >> (64 - t.globalDepth))
-	}
+func (t *Table) segmentFor(h *nvm.Handle, h1 uint64) *segment {
+	idx := t.dirIndex(h1)
 	if !t.dramDir {
 		dirOff := int64(t.dev.Load(t.metaOff + dirWord))
 		h.ReadAccess(dirOff+idx, 1)
 	}
-	return t.dir[idx], idx
+	return t.dir[idx]
 }
 
 // bucketIndex maps a hash to its home bucket inside a segment.
@@ -209,207 +207,121 @@ func slotOff(segBase, bucket int64, slot int) int64 {
 	return segBase + segmentHeaderWords + bucket*bucketWords + int64(slot)*slotWords
 }
 
-// lockCharge models the NVM write of a lock-word transition (the paper:
-// CCEH read locks generate NVM writes).
-func lockCharge(h *nvm.Handle, off int64) {
-	h.WriteAccess(off, 1)
-	h.Flush(off, 1)
-}
-
-// Count returns live records.
-func (t *Table) Count() int64 { return t.count.Load() }
-
 // Capacity returns total slots under the current directory (distinct
 // segments only).
 func (t *Table) Capacity() int64 {
 	t.dirMu.RLock()
 	defer t.dirMu.RUnlock()
-	seen := map[*segment]bool{}
-	for _, s := range t.dir {
-		seen[s] = true
-	}
-	return int64(len(seen)) * bucketsPerSegment * slotsPerBucket
+	return int64(len(t.segments())) * bucketsPerSegment * slotsPerBucket
 }
 
 // LoadFactor returns occupancy.
-func (t *Table) LoadFactor() float64 {
-	c := t.Capacity()
-	if c == 0 {
-		return 0
-	}
-	return float64(t.Count()) / float64(c)
-}
+func (t *Table) LoadFactor() float64 { return scheme.LoadFactor(t.Count(), t.Capacity()) }
 
-func (t *Table) scanCount(h *nvm.Handle) int64 {
-	seen := map[*segment]bool{}
-	var n int64
-	for _, seg := range t.dir {
-		if seen[seg] {
-			continue
-		}
-		seen[seg] = true
-		for b := int64(0); b < bucketsPerSegment; b++ {
-			h.ReadAccess(slotOff(seg.base, b, 0), bucketWords)
-			for s := 0; s < slotsPerBucket; s++ {
-				if kv.ValidOf(h.Load(slotOff(seg.base, b, s) + 3)) {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
-// Session is the per-goroutine handle.
-type Session struct {
+type session struct {
+	scheme.DeviceSession
 	t *Table
-	h *nvm.Handle
 }
 
 // NewSession returns a session.
-func (t *Table) NewSession() *Session { return &Session{t: t, h: t.dev.NewHandle()} }
+func (t *Table) NewSession() scheme.Session {
+	return &session{scheme.DeviceSession{H: t.dev.NewHandle()}, t}
+}
 
-// NVMStats returns session traffic.
-func (s *Session) NVMStats() nvm.Stats { return s.h.Stats() }
-
-// Close is a no-op: sessions hold no table-side resources.
-func (s *Session) Close() error { return nil }
-
-// probe visits the home bucket and its linear-probe successors, calling fn
-// for each slot until it returns true.
-func probe(h *nvm.Handle, segBase int64, home int64, fn func(b int64, s int, off int64, w3 uint64) bool) {
+// probe visits the home bucket and its linear-probe successors, charging one
+// read per bucket, calling fn for each slot until it returns true.
+func probe(h *nvm.Handle, segBase int64, home int64, fn func(off int64, w3 uint64) bool) {
 	for p := int64(0); p < linearProbe; p++ {
 		b := (home + p) % bucketsPerSegment
 		h.ReadAccess(slotOff(segBase, b, 0), bucketWords)
 		for sl := 0; sl < slotsPerBucket; sl++ {
 			off := slotOff(segBase, b, sl)
-			if fn(b, sl, off, h.Load(off+3)) {
+			if fn(off, h.Load(off+3)) {
 				return
 			}
 		}
 	}
 }
 
-// Get searches under the segment's read lock (charged as NVM writes).
-func (s *Session) Get(k kv.Key) (kv.Value, bool) {
+// onKey runs fn on the key's slot, if its segment holds it, with the
+// directory read-locked and the segment lock held (exclusive for a write;
+// every transition, a read's included, is charged as an NVM write).
+func (s *session) onKey(k kv.Key, exclusive bool, fn func(off int64, w3 uint64)) (found bool) {
 	h1 := hashfn.Hash1(k[:])
-	kw0, kw1 := k.Pack()
 	s.t.dirMu.RLock()
-	seg, _ := s.t.segmentFor(s.h, h1)
-	seg.lock.rlock()
-	lockCharge(s.h, seg.base)
-	var out kv.Value
-	found := false
-	probe(s.h, seg.base, bucketIndex(h1), func(b int64, sl int, off int64, w3 uint64) bool {
-		if kv.ValidOf(w3) && s.h.Load(off) == kw0 && s.h.Load(off+1) == kw1 {
-			out, _ = kv.UnpackValue(s.h.Load(off+2), w3)
+	defer s.t.dirMu.RUnlock()
+	seg := s.t.segmentFor(s.H, h1)
+	seg.lock.Acquire(s.H, seg.base, exclusive)
+	defer seg.lock.Release(s.H, seg.base, exclusive)
+	probe(s.H, seg.base, bucketIndex(h1), func(off int64, w3 uint64) bool {
+		if kv.ValidOf(w3) && kv.KeyEqualsWords(k, s.H.Load(off), s.H.Load(off+1)) {
+			fn(off, w3)
 			found = true
-			return true
 		}
-		return false
+		return found
 	})
-	seg.lock.runlock()
-	lockCharge(s.h, seg.base)
-	s.t.dirMu.RUnlock()
-	return out, found
+	return found
+}
+
+// Get searches under the segment's read lock.
+func (s *session) Get(k kv.Key) (v kv.Value, found bool) {
+	found = s.onKey(k, scheme.Shared, func(off int64, w3 uint64) {
+		v, _ = kv.UnpackValue(s.H.Load(off+2), w3)
+	})
+	return v, found
 }
 
 // Insert adds a record, splitting the segment (and possibly doubling the
 // directory) when the probe window is full.
-func (s *Session) Insert(k kv.Key, v kv.Value) error {
+func (s *session) Insert(k kv.Key, v kv.Value) error {
 	h1 := hashfn.Hash1(k[:])
-	kw0, kw1 := k.Pack()
 	for attempt := 0; attempt < 64; attempt++ {
 		s.t.dirMu.RLock()
-		seg, _ := s.t.segmentFor(s.h, h1)
-		seg.lock.lock()
-		lockCharge(s.h, seg.base)
+		seg := s.t.segmentFor(s.H, h1)
+		seg.lock.Acquire(s.H, seg.base, scheme.Exclusive)
 		// Re-check the directory under the segment lock: a concurrent
 		// split may have moved our hash range.
-		cur, _ := s.t.segmentFor(s.h, h1)
-		if cur != seg {
-			seg.lock.unlock()
-			lockCharge(s.h, seg.base)
-			s.t.dirMu.RUnlock()
-			continue
-		}
-		var emptyOff int64 = -1
-		dup := false
-		probe(s.h, seg.base, bucketIndex(h1), func(b int64, sl int, off int64, w3 uint64) bool {
-			if kv.ValidOf(w3) {
-				if s.h.Load(off) == kw0 && s.h.Load(off+1) == kw1 {
-					dup = true
-					return true
+		moved := s.t.segmentFor(s.H, h1) != seg
+		emptyOff, dup := int64(-1), false
+		if !moved {
+			probe(s.H, seg.base, bucketIndex(h1), func(off int64, w3 uint64) bool {
+				if !kv.ValidOf(w3) {
+					if emptyOff < 0 {
+						emptyOff = off
+					}
+					return false
 				}
-				return false
+				dup = kv.KeyEqualsWords(k, s.H.Load(off), s.H.Load(off+1))
+				return dup
+			})
+			if !dup && emptyOff >= 0 {
+				scheme.SlotCommit(s.H, emptyOff, k, v)
 			}
-			if emptyOff < 0 {
-				emptyOff = off
-			}
-			return false
-		})
-		if dup {
-			seg.lock.unlock()
-			lockCharge(s.h, seg.base)
-			s.t.dirMu.RUnlock()
-			return scheme.ErrExists
 		}
-		if emptyOff >= 0 {
-			writeSlotCommit(s.h, emptyOff, k, v)
-			seg.lock.unlock()
-			lockCharge(s.h, seg.base)
-			s.t.count.Add(1)
-			s.t.dirMu.RUnlock()
+		seg.lock.Release(s.H, seg.base, scheme.Exclusive)
+		s.t.dirMu.RUnlock()
+		switch {
+		case moved:
+			continue
+		case dup:
+			return scheme.ErrExists
+		case emptyOff >= 0:
+			s.t.Live.Add(1)
 			return nil
 		}
-		seg.lock.unlock()
-		lockCharge(s.h, seg.base)
-		s.t.dirMu.RUnlock()
-		if err := s.t.split(s.h, h1); err != nil {
+		if err := s.t.split(s.H, h1); err != nil {
 			return err
 		}
 	}
 	return scheme.ErrFull
 }
 
-func writeSlotCommit(h *nvm.Handle, off int64, k kv.Key, v kv.Value) {
-	var w [slotWords]uint64
-	kv.PackRecord(w[:], k, v, kv.MetaValid)
-	h.Store(off, w[0])
-	h.Store(off+1, w[1])
-	h.Store(off+2, w[2])
-	h.WriteAccess(off, 3)
-	h.Flush(off, 3)
-	h.Fence()
-	h.StorePersist(off+3, w[3])
-}
-
 // Update rewrites in place under the segment write lock. As with the other
 // in-place baselines, a multi-word value rewrite is not crash-atomic (see
 // the note on levelhash.Update); CCEH's published design shares this
 // property for values wider than 8 bytes.
-func (s *Session) Update(k kv.Key, v kv.Value) error {
-	h1 := hashfn.Hash1(k[:])
-	kw0, kw1 := k.Pack()
-	s.t.dirMu.RLock()
-	defer s.t.dirMu.RUnlock()
-	seg, _ := s.t.segmentFor(s.h, h1)
-	seg.lock.lock()
-	lockCharge(s.h, seg.base)
-	defer func() {
-		seg.lock.unlock()
-		lockCharge(s.h, seg.base)
-	}()
-	done := false
-	probe(s.h, seg.base, bucketIndex(h1), func(b int64, sl int, off int64, w3 uint64) bool {
-		if kv.ValidOf(w3) && s.h.Load(off) == kw0 && s.h.Load(off+1) == kw1 {
-			writeSlotCommit(s.h, off, k, v)
-			done = true
-			return true
-		}
-		return false
-	})
-	if !done {
+func (s *session) Update(k kv.Key, v kv.Value) error {
+	if !s.onKey(k, scheme.Exclusive, func(off int64, _ uint64) { scheme.SlotCommit(s.H, off, k, v) }) {
 		return scheme.ErrNotFound
 	}
 	return nil
@@ -417,31 +329,11 @@ func (s *Session) Update(k kv.Key, v kv.Value) error {
 
 // Delete is lazy: the valid bit is cleared, space is reclaimed by later
 // inserts.
-func (s *Session) Delete(k kv.Key) error {
-	h1 := hashfn.Hash1(k[:])
-	kw0, kw1 := k.Pack()
-	s.t.dirMu.RLock()
-	defer s.t.dirMu.RUnlock()
-	seg, _ := s.t.segmentFor(s.h, h1)
-	seg.lock.lock()
-	lockCharge(s.h, seg.base)
-	defer func() {
-		seg.lock.unlock()
-		lockCharge(s.h, seg.base)
-	}()
-	done := false
-	probe(s.h, seg.base, bucketIndex(h1), func(b int64, sl int, off int64, w3 uint64) bool {
-		if kv.ValidOf(w3) && s.h.Load(off) == kw0 && s.h.Load(off+1) == kw1 {
-			s.h.StorePersist(off+3, kv.WithMeta(w3, 0))
-			done = true
-			return true
-		}
-		return false
-	})
-	if !done {
+func (s *session) Delete(k kv.Key) error {
+	if !s.onKey(k, scheme.Exclusive, func(off int64, w3 uint64) { scheme.SlotClear(s.H, off, w3) }) {
 		return scheme.ErrNotFound
 	}
-	s.t.count.Add(-1)
+	s.t.Live.Add(-1)
 	return nil
 }
 
@@ -451,19 +343,14 @@ func (t *Table) split(h *nvm.Handle, h1 uint64) error {
 	t.dirMu.Lock()
 	defer t.dirMu.Unlock()
 
-	idx := int64(0)
-	if t.globalDepth > 0 {
-		idx = int64(h1 >> (64 - t.globalDepth))
-	}
-	old := t.dir[idx]
-
+	old := t.dir[t.dirIndex(h1)]
 	if old.localDepth == t.globalDepth {
 		if err := t.doubleDirectory(h); err != nil {
 			return err
 		}
-		idx = int64(h1 >> (64 - t.globalDepth))
-		old = t.dir[idx]
 	}
+	idx := t.dirIndex(h1)
+	old = t.dir[idx]
 
 	newDepth := old.localDepth + 1
 	leftBase, err := t.allocSegment(h, newDepth)
@@ -476,25 +363,19 @@ func (t *Table) split(h *nvm.Handle, h1 uint64) error {
 	}
 
 	// Redistribute by the newDepth-th MSB of each record's hash.
-	for b := int64(0); b < bucketsPerSegment; b++ {
-		h.ReadAccess(slotOff(old.base, b, 0), bucketWords)
-		for sl := 0; sl < slotsPerBucket; sl++ {
-			off := slotOff(old.base, b, sl)
-			w3 := h.Load(off + 3)
-			if !kv.ValidOf(w3) {
-				continue
-			}
-			k := kv.UnpackKey(h.Load(off), h.Load(off+1))
-			v, _ := kv.UnpackValue(h.Load(off+2), w3)
-			kh := hashfn.Hash1(k[:])
-			dst := leftBase
-			if kh>>(64-newDepth)&1 == 1 {
-				dst = rightBase
-			}
-			if !placeLinear(h, dst, kh, k, v) {
-				return fmt.Errorf("%w: cceh split redistribution overflow", scheme.ErrFull)
-			}
+	err = scheme.Scan(h, old.base+segmentHeaderWords, bucketsPerSegment*slotsPerBucket, slotsPerBucket, func(k kv.Key, v kv.Value) error {
+		kh := hashfn.Hash1(k[:])
+		dst := leftBase
+		if kh>>(64-newDepth)&1 == 1 {
+			dst = rightBase
 		}
+		if !placeLinear(h, dst, kh, k, v) {
+			return fmt.Errorf("%w: cceh split redistribution overflow", scheme.ErrFull)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// Update every directory entry that pointed at the old segment. The
@@ -512,22 +393,17 @@ func (t *Table) split(h *nvm.Handle, h1 uint64) error {
 		t.dir[start+i] = seg
 		h.Store(dirOff+start+i, uint64(seg.base))
 	}
-	h.WriteAccess(dirOff+start, run)
-	h.Flush(dirOff+start, run)
-	h.Fence()
+	scheme.Persist(h, dirOff+start, run)
 	return nil
 }
 
-func placeLinear(h *nvm.Handle, segBase int64, kh uint64, k kv.Key, v kv.Value) bool {
-	home := bucketIndex(kh)
-	placed := false
-	probe(h, segBase, home, func(b int64, sl int, off int64, w3 uint64) bool {
-		if kv.ValidOf(w3) {
-			return false
+func placeLinear(h *nvm.Handle, segBase int64, kh uint64, k kv.Key, v kv.Value) (placed bool) {
+	probe(h, segBase, bucketIndex(kh), func(off int64, w3 uint64) bool {
+		if !kv.ValidOf(w3) {
+			scheme.SlotCommit(h, off, k, v)
+			placed = true
 		}
-		writeSlotCommit(h, off, k, v)
-		placed = true
-		return true
+		return placed
 	})
 	return placed
 }
@@ -551,9 +427,7 @@ func (t *Table) doubleDirectory(h *nvm.Handle) error {
 		h.Store(newOff+2*i, uint64(t.dir[i].base))
 		h.Store(newOff+2*i+1, uint64(t.dir[i].base))
 	}
-	h.WriteAccess(newOff, newN)
-	h.Flush(newOff, newN)
-	h.Fence()
+	scheme.Persist(h, newOff, newN)
 	h.StorePersist(t.metaOff+dirWord, uint64(newOff))
 	t.globalDepth++
 	t.setState(h, uint64(t.globalDepth)|(t.dev.Load(t.metaOff+stateWord)>>16+1)<<16)
@@ -561,12 +435,9 @@ func (t *Table) doubleDirectory(h *nvm.Handle) error {
 	return nil
 }
 
-// Close is a no-op.
-func (t *Table) Close() error { return nil }
-
 func init() {
-	factory := func(dramDir bool) scheme.Factory {
-		return func(dev *nvm.Device, capacityHint int64) (scheme.Store, error) {
+	register := func(name string, dramDir bool) {
+		scheme.Register(name, func(dev *nvm.Device, capacityHint int64) (scheme.Store, error) {
 			depth := uint8(1)
 			if capacityHint > 0 {
 				perSeg := int64(bucketsPerSegment * slotsPerBucket)
@@ -579,24 +450,12 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &store{t}, nil
-		}
+			t.Label = name
+			return t, nil
+		})
 	}
-	scheme.Register("CCEH", factory(false))
+	register("CCEH", false)
 	// The HMEH-like variant: identical layout, directory reads served from
 	// DRAM (paper §2.3's point about HMEH's lower search latency).
-	scheme.Register("CCEH-DRAMDIR", factory(true))
+	register("CCEH-DRAMDIR", true)
 }
-
-type store struct{ t *Table }
-
-var _ scheme.Store = (*store)(nil)
-
-func (s *store) Name() string               { return "CCEH" }
-func (s *store) NewSession() scheme.Session { return s.t.NewSession() }
-func (s *store) Count() int64               { return s.t.Count() }
-func (s *store) Capacity() int64            { return s.t.Capacity() }
-func (s *store) LoadFactor() float64        { return s.t.LoadFactor() }
-func (s *store) Close() error               { return s.t.Close() }
-
-var _ scheme.Session = (*Session)(nil)

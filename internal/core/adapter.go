@@ -54,7 +54,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &routerAdapter{r: r}, nil
+			return &routerAdapter{r: r, name: name}, nil
 		})
 	}
 	register("HDNH", nil)
@@ -89,11 +89,19 @@ func SizeBottomSegments(hint int64, m int) int { return sizeBottomSegments(hint,
 func NewRouterStore(r *Router) scheme.Store { return &routerAdapter{r: r} }
 
 // routerAdapter exposes a Router through the scheme interface.
-type routerAdapter struct{ r *Router }
+type routerAdapter struct {
+	r    *Router
+	name string // the registered name; empty for NewRouterStore
+}
 
 var _ scheme.Store = (*routerAdapter)(nil)
 
+// Name is the name the registry opened the store under, or, for a store
+// from NewRouterStore, HDNH or HDNH-S<n> for an n-shard router.
 func (a *routerAdapter) Name() string {
+	if a.name != "" {
+		return a.name
+	}
 	if n := a.r.NumShards(); n > 1 {
 		return fmt.Sprintf("HDNH-S%d", n)
 	}

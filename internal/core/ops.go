@@ -169,8 +169,14 @@ const (
 	// walkRead is the paper's lock-free read: take nothing, wait out any
 	// writer lock in the way.
 	walkRead walkMode = iota
+	// walkPair is walkRead over the current level pair alone, never the
+	// drain level: the drain's existence check, whose caller holds the
+	// drain-level copy's lock, so a walk that reached it would wait on
+	// itself forever (stageMove).
+	walkPair
 	// walkLock locks the key's slot — the one probe every write verb starts
-	// with — waiting out other writers' locks.
+	// with — waiting out other writers' locks. It and every mode after it
+	// lock; the modes before it only read.
 	walkLock
 	// walkTryLock is walkLock that turns every would-block point (a locked
 	// slot, a lost lock race) into an immediate lookupContended instead of
@@ -196,7 +202,8 @@ const (
 // re-examined in place (INTERNALS §10 argues why that needs no rescan of its
 // own). The rescans are capped by Options.lookupRetryBudget (1024), each
 // after a yield; exhausting it returns lookupContended, never lookupMissing.
-// Caller must be inside an epoch critical section (enterCritical).
+// Caller must be inside an epoch critical section (enterCritical), or be a
+// drain worker, whose levels the in-flight task pins.
 func (t *Table) walk(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats, mode walkMode) (hit, lookupResult) {
 	kw0, kw1 := k.Pack()
 	for pass := 0; pass < t.opts.lookupRetryBudget; pass++ {
@@ -210,7 +217,11 @@ func (t *Table) walk(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probe
 		}
 		mayHaveMoved := false
 		var lv [3]*level
-		for _, lvl := range lv[:t.walkLevels(&lv)] {
+		n := t.walkLevels(&lv)
+		if mode == walkPair {
+			n = 2
+		}
+		for _, lvl := range lv[:n] {
 			for _, b := range lvl.candidates(h1, h2) {
 				// SWAR pre-filter: one load of the bucket's packed fingerprint
 				// word replaces eight scattered OCF loads. A slot that gains
@@ -251,7 +262,7 @@ func (t *Table) walk(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probe
 					if w0 != kw0 || w1 != kw1 || !kv.ValidOf(w3) {
 						continue
 					}
-					if mode != walkRead && !lvl.ocfTryLock(b, s, c) {
+					if mode >= walkLock && !lvl.ocfTryLock(b, s, c) {
 						if mode == walkTryLock {
 							return hit{}, lookupContended
 						}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -560,13 +559,15 @@ func (t *Table) stageMove(h *nvm.Handle, ref slotRef) (p pendingCommit, staged b
 	h1, h2, fp := hashKV(k[:])
 	p = pendingCommit{op: opMove, h1: h1, fp: fp, oldRef: ref, oldC: c, oldW3: w3}
 
-	exists, err := t.committedInNew(h, k, h1, h2, fp)
-	if err != nil {
-		ref.release(true, fp, c)
-		return p, false, err
-	}
-	if exists {
+	// The existence check that makes re-draining after a crash idempotent
+	// (INTERNALS §10 argues why it is conclusive).
+	var ps probeStats
+	switch _, res := t.walk(h, k, h1, h2, fp, &ps, walkPair); res {
+	case lookupFound:
 		return p, true, nil
+	case lookupContended:
+		ref.release(true, fp, c)
+		return p, false, fmt.Errorf("core: drain existence check exhausted its retry budget")
 	}
 	dst, dc, ok := t.lockEmptySlot(h1, h2, nil)
 	for attempt := 0; !ok && attempt < contendedRetryMax; attempt++ {
@@ -584,59 +585,4 @@ func (t *Table) stageMove(h *nvm.Handle, ref slotRef) (p pendingCommit, staged b
 	p.newRef, p.newC = dst, dc
 	p.w3 = writeSlotStage(h, dst, k, v, metaStamp(meta))
 	return p, true, nil
-}
-
-// committedInNew reports whether the key is already committed in the current
-// two-level structure — the existence check that makes re-draining after a
-// crash idempotent. It deliberately skips the drain level (the caller holds
-// that copy's lock) and, unlike lookup, must reach a conclusive answer: the
-// caller holds the only copy's lock if the key is absent, so the key itself
-// cannot move, and rescans only repeat under unrelated same-shard churn.
-func (t *Table) committedInNew(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8) (bool, error) {
-	kw0, kw1 := k.Pack()
-	for round := 0; ; round++ {
-		moveSnapshot := t.moveShard(h1).Load()
-		mayHaveMoved := false
-		pr := t.pair()
-		for _, lvl := range [2]*level{pr.top, pr.bottom} {
-			for _, b := range lvl.candidates(h1, h2) {
-				for m := swarMatch(lvl.fpwLoad(b), fp); m != 0; m &= m - 1 {
-					s := bits.TrailingZeros64(m) >> 3
-				retrySlot:
-					c := lvl.ocfLoad(b, s)
-					if ocfFP(c) != fp {
-						continue
-					}
-					if ocfIsLocked(c) {
-						c = waitUnlocked(lvl, b, s, nil)
-						if ocfFP(c) != fp || !ocfIsValid(c) {
-							mayHaveMoved = true
-							continue
-						}
-					}
-					if !ocfIsValid(c) {
-						continue
-					}
-					off := lvl.slotWord(b, s)
-					h.ReadAccess(off, slotWords)
-					w0 := h.Load(off)
-					w1 := h.Load(off + 1)
-					w3 := h.Load(off + 3)
-					if lvl.ocfLoad(b, s) != c {
-						goto retrySlot
-					}
-					if w0 == kw0 && w1 == kw1 && kv.ValidOf(w3) {
-						return true, nil
-					}
-				}
-			}
-		}
-		if !mayHaveMoved && t.moveShard(h1).Load() == moveSnapshot {
-			return false, nil
-		}
-		if round >= t.opts.lookupRetryBudget+contendedRetryMax {
-			return false, fmt.Errorf("core: drain existence check exhausted its retry budget")
-		}
-		spinBackoff(round)
-	}
 }

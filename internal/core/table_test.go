@@ -375,8 +375,8 @@ func TestNegativeSearchRarelyTouchesNVM(t *testing.T) {
 }
 
 // TestSchemeRegistryVariants drives each registered HDNH variant through the
-// scheme interface. Every variant is a 1-shard router named "HDNH" whose
-// option change reached its table, on the unsharded image: root slot 0 set,
+// scheme interface. Every variant is a 1-shard router that reports its
+// registered name and whose option change reached its table, on the unsharded image: root slot 0 set,
 // the shard directory slot empty.
 func TestSchemeRegistryVariants(t *testing.T) {
 	for _, v := range []struct {
@@ -399,8 +399,8 @@ func TestSchemeRegistryVariants(t *testing.T) {
 			}
 			defer store.Close()
 			ra, ok := store.(*routerAdapter)
-			if !ok || ra.r.NumShards() != 1 || store.Name() != "HDNH" {
-				t.Fatalf("store %T named %q, want a 1-shard router named HDNH", store, store.Name())
+			if !ok || ra.r.NumShards() != 1 || store.Name() != name {
+				t.Fatalf("store %T named %q, want a 1-shard router named %s", store, store.Name(), name)
 			}
 			if o := ra.r.shards[0].Options(); !v.applied(o) {
 				t.Fatalf("variant's option change missing: %+v", o)

@@ -22,9 +22,7 @@ package levelhash
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"hdnh/internal/hashfn"
 	"hdnh/internal/kv"
@@ -64,57 +62,37 @@ func unpack(w uint64) state {
 	return state{top: uint8(w) & 3, bottom: uint8(w>>2) & 3, generation: w >> 16}
 }
 
-// rwSpin is a compact reader-writer spinlock; every transition is charged as
-// an NVM write because Level Hashing keeps its lock words with the data.
-type rwSpin struct{ v atomic.Int32 }
-
-func (l *rwSpin) rlock() {
-	for {
-		v := l.v.Load()
-		if v >= 0 && l.v.CompareAndSwap(v, v+1) {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-func (l *rwSpin) runlock() { l.v.Add(-1) }
-
-func (l *rwSpin) lock() {
-	for !l.v.CompareAndSwap(0, -1) {
-		runtime.Gosched()
-	}
-}
-
-func (l *rwSpin) unlock() { l.v.Store(0) }
-
 type levelArr struct {
 	base    int64
 	buckets int64
-	locks   []rwSpin // one per slot
+	locks   []scheme.NVMLock // one per slot
 }
 
 func newLevelArr(base, buckets int64) *levelArr {
-	return &levelArr{base: base, buckets: buckets, locks: make([]rwSpin, buckets*slotsPerBucket)}
+	return &levelArr{base: base, buckets: buckets, locks: make([]scheme.NVMLock, buckets*slotsPerBucket)}
 }
 
 func (l *levelArr) slotWordOff(b int64, s int) int64 {
 	return l.base + b*bucketWords + int64(s)*slotWords
 }
 
-func (l *levelArr) words() int64 { return l.buckets * bucketWords }
+// count is the valid-slot recount Open runs, one read per bucket.
+func (l *levelArr) count(h *nvm.Handle) int64 {
+	return scheme.CountValid(h, l.base, l.buckets*slotsPerBucket, slotsPerBucket)
+}
 
 // Table is a Level Hashing instance.
 type Table struct {
+	scheme.Base
 	dev     *nvm.Device
 	metaOff int64
 
 	resizeMu sync.RWMutex
 	top      *levelArr
 	bottom   *levelArr
-
-	count atomic.Int64
 }
+
+var _ scheme.Store = (*Table)(nil)
 
 // Options configures creation.
 type Options struct {
@@ -132,7 +110,7 @@ func New(dev *nvm.Device, opts Options) (*Table, error) {
 	if opts.InitTopBuckets%2 != 0 {
 		opts.InitTopBuckets++
 	}
-	t := &Table{dev: dev}
+	t := &Table{Base: scheme.Base{Label: "LEVEL"}, dev: dev}
 	h := dev.NewHandle()
 	if root := dev.Root(rootSlot); root != 0 {
 		t.metaOff = int64(root)
@@ -140,11 +118,9 @@ func New(dev *nvm.Device, opts Options) (*Table, error) {
 			return nil, errors.New("levelhash: metadata magic mismatch")
 		}
 		st := t.state()
-		topBase, topBuckets := t.descriptor(st.top)
-		botBase, botBuckets := t.descriptor(st.bottom)
-		t.top = newLevelArr(topBase, topBuckets)
-		t.bottom = newLevelArr(botBase, botBuckets)
-		t.count.Store(t.scanCount(h))
+		t.top = newLevelArr(scheme.ReadDescriptor(dev, t.descOff(st.top)))
+		t.bottom = newLevelArr(scheme.ReadDescriptor(dev, t.descOff(st.bottom)))
+		t.Live.Store(t.top.count(h) + t.bottom.count(h))
 		return t, nil
 	}
 	metaOff, err := dev.Alloc(h, metaWords, nvm.BlockWords)
@@ -162,8 +138,8 @@ func New(dev *nvm.Device, opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.writeDescriptor(h, 0, topBase, topBuckets)
-	t.writeDescriptor(h, 1, botBase, botBuckets)
+	scheme.WriteDescriptor(h, t.descOff(0), topBase, topBuckets)
+	scheme.WriteDescriptor(h, t.descOff(1), botBase, botBuckets)
 	t.setState(h, state{top: 0, bottom: 1, generation: 1})
 	h.StorePersist(metaOff+magicWord, metaMagic)
 	dev.SetRoot(h, rootSlot, uint64(metaOff))
@@ -178,25 +154,8 @@ func (t *Table) setState(h *nvm.Handle, s state) {
 	h.StorePersist(t.metaOff+stateWord, s.pack())
 }
 
-func (t *Table) descriptor(i uint8) (base, buckets int64) {
-	return int64(t.dev.Load(t.metaOff + levelBase + 2*int64(i))),
-		int64(t.dev.Load(t.metaOff + levelBase + 2*int64(i) + 1))
-}
-
-func (t *Table) writeDescriptor(h *nvm.Handle, i uint8, base, buckets int64) {
-	w := t.metaOff + levelBase + 2*int64(i)
-	h.Store(w, uint64(base))
-	h.Store(w+1, uint64(buckets))
-	h.WriteAccess(w, 2)
-	h.Flush(w, 2)
-	h.Fence()
-}
-
-// lockCharge models the NVM write caused by a lock-word transition.
-func lockCharge(h *nvm.Handle, off int64) {
-	h.WriteAccess(off, 1)
-	h.Flush(off, 1)
-}
+// descOff is the word offset of level descriptor i.
+func (t *Table) descOff(i uint8) int64 { return t.metaOff + levelBase + 2*int64(i) }
 
 // candidate buckets for a level: one per hash function.
 func (l *levelArr) candidates(h1, h2 uint64) [2]int64 {
@@ -208,38 +167,6 @@ func (l *levelArr) candidates(h1, h2 uint64) [2]int64 {
 	return [2]int64{b1, b2}
 }
 
-// readSlot loads one slot with accounting.
-func (l *levelArr) readSlot(h *nvm.Handle, b int64, s int) (w [slotWords]uint64) {
-	off := l.slotWordOff(b, s)
-	h.ReadAccess(off, slotWords)
-	for i := range w {
-		w[i] = h.Load(off + int64(i))
-	}
-	return w
-}
-
-// writeSlotCommit persists a record into slot (b, s) with the standard
-// two-step crash-atomic ordering.
-func (l *levelArr) writeSlotCommit(h *nvm.Handle, b int64, s int, k kv.Key, v kv.Value) {
-	off := l.slotWordOff(b, s)
-	var w [slotWords]uint64
-	kv.PackRecord(w[:], k, v, kv.MetaValid)
-	h.Store(off, w[0])
-	h.Store(off+1, w[1])
-	h.Store(off+2, w[2])
-	h.WriteAccess(off, 3)
-	h.Flush(off, 3)
-	h.Fence()
-	h.StorePersist(off+3, w[3])
-}
-
-func (l *levelArr) clearSlot(h *nvm.Handle, b int64, s int, w3 uint64) {
-	h.StorePersist(l.slotWordOff(b, s)+3, kv.WithMeta(w3, 0))
-}
-
-// Count returns live records.
-func (t *Table) Count() int64 { return t.count.Load() }
-
 // Capacity returns total slots.
 func (t *Table) Capacity() int64 {
 	t.resizeMu.RLock()
@@ -248,86 +175,66 @@ func (t *Table) Capacity() int64 {
 }
 
 // LoadFactor returns occupancy.
-func (t *Table) LoadFactor() float64 {
-	c := t.Capacity()
-	if c == 0 {
-		return 0
-	}
-	return float64(t.Count()) / float64(c)
-}
+func (t *Table) LoadFactor() float64 { return scheme.LoadFactor(t.Count(), t.Capacity()) }
 
-func (t *Table) scanCount(h *nvm.Handle) int64 {
-	st := t.state()
-	var n int64
-	for _, i := range []uint8{st.top, st.bottom} {
-		base, buckets := t.descriptor(i)
-		for b := int64(0); b < buckets; b++ {
-			h.ReadAccess(base+b*bucketWords, bucketWords)
-			for s := 0; s < slotsPerBucket; s++ {
-				if kv.ValidOf(h.Load(base + b*bucketWords + int64(s)*slotWords + 3)) {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
-// Session is the per-goroutine operation handle.
-type Session struct {
+type session struct {
+	scheme.DeviceSession
 	t *Table
-	h *nvm.Handle
 }
 
 // NewSession returns a session.
-func (t *Table) NewSession() *Session { return &Session{t: t, h: t.dev.NewHandle()} }
+func (t *Table) NewSession() scheme.Session {
+	return &session{scheme.DeviceSession{H: t.dev.NewHandle()}, t}
+}
 
-// NVMStats returns session traffic.
-func (s *Session) NVMStats() nvm.Stats { return s.h.Stats() }
-
-// Close is a no-op: sessions hold no table-side resources.
-func (s *Session) Close() error { return nil }
-
-// Get searches both levels' candidate buckets, slot by slot, taking (and
-// paying for) a read lock per slot probed — Level Hashing has no filter, so
-// every probe is an NVM read.
-func (s *Session) Get(k kv.Key) (kv.Value, bool) {
-	h1, h2 := hashfn.Pair(k[:])
-	kw0, kw1 := k.Pack()
-	s.t.resizeMu.RLock()
-	defer s.t.resizeMu.RUnlock()
+// onKey probes the key's candidate slots (both levels, two buckets each,
+// slot by slot), taking and paying for each slot's lock, exclusive for a
+// write, and runs fn on the key's slot while its lock is held. Level Hashing
+// has no filter, so every probe is an NVM read. The caller holds resizeMu.
+func (s *session) onKey(k kv.Key, h1, h2 uint64, exclusive bool, fn func(off int64, w [slotWords]uint64)) bool {
 	for _, lvl := range [2]*levelArr{s.t.top, s.t.bottom} {
 		for _, b := range lvl.candidates(h1, h2) {
 			for slot := 0; slot < slotsPerBucket; slot++ {
-				lk := &lvl.locks[b*slotsPerBucket+int64(slot)]
-				lk.rlock()
-				lockCharge(s.h, lvl.slotWordOff(b, slot))
-				w := lvl.readSlot(s.h, b, slot)
-				hit := kv.ValidOf(w[3]) && w[0] == kw0 && w[1] == kw1
-				lk.runlock()
-				lockCharge(s.h, lvl.slotWordOff(b, slot))
+				lk, off := &lvl.locks[b*slotsPerBucket+int64(slot)], lvl.slotWordOff(b, slot)
+				lk.Acquire(s.H, off, exclusive)
+				w := scheme.ReadSlot(s.H, off)
+				hit := kv.ValidOf(w[3]) && kv.KeyEqualsWords(k, w[0], w[1])
+				if hit && fn != nil {
+					fn(off, w)
+				}
+				lk.Release(s.H, off, exclusive)
 				if hit {
-					v, _ := kv.UnpackValue(w[2], w[3])
-					return v, true
+					return true
 				}
 			}
 		}
 	}
-	return kv.Value{}, false
+	return false
+}
+
+// Get searches both levels' candidate buckets under shared slot locks.
+func (s *session) Get(k kv.Key) (v kv.Value, found bool) {
+	h1, h2 := hashfn.Pair(k[:])
+	s.t.resizeMu.RLock()
+	defer s.t.resizeMu.RUnlock()
+	found = s.onKey(k, h1, h2, scheme.Shared, func(_ int64, w [slotWords]uint64) {
+		v, _ = kv.UnpackValue(w[2], w[3])
+	})
+	return v, found
 }
 
 // Insert places a new record, using displacement and bottom-to-top eviction
 // before resizing.
-func (s *Session) Insert(k kv.Key, v kv.Value) error {
+func (s *session) Insert(k kv.Key, v kv.Value) error {
 	h1, h2 := hashfn.Pair(k[:])
 	for attempt := 0; attempt < 24; attempt++ {
 		s.t.resizeMu.RLock()
-		if _, dup := s.lookupLocked(k, h1, h2); dup {
+		if s.onKey(k, h1, h2, scheme.Shared, nil) {
 			s.t.resizeMu.RUnlock()
 			return scheme.ErrExists
 		}
 		if s.tryPlace(k, v, h1, h2) {
-			s.t.count.Add(1)
+			s.t.Live.Add(1)
 			s.t.resizeMu.RUnlock()
 			return nil
 		}
@@ -340,32 +247,9 @@ func (s *Session) Insert(k kv.Key, v kv.Value) error {
 	return scheme.ErrFull
 }
 
-// lookupLocked is Get's probe without the outer lock (caller holds it),
-// returning the slot position.
-func (s *Session) lookupLocked(k kv.Key, h1, h2 uint64) (pos [3]int64, found bool) {
-	kw0, kw1 := k.Pack()
-	for li, lvl := range [2]*levelArr{s.t.top, s.t.bottom} {
-		for _, b := range lvl.candidates(h1, h2) {
-			for slot := 0; slot < slotsPerBucket; slot++ {
-				lk := &lvl.locks[b*slotsPerBucket+int64(slot)]
-				lk.rlock()
-				lockCharge(s.h, lvl.slotWordOff(b, slot))
-				w := lvl.readSlot(s.h, b, slot)
-				hit := kv.ValidOf(w[3]) && w[0] == kw0 && w[1] == kw1
-				lk.runlock()
-				lockCharge(s.h, lvl.slotWordOff(b, slot))
-				if hit {
-					return [3]int64{int64(li), b, int64(slot)}, true
-				}
-			}
-		}
-	}
-	return pos, false
-}
-
 // tryPlace attempts: empty slot in any candidate bucket; one cuckoo
 // displacement in the top level; bottom-to-top eviction.
-func (s *Session) tryPlace(k kv.Key, v kv.Value, h1, h2 uint64) bool {
+func (s *session) tryPlace(k kv.Key, v kv.Value, h1, h2 uint64) bool {
 	for _, lvl := range [2]*levelArr{s.t.top, s.t.bottom} {
 		for _, b := range lvl.candidates(h1, h2) {
 			if s.placeInBucket(lvl, b, k, v) {
@@ -384,66 +268,53 @@ func (s *Session) tryPlace(k kv.Key, v kv.Value, h1, h2 uint64) bool {
 	return s.displace(s.t.bottom, h1, h2, k, v)
 }
 
-func (s *Session) placeInBucket(lvl *levelArr, b int64, k kv.Key, v kv.Value) bool {
+func (s *session) placeInBucket(lvl *levelArr, b int64, k kv.Key, v kv.Value) bool {
 	for slot := 0; slot < slotsPerBucket; slot++ {
-		lk := &lvl.locks[b*slotsPerBucket+int64(slot)]
-		lk.lock()
-		lockCharge(s.h, lvl.slotWordOff(b, slot))
-		w := lvl.readSlot(s.h, b, slot)
-		if kv.ValidOf(w[3]) {
-			lk.unlock()
-			lockCharge(s.h, lvl.slotWordOff(b, slot))
-			continue
+		lk, off := &lvl.locks[b*slotsPerBucket+int64(slot)], lvl.slotWordOff(b, slot)
+		lk.Acquire(s.H, off, scheme.Exclusive)
+		free := !kv.ValidOf(scheme.ReadSlot(s.H, off)[3])
+		if free {
+			scheme.SlotCommit(s.H, off, k, v)
 		}
-		lvl.writeSlotCommit(s.h, b, int64ToInt(slot), k, v)
-		lk.unlock()
-		lockCharge(s.h, lvl.slotWordOff(b, slot))
-		return true
+		lk.Release(s.H, off, scheme.Exclusive)
+		if free {
+			return true
+		}
 	}
 	return false
 }
 
-func int64ToInt(s int) int { return s }
-
 // displace moves one record out of srcLvl's candidate buckets to make room
 // for (k, v). For the top level the record moves to its alternate top
 // bucket; for the bottom level it moves up into the top level.
-func (s *Session) displace(srcLvl *levelArr, h1, h2 uint64, k kv.Key, v kv.Value) bool {
+func (s *session) displace(srcLvl *levelArr, h1, h2 uint64, k kv.Key, v kv.Value) bool {
 	dstLvl := s.t.top
 	for _, b := range srcLvl.candidates(h1, h2) {
 		for slot := 0; slot < slotsPerBucket; slot++ {
-			lk := &srcLvl.locks[b*slotsPerBucket+int64(slot)]
-			lk.lock()
-			lockCharge(s.h, srcLvl.slotWordOff(b, slot))
-			w := srcLvl.readSlot(s.h, b, slot)
-			if !kv.ValidOf(w[3]) {
-				lk.unlock()
-				lockCharge(s.h, srcLvl.slotWordOff(b, slot))
-				continue
-			}
-			vk := kv.UnpackKey(w[0], w[1])
-			vv, _ := kv.UnpackValue(w[2], w[3])
-			vh1, vh2 := hashfn.Pair(vk[:])
+			lk, off := &srcLvl.locks[b*slotsPerBucket+int64(slot)], srcLvl.slotWordOff(b, slot)
+			lk.Acquire(s.H, off, scheme.Exclusive)
+			w := scheme.ReadSlot(s.H, off)
 			moved := false
-			for _, db := range dstLvl.candidates(vh1, vh2) {
-				if dstLvl == srcLvl && db == b {
-					continue
-				}
-				if s.placeInBucket(dstLvl, db, vk, vv) {
-					moved = true
-					break
+			if kv.ValidOf(w[3]) {
+				vk := kv.UnpackKey(w[0], w[1])
+				vv, _ := kv.UnpackValue(w[2], w[3])
+				vh1, vh2 := hashfn.Pair(vk[:])
+				for _, db := range dstLvl.candidates(vh1, vh2) {
+					if (dstLvl != srcLvl || db != b) && s.placeInBucket(dstLvl, db, vk, vv) {
+						moved = true
+						break
+					}
 				}
 			}
 			if moved {
-				srcLvl.clearSlot(s.h, b, slot, w[3])
+				scheme.SlotClear(s.H, off, w[3])
 				// The freed slot takes the new record.
-				srcLvl.writeSlotCommit(s.h, b, slot, k, v)
-				lk.unlock()
-				lockCharge(s.h, srcLvl.slotWordOff(b, slot))
+				scheme.SlotCommit(s.H, off, k, v)
+			}
+			lk.Release(s.H, off, scheme.Exclusive)
+			if moved {
 				return true
 			}
-			lk.unlock()
-			lockCharge(s.h, srcLvl.slotWordOff(b, slot))
 		}
 	}
 	return false
@@ -455,58 +326,30 @@ func (s *Session) displace(srcLvl *levelArr, h1, h2 uint64, k kv.Key, v kv.Value
 // limitation of in-place updates on PM that HDNH's out-of-place protocol
 // avoids; the crash-consistency test matrix for this baseline therefore
 // covers inserts (which are crash-atomic here) but not updates.
-func (s *Session) Update(k kv.Key, v kv.Value) error {
+func (s *session) Update(k kv.Key, v kv.Value) error {
 	h1, h2 := hashfn.Pair(k[:])
-	kw0, kw1 := k.Pack()
 	s.t.resizeMu.RLock()
 	defer s.t.resizeMu.RUnlock()
-	for _, lvl := range [2]*levelArr{s.t.top, s.t.bottom} {
-		for _, b := range lvl.candidates(h1, h2) {
-			for slot := 0; slot < slotsPerBucket; slot++ {
-				lk := &lvl.locks[b*slotsPerBucket+int64(slot)]
-				lk.lock()
-				lockCharge(s.h, lvl.slotWordOff(b, slot))
-				w := lvl.readSlot(s.h, b, slot)
-				if kv.ValidOf(w[3]) && w[0] == kw0 && w[1] == kw1 {
-					lvl.writeSlotCommit(s.h, b, slot, k, v)
-					lk.unlock()
-					lockCharge(s.h, lvl.slotWordOff(b, slot))
-					return nil
-				}
-				lk.unlock()
-				lockCharge(s.h, lvl.slotWordOff(b, slot))
-			}
-		}
+	if !s.onKey(k, h1, h2, scheme.Exclusive, func(off int64, _ [slotWords]uint64) {
+		scheme.SlotCommit(s.H, off, k, v)
+	}) {
+		return scheme.ErrNotFound
 	}
-	return scheme.ErrNotFound
+	return nil
 }
 
 // Delete clears the record's valid bit under its slot write lock.
-func (s *Session) Delete(k kv.Key) error {
+func (s *session) Delete(k kv.Key) error {
 	h1, h2 := hashfn.Pair(k[:])
-	kw0, kw1 := k.Pack()
 	s.t.resizeMu.RLock()
 	defer s.t.resizeMu.RUnlock()
-	for _, lvl := range [2]*levelArr{s.t.top, s.t.bottom} {
-		for _, b := range lvl.candidates(h1, h2) {
-			for slot := 0; slot < slotsPerBucket; slot++ {
-				lk := &lvl.locks[b*slotsPerBucket+int64(slot)]
-				lk.lock()
-				lockCharge(s.h, lvl.slotWordOff(b, slot))
-				w := lvl.readSlot(s.h, b, slot)
-				if kv.ValidOf(w[3]) && w[0] == kw0 && w[1] == kw1 {
-					lvl.clearSlot(s.h, b, slot, w[3])
-					lk.unlock()
-					lockCharge(s.h, lvl.slotWordOff(b, slot))
-					s.t.count.Add(-1)
-					return nil
-				}
-				lk.unlock()
-				lockCharge(s.h, lvl.slotWordOff(b, slot))
-			}
-		}
+	if !s.onKey(k, h1, h2, scheme.Exclusive, func(off int64, w [slotWords]uint64) {
+		scheme.SlotClear(s.H, off, w[3])
+	}) {
+		return scheme.ErrNotFound
 	}
-	return scheme.ErrNotFound
+	s.t.Live.Add(-1)
+	return nil
 }
 
 // expand performs the level-hashing resize: a new top level with twice the
@@ -530,39 +373,20 @@ func (t *Table) expand(observedGen uint64) error {
 	if err != nil {
 		return fmt.Errorf("%w: levelhash resize: %v", scheme.ErrFull, err)
 	}
-	t.writeDescriptor(h, free, base, newBuckets)
+	scheme.WriteDescriptor(h, t.descOff(free), base, newBuckets)
 	newTop := newLevelArr(base, newBuckets)
 
 	// Rehash old bottom into the new top (copy, then switch).
 	src := t.bottom
-	for b := int64(0); b < src.buckets; b++ {
-		h.ReadAccess(src.base+b*bucketWords, bucketWords)
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			w3 := h.Load(src.slotWordOff(b, slot) + 3)
-			if !kv.ValidOf(w3) {
-				continue
-			}
-			off := src.slotWordOff(b, slot)
-			k := kv.UnpackKey(h.Load(off), h.Load(off+1))
-			v, _ := kv.UnpackValue(h.Load(off+2), w3)
-			h1, h2 := hashfn.Pair(k[:])
-			placed := false
-			for _, db := range newTop.candidates(h1, h2) {
-				for ds := 0; ds < slotsPerBucket; ds++ {
-					if !kv.ValidOf(h.Load(newTop.slotWordOff(db, ds) + 3)) {
-						newTop.writeSlotCommit(h, db, ds, k, v)
-						placed = true
-						break
-					}
-				}
-				if placed {
-					break
-				}
-			}
-			if !placed {
-				return fmt.Errorf("%w: levelhash rehash overflow", scheme.ErrFull)
-			}
+	err = scheme.Scan(h, src.base, src.buckets*slotsPerBucket, slotsPerBucket, func(k kv.Key, v kv.Value) error {
+		c := newTop.candidates(hashfn.Pair(k[:]))
+		if !scheme.PlaceFree(h, k, v, slotsPerBucket, newTop.slotWordOff(c[0], 0), newTop.slotWordOff(c[1], 0)) {
+			return fmt.Errorf("%w: levelhash rehash overflow", scheme.ErrFull)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// Atomic switch: new top live, old top demoted, old bottom retired.
 	t.setState(h, state{top: free, bottom: st.top, generation: st.generation + 1})
@@ -570,9 +394,6 @@ func (t *Table) expand(observedGen uint64) error {
 	t.top = newTop
 	return nil
 }
-
-// Close is a no-op (no background machinery).
-func (t *Table) Close() error { return nil }
 
 func init() {
 	scheme.Register("LEVEL", func(dev *nvm.Device, capacityHint int64) (scheme.Store, error) {
@@ -589,19 +410,6 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return &store{t}, nil
+		return t, nil
 	})
 }
-
-type store struct{ t *Table }
-
-var _ scheme.Store = (*store)(nil)
-
-func (s *store) Name() string               { return "LEVEL" }
-func (s *store) NewSession() scheme.Session { return s.t.NewSession() }
-func (s *store) Count() int64               { return s.t.Count() }
-func (s *store) Capacity() int64            { return s.t.Capacity() }
-func (s *store) LoadFactor() float64        { return s.t.LoadFactor() }
-func (s *store) Close() error               { return s.t.Close() }
-
-var _ scheme.Session = (*Session)(nil)

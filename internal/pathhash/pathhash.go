@@ -19,8 +19,6 @@ package pathhash
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"hdnh/internal/hashfn"
 	"hdnh/internal/kv"
@@ -44,6 +42,7 @@ const (
 
 // Table is a Path Hashing instance.
 type Table struct {
+	scheme.Base
 	dev      *nvm.Device
 	metaOff  int64
 	base     int64
@@ -51,28 +50,10 @@ type Table struct {
 	leaves   int64
 	cells    int64 // total cells across all levels
 
-	lock  rwSpin
-	count atomic.Int64
+	lock scheme.NVMLock // the global lock, charged at the metadata block
 }
 
-type rwSpin struct{ v atomic.Int32 }
-
-func (l *rwSpin) rlock() {
-	for {
-		v := l.v.Load()
-		if v >= 0 && l.v.CompareAndSwap(v, v+1) {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-func (l *rwSpin) runlock() { l.v.Add(-1) }
-func (l *rwSpin) lock() {
-	for !l.v.CompareAndSwap(0, -1) {
-		runtime.Gosched()
-	}
-}
-func (l *rwSpin) unlock() { l.v.Store(0) }
+var _ scheme.Store = (*Table)(nil)
 
 // Options configures creation.
 type Options struct {
@@ -82,7 +63,7 @@ type Options struct {
 
 // New creates or opens a Path Hashing table.
 func New(dev *nvm.Device, opts Options) (*Table, error) {
-	t := &Table{dev: dev}
+	t := &Table{Base: scheme.Base{Label: "PATH"}, dev: dev}
 	h := dev.NewHandle()
 	if root := dev.Root(rootSlot); root != 0 {
 		t.metaOff = int64(root)
@@ -92,7 +73,8 @@ func New(dev *nvm.Device, opts Options) (*Table, error) {
 		t.leafBits = uint8(dev.Load(t.metaOff + leafWord))
 		t.base = int64(dev.Load(t.metaOff + baseWord))
 		t.initGeometry()
-		t.count.Store(t.scanCount(h))
+		// One charged read per 32 cells: four media blocks at a time.
+		t.Live.Store(scheme.CountValid(h, t.base, t.cells, 32))
 		return t, nil
 	}
 	if opts.LeafBits == 0 {
@@ -148,207 +130,111 @@ func (t *Table) cellOff(d int, i int64) int64 {
 // Capacity returns total cells.
 func (t *Table) Capacity() int64 { return t.cells }
 
-// Count returns live records.
-func (t *Table) Count() int64 { return t.count.Load() }
-
 // LoadFactor returns occupancy.
-func (t *Table) LoadFactor() float64 {
-	return float64(t.Count()) / float64(t.cells)
-}
+func (t *Table) LoadFactor() float64 { return scheme.LoadFactor(t.Count(), t.cells) }
 
-func (t *Table) scanCount(h *nvm.Handle) int64 {
-	var n int64
-	for i := int64(0); i < t.cells; i++ {
-		off := t.base + i*slotWords
-		if i%32 == 0 {
-			h.ReadAccess(off, 32*slotWords)
-		}
-		if kv.ValidOf(h.Load(off + 3)) {
-			n++
-		}
-	}
-	return n
-}
-
-// Session is the per-goroutine handle.
-type Session struct {
+type session struct {
+	scheme.DeviceSession
 	t *Table
-	h *nvm.Handle
 }
 
 // NewSession returns a session.
-func (t *Table) NewSession() *Session { return &Session{t: t, h: t.dev.NewHandle()} }
-
-// NVMStats returns session traffic.
-func (s *Session) NVMStats() nvm.Stats { return s.h.Stats() }
-
-// Close is a no-op: sessions hold no table-side resources.
-func (s *Session) Close() error { return nil }
-
-func lockCharge(h *nvm.Handle, off int64) {
-	h.WriteAccess(off, 1)
-	h.Flush(off, 1)
+func (t *Table) NewSession() scheme.Session {
+	return &session{scheme.DeviceSession{H: t.dev.NewHandle()}, t}
 }
 
 // pathCells calls fn for every cell on the root-ward paths of the key's two
-// leaf positions, stopping early when fn returns true.
-func (t *Table) pathCells(h1, h2 uint64, fn func(d int, i int64) bool) {
+// leaf positions, charging one read per cell, stopping early when fn
+// returns true.
+func (t *Table) pathCells(h *nvm.Handle, k kv.Key, fn func(off int64, w [slotWords]uint64) bool) {
+	h1, h2 := hashfn.Pair(k[:])
 	p1 := int64(h1 % uint64(t.leaves))
 	p2 := int64(h2 % uint64(t.leaves))
 	if p2 == p1 {
 		p2 = (p1 + 1) % t.leaves
 	}
+	visit := func(d int, i int64) bool {
+		off := t.cellOff(d, i)
+		return fn(off, scheme.ReadSlot(h, off))
+	}
 	for d := 0; d <= ReservedLevels; d++ {
-		if fn(d, p1>>uint(d)) {
+		// Once the two paths merge, their shared cells are visited once.
+		if visit(d, p1>>uint(d)) || p1>>uint(d) != p2>>uint(d) && visit(d, p2>>uint(d)) {
 			return
-		}
-		if p1>>uint(d) != p2>>uint(d) {
-			if fn(d, p2>>uint(d)) {
-				return
-			}
 		}
 	}
 }
 
-// Get walks both paths under the global read lock.
-func (s *Session) Get(k kv.Key) (kv.Value, bool) {
-	h1, h2 := hashfn.Pair(k[:])
-	kw0, kw1 := k.Pack()
-	s.t.lock.rlock()
-	lockCharge(s.h, s.t.metaOff)
-	var out kv.Value
-	found := false
-	s.t.pathCells(h1, h2, func(d int, i int64) bool {
-		off := s.t.cellOff(d, i)
-		s.h.ReadAccess(off, slotWords)
-		w3 := s.h.Load(off + 3)
-		if kv.ValidOf(w3) && s.h.Load(off) == kw0 && s.h.Load(off+1) == kw1 {
-			out, _ = kv.UnpackValue(s.h.Load(off+2), w3)
-			found = true
-			return true
+// onKey walks the key's paths under the global lock, exclusive for a write
+// (every transition, a read's included, is charged as an NVM write), and
+// runs fn on the key's cell while the lock is held.
+func (s *session) onKey(k kv.Key, exclusive bool, fn func(off int64, w [slotWords]uint64)) (found bool) {
+	s.t.lock.Acquire(s.H, s.t.metaOff, exclusive)
+	defer s.t.lock.Release(s.H, s.t.metaOff, exclusive)
+	s.t.pathCells(s.H, k, func(off int64, w [slotWords]uint64) bool {
+		found = kv.ValidOf(w[3]) && kv.KeyEqualsWords(k, w[0], w[1])
+		if found {
+			fn(off, w)
 		}
-		return false
+		return found
 	})
-	s.t.lock.runlock()
-	lockCharge(s.h, s.t.metaOff)
-	return out, found
+	return found
+}
+
+// Get walks both paths under the global read lock.
+func (s *session) Get(k kv.Key) (v kv.Value, found bool) {
+	found = s.onKey(k, scheme.Shared, func(_ int64, w [slotWords]uint64) {
+		v, _ = kv.UnpackValue(w[2], w[3])
+	})
+	return v, found
 }
 
 // Insert stores the record in the first empty cell along either path.
 // Static scheme: a full path pair means ErrFull.
-func (s *Session) Insert(k kv.Key, v kv.Value) error {
-	h1, h2 := hashfn.Pair(k[:])
-	kw0, kw1 := k.Pack()
-	s.t.lock.lock()
-	lockCharge(s.h, s.t.metaOff)
-	defer func() {
-		s.t.lock.unlock()
-		lockCharge(s.h, s.t.metaOff)
-	}()
-
-	var emptyD, emptyI int64 = -1, -1
+func (s *session) Insert(k kv.Key, v kv.Value) error {
+	s.t.lock.Acquire(s.H, s.t.metaOff, scheme.Exclusive)
+	defer s.t.lock.Release(s.H, s.t.metaOff, scheme.Exclusive)
+	emptyOff := int64(-1)
 	dup := false
-	s.t.pathCells(h1, h2, func(d int, i int64) bool {
-		off := s.t.cellOff(d, i)
-		s.h.ReadAccess(off, slotWords)
-		w3 := s.h.Load(off + 3)
-		if kv.ValidOf(w3) {
-			if s.h.Load(off) == kw0 && s.h.Load(off+1) == kw1 {
-				dup = true
-				return true
+	s.t.pathCells(s.H, k, func(off int64, w [slotWords]uint64) bool {
+		if !kv.ValidOf(w[3]) {
+			if emptyOff < 0 {
+				emptyOff = off
 			}
 			return false
 		}
-		if emptyD < 0 {
-			emptyD, emptyI = int64(d), i
-		}
-		return false
+		dup = kv.KeyEqualsWords(k, w[0], w[1])
+		return dup
 	})
 	if dup {
 		return scheme.ErrExists
 	}
-	if emptyD < 0 {
+	if emptyOff < 0 {
 		return scheme.ErrFull
 	}
-	off := s.t.cellOff(int(emptyD), emptyI)
-	var w [slotWords]uint64
-	kv.PackRecord(w[:], k, v, kv.MetaValid)
-	s.h.Store(off, w[0])
-	s.h.Store(off+1, w[1])
-	s.h.Store(off+2, w[2])
-	s.h.WriteAccess(off, 3)
-	s.h.Flush(off, 3)
-	s.h.Fence()
-	s.h.StorePersist(off+3, w[3])
-	s.t.count.Add(1)
+	scheme.SlotCommit(s.H, emptyOff, k, v)
+	s.t.Live.Add(1)
 	return nil
 }
 
 // Update rewrites in place under the global write lock; like the other
 // in-place baselines it is not crash-atomic for multi-word values (see the
 // note on levelhash.Update).
-func (s *Session) Update(k kv.Key, v kv.Value) error {
-	h1, h2 := hashfn.Pair(k[:])
-	kw0, kw1 := k.Pack()
-	s.t.lock.lock()
-	lockCharge(s.h, s.t.metaOff)
-	defer func() {
-		s.t.lock.unlock()
-		lockCharge(s.h, s.t.metaOff)
-	}()
-	err := scheme.ErrNotFound
-	s.t.pathCells(h1, h2, func(d int, i int64) bool {
-		off := s.t.cellOff(d, i)
-		s.h.ReadAccess(off, slotWords)
-		w3 := s.h.Load(off + 3)
-		if kv.ValidOf(w3) && s.h.Load(off) == kw0 && s.h.Load(off+1) == kw1 {
-			var w [slotWords]uint64
-			kv.PackRecord(w[:], k, v, kv.MetaValid)
-			s.h.Store(off, w[0])
-			s.h.Store(off+1, w[1])
-			s.h.Store(off+2, w[2])
-			s.h.WriteAccess(off, 3)
-			s.h.Flush(off, 3)
-			s.h.Fence()
-			s.h.StorePersist(off+3, w[3])
-			err = nil
-			return true
-		}
-		return false
-	})
-	return err
+func (s *session) Update(k kv.Key, v kv.Value) error {
+	if !s.onKey(k, scheme.Exclusive, func(off int64, _ [slotWords]uint64) { scheme.SlotCommit(s.H, off, k, v) }) {
+		return scheme.ErrNotFound
+	}
+	return nil
 }
 
 // Delete clears the valid bit under the global write lock.
-func (s *Session) Delete(k kv.Key) error {
-	h1, h2 := hashfn.Pair(k[:])
-	kw0, kw1 := k.Pack()
-	s.t.lock.lock()
-	lockCharge(s.h, s.t.metaOff)
-	defer func() {
-		s.t.lock.unlock()
-		lockCharge(s.h, s.t.metaOff)
-	}()
-	err := scheme.ErrNotFound
-	s.t.pathCells(h1, h2, func(d int, i int64) bool {
-		off := s.t.cellOff(d, i)
-		s.h.ReadAccess(off, slotWords)
-		w3 := s.h.Load(off + 3)
-		if kv.ValidOf(w3) && s.h.Load(off) == kw0 && s.h.Load(off+1) == kw1 {
-			s.h.StorePersist(off+3, kv.WithMeta(w3, 0))
-			err = nil
-			return true
-		}
-		return false
-	})
-	if err == nil {
-		s.t.count.Add(-1)
+func (s *session) Delete(k kv.Key) error {
+	if !s.onKey(k, scheme.Exclusive, func(off int64, w [slotWords]uint64) { scheme.SlotClear(s.H, off, w[3]) }) {
+		return scheme.ErrNotFound
 	}
-	return err
+	s.t.Live.Add(-1)
+	return nil
 }
-
-// Close is a no-op.
-func (t *Table) Close() error { return nil }
 
 func init() {
 	scheme.Register("PATH", func(dev *nvm.Device, capacityHint int64) (scheme.Store, error) {
@@ -364,19 +250,6 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return &store{t}, nil
+		return t, nil
 	})
 }
-
-type store struct{ t *Table }
-
-var _ scheme.Store = (*store)(nil)
-
-func (s *store) Name() string               { return "PATH" }
-func (s *store) NewSession() scheme.Session { return s.t.NewSession() }
-func (s *store) Count() int64               { return s.t.Count() }
-func (s *store) Capacity() int64            { return s.t.Capacity() }
-func (s *store) LoadFactor() float64        { return s.t.LoadFactor() }
-func (s *store) Close() error               { return s.t.Close() }
-
-var _ scheme.Session = (*Session)(nil)

@@ -22,9 +22,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"hdnh/internal/hashfn"
 	"hdnh/internal/kv"
@@ -54,36 +52,19 @@ const (
 
 // Table is a REWO-style store.
 type Table struct {
+	scheme.Base
 	dev     *nvm.Device
 	metaOff int64
 
 	mu      sync.RWMutex // structure lock: ops shared, resize exclusive
 	base    int64
 	buckets int64
-	locks   []rwSpin // per-bucket write locks for the persistent table
+	locks   []scheme.RWSpin // per-bucket locks for the persistent table (DRAM, uncharged)
 
 	cache *lruCache
-	count atomic.Int64
 }
 
-type rwSpin struct{ v atomic.Int32 }
-
-func (l *rwSpin) rlock() {
-	for {
-		v := l.v.Load()
-		if v >= 0 && l.v.CompareAndSwap(v, v+1) {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-func (l *rwSpin) runlock() { l.v.Add(-1) }
-func (l *rwSpin) lock() {
-	for !l.v.CompareAndSwap(0, -1) {
-		runtime.Gosched()
-	}
-}
-func (l *rwSpin) unlock() { l.v.Store(0) }
+var _ scheme.Store = (*Table)(nil)
 
 // lruCache is the DRAM cached table: one mutex, a map, and a recency list.
 type lruCache struct {
@@ -174,17 +155,16 @@ func New(dev *nvm.Device, opts Options) (*Table, error) {
 	if opts.CacheEntries <= 0 {
 		opts.CacheEntries = int(opts.InitBuckets) * slotsPerBucket / 2
 	}
-	t := &Table{dev: dev, cache: newLRUCache(opts.CacheEntries)}
+	t := &Table{Base: scheme.Base{Label: "REWO"}, dev: dev, cache: newLRUCache(opts.CacheEntries)}
 	h := dev.NewHandle()
 	if root := dev.Root(rootSlot); root != 0 {
 		t.metaOff = int64(root)
 		if dev.Load(t.metaOff+magicWord) != metaMagic {
 			return nil, errors.New("rewo: metadata magic mismatch")
 		}
-		st := t.state()
-		t.base, t.buckets = t.descriptor(st & 1)
-		t.locks = make([]rwSpin, t.buckets)
-		t.count.Store(t.scanCount(h))
+		t.base, t.buckets = scheme.ReadDescriptor(dev, t.descOff(t.state()&1))
+		t.locks = make([]scheme.RWSpin, t.buckets)
+		t.Live.Store(scheme.CountValid(h, t.base, t.buckets*slotsPerBucket, slotsPerBucket))
 		return t, nil
 	}
 	metaOff, err := dev.Alloc(h, metaWords, nvm.BlockWords)
@@ -197,8 +177,8 @@ func New(dev *nvm.Device, opts Options) (*Table, error) {
 		return nil, err
 	}
 	t.base, t.buckets = base, opts.InitBuckets
-	t.locks = make([]rwSpin, t.buckets)
-	t.writeDescriptor(h, 0, base, opts.InitBuckets)
+	t.locks = make([]scheme.RWSpin, t.buckets)
+	scheme.WriteDescriptor(h, t.descOff(0), base, opts.InitBuckets)
 	h.StorePersist(metaOff+stateWord, 0|1<<8) // slot 0, generation 1
 	h.StorePersist(metaOff+magicWord, metaMagic)
 	dev.SetRoot(h, rootSlot, uint64(metaOff))
@@ -207,19 +187,8 @@ func New(dev *nvm.Device, opts Options) (*Table, error) {
 
 func (t *Table) state() uint64 { return t.dev.Load(t.metaOff + stateWord) }
 
-func (t *Table) descriptor(i uint64) (base, buckets int64) {
-	return int64(t.dev.Load(t.metaOff + descBase + 2*int64(i))),
-		int64(t.dev.Load(t.metaOff + descBase + 2*int64(i) + 1))
-}
-
-func (t *Table) writeDescriptor(h *nvm.Handle, i uint64, base, buckets int64) {
-	w := t.metaOff + descBase + 2*int64(i)
-	h.Store(w, uint64(base))
-	h.Store(w+1, uint64(buckets))
-	h.WriteAccess(w, 2)
-	h.Flush(w, 2)
-	h.Fence()
-}
+// descOff is the word offset of table descriptor i.
+func (t *Table) descOff(i uint64) int64 { return t.metaOff + descBase + 2*int64(i) }
 
 func (t *Table) slotOff(b int64, s int) int64 {
 	return t.base + b*bucketWords + int64(s)*slotWords
@@ -235,9 +204,6 @@ func (t *Table) candidates(h1, h2 uint64) [2]int64 {
 	return [2]int64{b1, b2}
 }
 
-// Count returns live records.
-func (t *Table) Count() int64 { return t.count.Load() }
-
 // Capacity returns total persistent slots.
 func (t *Table) Capacity() int64 {
 	t.mu.RLock()
@@ -246,137 +212,101 @@ func (t *Table) Capacity() int64 {
 }
 
 // LoadFactor returns occupancy.
-func (t *Table) LoadFactor() float64 {
-	c := t.Capacity()
-	if c == 0 {
-		return 0
-	}
-	return float64(t.Count()) / float64(c)
-}
+func (t *Table) LoadFactor() float64 { return scheme.LoadFactor(t.Count(), t.Capacity()) }
 
 // CacheEntries reports current cache occupancy.
 func (t *Table) CacheEntries() int { return t.cache.len() }
 
-func (t *Table) scanCount(h *nvm.Handle) int64 {
-	var n int64
-	for b := int64(0); b < t.buckets; b++ {
-		h.ReadAccess(t.base+b*bucketWords, bucketWords)
-		for s := 0; s < slotsPerBucket; s++ {
-			if kv.ValidOf(h.Load(t.slotOff(b, s) + 3)) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Session is the per-goroutine handle.
-type Session struct {
+type session struct {
+	scheme.DeviceSession
 	t *Table
-	h *nvm.Handle
 }
 
 // NewSession returns a session.
-func (t *Table) NewSession() *Session { return &Session{t: t, h: t.dev.NewHandle()} }
-
-// NVMStats returns session traffic.
-func (s *Session) NVMStats() nvm.Stats { return s.h.Stats() }
-
-// Close is a no-op: sessions hold no table-side resources.
-func (s *Session) Close() error { return nil }
-
-// Get serves reads from the cached table when possible; a miss reads the
-// persistent table and promotes the record into the cache (evicting the
-// global LRU victim).
-func (s *Session) Get(k kv.Key) (kv.Value, bool) {
-	if v, ok := s.t.cache.get(k); ok {
-		return v, true
-	}
-	h1, h2 := hashfn.Pair(k[:])
-	kw0, kw1 := k.Pack()
-	s.t.mu.RLock()
-	var out kv.Value
-	found := false
-	for _, b := range s.t.candidates(h1, h2) {
-		lk := &s.t.locks[b]
-		lk.rlock()
-		s.h.ReadAccess(s.t.base+b*bucketWords, bucketWords)
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			off := s.t.slotOff(b, slot)
-			w3 := s.h.Load(off + 3)
-			if kv.ValidOf(w3) && s.h.Load(off) == kw0 && s.h.Load(off+1) == kw1 {
-				out, _ = kv.UnpackValue(s.h.Load(off+2), w3)
-				found = true
-				break
-			}
-		}
-		if found {
-			// Promote while still holding the bucket lock: a concurrent
-			// update must wait for the write lock, so its newer cache.put
-			// happens strictly after this one — no stale promotion.
-			s.t.cache.put(k, out)
-		}
-		lk.runlock()
-		if found {
-			break
-		}
-	}
-	s.t.mu.RUnlock()
-	return out, found
+func (t *Table) NewSession() scheme.Session {
+	return &session{scheme.DeviceSession{H: t.dev.NewHandle()}, t}
 }
 
-// findLocked locates the key under its bucket write lock; returns bucket,
-// slot and the slot's w3, with the bucket still locked on success.
-func (s *Session) findLocked(k kv.Key, h1, h2 uint64) (b int64, slot int, w3 uint64, ok bool) {
-	kw0, kw1 := k.Pack()
+// find locates the key in its two candidate buckets, reading each whole
+// under its bucket lock (exclusive for a write). On success it returns the
+// bucket, slot and the slot's word 3 with that bucket still locked.
+func (s *session) find(k kv.Key, h1, h2 uint64, exclusive bool) (b int64, slot int, w3 uint64, ok bool) {
 	for _, cb := range s.t.candidates(h1, h2) {
 		lk := &s.t.locks[cb]
-		lk.lock()
-		s.h.ReadAccess(s.t.base+cb*bucketWords, bucketWords)
+		if exclusive {
+			lk.Lock()
+		} else {
+			lk.RLock()
+		}
+		s.H.ReadAccess(s.t.base+cb*bucketWords, bucketWords)
 		for sl := 0; sl < slotsPerBucket; sl++ {
 			off := s.t.slotOff(cb, sl)
-			w := s.h.Load(off + 3)
-			if kv.ValidOf(w) && s.h.Load(off) == kw0 && s.h.Load(off+1) == kw1 {
+			w := s.H.Load(off + 3)
+			if kv.ValidOf(w) && kv.KeyEqualsWords(k, s.H.Load(off), s.H.Load(off+1)) {
 				return cb, sl, w, true
 			}
 		}
-		lk.unlock()
+		if exclusive {
+			lk.Unlock()
+		} else {
+			lk.RUnlock()
+		}
 	}
 	return 0, 0, 0, false
 }
 
+// Get serves reads from the cached table when possible; a miss reads the
+// persistent table and promotes the record into the cache (evicting the
+// global LRU victim).
+func (s *session) Get(k kv.Key) (kv.Value, bool) {
+	if v, ok := s.t.cache.get(k); ok {
+		return v, true
+	}
+	h1, h2 := hashfn.Pair(k[:])
+	s.t.mu.RLock()
+	defer s.t.mu.RUnlock()
+	b, slot, w3, ok := s.find(k, h1, h2, false)
+	if !ok {
+		return kv.Value{}, false
+	}
+	v, _ := kv.UnpackValue(s.H.Load(s.t.slotOff(b, slot)+2), w3)
+	// Promote while still holding the bucket lock: a concurrent update
+	// must wait for the write lock, so its newer cache.put happens strictly
+	// after this one — no stale promotion.
+	s.t.cache.put(k, v)
+	s.t.locks[b].RUnlock()
+	return v, true
+}
+
 // Insert adds a record to the persistent table and mirrors it into the
 // cache (Rewo keeps the cached table a copy of recently used items).
-func (s *Session) Insert(k kv.Key, v kv.Value) error {
+func (s *session) Insert(k kv.Key, v kv.Value) error {
 	h1, h2 := hashfn.Pair(k[:])
 	for attempt := 0; attempt < 24; attempt++ {
 		s.t.mu.RLock()
-		if b, _, _, dup := s.findLocked(k, h1, h2); dup {
-			s.t.locks[b].unlock()
+		if b, _, _, dup := s.find(k, h1, h2, true); dup {
+			s.t.locks[b].Unlock()
 			s.t.mu.RUnlock()
 			return scheme.ErrExists
 		}
 		placed := false
 		for _, b := range s.t.candidates(h1, h2) {
 			lk := &s.t.locks[b]
-			lk.lock()
-			for slot := 0; slot < slotsPerBucket; slot++ {
-				off := s.t.slotOff(b, slot)
-				if kv.ValidOf(s.h.Load(off + 3)) {
-					continue
+			lk.Lock()
+			for slot := 0; slot < slotsPerBucket && !placed; slot++ {
+				if off := s.t.slotOff(b, slot); !kv.ValidOf(s.H.Load(off + 3)) {
+					scheme.SlotCommit(s.H, off, k, v)
+					s.t.cache.put(k, v) // mirror under the bucket lock
+					placed = true
 				}
-				writeSlotCommit(s.h, off, k, v)
-				s.t.cache.put(k, v) // mirror under the bucket lock
-				placed = true
-				break
 			}
-			lk.unlock()
+			lk.Unlock()
 			if placed {
 				break
 			}
 		}
 		if placed {
-			s.t.count.Add(1)
+			s.t.Live.Add(1)
 			s.t.mu.RUnlock()
 			return nil
 		}
@@ -389,51 +319,37 @@ func (s *Session) Insert(k kv.Key, v kv.Value) error {
 	return scheme.ErrFull
 }
 
-func writeSlotCommit(h *nvm.Handle, off int64, k kv.Key, v kv.Value) {
-	var w [slotWords]uint64
-	kv.PackRecord(w[:], k, v, kv.MetaValid)
-	h.Store(off, w[0])
-	h.Store(off+1, w[1])
-	h.Store(off+2, w[2])
-	h.WriteAccess(off, 3)
-	h.Flush(off, 3)
-	h.Fence()
-	h.StorePersist(off+3, w[3])
-}
-
 // Update rewrites the record in place under its bucket lock and refreshes
 // the cache. In-place multi-word rewrites are not crash-atomic (see the
 // note on levelhash.Update); HDNH's stamped out-of-place protocol is the
 // contrast.
-func (s *Session) Update(k kv.Key, v kv.Value) error {
+func (s *session) Update(k kv.Key, v kv.Value) error {
 	h1, h2 := hashfn.Pair(k[:])
 	s.t.mu.RLock()
-	b, slot, _, ok := s.findLocked(k, h1, h2)
+	defer s.t.mu.RUnlock()
+	b, slot, _, ok := s.find(k, h1, h2, true)
 	if !ok {
-		s.t.mu.RUnlock()
 		return scheme.ErrNotFound
 	}
-	writeSlotCommit(s.h, s.t.slotOff(b, slot), k, v)
+	scheme.SlotCommit(s.H, s.t.slotOff(b, slot), k, v)
 	s.t.cache.put(k, v) // mirror under the bucket lock
-	s.t.locks[b].unlock()
-	s.t.mu.RUnlock()
+	s.t.locks[b].Unlock()
 	return nil
 }
 
 // Delete clears the record and removes its cache entry.
-func (s *Session) Delete(k kv.Key) error {
+func (s *session) Delete(k kv.Key) error {
 	h1, h2 := hashfn.Pair(k[:])
 	s.t.mu.RLock()
-	b, slot, w3, ok := s.findLocked(k, h1, h2)
+	defer s.t.mu.RUnlock()
+	b, slot, w3, ok := s.find(k, h1, h2, true)
 	if !ok {
-		s.t.mu.RUnlock()
 		return scheme.ErrNotFound
 	}
-	s.h.StorePersist(s.t.slotOff(b, slot)+3, kv.WithMeta(w3, 0))
+	scheme.SlotClear(s.H, s.t.slotOff(b, slot), w3)
 	s.t.cache.del(k) // unmirror under the bucket lock
-	s.t.locks[b].unlock()
-	s.t.count.Add(-1)
-	s.t.mu.RUnlock()
+	s.t.locks[b].Unlock()
+	s.t.Live.Add(-1)
 	return nil
 }
 
@@ -455,49 +371,25 @@ func (t *Table) grow(observedGen uint64) error {
 	if err != nil {
 		return fmt.Errorf("%w: rewo grow: %v", scheme.ErrFull, err)
 	}
-	t.writeDescriptor(h, next, base, newBuckets)
+	scheme.WriteDescriptor(h, t.descOff(next), base, newBuckets)
 
 	oldBase, oldBuckets := t.base, t.buckets
 	t.base, t.buckets = base, newBuckets
-	for b := int64(0); b < oldBuckets; b++ {
-		h.ReadAccess(oldBase+b*bucketWords, bucketWords)
-		for sl := 0; sl < slotsPerBucket; sl++ {
-			off := oldBase + b*bucketWords + int64(sl)*slotWords
-			w3 := h.Load(off + 3)
-			if !kv.ValidOf(w3) {
-				continue
-			}
-			k := kv.UnpackKey(h.Load(off), h.Load(off+1))
-			v, _ := kv.UnpackValue(h.Load(off+2), w3)
-			h1, h2 := hashfn.Pair(k[:])
-			placed := false
-			for _, nb := range t.candidates(h1, h2) {
-				for ns := 0; ns < slotsPerBucket; ns++ {
-					noff := t.slotOff(nb, ns)
-					if kv.ValidOf(h.Load(noff + 3)) {
-						continue
-					}
-					writeSlotCommit(h, noff, k, v)
-					placed = true
-					break
-				}
-				if placed {
-					break
-				}
-			}
-			if !placed {
-				return fmt.Errorf("%w: rewo rehash overflow", scheme.ErrFull)
-			}
+	err = scheme.Scan(h, oldBase, oldBuckets*slotsPerBucket, slotsPerBucket, func(k kv.Key, v kv.Value) error {
+		c := t.candidates(hashfn.Pair(k[:]))
+		if !scheme.PlaceFree(h, k, v, slotsPerBucket, t.slotOff(c[0], 0), t.slotOff(c[1], 0)) {
+			return fmt.Errorf("%w: rewo rehash overflow", scheme.ErrFull)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// Atomic switch; the old region is retired.
 	h.StorePersist(t.metaOff+stateWord, next|(st>>8+1)<<8)
-	t.locks = make([]rwSpin, newBuckets)
+	t.locks = make([]scheme.RWSpin, newBuckets)
 	return nil
 }
-
-// Close is a no-op.
-func (t *Table) Close() error { return nil }
 
 func init() {
 	scheme.Register("REWO", func(dev *nvm.Device, capacityHint int64) (scheme.Store, error) {
@@ -513,19 +405,6 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return &store{t}, nil
+		return t, nil
 	})
 }
-
-type store struct{ t *Table }
-
-var _ scheme.Store = (*store)(nil)
-
-func (s *store) Name() string               { return "REWO" }
-func (s *store) NewSession() scheme.Session { return s.t.NewSession() }
-func (s *store) Count() int64               { return s.t.Count() }
-func (s *store) Capacity() int64            { return s.t.Capacity() }
-func (s *store) LoadFactor() float64        { return s.t.LoadFactor() }
-func (s *store) Close() error               { return s.t.Close() }
-
-var _ scheme.Session = (*Session)(nil)

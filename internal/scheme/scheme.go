@@ -1,7 +1,8 @@
 // Package scheme defines the common interface every hashing scheme in this
-// repository implements — HDNH and the three baselines (LEVEL, CCEH, PATH) —
-// so the benchmark harness can sweep schemes uniformly, exactly as the
-// paper's evaluation does.
+// repository implements — HDNH and the four baselines (LEVEL, CCEH and PATH,
+// which the paper compares against, and REWO) — so the benchmark harness can
+// sweep schemes uniformly, exactly as the paper's evaluation does. It also
+// holds the persistence protocol the four baselines share (baseline.go).
 package scheme
 
 import (
@@ -36,7 +37,8 @@ var (
 
 // Store is a persistent hash table bound to an NVM device.
 type Store interface {
-	// Name returns the scheme's short name (e.g. "HDNH", "CCEH").
+	// Name returns the scheme's short name (e.g. "HDNH", "CCEH"): for a
+	// store from Open, the name it was opened under.
 	Name() string
 	// NewSession returns a per-goroutine handle. Sessions are not safe for
 	// concurrent use; the Store itself is, through concurrent sessions.

@@ -2,7 +2,9 @@ package scheme
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hdnh/internal/kv"
@@ -10,6 +12,12 @@ import (
 )
 
 type fakeStore struct{ name string }
+
+// testNames hands each registration a name of its own: the registry is
+// process-wide, and -count or a -cpu list runs a test more than once.
+var testNames atomic.Int64
+
+func testName(prefix string) string { return fmt.Sprintf("%s-%d", prefix, testNames.Add(1)) }
 
 func (f *fakeStore) Name() string        { return f.name }
 func (f *fakeStore) NewSession() Session { return nil }
@@ -19,28 +27,29 @@ func (f *fakeStore) LoadFactor() float64 { return 0 }
 func (f *fakeStore) Close() error        { return nil }
 
 func TestRegisterAndOpen(t *testing.T) {
-	Register("test-fake", func(dev *nvm.Device, hint int64) (Store, error) {
-		return &fakeStore{name: "test-fake"}, nil
+	name := testName("test-fake")
+	Register(name, func(dev *nvm.Device, hint int64) (Store, error) {
+		return &fakeStore{name: name}, nil
 	})
 	dev, err := nvm.New(nvm.DefaultConfig(1024))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open("test-fake", dev, 10)
+	st, err := Open(name, dev, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Name() != "test-fake" {
+	if st.Name() != name {
 		t.Fatalf("Name = %q", st.Name())
 	}
 	found := false
 	for _, n := range Names() {
-		if n == "test-fake" {
+		if n == name {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("Names() = %v missing test-fake", Names())
+		t.Fatalf("Names() = %v missing %s", Names(), name)
 	}
 }
 
@@ -59,13 +68,14 @@ func TestOpenUnknown(t *testing.T) {
 }
 
 func TestDuplicateRegisterPanics(t *testing.T) {
-	Register("test-dup", func(dev *nvm.Device, hint int64) (Store, error) { return nil, nil })
+	name := testName("test-dup")
+	Register(name, func(dev *nvm.Device, hint int64) (Store, error) { return nil, nil })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	Register("test-dup", func(dev *nvm.Device, hint int64) (Store, error) { return nil, nil })
+	Register(name, func(dev *nvm.Device, hint int64) (Store, error) { return nil, nil })
 }
 
 func TestNamesSorted(t *testing.T) {
