@@ -146,10 +146,10 @@ type Store struct {
 	idx  *core.Router
 	logs []*vlog.Log // one per index shard
 	dev  *nvm.Device
-	h    *nvm.Handle // the store's own log traffic: Create/Open, and Close's Sync
-	opts Options     // withDefaults applied; Segments is PER SHARD
-	rec  obs.Recorder
-	fl   flight.Tracer // GC tracer; flight.Nop when tracing is off
+	h    *nvm.Handle    // the store's own log traffic: Create/Open, and Close's Sync
+	opts Options        // withDefaults applied; Segments is PER SHARD
+	rec  *obs.Handle    // nil when metrics are off
+	fl   *flight.Handle // GC tracer; nil when tracing is off
 
 	gcs    []*gcShard // one GC state (and worker) per shard
 	gcLife gcLifecycle
@@ -273,11 +273,7 @@ func openLogs(dev *nvm.Device, h *nvm.Handle) ([]*vlog.Log, error) {
 
 // start wires the recorder and tracers and launches the GC workers.
 func (st *Store) start() {
-	if m := st.idx.Metrics(); m != nil {
-		st.rec = m.Handle()
-	} else {
-		st.rec = obs.Nop{}
-	}
+	st.rec = st.idx.Metrics().Handle()
 	st.fl = st.idx.Flight().Handle("gc")
 	for _, log := range st.logs {
 		log.SetTracer(st.idx.Flight().Handle("vlog"))
@@ -408,7 +404,7 @@ type Session struct {
 	ts      *core.RouterSession
 	h       *nvm.Handle // log reads; a logged write's traffic is the index session's
 	logs    []recordLog // one per shard, bound to ts
-	rec     obs.Recorder
+	rec     *obs.Handle
 	nvmBase nvm.Stats
 	ms      multiScratch
 }
@@ -490,12 +486,8 @@ func scratchSlice[T any](s []T, n int) []T {
 
 // NewSession returns a session.
 func (st *Store) NewSession() *Session {
-	var rec obs.Recorder = obs.Nop{}
-	if m := st.idx.Metrics(); m != nil {
-		rec = m.Handle()
-	}
 	ts := st.idx.NewSession()
-	return &Session{st: st, ts: ts, logs: bindLogs(ts, st.logs), h: st.dev.NewHandle(), rec: rec}
+	return &Session{st: st, ts: ts, logs: bindLogs(ts, st.logs), h: st.dev.NewHandle(), rec: st.idx.Metrics().Handle()}
 }
 
 // Close flushes the session's metrics and returns its index sessions' epoch

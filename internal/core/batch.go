@@ -89,25 +89,22 @@ func (s *session) multiGet(keys []batchKey, vals []kv.Value, found []bool) int {
 		return 0
 	}
 	bs := &s.batch
-	for i := range keys {
-		// One heat touch per batch key here; the hot/NVT passes below never
-		// see the same key twice and the rare pass-3 fallback re-touches
-		// only contended keys (noise at sketch granularity).
-		s.heat.Touch(obs.OpGet, keys[i].k)
-	}
-	ft := s.fl.OpBegin(obs.OpGet)
+	// One flight span covers the batch; each key is counted, sampled and
+	// touched on its own as it resolves (beginKey/end), so a contended key
+	// is reported once, by the get its pass-3 fallback runs.
+	span := s.o.fl.OpBegin(obs.OpGet)
 	hits := 0
 
 	// Pass 1: hot-table probes for the whole batch, lock-free, no epoch.
 	if ht := s.t.hot; ht != nil {
 		for i := range keys {
 			bk := &keys[i]
-			start := s.rec.Start()
+			m := s.beginKey()
 			if v, ok := ht.get(bk.k, bk.h1, bk.fp); ok {
 				vals[i], found[i] = v, true
 				bk.done = true
 				hits++
-				s.rec.Op(obs.OpGet, obs.OutHotHit, start)
+				s.end(obs.OpGet, obs.OutHotHit, bk.k, m)
 			}
 		}
 	}
@@ -127,13 +124,13 @@ func (s *session) multiGet(keys []batchKey, vals []kv.Value, found []bool) int {
 				continue
 			}
 			budget--
-			start := s.rec.Start()
+			m := s.beginKey()
 			h, res := s.t.walk(s.h, bk.k, bk.h1, bk.h2, bk.fp, &ps, walkRead)
 			switch res {
 			case lookupFound:
 				vals[i], found[i] = h.val, true
 				hits++
-				s.rec.Op(obs.OpGet, obs.OutNVTHit, start)
+				s.end(obs.OpGet, obs.OutNVTHit, bk.k, m)
 				if s.t.hot != nil {
 					bs.fills = append(bs.fills, pendingFill{
 						k: bk.k, v: h.val, h1: bk.h1, fp: bk.fp,
@@ -142,7 +139,7 @@ func (s *session) multiGet(keys []batchKey, vals []kv.Value, found []bool) int {
 				}
 			case lookupMissing:
 				found[i] = false
-				s.rec.Op(obs.OpGet, obs.OutMiss, start)
+				s.end(obs.OpGet, obs.OutMiss, bk.k, m)
 			default:
 				bk.contended = true
 				pending++
@@ -151,7 +148,7 @@ func (s *session) multiGet(keys []batchKey, vals []kv.Value, found []bool) int {
 		}
 		s.exitCritical()
 	}
-	ps.report(s.rec, s.fl)
+	s.o.probes(&ps)
 	s.applyFills()
 
 	// The batch span ends here, with the walk's real outcome — before the
@@ -160,11 +157,11 @@ func (s *session) multiGet(keys []batchKey, vals []kv.Value, found []bool) int {
 	// and nested a second OpGet begin inside the still-open batch span,
 	// unbalancing begin/end counts exactly like PR 5's expansion-failure
 	// leak.
+	out := obs.OutOK
 	if pending > 0 {
-		s.fl.OpEnd(obs.OpGet, obs.OutContended, ft)
-	} else {
-		s.fl.OpEnd(obs.OpGet, obs.OutOK, ft)
+		out = obs.OutContended
 	}
+	s.o.fl.OpEnd(obs.OpGet, out, span)
 
 	// Pass 3 (rare): keys that kept moving behind the scan take get's
 	// blocking retry loop, which records its own per-key metrics and spans.
@@ -222,12 +219,10 @@ func (s *session) applyFills() {
 				continue
 			}
 			if f.src.ocfLoad(f.b, f.sl) != f.ctrl {
-				ht.rec.HotFill(true)
-				ht.fl.HotFill(true)
+				ht.o.hotFill(true)
 				continue // record moved or changed since it was read
 			}
-			ht.rec.HotFill(false)
-			ht.fl.HotFill(false)
+			ht.o.hotFill(false)
 			ht.putLocked(ltop, lbottom, tb, bb, f.k, f.v, f.fp, s.rng, false)
 		}
 		unlockBuckets(ltop, lbottom, tb, bb)
@@ -319,7 +314,7 @@ func (s *session) multiWrite(verb writeVerb, keys []batchKey, vals []kv.Value, r
 		}
 		s.drainPending(errs)
 		s.exitCritical()
-		s.fl.GroupCommit(int64(hi-lo), time.Since(start))
+		s.o.fl.GroupCommit(int64(hi-lo), time.Since(start))
 		for _, i := range bs.idx[lo:hi] {
 			if errs[i] != nil {
 				fails++

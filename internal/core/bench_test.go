@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"hdnh/internal/flight"
+	"hdnh/internal/heat"
 	"hdnh/internal/kv"
 	"hdnh/internal/nvm"
+	"hdnh/internal/obs"
 )
 
 // Micro-benchmarks for the operation paths on a model-mode device (pure
@@ -78,26 +81,45 @@ func BenchmarkGetHot(b *testing.B) {
 	}
 }
 
+// observerCases are the observer wirings the zero-allocation tests pin: all
+// off, and metrics, flight and heat all on, each sampling every op so the
+// sampled paths run on every call.
+var observerCases = []struct {
+	name string
+	set  func(*Options)
+}{
+	{"off", func(*Options) {}},
+	{"all-on", func(o *Options) {
+		o.Metrics = obs.New(obs.Config{SampleEvery: 1})
+		o.Flight = flight.New(flight.Config{SampleEvery: 1})
+		o.Heat = heat.NewMonitor(heat.Config{SampleEvery: 1})
+	}},
+}
+
 // TestGetHotZeroAllocs pins the steady-state read path at zero heap
-// allocations per op. The last holdout was the benchmarks' own key()
-// formatting; with inputs hoisted, any future allocation on the warm path
-// (an accidental interface box, a fmt call on a hot branch) fails here
-// instead of quietly inflating every benchmark.
+// allocations per op, with the observers off and with all three on. The last
+// holdout was the benchmarks' own key() formatting; with inputs hoisted, any
+// future allocation on the warm path (an accidental interface box, a fmt call
+// on a hot branch) fails here instead of quietly inflating every benchmark.
 func TestGetHotZeroAllocs(t *testing.T) {
-	tbl := newTable(t, nil)
-	s := sessionOn(tbl)
-	k := key(1)
-	if err := s.Insert(k, value(1)); err != nil {
-		t.Fatal(err)
-	}
-	s.Get(k) // warm the cache entry
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok := s.Get(k); !ok {
-			t.Fatal("miss")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm hot-path Get allocates %.1f per op, want 0", allocs)
+	for _, tc := range observerCases {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := newTable(t, tc.set)
+			s := sessionOn(tbl)
+			k := key(1)
+			if err := s.Insert(k, value(1)); err != nil {
+				t.Fatal(err)
+			}
+			s.Get(k) // warm the cache entry
+			allocs := testing.AllocsPerRun(1000, func() {
+				if _, ok := s.Get(k); !ok {
+					t.Fatal("miss")
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("warm hot-path Get allocates %.1f per op, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -105,33 +127,40 @@ func TestGetHotZeroAllocs(t *testing.T) {
 // an update, and a delete followed by a re-insert, allocate nothing — the
 // mirror is applied by the caller, so no request or signal is built per write.
 func TestWriteSteadyStateZeroAllocs(t *testing.T) {
-	tbl := newTable(t, func(o *Options) { o.InitBottomSegments = 4 })
-	s := sessionOn(tbl)
-	const n = 64
-	ks, vs := benchKeys(n), benchVals(n)
-	for i := range ks {
-		if err := s.Insert(ks[i], vs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	update := testing.AllocsPerRun(1000, func() {
-		i++
-		if err := s.Put(ks[i%n], vs[(i+1)%n]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	reinsert := testing.AllocsPerRun(1000, func() {
-		i++
-		if err := s.Delete(ks[i%n]); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Insert(ks[i%n], vs[i%n]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if update != 0 || reinsert != 0 {
-		t.Fatalf("steady-state writes allocate: update %.1f, delete+insert %.1f per op, want 0", update, reinsert)
+	for _, tc := range observerCases {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := newTable(t, func(o *Options) {
+				o.InitBottomSegments = 4
+				tc.set(o)
+			})
+			s := sessionOn(tbl)
+			const n = 64
+			ks, vs := benchKeys(n), benchVals(n)
+			for i := range ks {
+				if err := s.Insert(ks[i], vs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			i := 0
+			update := testing.AllocsPerRun(1000, func() {
+				i++
+				if err := s.Put(ks[i%n], vs[(i+1)%n]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			reinsert := testing.AllocsPerRun(1000, func() {
+				i++
+				if err := s.Delete(ks[i%n]); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Insert(ks[i%n], vs[i%n]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if update != 0 || reinsert != 0 {
+				t.Fatalf("steady-state writes allocate: update %.1f, delete+insert %.1f per op, want 0", update, reinsert)
+			}
+		})
 	}
 }
 

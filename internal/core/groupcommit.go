@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"time"
 
 	"hdnh/internal/kv"
 	"hdnh/internal/nvm"
@@ -134,8 +133,8 @@ type Record struct {
 	Slot    kv.Value // set by Reserve: the slot value that points at the record
 }
 
-// writeOp is one write request plus its open op accounting (metrics start
-// time and flight span), carried from beginWrite through every stage attempt.
+// writeOp is one write request plus its open op's mark, carried from
+// beginWrite through every stage attempt to the op's end.
 type writeOp struct {
 	verb   writeVerb
 	k      kv.Key
@@ -146,20 +145,19 @@ type writeOp struct {
 	fp     uint8
 	op     obs.Op // nominalOp[verb]
 	out    int32  // the write's index in its batch's verdicts, -1 for a lone write
-	start  time.Time
-	ft     int64
+	m      mark
 }
 
 func (s *session) beginWrite(verb writeVerb, k kv.Key, v kv.Value, rec []byte, expect *kv.Value, h1, h2 uint64, fp uint8) writeOp {
 	op := nominalOp[verb]
 	return writeOp{verb: verb, k: k, v: v, rec: rec, expect: expect, h1: h1, h2: h2, fp: fp,
-		op: op, out: -1, start: s.rec.Start(), ft: s.fl.OpBegin(op)}
+		op: op, out: -1, m: s.begin(op)}
 }
 
 // opMove is the pendingCommit kind of a relocated record (drain,
 // displacement): an update's phases under the record's own value, with no
 // hot mirror (the value does not change), no count change and no op to close.
-// It never reaches a Recorder.
+// It never reaches an observer.
 const opMove = obs.NumOps
 
 // pendingCommit is one staged write: the slots it holds locked, the commit
@@ -178,8 +176,7 @@ type pendingCommit struct {
 	h1     uint64
 	fp     uint8
 	out    int32 // writeOp.out
-	start  time.Time
-	ft     int64
+	m      mark
 }
 
 // release unlocks the slot with the given validity, bumping the version of
@@ -219,17 +216,16 @@ func stageClear(h *nvm.Handle, ref slotRef, w3 uint64) {
 	h.StageFlush(storeClear(h, ref, w3), 1)
 }
 
-// settle closes an op whose probe concluded without anything to write.
+// settle closes an op that ends without staging a write — its probe's
+// verdict, or a failure — and returns err.
 func (s *session) settle(w *writeOp, op obs.Op, out obs.Outcome, err error) error {
-	s.heat.Touch(op, w.k)
-	s.opDone(op, out, w.start, w.ft)
+	s.end(op, out, w.k, w.m)
 	return err
 }
 
 // enqueue adds a staged write to the pending group.
 func (s *session) enqueue(w *writeOp, p pendingCommit) {
-	p.k, p.v, p.rec, p.h1, p.fp, p.out, p.start, p.ft = w.k, w.v, w.rec, w.h1, w.fp, w.out, w.start, w.ft
-	s.heat.Touch(p.op, p.k)
+	p.k, p.v, p.rec, p.h1, p.fp, p.out, p.m = w.k, w.v, w.rec, w.h1, w.fp, w.out, w.m
 	s.batch.pending = append(s.batch.pending, p)
 }
 
@@ -255,7 +251,7 @@ func (s *session) stage(w *writeOp, mode walkMode) (old kv.Value, hadOld bool, e
 	seen := moves.Load()
 	var ps probeStats
 	cur, res := s.t.walk(s.h, w.k, w.h1, w.h2, w.fp, &ps, mode)
-	ps.report(s.rec, s.fl)
+	s.o.probes(&ps)
 	switch res {
 	case lookupContended:
 		return kv.Value{}, false, scheme.ErrContended
@@ -439,7 +435,7 @@ func (s *session) abandon(p *pendingCommit, err error, errs []error) {
 	if p.op == obs.OpUpdate {
 		p.oldRef.release(true, p.fp, p.oldC)
 	}
-	s.opDone(p.op, obs.OutError, p.start, p.ft)
+	s.end(p.op, obs.OutError, p.k, p.m)
 	if errs != nil && p.out >= 0 {
 		errs[p.out] = err
 	}
@@ -556,7 +552,7 @@ func (t *Table) commitGroup(h *nvm.Handle, group []pendingCommit, s *session, ru
 			t.count.Add(-1)
 		}
 		if p.op != opMove {
-			s.opDone(p.op, obs.OutOK, p.start, p.ft)
+			s.end(p.op, obs.OutOK, p.k, p.m)
 		}
 	}
 }
@@ -584,15 +580,14 @@ func (s *session) writeSolo(w *writeOp) (kv.Value, bool, error) {
 			return old, hadOld, nil
 		case scheme.ErrContended:
 			s.exitCritical()
-			s.rec.Contended()
+			s.o.rec.Contended()
 			if contendedRounds < contendedRetryMax {
 				contendedRounds++
 				attempt--
 				spinBackoff(spinYields + contendedRounds)
 				continue
 			}
-			s.opDone(w.op, obs.OutContended, w.start, w.ft)
-			return kv.Value{}, false, err
+			return kv.Value{}, false, s.settle(w, w.op, obs.OutContended, err)
 		case errNeedResize:
 			gen := s.t.state().generation
 			lf := s.t.LoadFactor()
@@ -608,16 +603,14 @@ func (s *session) writeSolo(w *writeOp) (kv.Value, bool, error) {
 				continue
 			}
 			if err := s.t.expand(gen); err != nil {
-				s.opDone(w.op, expandOutcome(err), w.start, w.ft)
-				return kv.Value{}, false, err
+				return kv.Value{}, false, s.settle(w, w.op, expandOutcome(err), err)
 			}
 		default: // the probe's verdict; stage closed the op
 			s.exitCritical()
 			return old, hadOld, err
 		}
 	}
-	s.opDone(w.op, obs.OutFull, w.start, w.ft)
-	return kv.Value{}, false, scheme.ErrFull
+	return kv.Value{}, false, s.settle(w, w.op, obs.OutFull, scheme.ErrFull)
 }
 
 // writeHashed is the single-key write entry: the router hashes the key once

@@ -4,9 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"hdnh/internal/flight"
 	"hdnh/internal/kv"
-	"hdnh/internal/obs"
 	"hdnh/internal/rng"
 )
 
@@ -144,8 +142,7 @@ func (l *hotLevel) findKey(b int64, kw0, kw1 uint64, fp uint8) int64 {
 type hotTable struct {
 	slotsPer int
 	replacer Replacer
-	rec      obs.Recorder  // shared, atomic-only events (evictions, fills)
-	fl       flight.Tracer // table-level tracer (multi-writer safe)
+	o        observer // the table's, for fills and evictions (multi-writer safe); all nil until the table is live
 	// lv is the level pair, published as one immutable struct the way
 	// Table.lv is: every reader loads it once, so no mutator can observe a
 	// half-promoted pair (top == bottom) and take one bucket lock twice.
@@ -162,7 +159,7 @@ type hotPair struct {
 func (ht *hotTable) pair() *hotPair { return ht.lv.Load() }
 
 func newHotTable(topSegs, bottomSegs, m int64, slotsPer int, replacer Replacer) *hotTable {
-	ht := &hotTable{slotsPer: slotsPer, replacer: replacer, rec: obs.Nop{}, fl: flight.Nop{}}
+	ht := &hotTable{slotsPer: slotsPer, replacer: replacer}
 	lru := replacer == ReplacerLRU
 	ht.lv.Store(&hotPair{top: newHotLevel(topSegs, m, slotsPer, lru), bottom: newHotLevel(bottomSegs, m, slotsPer, lru)})
 	return ht
@@ -289,8 +286,7 @@ func (ht *hotTable) putLocked(top, bottom *hotLevel, tb, bb int64, k kv.Key, v k
 // replaceLocked implements RAFL (or the LRU comparison strategy) on one
 // locked bucket.
 func (ht *hotTable) replaceLocked(l *hotLevel, b int64, k kv.Key, v kv.Value, fp uint8, r *rng.Xorshift128) {
-	ht.rec.HotEvict()
-	ht.fl.HotEvict()
+	ht.o.hotEvict()
 	switch ht.replacer {
 	case ReplacerRAFL:
 		// First choice: any cold (hotmap == 0) victim — Figure 6(a).
@@ -352,12 +348,10 @@ func (ht *hotTable) fill(k kv.Key, v kv.Value, h1 uint64, fp uint8, src *level, 
 	top, bottom, tb, bb := ht.lockBuckets(h1)
 	defer unlockBuckets(top, bottom, tb, bb)
 	if src.ocfLoad(srcBucket, srcSlot) != observed {
-		ht.rec.HotFill(true)
-		ht.fl.HotFill(true)
+		ht.o.hotFill(true)
 		return // the record moved or changed since it was read; skip
 	}
-	ht.rec.HotFill(false)
-	ht.fl.HotFill(false)
+	ht.o.hotFill(false)
 	ht.putLocked(top, bottom, tb, bb, k, v, fp, r, false)
 }
 

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"hdnh/internal/flight"
 	"hdnh/internal/kv"
 	"hdnh/internal/nvm"
 	"hdnh/internal/obs"
@@ -93,33 +92,18 @@ func (s *session) helpDrainStep() {
 		// Outside a critical section the session's own group is empty, so its
 		// buffer is free to carry the chunk's moves.
 		s.t.drainChunk(s.h, &s.batch.pending, task, r, lo, hi)
-		s.rec.DrainHelp()
+		s.o.rec.DrainHelp()
 	}
 }
 
 // probeStats accumulates NVT-walk accounting over one operation, or over the
 // keys of one batch: rescans (passes beyond each walk's first), accounted slot
-// reads, and lock-wait spin iterations. Stack-allocated by the session paths
-// and reported through the obs.Recorder in one call.
+// reads, and lock-wait spin iterations. Reported right after the walk (or
+// batch of walks) it counts, while a traced op's flight span is still open.
 type probeStats struct {
 	rescans int64
 	probes  int64
 	spins   int64
-}
-
-// report publishes the accounting to both recording surfaces. The flight
-// tracer drops the events unless the current op is trace-sampled.
-func (ps *probeStats) report(rec obs.Recorder, fl flight.Tracer) {
-	rec.Probe(ps.rescans, ps.probes, ps.spins)
-	fl.Probe(ps.probes, ps.rescans, ps.spins)
-}
-
-// opDone finishes one operation on both recording surfaces: the metrics
-// counter/latency pair and, when the op was trace-sampled, its flight span
-// (which also drives slow-op promotion).
-func (s *session) opDone(op obs.Op, out obs.Outcome, start time.Time, ft int64) {
-	s.rec.Op(op, out, start)
-	s.fl.OpEnd(op, out, ft)
 }
 
 // lookupResult is the tri-state outcome of an NVT walk. The third state is
@@ -419,12 +403,10 @@ func (t *Table) lockEmptySlotExcluding(h1, h2 uint64, excl slotRef) (slotRef, ui
 // fabricating a miss, so a present key is never reported absent; without
 // retry it reports lookupContended to the caller.
 func (s *session) get(k kv.Key, h1, h2 uint64, fp uint8, retry bool) (kv.Value, lookupResult) {
-	start := s.rec.Start()
-	ft := s.fl.OpBegin(obs.OpGet)
-	s.heat.Touch(obs.OpGet, k)
+	m := s.begin(obs.OpGet)
 	if s.t.hot != nil {
 		if v, ok := s.t.hot.get(k, h1, fp); ok {
-			s.opDone(obs.OpGet, obs.OutHotHit, start, ft)
+			s.end(obs.OpGet, obs.OutHotHit, k, m)
 			return v, lookupFound
 		}
 	}
@@ -436,21 +418,21 @@ func (s *session) get(k kv.Key, h1, h2 uint64, fp uint8, retry bool) (kv.Value, 
 			s.fillHot(k, ht.val, h1, fp, ht.ref.lvl, ht.ref.b, ht.ref.s, ht.ctrl)
 		}
 		s.exitCritical()
-		ps.report(s.rec, s.fl)
+		s.o.probes(&ps)
 		switch res {
 		case lookupFound:
-			s.opDone(obs.OpGet, obs.OutNVTHit, start, ft)
+			s.end(obs.OpGet, obs.OutNVTHit, k, m)
 			return ht.val, res
 		case lookupMissing:
-			s.opDone(obs.OpGet, obs.OutMiss, start, ft)
+			s.end(obs.OpGet, obs.OutMiss, k, m)
 			return kv.Value{}, res
 		}
-		s.rec.Contended()
+		s.o.rec.Contended()
 		if !retry {
-			s.opDone(obs.OpGet, obs.OutContended, start, ft)
+			s.end(obs.OpGet, obs.OutContended, k, m)
 			return kv.Value{}, res
 		}
-		s.rec.GetRetry()
+		s.o.rec.GetRetry()
 		spinBackoff(spinYields + round)
 	}
 }

@@ -92,7 +92,7 @@ func (t *Table) recover(visit RecoveryVisitor) error {
 		t.clearDrainLayout(h)
 		st = tableState{levelNumber: levelNumRehash, top: st.drain, bottom: st.top, drain: st.bottom, generation: st.generation}
 		t.setState(h, st)
-		t.fl.RecoveryStep(flight.RecReplay, time.Since(replayStart), newSegs)
+		t.o.fl.RecoveryStep(flight.RecReplay, time.Since(replayStart), newSegs)
 	}
 
 	topBase, topSegs := t.levelDescriptor(st.top)
@@ -123,7 +123,7 @@ func (t *Table) recover(visit RecoveryVisitor) error {
 			t.scanLevel(lvl, nil, nil)
 		}
 		stats.Scans++
-		t.fl.RecoveryStep(flight.RecOCF, time.Since(ocfStart), pr.top.buckets()+pr.bottom.buckets()+drainLvl.buckets())
+		t.o.fl.RecoveryStep(flight.RecOCF, time.Since(ocfStart), pr.top.buckets()+pr.bottom.buckets()+drainLvl.buckets())
 		drainStart := time.Now()
 		task := t.resumeDrainTask(h, drainLvl,
 			tableState{levelNumber: levelNumStable, top: st.top, bottom: st.bottom, drain: levelSlotUnused, generation: st.generation + 1})
@@ -138,7 +138,7 @@ func (t *Table) recover(visit RecoveryVisitor) error {
 		if task.err != nil {
 			return task.err
 		}
-		t.fl.RecoveryStep(flight.RecDrain, time.Since(drainStart), drainLvl.buckets())
+		t.o.fl.RecoveryStep(flight.RecDrain, time.Since(drainStart), drainLvl.buckets())
 	}
 
 	// After an unclean shutdown a crashed out-of-place update may have left
@@ -148,7 +148,7 @@ func (t *Table) recover(visit RecoveryVisitor) error {
 		stats.DuplicatesResolved = t.dedupTornUpdates(h)
 		stats.Dedup = time.Since(dedupStart)
 		stats.Scans++
-		t.fl.RecoveryStep(flight.RecDedup, stats.Dedup, stats.DuplicatesResolved)
+		t.o.fl.RecoveryStep(flight.RecDedup, stats.Dedup, stats.DuplicatesResolved)
 	}
 
 	// The scan (the paper's parallel recovery): one traversal rebuilds the
@@ -164,7 +164,7 @@ func (t *Table) recover(visit RecoveryVisitor) error {
 	t.count.Store(stats.Items)
 	stats.Scans++
 	stats.Scan = time.Since(scanStart)
-	t.fl.RecoveryStep(flight.RecScan, stats.Scan, stats.Items)
+	t.o.fl.RecoveryStep(flight.RecScan, stats.Scan, stats.Items)
 
 	stats.MediaBlockReads = t.recoveryReads.Load() + h.Stats().MediaBlockReads
 	stats.Total = time.Since(start)

@@ -232,8 +232,7 @@ func (t *Table) expandLocked(st tableState) error {
 	}
 	target := t.epochGlobal.Add(1)
 	t.resizeMu.Unlock()
-	t.rec.ExpansionSwap(time.Since(began))
-	t.fl.ResizeSwap(st.generation, time.Since(began))
+	t.o.resizeSwap(st.generation, time.Since(began))
 
 	// The swap is done and the caller may retry against the new top
 	// immediately; only the drain start waits for the grace period, off the
@@ -269,9 +268,9 @@ func (t *Table) helpDrain(task *drainTask) error {
 			break
 		}
 		t.drainChunk(h, &group, task, r, lo, hi)
-		t.rec.DrainHelp()
+		t.o.rec.DrainHelp()
 	}
-	t.rec.AddNVM(h.Stats().Sub(base))
+	t.o.rec.AddNVM(h.Stats().Sub(base))
 	<-task.done
 	return task.err
 }
@@ -410,11 +409,10 @@ func (t *Table) runDrainWorkers(task *drainTask) {
 
 // drainWorker claims and rehashes chunks until the task runs out of work or
 // fails. Each worker owns its NVM handle and bridges its device traffic into
-// the metrics registry on exit.
+// the metrics registry on exit, through the table's handle.
 func (t *Table) drainWorker(task *drainTask, worker int) {
 	h := t.dev.NewHandle()
 	base := h.Stats()
-	rec := t.recorderHandle()
 	var group []pendingCommit
 	for !task.failed.Load() {
 		r, lo, hi, ok := task.claim(worker)
@@ -423,7 +421,7 @@ func (t *Table) drainWorker(task *drainTask, worker int) {
 		}
 		t.drainChunk(h, &group, task, r, lo, hi)
 	}
-	rec.AddNVM(h.Stats().Sub(base))
+	t.o.rec.AddNVM(h.Stats().Sub(base))
 }
 
 // drainChunk rehashes buckets [lo, hi) of one range, then durably completes
@@ -473,8 +471,7 @@ chunk:
 		task.fail(err)
 		return
 	}
-	t.rec.DrainChunk(hi-lo, moved, time.Since(start))
-	t.fl.DrainChunk(hi-lo, moved, time.Since(start))
+	t.o.drainChunk(hi-lo, moved, time.Since(start))
 	t.completeChunk(h, task, r, lo, hi)
 }
 
@@ -515,8 +512,7 @@ func (t *Table) finishDrain(h *nvm.Handle, task *drainTask) {
 	// against its own, larger drain level.
 	t.clearDrainLayout(h)
 	t.draining.Store(nil)
-	t.rec.Expansion(time.Since(task.began))
-	t.fl.ResizeDone(task.finalState.generation, time.Since(task.began))
+	t.o.resizeDone(task.finalState.generation, time.Since(task.began))
 	close(task.done)
 }
 

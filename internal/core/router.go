@@ -289,11 +289,13 @@ func perShard[T any](r *Router, read func(*Table) T) []T {
 
 // Metrics returns the shared metrics registry (all shards record into the
 // same one), nil when disabled.
-func (r *Router) Metrics() *obs.Metrics { return r.shards[0].Metrics() }
+func (r *Router) Metrics() *obs.Metrics { return r.opts.Metrics }
 
 // Flight returns the shared flight recorder (all shards trace into the same
-// one), flight.Nop-backed when tracing is off.
-func (r *Router) Flight() *flight.Recorder { return r.shards[0].Flight() }
+// one), nil when tracing is off. Layers above the router (bigkv's GC worker,
+// the value log) hang their own handles off it; a nil recorder hands out nil
+// handles.
+func (r *Router) Flight() *flight.Recorder { return r.opts.Flight }
 
 // MetricsSnapshot returns the shared counters with gauges aggregated across
 // shards and a per-shard breakdown in Gauges.PerShard. Zero-valued when

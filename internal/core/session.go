@@ -1,17 +1,14 @@
 package core
 
 import (
-	"hdnh/internal/flight"
-	"hdnh/internal/heat"
 	"hdnh/internal/nvm"
-	"hdnh/internal/obs"
 	"hdnh/internal/rng"
 )
 
 // session is one RouterSession's handle on one shard's Table. It owns an NVM
 // accounting handle, a deterministic RNG stream for replacement decisions,
-// and (when metrics are enabled) a shard-bound recorder, so the operation
-// paths allocate nothing. Its entry points take the key's hashes, which the
+// and its own observer handles (see observe.go), so the operation paths
+// allocate nothing. Its entry points take the key's hashes, which the
 // router computed once to pick the shard.
 //
 // A session must not be used concurrently; its RouterSession is owned by one
@@ -22,9 +19,7 @@ type session struct {
 	rng *rng.Xorshift128
 	ep  *epochSlot // this session's padded resize-protection slot
 
-	rec     obs.Recorder
-	fl      flight.Tracer
-	heat    heat.Sampler
+	o       observer
 	nvmBase nvm.Stats // handle stats already published via syncObs
 
 	// rlog takes the out-of-line records of this session's writes (see
@@ -41,17 +36,19 @@ type session struct {
 func (t *Table) newSession() *session {
 	id := t.sessionSeq.Add(1)
 	s := &session{
-		t:    t,
-		h:    t.dev.NewHandle(),
-		rng:  rng.New(t.opts.Seed ^ (id * 0x9E3779B97F4A7C15)),
-		ep:   t.registerEpochSlot(),
-		rec:  t.recorderHandle(),
-		fl:   t.flight.Handle("session"),
-		heat: t.opts.Heat.Handle(t.opts.heatShard),
+		t:   t,
+		h:   t.dev.NewHandle(),
+		rng: rng.New(t.opts.Seed ^ (id * 0x9E3779B97F4A7C15)),
+		ep:  t.registerEpochSlot(),
+		o: observer{
+			rec:  t.opts.Metrics.Handle(),
+			fl:   t.opts.Flight.Handle("session"),
+			heat: t.opts.Heat.Handle(t.opts.heatShard),
+		},
 	}
 	// Bind the session's device handle so traced ops carry their per-op NVM
 	// deltas as span args.
-	s.fl.BindNVM(s.h)
+	s.o.fl.BindNVM(s.h)
 	return s
 }
 
@@ -80,12 +77,8 @@ func (s *session) resetNVMStats() {
 // syncObs publishes the session's NVM traffic accumulated since the last
 // syncObs into the metrics registry. The handle's stats are handle-local and
 // unsynchronised, so the bridge is an explicit pull by the owning goroutine.
-// No-op when metrics are disabled.
 func (s *session) syncObs() {
-	if s.t.metrics == nil {
-		return
-	}
 	cur := s.h.Stats()
-	s.rec.AddNVM(cur.Sub(s.nvmBase))
+	s.o.rec.AddNVM(cur.Sub(s.nvmBase))
 	s.nvmBase = cur
 }

@@ -6,9 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hdnh/internal/flight"
 	"hdnh/internal/nvm"
-	"hdnh/internal/obs"
 )
 
 // Table is one HDNH hash table bound to an NVM device: one shard of a
@@ -47,19 +45,12 @@ type Table struct {
 
 	hot *hotTable // nil when Options.HotSlotsPerBucket == 0
 
-	// metrics is Options.Metrics (nil when observability is off); rec is a
-	// table-level recorder handle for events not tied to one session
-	// (expansions, hot-table traffic), Nop when metrics is nil.
-	metrics *obs.Metrics
-	rec     obs.Recorder
-
-	// flight is Options.Flight (nil when tracing is off); fl is the
-	// table-level tracer for events not tied to one session — recovery
-	// steps, resize swaps, drain chunks (multi-writer safe), hot-table
-	// traffic — flight.Nop when flight is nil. Set before recover() runs so
-	// recovery replay is traced.
-	flight *flight.Recorder
-	fl     flight.Tracer
+	// o reports the events not tied to one session — expansions, drain
+	// chunks (its flight handle is multi-writer safe), recovery steps — to
+	// table-level handles on Options.Metrics and Options.Flight. The flight
+	// handle is set before recover() runs so recovery is traced, the
+	// metrics handle after.
+	o observer
 
 	count      atomic.Int64
 	sessionSeq atomic.Uint64
@@ -159,9 +150,8 @@ func create(dev *nvm.Device, opts Options) (*Table, error) {
 // root; the router links each shard's metaOff into its shard directory
 // instead, leaving root slot 0 untouched.
 func createDetached(dev *nvm.Device, opts Options) (*Table, error) {
-	t := &Table{dev: dev, opts: opts.withDefaults(), rec: obs.Nop{}}
-	t.flight = t.opts.Flight
-	t.fl = t.flight.Handle("table")
+	t := &Table{dev: dev, opts: opts.withDefaults()}
+	t.o.fl = t.opts.Flight.Handle("table")
 	h := dev.NewHandle()
 
 	metaOff, err := dev.Alloc(h, metaWords, nvm.BlockWords)
@@ -211,9 +201,8 @@ func openRoot(dev *nvm.Device, opts Options, visit RecoveryVisitor) (*Table, err
 // through the shard directory. visit, when non-nil, sees every committed
 // record once (see RecoveryVisitor).
 func openAt(dev *nvm.Device, opts Options, metaOff int64, visit RecoveryVisitor) (*Table, error) {
-	t := &Table{dev: dev, opts: opts.withDefaults(), rec: obs.Nop{}}
-	t.flight = t.opts.Flight
-	t.fl = t.flight.Handle("table")
+	t := &Table{dev: dev, opts: opts.withDefaults()}
+	t.o.fl = t.opts.Flight.Handle("table")
 	t.metaOff = metaOff
 	if dev.Load(t.metaOff+metaMagicWord) != tableMagic {
 		return nil, errors.New("core: table metadata magic mismatch")
@@ -226,8 +215,7 @@ func openAt(dev *nvm.Device, opts Options, metaOff int64, visit RecoveryVisitor)
 }
 
 func (t *Table) initVolatile() {
-	t.metrics = t.opts.Metrics
-	t.rec = t.recorderHandle()
+	t.o.rec = t.opts.Metrics.Handle()
 	// Epoch 0 is reserved to mean "idle" in the session slots; start at 1.
 	t.epochGlobal.Store(1)
 	if t.opts.HotSlotsPerBucket > 0 {
@@ -235,27 +223,9 @@ func (t *Table) initVolatile() {
 			pr := t.pair()
 			t.hot = newHotTable(pr.top.segments, pr.bottom.segments, pr.top.m, t.opts.HotSlotsPerBucket, t.opts.Replacer)
 		}
-		t.hot.rec = t.rec
-		t.hot.fl = t.fl
+		t.hot.o = t.o
 	}
 }
-
-// recorderHandle deals a fresh shard-bound recorder when metrics are on, the
-// no-op recorder otherwise.
-func (t *Table) recorderHandle() obs.Recorder {
-	if t.metrics != nil {
-		return t.metrics.Handle()
-	}
-	return obs.Nop{}
-}
-
-// Metrics returns the registry the table records into, nil when disabled.
-func (t *Table) Metrics() *obs.Metrics { return t.metrics }
-
-// Flight returns the flight recorder the table traces into, nil when
-// disabled. Layers above the table (bigkv's GC worker, the value log) hang
-// their own tracer handles off it.
-func (t *Table) Flight() *flight.Recorder { return t.flight }
 
 // state reads the atomic persistent state word.
 func (t *Table) state() tableState {

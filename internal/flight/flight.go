@@ -9,9 +9,10 @@
 // cache-line-padded ring of fixed-size events. Writers never block and never
 // allocate: a slot is claimed with one atomic add and published with a
 // seqlock-style two-phase commit, so readers snapshotting a live ring skip
-// torn slots instead of locking writers out. The recording surface is the
-// Tracer interface, mirroring obs.Recorder: a table without a Recorder uses
-// Nop, whose empty bodies devirtualise and inline away to nothing.
+// torn slots instead of locking writers out. The recording surface is
+// *Handle, mirroring obs.Handle: a table without a Recorder holds a nil
+// handle, whose methods do nothing (see docs/OBSERVABILITY.md, "Disabled
+// observers").
 //
 // On top of the raw rings:
 //
@@ -161,7 +162,7 @@ const (
 	RecOCF
 	RecDrain
 	RecDedup
-	RecHot // no longer recorded: the scan rebuilds the hot table
+	recHot // decode-only: saved dumps may hold it, nothing records it
 	// RecScan is recovery's last traversal: OCF and SWAR words, count, hot
 	// table and visitor in one pass. Appended, so saved dumps still decode.
 	RecScan
@@ -179,7 +180,7 @@ func (s RecoveryStep) String() string {
 		return "drain-resume"
 	case RecDedup:
 		return "dedup"
-	case RecHot:
+	case recHot:
 		return "hot-rebuild"
 	case RecScan:
 		return "scan"
@@ -216,65 +217,6 @@ func PackAccess(accesses, words uint64) uint64 {
 func UnpackAccess(v uint64) (accesses, words uint64) {
 	return v >> 32, v & 0xFFFFFFFF
 }
-
-// Tracer is the instrumentation surface the core paths call, mirroring
-// obs.Recorder: Nop when tracing is off, *Handle when a Recorder is attached.
-type Tracer interface {
-	// BindNVM attaches the session's device handle so traced ops can record
-	// their per-op NVM traffic deltas as span args.
-	BindNVM(h *nvm.Handle)
-	// OpBegin opens an operation span when this op is trace-sampled and
-	// returns its begin timestamp token (0 when the op is not sampled).
-	// Callers pass the token to OpEnd unchanged.
-	OpBegin(op obs.Op) int64
-	// OpEnd closes the operation span opened by OpBegin and, when the op's
-	// latency crossed the slow-op threshold, promotes its event window into
-	// the retained slow-op buffer.
-	OpEnd(op obs.Op, out obs.Outcome, begin int64)
-	// Probe records one NVT walk's probe/rescan/spin counts as point events
-	// inside the current op span. Outside a sampled op it is a no-op.
-	Probe(probes, rescans, spins int64)
-	// HotFill records a hot-table fill attempt (rejected when OCF
-	// validation turned it away).
-	HotFill(rejected bool)
-	// HotEvict records one hot-table replacement eviction.
-	HotEvict()
-	// DrainChunk records one completed incremental-resize drain chunk.
-	DrainChunk(buckets, moved int64, d time.Duration)
-	// ResizeSwap records the exclusive-lock pointer-swap window of an
-	// expansion leaving the given generation.
-	ResizeSwap(generation uint64, d time.Duration)
-	// ResizeDone records a completed expansion (swap through drain end).
-	ResizeDone(generation uint64, d time.Duration)
-	// GCPhase records one timed phase of a value-log GC pass over seg.
-	GCPhase(phase GCPhase, seg int64, d time.Duration, amount int64)
-	// VLogSeg records a value-log segment lifecycle transition to state
-	// (the vlog package's on-device state byte).
-	VLogSeg(state uint8, seg int64)
-	// RecoveryStep records one timed phase of crash recovery.
-	RecoveryStep(step RecoveryStep, d time.Duration, count int64)
-	// GroupCommit records one grouped write commit of keys records.
-	GroupCommit(keys int64, d time.Duration)
-}
-
-// Nop is the disabled Tracer.
-type Nop struct{}
-
-var _ Tracer = Nop{}
-
-func (Nop) BindNVM(*nvm.Handle)                             {}
-func (Nop) OpBegin(obs.Op) int64                            { return 0 }
-func (Nop) OpEnd(obs.Op, obs.Outcome, int64)                {}
-func (Nop) Probe(int64, int64, int64)                       {}
-func (Nop) HotFill(bool)                                    {}
-func (Nop) HotEvict()                                       {}
-func (Nop) DrainChunk(int64, int64, time.Duration)          {}
-func (Nop) ResizeSwap(uint64, time.Duration)                {}
-func (Nop) ResizeDone(uint64, time.Duration)                {}
-func (Nop) GCPhase(GCPhase, int64, time.Duration, int64)    {}
-func (Nop) VLogSeg(uint8, int64)                            {}
-func (Nop) RecoveryStep(RecoveryStep, time.Duration, int64) {}
-func (Nop) GroupCommit(int64, time.Duration)                {}
 
 // Config tunes a Recorder. The zero value picks defaults.
 type Config struct {
@@ -322,7 +264,7 @@ type SlowOp struct {
 
 // Recorder owns the rings and the retained slow-op buffer. Create one with
 // New, hand it to core.Options.Flight, and read it with Snapshot. A nil
-// *Recorder is valid everywhere and hands out Nop tracers.
+// *Recorder is valid everywhere and hands out nil handles.
 type Recorder struct {
 	ringEvents int
 	sample     uint64
@@ -372,14 +314,14 @@ func New(cfg Config) *Recorder {
 // now returns nanoseconds since the recorder epoch on the monotonic clock.
 func (r *Recorder) now() int64 { return int64(time.Since(r.epoch)) }
 
-// Handle returns a Tracer recording into a fresh labelled ring. Sessions get
+// Handle returns a handle recording into a fresh labelled ring. Sessions get
 // their own handle (the sampling and slow-op state is single-goroutine);
 // shared handles (the table's background ring, the GC worker, the value log)
 // are safe for concurrent event emission — only OpBegin/OpEnd require a
-// single goroutine. A nil Recorder returns Nop.
-func (r *Recorder) Handle(label string) Tracer {
+// single goroutine. A nil Recorder returns nil.
+func (r *Recorder) Handle(label string) *Handle {
 	if r == nil {
-		return Nop{}
+		return nil
 	}
 	r.mu.Lock()
 	rg := newRing(uint32(len(r.rings)), label, r.ringEvents)
@@ -426,7 +368,8 @@ func (r *Recorder) retain(so SlowOp) {
 	r.slowMu.Unlock()
 }
 
-// Handle is the enabled Tracer.
+// Handle is the recording surface the core paths call. Every method is safe
+// on a nil *Handle and does nothing there.
 type Handle struct {
 	r  *Recorder
 	rg *ring
@@ -441,11 +384,21 @@ type Handle struct {
 	nvmBase nvm.Stats
 }
 
-var _ Tracer = (*Handle)(nil)
+// BindNVM attaches the session's device handle so traced ops can record
+// their per-op NVM traffic deltas as span args.
+func (h *Handle) BindNVM(nh *nvm.Handle) {
+	if h != nil {
+		h.h = nh
+	}
+}
 
-func (h *Handle) BindNVM(nh *nvm.Handle) { h.h = nh }
-
+// OpBegin opens an operation span when this op is trace-sampled and returns
+// its begin timestamp token (0 when the op is not sampled). Callers pass the
+// token to OpEnd unchanged.
 func (h *Handle) OpBegin(op obs.Op) int64 {
+	if h == nil {
+		return 0
+	}
 	h.n++
 	if h.r.sample > 1 && h.n%h.r.sample != 0 {
 		h.inOp = false
@@ -462,13 +415,20 @@ func (h *Handle) OpBegin(op obs.Op) int64 {
 	return now
 }
 
-func (h *Handle) OpEnd(op obs.Op, out obs.Outcome, begin int64) {
-	if begin == 0 || !h.inOp {
-		return
+// OpEnd closes the span OpBegin opened and returns the op's duration in ns
+// (0 when untraced), promoting a slow op's event window to the slow-op
+// buffer. A handle has one open span: once a later OpBegin took it over (a
+// write group) or an earlier end closed it, OpEnd only returns the duration.
+func (h *Handle) OpEnd(op obs.Op, out obs.Outcome, begin int64) int64 {
+	if begin == 0 || h == nil {
+		return 0
 	}
-	h.inOp = false
 	now := h.r.now()
 	dur := now - begin
+	if !h.inOp {
+		return dur
+	}
+	h.inOp = false
 	var reads, writes, persists uint64
 	if h.h != nil {
 		d := h.h.Stats().Sub(h.nvmBase)
@@ -487,10 +447,13 @@ func (h *Handle) OpEnd(op obs.Op, out obs.Outcome, begin int64) {
 			Events: h.rg.snapshotFrom(h.opFrom),
 		})
 	}
+	return dur
 }
 
+// Probe records one NVT walk's probe/rescan/spin counts as point events
+// inside the current op span. Outside a sampled op it is a no-op.
 func (h *Handle) Probe(probes, rescans, spins int64) {
-	if !h.inOp {
+	if h == nil || !h.inOp {
 		return
 	}
 	now := h.r.now()
@@ -505,44 +468,59 @@ func (h *Handle) Probe(probes, rescans, spins int64) {
 	}
 }
 
+// event stamps and emits one event outside any op span.
+func (h *Handle) event(k Kind, a uint8, a0, a1, a2 uint64) {
+	if h != nil {
+		h.rg.emit(h.r.now(), k, a, 0, a0, a1, a2, 0)
+	}
+}
+
+// HotFill records a hot-table fill attempt (rejected when OCF validation
+// turned it away).
 func (h *Handle) HotFill(rejected bool) {
 	var a uint8
 	if rejected {
 		a = 1
 	}
-	h.rg.emit(h.r.now(), KindHotFill, a, 0, 0, 0, 0, 0)
+	h.event(KindHotFill, a, 0, 0, 0)
 }
 
-func (h *Handle) HotEvict() {
-	h.rg.emit(h.r.now(), KindHotEvict, 0, 0, 0, 0, 0, 0)
-}
+// HotEvict records one hot-table replacement eviction.
+func (h *Handle) HotEvict() { h.event(KindHotEvict, 0, 0, 0, 0) }
 
+// DrainChunk records one completed incremental-resize drain chunk.
 func (h *Handle) DrainChunk(buckets, moved int64, d time.Duration) {
-	h.rg.emit(h.r.now(), KindDrainChunk, 0, 0, uint64(d.Nanoseconds()), uint64(buckets), uint64(moved), 0)
+	h.event(KindDrainChunk, 0, uint64(d.Nanoseconds()), uint64(buckets), uint64(moved))
 }
 
+// ResizeSwap records the exclusive-lock pointer-swap window of an expansion
+// leaving the given generation.
 func (h *Handle) ResizeSwap(generation uint64, d time.Duration) {
-	h.rg.emit(h.r.now(), KindResizeSwap, 0, 0, uint64(d.Nanoseconds()), generation, 0, 0)
+	h.event(KindResizeSwap, 0, uint64(d.Nanoseconds()), generation, 0)
 }
 
+// ResizeDone records a completed expansion (swap through drain end).
 func (h *Handle) ResizeDone(generation uint64, d time.Duration) {
-	h.rg.emit(h.r.now(), KindResizeDone, 0, 0, uint64(d.Nanoseconds()), generation, 0, 0)
+	h.event(KindResizeDone, 0, uint64(d.Nanoseconds()), generation, 0)
 }
 
+// GCPhase records one timed phase of a value-log GC pass over seg.
 func (h *Handle) GCPhase(phase GCPhase, seg int64, d time.Duration, amount int64) {
-	h.rg.emit(h.r.now(), KindGCPhase, uint8(phase), 0, uint64(d.Nanoseconds()), uint64(seg), uint64(amount), 0)
+	h.event(KindGCPhase, uint8(phase), uint64(d.Nanoseconds()), uint64(seg), uint64(amount))
 }
 
-func (h *Handle) VLogSeg(state uint8, seg int64) {
-	h.rg.emit(h.r.now(), KindVLogSeg, state, 0, uint64(seg), 0, 0, 0)
-}
+// VLogSeg records a value-log segment lifecycle transition to state (the
+// vlog package's on-device state byte).
+func (h *Handle) VLogSeg(state uint8, seg int64) { h.event(KindVLogSeg, state, uint64(seg), 0, 0) }
 
+// RecoveryStep records one timed phase of crash recovery.
 func (h *Handle) RecoveryStep(step RecoveryStep, d time.Duration, count int64) {
-	h.rg.emit(h.r.now(), KindRecoveryStep, uint8(step), 0, uint64(d.Nanoseconds()), uint64(count), 0, 0)
+	h.event(KindRecoveryStep, uint8(step), uint64(d.Nanoseconds()), uint64(count), 0)
 }
 
+// GroupCommit records one grouped write commit of keys records.
 func (h *Handle) GroupCommit(keys int64, d time.Duration) {
-	h.rg.emit(h.r.now(), KindGroupCommit, 0, 0, uint64(d.Nanoseconds()), uint64(keys), 0, 0)
+	h.event(KindGroupCommit, 0, uint64(d.Nanoseconds()), uint64(keys), 0)
 }
 
 // RingInfo labels one ring in a Dump.

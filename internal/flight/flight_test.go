@@ -160,15 +160,51 @@ func TestSlowOpCapturePromotesWindow(t *testing.T) {
 	}
 }
 
+// TestOverlappedOpEndReturnsDuration pins OpEnd on a span a later OpBegin
+// took over (a write group begins every write before any ends): it emits
+// nothing, yet still returns the op's duration for the metrics latency.
+func TestOverlappedOpEndReturnsDuration(t *testing.T) {
+	r := New(Config{RingEvents: 64, SlowOpThreshold: -1})
+	tr := r.Handle("s")
+	b1 := tr.OpBegin(obs.OpInsert)
+	b2 := tr.OpBegin(obs.OpInsert)
+	time.Sleep(time.Microsecond)
+	if d := tr.OpEnd(obs.OpInsert, obs.OutOK, b1); d <= 0 {
+		t.Fatalf("first end duration = %d, want > 0", d)
+	}
+	if d := tr.OpEnd(obs.OpInsert, obs.OutOK, b2); d <= 0 {
+		t.Fatalf("second end duration = %d, want > 0", d)
+	}
+	var begins, ends int
+	for _, ev := range r.Snapshot().Events {
+		switch ev.Kind {
+		case KindOpBegin:
+			begins++
+		case KindOpEnd:
+			ends++
+		}
+	}
+	if begins != 2 || ends != 1 {
+		t.Fatalf("%d begins / %d ends, want 2/1 (one open span per handle)", begins, ends)
+	}
+}
+
 func TestNilRecorderIsNop(t *testing.T) {
 	var r *Recorder
 	tr := r.Handle("x")
-	if _, ok := tr.(Nop); !ok {
-		t.Fatalf("nil recorder handle = %T, want Nop", tr)
+	if tr != nil {
+		t.Fatalf("nil recorder handle = %v, want nil", tr)
 	}
+	tr.BindNVM(nil)
 	if b := tr.OpBegin(obs.OpGet); b != 0 {
-		t.Fatalf("Nop OpBegin = %d", b)
+		t.Fatalf("nil handle OpBegin = %d", b)
 	}
+	if d := tr.OpEnd(obs.OpGet, obs.OutOK, 1); d != 0 {
+		t.Fatalf("nil handle OpEnd = %d", d)
+	}
+	tr.Probe(1, 1, 1)
+	tr.HotFill(true)
+	tr.RecoveryStep(RecScan, time.Second, 1)
 	if d := r.Snapshot(); len(d.Events) != 0 || len(d.Rings) != 0 {
 		t.Fatalf("nil recorder snapshot = %+v", d)
 	}
@@ -183,7 +219,7 @@ func TestNilRecorderIsNop(t *testing.T) {
 // (every accepted event must be internally consistent).
 func TestConcurrentEmitAndSnapshot(t *testing.T) {
 	r := New(Config{RingEvents: 128, SlowOpThreshold: -1})
-	tr := r.Handle("shared").(*Handle)
+	tr := r.Handle("shared")
 
 	const writers = 4
 	const perWriter = 5000

@@ -23,7 +23,7 @@ func FuzzFlightReader(f *testing.F) {
 	time.Sleep(5 * time.Microsecond)
 	tr.OpEnd(obs.OpGet, obs.OutMiss, b)
 	tr.GCPhase(GCPersist, 4, time.Microsecond, 7)
-	tr.RecoveryStep(RecHot, time.Microsecond, 3)
+	tr.RecoveryStep(recHot, time.Microsecond, 3)
 
 	var valid bytes.Buffer
 	if err := WriteBinary(&valid, r.Snapshot()); err != nil {

@@ -2,14 +2,13 @@
 // per shard that answers "which keys are hot, and on which shard" without
 // touching the unsampled fast path.
 //
-// The wiring mirrors the two-layer devirtualization pattern used by
-// internal/obs and internal/flight:
+// The wiring mirrors internal/obs and internal/flight:
 //
 //   - Monitor is the process-wide owner: one Shard sketch per router shard,
 //     snapshotted by /debug/heat.
-//   - Sampler is the per-session hook compiled into the core op paths. When
-//     heat is disabled the session holds the zero-size Nop and every Touch
-//     devirtualizes to an empty body; when enabled it holds a *Handle whose
+//   - Handle is the per-session hook the core op paths call. When heat is
+//     disabled the session holds a nil *Handle and Touch returns at once (see
+//     docs/OBSERVABILITY.md, "Disabled observers"); when enabled its
 //     unsampled path is one counter increment and a modulo — no locks, no
 //     allocations, no shared-cache-line traffic.
 //
@@ -55,21 +54,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Sampler is the per-session heat hook. Implementations: Nop (disabled,
-// empty bodies) and *Handle (enabled, sampled).
-type Sampler interface {
-	// Touch records one op against k. Implementations must be allocation-free
-	// on the unsampled path.
-	Touch(op obs.Op, k kv.Key)
-}
-
-// Nop is the disabled Sampler. All methods are empty so the compiler can
-// devirtualize and inline them away.
-type Nop struct{}
-
-// Touch does nothing.
-func (Nop) Touch(obs.Op, kv.Key) {}
-
 // Monitor owns the per-shard sketches. Safe for concurrent use.
 type Monitor struct {
 	cfg Config
@@ -87,7 +71,7 @@ func NewMonitor(cfg Config) *Monitor {
 func (m *Monitor) Config() Config { return m.cfg }
 
 // Shard returns the sketch for shard i, creating it if needed. A nil Monitor
-// returns nil, which Handle treats as disabled.
+// returns nil, and so does its Handle.
 func (m *Monitor) Shard(i int) *Shard {
 	if m == nil || i < 0 {
 		return nil
@@ -108,18 +92,19 @@ func (m *Monitor) Shard(i int) *Shard {
 	return m.shards[i]
 }
 
-// Handle returns a per-session Sampler feeding shard i. Each session must
-// get its own Handle: the sampling counter is unsynchronized by design.
-func (m *Monitor) Handle(shard int) Sampler {
+// Handle returns a per-session handle feeding shard i, or nil for a nil
+// Monitor. Each session must get its own Handle: the sampling counter is
+// unsynchronized by design.
+func (m *Monitor) Handle(shard int) *Handle {
 	sh := m.Shard(shard)
 	if sh == nil {
-		return Nop{}
+		return nil
 	}
 	return &Handle{sh: sh, every: uint32(m.cfg.SampleEvery)}
 }
 
-// Handle is the enabled per-session Sampler. Not safe for concurrent use —
-// one per session, like obs.Metrics handles.
+// Handle is the per-session heat hook. Not safe for concurrent use — one per
+// session, like obs.Metrics handles. A nil *Handle is the disabled hook.
 type Handle struct {
 	sh    *Shard
 	n     uint32
@@ -127,8 +112,11 @@ type Handle struct {
 }
 
 // Touch counts the op and, on every Nth call, records it in the shard
-// sketch with weight N.
+// sketch with weight N. It allocates nothing on the unsampled path.
 func (h *Handle) Touch(op obs.Op, k kv.Key) {
+	if h == nil {
+		return
+	}
 	h.n++
 	if h.n%h.every != 0 {
 		return

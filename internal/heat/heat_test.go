@@ -133,13 +133,13 @@ func TestConcurrentHandles(t *testing.T) {
 	}
 }
 
-// The disabled path (Nop) and the unsampled path of an enabled Handle must
-// both be allocation-free: these run on every Get/Put.
+// The disabled path (a nil Handle) and the unsampled path of an enabled
+// Handle must both be allocation-free: these run on every Get/Put.
 func TestTouchAllocs(t *testing.T) {
 	k := key(1)
-	var nop Sampler = Nop{}
-	if n := testing.AllocsPerRun(1000, func() { nop.Touch(obs.OpGet, k) }); n != 0 {
-		t.Fatalf("Nop.Touch allocates %v/op", n)
+	var off *Handle
+	if n := testing.AllocsPerRun(1000, func() { off.Touch(obs.OpGet, k) }); n != 0 {
+		t.Fatalf("nil Handle.Touch allocates %v/op", n)
 	}
 	m := NewMonitor(Config{TopK: 4, SampleEvery: 1 << 30}) // effectively never samples
 	h := m.Handle(0)
@@ -148,13 +148,13 @@ func TestTouchAllocs(t *testing.T) {
 	}
 }
 
-// A nil Monitor must be fully usable: Handle degrades to Nop, Snapshot is
-// empty. This is the disabled wiring in core.Options.
+// A nil Monitor must be fully usable: Handle is nil, Snapshot is empty.
+// This is the disabled wiring in core.Options.
 func TestNilMonitor(t *testing.T) {
 	var m *Monitor
 	h := m.Handle(0)
-	if _, ok := h.(Nop); !ok {
-		t.Fatalf("nil Monitor Handle = %T, want Nop", h)
+	if h != nil {
+		t.Fatalf("nil Monitor Handle = %v, want nil", h)
 	}
 	h.Touch(obs.OpGet, key(0))
 	if snap := m.Snapshot(); len(snap.Shards) != 0 {

@@ -5,12 +5,12 @@
 // fill/eviction traffic, and device-level NVM counters bridged from
 // nvm.Stats.
 //
-// The recording surface is the Recorder interface. A disabled table uses
-// Nop (every method is an empty body the compiler can see through); an
-// enabled table hands each Session a *Handle bound to one counter shard, so
-// concurrent sessions never contend on a counter cache line. Latency is
-// sampled (Config.SampleEvery) because reading the clock twice per operation
-// would dominate sub-microsecond hot-table hits; counters are exact.
+// The recording surface is *Handle. An enabled table hands each Session a
+// handle bound to one counter shard, so concurrent sessions never contend on
+// a counter cache line; a disabled table holds a nil *Handle, whose methods
+// do nothing. Latency is sampled (Config.SampleEvery) because reading the
+// clock twice per operation would dominate sub-microsecond hot-table hits;
+// counters are exact.
 //
 // Snapshot produces a point-in-time copy suitable for deltas (Sub) and for
 // exposition in Prometheus text or JSON form (see expose.go).
@@ -103,91 +103,6 @@ func (o Outcome) String() string {
 		return "unknown"
 	}
 }
-
-// Recorder is the instrumentation surface the core hot paths call. It is an
-// interface so a disabled table compiles the accounting out to Nop's empty
-// bodies; the enabled implementation is *Handle.
-type Recorder interface {
-	// Start returns the op start time when this operation is latency-sampled,
-	// or the zero time otherwise. Callers pass the result to Op unchanged.
-	Start() time.Time
-	// Op records one completed operation, and its latency when start is
-	// non-zero.
-	Op(op Op, out Outcome, start time.Time)
-	// Probe records one NVT walk: rescan passes beyond the first, accounted
-	// slot reads, and waitUnlocked spin iterations.
-	Probe(rescans, probes, spins int64)
-	// Contended records one retry-budget exhaustion event.
-	Contended()
-	// GetRetry records one capped-backoff retry round inside Get.
-	GetRetry()
-	// HotFill records a search-path cache fill, rejected when the OCF
-	// validation turned it away.
-	HotFill(rejected bool)
-	// HotEvict records one hot-table replacement (RAFL or LRU victim).
-	HotEvict()
-	// Expansion records one completed table expansion and its end-to-end
-	// duration (swap through drain completion).
-	Expansion(d time.Duration)
-	// ExpansionSwap records the exclusive-lock window of an incremental
-	// expansion — the stall every foreground operation actually observes.
-	ExpansionSwap(d time.Duration)
-	// DrainChunk records one rehashed drain chunk: buckets covered, records
-	// moved, and the chunk's shared-lock residency (the per-chunk stall
-	// histogram).
-	DrainChunk(buckets, moved int64, d time.Duration)
-	// DrainHelp records a foreground writer pitching in on the drain.
-	DrainHelp()
-	// VLogAppend records one user value-log append of the given total
-	// record words (GC relocation copies go to GCRelocate instead, so
-	// write amplification is their ratio).
-	VLogAppend(words int64)
-	// WriteGroup records one grouped write commit: how many keys committed
-	// together and how many flush runs they took (1 when the whole group
-	// fit one contiguous segment run).
-	WriteGroup(keys, runs int64)
-	// GCRelocate records one live record the value-log GC copied out of a
-	// victim segment, with its total record words.
-	GCRelocate(words int64)
-	// GCRaced records a GC relocation whose conditional index rewrite lost
-	// to a racing user write — the copy became instant garbage.
-	GCRaced()
-	// GCRecycle records one value-log segment recycled to the free list.
-	GCRecycle()
-	// GCVisit records how many records one GC pass read out of its victim:
-	// the ones whose liveness bit was set, not every record the segment held.
-	GCVisit(records int64)
-	// VLogAckWait records n value-log appends that, their own record
-	// durable, waited for an earlier reservation to be acknowledged.
-	VLogAckWait(n int64)
-	// AddNVM merges a device-traffic delta bridged from nvm.Stats.
-	AddNVM(delta nvm.Stats)
-}
-
-// Nop is the disabled Recorder.
-type Nop struct{}
-
-var _ Recorder = Nop{}
-
-func (Nop) Start() time.Time                       { return time.Time{} }
-func (Nop) Op(Op, Outcome, time.Time)              {}
-func (Nop) Probe(int64, int64, int64)              {}
-func (Nop) Contended()                             {}
-func (Nop) GetRetry()                              {}
-func (Nop) HotFill(bool)                           {}
-func (Nop) HotEvict()                              {}
-func (Nop) Expansion(time.Duration)                {}
-func (Nop) ExpansionSwap(time.Duration)            {}
-func (Nop) DrainChunk(int64, int64, time.Duration) {}
-func (Nop) DrainHelp()                             {}
-func (Nop) VLogAppend(int64)                       {}
-func (Nop) WriteGroup(int64, int64)                {}
-func (Nop) GCRelocate(int64)                       {}
-func (Nop) GCRaced()                               {}
-func (Nop) GCRecycle()                             {}
-func (Nop) GCVisit(int64)                          {}
-func (Nop) VLogAckWait(int64)                      {}
-func (Nop) AddNVM(nvm.Stats)                       {}
 
 // shardCount bounds counter contention: handles are dealt shards round-robin,
 // and a snapshot sums across all of them.
@@ -282,39 +197,54 @@ func New(cfg Config) *Metrics {
 	return &Metrics{sampleEvery: cfg.SampleEvery}
 }
 
-// Handle returns a Recorder bound to one shard. Each Session (and each
-// drain worker) should own its own handle; a Handle's sampling counter
-// is not safe for concurrent use.
+// Handle returns a handle bound to one shard, or nil for a nil registry.
+// Each Session (and each drain worker) should own its own handle; a Handle's
+// sampling counter is not safe for concurrent use.
 func (m *Metrics) Handle() *Handle {
+	if m == nil {
+		return nil
+	}
 	return &Handle{m: m, sh: &m.shards[m.seq.Add(1)%shardCount]}
 }
 
-// Handle is the enabled Recorder: counters go to the handle's shard, latency
-// to the registry's shared atomic histograms.
+// Handle is the recording surface the core hot paths call: counters go to
+// the handle's shard, latency to the registry's shared atomic histograms.
+// Every method is safe on a nil *Handle and does nothing there — a disabled
+// table holds nil (see docs/OBSERVABILITY.md, "Disabled observers").
 type Handle struct {
 	m  *Metrics
 	sh *shard
 	n  uint64 // ops seen, drives sampling
 }
 
-var _ Recorder = (*Handle)(nil)
-
-func (h *Handle) Start() time.Time {
+// Sample counts one operation toward the sampling cadence and reports whether
+// it is latency-sampled; the caller reads the clock only when it is.
+func (h *Handle) Sample() bool {
+	if h == nil {
+		return false
+	}
 	h.n++
-	if h.n%h.m.sampleEvery != 0 {
-		return time.Time{}
-	}
-	return time.Now()
+	return h.n%h.m.sampleEvery == 0
 }
 
-func (h *Handle) Op(op Op, out Outcome, start time.Time) {
+// Op records one completed operation and, when Sample picked it, its latency
+// in nanoseconds; ns is negative for an op that was not sampled.
+func (h *Handle) Op(op Op, out Outcome, ns int64) {
+	if h == nil {
+		return
+	}
 	h.sh.ops[op][out].Add(1)
-	if !start.IsZero() {
-		h.m.lat[op][out].Record(time.Since(start).Nanoseconds())
+	if ns >= 0 {
+		h.m.lat[op][out].Record(ns)
 	}
 }
 
+// Probe records one NVT walk: rescan passes beyond the first, accounted slot
+// reads, and waitUnlocked spin iterations.
 func (h *Handle) Probe(rescans, probes, spins int64) {
+	if h == nil {
+		return
+	}
 	if rescans > 0 {
 		h.sh.lookupRescans.Add(uint64(rescans))
 	}
@@ -326,60 +256,145 @@ func (h *Handle) Probe(rescans, probes, spins int64) {
 	}
 }
 
-func (h *Handle) Contended() { h.sh.contended.Add(1) }
-func (h *Handle) GetRetry()  { h.sh.getRetries.Add(1) }
-func (h *Handle) HotEvict()  { h.sh.hotEvictions.Add(1) }
+// Contended records one retry-budget exhaustion event.
+func (h *Handle) Contended() {
+	if h != nil {
+		h.sh.contended.Add(1)
+	}
+}
 
+// GetRetry records one capped-backoff retry round inside Get.
+func (h *Handle) GetRetry() {
+	if h != nil {
+		h.sh.getRetries.Add(1)
+	}
+}
+
+// HotEvict records one hot-table replacement (RAFL or LRU victim).
+func (h *Handle) HotEvict() {
+	if h != nil {
+		h.sh.hotEvictions.Add(1)
+	}
+}
+
+// HotFill records a search-path cache fill, rejected when the OCF validation
+// turned it away.
 func (h *Handle) HotFill(rejected bool) {
+	if h == nil {
+		return
+	}
 	h.sh.hotFills.Add(1)
 	if rejected {
 		h.sh.hotFillsReject.Add(1)
 	}
 }
 
+// Expansion records one completed table expansion and its end-to-end
+// duration (swap through drain completion).
 func (h *Handle) Expansion(d time.Duration) {
-	h.sh.expansions.Add(1)
-	h.sh.expansionNanos.Add(uint64(d.Nanoseconds()))
+	if h != nil {
+		h.sh.expansions.Add(1)
+		h.sh.expansionNanos.Add(uint64(d.Nanoseconds()))
+	}
 }
 
+// ExpansionSwap records the exclusive-lock window of an incremental
+// expansion — the stall every foreground operation actually observes.
 func (h *Handle) ExpansionSwap(d time.Duration) {
-	h.sh.expansionSwaps.Add(1)
-	h.sh.expansionSwapNanos.Add(uint64(d.Nanoseconds()))
+	if h != nil {
+		h.sh.expansionSwaps.Add(1)
+		h.sh.expansionSwapNanos.Add(uint64(d.Nanoseconds()))
+	}
 }
 
+// DrainChunk records one rehashed drain chunk: buckets covered, records
+// moved, and the chunk's shared-lock residency (the per-chunk stall
+// histogram).
 func (h *Handle) DrainChunk(buckets, moved int64, d time.Duration) {
+	if h == nil {
+		return
+	}
 	h.sh.drainChunks.Add(1)
 	h.sh.drainBuckets.Add(uint64(buckets))
 	h.sh.drainMoved.Add(uint64(moved))
 	h.m.drainLat.Record(d.Nanoseconds())
 }
 
-func (h *Handle) DrainHelp() { h.sh.drainHelps.Add(1) }
+// DrainHelp records a foreground writer pitching in on the drain.
+func (h *Handle) DrainHelp() {
+	if h != nil {
+		h.sh.drainHelps.Add(1)
+	}
+}
 
+// WriteGroup records one grouped write commit: how many keys committed
+// together and how many flush runs they took (1 when the whole group fit one
+// contiguous segment run).
 func (h *Handle) WriteGroup(keys, runs int64) {
+	if h == nil {
+		return
+	}
 	h.sh.writeGroups.Add(1)
 	h.sh.writeGroupKeys.Add(uint64(keys))
 	h.sh.writeGroupFlush.Add(uint64(runs))
 	h.m.groupSize.Record(keys)
 }
 
+// VLogAppend records one user value-log append of the given total record
+// words (GC relocation copies go to GCRelocate instead, so write
+// amplification is their ratio).
 func (h *Handle) VLogAppend(words int64) {
-	h.sh.vlogAppends.Add(1)
-	h.sh.vlogAppendWords.Add(uint64(words))
+	if h != nil {
+		h.sh.vlogAppends.Add(1)
+		h.sh.vlogAppendWords.Add(uint64(words))
+	}
 }
 
+// GCRelocate records one live record the value-log GC copied out of a victim
+// segment, with its total record words.
 func (h *Handle) GCRelocate(words int64) {
-	h.sh.gcRelocations.Add(1)
-	h.sh.gcRelocatedWords.Add(uint64(words))
+	if h != nil {
+		h.sh.gcRelocations.Add(1)
+		h.sh.gcRelocatedWords.Add(uint64(words))
+	}
 }
 
-func (h *Handle) GCRaced()   { h.sh.gcRaced.Add(1) }
-func (h *Handle) GCRecycle() { h.sh.gcRecycles.Add(1) }
+// GCRaced records a GC relocation whose conditional index rewrite lost to a
+// racing user write — the copy became instant garbage.
+func (h *Handle) GCRaced() {
+	if h != nil {
+		h.sh.gcRaced.Add(1)
+	}
+}
 
-func (h *Handle) GCVisit(records int64) { h.sh.gcVisited.Add(uint64(records)) }
-func (h *Handle) VLogAckWait(n int64)   { h.sh.vlogAckWaits.Add(uint64(n)) }
+// GCRecycle records one value-log segment recycled to the free list.
+func (h *Handle) GCRecycle() {
+	if h != nil {
+		h.sh.gcRecycles.Add(1)
+	}
+}
 
+// GCVisit records how many records one GC pass read out of its victim: the
+// ones whose liveness bit was set, not every record the segment held.
+func (h *Handle) GCVisit(records int64) {
+	if h != nil {
+		h.sh.gcVisited.Add(uint64(records))
+	}
+}
+
+// VLogAckWait records n value-log appends that, their own record durable,
+// waited for an earlier reservation to be acknowledged.
+func (h *Handle) VLogAckWait(n int64) {
+	if h != nil {
+		h.sh.vlogAckWaits.Add(uint64(n))
+	}
+}
+
+// AddNVM merges a device-traffic delta bridged from nvm.Stats.
 func (h *Handle) AddNVM(delta nvm.Stats) {
+	if h == nil {
+		return
+	}
 	n := &h.sh.nvm
 	n[nvmReadAccesses].Add(delta.ReadAccesses)
 	n[nvmReadWords].Add(delta.ReadWords)

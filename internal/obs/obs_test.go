@@ -21,7 +21,7 @@ func TestCountersSumAcrossHandles(t *testing.T) {
 			defer wg.Done()
 			h := m.Handle()
 			for i := 0; i < per; i++ {
-				h.Op(OpGet, OutNVTHit, time.Time{})
+				h.Op(OpGet, OutNVTHit, -1)
 				h.Probe(2, 3, 1)
 				h.Contended()
 			}
@@ -45,11 +45,12 @@ func TestLatencySampling(t *testing.T) {
 	h := m.Handle()
 	sampled := 0
 	for i := 0; i < 100; i++ {
-		start := h.Start()
-		if !start.IsZero() {
+		ns := int64(-1)
+		if h.Sample() {
 			sampled++
+			ns = 100
 		}
-		h.Op(OpGet, OutHotHit, start)
+		h.Op(OpGet, OutHotHit, ns)
 	}
 	if sampled != 25 {
 		t.Fatalf("sampled %d of 100 at 1/4", sampled)
@@ -82,11 +83,11 @@ func TestAtomicHistQuantiles(t *testing.T) {
 func TestSnapshotSub(t *testing.T) {
 	m := New(Config{SampleEvery: 1})
 	h := m.Handle()
-	h.Op(OpInsert, OutOK, time.Time{})
+	h.Op(OpInsert, OutOK, -1)
 	h.AddNVM(nvm.Stats{ReadWords: 10})
 	base := m.Snapshot()
-	h.Op(OpInsert, OutOK, time.Time{})
-	h.Op(OpInsert, OutOK, time.Time{})
+	h.Op(OpInsert, OutOK, -1)
+	h.Op(OpInsert, OutOK, -1)
 	h.AddNVM(nvm.Stats{ReadWords: 7})
 	d := m.Snapshot().Sub(base)
 	if d.Ops[OpInsert][OutOK] != 2 {
@@ -101,9 +102,9 @@ func TestHitRatio(t *testing.T) {
 	m := New(Config{})
 	h := m.Handle()
 	for i := 0; i < 3; i++ {
-		h.Op(OpGet, OutHotHit, time.Time{})
+		h.Op(OpGet, OutHotHit, -1)
 	}
-	h.Op(OpGet, OutNVTHit, time.Time{})
+	h.Op(OpGet, OutNVTHit, -1)
 	if r := m.Snapshot().HitRatio(); r != 0.75 {
 		t.Fatalf("hit ratio = %g, want 0.75", r)
 	}
@@ -118,11 +119,11 @@ func TestProbeReadsPerWalk(t *testing.T) {
 		t.Fatalf("reads per walk with no walks = %g, want 0", r)
 	}
 	for i := 0; i < 10; i++ {
-		h.Op(OpGet, OutHotHit, time.Time{})
+		h.Op(OpGet, OutHotHit, -1)
 	}
-	h.Op(OpGet, OutNVTHit, time.Time{})
-	h.Op(OpGet, OutMiss, time.Time{})
-	h.Op(OpInsert, OutOK, time.Time{})
+	h.Op(OpGet, OutNVTHit, -1)
+	h.Op(OpGet, OutMiss, -1)
+	h.Op(OpInsert, OutOK, -1)
 	h.Probe(1, 6, 0)
 	if r := m.Snapshot().ProbeReadsPerWalk(); r != 1.5 {
 		t.Fatalf("6 reads over 3 ops + 1 rescan = %g per walk, want 1.5", r)
@@ -132,8 +133,7 @@ func TestProbeReadsPerWalk(t *testing.T) {
 func TestWritePromFormat(t *testing.T) {
 	m := New(Config{SampleEvery: 1})
 	h := m.Handle()
-	start := h.Start()
-	h.Op(OpGet, OutNVTHit, start)
+	h.Op(OpGet, OutNVTHit, 100)
 	h.HotFill(true)
 	h.WriteGroup(64, 2)
 	rm := NewRESPMetrics()
@@ -172,7 +172,7 @@ func TestWritePromFormat(t *testing.T) {
 func TestWriteJSONRoundTrips(t *testing.T) {
 	m := New(Config{SampleEvery: 1})
 	h := m.Handle()
-	h.Op(OpUpdate, OutContended, time.Time{})
+	h.Op(OpUpdate, OutContended, -1)
 	h.Contended()
 	var b bytes.Buffer
 	if err := m.Snapshot().WriteJSON(&b); err != nil {
@@ -191,17 +191,33 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	}
 }
 
-func TestNopIsSafe(t *testing.T) {
-	var r Recorder = Nop{}
-	if !r.Start().IsZero() {
-		t.Fatal("Nop.Start must return zero time")
+// TestNilHandleIsSafe pins the disabled wiring: a nil registry deals nil
+// handles, and every method on a nil handle is a no-op that never samples.
+func TestNilHandleIsSafe(t *testing.T) {
+	var m *Metrics
+	h := m.Handle()
+	if h != nil {
+		t.Fatalf("nil registry handle = %v, want nil", h)
 	}
-	r.Op(OpGet, OutMiss, time.Time{})
-	r.Probe(1, 2, 3)
-	r.Contended()
-	r.GetRetry()
-	r.HotFill(false)
-	r.HotEvict()
-	r.Expansion(time.Second)
-	r.AddNVM(nvm.Stats{})
+	if h.Sample() {
+		t.Fatal("nil handle sampled an op")
+	}
+	h.Op(OpGet, OutMiss, 1)
+	h.Probe(1, 2, 3)
+	h.Contended()
+	h.GetRetry()
+	h.HotFill(false)
+	h.HotEvict()
+	h.Expansion(time.Second)
+	h.ExpansionSwap(time.Second)
+	h.DrainChunk(1, 1, time.Second)
+	h.DrainHelp()
+	h.WriteGroup(1, 1)
+	h.VLogAppend(1)
+	h.GCRelocate(1)
+	h.GCRaced()
+	h.GCRecycle()
+	h.GCVisit(1)
+	h.VLogAckWait(1)
+	h.AddNVM(nvm.Stats{})
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"hdnh/internal/flight"
 	"hdnh/internal/obs"
 )
 
@@ -281,7 +280,7 @@ func TestBurstSteadyStateZeroAllocs(t *testing.T) {
 	}
 
 	srv := NewServer(fakeBackend{}, Options{Metrics: obs.NewRESPMetrics()})
-	c := newConn(srv, nil, sess, flight.Nop{})
+	c := newConn(srv, nil, sess, nil)
 	round := func() {
 		c.r, c.w, c.need = 0, copy(c.in, burst.String()), 1
 		if perr := c.parseBurst(); perr != nil || len(c.cmds) != 16 || c.r != c.w {

@@ -10,8 +10,6 @@ import (
 	"strconv"
 	"testing"
 	"unsafe"
-
-	"hdnh/internal/flight"
 )
 
 // refReadCommand is the reader the listener used before it parsed in place:
@@ -208,7 +206,7 @@ func (s *scriptedConn) Read(b []byte) (int, error) {
 // management — fill's compaction and growth, parseBurst's need gate — from a
 // read buffer of the given size.
 func connTranscript(srv *Server, bufBytes int, pieces ...[]byte) transcript {
-	c := newConn(srv, &scriptedConn{pieces: pieces}, nil, flight.Nop{})
+	c := newConn(srv, &scriptedConn{pieces: pieces}, nil, nil)
 	c.in = make([]byte, bufBytes)
 	var tr transcript
 	for {

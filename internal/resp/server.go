@@ -64,7 +64,7 @@ type Options struct {
 	// MaxTracers bounds the pool of flight tracer handles shared by
 	// connections. Recorder.Handle allocates a permanent ring, so handles
 	// must be pooled, not minted per connection; connections beyond the
-	// pool trace into flight.Nop. Default 8.
+	// pool trace nothing (a nil handle). Default 8.
 	MaxTracers int
 	// Info, when non-nil, renders the INFO command's reply: Redis-style
 	// CRLF key:value lines under # Section headers. ok=false means the
@@ -116,7 +116,7 @@ type Server struct {
 	wg        sync.WaitGroup
 
 	tracerMu    sync.Mutex
-	tracerFree  []flight.Tracer
+	tracerFree  []*flight.Handle
 	tracersMade int
 }
 
@@ -131,11 +131,11 @@ func NewServer(be Backend, opts Options) *Server {
 	}
 }
 
-// getTracer leases a flight tracer handle from the bounded pool, or a Nop
-// when the pool is exhausted or tracing is off.
-func (s *Server) getTracer() flight.Tracer {
+// getTracer leases a flight handle from the bounded pool, or nil when the
+// pool is exhausted or tracing is off.
+func (s *Server) getTracer() *flight.Handle {
 	if s.opts.Flight == nil {
-		return flight.Nop{}
+		return nil
 	}
 	s.tracerMu.Lock()
 	defer s.tracerMu.Unlock()
@@ -148,11 +148,11 @@ func (s *Server) getTracer() flight.Tracer {
 		s.tracersMade++
 		return s.opts.Flight.Handle(fmt.Sprintf("resp-%d", s.tracersMade))
 	}
-	return flight.Nop{}
+	return nil
 }
 
-func (s *Server) putTracer(tr flight.Tracer) {
-	if _, ok := tr.(flight.Nop); ok {
+func (s *Server) putTracer(tr *flight.Handle) {
+	if tr == nil {
 		return
 	}
 	s.tracerMu.Lock()
@@ -273,7 +273,7 @@ type conn struct {
 	s    *Server
 	nc   net.Conn
 	sess BackendSession
-	tr   flight.Tracer
+	tr   *flight.Handle // nil when not tracing
 	run  batchrun.Runner
 
 	// in[r:w] is received and not yet parsed; need is the least w-r at which
@@ -297,7 +297,7 @@ type conn struct {
 	spanBegin int64
 }
 
-func newConn(s *Server, nc net.Conn, sess BackendSession, tr flight.Tracer) *conn {
+func newConn(s *Server, nc net.Conn, sess BackendSession, tr *flight.Handle) *conn {
 	return &conn{
 		s: s, nc: nc, sess: sess, tr: tr,
 		in: make([]byte, readBufBytes), need: 1,

@@ -191,20 +191,17 @@ type Log struct {
 	// hook is the test seam of SetAppendHook; nil outside tests.
 	hook func(stage AppendStage, addr int64)
 
-	// fl traces segment lifecycle transitions; flight.Nop until the owner
-	// installs a real tracer via SetTracer. Guarded by mu on the mutating
+	// fl traces segment lifecycle transitions; nil (no tracing) until the
+	// owner installs a handle via SetTracer. Guarded by mu on the mutating
 	// paths that emit (roll, SealActive, Recycle).
-	fl flight.Tracer
+	fl *flight.Handle
 }
 
-// SetTracer installs the flight tracer segment state transitions are traced
-// into. Call before the log sees traffic; the default is the no-op tracer.
-func (l *Log) SetTracer(fl flight.Tracer) {
+// SetTracer installs the flight handle segment state transitions are traced
+// into. Call before the log sees traffic; the default, nil, traces nothing.
+func (l *Log) SetTracer(fl *flight.Handle) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if fl == nil {
-		fl = flight.Nop{}
-	}
 	l.fl = fl
 }
 
@@ -272,7 +269,6 @@ func newLog(dev *nvm.Device, base, segWords, numSegs, metaWords int64) *Log {
 		used:      make([]atomic.Int64, numSegs),
 		live:      make([]atomic.Int64, numSegs),
 		liveBits:  make([]atomic.Uint64, (numSegs*segWords+63)/64),
-		fl:        flight.Nop{},
 	}
 }
 
