@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json experiments examples flight-demo fuzz clean
+.PHONY: all build vet test race bench experiments examples flight-demo fuzz clean
 
 all: build vet test
 
@@ -20,12 +20,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable figure runs (the BENCH_*.json comparisons are built from
-# these): fig13 covers the read path, batchscale the MultiGet sweep.
-bench-json:
-	$(GO) run ./cmd/hdnhbench -fig 13 -records 50000 -ops 100000 -mode emulate -json bench-fig13.json
-	$(GO) run ./cmd/hdnhbench -fig batchscale -records 50000 -ops 100000 -mode emulate -json bench-batchscale.json
 
 # Regenerate every paper figure/table plus the extensions (see EXPERIMENTS.md).
 experiments:

@@ -527,16 +527,7 @@ func (e *Evaluator) evalImbalance(snap obs.Snapshot, add func(Condition)) {
 // fraction: a store answering a visible share of requests with backpressure
 // errors is degraded no matter what the gauges say.
 func (e *Evaluator) evalErrorRate(d obs.Snapshot, add func(Condition)) {
-	var total, bad uint64
-	for op := obs.Op(0); op < obs.NumOps; op++ {
-		for out := obs.Outcome(0); out < obs.NumOutcomes; out++ {
-			n := d.Ops[op][out]
-			total += n
-			if out == obs.OutContended || out == obs.OutFull {
-				bad += n
-			}
-		}
-	}
+	bad, total := d.Backpressure()
 	if total < e.cfg.ErrorRateMinOps {
 		return
 	}

@@ -115,9 +115,7 @@ func (h *History) Record(s Snapshot, now time.Time) {
 		VLogFreeSegments: s.Gauges.VLogFreeSegments,
 		EpochSlotsLive:   s.Gauges.EpochSlotsLive,
 	}
-	for op := Op(0); op < NumOps; op++ {
-		pt.Errors += d.Ops[op][OutContended] + d.Ops[op][OutFull]
-	}
+	pt.Errors, _ = d.Backpressure()
 	if s.RESP != nil {
 		pt.RESPInFlight = s.RESP.InFlight
 	}

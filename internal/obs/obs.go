@@ -108,55 +108,10 @@ func (o Outcome) String() string {
 // and a snapshot sums across all of them.
 const shardCount = 64
 
-// nvmFields indexes the bridged nvm.Stats counters inside a shard.
-const (
-	nvmReadAccesses = iota
-	nvmReadWords
-	nvmMediaBlockReads
-	nvmWriteAccesses
-	nvmWriteWords
-	nvmFlushes
-	nvmFences
-	nvmModeledNanos
-	nvmFields
-)
-
 // shard is one cache-padded slice of every counter.
 type shard struct {
 	ops [NumOps][NumOutcomes]atomic.Uint64
-
-	lookupRescans  atomic.Uint64
-	nvtProbes      atomic.Uint64
-	spins          atomic.Uint64
-	contended      atomic.Uint64
-	getRetries     atomic.Uint64
-	hotFills       atomic.Uint64
-	hotFillsReject atomic.Uint64
-	hotEvictions   atomic.Uint64
-	expansions     atomic.Uint64
-	expansionNanos atomic.Uint64
-
-	expansionSwaps     atomic.Uint64
-	expansionSwapNanos atomic.Uint64
-	drainChunks        atomic.Uint64
-	drainBuckets       atomic.Uint64
-	drainMoved         atomic.Uint64
-	drainHelps         atomic.Uint64
-
-	writeGroups     atomic.Uint64
-	writeGroupKeys  atomic.Uint64
-	writeGroupFlush atomic.Uint64
-
-	vlogAppends      atomic.Uint64
-	vlogAppendWords  atomic.Uint64
-	gcRelocations    atomic.Uint64
-	gcRelocatedWords atomic.Uint64
-	gcRaced          atomic.Uint64
-	gcRecycles       atomic.Uint64
-	gcVisited        atomic.Uint64
-	vlogAckWaits     atomic.Uint64
-
-	nvm [nvmFields]atomic.Uint64
+	c   [numCounters]atomic.Uint64
 
 	_ [64]byte // keep neighbouring shards off one cache line
 }
@@ -246,34 +201,34 @@ func (h *Handle) Probe(rescans, probes, spins int64) {
 		return
 	}
 	if rescans > 0 {
-		h.sh.lookupRescans.Add(uint64(rescans))
+		h.sh.c[cLookupRescans].Add(uint64(rescans))
 	}
 	if probes > 0 {
-		h.sh.nvtProbes.Add(uint64(probes))
+		h.sh.c[cNVTProbes].Add(uint64(probes))
 	}
 	if spins > 0 {
-		h.sh.spins.Add(uint64(spins))
+		h.sh.c[cSpins].Add(uint64(spins))
 	}
 }
 
 // Contended records one retry-budget exhaustion event.
 func (h *Handle) Contended() {
 	if h != nil {
-		h.sh.contended.Add(1)
+		h.sh.c[cContended].Add(1)
 	}
 }
 
 // GetRetry records one capped-backoff retry round inside Get.
 func (h *Handle) GetRetry() {
 	if h != nil {
-		h.sh.getRetries.Add(1)
+		h.sh.c[cGetRetries].Add(1)
 	}
 }
 
 // HotEvict records one hot-table replacement (RAFL or LRU victim).
 func (h *Handle) HotEvict() {
 	if h != nil {
-		h.sh.hotEvictions.Add(1)
+		h.sh.c[cHotEvictions].Add(1)
 	}
 }
 
@@ -283,9 +238,9 @@ func (h *Handle) HotFill(rejected bool) {
 	if h == nil {
 		return
 	}
-	h.sh.hotFills.Add(1)
+	h.sh.c[cHotFills].Add(1)
 	if rejected {
-		h.sh.hotFillsReject.Add(1)
+		h.sh.c[cHotFillsRejected].Add(1)
 	}
 }
 
@@ -293,8 +248,8 @@ func (h *Handle) HotFill(rejected bool) {
 // duration (swap through drain completion).
 func (h *Handle) Expansion(d time.Duration) {
 	if h != nil {
-		h.sh.expansions.Add(1)
-		h.sh.expansionNanos.Add(uint64(d.Nanoseconds()))
+		h.sh.c[cExpansions].Add(1)
+		h.sh.c[cExpansionNanos].Add(uint64(d.Nanoseconds()))
 	}
 }
 
@@ -302,8 +257,8 @@ func (h *Handle) Expansion(d time.Duration) {
 // expansion — the stall every foreground operation actually observes.
 func (h *Handle) ExpansionSwap(d time.Duration) {
 	if h != nil {
-		h.sh.expansionSwaps.Add(1)
-		h.sh.expansionSwapNanos.Add(uint64(d.Nanoseconds()))
+		h.sh.c[cExpansionSwaps].Add(1)
+		h.sh.c[cExpansionSwapNanos].Add(uint64(d.Nanoseconds()))
 	}
 }
 
@@ -314,16 +269,16 @@ func (h *Handle) DrainChunk(buckets, moved int64, d time.Duration) {
 	if h == nil {
 		return
 	}
-	h.sh.drainChunks.Add(1)
-	h.sh.drainBuckets.Add(uint64(buckets))
-	h.sh.drainMoved.Add(uint64(moved))
+	h.sh.c[cDrainChunks].Add(1)
+	h.sh.c[cDrainBuckets].Add(uint64(buckets))
+	h.sh.c[cDrainRecordsMoved].Add(uint64(moved))
 	h.m.drainLat.Record(d.Nanoseconds())
 }
 
 // DrainHelp records a foreground writer pitching in on the drain.
 func (h *Handle) DrainHelp() {
 	if h != nil {
-		h.sh.drainHelps.Add(1)
+		h.sh.c[cDrainHelps].Add(1)
 	}
 }
 
@@ -334,9 +289,9 @@ func (h *Handle) WriteGroup(keys, runs int64) {
 	if h == nil {
 		return
 	}
-	h.sh.writeGroups.Add(1)
-	h.sh.writeGroupKeys.Add(uint64(keys))
-	h.sh.writeGroupFlush.Add(uint64(runs))
+	h.sh.c[cWriteGroups].Add(1)
+	h.sh.c[cWriteGroupKeys].Add(uint64(keys))
+	h.sh.c[cWriteGroupFlushes].Add(uint64(runs))
 	h.m.groupSize.Record(keys)
 }
 
@@ -345,8 +300,8 @@ func (h *Handle) WriteGroup(keys, runs int64) {
 // amplification is their ratio).
 func (h *Handle) VLogAppend(words int64) {
 	if h != nil {
-		h.sh.vlogAppends.Add(1)
-		h.sh.vlogAppendWords.Add(uint64(words))
+		h.sh.c[cVLogAppends].Add(1)
+		h.sh.c[cVLogAppendWords].Add(uint64(words))
 	}
 }
 
@@ -354,8 +309,8 @@ func (h *Handle) VLogAppend(words int64) {
 // segment, with its total record words.
 func (h *Handle) GCRelocate(words int64) {
 	if h != nil {
-		h.sh.gcRelocations.Add(1)
-		h.sh.gcRelocatedWords.Add(uint64(words))
+		h.sh.c[cGCRelocations].Add(1)
+		h.sh.c[cGCRelocatedWords].Add(uint64(words))
 	}
 }
 
@@ -363,14 +318,14 @@ func (h *Handle) GCRelocate(words int64) {
 // racing user write — the copy became instant garbage.
 func (h *Handle) GCRaced() {
 	if h != nil {
-		h.sh.gcRaced.Add(1)
+		h.sh.c[cGCRaced].Add(1)
 	}
 }
 
 // GCRecycle records one value-log segment recycled to the free list.
 func (h *Handle) GCRecycle() {
 	if h != nil {
-		h.sh.gcRecycles.Add(1)
+		h.sh.c[cGCRecycles].Add(1)
 	}
 }
 
@@ -378,7 +333,7 @@ func (h *Handle) GCRecycle() {
 // ones whose liveness bit was set, not every record the segment held.
 func (h *Handle) GCVisit(records int64) {
 	if h != nil {
-		h.sh.gcVisited.Add(uint64(records))
+		h.sh.c[cGCVisited].Add(uint64(records))
 	}
 }
 
@@ -386,7 +341,7 @@ func (h *Handle) GCVisit(records int64) {
 // waited for an earlier reservation to be acknowledged.
 func (h *Handle) VLogAckWait(n int64) {
 	if h != nil {
-		h.sh.vlogAckWaits.Add(uint64(n))
+		h.sh.c[cVLogAckWaits].Add(uint64(n))
 	}
 }
 
@@ -395,15 +350,15 @@ func (h *Handle) AddNVM(delta nvm.Stats) {
 	if h == nil {
 		return
 	}
-	n := &h.sh.nvm
-	n[nvmReadAccesses].Add(delta.ReadAccesses)
-	n[nvmReadWords].Add(delta.ReadWords)
-	n[nvmMediaBlockReads].Add(delta.MediaBlockReads)
-	n[nvmWriteAccesses].Add(delta.WriteAccesses)
-	n[nvmWriteWords].Add(delta.WriteWords)
-	n[nvmFlushes].Add(delta.Flushes)
-	n[nvmFences].Add(delta.Fences)
-	n[nvmModeledNanos].Add(delta.ModeledNanos)
+	c := &h.sh.c
+	c[cNVMReadAccesses].Add(delta.ReadAccesses)
+	c[cNVMReadWords].Add(delta.ReadWords)
+	c[cNVMMediaBlockReads].Add(delta.MediaBlockReads)
+	c[cNVMWriteAccesses].Add(delta.WriteAccesses)
+	c[cNVMWriteWords].Add(delta.WriteWords)
+	c[cNVMFlushes].Add(delta.Flushes)
+	c[cNVMFences].Add(delta.Fences)
+	c[cNVMModeledNanos].Add(delta.ModeledNanos)
 }
 
 // AtomicHist is a concurrently recordable histogram with the geometry of

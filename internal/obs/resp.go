@@ -190,11 +190,6 @@ type RESPSnapshot struct {
 	WriteRuns      uint64      `json:"write_runs"`
 	WriteRunOps    uint64      `json:"write_run_ops"`
 	WriteRunLength LatencyStat `json:"write_run_length"` // ops per write run
-
-	// internal positional copies the Prometheus writer iterates.
-	cmds    [NumRESPCmds]uint64
-	cmdErrs [NumRESPCmds]uint64
-	lat     [NumRESPCmds]LatencyStat
 }
 
 // Snapshot copies the counters. Nil-safe: a nil registry returns nil, which
@@ -204,61 +199,33 @@ func (m *RESPMetrics) Snapshot() *RESPSnapshot {
 		return nil
 	}
 	s := &RESPSnapshot{
-		ConnsTotal:  m.connsTotal.Load(),
-		ConnsOpen:   m.connsOpen.Load(),
-		InFlight:    m.inFlight.Load(),
-		ProtoErrors: m.protoErrs.Load(),
-		Commands:    map[string]uint64{},
-		Runs:        m.runs.Load(),
-		RunOps:      m.runOps.Load(),
-		Flushes:     m.flushes.Load(),
-		WriteRuns:   m.writeRuns.Load(),
-		WriteRunOps: m.writeRunOps.Load(),
+		ConnsTotal:     m.connsTotal.Load(),
+		ConnsOpen:      m.connsOpen.Load(),
+		InFlight:       m.inFlight.Load(),
+		ProtoErrors:    m.protoErrs.Load(),
+		Commands:       map[string]uint64{},
+		Runs:           m.runs.Load(),
+		RunOps:         m.runOps.Load(),
+		Flushes:        m.flushes.Load(),
+		RunLength:      latencyOf(&m.runLen),
+		WriteRuns:      m.writeRuns.Load(),
+		WriteRunOps:    m.writeRunOps.Load(),
+		WriteRunLength: latencyOf(&m.writeRunLen),
 	}
 	for c := RESPCmd(0); c < NumRESPCmds; c++ {
-		s.cmds[c] = m.cmds[c].Load()
-		s.cmdErrs[c] = m.cmdErrs[c].Load()
-		s.Commands[c.String()] = s.cmds[c]
-		if s.cmdErrs[c] != 0 {
+		name := c.String()
+		s.Commands[name] = m.cmds[c].Load()
+		if n := m.cmdErrs[c].Load(); n != 0 {
 			if s.CommandErrors == nil {
 				s.CommandErrors = map[string]uint64{}
 			}
-			s.CommandErrors[c.String()] = s.cmdErrs[c]
+			s.CommandErrors[name] = n
 		}
-		if h := m.lat[c].Snapshot(); h.Count() > 0 {
-			ls := LatencyStat{
-				Sampled: h.Count(),
-				MeanNs:  h.Mean(),
-				P50Ns:   h.Percentile(50),
-				P99Ns:   h.Percentile(99),
-				P999Ns:  h.Percentile(99.9),
-				MaxNs:   h.Max(),
-			}
-			s.lat[c] = ls
+		if l := latencyOf(&m.lat[c]); l.Sampled > 0 {
 			if s.Latency == nil {
 				s.Latency = map[string]LatencyStat{}
 			}
-			s.Latency[c.String()] = ls
-		}
-	}
-	if h := m.runLen.Snapshot(); h.Count() > 0 {
-		s.RunLength = LatencyStat{
-			Sampled: h.Count(),
-			MeanNs:  h.Mean(),
-			P50Ns:   h.Percentile(50),
-			P99Ns:   h.Percentile(99),
-			P999Ns:  h.Percentile(99.9),
-			MaxNs:   h.Max(),
-		}
-	}
-	if h := m.writeRunLen.Snapshot(); h.Count() > 0 {
-		s.WriteRunLength = LatencyStat{
-			Sampled: h.Count(),
-			MeanNs:  h.Mean(),
-			P50Ns:   h.Percentile(50),
-			P99Ns:   h.Percentile(99),
-			P999Ns:  h.Percentile(99.9),
-			MaxNs:   h.Max(),
+			s.Latency[name] = l
 		}
 	}
 	return s

@@ -14,6 +14,23 @@ type LatencyStat struct {
 	MaxNs   int64   `json:"max_ns"`
 }
 
+// latencyOf summarises a histogram, or returns the zero LatencyStat when it
+// recorded nothing.
+func latencyOf(a *AtomicHist) LatencyStat {
+	h := a.Snapshot()
+	if h.Count() == 0 {
+		return LatencyStat{}
+	}
+	return LatencyStat{
+		Sampled: h.Count(),
+		MeanNs:  h.Mean(),
+		P50Ns:   h.Percentile(50),
+		P99Ns:   h.Percentile(99),
+		P999Ns:  h.Percentile(99.9),
+		MaxNs:   h.Max(),
+	}
+}
+
 // Gauges are point-in-time table-shape readings a Snapshot carries alongside
 // the monotonic counters; core.Router.MetricsSnapshot fills them.
 type Gauges struct {
@@ -89,10 +106,9 @@ type Snapshot struct {
 	HotFills         uint64
 	HotFillsRejected uint64
 	HotEvictions     uint64
-	// BGApplies is always 0: the background writer pool it counted is gone
-	// (writes mirror the hot table themselves). Retained, with
-	// hdnh_bg_applies_total, because the repository benchmark under bench/
-	// reads it.
+	// BGApplies is always 0 and neither exposition carries it: the
+	// background writer pool it counted is gone. The field stays only
+	// because bench/workload.go reads it for core.bg_applies_per_write.
 	BGApplies uint64
 
 	// Expansions counts completed resizes and ExpansionNanos their total
@@ -151,6 +167,146 @@ type Snapshot struct {
 	RESP *RESPSnapshot
 }
 
+// counter indexes one scalar counter in a shard. Each is declared once, by
+// its row in counters; Metrics.Snapshot, Snapshot.Sub and both expositions
+// loop over that table.
+type counter uint8
+
+const (
+	cLookupRescans counter = iota
+	cNVTProbes
+	cSpins
+	cContended
+	cGetRetries
+	cHotFills
+	cHotFillsRejected
+	cHotEvictions
+	cExpansions
+	cExpansionNanos
+	cExpansionSwaps
+	cExpansionSwapNanos
+	cDrainChunks
+	cDrainBuckets
+	cDrainRecordsMoved
+	cDrainHelps
+	cWriteGroups
+	cWriteGroupKeys
+	cWriteGroupFlushes
+	cVLogAppends
+	cVLogAppendWords
+	cGCRelocations
+	cGCRelocatedWords
+	cGCRaced
+	cGCRecycles
+	cGCVisited
+	cVLogAckWaits
+	cNVMReadAccesses
+	cNVMReadWords
+	cNVMMediaBlockReads
+	cNVMWriteAccesses
+	cNVMWriteWords
+	cNVMFlushes
+	cNVMFences
+	cNVMModeledNanos
+	numCounters
+)
+
+// counterDef declares one counter: its Prometheus name and HELP text, its
+// /metrics.json key ("nvm."-prefixed keys nest under "nvm"), the Snapshot
+// field that holds it and, when one follows it in /metrics, a summary.
+type counterDef struct {
+	prom, help, json string
+	field            func(*Snapshot) *uint64
+	summary          *summaryDef
+}
+
+// summaryDef declares an unlabelled summary a Snapshot carries as a
+// LatencyStat; p999 adds the 0.999 quantile (duration summaries have it,
+// length summaries do not).
+type summaryDef struct {
+	prom, help, json string
+	p999             bool
+	stat             func(*Snapshot) LatencyStat
+}
+
+// counters lists every counter in /metrics order.
+var counters = [numCounters]counterDef{
+	cLookupRescans: {"hdnh_lookup_rescans_total", "Movement-hazard rescan passes beyond each NVT walk's first.", "lookup_rescans",
+		func(s *Snapshot) *uint64 { return &s.LookupRescans }, nil},
+	cNVTProbes: {"hdnh_nvt_probe_reads_total", "Accounted NVT slot reads issued by lookups.", "nvt_probe_reads",
+		func(s *Snapshot) *uint64 { return &s.NVTProbes }, nil},
+	cSpins: {"hdnh_lock_spins_total", "waitUnlocked backoff iterations on locked OCF words.", "lock_spins",
+		func(s *Snapshot) *uint64 { return &s.Spins }, nil},
+	cContended: {"hdnh_contended_total", "Lookup retry-budget exhaustions (would have been silent false misses).", "contended",
+		func(s *Snapshot) *uint64 { return &s.Contended }, nil},
+	cGetRetries: {"hdnh_get_retries_total", "Capped-backoff retry rounds inside Get after budget exhaustion.", "get_retries",
+		func(s *Snapshot) *uint64 { return &s.GetRetries }, nil},
+	cHotFills: {"hdnh_hot_fills_total", "Search-path hot-table fill attempts.", "hot_fills",
+		func(s *Snapshot) *uint64 { return &s.HotFills }, nil},
+	cHotFillsRejected: {"hdnh_hot_fills_rejected_total", "Fills rejected by OCF validation (record moved or changed).", "hot_fills_rejected",
+		func(s *Snapshot) *uint64 { return &s.HotFillsRejected }, nil},
+	cHotEvictions: {"hdnh_hot_evictions_total", "Hot-table replacement evictions.", "hot_evictions",
+		func(s *Snapshot) *uint64 { return &s.HotEvictions }, nil},
+	cExpansions: {"hdnh_expansions_total", "Completed table expansions.", "expansions",
+		func(s *Snapshot) *uint64 { return &s.Expansions }, nil},
+	cExpansionNanos: {"hdnh_expansion_nanoseconds_total", "Total time spent expanding (swap through drain completion).", "expansion_ns",
+		func(s *Snapshot) *uint64 { return &s.ExpansionNanos }, nil},
+	cExpansionSwaps: {"hdnh_expansion_swaps_total", "Incremental-resize pointer swaps.", "expansion_swaps",
+		func(s *Snapshot) *uint64 { return &s.ExpansionSwaps }, nil},
+	cExpansionSwapNanos: {"hdnh_expansion_swap_nanoseconds_total", "Total exclusive-lock residency of resize pointer swaps.", "expansion_swap_ns",
+		func(s *Snapshot) *uint64 { return &s.ExpansionSwapNanos }, nil},
+	cDrainChunks: {"hdnh_drain_chunks_total", "Rehash chunks completed by the incremental drain.", "drain_chunks",
+		func(s *Snapshot) *uint64 { return &s.DrainChunks }, nil},
+	cDrainBuckets: {"hdnh_drain_buckets_total", "Buckets rehashed by the incremental drain.", "drain_buckets",
+		func(s *Snapshot) *uint64 { return &s.DrainBuckets }, nil},
+	cDrainRecordsMoved: {"hdnh_drain_records_moved_total", "Records moved into the new structure by the incremental drain.", "drain_records_moved",
+		func(s *Snapshot) *uint64 { return &s.DrainRecordsMoved }, nil},
+	cDrainHelps: {"hdnh_drain_helps_total", "Drain chunks contributed by foreground writers.", "drain_helps",
+		func(s *Snapshot) *uint64 { return &s.DrainHelps },
+		&summaryDef{"hdnh_drain_chunk_nanoseconds", "Time to rehash one drain chunk, its group commits included.", "drain_chunk_latency_ns",
+			true, func(s *Snapshot) LatencyStat { return s.DrainChunkLatency }}},
+	cWriteGroups: {"hdnh_write_groups_total", "Grouped write commits (batched puts/deletes committed as one group).", "write_groups",
+		func(s *Snapshot) *uint64 { return &s.WriteGroups }, nil},
+	cWriteGroupKeys: {"hdnh_write_group_keys_total", "Keys committed through grouped writes.", "write_group_keys",
+		func(s *Snapshot) *uint64 { return &s.WriteGroupKeys }, nil},
+	cWriteGroupFlushes: {"hdnh_write_group_flushes_total", "Value-log flush runs grouped writes took (near groups_total means batches rarely straddle segments).", "write_group_flushes",
+		func(s *Snapshot) *uint64 { return &s.WriteGroupFlushes },
+		&summaryDef{"hdnh_write_group_size", "Keys per grouped write commit (a count, not a duration).", "write_group_size",
+			false, func(s *Snapshot) LatencyStat { return s.WriteGroupSize }}},
+	cVLogAppends: {"hdnh_vlog_appends_total", "User value-log record appends.", "vlog_appends",
+		func(s *Snapshot) *uint64 { return &s.VLogAppends }, nil},
+	cVLogAppendWords: {"hdnh_vlog_append_words_total", "Words appended to the value log by users.", "vlog_append_words",
+		func(s *Snapshot) *uint64 { return &s.VLogAppendWords }, nil},
+	cGCRelocations: {"hdnh_gc_relocations_total", "Live records copied out of GC victim segments.", "gc_relocations",
+		func(s *Snapshot) *uint64 { return &s.GCRelocations }, nil},
+	cGCRelocatedWords: {"hdnh_gc_relocated_words_total", "Words the GC copied between segments.", "gc_relocated_words",
+		func(s *Snapshot) *uint64 { return &s.GCRelocatedWords }, nil},
+	cGCRaced: {"hdnh_gc_raced_total", "GC index rewrites lost to racing user writes.", "gc_raced",
+		func(s *Snapshot) *uint64 { return &s.GCRaced }, nil},
+	cGCRecycles: {"hdnh_gc_recycles_total", "Value-log segments recycled to the free list.", "gc_recycles",
+		func(s *Snapshot) *uint64 { return &s.GCRecycles }, nil},
+	cGCVisited: {"hdnh_gc_visited_records_total", "Records the GC read out of victim segments (their live ones).", "gc_visited_records",
+		func(s *Snapshot) *uint64 { return &s.GCVisited }, nil},
+	cVLogAckWaits: {"hdnh_vlog_ack_waits_total", "Value-log appends that waited for an earlier append's acknowledgment.", "vlog_ack_waits",
+		func(s *Snapshot) *uint64 { return &s.VLogAckWaits }, nil},
+	cNVMReadAccesses: {"hdnh_nvm_read_accesses_total", "Bridged device logical reads.", "nvm.read_accesses",
+		func(s *Snapshot) *uint64 { return &s.NVM.ReadAccesses }, nil},
+	cNVMReadWords: {"hdnh_nvm_read_words_total", "Bridged device words read.", "nvm.read_words",
+		func(s *Snapshot) *uint64 { return &s.NVM.ReadWords }, nil},
+	cNVMMediaBlockReads: {"hdnh_nvm_media_block_reads_total", "Bridged device 256B media blocks read.", "nvm.media_block_reads",
+		func(s *Snapshot) *uint64 { return &s.NVM.MediaBlockReads }, nil},
+	cNVMWriteAccesses: {"hdnh_nvm_write_accesses_total", "Bridged device logical writes.", "nvm.write_accesses",
+		func(s *Snapshot) *uint64 { return &s.NVM.WriteAccesses }, nil},
+	cNVMWriteWords: {"hdnh_nvm_write_words_total", "Bridged device words written.", "nvm.write_words",
+		func(s *Snapshot) *uint64 { return &s.NVM.WriteWords }, nil},
+	cNVMFlushes: {"hdnh_nvm_flushes_total", "Bridged device cache-line flushes.", "nvm.flushes",
+		func(s *Snapshot) *uint64 { return &s.NVM.Flushes }, nil},
+	cNVMFences: {"hdnh_nvm_fences_total", "Bridged device ordering fences.", "nvm.fences",
+		func(s *Snapshot) *uint64 { return &s.NVM.Fences }, nil},
+	cNVMModeledNanos: {"hdnh_nvm_modeled_nanoseconds_total", "Bridged device latency-model cost in nanoseconds.", "nvm.modeled_ns",
+		func(s *Snapshot) *uint64 { return &s.NVM.ModeledNanos }, nil},
+}
+
 // Snapshot sums every shard into a consistent-enough point-in-time copy
 // (individual counters are atomic; the set is not globally serialised, the
 // usual monitoring trade).
@@ -158,85 +314,22 @@ func (m *Metrics) Snapshot() Snapshot {
 	var s Snapshot
 	for i := range m.shards {
 		sh := &m.shards[i]
-		for op := Op(0); op < NumOps; op++ {
-			for out := Outcome(0); out < NumOutcomes; out++ {
+		for op := range sh.ops {
+			for out := range sh.ops[op] {
 				s.Ops[op][out] += sh.ops[op][out].Load()
 			}
 		}
-		s.LookupRescans += sh.lookupRescans.Load()
-		s.NVTProbes += sh.nvtProbes.Load()
-		s.Spins += sh.spins.Load()
-		s.Contended += sh.contended.Load()
-		s.GetRetries += sh.getRetries.Load()
-		s.HotFills += sh.hotFills.Load()
-		s.HotFillsRejected += sh.hotFillsReject.Load()
-		s.HotEvictions += sh.hotEvictions.Load()
-		s.Expansions += sh.expansions.Load()
-		s.ExpansionNanos += sh.expansionNanos.Load()
-		s.ExpansionSwaps += sh.expansionSwaps.Load()
-		s.ExpansionSwapNanos += sh.expansionSwapNanos.Load()
-		s.DrainChunks += sh.drainChunks.Load()
-		s.DrainBuckets += sh.drainBuckets.Load()
-		s.DrainRecordsMoved += sh.drainMoved.Load()
-		s.DrainHelps += sh.drainHelps.Load()
-		s.WriteGroups += sh.writeGroups.Load()
-		s.WriteGroupKeys += sh.writeGroupKeys.Load()
-		s.WriteGroupFlushes += sh.writeGroupFlush.Load()
-		s.VLogAppends += sh.vlogAppends.Load()
-		s.VLogAppendWords += sh.vlogAppendWords.Load()
-		s.GCRelocations += sh.gcRelocations.Load()
-		s.GCRelocatedWords += sh.gcRelocatedWords.Load()
-		s.GCRaced += sh.gcRaced.Load()
-		s.GCRecycles += sh.gcRecycles.Load()
-		s.GCVisited += sh.gcVisited.Load()
-		s.VLogAckWaits += sh.vlogAckWaits.Load()
-		s.NVM.Add(nvm.Stats{
-			ReadAccesses:    sh.nvm[nvmReadAccesses].Load(),
-			ReadWords:       sh.nvm[nvmReadWords].Load(),
-			MediaBlockReads: sh.nvm[nvmMediaBlockReads].Load(),
-			WriteAccesses:   sh.nvm[nvmWriteAccesses].Load(),
-			WriteWords:      sh.nvm[nvmWriteWords].Load(),
-			Flushes:         sh.nvm[nvmFlushes].Load(),
-			Fences:          sh.nvm[nvmFences].Load(),
-			ModeledNanos:    sh.nvm[nvmModeledNanos].Load(),
-		})
-	}
-	for op := Op(0); op < NumOps; op++ {
-		for out := Outcome(0); out < NumOutcomes; out++ {
-			h := m.lat[op][out].Snapshot()
-			if h.Count() == 0 {
-				continue
-			}
-			s.Latency[op][out] = LatencyStat{
-				Sampled: h.Count(),
-				MeanNs:  h.Mean(),
-				P50Ns:   h.Percentile(50),
-				P99Ns:   h.Percentile(99),
-				P999Ns:  h.Percentile(99.9),
-				MaxNs:   h.Max(),
-			}
+		for c := range counters {
+			*counters[c].field(&s) += sh.c[c].Load()
 		}
 	}
-	if h := m.drainLat.Snapshot(); h.Count() > 0 {
-		s.DrainChunkLatency = LatencyStat{
-			Sampled: h.Count(),
-			MeanNs:  h.Mean(),
-			P50Ns:   h.Percentile(50),
-			P99Ns:   h.Percentile(99),
-			P999Ns:  h.Percentile(99.9),
-			MaxNs:   h.Max(),
+	for op := range m.lat {
+		for out := range m.lat[op] {
+			s.Latency[op][out] = latencyOf(&m.lat[op][out])
 		}
 	}
-	if h := m.groupSize.Snapshot(); h.Count() > 0 {
-		s.WriteGroupSize = LatencyStat{
-			Sampled: h.Count(),
-			MeanNs:  h.Mean(),
-			P50Ns:   h.Percentile(50),
-			P99Ns:   h.Percentile(99),
-			P999Ns:  h.Percentile(99.9),
-			MaxNs:   h.Max(),
-		}
-	}
+	s.DrainChunkLatency = latencyOf(&m.drainLat)
+	s.WriteGroupSize = latencyOf(&m.groupSize)
 	return s
 }
 
@@ -245,39 +338,14 @@ func (m *Metrics) Snapshot() Snapshot {
 // values are kept.
 func (s Snapshot) Sub(base Snapshot) Snapshot {
 	d := s
-	for op := Op(0); op < NumOps; op++ {
-		for out := Outcome(0); out < NumOutcomes; out++ {
+	for op := range d.Ops {
+		for out := range d.Ops[op] {
 			d.Ops[op][out] -= base.Ops[op][out]
 		}
 	}
-	d.LookupRescans -= base.LookupRescans
-	d.NVTProbes -= base.NVTProbes
-	d.Spins -= base.Spins
-	d.Contended -= base.Contended
-	d.GetRetries -= base.GetRetries
-	d.HotFills -= base.HotFills
-	d.HotFillsRejected -= base.HotFillsRejected
-	d.HotEvictions -= base.HotEvictions
-	d.Expansions -= base.Expansions
-	d.ExpansionNanos -= base.ExpansionNanos
-	d.ExpansionSwaps -= base.ExpansionSwaps
-	d.ExpansionSwapNanos -= base.ExpansionSwapNanos
-	d.DrainChunks -= base.DrainChunks
-	d.DrainBuckets -= base.DrainBuckets
-	d.DrainRecordsMoved -= base.DrainRecordsMoved
-	d.DrainHelps -= base.DrainHelps
-	d.WriteGroups -= base.WriteGroups
-	d.WriteGroupKeys -= base.WriteGroupKeys
-	d.WriteGroupFlushes -= base.WriteGroupFlushes
-	d.VLogAppends -= base.VLogAppends
-	d.VLogAppendWords -= base.VLogAppendWords
-	d.GCRelocations -= base.GCRelocations
-	d.GCRelocatedWords -= base.GCRelocatedWords
-	d.GCRaced -= base.GCRaced
-	d.GCRecycles -= base.GCRecycles
-	d.GCVisited -= base.GCVisited
-	d.VLogAckWaits -= base.VLogAckWaits
-	d.NVM = s.NVM.Sub(base.NVM)
+	for _, c := range counters {
+		*c.field(&d) -= *c.field(&base)
+	}
 	return d
 }
 
@@ -307,6 +375,16 @@ func (s Snapshot) OpTotal(op Op) uint64 {
 		n += s.Ops[op][out]
 	}
 	return n
+}
+
+// Backpressure returns how many ops ended Contended or Full, the outcomes a
+// client sees as backpressure errors, and how many ops completed in all.
+func (s Snapshot) Backpressure() (rejected, total uint64) {
+	for op := range s.Ops {
+		total += s.OpTotal(Op(op))
+		rejected += s.Ops[op][OutContended] + s.Ops[op][OutFull]
+	}
+	return rejected, total
 }
 
 // NVTWalks derives, from the op counters, how many passes the counted

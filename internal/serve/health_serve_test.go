@@ -621,3 +621,24 @@ func TestInfoSections(t *testing.T) {
 		t.Fatal("Info(default) must alias the full dump")
 	}
 }
+
+// TestInfoStatsHitsExcludeContended pins keyspace_hits to the Gets that found
+// their key: a Get that gave up contended is neither a hit nor a miss.
+func TestInfoStatsHitsExcludeContended(t *testing.T) {
+	srv, _ := testServer(t, false)
+	h := srv.st.Index().Metrics().Handle()
+	for out, n := range map[obs.Outcome]int{obs.OutHotHit: 3, obs.OutNVTHit: 2, obs.OutMiss: 4, obs.OutContended: 5} {
+		for i := 0; i < n; i++ {
+			h.Op(obs.OpGet, out, -1)
+		}
+	}
+	stats, ok := srv.Info("stats")
+	if !ok {
+		t.Fatal("Info(stats) not ok")
+	}
+	for _, want := range []string{"keyspace_hits:5\r\n", "keyspace_misses:4\r\n"} {
+		if !strings.Contains(stats, want) {
+			t.Fatalf("Info(stats) missing %q:\n%s", want, stats)
+		}
+	}
+}

@@ -676,10 +676,9 @@ func (s *Server) Info(section string) (string, bool) {
 		}
 		fmt.Fprintf(&b, "total_connections_received:%d\r\n", conns)
 		fmt.Fprintf(&b, "total_commands_processed:%d\r\n", cmds)
-		gets := snap.OpTotal(obs.OpGet)
-		misses := snap.Ops[obs.OpGet][obs.OutMiss]
-		fmt.Fprintf(&b, "keyspace_hits:%d\r\n", gets-misses)
-		fmt.Fprintf(&b, "keyspace_misses:%d\r\n", misses)
+		gets := snap.Ops[obs.OpGet]
+		fmt.Fprintf(&b, "keyspace_hits:%d\r\n", gets[obs.OutHotHit]+gets[obs.OutNVTHit])
+		fmt.Fprintf(&b, "keyspace_misses:%d\r\n", gets[obs.OutMiss])
 		fmt.Fprintf(&b, "hot_hit_ratio:%.4f\r\n", snap.HitRatio())
 		fmt.Fprintf(&b, "expansions:%d\r\n", snap.Expansions)
 		fmt.Fprintf(&b, "gc_write_amplification:%.3f\r\n", snap.GCWriteAmplification())
