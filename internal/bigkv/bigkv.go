@@ -80,7 +80,7 @@ const (
 
 	// decodeRetries bounds Get's stale-pointer loop. Each retry means the
 	// GC recycled the segment under us after we read the index; re-reading
-	// the index observes the rewritten pointer.
+	// the index observes the rewritten pointer (perhaps the same address).
 	decodeRetries = 64
 )
 
@@ -101,13 +101,9 @@ type Options struct {
 	// rounded up, minimum 2 per shard); total log capacity is roughly
 	// Segments*SegmentWords and never grows. 0 picks 64.
 	Segments int64
-	// GCTriggerFreeSegments kicks a shard's background GC when that shard's
-	// free-segment count drops to this value or below. 0 picks
-	// max(2, per-shard segments / 8).
-	GCTriggerFreeSegments int
-	// DisableAutoGC turns off the background workers and the foreground
-	// ErrLogFull fallback; space is then reclaimed only by explicit GCOnce
-	// calls. For deterministic tests.
+	// DisableAutoGC turns off the background workers and the writers'
+	// reclaim on ErrLogFull (the first ErrLogFull is returned); space is then
+	// reclaimed only by explicit GCOnce calls. For deterministic tests.
 	DisableAutoGC bool
 }
 
@@ -131,12 +127,6 @@ func (o Options) withDefaults(shards int) Options {
 	}
 	if o.Segments < 2 {
 		o.Segments = 2 // one to fill, one to relocate into
-	}
-	if o.GCTriggerFreeSegments == 0 {
-		o.GCTriggerFreeSegments = int(o.Segments / 8)
-		if o.GCTriggerFreeSegments < 2 {
-			o.GCTriggerFreeSegments = 2
-		}
 	}
 	return o
 }
@@ -428,13 +418,7 @@ func (r *recordLog) Reserve(h *nvm.Handle, recs []core.Record) (int, error) {
 	for i := range recs {
 		run[i] = vlog.BatchRecord{Key: recs[i].Key, Value: recs[i].Payload}
 	}
-	var n int
-	var err error
-	if r.gc {
-		n, err = r.log.ReserveGC(h, run)
-	} else {
-		n, err = r.log.Reserve(h, run)
-	}
+	n, err := r.log.Reserve(h, run, r.gc)
 	for i := range run[:n] {
 		recs[i].Slot = packPointer(run[i].Addr, run[i].Words)
 	}
@@ -468,7 +452,6 @@ type multiScratch struct {
 	fk    []kv.Key
 	fv    []kv.Value
 	fr    [][]byte
-	fsh   []int
 	fi    []int
 	folds []kv.Value
 	fhad  []bool
@@ -549,27 +532,6 @@ func (s *Session) retire(k kv.Key, sv kv.Value) {
 	}
 }
 
-// helpGC answers a write that found shard sh's log full on its attempt
-// tries: it runs one of the shard's GC passes in the foreground and returns
-// nil when the write should try again, or the error to surface — err itself
-// once retrying is pointless (auto GC off, out of tries, or a pass that
-// freed nothing after the first). Called holding no index lock.
-func (s *Session) helpGC(sh, tries int, err error) error {
-	if s.st.opts.DisableAutoGC || tries >= 4 {
-		return err
-	}
-	// Each pass recycles at most one segment. No progress means the log is
-	// genuinely full of live data.
-	progress, gcErr := s.st.gcs[sh].gcOnce()
-	if gcErr != nil {
-		return gcErr
-	}
-	if !progress && tries > 0 {
-		return err
-	}
-	return nil
-}
-
 // inline packs a value of at most maxInline bytes into a slot value.
 func inline(v []byte) kv.Value {
 	var out kv.Value
@@ -624,8 +586,16 @@ func (s *Session) Put(key, value []byte) error {
 		}
 		return err
 	}
+	return s.putLogged(k, value)
+}
+
+// putLogged writes a value too large for the slot through PutRecord. It is
+// bigkv's one loop that retries on vlog.ErrLogFull, each time its shard's
+// collector has freed a segment (reclaim).
+func (s *Session) putLogged(k kv.Key, value []byte) error {
 	sh := s.shardOf(k)
-	for tries := 0; ; tries++ {
+	for {
+		seen := s.st.logs[sh].Recycles()
 		old, hadOld, err := s.ts.PutRecord(k, value)
 		if err == nil {
 			if hadOld {
@@ -638,7 +608,7 @@ func (s *Session) Put(key, value []byte) error {
 		if !errors.Is(err, vlog.ErrLogFull) {
 			return err
 		}
-		if err := s.helpGC(sh, tries, err); err != nil {
+		if err := s.st.gcs[sh].reclaim(seen, err); err != nil {
 			return err
 		}
 	}
@@ -660,26 +630,22 @@ func (s *Session) Get(key []byte) ([]byte, bool, error) {
 // decodeRetrying resolves an index entry read moments ago, absorbing the
 // race with the online GC: the GC may have moved the record and recycled
 // its segment between the index read and the log read. On a stale read it
-// re-reads the index — a changed entry is the relocation (retry with it);
-// an unchanged entry (the GC frees segments only after rewriting the index)
-// is genuine corruption.
+// re-reads the index and retries with what it holds — even an unchanged
+// entry, since the record may have moved back to the same address of the
+// reused segment; only decodeRetries failures in a row are corruption.
 func (s *Session) decodeRetrying(k kv.Key, sv kv.Value) ([]byte, bool, error) {
 	for attempt := 0; ; attempt++ {
 		v, err := s.decode(k, sv)
 		if err == nil {
 			return v, true, nil
 		}
-		if !errors.Is(err, vlog.ErrCorrupt) {
+		if !errors.Is(err, vlog.ErrCorrupt) || attempt == decodeRetries {
 			return nil, false, err
 		}
-		sv2, ok2 := s.ts.Get(k)
-		if !ok2 {
+		var ok bool
+		if sv, ok = s.ts.Get(k); !ok {
 			return nil, false, nil // deleted meanwhile
 		}
-		if sv2 == sv || attempt >= decodeRetries {
-			return nil, false, err
-		}
-		sv = sv2
 	}
 }
 
@@ -714,9 +680,10 @@ func (s *Session) MultiGet(keys [][]byte) (vals [][]byte, found []bool, errs []e
 // router MultiPutRecords commits every index entry, each shard's group
 // reserving its oversize values in the shard's log together and committing
 // them with the group's own barriers. The displaced values drive the same
-// exactly-once liveness retirement as Put, and keys whose log was full try
-// again once their shard's collector has run a pass, as a Put does. Returns
-// one verdict per key.
+// exactly-once liveness retirement as Put. A key whose log was full finishes
+// afterwards, alone, through Put's logged write — unless a later position of
+// the batch has written the same key: the batch's last write wins, and the
+// position it overwrote reports nil. Returns one verdict per key.
 func (s *Session) MultiPut(keys, values [][]byte) []error {
 	n := len(keys)
 	errs := make([]error, n)
@@ -727,7 +694,6 @@ func (s *Session) MultiPut(keys, values [][]byte) []error {
 	fk := scratchSlice(ms.fk, n)[:0]
 	fv := scratchSlice(ms.fv, n)[:0]
 	fr := scratchSlice(ms.fr, n)[:0]
-	fsh := scratchSlice(ms.fsh, n)[:0]
 	fi := scratchSlice(ms.fi, n)[:0]
 	// Validate and inline-encode; oversize values ride as records.
 	for i := range keys {
@@ -743,74 +709,60 @@ func (s *Session) MultiPut(keys, values [][]byte) []error {
 		}
 		var sv kv.Value
 		var rec []byte
-		sh := -1
 		if len(v) <= maxInline {
 			sv = inline(v)
+		} else if w, seg := vlog.RecordWords(len(v)), s.st.logs[0].SegmentWords(); w > seg {
+			// The log would refuse the whole group's reservation; fail just
+			// this key, like Put.
+			errs[i] = fmt.Errorf("vlog: value needs %d words, segment holds %d", w, seg)
+			continue
 		} else {
-			sh = s.shardOf(k)
-			if w := vlog.RecordWords(len(v)); w > s.st.logs[sh].SegmentWords() {
-				// The log would refuse the whole group's reservation; fail
-				// just this key, like Put.
-				errs[i] = fmt.Errorf("vlog: value needs %d words, segment holds %d", w, s.st.logs[sh].SegmentWords())
-				continue
-			}
 			rec = v
 		}
-		fk, fv, fr, fsh, fi = append(fk, k), append(fv, sv), append(fr, rec), append(fsh, sh), append(fi, i)
+		fk, fv, fr, fi = append(fk, k), append(fv, sv), append(fr, rec), append(fi, i)
 	}
+	ms.fk, ms.fv, ms.fr, ms.fi = fk, fv, fr, fi
 	var runs int64
 	for i := range s.logs {
 		runs -= s.logs[i].runs
 	}
-	for tries := 0; len(fk) > 0; tries++ {
-		m := len(fk)
-		folds := scratchSlice(ms.folds, m)
-		fhad := scratchSlice(ms.fhad, m)
-		ferrs := scratchSlice(ms.ferrs, m)
-		ms.folds, ms.fhad, ms.ferrs = folds, fhad, ferrs
-		s.ts.MultiPutRecords(fk, fv, fr, folds, fhad, ferrs)
-		// Settle every verdict; the keys whose log was full stay behind.
-		full := 0
-		for j, i := range fi {
-			errs[i] = ferrs[j]
-			switch {
-			case ferrs[j] == nil:
-				if fhad[j] {
-					s.retire(fk[j], folds[j])
-				}
-				if fr[j] != nil {
-					s.rec.VLogAppend(vlog.RecordWords(len(fr[j])))
-					s.st.maybeKickGC(fsh[j])
-				}
-			case errors.Is(ferrs[j], vlog.ErrLogFull):
-				fk[full], fv[full], fr[full], fsh[full], fi[full] = fk[j], fv[j], fr[j], fsh[j], i
-				full++
+	m := len(fk)
+	folds := scratchSlice(ms.folds, m)
+	fhad := scratchSlice(ms.fhad, m)
+	ferrs := scratchSlice(ms.ferrs, m)
+	ms.folds, ms.fhad, ms.ferrs = folds, fhad, ferrs
+	s.ts.MultiPutRecords(fk, fv, fr, folds, fhad, ferrs)
+	full := false
+	for j, i := range fi {
+		errs[i] = ferrs[j]
+		switch {
+		case ferrs[j] == nil:
+			if fhad[j] {
+				s.retire(fk[j], folds[j])
 			}
-		}
-		fk, fv, fr, fsh, fi = fk[:full], fv[:full], fr[:full], fsh[:full], fi[:full]
-		// One collector pass per shard that ran out; its keys give up with
-		// the verdict helpGC returns when another round is pointless.
-		for sh := range s.st.logs {
-			var herr error
-			helped := false
-			kept := 0
-			for j := range fk {
-				if fsh[j] == sh {
-					if !helped {
-						herr, helped = s.helpGC(sh, tries, errs[fi[j]]), true
-					}
-					if herr != nil {
-						errs[fi[j]] = herr
-						continue
-					}
-				}
-				fk[kept], fv[kept], fr[kept], fsh[kept], fi[kept] = fk[j], fv[j], fr[j], fsh[j], fi[j]
-				kept++
+			if fr[j] != nil {
+				s.rec.VLogAppend(vlog.RecordWords(len(fr[j])))
+				s.st.maybeKickGC(s.shardOf(fk[j]))
 			}
-			fk, fv, fr, fsh, fi = fk[:kept], fv[:kept], fr[:kept], fsh[:kept], fi[:kept]
+		case errors.Is(ferrs[j], vlog.ErrLogFull):
+			full = true
 		}
 	}
-	ms.fk, ms.fv, ms.fr, ms.fsh, ms.fi = fk, fv, fr, fsh, fi
+	if full {
+		// Last position first. Every committed one is retired above, so the
+		// collector these writes may wait on waits for no retire of ours.
+		written := make(map[kv.Key]bool, m) // by a later position
+		for j := m - 1; j >= 0; j-- {
+			k, i := fk[j], fi[j]
+			if errors.Is(ferrs[j], vlog.ErrLogFull) {
+				errs[i] = nil // overwritten within the batch
+				if !written[k] {
+					errs[i] = s.putLogged(k, fr[j])
+				}
+			}
+			written[k] = written[k] || errs[i] == nil
+		}
+	}
 	for i := range s.logs {
 		runs += s.logs[i].runs
 	}

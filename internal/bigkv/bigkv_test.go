@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"hdnh/internal/nvm"
+	"hdnh/internal/obs"
 	"hdnh/internal/scheme"
 	"hdnh/internal/vlog"
 )
@@ -310,38 +312,72 @@ func TestGCReclaimsSpace(t *testing.T) {
 // TestChurnBoundedSpace is the acceptance property: 100% overwrite at a
 // fixed key count sustains appended bytes far beyond the log capacity
 // without ErrLogFull — the GC recycles space online and the device never
-// grows.
+// grows. The second input is two writers on a log twice the live words,
+// each overwriting keys drawn at random, so every segment keeps a residue of
+// live records to relocate.
 func TestChurnBoundedSpace(t *testing.T) {
-	st := smallLogStore(t, 1024, 16, true)
-	s := st.NewSession()
-	const keys = 64
-	val := func(i, gen int) []byte {
-		return bytes.Repeat([]byte{byte(i), byte(gen)}, 50)
-	}
-	for i := 0; i < keys; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("ch-%03d", i)), val(i, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	target := 10 * st.Log().Capacity()
-	for gen := 1; st.Log().AppendedWords() < target; gen++ {
-		for i := 0; i < keys; i++ {
-			if err := s.Put([]byte(fmt.Sprintf("ch-%03d", i)), val(i, gen)); err != nil {
-				t.Fatalf("gen %d key %d: %v (appended %d / target %d)",
-					gen, i, err, st.Log().AppendedWords(), target)
+	for _, tc := range []struct {
+		name           string
+		segWords, segs int64
+		writers        int
+		random         bool
+	}{
+		{"16x-live", 1024, 16, 1, false},
+		{"2x-live-2-writers", 256, 8, 2, true}, // 64 live records of 16 words
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := smallLogStore(t, tc.segWords, tc.segs, true)
+			const keys = 64
+			key := func(i int) []byte { return []byte(fmt.Sprintf("ch-%03d", i)) }
+			val := func(i, gen int) []byte {
+				return bytes.Repeat([]byte{byte(i), byte(gen)}, 50)
 			}
-		}
+			s := st.NewSession()
+			for i := 0; i < keys; i++ {
+				if err := s.Put(key(i), val(i, 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			target := 10 * st.Log().Capacity()
+			var wg sync.WaitGroup
+			for w := 0; w < tc.writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					s := st.NewSession()
+					defer s.Close()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for gen := 1; st.Log().AppendedWords() < target; gen++ {
+						for n := w; n < keys; n += tc.writers {
+							i := n
+							if tc.random {
+								i = w + tc.writers*rng.Intn(keys/tc.writers)
+							}
+							if err := s.Put(key(i), val(i, gen)); err != nil {
+								t.Errorf("gen %d key %d: %v (appended %d / target %d)",
+									gen, i, err, st.Log().AppendedWords(), target)
+								return
+							}
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if t.Failed() {
+				t.FailNow()
+			}
+			if st.Log().UsedWords() > st.Log().Capacity() {
+				t.Fatalf("used %d exceeds fixed capacity %d", st.Log().UsedWords(), st.Log().Capacity())
+			}
+			st.stopGC()
+			drainGC(t, st)
+			if err := st.AuditLiveness(); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("appended %d words through a %d-word log (%d recycles)",
+				st.Log().AppendedWords(), st.Log().Capacity(), st.Log().Recycles())
+		})
 	}
-	if st.Log().UsedWords() > st.Log().Capacity() {
-		t.Fatalf("used %d exceeds fixed capacity %d", st.Log().UsedWords(), st.Log().Capacity())
-	}
-	st.stopGC()
-	drainGC(t, st)
-	if err := st.AuditLiveness(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended %d words through a %d-word log (%d recycles)",
-		st.Log().AppendedWords(), st.Log().Capacity(), st.Log().Recycles())
 }
 
 // TestGCChurnConcurrent races overwrites, deletes, reads, and the
@@ -419,36 +455,41 @@ func TestGCChurnConcurrent(t *testing.T) {
 	}
 }
 
-// TestLogGenuinelyFull: with GC disabled and a log full of live records,
-// Put must surface ErrLogFull rather than hang or corrupt, and reads keep
-// working.
+// TestLogGenuinelyFull: with a log full of live records, Put must surface
+// ErrLogFull rather than hang or corrupt, and reads keep working. With auto
+// GC on the error arrives through the collector's proof: no sealed segment
+// holds a dead word.
 func TestLogGenuinelyFull(t *testing.T) {
-	st := smallLogStore(t, vlog.MinSegmentWords*4, 4, false)
-	s := st.NewSession()
-	var stored int
-	var full bool
-	for i := 0; i < 1000; i++ {
-		err := s.Put([]byte(fmt.Sprintf("f-%04d", i)), bytes.Repeat([]byte{byte(i)}, 100))
-		if err != nil {
-			if !errors.Is(err, vlog.ErrLogFull) {
-				t.Fatalf("put %d: %v", i, err)
+	for _, autoGC := range []bool{false, true} {
+		t.Run(fmt.Sprintf("autoGC=%v", autoGC), func(t *testing.T) {
+			st := smallLogStore(t, vlog.MinSegmentWords*4, 4, autoGC)
+			s := st.NewSession()
+			var stored int
+			var full bool
+			for i := 0; i < 1000; i++ {
+				err := s.Put([]byte(fmt.Sprintf("f-%04d", i)), bytes.Repeat([]byte{byte(i)}, 100))
+				if err != nil {
+					if !errors.Is(err, vlog.ErrLogFull) {
+						t.Fatalf("put %d: %v", i, err)
+					}
+					full = true
+					break
+				}
+				stored++
 			}
-			full = true
-			break
-		}
-		stored++
-	}
-	if !full {
-		t.Fatal("tiny log never filled")
-	}
-	for i := 0; i < stored; i++ {
-		if _, ok, err := s.Get([]byte(fmt.Sprintf("f-%04d", i))); err != nil || !ok {
-			t.Fatalf("key %d unreadable in full log: %v", i, err)
-		}
-	}
-	// GC cannot help — everything is live.
-	if progress, err := st.GCOnce(); err != nil || progress {
-		t.Fatalf("GC on all-live log: progress=%v err=%v", progress, err)
+			if !full {
+				t.Fatal("tiny log never filled")
+			}
+			for i := 0; i < stored; i++ {
+				if _, ok, err := s.Get([]byte(fmt.Sprintf("f-%04d", i))); err != nil || !ok {
+					t.Fatalf("key %d unreadable in full log: %v", i, err)
+				}
+			}
+			// GC cannot help — everything is live.
+			if progress, err := st.GCOnce(); err != nil || progress {
+				t.Fatalf("GC on all-live log: progress=%v err=%v", progress, err)
+			}
+		})
 	}
 }
 
@@ -548,6 +589,147 @@ func TestWritersHelpTheCollector(t *testing.T) {
 		if got, ok, err := s.Get(keys[i]); err != nil || !ok || !bytes.Equal(got, vals[i]) {
 			t.Fatalf("key %d: ok=%v err=%v", i, ok, err)
 		}
+	}
+	if err := st.AuditLiveness(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMultiPutFullLogKeepsBatchOrder: a batch whose logged write meets a
+// full log still leaves each key with the batch's last value. Position 0's
+// record finds no room and fails in the group, while position 1, the same
+// key inline, commits; finishing position 0 afterwards would write the older
+// value over the newer, so it is not finished, and reports nil.
+func TestMultiPutFullLogKeepsBatchOrder(t *testing.T) {
+	st := smallLogStore(t, 1024, 3, true)
+	st.stopGC() // writers alone reclaim
+	s := st.NewSession()
+	defer s.Close()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("lw-%03d", i)) }
+	val := func(i, gen int) []byte { return bytes.Repeat([]byte{byte(i), byte(gen)}, 50) }
+	// Two generations of 64 sixteen-word records fill two segments exactly:
+	// the first is sealed and all dead, the second active and full.
+	for gen := 0; gen < 2; gen++ {
+		for i := 0; i < 64; i++ {
+			if err := s.Put(key(i), val(i, gen)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if free := st.Log().FreeSegments(); free != 1 {
+		t.Fatalf("%d free segments, want only the collector's", free)
+	}
+	errs := s.MultiPut([][]byte{key(0), key(0)}, [][]byte{val(0, 2), []byte("x")})
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatalf("MultiPut: %v", errs)
+	}
+	if got, ok, err := s.Get(key(0)); err != nil || !ok || string(got) != "x" {
+		t.Fatalf("key 0 holds %d bytes (ok=%v err=%v), want the batch's last value", len(got), ok, err)
+	}
+	if err := st.AuditLiveness(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCollectorOwnsLastSegment: a collector pass that takes the log's last
+// free segment owns it. The pass is parked at its first copy's reservation
+// there; a user Put to the shard meanwhile must not reserve in it — its
+// write fails, and it waits on the collector — and completes once the pass
+// goes on. At the parent commit the Put reserved in the collector's segment.
+func TestCollectorOwnsLastSegment(t *testing.T) {
+	dev, err := nvm.New(nvm.DefaultConfig(1 << 22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.New(obs.Config{})
+	opts := DefaultOptions()
+	opts.SegmentWords, opts.Segments, opts.Table.Metrics = 1024, 3, m
+	st, err := Create(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.stopGC()
+	s := st.NewSession()
+	defer s.Close()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("own-%03d", i)) }
+	val := func(i, gen int) []byte { return bytes.Repeat([]byte{byte(i), byte(gen)}, 50) }
+	// Segment 0 gets keys 0..63, then segment 1 new values of keys 0..47 and
+	// keys 64..79: segment 0 is sealed with 16 live records to copy, segment
+	// 1 active and full, segment 2 the last free one.
+	for i := 0; i < 64; i++ {
+		if err := s.Put(key(i), val(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 80; i++ {
+		if i < 48 || i >= 64 {
+			if err := s.Put(key(i), val(i, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	log := st.Log()
+	const last = 2
+	if log.State(last) != vlog.SegFree || log.FreeSegments() != 1 {
+		t.Fatalf("segment %d is %v with %d free, want the last free one", last, log.State(last), log.FreeSegments())
+	}
+	userErrors := func() (n uint64) {
+		snap := m.Snapshot()
+		for op := range snap.Ops {
+			n += snap.Ops[op][obs.OutError]
+		}
+		return n
+	}
+	before := userErrors()
+	parked, release := make(chan struct{}), make(chan struct{})
+	var intruder atomic.Int64 // a reservation in the last segment while the copy was parked
+	intruder.Store(-1)
+	log.SetAppendHook(func(stage vlog.AppendStage, addr int64) {
+		if stage != vlog.StageReserved || addr/log.SegmentWords() != last {
+			return
+		}
+		select {
+		case <-parked:
+			select {
+			case <-release:
+			default:
+				intruder.Store(addr)
+			}
+		default:
+			close(parked) // the collector's first copy: only it may take the last segment
+			<-release
+		}
+	})
+	gcDone := make(chan error, 1)
+	go func() {
+		_, err := st.GCOnce()
+		gcDone <- err
+	}()
+	<-parked
+	putDone := make(chan error, 1)
+	go func() {
+		u := st.NewSession()
+		defer u.Close()
+		putDone <- u.Put(key(0), val(0, 2))
+	}()
+	// The Put either reserves in the collector's segment or fails its write
+	// and goes to wait on the pass.
+	for intruder.Load() < 0 && userErrors() == before {
+		runtime.Gosched()
+	}
+	if addr := intruder.Load(); addr >= 0 {
+		t.Errorf("a user write reserved at %d, in the segment the collector took", addr)
+	}
+	close(release)
+	if err := <-gcDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-putDone; err != nil {
+		t.Fatalf("Put after the pass: %v", err)
+	}
+	if got, ok, err := s.Get(key(0)); err != nil || !ok || !bytes.Equal(got, val(0, 2)) {
+		t.Fatalf("key 0 after the pass: ok=%v err=%v", ok, err)
 	}
 	if err := st.AuditLiveness(); err != nil {
 		t.Fatal(err)

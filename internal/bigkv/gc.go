@@ -2,6 +2,9 @@ package bigkv
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,9 +20,9 @@ import (
 // shard i's keys (writes route by the index router's ShardForKey), so
 // a pass relocates within a single (log, table-shard) pair and shards reclaim
 // independently — including in parallel with each other. Passes within a
-// shard are serialised by mu: the shard's background worker and foreground
-// helpers (writes that found the log full, explicit GCOnce calls) all funnel
-// through gcOnce.
+// shard are serialised by mu: the shard's background worker, writers that
+// found the log full (reclaim) and explicit GCOnce calls all funnel through
+// gcOnce.
 type gcShard struct {
 	st    *Store
 	shard int
@@ -44,6 +47,10 @@ type gcShard struct {
 
 	kick chan struct{}
 }
+
+// maxStalledPasses turns a reclaim that no pass ends — a live count no
+// retire will clear, which is corruption — from a hang into an error.
+const maxStalledPasses = 1 << 16
 
 // gcPollInterval backstops the kick channels so garbage created while the
 // logs are far from full is still reclaimed eventually.
@@ -97,7 +104,7 @@ func (st *Store) maybeKickGC(shard int) {
 		return
 	}
 	g := st.gcs[shard]
-	if g.log.FreeSegments() > st.opts.GCTriggerFreeSegments {
+	if !g.low() {
 		return
 	}
 	select {
@@ -105,6 +112,10 @@ func (st *Store) maybeKickGC(shard int) {
 	default:
 	}
 }
+
+// low reports whether the shard's free segments are down to the worker's
+// trigger, max(2, segments/8).
+func (g *gcShard) low() bool { return g.log.FreeSegments() <= max(2, int(g.log.Segments()/8)) }
 
 func (g *gcShard) worker() {
 	defer g.st.gcLife.wg.Done()
@@ -118,21 +129,19 @@ func (g *gcShard) worker() {
 		case <-ticker.C:
 			// Idle reclamation only chases real garbage; skip when the log
 			// has plenty of room and nothing dead.
-			if g.log.FreeSegments() > g.st.opts.GCTriggerFreeSegments &&
-				g.log.LiveWords() == g.log.UsedWords() {
+			if !g.low() && g.log.LiveWords() == g.log.UsedWords() {
 				continue
 			}
 		}
 		// Reclaim until the pressure is gone or a pass stops progressing
 		// (residual in-flight liveness resolves by the next kick/tick).
-		for g.log.FreeSegments() <= g.st.opts.GCTriggerFreeSegments {
+		for g.low() {
 			select {
 			case <-g.st.gcLife.stop:
 				return
 			default:
 			}
-			progress, err := g.gcOnce()
-			if err != nil || !progress {
+			if _, freed, err := g.gcOnce(); err != nil || !freed {
 				break
 			}
 		}
@@ -147,44 +156,70 @@ func (g *gcShard) worker() {
 func (st *Store) GCOnce() (bool, error) {
 	var any bool
 	for _, g := range st.gcs {
-		progress, err := g.gcOnce()
+		_, freed, err := g.gcOnce()
 		if err != nil {
 			return any, err
 		}
-		any = any || progress
+		any = any || freed
 	}
 	return any, nil
 }
 
-// gcOnce runs one pass on this shard. Returns whether a segment was freed.
-func (g *gcShard) gcOnce() (bool, error) {
+// reclaim is the one way a writer runs the collector: a logged write that
+// met vlog.ErrLogFull (err) calls it holding no index lock, with the log's
+// Recycles from before the write, and retries once it returns nil. It runs
+// passes until a segment has been recycled since. The only other way out is
+// the proof that the log is full — none recycled, and no sealed segment
+// holding a dead word — which returns err, as auto GC off does at once.
+// Passes yield, so the retires a stalled pass waits for land even at one P
+// (INTERNALS §9 names every cause and why it resolves).
+func (g *gcShard) reclaim(seen int64, err error) error {
+	if g.st.opts.DisableAutoGC {
+		return err
+	}
+	for stalls := 0; ; stalls++ {
+		victim, _, gcErr := g.gcOnce()
+		switch {
+		case gcErr != nil:
+			return gcErr
+		case g.log.Recycles() != seen:
+			return nil
+		case victim < 0:
+			return err
+		case stalls == maxStalledPasses:
+			return fmt.Errorf("bigkv: shard %d segment %d still live after %d collector passes: %w",
+				g.shard, victim, stalls, vlog.ErrCorrupt)
+		}
+		runtime.Gosched()
+	}
+}
+
+// gcOnce runs one pass on this shard. victim is the segment pickVictim
+// named, -1 when no sealed segment holds a dead word, and freed whether the
+// pass recycled it.
+func (g *gcShard) gcOnce() (victim int64, freed bool, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	defer g.syncGCObs()
-	seg, ok := g.pickVictim()
-	if !ok {
-		return false, nil
+	seg, fits := g.pickVictim()
+	if !fits {
+		return seg, false, nil
 	}
 	if err := g.relocate(seg); err != nil {
-		return false, err
-	}
-	if g.log.SegLive(seg) != 0 {
-		// A racing update displaced a record we relocated but has not
-		// decremented it yet, or skipped records are still being retired.
-		// The segment is safe to recycle once those land; leave it for the
-		// next pass rather than spin here.
-		return false, nil
+		return seg, false, err
 	}
 	recycleStart := time.Now()
 	if err := g.log.Recycle(g.h, seg); err != nil {
+		// Still live: a retire of a record we skipped or relocated has not
+		// landed yet. Leave the segment for the next pass rather than spin.
 		if errors.Is(err, vlog.ErrSegmentLive) {
-			return false, nil
+			err = nil
 		}
-		return false, err
+		return seg, false, err
 	}
 	g.st.fl.GCPhase(flight.GCRecycle, seg, time.Since(recycleStart), 1)
 	g.st.rec.GCRecycle()
-	return true, nil
+	return seg, true, nil
 }
 
 // syncGCObs publishes the GC's NVM traffic into the metrics registry — the
@@ -201,18 +236,30 @@ func (g *gcShard) syncGCObs() {
 	g.ackBase = waits
 }
 
-// pickVictim selects the shard's sealed segment with the lowest live
-// fraction. Fully-live segments are skipped — relocating them frees nothing.
-func (g *gcShard) pickVictim() (int64, bool) {
-	best := int64(-1)
-	var bestScore float64
+// pickVictim names the sealed segment with the lowest live fraction among
+// those a pass can relocate now (fits), else among all with a dead word; -1
+// when none has one. While a segment is free every victim fits; with none,
+// its live words must fit what the active segment has left, the collector's
+// alone (INTERNALS §9).
+func (g *gcShard) pickVictim() (seg int64, fits bool) {
+	room := int64(math.MaxInt64)
+	if g.log.FreeSegments() == 0 {
+		room = 0
+		for s := int64(0); s < g.log.Segments(); s++ {
+			if g.log.State(s) == vlog.SegActive {
+				room = g.log.SegmentWords() - g.log.SegUsed(s)
+			}
+		}
+	}
+	seg = -1
+	var best float64
 	// State, SegLive and SegUsed are lock-free reads: a pass over every
 	// segment never queues behind, or in front of, an append's reservation.
-	for seg := int64(0); seg < g.log.Segments(); seg++ {
-		if g.log.State(seg) != vlog.SegSealed {
+	for s := int64(0); s < g.log.Segments(); s++ {
+		if g.log.State(s) != vlog.SegSealed {
 			continue
 		}
-		live, used := g.log.SegLive(seg), g.log.SegUsed(seg)
+		live, used := g.log.SegLive(s), g.log.SegUsed(s)
 		if live > 0 && live >= used {
 			continue
 		}
@@ -220,11 +267,12 @@ func (g *gcShard) pickVictim() (int64, bool) {
 		if used > 0 {
 			score = float64(live) / float64(used)
 		}
-		if best < 0 || score < bestScore {
-			best, bestScore = seg, score
+		// A segment that fits beats one that does not; then the lower score.
+		if ok := live <= room; seg < 0 || ok && !fits || ok == fits && score < best {
+			seg, fits, best = s, ok, score
 		}
 	}
-	return best, best >= 0
+	return seg, fits
 }
 
 // relocate copies every still-referenced record out of seg and swings the
@@ -273,6 +321,9 @@ func (g *gcShard) relocate(seg int64) error {
 			errors.Is(uerr, scheme.ErrContended):
 			// Lost to a racing user write: nothing was copied.
 			g.st.rec.GCRaced()
+		case errors.Is(uerr, vlog.ErrLogFull):
+			return false // pickVictim's room rules it out; the pass frees nothing
+
 		default:
 			err = uerr
 			return false

@@ -364,15 +364,16 @@ func (l *Log) SegLive(seg int64) int64 { return l.live[seg].Load() }
 
 // AddLive adjusts the liveness of the record that starts at addr: a positive
 // delta (its word count) when an index entry starts referencing it, the
-// negative when the last one stops. The segment's live-word counter moves by
-// delta and the record's liveness bit follows its sign.
+// negative when the last one stops. The record's liveness bit follows the
+// sign, then the segment's live-word counter moves by delta: at zero the
+// segment may be recycled and addr reused, and its new record's bit set.
 func (l *Log) AddLive(addr, delta int64) {
-	l.live[addr/l.segWords].Add(delta)
 	if delta > 0 {
 		l.setLiveBit(addr)
 	} else {
 		l.clearLiveBit(addr)
 	}
+	l.live[addr/l.segWords].Add(delta)
 }
 
 // setLiveBit and clearLiveBit are CAS loops because go.mod's go 1.22 has no
@@ -485,8 +486,8 @@ func Checksum(key kv.Key, value []byte) uint32 {
 // record's word offset within the data region, which fits in 8 bytes and
 // can live in an HDNH slot value) and its total word count: an AppendBatch
 // of one. Append keeps one free segment in reserve for the GC's relocation
-// copies; when only the reserve is left it returns ErrLogFull — run a GC
-// pass and retry.
+// copies; when only the reserve is left, or the GC has taken it, it returns
+// ErrLogFull — run a GC pass and retry.
 func (l *Log) Append(h *nvm.Handle, key kv.Key, value []byte) (addr, words int64, err error) {
 	rec := [1]BatchRecord{{Key: key, Value: value}}
 	if _, _, err := l.AppendBatch(h, rec[:]); err != nil {
@@ -495,7 +496,7 @@ func (l *Log) Append(h *nvm.Handle, key kv.Key, value []byte) (addr, words int64
 	return rec[0].Addr, rec[0].Words, nil
 }
 
-// BatchRecord is one record of an AppendBatch, Reserve or ReserveGC call.
+// BatchRecord is one record of an AppendBatch or Reserve call.
 // Key and Value are inputs; Addr and Words are outputs, valid for the
 // records the call reports reserved or committed.
 type BatchRecord struct {
@@ -560,8 +561,10 @@ func (l *Log) check(recs []BatchRecord) error {
 // when not even the first record fits), stores each reserved record's key
 // and payload words and stages their lines on h, and returns how many it
 // reserved. Nothing is durable yet: the caller's next FlushBarrier+Fence
-// makes the bodies durable, and Publish then commits the run. Like Append
-// it keeps one free segment in reserve for the GC (ErrLogFull).
+// makes the bodies durable, and Publish then commits the run. Only the GC's
+// relocation copies (gc) may take the last free segment, so that space
+// reclamation can always proceed; like Append, a user reservation leaves it
+// in reserve, and reserves nothing while the GC holds it (ErrLogFull).
 //
 // Every reservation must reach Publish — the segment's acknowledged prefix
 // cannot pass an unpublished run — and the caller must not wait on anything
@@ -569,32 +572,29 @@ func (l *Log) check(recs []BatchRecord) error {
 // own (Reserve again before Publish, which could roll and so wait for this
 // very run), and not on a lock another appender may hold while it waits for
 // this run's acknowledgment.
-func (l *Log) Reserve(h *nvm.Handle, recs []BatchRecord) (int, error) {
+func (l *Log) Reserve(h *nvm.Handle, recs []BatchRecord, gc bool) (int, error) {
 	if err := l.check(recs); err != nil {
 		return 0, err
+	}
+	if gc {
+		return l.reserve(h, recs, 0)
 	}
 	return l.reserve(h, recs, 1)
 }
 
-// ReserveGC is Reserve for the GC's relocation copies: it may activate the
-// reserved last free segment, so space reclamation can always proceed.
-func (l *Log) ReserveGC(h *nvm.Handle, recs []BatchRecord) (int, error) {
-	if err := l.check(recs); err != nil {
-		return 0, err
-	}
-	return l.reserve(h, recs, 0)
-}
-
-// reserve is Reserve over checked records (Words set). It takes the mutex
-// only to claim the words: the stores and every device wait happen outside
-// it, so concurrent appenders (and the collector) overlap them.
+// reserve is Reserve over checked records (Words set) that leaves reserve
+// free segments, 1 for users and 0 for the GC (INTERNALS §9). It takes the
+// mutex only to claim the words: the stores and every device wait happen
+// outside it, so concurrent appenders (and the collector) overlap them.
 func (l *Log) reserve(h *nvm.Handle, recs []BatchRecord, reserve int) (int, error) {
 	l.mu.Lock()
-	if l.active < 0 || l.head+recs[0].Words > l.segWords {
-		if err := l.roll(h, reserve); err != nil {
-			l.mu.Unlock()
-			return 0, err
-		}
+	rolls := l.active < 0 || l.head+recs[0].Words > l.segWords
+	if free := len(l.free); free < reserve || rolls && free <= reserve {
+		l.mu.Unlock()
+		return 0, fmt.Errorf("%w: %d free segments (reserve %d)", ErrLogFull, free, reserve)
+	}
+	if rolls {
+		l.roll(h)
 	}
 	// Greedily extend the run over every record that still fits in the
 	// active segment; the caller's next call rolls and starts a new run.
@@ -716,8 +716,8 @@ func headerWord(key kv.Key, value []byte) uint64 {
 }
 
 // roll seals the active segment (if any) and activates a free one. Called
-// with the mutex held. The free-list check comes first so a failed roll
-// leaves the active segment intact for smaller records.
+// with the mutex held and the free list checked by reserve, so a refused
+// roll leaves the active segment intact for smaller records.
 //
 // Its persists are the only device waits left under the mutex, and they
 // have to be: a reservation in the new segment may only exist once ACTIVE is
@@ -726,10 +726,7 @@ func headerWord(key kv.Key, value []byte) uint64 {
 // the old segment's SEALED, so that no crash image holds two active
 // segments. Between the two there is no segment to reserve in, so nothing
 // is gained by letting go. It is four persists per segment, not per record.
-func (l *Log) roll(h *nvm.Handle, reserve int) error {
-	if len(l.free) <= reserve {
-		return fmt.Errorf("%w: %d free segments (reserve %d)", ErrLogFull, len(l.free), reserve)
-	}
+func (l *Log) roll(h *nvm.Handle) {
 	if l.active >= 0 {
 		l.seal(h)
 	}
@@ -747,7 +744,6 @@ func (l *Log) roll(h *nvm.Handle, reserve int) error {
 	l.head = 0
 	l.used[seg].Store(0)
 	l.frontier.Store(seg * l.segWords)
-	return nil
 }
 
 // seal waits out the reservations in flight — a SEALED segment never holds

@@ -106,22 +106,31 @@ func TestAppendRejectsEmptyOversizedAndFull(t *testing.T) {
 		t.Fatal("no append landed before ErrLogFull")
 	}
 	// The user-append reserve must leave exactly one free segment for GC,
-	// and ReserveGC must be able to take it.
+	// and the GC's Reserve must be able to take it.
 	if free := l.FreeSegments(); free != 1 {
 		t.Fatalf("ErrLogFull with %d free segments, want the 1 GC reserve", free)
 	}
 	recs := []BatchRecord{{Key: testKey(appends), Value: make([]byte, 64)}}
-	if _, err := l.Reserve(h, recs); !errors.Is(err, ErrLogFull) {
+	if _, err := l.Reserve(h, recs, false); !errors.Is(err, ErrLogFull) {
 		t.Fatalf("Reserve into the GC reserve: %v, want ErrLogFull", err)
 	}
-	if n, err := l.ReserveGC(h, recs); err != nil || n != 1 {
-		t.Fatalf("ReserveGC could not use the reserve: %d, %v", n, err)
+	if n, err := l.Reserve(h, recs, true); err != nil || n != 1 {
+		t.Fatalf("the GC could not use the reserve: %d, %v", n, err)
 	}
 	h.FlushBarrier()
 	h.Fence()
 	l.Publish(h, recs)
 	if _, got, err := l.Read(h, recs[0].Addr); err != nil || len(got) != 64 {
 		t.Fatalf("the GC-reserve record reads %d bytes, %v", len(got), err)
+	}
+	// The segment the GC took is its own: a user record that would fit there
+	// is refused until a recycle refills the free list.
+	small := []BatchRecord{{Key: testKey(appends + 1), Value: make([]byte, 8)}}
+	if _, err := l.Reserve(h, small, false); !errors.Is(err, ErrLogFull) {
+		t.Fatalf("Reserve in the GC's segment: %v, want ErrLogFull", err)
+	}
+	if _, _, err := l.Append(h, small[0].Key, small[0].Value); !errors.Is(err, ErrLogFull) {
+		t.Fatalf("Append in the GC's segment: %v, want ErrLogFull", err)
 	}
 }
 
