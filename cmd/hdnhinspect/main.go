@@ -34,9 +34,8 @@ func main() {
 		return
 	}
 	var (
-		img     = flag.String("img", "", "device image file (required)")
-		workers = flag.Int("workers", 4, "recovery workers")
-		check   = flag.Bool("check", false, "audit all cross-structure invariants (slow)")
+		img   = flag.String("img", "", "device image file (required)")
+		check = flag.Bool("check", false, "audit all cross-structure invariants (slow)")
 	)
 	flag.Parse()
 	if *img == "" {
@@ -52,9 +51,7 @@ func main() {
 		fatal("booting image: %v", err)
 	}
 
-	opts := core.DefaultOptions()
-	opts.RecoveryWorkers = *workers
-	if err := inspect(os.Stdout, dev, opts, *check); err != nil {
+	if err := inspect(os.Stdout, dev, core.DefaultOptions(), *check); err != nil {
 		fatal("%v", err)
 	}
 }

@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"hdnh/internal/bigkv"
+	"hdnh/internal/core"
 	"hdnh/internal/flight"
 	"hdnh/internal/heat"
 	"hdnh/internal/kv"
@@ -111,17 +112,15 @@ func main() {
 
 	opts := bigkv.DefaultOptions()
 	opts.Table.Shards = *shards
-	opts.Table.InitBottomSegments = bottomSegments(*capacity, opts.Table.SegmentBuckets)
+	opts.Table.InitBottomSegments = core.SizeBottomSegments(*capacity, opts.Table.SegmentBuckets)
 	opts.Table.Metrics = obs.New(obs.Config{SampleEvery: *sample})
 	var fr *flight.Recorder
 	if *debug {
 		fr = flight.New(flight.Config{})
 		opts.Table.Flight = fr
 	}
-	var heatMon *heat.Monitor
 	if *heatOn {
-		heatMon = heat.NewMonitor(heat.Config{TopK: *heatTopK, SampleEvery: *heatEvry})
-		opts.Table.Heat = heatMon
+		opts.Table.Heat = heat.NewMonitor(heat.Config{TopK: *heatTopK, SampleEvery: *heatEvry})
 	}
 	opts.SegmentWords = 1 << 14
 	opts.Segments = *logMB << 20 / 8 / opts.SegmentWords
@@ -156,10 +155,8 @@ func main() {
 	srv := serve.New(serve.Options{
 		Store:         st,
 		Log:           logger,
-		Flight:        fr,
 		Debug:         *debug,
 		RESPMetrics:   respMetrics,
-		Heat:          heatMon,
 		HistoryPoints: *histPts,
 		CollectEvery:  time.Second,
 	})
@@ -192,7 +189,6 @@ func main() {
 		respSrv = resp.NewServer(resp.StoreBackend{St: st}, resp.Options{
 			PipelineDepth: *pipeline,
 			MaxValueBytes: serve.MaxValueBytes,
-			MaxKeyBytes:   kv.KeySize,
 			Info:          srv.Info,
 			Metrics:       respMetrics,
 			Flight:        fr,
@@ -263,18 +259,6 @@ func deviceWords(records, logWords int64) int64 {
 		words += nvm.BlockWords - r
 	}
 	return words
-}
-
-// bottomSegments sizes the initial structure for ~60% load at capacity,
-// the same rule the scheme registry applies.
-func bottomSegments(hint int64, m int) int {
-	slotsWanted := hint * 10 / 6
-	perSegment := int64(m) * 8
-	segs := (slotsWanted + 3*perSegment - 1) / (3 * perSegment)
-	if segs < 1 {
-		segs = 1
-	}
-	return int(segs)
 }
 
 func fatal(format string, args ...any) {

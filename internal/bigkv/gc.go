@@ -114,8 +114,8 @@ func (st *Store) maybeKickGC(shard int) {
 }
 
 // low reports whether the shard's free segments are down to the worker's
-// trigger, max(2, segments/8).
-func (g *gcShard) low() bool { return g.log.FreeSegments() <= max(2, int(g.log.Segments()/8)) }
+// trigger, vlog.GCTrigger.
+func (g *gcShard) low() bool { return int64(g.log.FreeSegments()) <= vlog.GCTrigger(g.log.Segments()) }
 
 func (g *gcShard) worker() {
 	defer g.st.gcLife.wg.Done()

@@ -244,7 +244,7 @@ func TestFlightSpansBalanceAcrossFailedExpansion(t *testing.T) {
 	dev := newDev(t, 2048)
 	opts := DefaultOptions()
 	opts.SegmentBuckets = 4
-	opts.MaxExpansions = 2
+	opts.maxExpansions = 2
 	opts.Flight = fr
 	tbl, err := create(dev, opts)
 	if err != nil {

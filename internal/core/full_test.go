@@ -60,7 +60,7 @@ func TestUpdateErrFullOnDeviceExhaustion(t *testing.T) {
 	dev := newDev(t, 2048)
 	opts := DefaultOptions()
 	opts.SegmentBuckets = 4
-	opts.MaxExpansions = 2
+	opts.maxExpansions = 2
 	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -102,12 +102,12 @@ func TestCreateOnTooSmallDevice(t *testing.T) {
 }
 
 func TestMaxExpansionsBoundsWork(t *testing.T) {
-	// With MaxExpansions = 1 and a workload needing several doublings, the
+	// With maxExpansions = 1 and a workload needing several doublings, the
 	// insert stream must eventually return ErrFull instead of looping.
 	dev := newDev(t, 1<<16)
 	opts := DefaultOptions()
 	opts.SegmentBuckets = 4
-	opts.MaxExpansions = 1
+	opts.maxExpansions = 1
 	tbl, err := create(dev, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -562,11 +562,11 @@ func (t *Table) commitGroup(h *nvm.Handle, group []pendingCommit, s *session, ru
 // single attempt cannot — an inconclusive probe retries with capped backoff
 // up to contendedRetryMax rounds before surfacing ErrContended (ErrNotFound
 // and ErrExists are returned only after a conclusive scan), and a full
-// candidate set expands the table, up to Options.MaxExpansions doublings,
+// candidate set expands the table, up to maxExpansions doublings,
 // before surfacing ErrFull. Must be called outside any critical section.
 func (s *session) writeSolo(w *writeOp) (kv.Value, bool, error) {
 	transientRetries, contendedRounds := 0, 0
-	for attempt := 0; attempt <= s.t.opts.MaxExpansions; attempt++ {
+	for attempt := 0; attempt <= s.t.opts.maxExpansions; attempt++ {
 		s.helpDrainStep()
 		s.enterCritical()
 		old, hadOld, err := s.stage(w, walkLock)

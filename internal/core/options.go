@@ -78,19 +78,11 @@ type Options struct {
 	// off by default, matching the paper's criticism of eviction cost).
 	DisplaceOnInsert bool
 
-	// MaxExpansions caps how many times a single operation may trigger a
-	// table expansion before giving up with ErrFull.
-	MaxExpansions int
-
 	// BlockingResize restores the pre-incremental behaviour: the expanding
 	// goroutine holds the resize lock exclusively for the whole drain,
 	// stalling every foreground operation. Kept as the measurable baseline
 	// for the resize latency experiment, and as an escape hatch.
 	BlockingResize bool
-
-	// RecoveryWorkers is the number of goroutines used to rebuild the OCF
-	// and hot table after a restart (the paper's multi-threaded recovery).
-	RecoveryWorkers int
 
 	// Shards splits the keyspace across that many independent tables behind
 	// a hash router (CreateRouter/OpenRouter): each shard owns its epoch
@@ -127,11 +119,13 @@ type Options struct {
 
 	// Fixed internals: zero means the constant below. Only this package's
 	// tests set them, to reach rare paths (an exhausted rescan budget, a
-	// one-bucket drain chunk, a group of six) deterministically.
+	// one-bucket drain chunk, a group of six, one expansion) deterministically.
 	lookupRetryBudget int // movement-hazard rescans per NVT walk
 	drainWorkers      int // goroutines rehashing one drain
 	drainChunkBuckets int // buckets per drain claim and per progress word
 	batchChunk        int // keys per batch epoch section and per write group
+	maxExpansions     int // expansions one operation may trigger before ErrFull
+	recoveryWorkers   int // goroutines rebuilding the OCF and hot table on Open
 }
 
 // The fixed internals' values; docs/TUNING.md has the measurements behind
@@ -151,6 +145,11 @@ const (
 	// resize grace period for long) and a write group (past the knee where
 	// the group's three barriers are amortised).
 	defaultBatchChunk = 64
+	// A write still without a slot after 24 doublings faces a full device or
+	// a defect, not a small table.
+	defaultMaxExpansions = 24
+	// The paper's multi-threaded recovery, at the drain's worker count.
+	defaultRecoveryWorkers = 4
 )
 
 // DefaultOptions returns the paper's tuned configuration.
@@ -161,8 +160,6 @@ func DefaultOptions() Options {
 		HotSlotsPerBucket:  4,
 		Replacer:           ReplacerRAFL,
 		DisplaceOnInsert:   false,
-		MaxExpansions:      24,
-		RecoveryWorkers:    4,
 		Seed:               1,
 	}
 }
@@ -182,6 +179,12 @@ func (o Options) withDefaults() Options {
 	if o.batchChunk == 0 {
 		o.batchChunk = defaultBatchChunk
 	}
+	if o.maxExpansions == 0 {
+		o.maxExpansions = defaultMaxExpansions
+	}
+	if o.recoveryWorkers == 0 {
+		o.recoveryWorkers = defaultRecoveryWorkers
+	}
 	return o
 }
 
@@ -198,12 +201,6 @@ func (o Options) Validate() error {
 	}
 	if o.Replacer != ReplacerRAFL && o.Replacer != ReplacerLRU {
 		return fmt.Errorf("core: unknown replacer %d", int(o.Replacer))
-	}
-	if o.MaxExpansions <= 0 {
-		return fmt.Errorf("core: MaxExpansions %d must be positive", o.MaxExpansions)
-	}
-	if o.RecoveryWorkers <= 0 {
-		return fmt.Errorf("core: RecoveryWorkers %d must be positive", o.RecoveryWorkers)
 	}
 	if o.Shards < 0 || o.Shards > MaxShards {
 		return fmt.Errorf("core: Shards %d outside [0,%d]", o.Shards, MaxShards)

@@ -48,7 +48,7 @@ type RecoveryStats struct {
 // RecoveryVisitor receives every committed record of a table from
 // recovery's last traversal — after resize replay and torn-update dedup, so
 // each key arrives exactly once, with the value the reopened table will serve.
-// It runs on Options.RecoveryWorkers goroutines at once and must be safe for
+// It runs on the recovery workers' goroutines at once and must be safe for
 // that. Layers that keep DRAM state derived from the index (bigkv's
 // per-segment liveness) rebuild it here instead of scanning the table again.
 type RecoveryVisitor func(k kv.Key, v kv.Value)
@@ -172,8 +172,8 @@ func (t *Table) recover(visit RecoveryVisitor) error {
 	return nil
 }
 
-// scanLevel is recovery's one per-bucket routine, run over lvl by
-// RecoveryWorkers goroutines. Each bucket is read once (one ReadAccess) and
+// scanLevel is recovery's one per-bucket routine, run over lvl by the
+// recovery workers. Each bucket is read once (one ReadAccess) and
 // each committed key hashed once; the bucket's eight OCF words and its SWAR
 // word are built locally and stored whole. Invalid slots are stored too, so
 // scanning a level whose OCF is already built (after a resumed drain) leaves
@@ -227,11 +227,11 @@ func (t *Table) scanLevel(lvl *level, hot *hotTable, visit RecoveryVisitor) int6
 }
 
 // parallelBuckets splits lvl's buckets into one contiguous range per
-// configured recovery worker and runs fn on each range on its own goroutine
+// recovery worker and runs fn on each range on its own goroutine
 // with its own NVM handle, whose media block reads accumulate into
 // t.recoveryReads.
 func (t *Table) parallelBuckets(lvl *level, fn func(h *nvm.Handle, lo, hi int64)) {
-	workers := t.opts.RecoveryWorkers
+	workers := t.opts.recoveryWorkers
 	buckets := lvl.buckets()
 	if int64(workers) > buckets {
 		workers = int(buckets)

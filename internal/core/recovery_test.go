@@ -589,7 +589,7 @@ func TestRecoveryWorkerCounts(t *testing.T) {
 				unclean := dev.PersistedImage() // the open table's clean flag is down
 				tbl.Close()
 				clean := dev.PersistedImage()
-				opts.RecoveryWorkers = workers
+				opts.recoveryWorkers = workers
 
 				for _, c := range []struct {
 					name    string
@@ -825,7 +825,7 @@ func TestRecoveryHotFillMatchesTwoPass(t *testing.T) {
 			t.Fatalf("generation %d: the image doubled", tbl.Generation())
 		}
 		tbl.Close()
-		opts.RecoveryWorkers = 1
+		opts.recoveryWorkers = 1
 		dev2, err := nvm.FromImage(dev.Config(), dev.PersistedImage())
 		if err != nil {
 			t.Fatal(err)

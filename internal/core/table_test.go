@@ -47,8 +47,6 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.HotSlotsPerBucket = -1 },
 		func(o *Options) { o.HotSlotsPerBucket = 33 },
 		func(o *Options) { o.Replacer = Replacer(9) },
-		func(o *Options) { o.MaxExpansions = 0 },
-		func(o *Options) { o.RecoveryWorkers = 0 },
 	}
 	for i, mutate := range cases {
 		o := DefaultOptions()

@@ -81,7 +81,7 @@ func openHDNHWith(sc Scale, hint int64, mutate func(*core.Options)) (scheme.Stor
 		return nil, nil, err
 	}
 	opts := core.DefaultOptions()
-	opts.InitBottomSegments = bottomSegmentsFor(hint, opts.SegmentBuckets)
+	opts.InitBottomSegments = core.SizeBottomSegments(hint, opts.SegmentBuckets)
 	if mutate != nil {
 		mutate(&opts)
 	}
@@ -90,15 +90,6 @@ func openHDNHWith(sc Scale, hint int64, mutate func(*core.Options)) (scheme.Stor
 		return nil, nil, err
 	}
 	return core.NewRouterStore(r), r, nil
-}
-
-func bottomSegmentsFor(hint int64, m int) int {
-	perSegment := int64(m) * core.SlotsPerBucket
-	segs := (hint*10/6 + 3*perSegment - 1) / (3 * perSegment)
-	if segs < 1 {
-		segs = 1
-	}
-	return int(segs)
 }
 
 // Fig11a reproduces Figure 11(a): HDNH single-thread insert and search
@@ -141,7 +132,7 @@ func Fig11a(sc Scale) (*Experiment, error) {
 		// (otherwise capacity rounding would confound the comparison).
 		st2, _, err := openHDNHWith(sc, sc.Records, func(o *core.Options) {
 			o.SegmentBuckets = segBuckets
-			o.InitBottomSegments = bottomSegmentsFor(sc.Records, segBuckets)
+			o.InitBottomSegments = core.SizeBottomSegments(sc.Records, segBuckets)
 		})
 		if err != nil {
 			return nil, err

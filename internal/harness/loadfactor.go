@@ -33,9 +33,9 @@ func LoadFactorExperiment(sc Scale) (*Experiment, error) {
 	}
 	var results []result
 
-	// HDNH with expansion disabled (MaxExpansions honoured at 1 attempt and
-	// a device too small to expand would conflate errors, so instead fill a
-	// fixed-geometry table until errNeedResize surfaces as ErrFull).
+	// HDNH up to its first expansion: fill the initial geometry and stop the
+	// moment capacity changes (a device too small to expand would conflate
+	// errors with a full table).
 	{
 		words := autoDeviceWords(sc.Records, 0)
 		dev, err := nvm.New(nvm.DefaultConfig(words))
@@ -44,9 +44,8 @@ func LoadFactorExperiment(sc Scale) (*Experiment, error) {
 		}
 		opts := core.DefaultOptions()
 		opts.HotSlotsPerBucket = 0
-		opts.MaxExpansions = 1
 		opts.DisplaceOnInsert = true // count displacement toward utilisation
-		opts.InitBottomSegments = bottomSegmentsFor(sc.Records, opts.SegmentBuckets)
+		opts.InitBottomSegments = core.SizeBottomSegments(sc.Records, opts.SegmentBuckets)
 		r, err := core.CreateRouter(dev, opts)
 		if err != nil {
 			return nil, err

@@ -11,7 +11,6 @@ import (
 
 	"hdnh/internal/bigkv"
 	"hdnh/internal/core"
-	"hdnh/internal/kv"
 	"hdnh/internal/nvm"
 	"hdnh/internal/resp"
 	"hdnh/internal/resp/client"
@@ -87,7 +86,6 @@ func FigPipeScale(sc Scale) (*Experiment, error) {
 	// RESP face on the same store.
 	rsrv := resp.NewServer(resp.StoreBackend{St: st}, resp.Options{
 		MaxValueBytes: serve.MaxValueBytes,
-		MaxKeyBytes:   kv.KeySize,
 	})
 	rl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

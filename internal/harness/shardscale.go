@@ -74,7 +74,7 @@ func openRouterStore(sc Scale, hint int64, shards int) (scheme.Store, error) {
 	}
 	opts := core.DefaultOptions()
 	opts.Shards = shards
-	opts.InitBottomSegments = bottomSegmentsFor(hint, opts.SegmentBuckets)
+	opts.InitBottomSegments = core.SizeBottomSegments(hint, opts.SegmentBuckets)
 	r, err := core.CreateRouter(dev, opts)
 	if err != nil {
 		return nil, err

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"hdnh/internal/obs"
+	"hdnh/internal/vlog"
 )
 
 // Severity orders condition states. The zero value is OK.
@@ -136,139 +137,69 @@ func (r Report) WriteProm(w io.Writer) {
 	}
 }
 
-// Config holds the rule thresholds. The zero value means "use defaults";
-// set a field negative to disable that rule (where a zero threshold is
-// meaningful the field is a pointer-free sentinel, documented per field).
-type Config struct {
-	// VLogFreeDegraded fires vlog_free_low at Degraded when a log's free
-	// segments drop below this fraction of its segments. Default 0.125.
-	VLogFreeDegraded float64
-	// VLogFreeCriticalSegments escalates to Critical when a log has at most
-	// this many free segments left. Default 1.
-	VLogFreeCriticalSegments int64
+// The rule thresholds. They are properties of the index, its value log and
+// its sessions, not of a deployment, so they are constants; docs/TUNING.md
+// says why each has its value and docs/OBSERVABILITY.md tabulates them by
+// rule. vlog_free_low's degraded line is the collector's own trigger,
+// vlog.GCTrigger, so it reads degraded exactly while the GC should be
+// running.
+const (
+	// VLogFreeCriticalSegments escalates vlog_free_low to Critical when a log
+	// has at most this many free segments left.
+	VLogFreeCriticalSegments = 1
 
 	// GarbageDegraded / GarbageCritical fire gc_backlog when the value log's
-	// garbage fraction (1 - live/used words) crosses them. Defaults 0.5/0.8.
-	GarbageDegraded float64
-	GarbageCritical float64
+	// garbage fraction (1 - live/used words) crosses them.
+	GarbageDegraded = 0.5
+	GarbageCritical = 0.8
 
 	// ResizeStallWindow fires resize_stall at Critical when a resizing
 	// shard's drain-buckets-remaining has not decreased for this long
-	// (Degraded at half the window). Default 10s.
-	ResizeStallWindow time.Duration
+	// (Degraded at half the window).
+	ResizeStallWindow = 10 * time.Second
 
 	// EpochSlotsDegraded / EpochSlotsCritical fire epoch_pressure on the
 	// live epoch-slot gauge (each live slot is an unclosed session).
-	// Defaults 1024/8192.
-	EpochSlotsDegraded int64
-	EpochSlotsCritical int64
+	EpochSlotsDegraded = 1024
+	EpochSlotsCritical = 8192
 
 	// LoadFactorDegraded / LoadFactorCritical fire load_factor_high per
-	// shard. Defaults 0.90/0.96.
-	LoadFactorDegraded float64
-	LoadFactorCritical float64
+	// shard.
+	LoadFactorDegraded = 0.90
+	LoadFactorCritical = 0.96
 
 	// ImbalanceDegraded fires shard_imbalance when the most loaded shard
-	// holds more than this multiple of the mean shard's items. Default 2.0,
-	// evaluated only once the store holds at least ImbalanceMinItems
-	// (default 16384) so tiny stores don't alarm on noise.
-	ImbalanceDegraded float64
-	ImbalanceMinItems int64
+	// holds at least this multiple of the mean shard's items, evaluated
+	// only once the store holds at least ImbalanceMinItems so tiny stores
+	// don't alarm on noise.
+	ImbalanceDegraded = 2.0
+	ImbalanceMinItems = 16384
 
 	// ErrorRateDegraded / ErrorRateCritical fire error_rate on the fraction
-	// of ops completing Contended or Full over the evaluation interval
-	// (defaults 0.01/0.10), once the interval saw at least ErrorRateMinOps
-	// ops (default 100).
-	ErrorRateDegraded float64
-	ErrorRateCritical float64
-	ErrorRateMinOps   uint64
+	// of ops completing Contended or Full over the evaluation interval, once
+	// the interval saw at least ErrorRateMinOps ops.
+	ErrorRateDegraded = 0.01
+	ErrorRateCritical = 0.10
+	ErrorRateMinOps   = 100
 
 	// RESPInFlightDegraded / RESPInFlightCritical fire resp_in_flight on the
-	// listener's in-flight command gauge. Defaults 1024/8192.
-	RESPInFlightDegraded int64
-	RESPInFlightCritical int64
-}
+	// listener's in-flight command gauge.
+	RESPInFlightDegraded = 1024
+	RESPInFlightCritical = 8192
 
-// DefaultConfig returns the documented default thresholds.
-func DefaultConfig() Config {
-	return Config{
-		VLogFreeDegraded:         0.125,
-		VLogFreeCriticalSegments: 1,
-		GarbageDegraded:          0.5,
-		GarbageCritical:          0.8,
-		ResizeStallWindow:        10 * time.Second,
-		EpochSlotsDegraded:       1024,
-		EpochSlotsCritical:       8192,
-		LoadFactorDegraded:       0.90,
-		LoadFactorCritical:       0.96,
-		ImbalanceDegraded:        2.0,
-		ImbalanceMinItems:        16384,
-		ErrorRateDegraded:        0.01,
-		ErrorRateCritical:        0.10,
-		ErrorRateMinOps:          100,
-		RESPInFlightDegraded:     1024,
-		RESPInFlightCritical:     8192,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.VLogFreeDegraded == 0 {
-		c.VLogFreeDegraded = d.VLogFreeDegraded
-	}
-	if c.VLogFreeCriticalSegments == 0 {
-		c.VLogFreeCriticalSegments = d.VLogFreeCriticalSegments
-	}
-	if c.GarbageDegraded == 0 {
-		c.GarbageDegraded = d.GarbageDegraded
-	}
-	if c.GarbageCritical == 0 {
-		c.GarbageCritical = d.GarbageCritical
-	}
-	if c.ResizeStallWindow == 0 {
-		c.ResizeStallWindow = d.ResizeStallWindow
-	}
-	if c.EpochSlotsDegraded == 0 {
-		c.EpochSlotsDegraded = d.EpochSlotsDegraded
-	}
-	if c.EpochSlotsCritical == 0 {
-		c.EpochSlotsCritical = d.EpochSlotsCritical
-	}
-	if c.LoadFactorDegraded == 0 {
-		c.LoadFactorDegraded = d.LoadFactorDegraded
-	}
-	if c.LoadFactorCritical == 0 {
-		c.LoadFactorCritical = d.LoadFactorCritical
-	}
-	if c.ImbalanceDegraded == 0 {
-		c.ImbalanceDegraded = d.ImbalanceDegraded
-	}
-	if c.ImbalanceMinItems == 0 {
-		c.ImbalanceMinItems = d.ImbalanceMinItems
-	}
-	if c.ErrorRateDegraded == 0 {
-		c.ErrorRateDegraded = d.ErrorRateDegraded
-	}
-	if c.ErrorRateCritical == 0 {
-		c.ErrorRateCritical = d.ErrorRateCritical
-	}
-	if c.ErrorRateMinOps == 0 {
-		c.ErrorRateMinOps = d.ErrorRateMinOps
-	}
-	if c.RESPInFlightDegraded == 0 {
-		c.RESPInFlightDegraded = d.RESPInFlightDegraded
-	}
-	if c.RESPInFlightCritical == 0 {
-		c.RESPInFlightCritical = d.RESPInFlightCritical
-	}
-	return c
-}
+	// FilterReadsPerWalkDegraded fires filter_ineffective, once the interval
+	// saw at least FilterMinWalks walks. A walk reads the one slot that
+	// holds its key plus fingerprint false positives, at most 96 occupied
+	// candidate slots / 255 ≈ 0.4, so no workload on a working filter
+	// reaches 2 reads per walk; and below a thousand walks one unlucky
+	// bucket moves the ratio.
+	FilterReadsPerWalkDegraded = 2.0
+	FilterMinWalks             = 1000
+)
 
 // Evaluator runs the rule set against successive snapshots. Safe for
 // concurrent use; evaluations are serialised internally.
 type Evaluator struct {
-	cfg Config
-
 	mu       sync.Mutex
 	havePrev bool
 	prev     obs.Snapshot
@@ -283,13 +214,10 @@ type stallState struct {
 	since     time.Time // when it last decreased (or the resize appeared)
 }
 
-// NewEvaluator builds an evaluator; zero-valued cfg fields take defaults.
-func NewEvaluator(cfg Config) *Evaluator {
-	return &Evaluator{cfg: cfg.withDefaults(), stall: make(map[int]stallState)}
+// NewEvaluator builds an evaluator.
+func NewEvaluator() *Evaluator {
+	return &Evaluator{stall: make(map[int]stallState)}
 }
-
-// Config reports the effective (defaulted) thresholds.
-func (e *Evaluator) Config() Config { return e.cfg }
 
 // Last returns the most recent report (zero Report before first Evaluate).
 func (e *Evaluator) Last() Report {
@@ -342,25 +270,26 @@ func (e *Evaluator) Evaluate(snap obs.Snapshot, now time.Time) Report {
 
 // evalVLog fires vlog_free_low per shard (or store-wide without shards): a
 // log that cannot allocate a fresh segment fails writes outright, so free
-// segments are the store's closest thing to "disk space left".
+// segments are the store's closest thing to "disk space left". Degraded is
+// the collector's trigger: the GC should be running.
 func (e *Evaluator) evalVLog(snap obs.Snapshot, add func(Condition)) {
 	check := func(shard int, free, total int64, where string) {
 		if total == 0 {
 			return
 		}
-		frac := float64(free) / float64(total)
+		trigger := vlog.GCTrigger(total)
 		sev := OK
 		switch {
-		case free <= e.cfg.VLogFreeCriticalSegments:
+		case free <= VLogFreeCriticalSegments:
 			sev = Critical
-		case frac < e.cfg.VLogFreeDegraded:
+		case free <= trigger:
 			sev = Degraded
 		}
 		add(Condition{
 			Name: CondVLogFreeLow, Severity: sev, Shard: shard,
-			Cause: fmt.Sprintf("%s: %d/%d vlog segments free (%.1f%% < %.1f%% low watermark)",
-				where, free, total, frac*100, e.cfg.VLogFreeDegraded*100),
-			Value: frac, Threshold: e.cfg.VLogFreeDegraded,
+			Cause: fmt.Sprintf("%s: %d/%d vlog segments free (<= %d, the GC trigger)",
+				where, free, total, trigger),
+			Value: float64(free), Threshold: float64(trigger),
 		})
 	}
 	if len(snap.Gauges.PerShard) > 0 {
@@ -384,16 +313,16 @@ func (e *Evaluator) evalGCBacklog(snap obs.Snapshot, add func(Condition)) {
 	garbage := 1 - float64(live)/float64(used)
 	sev := OK
 	switch {
-	case garbage >= e.cfg.GarbageCritical:
+	case garbage >= GarbageCritical:
 		sev = Critical
-	case garbage >= e.cfg.GarbageDegraded:
+	case garbage >= GarbageDegraded:
 		sev = Degraded
 	}
 	add(Condition{
 		Name: CondGCBacklog, Severity: sev, Shard: -1,
 		Cause: fmt.Sprintf("vlog garbage fraction %.1f%% (live %d / used %d words); GC is behind",
 			garbage*100, live, used),
-		Value: garbage, Threshold: e.cfg.GarbageDegraded,
+		Value: garbage, Threshold: GarbageDegraded,
 	})
 }
 
@@ -418,16 +347,16 @@ func (e *Evaluator) evalResizeStall(snap obs.Snapshot, now time.Time, add func(C
 		stuck := now.Sub(st.since)
 		sev := OK
 		switch {
-		case stuck >= e.cfg.ResizeStallWindow:
+		case stuck >= ResizeStallWindow:
 			sev = Critical
-		case stuck >= e.cfg.ResizeStallWindow/2:
+		case stuck >= ResizeStallWindow/2:
 			sev = Degraded
 		}
 		add(Condition{
 			Name: CondResizeStall, Severity: sev, Shard: shard,
 			Cause: fmt.Sprintf("%s: resize drain stuck at %d buckets remaining for %s (window %s)",
-				where, remaining, stuck.Round(time.Millisecond), e.cfg.ResizeStallWindow),
-			Value: stuck.Seconds(), Threshold: e.cfg.ResizeStallWindow.Seconds(),
+				where, remaining, stuck.Round(time.Millisecond), ResizeStallWindow),
+			Value: stuck.Seconds(), Threshold: ResizeStallWindow.Seconds(),
 		})
 	}
 	if len(snap.Gauges.PerShard) > 0 {
@@ -453,16 +382,16 @@ func (e *Evaluator) evalEpochPressure(snap obs.Snapshot, add func(Condition)) {
 	live := snap.Gauges.EpochSlotsLive
 	sev := OK
 	switch {
-	case live >= e.cfg.EpochSlotsCritical:
+	case live >= EpochSlotsCritical:
 		sev = Critical
-	case live >= e.cfg.EpochSlotsDegraded:
+	case live >= EpochSlotsDegraded:
 		sev = Degraded
 	}
 	add(Condition{
 		Name: CondEpochPressure, Severity: sev, Shard: -1,
 		Cause: fmt.Sprintf("%d live epoch slots (unclosed sessions) >= %d; sessions may be leaking",
-			live, e.cfg.EpochSlotsDegraded),
-		Value: float64(live), Threshold: float64(e.cfg.EpochSlotsDegraded),
+			live, EpochSlotsDegraded),
+		Value: float64(live), Threshold: float64(EpochSlotsDegraded),
 	})
 }
 
@@ -472,15 +401,15 @@ func (e *Evaluator) evalLoadFactor(snap obs.Snapshot, add func(Condition)) {
 	check := func(shard int, lf float64, where string) {
 		sev := OK
 		switch {
-		case lf >= e.cfg.LoadFactorCritical:
+		case lf >= LoadFactorCritical:
 			sev = Critical
-		case lf >= e.cfg.LoadFactorDegraded:
+		case lf >= LoadFactorDegraded:
 			sev = Degraded
 		}
 		add(Condition{
 			Name: CondLoadFactorHigh, Severity: sev, Shard: shard,
-			Cause: fmt.Sprintf("%s: load factor %.3f >= %.2f ceiling", where, lf, e.cfg.LoadFactorDegraded),
-			Value: lf, Threshold: e.cfg.LoadFactorDegraded,
+			Cause: fmt.Sprintf("%s: load factor %.3f >= %.2f ceiling", where, lf, LoadFactorDegraded),
+			Value: lf, Threshold: LoadFactorDegraded,
 		})
 	}
 	if len(snap.Gauges.PerShard) > 0 {
@@ -497,7 +426,7 @@ func (e *Evaluator) evalLoadFactor(snap obs.Snapshot, add func(Condition)) {
 // while the others idle (hot-key skew made visible at the shard level).
 func (e *Evaluator) evalImbalance(snap obs.Snapshot, add func(Condition)) {
 	shards := snap.Gauges.PerShard
-	if len(shards) < 2 || snap.Gauges.Items < e.cfg.ImbalanceMinItems {
+	if len(shards) < 2 || snap.Gauges.Items < ImbalanceMinItems {
 		return
 	}
 	var max, maxShard int64
@@ -512,14 +441,14 @@ func (e *Evaluator) evalImbalance(snap obs.Snapshot, add func(Condition)) {
 	}
 	ratio := float64(max) / mean
 	sev := OK
-	if ratio >= e.cfg.ImbalanceDegraded {
+	if ratio >= ImbalanceDegraded {
 		sev = Degraded
 	}
 	add(Condition{
 		Name: CondShardImbalance, Severity: sev, Shard: int(maxShard),
 		Cause: fmt.Sprintf("shard %d holds %d items, %.1fx the mean %.0f across %d shards",
 			maxShard, max, ratio, mean, len(shards)),
-		Value: ratio, Threshold: e.cfg.ImbalanceDegraded,
+		Value: ratio, Threshold: ImbalanceDegraded,
 	})
 }
 
@@ -528,22 +457,22 @@ func (e *Evaluator) evalImbalance(snap obs.Snapshot, add func(Condition)) {
 // errors is degraded no matter what the gauges say.
 func (e *Evaluator) evalErrorRate(d obs.Snapshot, add func(Condition)) {
 	bad, total := d.Backpressure()
-	if total < e.cfg.ErrorRateMinOps {
+	if total < ErrorRateMinOps {
 		return
 	}
 	rate := float64(bad) / float64(total)
 	sev := OK
 	switch {
-	case rate >= e.cfg.ErrorRateCritical:
+	case rate >= ErrorRateCritical:
 		sev = Critical
-	case rate >= e.cfg.ErrorRateDegraded:
+	case rate >= ErrorRateDegraded:
 		sev = Degraded
 	}
 	add(Condition{
 		Name: CondErrorRate, Severity: sev, Shard: -1,
 		Cause: fmt.Sprintf("%d of %d ops (%.2f%%) answered contended/full this interval",
 			bad, total, rate*100),
-		Value: rate, Threshold: e.cfg.ErrorRateDegraded,
+		Value: rate, Threshold: ErrorRateDegraded,
 	})
 }
 
@@ -557,29 +486,18 @@ func (e *Evaluator) evalRESP(snap obs.Snapshot, add func(Condition)) {
 	inFlight := snap.RESP.InFlight
 	sev := OK
 	switch {
-	case inFlight >= e.cfg.RESPInFlightCritical:
+	case inFlight >= RESPInFlightCritical:
 		sev = Critical
-	case inFlight >= e.cfg.RESPInFlightDegraded:
+	case inFlight >= RESPInFlightDegraded:
 		sev = Degraded
 	}
 	add(Condition{
 		Name: CondRESPInFlight, Severity: sev, Shard: -1,
 		Cause: fmt.Sprintf("%d RESP commands in flight >= %d; pipelines are backing up",
-			inFlight, e.cfg.RESPInFlightDegraded),
-		Value: float64(inFlight), Threshold: float64(e.cfg.RESPInFlightDegraded),
+			inFlight, RESPInFlightDegraded),
+		Value: float64(inFlight), Threshold: float64(RESPInFlightDegraded),
 	})
 }
-
-// The filter_ineffective limits are properties of the index, not of a
-// deployment, so they are constants rather than Config fields: a walk reads
-// the one slot that holds its key plus fingerprint false positives, at most
-// 96 occupied candidate slots / 255 ≈ 0.4, so no workload on a working
-// filter reaches 2 reads per walk; and below a thousand walks one unlucky
-// bucket moves the ratio.
-const (
-	filterReadsPerWalkDegraded = 2.0
-	filterMinWalks             = 1000
-)
 
 // evalFilter fires filter_ineffective when the interval's NVT walks read
 // more slots than a one-byte fingerprint filter should let through. That is
@@ -588,18 +506,18 @@ const (
 // it costs one media read per extra slot, so it only ever degrades.
 func (e *Evaluator) evalFilter(d obs.Snapshot, add func(Condition)) {
 	walks := d.NVTWalks()
-	if walks < filterMinWalks {
+	if walks < FilterMinWalks {
 		return
 	}
 	ratio := d.ProbeReadsPerWalk()
 	sev := OK
-	if ratio >= filterReadsPerWalkDegraded {
+	if ratio >= FilterReadsPerWalkDegraded {
 		sev = Degraded
 	}
 	add(Condition{
 		Name: CondFilterIneffective, Severity: sev, Shard: -1,
 		Cause: fmt.Sprintf("%d NVT slot reads over %d walks this interval (%.1f per walk >= %.1f); the fingerprint filter is not filtering",
-			d.NVTProbes, walks, ratio, filterReadsPerWalkDegraded),
-		Value: ratio, Threshold: filterReadsPerWalkDegraded,
+			d.NVTProbes, walks, ratio, FilterReadsPerWalkDegraded),
+		Value: ratio, Threshold: FilterReadsPerWalkDegraded,
 	})
 }

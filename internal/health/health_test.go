@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hdnh/internal/obs"
+	"hdnh/internal/vlog"
 )
 
 func at(sec int) time.Time { return time.Unix(int64(sec), 0) }
@@ -22,7 +23,7 @@ func findCond(r Report, name string) (Condition, bool) {
 
 // A quiet snapshot must evaluate to OK with no conditions.
 func TestHealthyIsQuiet(t *testing.T) {
-	e := NewEvaluator(Config{})
+	e := NewEvaluator()
 	var s obs.Snapshot
 	s.Gauges.Items = 100
 	s.Gauges.LoadFactor = 0.4
@@ -39,7 +40,7 @@ func TestHealthyIsQuiet(t *testing.T) {
 // vlog_free_low: degraded below the free-fraction watermark, critical at
 // the last free segment, attributed to the right shard.
 func TestVLogFreeLow(t *testing.T) {
-	e := NewEvaluator(Config{})
+	e := NewEvaluator()
 	var s obs.Snapshot
 	s.Gauges.PerShard = []obs.ShardGauges{
 		{Shard: 0, VLogSegments: 32, VLogFreeSegments: 16},
@@ -71,9 +72,134 @@ func TestVLogFreeLow(t *testing.T) {
 	}
 }
 
+// vlog_free_low reads degraded exactly where the collector starts running
+// (vlog.GCTrigger). 16 segments per shard is what hdnhserve -shards 4 gives
+// at the default -logmb 8; there the trigger is 2 free segments, a band the
+// old fraction-of-segments rule skipped, going straight from ok to critical.
+func TestVLogFreeLowAtGCTrigger(t *testing.T) {
+	var s obs.Snapshot
+	s.Gauges.PerShard = []obs.ShardGauges{{Shard: 0, VLogSegments: 16, VLogFreeSegments: 2}}
+	r := NewEvaluator().Evaluate(s, at(1))
+	c, ok := findCond(r, CondVLogFreeLow)
+	if !ok || c.Severity != Degraded || c.Threshold != 2 {
+		t.Fatalf("16 segments, 2 free = %+v (found %v), want degraded at threshold 2", c, ok)
+	}
+	for _, segs := range []int64{4, 16, 32, 64, 1024} {
+		trigger := vlog.GCTrigger(segs)
+		for free, want := range map[int64]Severity{trigger: Degraded, trigger + 1: OK} {
+			s.Gauges.PerShard[0].VLogSegments = segs
+			s.Gauges.PerShard[0].VLogFreeSegments = free
+			if got := NewEvaluator().Evaluate(s, at(1)).Worst(CondVLogFreeLow); got != want {
+				t.Errorf("%d segments, %d free = %v, want %v", segs, free, got, want)
+			}
+		}
+	}
+}
+
+// Every rule's boundaries sit at its constant: just below the degraded
+// threshold reads ok, at it degraded, at the critical threshold critical.
+// Rules that only degrade have no critical point.
+func TestRuleBoundaries(t *testing.T) {
+	once := func(s obs.Snapshot) Report { return NewEvaluator().Evaluate(s, at(1)) }
+	// Delta rules read the interval since a zero snapshot.
+	interval := func(s obs.Snapshot) Report {
+		e := NewEvaluator()
+		e.Evaluate(obs.Snapshot{}, at(0))
+		return e.Evaluate(s, at(1))
+	}
+	type point struct {
+		x    float64
+		want Severity
+	}
+	cases := []struct {
+		rule   string
+		eval   func(x float64) Report
+		points []point
+	}{
+		{CondVLogFreeLow, func(free float64) Report {
+			var s obs.Snapshot
+			s.Gauges.VLogSegments = 64
+			s.Gauges.VLogFreeSegments = int64(free)
+			return once(s)
+		}, []point{{9, OK}, {8, Degraded}, {VLogFreeCriticalSegments, Critical}}},
+		{CondGCBacklog, func(live float64) Report {
+			var s obs.Snapshot
+			s.Gauges.VLogUsedWords = 1000
+			s.Gauges.VLogLiveWords = int64(live)
+			return once(s)
+		}, []point{{501, OK}, {1000 * (1 - GarbageDegraded), Degraded}, {1000 * (1 - GarbageCritical), Critical}}},
+		{CondResizeStall, func(stuck float64) Report {
+			var s obs.Snapshot
+			s.Gauges.Resizing = 1
+			s.Gauges.DrainBucketsRemaining = 7
+			e := NewEvaluator()
+			e.Evaluate(s, at(0))
+			return e.Evaluate(s, at(0).Add(time.Duration(stuck*float64(time.Second))))
+		}, []point{{ResizeStallWindow.Seconds()/2 - 0.001, OK}, {ResizeStallWindow.Seconds() / 2, Degraded}, {ResizeStallWindow.Seconds(), Critical}}},
+		{CondEpochPressure, func(live float64) Report {
+			var s obs.Snapshot
+			s.Gauges.EpochSlotsLive = int64(live)
+			return once(s)
+		}, []point{{EpochSlotsDegraded - 1, OK}, {EpochSlotsDegraded, Degraded}, {EpochSlotsCritical, Critical}}},
+		{CondLoadFactorHigh, func(lf float64) Report {
+			var s obs.Snapshot
+			s.Gauges.LoadFactor = lf
+			return once(s)
+		}, []point{{LoadFactorDegraded - 0.001, OK}, {LoadFactorDegraded, Degraded}, {LoadFactorCritical, Critical}}},
+		{CondShardImbalance, func(max float64) Report {
+			var s obs.Snapshot
+			s.Gauges.Items = ImbalanceMinItems
+			s.Gauges.PerShard = []obs.ShardGauges{{Shard: 0, Items: int64(max)}, {Shard: 1}, {Shard: 2}, {Shard: 3}}
+			return once(s)
+		}, []point{{ImbalanceMinItems/4*ImbalanceDegraded - 1, OK}, {ImbalanceMinItems / 4 * ImbalanceDegraded, Degraded}}},
+		{CondErrorRate, func(bad float64) Report {
+			var s obs.Snapshot
+			s.Ops[obs.OpInsert][obs.OutOK] = 1000 - uint64(bad)
+			s.Ops[obs.OpInsert][obs.OutFull] = uint64(bad)
+			return interval(s)
+		}, []point{{1000*ErrorRateDegraded - 1, OK}, {1000 * ErrorRateDegraded, Degraded}, {1000 * ErrorRateCritical, Critical}}},
+		{CondRESPInFlight, func(n float64) Report {
+			var s obs.Snapshot
+			s.RESP = &obs.RESPSnapshot{InFlight: int64(n)}
+			return once(s)
+		}, []point{{RESPInFlightDegraded - 1, OK}, {RESPInFlightDegraded, Degraded}, {RESPInFlightCritical, Critical}}},
+		{CondFilterIneffective, func(probes float64) Report {
+			var s obs.Snapshot
+			s.Ops[obs.OpInsert][obs.OutOK] = FilterMinWalks
+			s.NVTProbes = uint64(probes)
+			return interval(s)
+		}, []point{{FilterMinWalks*FilterReadsPerWalkDegraded - 1, OK}, {FilterMinWalks * FilterReadsPerWalkDegraded, Degraded}}},
+	}
+	for _, c := range cases {
+		for _, p := range c.points {
+			r := c.eval(p.x)
+			if got := r.Worst(c.rule); got != p.want {
+				t.Errorf("%s at %v = %v, want %v (%+v)", c.rule, p.x, got, p.want, r.Conditions)
+			}
+			for _, cond := range r.Conditions {
+				if cond.Name != c.rule {
+					t.Errorf("%s at %v also fired %+v", c.rule, p.x, cond)
+				}
+			}
+		}
+	}
+}
+
+// error_rate stays quiet below ErrorRateMinOps ops in the interval, however
+// many of them failed.
+func TestErrorRateMinOps(t *testing.T) {
+	e := NewEvaluator()
+	e.Evaluate(obs.Snapshot{}, at(0))
+	var s obs.Snapshot
+	s.Ops[obs.OpInsert][obs.OutFull] = ErrorRateMinOps - 1
+	if r := e.Evaluate(s, at(1)); r.Status != OK {
+		t.Fatalf("%d ops, all full = %+v, want OK", ErrorRateMinOps-1, r)
+	}
+}
+
 // gc_backlog: garbage fraction past the thresholds.
 func TestGCBacklog(t *testing.T) {
-	e := NewEvaluator(Config{})
+	e := NewEvaluator()
 	var s obs.Snapshot
 	s.Gauges.VLogUsedWords = 1000
 	s.Gauges.VLogLiveWords = 100 // 90% garbage
@@ -92,7 +218,7 @@ func TestGCBacklog(t *testing.T) {
 // resize_stall needs repeated observations: same remaining-bucket count
 // across the stall window goes critical; progress resets the clock.
 func TestResizeStall(t *testing.T) {
-	e := NewEvaluator(Config{ResizeStallWindow: 10 * time.Second})
+	e := NewEvaluator()
 	snap := func(remaining int64) obs.Snapshot {
 		var s obs.Snapshot
 		s.Gauges.PerShard = []obs.ShardGauges{
@@ -130,7 +256,7 @@ func TestResizeStall(t *testing.T) {
 
 // epoch_pressure on the live-slot gauge.
 func TestEpochPressure(t *testing.T) {
-	e := NewEvaluator(Config{})
+	e := NewEvaluator()
 	var s obs.Snapshot
 	s.Gauges.EpochSlotsLive = 2000
 	r := e.Evaluate(s, at(1))
@@ -147,7 +273,7 @@ func TestEpochPressure(t *testing.T) {
 
 // load_factor_high per shard.
 func TestLoadFactorHigh(t *testing.T) {
-	e := NewEvaluator(Config{})
+	e := NewEvaluator()
 	var s obs.Snapshot
 	s.Gauges.PerShard = []obs.ShardGauges{
 		{Shard: 0, LoadFactor: 0.5},
@@ -171,7 +297,7 @@ func TestLoadFactorHigh(t *testing.T) {
 // shard_imbalance only fires on real stores (min items) and names the
 // overloaded shard.
 func TestShardImbalance(t *testing.T) {
-	e := NewEvaluator(Config{})
+	e := NewEvaluator()
 	var s obs.Snapshot
 	s.Gauges.Items = 40000
 	s.Gauges.PerShard = []obs.ShardGauges{
@@ -198,7 +324,7 @@ func TestShardImbalance(t *testing.T) {
 // error_rate is a delta rule: the second snapshot's contended/full share of
 // the interval's ops drives severity.
 func TestErrorRate(t *testing.T) {
-	e := NewEvaluator(Config{})
+	e := NewEvaluator()
 	var s0 obs.Snapshot
 	e.Evaluate(s0, at(0))
 	var s1 obs.Snapshot
@@ -223,7 +349,7 @@ func TestErrorRate(t *testing.T) {
 // broken interval is the shape a fingerprint aliased with the segment index
 // produced — fresh-key inserts reading ~15 slots each.
 func TestFilterIneffective(t *testing.T) {
-	e := NewEvaluator(Config{})
+	e := NewEvaluator()
 	var s0 obs.Snapshot
 	e.Evaluate(s0, at(0))
 
@@ -261,7 +387,7 @@ func TestFilterIneffective(t *testing.T) {
 // Report.Conditions lists fired rules in ConditionNames order, the order the
 // docs table and the Prometheus series use.
 func TestConditionsInExpositionOrder(t *testing.T) {
-	e := NewEvaluator(Config{})
+	e := NewEvaluator()
 	var s0 obs.Snapshot
 	e.Evaluate(s0, at(0))
 	s1 := s0
@@ -282,7 +408,7 @@ func TestConditionsInExpositionOrder(t *testing.T) {
 
 // resp_in_flight reads the listener gauge when present.
 func TestRESPInFlight(t *testing.T) {
-	e := NewEvaluator(Config{})
+	e := NewEvaluator()
 	var s obs.Snapshot
 	s.RESP = &obs.RESPSnapshot{InFlight: 2000}
 	r := e.Evaluate(s, at(1))
@@ -342,7 +468,7 @@ func TestReportText(t *testing.T) {
 // BenchmarkEvaluate prices one full rule-set pass over a realistic sharded
 // snapshot — the per-tick cost the serve layer pays on its ~1s collector.
 func BenchmarkEvaluate(b *testing.B) {
-	e := NewEvaluator(Config{})
+	e := NewEvaluator()
 	var s obs.Snapshot
 	s.Gauges.Items = 1 << 20
 	s.Gauges.LoadFactor = 0.62

@@ -15,6 +15,7 @@ import (
 	"hdnh/internal/batchrun"
 	"hdnh/internal/bigkv"
 	"hdnh/internal/flight"
+	"hdnh/internal/kv"
 	"hdnh/internal/obs"
 	"hdnh/internal/scheme"
 	"hdnh/internal/vlog"
@@ -55,17 +56,8 @@ type Options struct {
 	// MaxValueBytes caps one bulk string (values and, transitively, keys).
 	// Default 64 KiB, matching the HTTP layer's cap.
 	MaxValueBytes int
-	// MaxKeyBytes caps key length at the command level (longer keys get a
-	// per-command error reply, not a connection close). Default 16, the
-	// fixed slot key size.
-	MaxKeyBytes int
 	// MaxArgs caps one command's argument count. Default DefaultMaxArgs.
 	MaxArgs int
-	// MaxTracers bounds the pool of flight tracer handles shared by
-	// connections. Recorder.Handle allocates a permanent ring, so handles
-	// must be pooled, not minted per connection; connections beyond the
-	// pool trace nothing (a nil handle). Default 8.
-	MaxTracers int
 	// Info, when non-nil, renders the INFO command's reply: Redis-style
 	// CRLF key:value lines under # Section headers. ok=false means the
 	// requested section is unknown (the command answers an error reply and
@@ -88,19 +80,19 @@ func (o *Options) fill() {
 	if o.MaxValueBytes <= 0 {
 		o.MaxValueBytes = 64 << 10
 	}
-	if o.MaxKeyBytes <= 0 {
-		o.MaxKeyBytes = 16
-	}
 	if o.MaxArgs <= 0 {
 		o.MaxArgs = DefaultMaxArgs
-	}
-	if o.MaxTracers <= 0 {
-		o.MaxTracers = 8
 	}
 	if o.Log == nil {
 		o.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 }
+
+// maxTracers bounds the pool of flight tracer handles shared by connections.
+// Recorder.Handle allocates a permanent ring, so handles must be pooled, not
+// minted per connection; connections beyond the pool trace nothing (a nil
+// handle).
+const maxTracers = 8
 
 // Server accepts RESP connections and serves them against a Backend.
 type Server struct {
@@ -144,7 +136,7 @@ func (s *Server) getTracer() *flight.Handle {
 		s.tracerFree = s.tracerFree[:n-1]
 		return tr
 	}
-	if s.tracersMade < s.opts.MaxTracers {
+	if s.tracersMade < maxTracers {
 		s.tracersMade++
 		return s.opts.Flight.Handle(fmt.Sprintf("resp-%d", s.tracersMade))
 	}
@@ -528,8 +520,8 @@ func (s *Server) checkKey(k []byte) string {
 	if len(k) == 0 {
 		return "ERR empty key"
 	}
-	if len(k) > s.opts.MaxKeyBytes {
-		return fmt.Sprintf("ERR key longer than %d bytes", s.opts.MaxKeyBytes)
+	if len(k) > kv.KeySize {
+		return fmt.Sprintf("ERR key longer than %d bytes", kv.KeySize)
 	}
 	return ""
 }

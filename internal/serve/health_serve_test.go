@@ -210,16 +210,13 @@ func TestHealthzVLogExhaustion(t *testing.T) {
 	}
 }
 
-// TestHealthzEpochPressure leaks sessions past a lowered threshold and
-// asserts /healthz degrades with the epoch_pressure condition, then recovers
-// when the sessions close.
+// TestHealthzEpochPressure leaks sessions past the epoch_pressure threshold
+// and asserts /healthz degrades with the condition (not critical), then
+// recovers when the sessions close.
 func TestHealthzEpochPressure(t *testing.T) {
 	st := newStore(t, bigkv.DefaultOptions())
 	baseline := st.EpochSlotsLive() // the store's own GC workers
-	srv := New(Options{Store: st, HealthConfig: health.Config{
-		EpochSlotsDegraded: int64(baseline + 4),
-		EpochSlotsCritical: 1 << 30,
-	}})
+	srv := New(Options{Store: st})
 	t.Cleanup(func() { srv.Close() })
 	h := srv.Handler()
 
@@ -228,7 +225,7 @@ func TestHealthzEpochPressure(t *testing.T) {
 	}
 
 	var leaked []*bigkv.Session
-	for i := 0; i < 8; i++ {
+	for i := baseline; i < health.EpochSlotsDegraded; i++ {
 		leaked = append(leaked, st.NewSession())
 	}
 	code, body := healthzJSON(t, h)
@@ -420,15 +417,15 @@ func TestPromExpositionLint(t *testing.T) {
 	}
 }
 
-// TestDebugHeatEndpoint wires one heat monitor into both the store and the
-// server, drives a skewed /kv/ read load, and asserts the planted key tops
-// its shard's sketch in the JSON.
+// TestDebugHeatEndpoint wires a heat monitor into the store only (the
+// server serves the store's own monitor), drives a skewed /kv/ read load,
+// and asserts the planted key tops its shard's sketch in the JSON.
 func TestDebugHeatEndpoint(t *testing.T) {
 	mon := heat.NewMonitor(heat.Config{TopK: 8, SampleEvery: 1})
 	opts := bigkv.DefaultOptions()
 	opts.Table.Heat = mon
 	st := newStore(t, opts)
-	srv := New(Options{Store: st, Heat: mon})
+	srv := New(Options{Store: st})
 	t.Cleanup(func() { srv.Close() })
 	h := srv.Handler()
 

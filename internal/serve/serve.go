@@ -64,22 +64,13 @@ type Options struct {
 	// Log receives error and (at debug level) per-request lines. nil
 	// discards.
 	Log *slog.Logger
-	// Flight, when non-nil, enables the /debug/flight endpoint.
-	Flight *flight.Recorder
-	// Debug mounts /debug/flight and /debug/pprof.
+	// Debug mounts /debug/flight, which serves the store's flight recorder
+	// (core.Options.Flight), and /debug/pprof.
 	Debug bool
 	// RESPMetrics, when non-nil, is merged into the /metrics and
 	// /metrics.json expositions so the wire listener's counters ride the
 	// same scrape as the table's.
 	RESPMetrics *obs.RESPMetrics
-	// SessionPoolSize overrides DefaultSessionPoolSize when positive.
-	SessionPoolSize int
-	// Heat, when non-nil, is the hot-key monitor /debug/heat snapshots. It
-	// must be the same Monitor wired into the store's core.Options.Heat.
-	Heat *heat.Monitor
-	// HealthConfig tunes the health rule thresholds; the zero value takes
-	// health.DefaultConfig.
-	HealthConfig health.Config
 	// HistoryPoints sizes the /debug/history ring; 0 means
 	// obs.DefaultHistoryPoints (~10 min at 1s collection).
 	HistoryPoints int
@@ -122,18 +113,14 @@ func New(opts Options) *Server {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	size := opts.SessionPoolSize
-	if size <= 0 {
-		size = DefaultSessionPoolSize
-	}
 	s := &Server{
 		st:          opts.Store,
 		log:         logger,
-		flight:      opts.Flight,
+		flight:      opts.Store.Index().Flight(),
 		respMetrics: opts.RESPMetrics,
-		sessions:    make(chan *bigkv.Session, size),
-		health:      health.NewEvaluator(opts.HealthConfig),
-		heat:        opts.Heat,
+		sessions:    make(chan *bigkv.Session, DefaultSessionPoolSize),
+		health:      health.NewEvaluator(),
+		heat:        opts.Store.Index().Options().Heat,
 		history:     obs.NewHistory(opts.HistoryPoints),
 		started:     time.Now(),
 	}
@@ -615,8 +602,8 @@ func (s *Server) readyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// debugHeat serves the hot-key monitor snapshot: per-shard sampled op counts
-// and the top-K keys by estimated touch count.
+// debugHeat serves the store's hot-key monitor (core.Options.Heat): per-shard
+// sampled op counts and the top-K keys by estimated touch count.
 func (s *Server) debugHeat(w http.ResponseWriter, _ *http.Request) {
 	if s.heat == nil {
 		http.Error(w, "heat sampling disabled (run with -heat)", http.StatusNotFound)

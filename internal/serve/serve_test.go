@@ -31,10 +31,8 @@ func testServer(t *testing.T, withFlight bool) (*Server, *bytes.Buffer) {
 	}
 	opts := bigkv.DefaultOptions()
 	opts.Table.Metrics = obs.New(obs.Config{})
-	var fr *flight.Recorder
 	if withFlight {
-		fr = flight.New(flight.Config{})
-		opts.Table.Flight = fr
+		opts.Table.Flight = flight.New(flight.Config{})
 	}
 	st, err := bigkv.Create(dev, opts)
 	if err != nil {
@@ -43,7 +41,7 @@ func testServer(t *testing.T, withFlight bool) (*Server, *bytes.Buffer) {
 	t.Cleanup(func() { st.Close() })
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	srv := New(Options{Store: st, Log: logger, Flight: fr, Debug: withFlight})
+	srv := New(Options{Store: st, Log: logger, Debug: withFlight})
 	t.Cleanup(func() { srv.Close() })
 	return srv, &logBuf
 }

@@ -348,6 +348,13 @@ func (l *Log) Capacity() int64 { return l.numSegs * l.segWords }
 // callers poll it after every append.
 func (l *Log) FreeSegments() int { return int(l.nfree.Load()) }
 
+// GCTrigger is the free-segment count at or below which a log of segments
+// segments needs its collector: an eighth of the log, and never fewer than
+// two, so a small log starts reclaiming before its last spare is gone. The
+// bigkv collector runs while a log is at or under it, and the health rule
+// vlog_free_low reads degraded there.
+func GCTrigger(segments int64) int64 { return max(2, segments/8) }
+
 // State returns segment seg's lifecycle state. Lock-free, like SegUsed and
 // SegLive: the collector reads all three for every segment on every pass.
 func (l *Log) State(seg int64) SegState { return SegState(l.state[seg].Load()) }
