@@ -35,13 +35,14 @@ func main() {
 		ops       = flag.Int64("ops", 200_000, "operations per measurement")
 		threads   = flag.Int("threads", 16, "maximum threads for concurrency sweeps")
 		batch     = flag.Int("batch", 0, "drive reads and deletes through the scheme batch ops, this many keys per call (0 = per-key ops)")
-		mode      = flag.String("mode", "emulate", "device mode: model | emulate")
 		seed      = flag.Uint64("seed", 42, "workload seed")
 		csvDir    = flag.String("csv", "", "also write each experiment as <dir>/<id>.csv")
 		jsonOut   = flag.String("json", "", "also write every selected experiment to this file as one JSON document")
 		metrics   = flag.Bool("metrics", false, "collect HDNH observability counters and print the Prometheus exposition after the runs")
 		flightOut = flag.String("flight-out", "", "record a flight trace across the runs and write it to this file (.json => Chrome/Perfetto trace events, else binary dump)")
 	)
+	mode := nvm.ModeEmulate
+	flag.Var(&mode, "mode", "device mode: model | emulate | strict")
 	flag.Parse()
 
 	if *records <= 0 {
@@ -63,22 +64,15 @@ func main() {
 		Ops:       *ops,
 		Threads:   *threads,
 		BatchSize: *batch,
+		Mode:      mode,
 		Seed:      *seed,
-	}
-	switch *mode {
-	case "model":
-		sc.Mode = nvm.ModeModel
-	case "emulate":
-		sc.Mode = nvm.ModeEmulate
-	default:
-		usageErr("unknown mode %q", *mode)
 	}
 
 	var reg *obs.Metrics
 	if *metrics {
-		// Every HDNH table the harness builds through the scheme registry
-		// records into one shared registry; the exposition below aggregates
-		// all selected experiments.
+		// Every HDNH table the harness builds — through the scheme registry
+		// or its own HDNH and bigkv openers — records into one shared
+		// registry; the exposition below aggregates all selected experiments.
 		reg = obs.New(obs.Config{})
 		core.SetDefaultMetrics(reg)
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"hdnh/internal/harness"
-	"hdnh/internal/kv"
 	"hdnh/internal/nvm"
 	"hdnh/internal/scheme"
 	"hdnh/internal/ycsb"
@@ -26,8 +25,9 @@ func main() {
 		threads    = flag.Int("threads", 4, "loader goroutines")
 		verify     = flag.Bool("verify", false, "read every record back after loading")
 		out        = flag.String("out", "", "write the persisted device image to this file")
-		mode       = flag.String("mode", "model", "device mode: model | emulate | strict")
 	)
+	mode := nvm.ModeModel
+	flag.Var(&mode, "mode", "device mode: model | emulate | strict")
 	flag.Parse()
 
 	if *n <= 0 {
@@ -37,29 +37,7 @@ func main() {
 		usageErr("-threads %d must be positive", *threads)
 	}
 
-	words := int64(0)
-	{
-		// Same sizing rule the harness uses.
-		words = (*n + 1024) * kv.SlotWords * 24
-		if words < 1<<20 {
-			words = 1 << 20
-		}
-		if r := words % nvm.BlockWords; r != 0 {
-			words += nvm.BlockWords - r
-		}
-	}
-	var cfg nvm.Config
-	switch *mode {
-	case "model":
-		cfg = nvm.DefaultConfig(words)
-	case "emulate":
-		cfg = nvm.EmulateConfig(words)
-	case "strict":
-		cfg = nvm.StrictConfig(words)
-	default:
-		usageErr("unknown mode %q", *mode)
-	}
-	dev, err := nvm.New(cfg)
+	dev, err := nvm.New(harness.DeviceConfig(mode, harness.DeviceWords(*n, 0)))
 	if err != nil {
 		fatal("creating device: %v", err)
 	}

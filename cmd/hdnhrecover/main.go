@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"hdnh/internal/core"
-	"hdnh/internal/kv"
+	"hdnh/internal/harness"
 	"hdnh/internal/nvm"
 	"hdnh/internal/ycsb"
 )
@@ -28,14 +28,7 @@ func main() {
 	)
 	flag.Parse()
 
-	words := (*n + 1024) * kv.SlotWords * 24
-	if words < 1<<20 {
-		words = 1 << 20
-	}
-	if r := words % nvm.BlockWords; r != 0 {
-		words += nvm.BlockWords - r
-	}
-	cfg := nvm.StrictConfig(words)
+	cfg := harness.DeviceConfig(nvm.ModeStrict, harness.DeviceWords(*n, 0))
 	cfg.EvictProb = *evictProb
 	cfg.Seed = *seed
 	dev, err := nvm.New(cfg)

@@ -54,8 +54,8 @@ import (
 	"hdnh/internal/bigkv"
 	"hdnh/internal/core"
 	"hdnh/internal/flight"
+	"hdnh/internal/harness"
 	"hdnh/internal/heat"
-	"hdnh/internal/kv"
 	"hdnh/internal/nvm"
 	"hdnh/internal/obs"
 	"hdnh/internal/resp"
@@ -68,7 +68,6 @@ func main() {
 		respAddr = flag.String("resp", "", "RESP (binary wire protocol) listen address, e.g. :6380; empty disables")
 		pipeline = flag.Int("pipeline-depth", 128, "most RESP commands a connection executes before it writes their replies (coalescing window)")
 		capacity = flag.Int64("capacity", 100_000, "record capacity the device is sized for")
-		mode     = flag.String("mode", "model", "device mode: model | emulate")
 		sample   = flag.Uint64("sample", obs.DefaultSampleEvery, "latency-sample one in N operations (1 samples all)")
 		logMB    = flag.Int64("logmb", 8, "value-log capacity in MiB (fixed; the GC recycles within it)")
 		shards   = flag.Int("shards", 1, "hash-router shard count (power of two; each shard gets its own table, value log and GC worker)")
@@ -79,6 +78,8 @@ func main() {
 		histPts  = flag.Int("history", 0, "history ring capacity in 1s points served at /debug/history (0 takes the default, ~10 min)")
 		drain    = flag.Duration("drain", 0, "after a termination signal, keep serving with /readyz answering 503 for this long so load balancers stop routing here before the listeners close")
 	)
+	mode := nvm.ModeModel
+	flag.Var(&mode, "mode", "device mode: model | emulate | strict")
 	flag.Parse()
 
 	if *capacity <= 0 {
@@ -128,18 +129,7 @@ func main() {
 		opts.Segments = 2
 	}
 
-	words := deviceWords(*capacity, opts.SegmentWords*opts.Segments)
-	var cfg nvm.Config
-	switch *mode {
-	case "model":
-		cfg = nvm.DefaultConfig(words)
-	case "emulate":
-		cfg = nvm.EmulateConfig(words)
-	default:
-		usageErr("unknown mode %q", *mode)
-	}
-
-	dev, err := nvm.New(cfg)
+	dev, err := nvm.New(harness.DeviceConfig(mode, harness.DeviceWords(*capacity, opts.SegmentWords*opts.Segments)))
 	if err != nil {
 		fatal("creating device: %v", err)
 	}
@@ -180,7 +170,7 @@ func main() {
 	errCh := make(chan error, 2)
 	go func() {
 		logger.Info("listening", "addr", *addr, "capacity", *capacity,
-			"mode", *mode, "log_mib", *logMB, "shards", *shards, "debug", *debug)
+			"mode", mode, "log_mib", *logMB, "shards", *shards, "debug", *debug)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -246,19 +236,6 @@ func main() {
 		}
 		logger.Info("clean shutdown")
 	}
-}
-
-// deviceWords mirrors the sizing rule hdnhload and the harness use, plus
-// room for the value log.
-func deviceWords(records, logWords int64) int64 {
-	words := (records+1024)*kv.SlotWords*24 + logWords + nvm.BlockWords
-	if words < 1<<20 {
-		words = 1 << 20
-	}
-	if r := words % nvm.BlockWords; r != 0 {
-		words += nvm.BlockWords - r
-	}
-	return words
 }
 
 func fatal(format string, args ...any) {

@@ -2,7 +2,7 @@
 // scheme — capture once, compare everywhere.
 //
 //	hdnhtrace record -out a.trace -records 100000 -ops 500000 \
-//	                 -read 0.5 -update 0.5 -dist scrambled -theta 0.99
+//	                 -read 0.5 -update 0.5 -dist scrambled-zipfian -theta 0.99
 //	hdnhtrace replay -in a.trace -scheme CCEH -records 100000 -threads 4
 package main
 
@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"hdnh/internal/harness"
-	"hdnh/internal/kv"
 	"hdnh/internal/nvm"
 	"hdnh/internal/scheme"
 	"hdnh/internal/trace"
@@ -46,16 +45,17 @@ func record(args []string) {
 		insert  = fs.Float64("insert", 0, "insert proportion")
 		del     = fs.Float64("delete", 0, "delete proportion")
 		rmw     = fs.Float64("rmw", 0, "read-modify-write proportion")
-		dist    = fs.String("dist", "scrambled", "uniform | zipfian | scrambled | latest")
 		theta   = fs.Float64("theta", 0.99, "zipfian skew")
 		seed    = fs.Uint64("seed", 42, "workload seed")
 	)
+	dist := ycsb.ScrambledZipfian
+	fs.Var(&dist, "dist", "distribution: uniform | zipfian | scrambled-zipfian | latest")
 	_ = fs.Parse(args)
 
 	gen, err := ycsb.New(ycsb.Config{
 		RecordCount:  *records,
 		Mix:          ycsb.Mix{Read: *read, ReadNegative: *readNeg, Update: *update, Insert: *insert, Delete: *del, ReadModifyWrite: *rmw},
-		Distribution: parseDist(*dist),
+		Distribution: dist,
 		Theta:        *theta,
 		Seed:         *seed,
 	})
@@ -74,7 +74,7 @@ func record(args []string) {
 		fatal("%v", err)
 	}
 	fmt.Printf("recorded %d ops (records=%d dist=%s theta=%v seed=%d) to %s\n",
-		n, *records, *dist, *theta, *seed, *out)
+		n, *records, dist, *theta, *seed, *out)
 }
 
 func replay(args []string) {
@@ -84,9 +84,10 @@ func replay(args []string) {
 		schemeName = fs.String("scheme", "HDNH", "scheme: "+fmt.Sprint(scheme.Names()))
 		records    = fs.Int64("records", 100_000, "records to preload before replay")
 		threads    = fs.Int("threads", 1, "replay goroutines")
-		mode       = fs.String("mode", "emulate", "device mode: model | emulate")
 		latency    = fs.Bool("latency", false, "report the latency distribution")
 	)
+	mode := nvm.ModeEmulate
+	fs.Var(&mode, "mode", "device mode: model | emulate | strict")
 	_ = fs.Parse(args)
 
 	f, err := os.Open(*in)
@@ -99,15 +100,7 @@ func replay(args []string) {
 		fatal("reading trace: %v", err)
 	}
 
-	words := (*records + int64(len(ops)) + 1024) * kv.SlotWords * 24
-	if words%nvm.BlockWords != 0 {
-		words += nvm.BlockWords - words%nvm.BlockWords
-	}
-	cfg := nvm.EmulateConfig(words)
-	if *mode == "model" {
-		cfg = nvm.DefaultConfig(words)
-	}
-	dev, err := nvm.New(cfg)
+	dev, err := nvm.New(harness.DeviceConfig(mode, harness.DeviceWords(*records+int64(len(ops)), 0)))
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -134,22 +127,6 @@ func replay(args []string) {
 	}
 	if res.Failures > 0 {
 		os.Exit(1)
-	}
-}
-
-func parseDist(s string) ycsb.Distribution {
-	switch s {
-	case "uniform":
-		return ycsb.Uniform
-	case "zipfian":
-		return ycsb.Zipfian
-	case "scrambled":
-		return ycsb.ScrambledZipfian
-	case "latest":
-		return ycsb.Latest
-	default:
-		fatal("unknown distribution %q", s)
-		return ycsb.Uniform
 	}
 }
 

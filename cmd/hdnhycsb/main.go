@@ -4,7 +4,7 @@
 // paper experiments.
 //
 //	hdnhycsb -scheme HDNH -records 100000 -ops 500000 -threads 8 \
-//	         -read 0.5 -update 0.5 -dist scrambled -theta 0.99 -latency
+//	         -read 0.5 -update 0.5 -dist scrambled-zipfian -theta 0.99 -latency
 package main
 
 import (
@@ -33,15 +33,17 @@ func main() {
 		insert     = flag.Float64("insert", 0, "proportion of inserts")
 		del        = flag.Float64("delete", 0, "proportion of deletes")
 		batch      = flag.Int("batch", 0, "group reads and deletes into scheme batch ops, this many keys per call (0 = per-key ops; implies -latency off)")
-		dist       = flag.String("dist", "uniform", "distribution: uniform | zipfian | scrambled | latest")
 		theta      = flag.Float64("theta", 0.99, "zipfian skew")
 		seed       = flag.Uint64("seed", 42, "workload seed")
-		mode       = flag.String("mode", "emulate", "device mode: model | emulate")
 		latency    = flag.Bool("latency", false, "record and print the latency distribution")
 		wear       = flag.Bool("wear", false, "track and print the NVM write (wear) distribution")
 		shards     = flag.Int("shards", 1, "HDNH hash-router shard count (power of two; HDNH scheme only)")
 		respAddr   = flag.String("resp", "", "drive a running hdnhserve -resp listener at this address instead of an in-process store (e.g. 127.0.0.1:6380)")
 	)
+	dist := ycsb.Uniform
+	flag.Var(&dist, "dist", "distribution: uniform | zipfian | scrambled-zipfian | latest")
+	mode := nvm.ModeEmulate
+	flag.Var(&mode, "mode", "device mode: model | emulate | strict")
 	flag.Parse()
 
 	if *records <= 0 {
@@ -86,42 +88,11 @@ func main() {
 		usageErr("-resp drives a remote server; -wear and -shards configure an in-process store")
 	}
 
-	var d ycsb.Distribution
-	switch *dist {
-	case "uniform":
-		d = ycsb.Uniform
-	case "zipfian":
-		d = ycsb.Zipfian
-	case "scrambled":
-		d = ycsb.ScrambledZipfian
-	case "latest":
-		d = ycsb.Latest
-	default:
-		usageErr("unknown distribution %q", *dist)
-	}
-	devMode := nvm.ModeEmulate
-	if *mode == "model" {
-		devMode = nvm.ModeModel
-	} else if *mode != "emulate" {
-		usageErr("unknown mode %q", *mode)
-	}
-
 	var dev *nvm.Device
 	if *wear || *shards > 1 {
 		// Build the device here so the wear counters are reachable after
-		// the run (and so the router store below has one); mirror the
-		// harness's auto-sizing.
-		words := (*records + *ops + 1024) * 4 * 24
-		if words < 1<<20 {
-			words = 1 << 20
-		}
-		if r := words % nvm.BlockWords; r != 0 {
-			words += nvm.BlockWords - r
-		}
-		cfg := nvm.EmulateConfig(words)
-		if devMode == nvm.ModeModel {
-			cfg = nvm.DefaultConfig(words)
-		}
+		// the run (and so the router store below has one).
+		cfg := harness.DeviceConfig(mode, harness.DeviceWords(*records+*ops, 0))
 		cfg.TrackWear = *wear
 		var err error
 		dev, err = nvm.New(cfg)
@@ -136,10 +107,10 @@ func main() {
 		Ops:           *ops,
 		Threads:       *threads,
 		Mix:           ycsb.Mix{Read: *read, ReadNegative: *readNeg, Update: *update, Insert: *insert, Delete: *del},
-		Dist:          d,
+		Dist:          dist,
 		Theta:         *theta,
 		Seed:          *seed,
-		DeviceMode:    devMode,
+		DeviceMode:    mode,
 		RecordLatency: *latency,
 		BatchSize:     *batch,
 	}
@@ -156,11 +127,8 @@ func main() {
 		runOpts.Scheme = st.Name()
 	case *shards > 1:
 		// A sharded HDNH store: the registry factory cannot carry a shard
-		// count, so build the router directly with the registry's sizing rule.
-		topts := core.DefaultOptions()
-		topts.Shards = *shards
-		topts.InitBottomSegments = core.SizeBottomSegments(*records+*ops, topts.SegmentBuckets)
-		r, err := core.CreateRouter(dev, topts)
+		// count, so build the router through the harness's HDNH opener.
+		r, err := harness.OpenHDNH(dev, *records+*ops, func(o *core.Options) { o.Shards = *shards })
 		if err != nil {
 			fatal("%v", err)
 		}

@@ -68,30 +68,6 @@ func (e *Experiment) addRow(x string, cells ...Cell) {
 // mops formats a throughput cell.
 func mops(label string, v float64) Cell { return Cell{Label: label, Value: v} }
 
-// openHDNHWith builds an HDNH store with mutated options on a fresh device
-// sized for the scale.
-func openHDNHWith(sc Scale, hint int64, mutate func(*core.Options)) (scheme.Store, *core.Router, error) {
-	words := autoDeviceWords(hint, hint)
-	cfg := nvm.DefaultConfig(words)
-	if sc.Mode == nvm.ModeEmulate {
-		cfg = nvm.EmulateConfig(words)
-	}
-	dev, err := nvm.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts := core.DefaultOptions()
-	opts.InitBottomSegments = core.SizeBottomSegments(hint, opts.SegmentBuckets)
-	if mutate != nil {
-		mutate(&opts)
-	}
-	r, err := core.CreateRouter(dev, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return core.NewRouterStore(r), r, nil
-}
-
 // Fig11a reproduces Figure 11(a): HDNH single-thread insert and search
 // throughput across segment sizes from 256B to 256KB. Expected shape:
 // insert rises to a 16KB peak (fewer rehashes) then falls (large-segment

@@ -11,7 +11,6 @@ import (
 	"hdnh/internal/bigkv"
 	"hdnh/internal/core"
 	"hdnh/internal/flight"
-	"hdnh/internal/nvm"
 	"hdnh/internal/vlog"
 	"hdnh/internal/ycsb"
 )
@@ -39,9 +38,9 @@ func FigFlightDemo(sc Scale) (*Experiment, error) {
 	recordWords := vlog.RecordWords(valueBytes)
 	liveWords := keys * recordWords
 
-	// Reuse the process-wide recorder when hdnhbench installed one via
-	// -flight-out (mirroring how the other figures reuse DefaultMetrics);
-	// otherwise record into a private one so the summary columns still work.
+	// Trace into the process-wide recorder when hdnhbench installed one via
+	// -flight-out (openBigKV attaches it, as it does to every table);
+	// otherwise into a private one so the summary columns still work.
 	// The rings are oversized either way: the snapshot is taken only at the
 	// end, and the one-off resize and recovery spans must not be evicted by
 	// the churn phase's hot-table traffic.
@@ -50,26 +49,13 @@ func FigFlightDemo(sc Scale) (*Experiment, error) {
 		fr = flight.New(flight.Config{RingEvents: 1 << 17})
 	}
 
-	opts := bigkv.DefaultOptions()
-	opts.SegmentWords = 1024
-	opts.Segments = (capacityFactor*liveWords+opts.SegmentWords-1)/opts.SegmentWords + 2
-	opts.Table.Seed = sc.Seed
-	opts.Table.InitBottomSegments = 1 // undersized on purpose: the load must trigger a doubling
-	opts.Table.Flight = fr
-	if reg := core.DefaultMetrics(); reg != nil {
-		opts.Table.Metrics = reg
-	}
-
-	words := autoDeviceWords(keys, keys) + opts.SegmentWords*opts.Segments + nvm.BlockWords
-	cfg := nvm.DefaultConfig(words)
-	if sc.Mode == nvm.ModeEmulate {
-		cfg = nvm.EmulateConfig(words)
-	}
-	dev, err := nvm.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	st, err := bigkv.Create(dev, opts)
+	st, err := openBigKV(sc, keys, func(o *bigkv.Options) {
+		o.SegmentWords = 1024
+		o.Segments = (capacityFactor*liveWords+o.SegmentWords-1)/o.SegmentWords + 2
+		o.Table.Seed = sc.Seed
+		o.Table.InitBottomSegments = 1 // undersized on purpose: the load must trigger a doubling
+		o.Table.Flight = fr
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -148,10 +134,11 @@ func FigFlightDemo(sc Scale) (*Experiment, error) {
 	}
 
 	// Phase 3 — close and reopen so the trace carries recovery steps.
+	idx := st.Index()
 	if err := st.Close(); err != nil {
 		return nil, err
 	}
-	st, err = bigkv.Open(dev, opts)
+	st, err = bigkv.Open(idx.Device(), bigkv.Options{Table: idx.Options()})
 	if err != nil {
 		return nil, err
 	}

@@ -44,11 +44,9 @@ type Options struct {
 	Theta float64
 	// Seed makes the run reproducible.
 	Seed uint64
-	// DeviceMode selects the NVM emulation level (ModeEmulate by default
-	// gives the latency/bandwidth behaviour; ModeModel is fastest).
+	// DeviceMode selects the device Run builds when Store is nil (see
+	// DeviceConfig); the zero value is ModeModel, the fastest.
 	DeviceMode nvm.Mode
-	// DeviceWords overrides automatic device sizing.
-	DeviceWords int64
 	// RecordLatency enables per-op latency histograms (Figure 15).
 	// Ignored when BatchSize > 1: a batch completes as a unit, so per-op
 	// latencies inside it are not individually meaningful.
@@ -61,9 +59,6 @@ type Options struct {
 	// updates and read-modify-writes keep their per-op semantics and flush
 	// any accumulated batch first.
 	BatchSize int
-	// CapacityHint overrides the scheme sizing hint (default: Records plus
-	// the expected insert volume).
-	CapacityHint int64
 	// skipPreload marks the store as already loaded with Records records
 	// (experiments that reuse one store across several measurements).
 	skipPreload bool
@@ -89,22 +84,6 @@ type Result struct {
 	Failures int64
 }
 
-// autoDeviceWords sizes the device generously: bump allocation never
-// reuses space, and growing schemes abandon old levels/segments, so the
-// live data needs several times its size in raw words.
-func autoDeviceWords(records, inserts int64) int64 {
-	data := (records + inserts + 1024) * kv.SlotWords
-	words := data * 24
-	if words < 1<<20 {
-		words = 1 << 20
-	}
-	// Round up to block multiple.
-	if r := words % nvm.BlockWords; r != 0 {
-		words += nvm.BlockWords - r
-	}
-	return words
-}
-
 // Run executes the workload and returns its Result.
 func Run(o Options) (*Result, error) {
 	if o.Threads <= 0 {
@@ -119,23 +98,11 @@ func Run(o Options) (*Result, error) {
 
 	st := o.Store
 	if st == nil {
-		expectedInserts := int64(float64(o.Ops) * o.Mix.Insert)
-		words := o.DeviceWords
-		if words == 0 {
-			words = autoDeviceWords(o.Records, expectedInserts)
-		}
-		cfg := nvm.DefaultConfig(words)
-		cfg.Mode = o.DeviceMode
-		if o.DeviceMode == nvm.ModeEmulate {
-			cfg = nvm.EmulateConfig(words)
-		}
-		dev, err := nvm.New(cfg)
+		// Sized for the preload plus the inserts the mix expects.
+		hint := o.Records + int64(float64(o.Ops)*o.Mix.Insert)
+		dev, err := nvm.New(DeviceConfig(o.DeviceMode, DeviceWords(hint, 0)))
 		if err != nil {
 			return nil, err
-		}
-		hint := o.CapacityHint
-		if hint == 0 {
-			hint = o.Records + expectedInserts
 		}
 		st, err = scheme.Open(o.Scheme, dev, hint)
 		if err != nil {
@@ -172,78 +139,87 @@ func Run(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	perThread := o.Ops / int64(o.Threads)
+	runOps(st, res, o.BatchSize, o.RecordLatency, func(ti int) (func() ycsb.Op, int64) {
+		w := gen.Worker(ti)
+		w.SetWorkers(o.Threads)
+		n := perThread
+		if ti == 0 {
+			n += o.Ops % int64(o.Threads)
+		}
+		return w.Next, n
+	})
+	return res, nil
+}
 
+// runOps is the op phase Run and ReplayTrace share: one session per
+// res.Threads worker, worker ti executing the n ops next yields for
+// stream(ti) — through the batch runner when batch > 1 — with ErrNotFound
+// and ErrExists counted as misses, any other error as a failure, and the
+// sessions' NVM traffic summed into res. Throughput is res.Ops over the
+// phase's wall-clock time.
+func runOps(st scheme.Store, res *Result, batch int, latency bool, stream func(ti int) (next func() ycsb.Op, n int64)) {
 	var misses, failures atomic.Int64
-	sessions := make([]scheme.Session, o.Threads)
-	hists := make([]*histogram.Histogram, o.Threads)
+	count := func(err error) {
+		switch {
+		case err == nil:
+		case errors.Is(err, scheme.ErrNotFound), errors.Is(err, scheme.ErrExists):
+			misses.Add(1)
+		default:
+			failures.Add(1)
+		}
+	}
+	sessions := make([]scheme.Session, res.Threads)
+	hists := make([]*histogram.Histogram, res.Threads)
+	before := make([]nvm.Stats, res.Threads)
 	for i := range sessions {
 		sessions[i] = st.NewSession()
 		hists[i] = histogram.New()
-	}
-	before := make([]nvm.Stats, o.Threads)
-	for i, s := range sessions {
-		before[i] = s.NVMStats()
+		before[i] = sessions[i].NVMStats()
 	}
 
-	perThread := o.Ops / int64(o.Threads)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for ti := 0; ti < o.Threads; ti++ {
+	for ti, s := range sessions {
 		wg.Add(1)
-		go func(ti int) {
+		go func() {
 			defer wg.Done()
-			s := sessions[ti]
-			w := gen.Worker(ti)
-			w.SetWorkers(o.Threads)
-			h := hists[ti]
-			n := perThread
-			if ti == 0 {
-				n += o.Ops % int64(o.Threads)
-			}
-			count := func(err error) {
-				switch {
-				case err == nil:
-				case errors.Is(err, scheme.ErrNotFound), errors.Is(err, scheme.ErrExists):
-					misses.Add(1)
-				default:
-					failures.Add(1)
-				}
-			}
-			if o.BatchSize > 1 {
-				br := newBatchRunner(s, o.BatchSize)
+			next, n := stream(ti)
+			if batch > 1 {
+				br := newBatchRunner(s, batch)
 				for i := int64(0); i < n; i++ {
-					br.do(w.Next(), count)
+					br.do(next(), count)
 				}
 				br.flush(count)
 				return
 			}
+			h := hists[ti]
 			for i := int64(0); i < n; i++ {
-				op := w.Next()
+				op := next()
 				var opStart time.Time
-				if o.RecordLatency {
+				if latency {
 					opStart = time.Now()
 				}
 				err := applyOp(s, op)
-				if o.RecordLatency {
+				if latency {
 					h.RecordDuration(time.Since(opStart))
 				}
 				count(err)
 			}
-		}(ti)
+		}()
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
-	res.ThroughputMops = float64(o.Ops) / res.Elapsed.Seconds() / 1e6
+	res.ThroughputMops = float64(res.Ops) / res.Elapsed.Seconds() / 1e6
 	res.Misses = misses.Load()
 	res.Failures = failures.Load()
 	for i, s := range sessions {
 		res.NVM.Add(s.NVMStats().Sub(before[i]))
 		s.Close()
 	}
-	if o.RecordLatency {
+	if latency {
 		res.Latency = histogram.MergeAll(hists)
 	}
-	return res, nil
 }
 
 // applyOp executes one YCSB op through a session.

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"hdnh/internal/core"
 	"hdnh/internal/nvm"
+	"hdnh/internal/obs"
 	"hdnh/internal/scheme"
 	"hdnh/internal/ycsb"
 )
@@ -235,10 +237,10 @@ func TestRenderTable(t *testing.T) {
 }
 
 func TestAutoDeviceWords(t *testing.T) {
-	if autoDeviceWords(0, 0) < 1<<20 {
+	if DeviceWords(0, 0) < 1<<20 {
 		t.Fatal("minimum size not enforced")
 	}
-	w := autoDeviceWords(1_000_000, 0)
+	w := DeviceWords(1_000_000, 0)
 	if w%nvm.BlockWords != 0 {
 		t.Fatal("device words not block-aligned")
 	}
@@ -355,6 +357,59 @@ func TestReplayTraceMatchesRun(t *testing.T) {
 			t.Fatal("latency histogram wrong")
 		}
 		st.Close()
+	}
+
+	// One thread replays exactly the stream Run draws from the same
+	// generator (no inserts, one session), so both must see the same
+	// outcomes and the same device traffic.
+	want, err := Run(Options{
+		Scheme:  "HDNH",
+		Records: 1000,
+		Ops:     int64(len(ops)),
+		Threads: 1,
+		Mix:     ycsb.WorkloadA,
+		Dist:    ycsb.ScrambledZipfian,
+		Theta:   0.99,
+		Seed:    21,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := nvm.New(DeviceConfig(nvm.ModeModel, DeviceWords(1000, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := scheme.Open("HDNH", dev, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := Preload(st, 1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReplayTrace(st, ops, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Ops != want.Ops || got.Misses != want.Misses || got.Failures != want.Failures || got.NVM != want.NVM {
+		t.Fatalf("replay of Run's stream differs:\nreplay ops %d misses %d failures %d nvm %v\nrun    ops %d misses %d failures %d nvm %v",
+			got.Ops, got.Misses, got.Failures, got.NVM, want.Ops, want.Misses, want.Failures, want.NVM)
+	}
+}
+
+func TestFig11bRecordsIntoInstalledMetrics(t *testing.T) {
+	// hdnhbench -metrics installs one registry for every table the selected
+	// experiments build, the swept-option HDNH tables included.
+	reg := obs.New(obs.Config{})
+	core.SetDefaultMetrics(reg)
+	t.Cleanup(func() { core.SetDefaultMetrics(nil) })
+	sc := tinyScale()
+	sc.Records, sc.Ops = 1000, 1000
+	if _, err := Fig11b(sc); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().OpTotal(obs.OpGet); got == 0 {
+		t.Fatal("Fig11b's gets never reached the installed metrics registry")
 	}
 }
 

@@ -16,6 +16,8 @@ import (
 // LEVEL get resizing disabled; CCEH reports the pre-split saturation of its
 // initial directory; PATH is naturally static.
 func LoadFactorExperiment(sc Scale) (*Experiment, error) {
+	// The result is a count, not a time: every row runs on the fastest device.
+	sc.Mode = nvm.ModeModel
 	exp := &Experiment{
 		ID:      "ext-loadfactor",
 		Title:   "Maximum load factor before resize/ErrFull (extension)",
@@ -37,16 +39,10 @@ func LoadFactorExperiment(sc Scale) (*Experiment, error) {
 	// moment capacity changes (a device too small to expand would conflate
 	// errors with a full table).
 	{
-		words := autoDeviceWords(sc.Records, 0)
-		dev, err := nvm.New(nvm.DefaultConfig(words))
-		if err != nil {
-			return nil, err
-		}
-		opts := core.DefaultOptions()
-		opts.HotSlotsPerBucket = 0
-		opts.DisplaceOnInsert = true // count displacement toward utilisation
-		opts.InitBottomSegments = core.SizeBottomSegments(sc.Records, opts.SegmentBuckets)
-		r, err := core.CreateRouter(dev, opts)
+		_, r, err := openHDNHWith(sc, sc.Records, func(o *core.Options) {
+			o.HotSlotsPerBucket = 0
+			o.DisplaceOnInsert = true // count displacement toward utilisation
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -74,8 +70,7 @@ func LoadFactorExperiment(sc Scale) (*Experiment, error) {
 	// The static/semi-static baselines through the registry, sized so their
 	// initial structure is the whole experiment.
 	for _, name := range []string{"LEVEL", "CCEH", "PATH"} {
-		words := autoDeviceWords(sc.Records, 0)
-		dev, err := nvm.New(nvm.DefaultConfig(words))
+		dev, err := nvm.New(DeviceConfig(sc.Mode, DeviceWords(sc.Records, 0)))
 		if err != nil {
 			return nil, err
 		}

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"hdnh/internal/bigkv"
-	"hdnh/internal/core"
-	"hdnh/internal/nvm"
 	"hdnh/internal/resp"
 	"hdnh/internal/resp/client"
 	"hdnh/internal/serve"
@@ -47,20 +45,10 @@ func FigPipeScale(sc Scale) (*Experiment, error) {
 		httpOps = 10_000
 	}
 
-	opts := bigkv.DefaultOptions()
-	opts.Table.InitBottomSegments = core.SizeBottomSegments(records, opts.Table.SegmentBuckets)
-	opts.SegmentWords = 1 << 14
-	opts.Segments = 64 // the 8 MB default log; far beyond this sweep's values
-	words := autoDeviceWords(records, records) + opts.SegmentWords*opts.Segments
-	cfg := nvm.DefaultConfig(words)
-	if sc.Mode == nvm.ModeEmulate {
-		cfg = nvm.EmulateConfig(words)
-	}
-	dev, err := nvm.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("pipescale: device: %w", err)
-	}
-	st, err := bigkv.Create(dev, opts)
+	st, err := openBigKV(sc, records, func(o *bigkv.Options) {
+		o.SegmentWords = 1 << 14
+		o.Segments = 64 // the 8 MB default log; far beyond this sweep's values
+	})
 	if err != nil {
 		return nil, fmt.Errorf("pipescale: store: %w", err)
 	}

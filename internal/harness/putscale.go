@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"hdnh/internal/bigkv"
-	"hdnh/internal/core"
-	"hdnh/internal/nvm"
 )
 
 // FigPutScale measures what the group-commit write path buys (extension; no
@@ -92,32 +90,16 @@ func FigPutScale(sc Scale) (*Experiment, error) {
 	return exp, nil
 }
 
-// openPutStore builds a sharded bigkv store on a fresh device with log
-// headroom for the sweep's append volume (online GC reclaims behind it).
-func openPutStore(sc Scale, hint int64, shards int) (*bigkv.Store, error) {
-	opts := bigkv.DefaultOptions()
-	opts.Table.Shards = shards
-	opts.Table.InitBottomSegments = core.SizeBottomSegments(hint, opts.Table.SegmentBuckets)
-	opts.SegmentWords = 1 << 14
-	opts.Segments = 128 // 16 MB of log across shards: churn room for the upsert stream
-	words := autoDeviceWords(hint, hint) + opts.SegmentWords*opts.Segments
-	cfg := nvm.DefaultConfig(words)
-	if sc.Mode == nvm.ModeEmulate {
-		cfg = nvm.EmulateConfig(words)
-	}
-	dev, err := nvm.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return bigkv.Create(dev, opts)
-}
-
 // measurePutPoint runs one (shards, batch) cell on its own fresh store:
 // preload the full keyspace, then time the upsert stream. The preload runs
 // through chunked MultiPut — not the path under test, just the fastest way
 // to an identical starting state for every cell.
 func measurePutPoint(sc Scale, keys [][]byte, val []byte, records, ops int64, shards, batch int) (float64, error) {
-	st, err := openPutStore(sc, records, shards)
+	st, err := openBigKV(sc, records, func(o *bigkv.Options) {
+		o.Table.Shards = shards
+		o.SegmentWords = 1 << 14
+		o.Segments = 128 // 16 MB of log across shards: churn room for the upsert stream
+	})
 	if err != nil {
 		return 0, err
 	}

@@ -1,13 +1,6 @@
 package harness
 
 import (
-	"errors"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"hdnh/internal/histogram"
-	"hdnh/internal/nvm"
 	"hdnh/internal/scheme"
 	"hdnh/internal/ycsb"
 )
@@ -28,64 +21,11 @@ func ReplayTrace(st scheme.Store, ops []ycsb.Op, threads int, recordLatency bool
 	if len(ops) == 0 {
 		return res, nil
 	}
-
-	sessions := make([]scheme.Session, threads)
-	hists := make([]*histogram.Histogram, threads)
-	before := make([]nvm.Stats, threads)
-	for i := range sessions {
-		sessions[i] = st.NewSession()
-		hists[i] = histogram.New()
-		before[i] = sessions[i].NVMStats()
-	}
-
-	var misses, failures atomic.Int64
 	chunk := (len(ops) + threads - 1) / threads
-	var wg sync.WaitGroup
-	start := time.Now()
-	for ti := 0; ti < threads; ti++ {
-		lo := ti * chunk
-		hi := lo + chunk
-		if hi > len(ops) {
-			hi = len(ops)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(ti, lo, hi int) {
-			defer wg.Done()
-			s := sessions[ti]
-			h := hists[ti]
-			for _, op := range ops[lo:hi] {
-				var opStart time.Time
-				if recordLatency {
-					opStart = time.Now()
-				}
-				err := applyOp(s, op)
-				if recordLatency {
-					h.RecordDuration(time.Since(opStart))
-				}
-				switch {
-				case err == nil:
-				case errors.Is(err, scheme.ErrNotFound), errors.Is(err, scheme.ErrExists):
-					misses.Add(1)
-				default:
-					failures.Add(1)
-				}
-			}
-		}(ti, lo, hi)
-	}
-	wg.Wait()
-	res.Elapsed = time.Since(start)
-	res.ThroughputMops = float64(len(ops)) / res.Elapsed.Seconds() / 1e6
-	res.Misses = misses.Load()
-	res.Failures = failures.Load()
-	for i, s := range sessions {
-		res.NVM.Add(s.NVMStats().Sub(before[i]))
-		s.Close()
-	}
-	if recordLatency {
-		res.Latency = histogram.MergeAll(hists)
-	}
+	runOps(st, res, 0, recordLatency, func(ti int) (func() ycsb.Op, int64) {
+		part := ops[min(ti*chunk, len(ops)):min((ti+1)*chunk, len(ops))]
+		i := 0
+		return func() ycsb.Op { i++; return part[i-1] }, int64(len(part))
+	})
 	return res, nil
 }

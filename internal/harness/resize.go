@@ -6,8 +6,6 @@ import (
 
 	"hdnh/internal/core"
 	"hdnh/internal/histogram"
-	"hdnh/internal/nvm"
-	"hdnh/internal/obs"
 	"hdnh/internal/ycsb"
 )
 
@@ -39,28 +37,11 @@ func FigResize(sc Scale) (*Experiment, error) {
 		{"blocking", true},
 		{"incremental", false},
 	} {
-		words := autoDeviceWords(sc.Records, sc.Records)
-		cfg := nvm.DefaultConfig(words)
-		if sc.Mode == nvm.ModeEmulate {
-			cfg = nvm.EmulateConfig(words)
-		}
-		dev, err := nvm.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Record into the shared -metrics registry when one is installed so
-		// the drain/swap counters show up in the post-run exposition; the
-		// experiment itself reads nothing back from it.
-		reg := core.DefaultMetrics()
-		if reg == nil {
-			reg = obs.New(obs.Config{})
-		}
-		opts := core.DefaultOptions()
-		opts.InitBottomSegments = 1 // the doublings are the experiment
-		opts.BlockingResize = mode.blocking
-		opts.Metrics = reg
-		opts.Seed = sc.Seed
-		r, err := core.CreateRouter(dev, opts)
+		_, r, err := openHDNHWith(sc, sc.Records, func(o *core.Options) {
+			o.InitBottomSegments = 1 // the doublings are the experiment
+			o.BlockingResize = mode.blocking
+			o.Seed = sc.Seed
+		})
 		if err != nil {
 			return nil, err
 		}

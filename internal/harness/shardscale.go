@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"hdnh/internal/core"
-	"hdnh/internal/nvm"
-	"hdnh/internal/scheme"
 	"hdnh/internal/ycsb"
 )
 
@@ -32,7 +30,7 @@ func FigShardScale(sc Scale) (*Experiment, error) {
 	}
 	var base float64
 	for _, shards := range []int{1, 2, 4, 8} {
-		st, err := openRouterStore(sc, sc.Records+sc.Ops, shards)
+		st, _, err := openHDNHWith(sc, sc.Records+sc.Ops, func(o *core.Options) { o.Shards = shards })
 		if err != nil {
 			return nil, fmt.Errorf("shardscale shards=%d: %w", shards, err)
 		}
@@ -57,27 +55,4 @@ func FigShardScale(sc Scale) (*Experiment, error) {
 			Cell{Label: "speedup", Value: speedup})
 	}
 	return exp, nil
-}
-
-// openRouterStore builds a sharded HDNH store on a fresh device sized for
-// the scale, with the same structure sizing rule the scheme registry uses
-// (the router divides the initial segments across shards).
-func openRouterStore(sc Scale, hint int64, shards int) (scheme.Store, error) {
-	words := autoDeviceWords(hint, hint)
-	cfg := nvm.DefaultConfig(words)
-	if sc.Mode == nvm.ModeEmulate {
-		cfg = nvm.EmulateConfig(words)
-	}
-	dev, err := nvm.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	opts := core.DefaultOptions()
-	opts.Shards = shards
-	opts.InitBottomSegments = core.SizeBottomSegments(hint, opts.SegmentBuckets)
-	r, err := core.CreateRouter(dev, opts)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewRouterStore(r), nil
 }

@@ -10,7 +10,6 @@ import (
 
 	"hdnh/internal/bigkv"
 	"hdnh/internal/core"
-	"hdnh/internal/nvm"
 	"hdnh/internal/obs"
 	"hdnh/internal/vlog"
 	"hdnh/internal/ycsb"
@@ -58,31 +57,24 @@ func FigVlogGC(sc Scale) (*Experiment, error) {
 		{"gc-off", false},
 		{"gc-online", true},
 	} {
-		opts := bigkv.DefaultOptions()
-		opts.SegmentWords = 1024
-		opts.Segments = (capacityFactor*liveWords+opts.SegmentWords-1)/opts.SegmentWords + 2
-		opts.DisableAutoGC = !mode.gc
-		opts.Table.Seed = sc.Seed
+		// The write-amp and GC columns read the counters back, so record
+		// into a private registry when hdnhbench installed none.
 		reg := core.DefaultMetrics()
 		if reg == nil {
 			reg = obs.New(obs.Config{})
 		}
-		opts.Table.Metrics = reg
 		base := reg.Snapshot()
-
-		words := autoDeviceWords(keys, keys) + opts.SegmentWords*opts.Segments + nvm.BlockWords
-		cfg := nvm.DefaultConfig(words)
-		if sc.Mode == nvm.ModeEmulate {
-			cfg = nvm.EmulateConfig(words)
-		}
-		dev, err := nvm.New(cfg)
+		st, err := openBigKV(sc, keys, func(o *bigkv.Options) {
+			o.SegmentWords = 1024
+			o.Segments = (capacityFactor*liveWords+o.SegmentWords-1)/o.SegmentWords + 2
+			o.DisableAutoGC = !mode.gc
+			o.Table.Seed = sc.Seed
+			o.Table.Metrics = reg
+		})
 		if err != nil {
 			return nil, err
 		}
-		st, err := bigkv.Create(dev, opts)
-		if err != nil {
-			return nil, err
-		}
+		dev := st.Index().Device()
 
 		val := func(i int64, gen uint64) []byte {
 			v := make([]byte, valueBytes)

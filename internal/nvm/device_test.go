@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"bytes"
+	"flag"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,31 @@ func TestModeString(t *testing.T) {
 	for m, want := range map[Mode]string{ModeModel: "model", ModeEmulate: "emulate", ModeStrict: "strict", Mode(9): "Mode(9)"} {
 		if got := m.String(); got != want {
 			t.Errorf("Mode(%d).String() = %q, want %q", int(m), got, want)
+		}
+	}
+}
+
+func TestModeSetRoundTrip(t *testing.T) {
+	var _ flag.Value = new(Mode)
+	for _, tc := range []struct {
+		in   string
+		want Mode
+		ok   bool
+	}{
+		{ModeModel.String(), ModeModel, true},
+		{ModeEmulate.String(), ModeEmulate, true},
+		{ModeStrict.String(), ModeStrict, true},
+		{"", 0, false},
+		{"bogus", 0, false},
+		{"Mode(9)", 0, false},
+	} {
+		m := Mode(-1)
+		err := m.Set(tc.in)
+		if tc.ok && (err != nil || m != tc.want) {
+			t.Errorf("Set(%q) = %v, mode %v; want %v", tc.in, err, m, tc.want)
+		}
+		if !tc.ok && (err == nil || m != Mode(-1)) {
+			t.Errorf("Set(%q) = %v, mode %v; want an error and no change", tc.in, err, m)
 		}
 	}
 }

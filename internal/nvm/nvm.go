@@ -72,6 +72,18 @@ func (m Mode) String() string {
 	}
 }
 
+// Set parses a mode name exactly as String prints it, so a Mode backs a
+// command-line flag through flag.Var.
+func (m *Mode) Set(s string) error {
+	for c := ModeModel; c <= ModeStrict; c++ {
+		if c.String() == s {
+			*m = c
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown mode %q (want model, emulate or strict)", s)
+}
+
 // Config describes a device. The zero value is not valid; use DefaultConfig
 // or EmulateConfig and adjust.
 type Config struct {

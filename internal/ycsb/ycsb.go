@@ -97,6 +97,18 @@ func (d Distribution) String() string {
 	}
 }
 
+// Set parses a distribution name exactly as String prints it, so a
+// Distribution backs a command-line flag through flag.Var.
+func (d *Distribution) Set(s string) error {
+	for c := Uniform; c <= Latest; c++ {
+		if c.String() == s {
+			*d = c
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown distribution %q (want uniform, zipfian, scrambled-zipfian or latest)", s)
+}
+
 // Mix gives the proportion of each operation kind; proportions must sum to 1
 // (within a small tolerance).
 type Mix struct {

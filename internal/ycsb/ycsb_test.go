@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"flag"
 	"testing"
 
 	"hdnh/internal/kv"
@@ -297,6 +298,32 @@ func TestOpKindAndDistributionStrings(t *testing.T) {
 	}
 	if ScrambledZipfian.String() != "scrambled-zipfian" || Distribution(42).String() == "" {
 		t.Fatal("Distribution.String broken")
+	}
+}
+
+func TestDistributionSetRoundTrip(t *testing.T) {
+	var _ flag.Value = new(Distribution)
+	for _, tc := range []struct {
+		in   string
+		want Distribution
+		ok   bool
+	}{
+		{Uniform.String(), Uniform, true},
+		{Zipfian.String(), Zipfian, true},
+		{ScrambledZipfian.String(), ScrambledZipfian, true},
+		{Latest.String(), Latest, true},
+		{"", 0, false},
+		{"bogus", 0, false},
+		{"Distribution(42)", 0, false},
+	} {
+		d := Distribution(-1)
+		err := d.Set(tc.in)
+		if tc.ok && (err != nil || d != tc.want) {
+			t.Errorf("Set(%q) = %v, distribution %v; want %v", tc.in, err, d, tc.want)
+		}
+		if !tc.ok && (err == nil || d != Distribution(-1)) {
+			t.Errorf("Set(%q) = %v, distribution %v; want an error and no change", tc.in, err, d)
+		}
 	}
 }
 
