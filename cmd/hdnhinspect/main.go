@@ -92,7 +92,8 @@ func inspect(w io.Writer, dev *nvm.Device, opts core.Options, check bool) error 
 	recoveries, occupancy := r.LastRecovery(), r.OccupancyHistogram()
 	for i, st := range stats {
 		rs := recoveries[i]
-		fmt.Fprintf(w, "\nshard %d (recovery: scan %v, dedup %v, traversals=%d, clean=%v, dups=%d)\n", i,
+		fmt.Fprintf(w, "\nshard %d (recovery: serving after %v, swept after %v, scan %v, dedup %v, traversals=%d, clean=%v, dups=%d)\n", i,
+			rs.Serve.Round(time.Microsecond), rs.Sweep.Round(time.Microsecond),
 			rs.Scan.Round(time.Microsecond), rs.Dedup.Round(time.Microsecond), rs.Scans,
 			rs.CleanShutdown, rs.DuplicatesResolved)
 		fmt.Fprintf(w, "  items       %d\n", st.Items)

@@ -95,10 +95,11 @@ func main() {
 	rs := recovered.LastRecovery()[0]
 
 	fmt.Printf("\nrecovery complete in %v\n", time.Since(start).Round(time.Microsecond))
+	fmt.Printf("  serving after     %v\n", rs.Serve.Round(time.Microsecond))
+	fmt.Printf("  swept after       %v\n", rs.Sweep.Round(time.Microsecond))
 	fmt.Printf("  scan              %v\n", rs.Scan.Round(time.Microsecond))
 	fmt.Printf("  dedup             %v\n", rs.Dedup.Round(time.Microsecond))
 	fmt.Printf("  table traversals  %d\n", rs.Scans)
-	fmt.Printf("  total             %v\n", rs.Total.Round(time.Microsecond))
 	fmt.Printf("  media block reads %d\n", rs.MediaBlockReads)
 	fmt.Printf("  items recovered   %d\n", rs.Items)
 	fmt.Printf("  resumed rehash    %v\n", rs.ResumedRehash)

@@ -64,8 +64,8 @@ func main() {
 	}
 	defer recovered.Close()
 	rs := recovered.LastRecovery()[0]
-	fmt.Printf("recovered %d records in %v (scan %v, dedup %v, %d table traversals, torn updates fixed: %d)\n",
-		rs.Items, rs.Total.Round(0), rs.Scan.Round(0), rs.Dedup.Round(0), rs.Scans, rs.DuplicatesResolved)
+	fmt.Printf("recovered %d records: serving after %v, swept after %v (scan %v, dedup %v, %d table traversals, torn updates fixed: %d)\n",
+		rs.Items, rs.Serve.Round(0), rs.Sweep.Round(0), rs.Scan.Round(0), rs.Dedup.Round(0), rs.Scans, rs.DuplicatesResolved)
 
 	// Verify the crash-consistency contract: every surviving record holds
 	// either its insert-time or its update-time value — never a torn mix —

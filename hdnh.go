@@ -115,10 +115,12 @@ func DeviceFromImage(cfg DeviceOptions, image []uint64) (*Device, error) {
 // tables behind a hash router.
 func Create(dev *Device, opts Options) (*Router, error) { return core.CreateRouter(dev, opts) }
 
-// Open recovers the store on the device (replays interrupted resizes,
-// rebuilds the OCF and hot table of every shard). The persisted shard count
-// is authoritative: Options.Shards=0 adopts it, any other mismatch fails
-// with a clear error.
+// Open recovers the store on the device: it replays interrupted resizes and,
+// after a crash, resolves torn updates, then returns while a sweep per shard
+// rebuilds the OCF and hot table behind the serving store (an operation that
+// reaches a segment first rebuilds it itself). Router.WaitRecovered waits
+// for the sweeps. The persisted shard count is authoritative:
+// Options.Shards=0 adopts it, any other mismatch fails with a clear error.
 func Open(dev *Device, opts Options) (*Router, error) { return core.OpenRouter(dev, opts) }
 
 // OpenOrCreate opens the store on the device or creates a fresh one.

@@ -54,7 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"hdnh/internal/core"
 	"hdnh/internal/flight"
@@ -143,6 +143,13 @@ type Store struct {
 
 	gcs    []*gcShard // one GC state (and worker) per shard
 	gcLife gcLifecycle
+
+	// faults holds, per shard, the corruption the index's recovery sweep
+	// found there: a pointer outside the records the shard's log held when
+	// the store opened. faulted says whether any shard has one, so a healthy
+	// store's operations pay one load for the check.
+	faults  []atomic.Pointer[error]
+	faulted atomic.Bool
 }
 
 // Create formats a fresh store on the device.
@@ -191,25 +198,30 @@ func Create(dev *nvm.Device, opts Options) (*Store, error) {
 // the active segment's tail, then the HDNH index replays its own recovery (per
 // shard) with a visitor that rebuilds the liveness counters from the pointers
 // it holds — no log record is read (why the counts are exact: INTERNALS §7).
-// A pointer outside its shard log's appended records fails the Open with
-// vlog.ErrCorrupt.
+// The index serves while its recovery sweep still runs, and so does the
+// store; WaitRecovered waits for the sweep. A pointer the sweep finds outside
+// its shard log's appended records marks the shard corrupt: WaitRecovered,
+// AuditLiveness, the collector and every operation on the shard then fail
+// with an error wrapping vlog.ErrCorrupt that names shard and address, and
+// the key is never served.
 func Open(dev *nvm.Device, opts Options) (*Store, error) {
 	h := dev.NewHandle()
 	logs, err := openLogs(dev, h)
 	if err != nil {
 		return nil, err
 	}
-	var mu sync.Mutex
-	var bad error // a dangling pointer, or logs and index disagreeing on the shard count
+	st := &Store{logs: logs, dev: dev, h: h, opts: opts.withDefaults(len(logs)), faults: make([]atomic.Pointer[error], len(logs))}
+	extents := make([]vlog.Extent, len(logs))
+	for i, log := range logs {
+		extents[i] = log.Appended()
+	}
 	idx, err := core.OpenRouterVisit(dev, opts.Table, func(shard int, _ kv.Key, sv kv.Value) {
 		if sv[0] != tagPointer || shard >= len(logs) {
 			return
 		}
 		addr, words := unpackPointer(sv)
-		if !logs[shard].Covers(addr, words) {
-			mu.Lock()
-			bad = fmt.Errorf("bigkv: shard %d index points at log address %d (%d words), outside the appended records: %w", shard, addr, words, vlog.ErrCorrupt)
-			mu.Unlock()
+		if !extents[shard].Covers(addr, words) {
+			st.fault(shard, fmt.Errorf("bigkv: shard %d index points at log address %d (%d words), outside the appended records: %w", shard, addr, words, vlog.ErrCorrupt))
 			return
 		}
 		logs[shard].AddLive(addr, words)
@@ -218,15 +230,46 @@ func Open(dev *nvm.Device, opts Options) (*Store, error) {
 		return nil, err
 	}
 	if n := idx.NumShards(); n != len(logs) {
-		bad = fmt.Errorf("bigkv: device holds %d value logs, index holds %d shards", len(logs), n)
-	}
-	if bad != nil {
 		idx.Close()
-		return nil, bad
+		return nil, fmt.Errorf("bigkv: device holds %d value logs, index holds %d shards", len(logs), n)
 	}
-	st := &Store{idx: idx, logs: logs, dev: dev, h: h, opts: opts.withDefaults(len(logs))}
+	st.idx = idx
 	st.start()
 	return st, nil
+}
+
+// fault records the corruption the recovery sweep found in a shard's index;
+// the first one per shard stays.
+func (st *Store) fault(shard int, err error) {
+	if st.faults[shard].CompareAndSwap(nil, &err) {
+		st.faulted.Store(true)
+	}
+}
+
+// shardErr returns the corruption recorded for a shard, nil while none. The
+// sweep records it before it publishes the segment that holds the pointer
+// built, so an operation that reached that segment sees it.
+func (st *Store) shardErr(shard int) error {
+	if !st.faulted.Load() {
+		return nil
+	}
+	if p := st.faults[shard].Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// WaitRecovered returns once the index's recovery sweeps are over, helping
+// them meanwhile, with the first shard's corruption they found, if any.
+// Open followed by WaitRecovered is the eager recovery of the paper's §3.7.
+func (st *Store) WaitRecovered() error {
+	st.idx.WaitRecovered()
+	for i := range st.faults {
+		if err := st.shardErr(i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // openLogs opens the value log(s) the device holds — the single log under
@@ -282,7 +325,8 @@ func (st *Store) Log() *vlog.Log { return st.logs[0] }
 // Logs exposes every shard's value log, in shard order.
 func (st *Store) Logs() []*vlog.Log { return st.logs }
 
-// Count returns the number of live keys.
+// Count returns the number of live keys, once the recovery sweep has counted
+// them all. It reports no corruption; WaitRecovered does.
 func (st *Store) Count() int64 { return st.idx.Count() }
 
 // EpochSlotsLive reports epoch slots owned by sessions not yet Closed,
@@ -324,8 +368,13 @@ func (st *Store) MetricsSnapshot() obs.Snapshot {
 // segment that can then never be recycled. With the two sets equal, the
 // words behind a segment's set bits are the pointers' words, which the
 // counter comparison covers. Valid only while the store is quiesced (no
-// concurrent sessions, no GC pass in flight).
+// concurrent sessions, no GC pass in flight). The counters are whole only
+// once the recovery sweep is over, so the audit waits for it first and
+// reports any corruption it found.
 func (st *Store) AuditLiveness() error {
+	if err := st.WaitRecovered(); err != nil {
+		return err
+	}
 	var firstErr error
 	fail := func(format string, args ...any) {
 		if firstErr == nil {
@@ -522,6 +571,17 @@ func unpackPointer(sv kv.Value) (addr, words int64) {
 // shardOf routes a key to its shard index (and hence its log).
 func (s *Session) shardOf(k kv.Key) int { return s.st.idx.ShardForKey(k) }
 
+// keyErr is the corruption recorded for k's shard (see Open). Every operation
+// checks it before it starts, and again once its index call has returned —
+// that call may have built the segment holding the bad pointer, k's own among
+// them — before it retires or decodes anything.
+func (s *Session) keyErr(k kv.Key) error {
+	if !s.st.faulted.Load() {
+		return nil
+	}
+	return s.st.shardErr(s.shardOf(k))
+}
+
 // retire decrements the liveness of the record a displaced index entry for
 // k pointed at; inline entries carry no log record. Addresses are
 // log-relative, so the owning shard's log must be named by the key.
@@ -579,8 +639,14 @@ func (s *Session) Put(key, value []byte) error {
 	if len(value) == 0 {
 		return errors.New("bigkv: empty value")
 	}
+	if err := s.keyErr(k); err != nil {
+		return err
+	}
 	if len(value) <= maxInline {
 		old, hadOld, err := s.ts.PutExchange(k, inline(value))
+		if ferr := s.keyErr(k); ferr != nil {
+			return ferr
+		}
 		if err == nil && hadOld {
 			s.retire(k, old)
 		}
@@ -597,6 +663,9 @@ func (s *Session) putLogged(k kv.Key, value []byte) error {
 	for {
 		seen := s.st.logs[sh].Recycles()
 		old, hadOld, err := s.ts.PutRecord(k, value)
+		if ferr := s.st.shardErr(sh); ferr != nil {
+			return ferr
+		}
 		if err == nil {
 			if hadOld {
 				s.retire(k, old)
@@ -621,6 +690,9 @@ func (s *Session) Get(key []byte) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	sv, ok := s.ts.Get(k)
+	if err := s.keyErr(k); err != nil {
+		return nil, false, err
+	}
 	if !ok {
 		return nil, false, nil
 	}
@@ -668,6 +740,9 @@ func (s *Session) MultiGet(keys [][]byte) (vals [][]byte, found []bool, errs []e
 	}
 	s.ts.MultiGet(kks, svs, hit)
 	for i := range kks {
+		if errs[i] == nil {
+			errs[i] = s.keyErr(kks[i])
+		}
 		if errs[i] != nil || !hit[i] {
 			continue
 		}
@@ -707,6 +782,9 @@ func (s *Session) MultiPut(keys, values [][]byte) []error {
 			errs[i] = errors.New("bigkv: empty value")
 			continue
 		}
+		if errs[i] = s.keyErr(k); errs[i] != nil {
+			continue
+		}
 		var sv kv.Value
 		var rec []byte
 		if len(v) <= maxInline {
@@ -735,6 +813,10 @@ func (s *Session) MultiPut(keys, values [][]byte) []error {
 	full := false
 	for j, i := range fi {
 		errs[i] = ferrs[j]
+		if ferr := s.keyErr(fk[j]); ferr != nil {
+			errs[i], ferrs[j] = ferr, ferr
+			continue
+		}
 		switch {
 		case ferrs[j] == nil:
 			if fhad[j] {
@@ -785,6 +867,9 @@ func (s *Session) MultiDelete(keys [][]byte) []error {
 	fi := scratchSlice(ms.fi, n)[:0]
 	for i := range keys {
 		k, err := kv.MakeKey(keys[i])
+		if err == nil {
+			err = s.keyErr(k)
+		}
 		if err != nil {
 			errs[i] = err
 			continue
@@ -802,6 +887,10 @@ func (s *Session) MultiDelete(keys [][]byte) []error {
 	s.ts.MultiDeleteExchange(kks, olds, derrs)
 	for j, i := range fi {
 		errs[i] = derrs[j]
+		if ferr := s.keyErr(kks[j]); ferr != nil {
+			errs[i] = ferr
+			continue
+		}
 		if derrs[j] == nil {
 			s.retire(kks[j], olds[j])
 		}
@@ -816,7 +905,13 @@ func (s *Session) Delete(key []byte) error {
 	if err != nil {
 		return err
 	}
+	if err := s.keyErr(k); err != nil {
+		return err
+	}
 	old, err := s.ts.DeleteExchange(k)
+	if ferr := s.keyErr(k); ferr != nil {
+		return ferr
+	}
 	if err != nil {
 		return err
 	}

@@ -133,6 +133,12 @@ func (g *gcShard) worker() {
 				continue
 			}
 		}
+		// Until the index's recovery sweep is over the liveness counters are
+		// partial. A pass would wait for the sweep (gcOnce); the worker
+		// leaves that to writers that need room and keeps Close prompt.
+		if !g.st.idx.Swept() {
+			continue
+		}
 		// Reclaim until the pressure is gone or a pass stops progressing
 		// (residual in-flight liveness resolves by the next kick/tick).
 		for g.low() {
@@ -197,7 +203,15 @@ func (g *gcShard) reclaim(seen int64, err error) error {
 // gcOnce runs one pass on this shard. victim is the segment pickVictim
 // named, -1 when no sealed segment holds a dead word, and freed whether the
 // pass recycled it.
+//
+// A pass needs whole liveness counters, so it first waits for the index's
+// recovery sweep, helping it, and fails with the shard's corruption if the
+// sweep found one.
 func (g *gcShard) gcOnce() (victim int64, freed bool, err error) {
+	g.st.idx.WaitRecovered()
+	if err := g.st.shardErr(g.shard); err != nil {
+		return -1, false, err
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	defer g.syncGCObs()

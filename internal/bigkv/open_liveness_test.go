@@ -27,6 +27,9 @@ import (
 // header).
 func auditLivenessFromLog(t *testing.T, st *Store, when string) {
 	t.Helper()
+	if err := st.WaitRecovered(); err != nil { // the counters are whole once the sweep is over
+		t.Fatalf("%s: %v", when, err)
+	}
 	h := st.dev.NewHandle()
 	for si, log := range st.logs {
 		s := st.idx.NewShardSession(si)
@@ -139,9 +142,9 @@ func TestOpenLivenessIgnoresDamagedDeadRecord(t *testing.T) {
 
 // TestOpenRejectsDanglingPointer: an index entry whose pointer lands in a
 // FREE segment, or past the appended words of the active one, must fail the
-// Open loudly — counted dead it would surface only when someone reads the
-// key. The entries are written through the index itself, so each is as
-// durable as any other.
+// recovery loudly — Open plus WaitRecovered — counted dead it would surface
+// only when someone reads the key. The entries are written through the index
+// itself, so each is as durable as any other.
 func TestOpenRejectsDanglingPointer(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -191,9 +194,24 @@ func TestOpenRejectsDanglingPointer(t *testing.T) {
 					t.Fatal(err)
 				}
 				for attempt := 0; attempt < 2; attempt++ { // the failed Open leaves nothing behind that blocks the next
+					// Open serves at once; the recovery sweep finds the
+					// pointer. A Get of the key, which builds its segment
+					// itself if the sweep has not, fails and serves nothing,
+					// and WaitRecovered and the audit report it.
 					st2, err := Open(dev, opts)
 					if err == nil {
+						s2 := st2.NewSession()
+						if v, _, gerr := s2.Get([]byte("dangling")); !errors.Is(gerr, vlog.ErrCorrupt) || v != nil {
+							t.Fatalf("Get of the dangling key = %q, %v; want nothing and vlog.ErrCorrupt", v, gerr)
+						}
+						s2.Close()
+						err = st2.WaitRecovered()
+						if aerr := st2.AuditLiveness(); aerr == nil || aerr.Error() != fmt.Sprint(err) {
+							t.Fatalf("AuditLiveness = %v, WaitRecovered = %v; want the same corruption", aerr, err)
+						}
 						st2.Close()
+					}
+					if err == nil {
 						t.Fatalf("Open accepted a pointer to address %d", addr)
 					}
 					if !errors.Is(err, vlog.ErrCorrupt) {

@@ -30,7 +30,9 @@ func (t *Table) CheckInvariants() []error {
 	// installed; the audit then covers it as a third level. The wait and the
 	// lock acquisition race a fresh expansion (drain workers are not epoch
 	// participants, so the gate alone cannot stop them) — loop until the
-	// table is observed drained-or-failed with the mutator lock held.
+	// table is observed drained-or-failed with the mutator lock held. The
+	// recovery sweep goes first: the audit reads every segment's OCF.
+	t.waitSwept()
 	for {
 		t.waitDrain()
 		t.resizeMu.Lock()

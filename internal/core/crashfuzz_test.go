@@ -148,6 +148,7 @@ func runCrashFuzz(t *testing.T, seed uint64) {
 		t.Fatalf("recovery failed (seed %d, crash flush %d): %v", seed, crashAt, err)
 	}
 	defer tbl2.Close()
+	tbl2.waitSwept() // the sweep is the traversal that visits
 	if got := int64(len(visits.vals)); got != tbl2.Count() {
 		t.Fatalf("seed %d: recovery visitor saw %d records, table counts %d", seed, got, tbl2.Count())
 	}

@@ -206,6 +206,7 @@ func TestFlightRecordsResizeAndRecovery(t *testing.T) {
 	if _, ok := s2.Get(key(1)); !ok {
 		t.Fatal("key lost across close/open")
 	}
+	tbl2.waitSwept() // the sweep records its step when it ends
 
 	d := fr.Snapshot()
 	for _, k := range []flight.Kind{
@@ -219,7 +220,7 @@ func TestFlightRecordsResizeAndRecovery(t *testing.T) {
 			t.Fatalf("dump has no %v event", k)
 		}
 	}
-	// A clean Open is one step: the scan, which rebuilds the OCF and the hot
+	// A clean Open is one step: the sweep, which rebuilds the OCF and the hot
 	// table in one traversal.
 	steps := map[flight.RecoveryStep]int{}
 	for _, e := range d.Events {
@@ -227,8 +228,8 @@ func TestFlightRecordsResizeAndRecovery(t *testing.T) {
 			steps[flight.RecoveryStep(e.A)]++
 		}
 	}
-	if len(steps) != 1 || steps[flight.RecScan] != 1 {
-		t.Fatalf("recovery steps in trace: %v, want one scan", steps)
+	if len(steps) != 1 || steps[flight.RecSweep] != 1 {
+		t.Fatalf("recovery steps in trace: %v, want one sweep", steps)
 	}
 }
 

@@ -157,7 +157,7 @@ func TestDrainBarrierCounts(t *testing.T) {
 				i++
 			}
 		}
-		tbl.scanLevel(src, nil, nil)
+		tbl.scanLevel(src)
 		task := tbl.newDrainTask(src, 1, time.Now(), true, tbl.state())
 		tbl.draining.Store(task)
 

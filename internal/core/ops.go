@@ -187,8 +187,12 @@ const (
 // own). The rescans are capped by Options.lookupRetryBudget (1024), each
 // after a yield; exhausting it returns lookupContended, never lookupMissing.
 // Caller must be inside an epoch critical section (enterCritical), or be a
-// drain worker, whose levels the in-flight task pins.
+// drain worker, whose levels the in-flight task pins. Before its first pass
+// the walk builds any of the key's candidate segments the recovery sweep has
+// not (buildCandidates): every slot a write goes on to lock or place into
+// for this key lies in them.
 func (t *Table) walk(h *nvm.Handle, k kv.Key, h1, h2 uint64, fp uint8, ps *probeStats, mode walkMode) (hit, lookupResult) {
+	t.buildCandidates(h1, h2)
 	kw0, kw1 := k.Pack()
 	for pass := 0; pass < t.opts.lookupRetryBudget; pass++ {
 		if pass > 0 {
@@ -344,6 +348,7 @@ func (t *Table) displaceOne(h *nvm.Handle, h1, h2 uint64) bool {
 					continue
 				}
 				vh1, vh2, vfp := hashKV(vk[:])
+				t.buildCandidates(vh1, vh2) // the victim's alternates may lie in segments not yet swept
 				dst, dc, ok := t.lockEmptySlotExcluding(vh1, vh2, victim)
 				if !ok {
 					lvl.ocfRelease(b, s, true, ocfFP(c), ocfVer(c))

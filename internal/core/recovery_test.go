@@ -40,6 +40,23 @@ func (l *visitLog) visitShard(shard int, k kv.Key, v kv.Value) {
 
 func (l *visitLog) visit(k kv.Key, v kv.Value) { l.visitShard(0, k, v) }
 
+// holdSweep parks every recovery sweep worker started from here on before
+// it claims a segment, until the returned release runs (or the test ends):
+// segments are then built only by the operations that reach them and by
+// waitSwept's help, in cursor order. Release before closing the table:
+// Close joins the workers.
+func holdSweep(t *testing.T) (release func()) {
+	hold := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(hold) }) }
+	sweepHook = func() { <-hold }
+	t.Cleanup(func() {
+		release()
+		sweepHook = nil
+	})
+	return release
+}
+
 func newStrictDev(t *testing.T, words int64, evictProb float64) *nvm.Device {
 	t.Helper()
 	cfg := nvm.StrictConfig(words)
@@ -86,7 +103,7 @@ func TestReopenAfterCleanShutdown(t *testing.T) {
 	if rs.Items != n {
 		t.Errorf("recovered %d items, want %d", rs.Items, n)
 	}
-	if rs.Scan <= 0 || rs.Total <= 0 || rs.Scans != 1 || rs.Dedup != 0 {
+	if rs.Scan <= 0 || rs.Serve <= 0 || rs.Sweep < rs.Serve || rs.Scans != 1 || rs.Dedup != 0 {
 		t.Errorf("recovery stats not populated: %+v", rs)
 	}
 	if tbl2.Count() != n {
@@ -830,10 +847,15 @@ func TestRecoveryHotFillMatchesTwoPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Eager recovery at one worker: the worker is held, so waitSwept's
+		// help builds every segment, in cursor order, on this goroutine.
+		release := holdSweep(t)
 		tbl2, err := openRoot(dev2, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		tbl2.waitSwept()
+		release()
 		if tbl2.HotEntries() >= n {
 			t.Fatalf("%d hot entries for %d records: nothing was replaced", tbl2.HotEntries(), n)
 		}

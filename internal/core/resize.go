@@ -133,6 +133,9 @@ func (task *drainTask) claim(worker int) (r *drainRange, lo, hi int64, ok bool) 
 // immediately with background workers draining, so the caller's retry
 // proceeds against the new top level while the rehash is still in flight.
 func (t *Table) expand(observedGen uint64) error {
+	// A doubling rehashes and promotes whole levels, so the recovery sweep
+	// must have built them all first.
+	t.waitSwept()
 	for {
 		if task := t.draining.Load(); task != nil {
 			if !task.failed.Load() {

@@ -134,16 +134,18 @@ func CreateRouter(dev *nvm.Device, opts Options) (*Router, error) {
 // OpenRouter recovers the table(s) stored on the device. The persisted
 // shard count is authoritative: Options.Shards=0 adopts it; any other value
 // must match it (a clear mismatch error beats silently re-routing keys into
-// the wrong shard). Each shard replays its own recovery, in shard order.
+// the wrong shard). Each shard replays its own recovery, in shard order, up
+// to the point where it can serve; a sweep per shard then rebuilds the DRAM
+// index behind it (WaitRecovered waits for the sweeps).
 func OpenRouter(dev *nvm.Device, opts Options) (*Router, error) {
 	return OpenRouterVisit(dev, opts, nil)
 }
 
 // OpenRouterVisit is OpenRouter with a visitor: when visit is non-nil, each
-// shard's recovery hands it every committed record together with the shard
-// index, under RecoveryVisitor's contract (each key once, after replay and
-// dedup, from several goroutines at once). Shards recover one after another,
-// so calls for different shards never overlap.
+// shard's recovery sweep hands it every committed record together with the
+// shard index, under RecoveryVisitor's contract (each key once, after replay
+// and dedup, from several goroutines at once — the shards' sweeps run side
+// by side, after OpenRouterVisit has returned).
 func OpenRouterVisit(dev *nvm.Device, opts Options, visit func(shard int, k kv.Key, v kv.Value)) (*Router, error) {
 	shardVisit := func(shard int) RecoveryVisitor {
 		if visit == nil {
@@ -199,6 +201,27 @@ func OpenOrCreateRouter(dev *nvm.Device, opts Options) (*Router, error) {
 		return CreateRouter(dev, opts)
 	}
 	return OpenRouter(dev, opts)
+}
+
+// WaitRecovered returns once every shard's recovery sweep has built its last
+// segment, helping the sweeps meanwhile: Open followed by WaitRecovered is
+// the eager recovery of the paper's §3.7. It returns at once on a created
+// store.
+func (r *Router) WaitRecovered() {
+	for _, t := range r.shards {
+		t.waitSwept()
+	}
+}
+
+// Swept reports, without waiting, whether every shard's recovery sweep has
+// built its last segment.
+func (r *Router) Swept() bool {
+	for _, t := range r.shards {
+		if t.segmentsPending() != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // NumShards returns the shard count.
@@ -311,13 +334,16 @@ func (r *Router) MetricsSnapshot() obs.Snapshot {
 }
 
 // gauges aggregates shard shapes: additive fields sum, Generation takes the
-// max, Resizing is any, and device-wide readings are taken once.
+// max, Resizing is any, and device-wide readings are taken once. It never
+// waits for a recovery sweep: while one runs, Items counts the segments
+// built so far and RecoverySegmentsPending the rest.
 func (r *Router) gauges() obs.Gauges {
 	var g obs.Gauges
 	g.Shards = int64(len(r.shards))
 	g.PerShard = make([]obs.ShardGauges, len(r.shards))
 	for i, t := range r.shards {
-		ts := t.Stats()
+		ts := t.shape()
+		g.RecoverySegmentsPending += t.segmentsPending()
 		sg := obs.ShardGauges{
 			Shard:                 int64(i),
 			Items:                 ts.Items,

@@ -306,6 +306,7 @@ func TestRouterRecoveryMultiShard(t *testing.T) {
 		t.Fatalf("OpenRouter after crash: %v", err)
 	}
 	defer reopened.Close()
+	reopened.WaitRecovered() // the sweeps are the traversals that visit
 	if got := reopened.NumShards(); got != 4 {
 		t.Fatalf("recovered NumShards = %d, want 4", got)
 	}

@@ -43,11 +43,20 @@ func (s TableStats) String() string {
 		s.HotEntries, s.HotCapacity, s.DeviceWordsUsed, s.DeviceWords)
 }
 
-// Stats returns a snapshot of the table's shape. Lock-free: the level pair
-// is one atomic pointer, and the remaining fields are individually atomic
-// (the snapshot is internally consistent about the geometry, approximate
-// about the rest — same as before, when only the geometry was lock-covered).
+// Stats returns a snapshot of the table's shape, once the recovery sweep has
+// counted every record. Lock-free: the level pair is one atomic pointer, and
+// the remaining fields are individually atomic (the snapshot is internally
+// consistent about the geometry, approximate about the rest — same as
+// before, when only the geometry was lock-covered).
 func (t *Table) Stats() TableStats {
+	t.waitSwept()
+	return t.shape()
+}
+
+// shape is Stats without the wait: during a recovery sweep Items counts only
+// the segments built so far. The metrics scrape reads it, so a scrape never
+// blocks on the sweep.
+func (t *Table) shape() TableStats {
 	pr := t.pair()
 	st := TableStats{
 		Items:                 t.count.Load(),
@@ -87,8 +96,11 @@ func (t *Table) Stats() TableStats {
 // passed, so scan never overlaps one: it waits out a rehash in flight before
 // it starts, and its critical section holds back the drain of any doubling
 // that begins later (a long scan delays that drain's start, not the swap).
+//
+// scan reads every segment's OCF, so it first waits for the recovery sweep.
 func (s *session) scan(fn func(k kv.Key, v kv.Value) bool) int64 {
 	t := s.t
+	t.waitSwept()
 	for {
 		s.enterCritical()
 		// No task seen from inside the section means any later one bumps the
@@ -150,8 +162,10 @@ type Occupancy struct {
 }
 
 // occupancy computes the table's bucket-fill histograms from the OCF (DRAM
-// only), so it is cheap enough for monitoring.
+// only), so it is cheap enough for monitoring — once the recovery sweep has
+// built it.
 func (t *Table) occupancy() (o Occupancy) {
+	t.waitSwept()
 	pr := t.pair()
 	fill := func(lvl *level, out *[SlotsPerBucket + 1]int64) {
 		for b := int64(0); b < lvl.buckets(); b++ {

@@ -57,9 +57,14 @@ type Table struct {
 	recovery   RecoveryStats
 	closed     atomic.Bool
 
-	// recoveryReads gathers the recovery workers' media block reads for
-	// RecoveryStats.MediaBlockReads; untouched after recovery returns.
+	// recoveryReads gathers the media block reads of the recovery workers
+	// and of every segment build for RecoveryStats.MediaBlockReads; untouched once the
+	// sweep is over.
 	recoveryReads atomic.Uint64
+
+	// sw is the recovery sweep still building the DRAM index behind an
+	// Open; nil for a created table. Set before any session exists.
+	sw *sweep
 
 	// testHookLookupPass, when non-nil, runs at the start of every NVT-walk
 	// pass (after the movement snapshot). Tests use it to simulate sustained
@@ -186,9 +191,10 @@ func createDetached(dev *nvm.Device, opts Options) (*Table, error) {
 }
 
 // openRoot recovers the unsharded table root slot 0 links: it replays any
-// interrupted resize, rebuilds the OCF and hot table from the non-volatile
-// table (in parallel batches), and removes torn duplicates left by a crashed
-// out-of-place update. visit, when non-nil, sees every committed record once.
+// interrupted resize and removes torn duplicates left by a crashed
+// out-of-place update, then returns while a sweep rebuilds the OCF and hot
+// table from the non-volatile table. visit, when non-nil, sees every
+// committed record once.
 func openRoot(dev *nvm.Device, opts Options, visit RecoveryVisitor) (*Table, error) {
 	if dev.Root(rootSlot) == 0 {
 		return nil, errors.New("core: device holds no table; use CreateRouter")
@@ -211,6 +217,7 @@ func openAt(dev *nvm.Device, opts Options, metaOff int64, visit RecoveryVisitor)
 		return nil, err
 	}
 	t.initVolatile()
+	t.startSweep()
 	return t, nil
 }
 
@@ -238,8 +245,12 @@ func (t *Table) setState(h *nvm.Handle, s tableState) {
 	h.StorePersist(t.metaOff+metaStateWord, s.pack())
 }
 
-// Count returns the number of live records.
-func (t *Table) Count() int64 { return t.count.Load() }
+// Count returns the number of live records, once the recovery sweep has
+// counted them all.
+func (t *Table) Count() int64 {
+	t.waitSwept()
+	return t.count.Load()
+}
 
 // Capacity returns the total NVT slot count. The pair load is atomic, so
 // the sum is always internally consistent even against a racing swap.
@@ -275,12 +286,16 @@ func (t *Table) HotEntries() int64 {
 }
 
 // LastRecovery returns statistics from the recovery that built this table
-// (zero-valued for freshly created tables).
-func (t *Table) LastRecovery() RecoveryStats { return t.recovery }
+// (zero-valued for freshly created tables), once its sweep is over.
+func (t *Table) LastRecovery() RecoveryStats {
+	t.waitSwept()
+	return t.recovery
+}
 
 // Close marks a clean shutdown, first letting any in-flight incremental
-// rehash finish so the clean flag never covers a half-drained image. The
-// caller must have quiesced all sessions first.
+// rehash finish so the clean flag never covers a half-drained image, and
+// stopping the recovery sweep, which wrote nothing durable. The caller must
+// have quiesced all sessions first.
 func (t *Table) Close() error {
 	if t.closed.Swap(true) {
 		return nil
@@ -291,8 +306,13 @@ func (t *Table) Close() error {
 	return nil
 }
 
-// StopBackground waits out the only background machinery a table has — the
-// drain workers of an in-flight rehash — without marking a clean shutdown:
-// the recovery benchmarks' stand-in for pulling the power cord on a model-
-// mode device. Idempotent; Close calls it too.
-func (t *Table) StopBackground() { t.waitDrain() }
+// StopBackground halts a table's background machinery — it waits out the
+// drain workers of an in-flight rehash and stops the recovery sweep's
+// workers between segments — without marking a clean shutdown: the recovery
+// benchmarks' stand-in for pulling the power cord on a model-mode device.
+// Segments the sweep left are still built on first touch. Idempotent; Close
+// calls it too.
+func (t *Table) StopBackground() {
+	t.waitDrain()
+	t.stopSweep()
+}

@@ -163,9 +163,14 @@ const (
 	RecDrain
 	RecDedup
 	recHot // decode-only: saved dumps may hold it, nothing records it
-	// RecScan is recovery's last traversal: OCF and SWAR words, count, hot
-	// table and visitor in one pass. Appended, so saved dumps still decode.
+	// RecScan is the last traversal when recovery ran it whole before
+	// serving; decode-only since the sweep replaced it.
 	RecScan
+	// RecSweep is recovery's last traversal, run behind the open table: OCF
+	// and SWAR words, count, hot table and visitor, segment by segment. Its
+	// duration runs from the start of recovery to the last segment built.
+	// Appended, so saved dumps still decode.
+	RecSweep
 	numRecoverySteps
 )
 
@@ -184,6 +189,8 @@ func (s RecoveryStep) String() string {
 		return "hot-rebuild"
 	case RecScan:
 		return "scan"
+	case RecSweep:
+		return "sweep"
 	default:
 		return "unknown"
 	}

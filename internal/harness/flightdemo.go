@@ -155,6 +155,12 @@ func FigFlightDemo(sc Scale) (*Experiment, error) {
 		}
 	}
 	read.SyncObs()
+	// The reads ran beside the recovery sweep; its step is traced when it
+	// builds its last segment, so let it finish before closing.
+	if err := st.WaitRecovered(); err != nil {
+		st.Close()
+		return nil, err
+	}
 	if err := st.Close(); err != nil {
 		return nil, err
 	}

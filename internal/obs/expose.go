@@ -114,6 +114,7 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	gauge("hdnh_epoch_slots_live", "Epoch slots owned by unclosed sessions.", "%d", s.Gauges.EpochSlotsLive)
 	gauge("hdnh_resizing", "1 while an incremental rehash is in flight.", "%d", s.Gauges.Resizing)
 	gauge("hdnh_drain_buckets_remaining", "Drain-level buckets not yet durably rehashed.", "%d", s.Gauges.DrainBucketsRemaining)
+	gauge("hdnh_recovery_segments_pending", "Segments the recovery sweep has yet to rebuild in DRAM.", "%d", s.Gauges.RecoverySegmentsPending)
 	if s.Gauges.VLogSegments > 0 {
 		gauge("hdnh_vlog_segments", "Value-log segment count.", "%d", s.Gauges.VLogSegments)
 		gauge("hdnh_vlog_free_segments", "Value-log segments on the free list.", "%d", s.Gauges.VLogFreeSegments)

@@ -48,6 +48,10 @@ type Gauges struct {
 	// DrainBucketsRemaining is its not-yet-durably-complete bucket count.
 	Resizing              int64 `json:"resizing"`
 	DrainBucketsRemaining int64 `json:"drain_buckets_remaining"`
+	// RecoverySegmentsPending counts the segments a reopened store's
+	// recovery sweep has yet to build; 0 once it is over. Items counts only
+	// the built ones until then.
+	RecoverySegmentsPending int64 `json:"recovery_segments_pending"`
 	// Value-log shape (zero unless the store runs one — see bigkv):
 	// segment counts plus the live/used word totals whose ratio is the
 	// log's garbage fraction.

@@ -110,6 +110,12 @@ type Server struct {
 	tracerMu    sync.Mutex
 	tracerFree  []*flight.Handle
 	tracersMade int
+
+	// testHookRead, when non-nil, runs on a connection's goroutine each time
+	// it is about to block in Read — past the previous burst's draining
+	// check. Tests use it to know a connection is parked. Always nil in
+	// production.
+	testHookRead func()
 }
 
 // NewServer builds a Server; opts fields left zero take their defaults.
@@ -416,6 +422,9 @@ func (c *conn) fill() error {
 		}
 		c.w = copy(c.in, unparsed)
 		c.r = 0
+	}
+	if hook := c.s.testHookRead; hook != nil {
+		hook()
 	}
 	n, err := c.nc.Read(c.in[c.w:])
 	c.w += n

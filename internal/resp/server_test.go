@@ -347,6 +347,8 @@ func TestSessionsReleasedOnDisconnect(t *testing.T) {
 func TestShutdownForceClosesIdleConnections(t *testing.T) {
 	st := newTestStore(t, 1)
 	srv := NewServer(StoreBackend{St: st}, Options{})
+	reads := make(chan struct{}, 4)
+	srv.testHookRead = func() { reads <- struct{}{} }
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -368,6 +370,11 @@ func TestShutdownForceClosesIdleConnections(t *testing.T) {
 	if _, err := io.ReadFull(nc, pong); err != nil {
 		t.Fatal(err)
 	}
+	// The connection reads once for the PING and once more after the PONG,
+	// past its draining check: only then is it parked, and only a parked
+	// connection holds Shutdown to its deadline.
+	<-reads
+	<-reads
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()

@@ -428,16 +428,34 @@ func (l *Log) VisitLive(seg int64, fn func(addr int64) bool) {
 // found an earlier reservation still unacknowledged and had to wait for it.
 func (l *Log) AckWaits() int64 { return l.ackWaits.Load() }
 
+// Extent is a snapshot of where a log's records lie: per segment, the words
+// appended into it if it is SEALED or ACTIVE, else 0.
+type Extent struct {
+	segWords int64
+	used     []int64
+}
+
+// Appended snapshots the log's appended records. bigkv takes it when it
+// opens a store, so the pointers its recovery sweep checks later are judged
+// against the log as recovered, not as the appends since have grown it.
+func (l *Log) Appended() Extent {
+	e := Extent{segWords: l.segWords, used: make([]int64, l.numSegs)}
+	for seg := range e.used {
+		if st := l.State(int64(seg)); st == SegSealed || st == SegActive {
+			e.used[seg] = l.used[seg].Load()
+		}
+	}
+	return e
+}
+
 // Covers reports whether words [addr, addr+words) lie inside the appended
 // part of a SEALED or ACTIVE segment — what a pointer to a committed record
 // satisfies and a dangling one does not.
-func (l *Log) Covers(addr, words int64) bool {
-	if addr < 0 || addr >= l.Capacity() || words < recordHeaderWords {
+func (e Extent) Covers(addr, words int64) bool {
+	if addr < 0 || addr >= e.segWords*int64(len(e.used)) || words < recordHeaderWords {
 		return false
 	}
-	seg := addr / l.segWords
-	st := l.State(seg)
-	return (st == SegSealed || st == SegActive) && addr%l.segWords+words <= l.used[seg].Load()
+	return addr%e.segWords+words <= e.used[addr/e.segWords]
 }
 
 // LiveWords returns the total live words across all segments.

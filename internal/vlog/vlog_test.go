@@ -334,7 +334,7 @@ func TestOpenRecoversEveryState(t *testing.T) {
 		{"negative address", -1, w, false},
 		{"past the log", l2.Capacity(), w, false},
 	} {
-		if got := l2.Covers(tc.addr, tc.words); got != tc.want {
+		if got := l2.Appended().Covers(tc.addr, tc.words); got != tc.want {
 			t.Errorf("Covers(%d, %d) [%s] = %v, want %v", tc.addr, tc.words, tc.name, got, tc.want)
 		}
 	}
