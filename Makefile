@@ -39,9 +39,8 @@ clean:
 flight-demo:
 	$(GO) run ./cmd/hdnhbench -fig flightdemo -records 20000 -ops 40000 -mode model -flight-out flight-demo.json
 
-# Short fuzz passes over the two binary readers and the RESP command parser
-# (CI runs the same smoke).
+# Short fuzz passes over the trace reader and the RESP command parser (CI
+# runs the same smoke).
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/trace/
-	$(GO) test -fuzz=FuzzFlightReader -fuzztime=30s ./internal/flight/
 	$(GO) test -fuzz=FuzzParseCommand -fuzztime=30s ./internal/resp/

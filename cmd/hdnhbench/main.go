@@ -39,7 +39,7 @@ func main() {
 		csvDir    = flag.String("csv", "", "also write each experiment as <dir>/<id>.csv")
 		jsonOut   = flag.String("json", "", "also write every selected experiment to this file as one JSON document")
 		metrics   = flag.Bool("metrics", false, "collect HDNH observability counters and print the Prometheus exposition after the runs")
-		flightOut = flag.String("flight-out", "", "record a flight trace across the runs and write it to this file (.json => Chrome/Perfetto trace events, else binary dump)")
+		flightOut = flag.String("flight-out", "", "record a flight trace across the runs and write it to this file (.json => Chrome/Perfetto trace events, else the text rendering)")
 	)
 	mode := nvm.ModeEmulate
 	flag.Var(&mode, "mode", "device mode: model | emulate | strict")
@@ -141,7 +141,7 @@ func main() {
 		"flightdemo": {"Flight-recorder demo: mixed churn with resize, GC, and recovery (extension)", single(harness.FigFlightDemo)},
 		"batchscale": {"Batched reads: throughput vs MultiGet batch size (extension)", single(harness.FigBatchScale)},
 		"shardscale": {"Shard router: mixed throughput vs shard count (extension)", single(harness.FigShardScale)},
-		"pipescale":  {"Wire protocol: HTTP /kv/ vs RESP pipeline depth (extension)", single(harness.FigPipeScale)},
+		"pipescale":  {"Wire protocol: RESP GET throughput by pipeline depth (extension)", single(harness.FigPipeScale)},
 		"putscale":   {"Group commit: upsert throughput vs MultiPut batch size (extension)", single(harness.FigPutScale)},
 	}
 	order := []string{"fig11a", "fig11b", "fig12", "fig13", "fig14", "fig15", "table1", "ablation", "loadfactor", "hybrid", "resize", "vloggc", "flightdemo", "batchscale", "shardscale", "pipescale", "putscale"}
@@ -225,8 +225,8 @@ func writeJSON(path string, sc harness.Scale, exps []*harness.Experiment) error 
 }
 
 // writeFlight dumps the recorder: Chrome trace-event JSON (load it in
-// Perfetto or chrome://tracing) for .json paths, the compact binary format
-// (read it back with `hdnhinspect flight`) otherwise.
+// Perfetto or chrome://tracing) for .json paths, the text rendering
+// otherwise.
 func writeFlight(path string, fr *flight.Recorder) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -236,7 +236,7 @@ func writeFlight(path string, fr *flight.Recorder) error {
 	if strings.HasSuffix(path, ".json") {
 		err = flight.WriteChromeTrace(f, d)
 	} else {
-		err = flight.WriteBinary(f, d)
+		err = flight.WriteText(f, d)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr

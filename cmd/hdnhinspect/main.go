@@ -6,13 +6,6 @@
 //
 //	hdnhload -scheme HDNH -n 100000 -out /tmp/t.img
 //	hdnhinspect -img /tmp/t.img
-//
-// The flight subcommand renders a binary flight-recorder dump (from
-// `hdnhbench -flight-out` or /debug/flight?format=bin) as text, or converts
-// it to Chrome trace-event JSON for Perfetto:
-//
-//	hdnhinspect flight -in flight.bin
-//	hdnhinspect flight -in flight.bin -perfetto flight.json
 package main
 
 import (
@@ -24,15 +17,10 @@ import (
 	"time"
 
 	"hdnh/internal/core"
-	"hdnh/internal/flight"
 	"hdnh/internal/nvm"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "flight" {
-		flightCmd(os.Args[2:])
-		return
-	}
 	var (
 		img   = flag.String("img", "", "device image file (required)")
 		check = flag.Bool("check", false, "audit all cross-structure invariants (slow)")
@@ -126,43 +114,6 @@ func inspect(w io.Writer, dev *nvm.Device, opts core.Options, check bool) error 
 		fmt.Fprintf(w, "  %v\n", e)
 	}
 	return fmt.Errorf("%d invariant violations", len(errs))
-}
-
-// flightCmd renders or converts a binary flight-recorder dump.
-func flightCmd(args []string) {
-	fs := flag.NewFlagSet("flight", flag.ExitOnError)
-	in := fs.String("in", "", "binary flight dump (required; from hdnhbench -flight-out or /debug/flight?format=bin)")
-	perfetto := fs.String("perfetto", "", "also convert the dump to Chrome trace-event JSON at this path")
-	fs.Parse(args)
-	if *in == "" {
-		fatal("flight: pass -in <dump>")
-	}
-	f, err := os.Open(*in)
-	if err != nil {
-		fatal("flight: %v", err)
-	}
-	d, err := flight.ReadBinary(f)
-	f.Close()
-	if err != nil {
-		fatal("flight: reading %s: %v", *in, err)
-	}
-	if err := flight.WriteText(os.Stdout, d); err != nil {
-		fatal("flight: %v", err)
-	}
-	if *perfetto != "" {
-		out, err := os.Create(*perfetto)
-		if err != nil {
-			fatal("flight: %v", err)
-		}
-		err = flight.WriteChromeTrace(out, d)
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal("flight: writing %s: %v", *perfetto, err)
-		}
-		fmt.Fprintf(os.Stderr, "hdnhinspect: perfetto trace written to %s\n", *perfetto)
-	}
 }
 
 func header(slots int) string {

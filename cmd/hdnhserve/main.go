@@ -1,42 +1,28 @@
-// Command hdnhserve runs an HDNH-indexed store behind two protocol faces:
-// an HTTP server (the key-value API plus the observability endpoints) and,
-// with -resp, a RESP2-compatible binary listener with per-connection
-// pipelining (see docs/PROTOCOL.md) that redis-cli, redis-benchmark and
-// existing Redis clients speak unmodified.
+// Command hdnhserve runs an HDNH-indexed store behind two faces: a
+// RESP2-compatible data listener with per-connection pipelining (see
+// docs/PROTOCOL.md) that redis-cli, redis-benchmark and existing Redis
+// clients speak unmodified, and an HTTP server for operators.
 //
 //	hdnhserve -addr :8080 -resp :6380 -capacity 100000 -mode model
 //
 // HTTP endpoints (handlers live in internal/serve):
 //
-//	GET    /kv/<key>      value bytes, or 404
-//	PUT    /kv/<key>      body is the value (≤64 KiB); upsert
-//	DELETE /kv/<key>      remove the record
-//	POST   /batch         JSON batch of get/put/delete ops; each stretch of
-//	       ops in which no key occurs under two kinds drains through one
-//	       MultiGet, one MultiPut and one MultiDelete; one response entry
-//	       per op, in request order
-//	GET    /metrics       Prometheus text exposition (includes the RESP
-//	       listener's counters when -resp is set)
+//	GET    /metrics       Prometheus text exposition (the store's and the
+//	       RESP listener's counters)
 //	GET    /metrics.json  the same counters as indented JSON
-//	GET    /stats         one-line table and value-log shape summary
 //	GET    /healthz       health verdict: 200 ok/degraded (conditions named
 //	       in the body), 503 critical or shutting down; ?format=json
 //	GET    /readyz        load-balancer probe; 503 the moment shutdown begins
 //	GET    /debug/heat    per-shard hot-key sketch (requires -heat)
 //	GET    /debug/history ring of 1s snapshot deltas (last ~10 min)
 //
-// Keys on the /kv/ path are percent-decoded from the escaped request path,
-// so URL-hostile keys ("a/b", "..", "%41") round-trip exactly; keys over
-// the RESP listener are binary-safe bulk strings and need no escaping.
-//
 // With -debug the process also attaches a flight recorder to the store and
-// serves the live-debug surface (/debug/flight in text, Perfetto-JSON and
-// binary formats, plus net/http/pprof), and the structured log drops to
-// debug level, which enables the per-request access log.
+// serves the live-debug surface (/debug/flight in text and Perfetto-JSON
+// formats, plus net/http/pprof), and the structured log drops to debug
+// level, which enables the per-request access log.
 //
 // Contended operations (retry budgets exhausted under sustained movement)
-// return 503 with a Retry-After header on HTTP and -CONTENDED on RESP; a
-// value log full of live data returns 507 / -FULL.
+// answer -CONTENDED on RESP; a value log full of live data answers -FULL.
 package main
 
 import (
@@ -65,7 +51,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
-		respAddr = flag.String("resp", "", "RESP (binary wire protocol) listen address, e.g. :6380; empty disables")
+		respAddr = flag.String("resp", ":6380", "RESP (binary wire protocol) listen address; the data face")
 		pipeline = flag.Int("pipeline-depth", 128, "most RESP commands a connection executes before it writes their replies (coalescing window)")
 		capacity = flag.Int64("capacity", 100_000, "record capacity the device is sized for")
 		sample   = flag.Uint64("sample", obs.DefaultSampleEvery, "latency-sample one in N operations (1 samples all)")
@@ -82,6 +68,9 @@ func main() {
 	flag.Var(&mode, "mode", "device mode: model | emulate | strict")
 	flag.Parse()
 
+	if *respAddr == "" {
+		usageErr("-resp must name a listen address: RESP is the only data face")
+	}
 	if *capacity <= 0 {
 		usageErr("-capacity %d must be positive", *capacity)
 	}
@@ -138,10 +127,7 @@ func main() {
 		fatal("creating store: %v", err)
 	}
 
-	var respMetrics *obs.RESPMetrics
-	if *respAddr != "" {
-		respMetrics = obs.NewRESPMetrics()
-	}
+	respMetrics := obs.NewRESPMetrics()
 	srv := serve.New(serve.Options{
 		Store:         st,
 		Log:           logger,
@@ -174,26 +160,22 @@ func main() {
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
-	var respSrv *resp.Server
-	if *respAddr != "" {
-		respSrv = resp.NewServer(resp.StoreBackend{St: st}, resp.Options{
-			PipelineDepth: *pipeline,
-			MaxValueBytes: serve.MaxValueBytes,
-			Info:          srv.Info,
-			Metrics:       respMetrics,
-			Flight:        fr,
-			Log:           logger,
-		})
-		l, err := net.Listen("tcp", *respAddr)
-		if err != nil {
-			st.Close()
-			fatal("resp listen: %v", err)
-		}
-		go func() {
-			logger.Info("resp listening", "addr", *respAddr, "pipeline_depth", *pipeline)
-			errCh <- respSrv.Serve(l)
-		}()
+	respSrv := resp.NewServer(resp.StoreBackend{St: st}, resp.Options{
+		PipelineDepth: *pipeline,
+		Info:          srv.Info,
+		Metrics:       respMetrics,
+		Flight:        fr,
+		Log:           logger,
+	})
+	l, err := net.Listen("tcp", *respAddr)
+	if err != nil {
+		st.Close()
+		fatal("resp listen: %v", err)
 	}
+	go func() {
+		logger.Info("resp listening", "addr", *respAddr, "pipeline_depth", *pipeline)
+		errCh <- respSrv.Serve(l)
+	}()
 
 	select {
 	case err := <-errCh:
@@ -213,24 +195,20 @@ func main() {
 			time.Sleep(*drain)
 		}
 		// Teardown order matters: stop both listeners first (requests and
-		// pipelines finish, their sessions re-park), then drain the HTTP
-		// session pool, then close the store — Close asserts the epoch
-		// registry sees every session returned.
+		// pipelines finish, their sessions close), then the collector, then
+		// the store — Close asserts the epoch registry sees every session
+		// returned.
 		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutCtx); err != nil {
 			logger.Error("shutdown", "err", err)
 		}
-		if respSrv != nil {
-			respCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			if err := respSrv.Shutdown(respCtx); err != nil {
-				logger.Info("resp shutdown force-closed idle connections", "err", err)
-			}
-			cancel()
+		respCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		if err := respSrv.Shutdown(respCtx); err != nil {
+			logger.Info("resp shutdown force-closed idle connections", "err", err)
 		}
-		if err := srv.Close(); err != nil {
-			logger.Error("closing session pool", "err", err)
-		}
+		cancel()
+		srv.Close()
 		if err := st.Close(); err != nil {
 			logger.Error("closing store", "err", err)
 		}

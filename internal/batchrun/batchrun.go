@@ -14,14 +14,11 @@
 //	SET a, GET a             two stretches: the read must see the write
 //	SET a v1, GET b, SET a v2   one stretch: MultiGet(b), MultiPut(a=v1, a=v2)
 //
-// Two protocol boundaries share this logic: the HTTP POST /batch handler
-// (internal/serve) and the RESP listener's pipeline coalescing
-// (internal/resp). Both receive arbitrary interleavings of gets, puts and
-// deletes and want the batch path's amortisation — up-front hashing,
-// epoch-chunked NVT walks, grouped hot fills, one group commit per shard —
-// for as much of the stream as possible. Keeping the grouping here means the
-// two boundaries cannot drift in how they cut the stream or map results back
-// to operations.
+// The RESP listener's pipeline coalescing (internal/resp) is the caller: it
+// receives arbitrary interleavings of gets, puts and deletes and wants the
+// batch path's amortisation — up-front hashing, epoch-chunked NVT walks,
+// grouped hot fills, one group commit per shard — for as much of the stream
+// as possible.
 package batchrun
 
 import (

@@ -209,15 +209,6 @@ func (l *level) candidates(h1, h2 uint64) [4]int64 {
 	return c
 }
 
-// hotCandidate returns the single hot-table candidate bucket for this
-// level's geometry (the paper uses one hash for the hot table to keep miss
-// cost low); it is the first NVT candidate so hot entries and NVT entries
-// agree on placement.
-func (l *level) hotCandidate(h1 uint64) int64 {
-	seg := int64(h1 % uint64(l.segments))
-	return seg*l.m + int64(h1>>32%uint64(l.m))
-}
-
 // hashKV returns both hashes plus the fingerprint for key bytes.
 func hashKV(key []byte) (h1, h2 uint64, fp uint8) {
 	h1, h2 = hashfn.Pair(key)

@@ -146,7 +146,7 @@ func chromeFromEvent(ev Event) (chromeEvent, bool) {
 
 // WriteText renders the dump as a human-readable event log, one line per
 // event, followed by the retained slow ops with their full windows. This is
-// what `hdnhinspect flight` and `/debug/flight` print.
+// what `/debug/flight` and `hdnhbench -flight-out x.txt` print.
 func WriteText(w io.Writer, d Dump) error {
 	bw := bufio.NewWriter(w)
 	labels := make(map[uint32]string, len(d.Rings))

@@ -21,9 +21,7 @@
 //     retained buffer, so the tail is explained even after the ring wraps.
 //   - Export: Snapshot gathers every ring into a Dump; WriteChromeTrace
 //     renders it as Chrome trace-event JSON loadable in Perfetto /
-//     chrome://tracing, WriteText as a human-readable log, and WriteBinary /
-//     ReadBinary as a compact dump format with a fuzz-hardened reader
-//     (mirroring internal/trace's discipline).
+//     chrome://tracing, and WriteText as a human-readable log.
 package flight
 
 import (

@@ -11,9 +11,9 @@ import (
 )
 
 // Scale sets the dataset and operation volumes for every experiment. The
-// paper uses 20M preloaded records and 180M operations; DefaultScale keeps
-// the same 1:9 flavour at sandbox-friendly sizes. Scale up with the
-// hdnhbench flags to approach the paper's volumes.
+// paper uses 20M preloaded records and 180M operations; hdnhbench's default
+// flags are sandbox-sized. Scale up with them to approach the paper's
+// volumes.
 type Scale struct {
 	// Records is the preloaded record count.
 	Records int64
@@ -29,11 +29,6 @@ type Scale struct {
 	BatchSize int
 	// Seed makes all workloads reproducible.
 	Seed uint64
-}
-
-// DefaultScale is used by tests and the quick benchmark path.
-func DefaultScale() Scale {
-	return Scale{Records: 50_000, Ops: 100_000, Threads: 16, Mode: nvm.ModeModel, Seed: 42}
 }
 
 // Cell is one measured value with its label, ready for table rendering.

@@ -1,18 +1,12 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"hdnh/internal/bigkv"
 	"hdnh/internal/core"
 	"hdnh/internal/flight"
 	"hdnh/internal/vlog"
-	"hdnh/internal/ycsb"
 )
 
 // FigFlightDemo (extension): a workload built to light up every span the
@@ -60,77 +54,19 @@ func FigFlightDemo(sc Scale) (*Experiment, error) {
 		return nil, err
 	}
 
-	val := func(i int64, gen uint64) []byte {
-		v := make([]byte, valueBytes)
-		for j := range v {
-			v[j] = byte(uint64(i) + gen)
-		}
-		return v
-	}
-	key := func(i int64) []byte {
-		k := ycsb.RecordKey(i)
-		return k[:]
-	}
-
 	// Phase 1 — load through the resize trigger.
-	load := st.NewSession()
-	for i := int64(0); i < keys; i++ {
-		if err := load.Put(key(i), val(i, 0)); err != nil {
-			st.Close()
-			return nil, fmt.Errorf("flightdemo load key %d: %w", i, err)
-		}
-	}
-	load.SyncObs()
-
-	// Phase 2 — overwrite churn with the GC active, same shape as FigVlogGC
-	// but bounded lower: the trace only needs a few full GC cycles.
-	threads := sc.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	target := churnTarget * st.Log().Capacity()
-	var (
-		wg       sync.WaitGroup
-		puts     atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-	)
-	began := time.Now()
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := st.NewSession()
-			defer s.SyncObs()
-			lo := keys * int64(w) / int64(threads)
-			hi := keys * int64(w+1) / int64(threads)
-			rng := rand.New(rand.NewSource(int64(sc.Seed) + int64(w)))
-			for gen := uint64(1); st.Log().AppendedWords() < target; gen++ {
-				for n := lo; n < hi; n++ {
-					i := lo + rng.Int63n(hi-lo)
-					err := s.Put(key(i), val(i, gen))
-					switch {
-					case err == nil:
-						puts.Add(1)
-					case errors.Is(err, vlog.ErrLogFull):
-						return // trace captured the pressure; churn is done
-					default:
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	churnElapsed := time.Since(began)
-	if firstErr != nil {
+	if err := loadChurnKeys(st, keys, valueBytes); err != nil {
 		st.Close()
-		return nil, fmt.Errorf("flightdemo churn: %w", firstErr)
+		return nil, fmt.Errorf("flightdemo %w", err)
+	}
+
+	// Phase 2 — overwrite churn with the GC active, as in FigVlogGC but
+	// bounded lower: the trace only needs a few full GC cycles. A full log
+	// ends the phase; the trace has captured the pressure.
+	puts, _, churnElapsed, err := overwriteChurn(st, sc, keys, valueBytes, churnTarget*st.Log().Capacity())
+	if err != nil {
+		st.Close()
+		return nil, fmt.Errorf("flightdemo churn: %w", err)
 	}
 
 	// Phase 3 — close and reopen so the trace carries recovery steps.
@@ -147,7 +83,7 @@ func FigFlightDemo(sc Scale) (*Experiment, error) {
 	read := st.NewSession()
 	var hits int64
 	for i := int64(0); i < keys; i++ {
-		if _, ok, err := read.Get(key(i)); err != nil {
+		if _, ok, err := read.Get(churnKey(i)); err != nil {
 			st.Close()
 			return nil, fmt.Errorf("flightdemo read key %d: %w", i, err)
 		} else if ok {
@@ -199,7 +135,7 @@ func FigFlightDemo(sc Scale) (*Experiment, error) {
 		},
 	}
 	exp.addRow("load+churn+reopen+read",
-		mops("put Mops/s", float64(puts.Load())/churnElapsed.Seconds()/1e6),
+		mops("put Mops/s", float64(puts)/churnElapsed.Seconds()/1e6),
 		Cell{"op spans", float64(ops)},
 		Cell{"drain chunks", float64(drains)},
 		Cell{"resize spans", float64(resizes)},

@@ -1,18 +1,12 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"hdnh/internal/bigkv"
 	"hdnh/internal/core"
 	"hdnh/internal/obs"
 	"hdnh/internal/vlog"
-	"hdnh/internal/ycsb"
 )
 
 // FigVlogGC (extension): 100% overwrite churn at a fixed key count through
@@ -76,80 +70,15 @@ func FigVlogGC(sc Scale) (*Experiment, error) {
 		}
 		dev := st.Index().Device()
 
-		val := func(i int64, gen uint64) []byte {
-			v := make([]byte, valueBytes)
-			for j := range v {
-				v[j] = byte(uint64(i) + gen)
-			}
-			return v
-		}
-		key := func(i int64) []byte {
-			k := ycsb.RecordKey(i)
-			return k[:]
-		}
-		load := st.NewSession()
-		for i := int64(0); i < keys; i++ {
-			if err := load.Put(key(i), val(i, 0)); err != nil {
-				st.Close()
-				return nil, fmt.Errorf("vloggc load key %d: %w", i, err)
-			}
-		}
-		load.SyncObs()
-		freeWordsBefore := dev.FreeWords()
-		target := churnTarget * st.Log().Capacity()
-
-		threads := sc.Threads
-		if threads < 1 {
-			threads = 1
-		}
-		var (
-			wg       sync.WaitGroup
-			puts     atomic.Int64
-			logFull  atomic.Int64
-			errMu    sync.Mutex
-			firstErr error
-		)
-		began := time.Now()
-		for w := 0; w < threads; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				s := st.NewSession()
-				defer s.SyncObs()
-				lo := keys * int64(w) / int64(threads)
-				hi := keys * int64(w+1) / int64(threads)
-				// Uniform-random key choice, not a sequential sweep: random
-				// overwrite leaves a residue of live records in every aging
-				// segment, so the GC's relocation path (and the write-amp
-				// column) is actually exercised.
-				rng := rand.New(rand.NewSource(int64(sc.Seed) + int64(w)))
-				for gen := uint64(1); st.Log().AppendedWords() < target; gen++ {
-					for n := lo; n < hi; n++ {
-						i := lo + rng.Int63n(hi-lo)
-						err := s.Put(key(i), val(i, gen))
-						switch {
-						case err == nil:
-							puts.Add(1)
-						case errors.Is(err, vlog.ErrLogFull):
-							logFull.Add(1)
-							return // churn is over for this mode
-						default:
-							errMu.Lock()
-							if firstErr == nil {
-								firstErr = err
-							}
-							errMu.Unlock()
-							return
-						}
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(began)
-		if firstErr != nil {
+		if err := loadChurnKeys(st, keys, valueBytes); err != nil {
 			st.Close()
-			return nil, fmt.Errorf("vloggc churn (%s): %w", mode.name, firstErr)
+			return nil, fmt.Errorf("vloggc %w", err)
+		}
+		freeWordsBefore := dev.FreeWords()
+		puts, logFull, elapsed, err := overwriteChurn(st, sc, keys, valueBytes, churnTarget*st.Log().Capacity())
+		if err != nil {
+			st.Close()
+			return nil, fmt.Errorf("vloggc churn (%s): %w", mode.name, err)
 		}
 
 		appended := st.Log().AppendedWords()
@@ -162,13 +91,13 @@ func FigVlogGC(sc Scale) (*Experiment, error) {
 
 		exp.addRow(mode.name,
 			Cell{"appended/cap", float64(appended) / float64(st.Log().Capacity())},
-			mops("put Mops/s", float64(puts.Load())/elapsed.Seconds()/1e6),
+			mops("put Mops/s", float64(puts)/elapsed.Seconds()/1e6),
 			Cell{"write amp", delta.GCWriteAmplification()},
 			Cell{"recycles", float64(recycles)},
-			Cell{"logfull errs", float64(logFull.Load())},
+			Cell{"logfull errs", float64(logFull)},
 			Cell{"device growth words", float64(deviceGrowth)},
 			Cell{"visited/recycle", delta.GCVisitedPerRecycle()},
-			Cell{"ack waits/put", float64(delta.VLogAckWaits) / float64(max(puts.Load(), 1))},
+			Cell{"ack waits/put", float64(delta.VLogAckWaits) / float64(max(puts, 1))},
 		)
 	}
 	return exp, nil

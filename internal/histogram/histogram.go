@@ -32,9 +32,6 @@ const Buckets = totalBuckets
 // BucketOf maps a nanosecond value to its bucket index in [0, Buckets).
 func BucketOf(v int64) int { return bucketIndex(v) }
 
-// UpperBound returns the largest value mapping to bucket i.
-func UpperBound(i int) int64 { return bucketUpperBound(i) }
-
 // FromCounts rebuilds a Histogram from an externally maintained count array
 // of length Buckets (for example internal/obs's atomic histograms) plus the
 // recorded value sum, so the usual percentile/CDF queries apply. Min and max

@@ -4,7 +4,7 @@
 // Redis clients, redis-cli, redis-benchmark and memtier drive the store
 // unmodified; because keys and values travel as binary-safe bulk strings,
 // every byte sequence the store accepts round-trips unchanged — no escaping
-// layer, no path cleaning, none of the /kv/ URL hazards.
+// layer and no path cleaning.
 //
 // The point of the protocol is the pipelining contract: a client may write
 // any number of commands before reading replies. One goroutine per
@@ -32,7 +32,7 @@ import (
 // a hostile client cannot make the server allocate unboundedly.
 const (
 	// DefaultMaxArgs bounds one command's argument count (an MSET of 4096
-	// pairs plus the command name, mirroring the HTTP /batch op cap).
+	// pairs plus the command name).
 	DefaultMaxArgs = 1 + 2*4096
 	// maxLineBytes bounds one protocol line (array/bulk headers, inline
 	// commands), terminator included.

@@ -54,7 +54,7 @@ type Options struct {
 	// reply latency and per-connection memory. Default 128.
 	PipelineDepth int
 	// MaxValueBytes caps one bulk string (values and, transitively, keys).
-	// Default 64 KiB, matching the HTTP layer's cap.
+	// Default 64 KiB.
 	MaxValueBytes int
 	// MaxArgs caps one command's argument count. Default DefaultMaxArgs.
 	MaxArgs int

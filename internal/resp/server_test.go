@@ -126,6 +126,18 @@ func bulk(parts ...string) string {
 func conformanceCases() []conversation {
 	binKey := "a\r\nb\x00!"
 	binVal := "v\x00\r\n$-1\r\nv"
+	// Keys a URL path would mangle (slashes, dot-segments, percent escapes,
+	// control bytes) are plain bytes on this wire: each reads back its own
+	// value, and "a%41" is not "aA".
+	hostile := []string{"a/b", "a b", "..", "x//y", "a%41", "\x00\x01\x02"}
+	var hostileSend, hostileWant strings.Builder
+	for i, k := range hostile {
+		v := fmt.Sprintf("val-%d", i)
+		hostileSend.WriteString(bulk("SET", k, v) + bulk("GET", k))
+		fmt.Fprintf(&hostileWant, "+OK\r\n$%d\r\n%s\r\n", len(v), v)
+	}
+	hostileSend.WriteString(bulk("GET", "aA") + bulk(append([]string{"DEL"}, hostile...)...))
+	fmt.Fprintf(&hostileWant, "$-1\r\n:%d\r\n", len(hostile))
 	return []conversation{
 		{name: "inline ping", send: "PING\r\n", want: "+PONG\r\n"},
 		{name: "bulk ping echo", send: bulk("PING", "hello"), want: "$5\r\nhello\r\n"},
@@ -140,6 +152,11 @@ func conformanceCases() []conversation {
 			name: "binary keys and values round-trip",
 			send: bulk("SET", binKey, binVal) + bulk("GET", binKey),
 			want: "+OK\r\n" + fmt.Sprintf("$%d\r\n%s\r\n", len(binVal), binVal),
+		},
+		{
+			name: "URL-hostile keys round-trip",
+			send: hostileSend.String(),
+			want: hostileWant.String(),
 		},
 		{
 			name: "unknown command keeps connection",

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -18,6 +21,8 @@ import (
 	"hdnh/internal/heat"
 	"hdnh/internal/nvm"
 	"hdnh/internal/obs"
+	"hdnh/internal/resp"
+	"hdnh/internal/vlog"
 )
 
 // newStore builds a store with explicit options for tests that need a
@@ -63,89 +68,102 @@ func healthzJSON(t *testing.T, h http.Handler) (int, healthzBody) {
 	return w.Code, body
 }
 
+// withSession drives load through an in-process store session, closed (and
+// its metrics flushed) before the caller reads the expositions.
+func withSession(st *bigkv.Store, load func(s *bigkv.Session)) {
+	s := st.NewSession()
+	defer s.Close()
+	load(s)
+}
+
+// startRESP serves st over RESP on a loopback listener, the data face that
+// hdnhserve runs beside the HTTP one.
+func startRESP(t *testing.T, st *bigkv.Store) string {
+	t.Helper()
+	rs := resp.NewServer(resp.StoreBackend{St: st}, resp.Options{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- rs.Serve(l) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		rs.Shutdown(ctx)
+		if err := <-done; err != nil {
+			t.Errorf("resp Serve: %v", err)
+		}
+	})
+	return l.Addr().String()
+}
+
 // TestReadinessFlipsDuringShutdown is the regression test for the static-ok
 // /healthz: readiness must flip to 503 the moment graceful shutdown begins —
-// while an in-flight request is still being served — so a load balancer
-// drains the instance without cutting that request off.
+// while a data command is still in flight on the RESP listener — so a load
+// balancer drains the instance without cutting that command off.
 func TestReadinessFlipsDuringShutdown(t *testing.T) {
 	srv, _ := testServer(t, false)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	nc, err := net.Dial("tcp", startRESP(t, srv.st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
 
-	if resp, err := http.Get(ts.URL + "/readyz"); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("pre-shutdown /readyz = %v, %v; want 200", resp, err)
+	if res, err := http.Get(ts.URL + "/readyz"); err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("pre-shutdown /readyz = %v, %v; want 200", res, err)
 	} else {
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
+		b, _ := io.ReadAll(res.Body)
+		res.Body.Close()
 		if !strings.Contains(string(b), "ready") {
 			t.Fatalf("pre-shutdown /readyz body = %q", b)
 		}
 	}
 
-	// Park a PUT mid-body: the pipe write below does not return until the
-	// handler has consumed the byte, so the request is provably in flight
-	// (inside the handler, session checked out) before shutdown begins.
-	pr, pw := io.Pipe()
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/kv/inflight", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	putDone := make(chan error, 1)
-	var putStatus int
-	go func() {
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			putStatus = resp.StatusCode
-			resp.Body.Close()
-		}
-		putDone <- err
-	}()
-	if _, err := pw.Write([]byte("v")); err != nil {
+	// Park a SET mid-frame: the value's first byte is on the wire, the rest
+	// is not, so the command is in flight when shutdown begins.
+	set := "*3\r\n$3\r\nSET\r\n$8\r\ninflight\r\n$5\r\nvalue\r\n"
+	cut := strings.Index(set, "value") + 1
+	if _, err := io.WriteString(nc, set[:cut]); err != nil {
 		t.Fatal(err)
 	}
 
 	srv.BeginShutdown()
 
-	resp, err := http.Get(ts.URL + "/readyz")
+	res, err := http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(b), "shutting down") {
-		t.Fatalf("/readyz during shutdown = %d %q, want 503 shutting down", resp.StatusCode, b)
+	b, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(b), "shutting down") {
+		t.Fatalf("/readyz during shutdown = %d %q, want 503 shutting down", res.StatusCode, b)
 	}
-	resp, err = http.Get(ts.URL + "/healthz")
+	res, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(b), "shutting down") {
-		t.Fatalf("/healthz during shutdown = %d %q, want 503 shutting down", resp.StatusCode, b)
+	b, _ = io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(b), "shutting down") {
+		t.Fatalf("/healthz during shutdown = %d %q, want 503 shutting down", res.StatusCode, b)
 	}
 	code, body := healthzJSON(t, srv.Handler())
 	if code != http.StatusServiceUnavailable || !body.ShuttingDown {
 		t.Fatalf("/healthz json during shutdown = %d shutting_down=%v", code, body.ShuttingDown)
 	}
 
-	// The in-flight request finishes normally: draining, not dropping.
-	pw.Write([]byte("alue"))
-	pw.Close()
-	if err := <-putDone; err != nil {
-		t.Fatalf("in-flight PUT failed during graceful shutdown: %v", err)
-	}
-	if putStatus != http.StatusNoContent {
-		t.Fatalf("in-flight PUT = %d, want 204", putStatus)
-	}
-	resp, err = http.Get(ts.URL + "/kv/inflight")
-	if err != nil {
+	// The in-flight command finishes normally: draining, not dropping.
+	if _, err := io.WriteString(nc, set[cut:]+"*2\r\n$3\r\nGET\r\n$8\r\ninflight\r\n"); err != nil {
 		t.Fatal(err)
 	}
-	b, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(b) != "value" {
-		t.Fatalf("GET after drained PUT = %d %q", resp.StatusCode, b)
+	want := "+OK\r\n$5\r\nvalue\r\n"
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(nc, got); err != nil || string(got) != want {
+		t.Fatalf("SET then GET across shutdown = %q, %v; want %q", got, err, want)
 	}
 }
 
@@ -159,24 +177,25 @@ func TestHealthzVLogExhaustion(t *testing.T) {
 	opts.DisableAutoGC = true
 	st := newStore(t, opts)
 	srv := New(Options{Store: st})
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(srv.Close)
 	h := srv.Handler()
 
 	// Fat values overflow the inline record and land in the log; without GC
-	// the fourth segment eventually fails to allocate and PUT answers 507.
+	// the fourth segment eventually fails to allocate and Put answers
+	// ErrLogFull.
 	val := bytes.Repeat([]byte("x"), 500)
 	full := false
-	for i := 0; i < 200 && !full; i++ {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPut, fmt.Sprintf("/kv/fill-%03d", i), bytes.NewReader(val)))
-		switch w.Code {
-		case http.StatusNoContent:
-		case http.StatusInsufficientStorage:
-			full = true
-		default:
-			t.Fatalf("PUT %d = %d %q", i, w.Code, w.Body.String())
+	withSession(st, func(s *bigkv.Session) {
+		for i := 0; i < 200 && !full; i++ {
+			switch err := s.Put([]byte(fmt.Sprintf("fill-%03d", i)), val); {
+			case err == nil:
+			case errors.Is(err, vlog.ErrLogFull):
+				full = true
+			default:
+				t.Fatalf("Put %d: %v", i, err)
+			}
 		}
-	}
+	})
 	if !full {
 		t.Fatal("log never filled; geometry assumption broken")
 	}
@@ -217,7 +236,7 @@ func TestHealthzEpochPressure(t *testing.T) {
 	st := newStore(t, bigkv.DefaultOptions())
 	baseline := st.EpochSlotsLive() // the store's own GC workers
 	srv := New(Options{Store: st})
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(srv.Close)
 	h := srv.Handler()
 
 	if code, body := healthzJSON(t, h); code != http.StatusOK || body.Status != "ok" {
@@ -291,31 +310,33 @@ func TestPromExpositionLint(t *testing.T) {
 	srv.respMetrics = obs.NewRESPMetrics()
 	h := srv.Handler()
 
-	// Touch every counter family we can from here: hits, misses, deletes.
-	for i := 0; i < 8; i++ {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPut, fmt.Sprintf("/kv/lint-%d", i), strings.NewReader("v")))
-		if w.Code != http.StatusNoContent {
-			t.Fatalf("PUT = %d", w.Code)
-		}
-	}
-	for _, path := range []string{"/kv/lint-0", "/kv/absent"} {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
-	}
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodDelete, "/kv/lint-7", nil))
-
-	// One grouped write through /batch, so the write-group counter family
+	// Touch every counter family we can from here: hits, misses, deletes,
+	// and one grouped write (MultiPut), so the write-group counter family
 	// and size summary are present in the linted body, not just parseable.
-	batch := `{"ops":[{"op":"put","key":"lint-b0","value":"dg=="},{"op":"put","key":"lint-b1","value":"dg=="},{"op":"put","key":"lint-b2","value":"dg=="}]}`
-	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(batch)))
-	if w.Code != http.StatusOK {
-		t.Fatalf("POST /batch = %d: %s", w.Code, w.Body.String())
-	}
+	withSession(srv.st, func(s *bigkv.Session) {
+		for i := 0; i < 8; i++ {
+			if err := s.Put([]byte(fmt.Sprintf("lint-%d", i)), []byte("v")); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+		}
+		for _, k := range []string{"lint-0", "absent"} {
+			if _, _, err := s.Get([]byte(k)); err != nil {
+				t.Fatalf("Get %s: %v", k, err)
+			}
+		}
+		if err := s.Delete([]byte("lint-7")); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+		keys := [][]byte{[]byte("lint-b0"), []byte("lint-b1"), []byte("lint-b2")}
+		v := []byte("v")
+		for i, err := range s.MultiPut(keys, [][]byte{v, v, v}) {
+			if err != nil {
+				t.Fatalf("MultiPut key %d: %v", i, err)
+			}
+		}
+	})
 
-	w = httptest.NewRecorder()
+	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if w.Code != http.StatusOK {
 		t.Fatalf("/metrics = %d", w.Code)
@@ -394,7 +415,7 @@ func TestPromExpositionLint(t *testing.T) {
 		sampled[base] = true
 	}
 	// The health gauges must ride the same scrape, every rule present —
-	// and after the /batch drive above, the write-group families too.
+	// and after the MultiPut above, the write-group families too.
 	for _, want := range []string{
 		"hdnh_health_status",
 		fmt.Sprintf("hdnh_health_condition{condition=%q}", health.CondVLogFreeLow),
@@ -418,38 +439,35 @@ func TestPromExpositionLint(t *testing.T) {
 }
 
 // TestDebugHeatEndpoint wires a heat monitor into the store only (the
-// server serves the store's own monitor), drives a skewed /kv/ read load,
-// and asserts the planted key tops its shard's sketch in the JSON.
+// server serves the store's own monitor), drives a skewed read load through
+// a store session, and asserts the planted key tops its shard's sketch in
+// the JSON.
 func TestDebugHeatEndpoint(t *testing.T) {
 	mon := heat.NewMonitor(heat.Config{TopK: 8, SampleEvery: 1})
 	opts := bigkv.DefaultOptions()
 	opts.Table.Heat = mon
 	st := newStore(t, opts)
 	srv := New(Options{Store: st})
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(srv.Close)
 	h := srv.Handler()
 
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodPut, "/kv/hotkey", strings.NewReader("v")))
-	if w.Code != http.StatusNoContent {
-		t.Fatalf("PUT = %d", w.Code)
-	}
-	for i := 0; i < 10; i++ {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPut, fmt.Sprintf("/kv/cold-%d", i), strings.NewReader("v")))
-		if w.Code != http.StatusNoContent {
-			t.Fatalf("PUT cold = %d", w.Code)
+	withSession(st, func(s *bigkv.Session) {
+		if err := s.Put([]byte("hotkey"), []byte("v")); err != nil {
+			t.Fatalf("Put: %v", err)
 		}
-	}
-	for i := 0; i < 64; i++ {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/kv/hotkey", nil))
-		if w.Code != http.StatusOK {
-			t.Fatalf("GET hot = %d", w.Code)
+		for i := 0; i < 10; i++ {
+			if err := s.Put([]byte(fmt.Sprintf("cold-%d", i)), []byte("v")); err != nil {
+				t.Fatalf("Put cold: %v", err)
+			}
 		}
-	}
+		for i := 0; i < 64; i++ {
+			if _, ok, err := s.Get([]byte("hotkey")); err != nil || !ok {
+				t.Fatalf("Get hot = %v, %v", ok, err)
+			}
+		}
+	})
 
-	w = httptest.NewRecorder()
+	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/heat", nil))
 	if w.Code != http.StatusOK {
 		t.Fatalf("/debug/heat = %d %q", w.Code, w.Body.String())
@@ -497,17 +515,18 @@ func TestDebugHistoryEndpoint(t *testing.T) {
 
 	t0 := time.Now()
 	srv.Collect(t0) // seed: no point yet
-	for i := 0; i < 5; i++ {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPut, fmt.Sprintf("/kv/hist-%d", i), strings.NewReader("v")))
-		if w.Code != http.StatusNoContent {
-			t.Fatalf("PUT = %d", w.Code)
+	withSession(srv.st, func(s *bigkv.Session) {
+		for i := 0; i < 5; i++ {
+			if err := s.Put([]byte(fmt.Sprintf("hist-%d", i)), []byte("v")); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
 		}
-	}
-	for i := 0; i < 3; i++ {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/kv/hist-0", nil))
-	}
+		for i := 0; i < 3; i++ {
+			if _, _, err := s.Get([]byte("hist-0")); err != nil {
+				t.Fatalf("Get: %v", err)
+			}
+		}
+	})
 	srv.Collect(t0.Add(time.Second))
 
 	w := httptest.NewRecorder()
@@ -532,8 +551,8 @@ func TestDebugHistoryEndpoint(t *testing.T) {
 	if p.IntervalMS != 1000 {
 		t.Fatalf("interval_ms = %d, want 1000", p.IntervalMS)
 	}
-	// The /kv/ upsert path goes update-else-insert, so fresh keys count one
-	// insert each; the gets are gets.
+	// Put goes update-else-insert, so fresh keys count one insert each; the
+	// gets are gets.
 	if p.Inserts != 5 {
 		t.Fatalf("inserts delta = %d, want 5", p.Inserts)
 	}

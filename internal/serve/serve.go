@@ -1,61 +1,31 @@
-// Package serve is the HTTP face of the bigkv store: the /kv/ key-value
-// API, the /batch endpoint, the observability expositions (/metrics,
-// /metrics.json, /stats) and the -debug flight/pprof surface. The
-// hdnhserve command wires it to a listener; tests drive the Handler
+// Package serve is the operator face of the bigkv store over HTTP: the
+// observability expositions (/metrics, /metrics.json), the health and
+// readiness probes (/healthz, /readyz), the hot-key and history views
+// (/debug/heat, /debug/history) and the -debug flight/pprof surface. Data
+// travels over the RESP listener (internal/resp), never over HTTP. The
+// hdnhserve command wires both to their listeners; tests drive the Handler
 // directly.
-//
-// Keys on the /kv/ path are percent-decoded from the ESCAPED request path
-// (r.URL.EscapedPath + url.PathUnescape), and the handler is dispatched
-// before http.ServeMux sees the request. Both halves matter: ServeMux
-// cleans paths (".." and "//" trigger 301 rewrites) and r.URL.Path is the
-// decoded form (so "%2F" in a key was indistinguishable from a literal
-// "/"). A key like "a/b", "..", or "x%zzy" now either round-trips exactly
-// or is rejected with 400 — it is never silently aliased onto a different
-// key. The RESP listener (internal/resp) needs none of this: bulk strings
-// are length-prefixed and binary-safe by construction.
 package serve
 
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"hdnh/internal/batchrun"
 	"hdnh/internal/bigkv"
 	"hdnh/internal/flight"
-	"hdnh/internal/hashfn"
 	"hdnh/internal/health"
 	"hdnh/internal/heat"
-	"hdnh/internal/kv"
 	"hdnh/internal/obs"
-	"hdnh/internal/scheme"
-	"hdnh/internal/vlog"
 )
-
-// MaxValueBytes bounds PUT bodies; the value log stores them whole. The
-// RESP listener enforces the same cap on bulk strings.
-const MaxValueBytes = 64 << 10
-
-// MaxBatchOps bounds one /batch request; past this the client should send
-// more requests, not bigger ones — one giant batch holds its session (and
-// its response buffer) for the whole walk.
-const MaxBatchOps = 4096
-
-// DefaultSessionPoolSize bounds the idle-session free list. A request burst
-// beyond it still gets sessions (session() falls back to NewSession); the
-// overflow is Closed on release, so the pool — not the burst — bounds how
-// many epoch slots the server holds long-term.
-const DefaultSessionPoolSize = 64
 
 // Options configures a Server.
 type Options struct {
@@ -81,17 +51,13 @@ type Options struct {
 	CollectEvery time.Duration
 }
 
-// Server owns the handlers and a bounded free list of per-request store
-// sessions. Sessions are single-goroutine objects; each in-flight request
-// gets its own. A sync.Pool would drop idle sessions without calling Close,
-// leaking their epoch-registry slots; the channel free list releases what
-// it doesn't keep, and Close drains the rest.
+// Server owns the handlers. It reads the store only through snapshots and
+// holds no store session.
 type Server struct {
 	st          *bigkv.Store
 	log         *slog.Logger
 	flight      *flight.Recorder
 	respMetrics *obs.RESPMetrics
-	sessions    chan *bigkv.Session
 	handler     http.Handler
 
 	health  *health.Evaluator
@@ -118,7 +84,6 @@ func New(opts Options) *Server {
 		log:         logger,
 		flight:      opts.Store.Index().Flight(),
 		respMetrics: opts.RESPMetrics,
-		sessions:    make(chan *bigkv.Session, DefaultSessionPoolSize),
 		health:      health.NewEvaluator(),
 		heat:        opts.Store.Index().Options().Heat,
 		history:     obs.NewHistory(opts.HistoryPoints),
@@ -126,10 +91,8 @@ func New(opts Options) *Server {
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/batch", s.batch)
 	mux.HandleFunc("/metrics", s.metricsProm)
 	mux.HandleFunc("/metrics.json", s.metricsJSON)
-	mux.HandleFunc("/stats", s.stats)
 	mux.HandleFunc("/healthz", s.healthz)
 	mux.HandleFunc("/readyz", s.readyz)
 	mux.HandleFunc("/debug/heat", s.debugHeat)
@@ -143,16 +106,7 @@ func New(opts Options) *Server {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 
-	// /kv/ requests are dispatched here, before the mux: ServeMux path
-	// cleaning would 301 keys containing "//" or ".." segments to a
-	// different (cleaned) key, and its routing sees only the decoded path.
-	s.handler = s.accessLog(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.EscapedPath(), "/kv/") {
-			s.kv(w, r)
-			return
-		}
-		mux.ServeHTTP(w, r)
-	}))
+	s.handler = s.accessLog(mux)
 	if opts.CollectEvery > 0 {
 		s.startCollector(opts.CollectEvery)
 	}
@@ -194,62 +148,19 @@ func (s *Server) BeginShutdown() {
 	s.shuttingDown.Store(true)
 }
 
-// Handler returns the root handler (access log, /kv/ dispatch, mux).
+// Handler returns the root handler (access log, mux).
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Close releases the parked sessions, returning their epoch-registry slots
-// before the store goes down, and stops the collector goroutine. Call it
-// after the HTTP server has drained (in-flight requests re-park sessions
-// until then) and before Store.Close. Implies BeginShutdown for callers
-// that skipped the graceful-drain phase.
-func (s *Server) Close() error {
+// Close stops the collector goroutine. Call it after the HTTP server has
+// drained and before Store.Close. Implies BeginShutdown for callers that
+// skipped the graceful-drain phase.
+func (s *Server) Close() {
 	s.shuttingDown.Store(true)
 	if s.collectStop != nil {
 		close(s.collectStop)
 		<-s.collectDone
 		s.collectStop = nil
 	}
-	for {
-		select {
-		case sess := <-s.sessions:
-			sess.Close()
-		default:
-			return nil
-		}
-	}
-}
-
-func (s *Server) session() *bigkv.Session {
-	select {
-	case sess := <-s.sessions:
-		return sess
-	default:
-		return s.st.NewSession()
-	}
-}
-
-func (s *Server) release(sess *bigkv.Session) {
-	// Bridge this session's NVM traffic into the registry while we still own
-	// the session; /metrics then needs no cross-goroutine stats reads.
-	sess.SyncObs()
-	select {
-	case s.sessions <- sess:
-	default:
-		sess.Close() // free list full: return the epoch slot instead of parking it
-	}
-}
-
-// kvKey extracts and percent-decodes the key from a /kv/ request path.
-func kvKey(r *http.Request) ([]byte, error) {
-	esc := strings.TrimPrefix(r.URL.EscapedPath(), "/kv/")
-	name, err := url.PathUnescape(esc)
-	if err != nil {
-		return nil, fmt.Errorf("bad key encoding: %v", err)
-	}
-	if name == "" {
-		return nil, errors.New("missing key")
-	}
-	return []byte(name), nil
 }
 
 // statusWriter captures what the handler sent so the access log can report
@@ -277,9 +188,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // accessLog wraps the handler tree with the per-request debug-level log
-// line. The key is logged as a hash, not plaintext: keys are user data, and
-// the hash is exactly what correlates a request with the table's
-// bucket-level events in a flight trace.
+// line.
 func (s *Server) accessLog(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !s.log.Enabled(r.Context(), slog.LevelDebug) {
@@ -289,223 +198,14 @@ func (s *Server) accessLog(next http.Handler) http.Handler {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
-		attrs := []any{
+		s.log.Debug("request",
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", sw.status,
 			"dur", time.Since(start),
 			"bytes", sw.bytes,
-		}
-		if strings.HasPrefix(r.URL.EscapedPath(), "/kv/") {
-			if key, err := kvKey(r); err == nil {
-				attrs = append(attrs, "key_hash", fmt.Sprintf("%016x", hashfn.Hash1(key)))
-			}
-		}
-		s.log.Debug("request", attrs...)
+		)
 	})
-}
-
-func (s *Server) kv(w http.ResponseWriter, r *http.Request) {
-	key, err := kvKey(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(key) > kv.KeySize {
-		http.Error(w, fmt.Sprintf("key longer than %d bytes", kv.KeySize), http.StatusBadRequest)
-		return
-	}
-	sess := s.session()
-	defer s.release(sess)
-
-	switch r.Method {
-	case http.MethodGet:
-		v, ok, err := sess.Get(key)
-		switch {
-		case err == nil && ok:
-			w.Write(v)
-		case err == nil:
-			http.Error(w, "not found", http.StatusNotFound)
-		case errors.Is(err, scheme.ErrContended):
-			contended(w)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-
-	case http.MethodPut, http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, MaxValueBytes+1))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if len(body) > MaxValueBytes {
-			http.Error(w, "value too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		if len(body) == 0 {
-			http.Error(w, "empty value", http.StatusBadRequest)
-			return
-		}
-		err = sess.Put(key, body)
-		switch {
-		case err == nil:
-			w.WriteHeader(http.StatusNoContent)
-		case errors.Is(err, scheme.ErrContended):
-			contended(w)
-		case errors.Is(err, scheme.ErrFull), errors.Is(err, vlog.ErrLogFull):
-			http.Error(w, "store full", http.StatusInsufficientStorage)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-
-	case http.MethodDelete:
-		err := sess.Delete(key)
-		switch {
-		case err == nil:
-			w.WriteHeader(http.StatusNoContent)
-		case errors.Is(err, scheme.ErrContended):
-			contended(w)
-		case errors.Is(err, scheme.ErrNotFound):
-			http.Error(w, "not found", http.StatusNotFound)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
-// batchOp is one entry in a POST /batch request. Values are base64 in the
-// JSON (encoding/json's []byte convention); keys are plain strings, the
-// same bytes a /kv/<key> path would carry.
-type batchOp struct {
-	Op    string `json:"op"` // get | put | delete
-	Key   string `json:"key"`
-	Value []byte `json:"value,omitempty"`
-}
-
-// batchResult is the per-op verdict: status ok | not_found | contended |
-// full | error, mirroring the HTTP codes the /kv/ handlers answer with.
-type batchResult struct {
-	Status string `json:"status"`
-	Value  []byte `json:"value,omitempty"`
-	Error  string `json:"error,omitempty"`
-}
-
-// batch runs a JSON list of operations through the store's batch entry
-// points via batchrun: each stretch of ops in which no key occurs under two
-// kinds becomes one MultiGet, one MultiPut and one MultiDelete call, so a
-// mixed batch gets the up-front hashing, epoch-chunked table walks and group
-// commits the batch path exists for, and every op still answers what it
-// would have answered run one at a time. The request is validated whole before any op executes — a malformed
-// op late in the list must not leave earlier ops half-applied.
-func (s *Server) batch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	var req struct {
-		Ops []batchOp `json:"ops"`
-	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, int64(MaxBatchOps)*(MaxValueBytes+256)))
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Require EOF after the document: trailing garbage means a malformed
-	// client (or a concatenated second request) that used to be silently
-	// accepted and dropped.
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err != io.EOF {
-		http.Error(w, "trailing data after batch body", http.StatusBadRequest)
-		return
-	}
-	if len(req.Ops) == 0 {
-		http.Error(w, "empty batch", http.StatusBadRequest)
-		return
-	}
-	if len(req.Ops) > MaxBatchOps {
-		http.Error(w, fmt.Sprintf("batch larger than %d ops", MaxBatchOps), http.StatusBadRequest)
-		return
-	}
-	ops := make([]batchrun.Op, len(req.Ops))
-	for i, op := range req.Ops {
-		if op.Key == "" {
-			http.Error(w, fmt.Sprintf("op %d: missing key", i), http.StatusBadRequest)
-			return
-		}
-		if len(op.Key) > kv.KeySize {
-			http.Error(w, fmt.Sprintf("op %d: key longer than %d bytes", i, kv.KeySize), http.StatusBadRequest)
-			return
-		}
-		switch op.Op {
-		case "get":
-			ops[i] = batchrun.Op{Kind: batchrun.Get, Key: []byte(op.Key)}
-		case "delete":
-			ops[i] = batchrun.Op{Kind: batchrun.Delete, Key: []byte(op.Key)}
-		case "put":
-			if len(op.Value) == 0 {
-				http.Error(w, fmt.Sprintf("op %d: put with empty value", i), http.StatusBadRequest)
-				return
-			}
-			if len(op.Value) > MaxValueBytes {
-				http.Error(w, fmt.Sprintf("op %d: value larger than %d bytes", i, MaxValueBytes), http.StatusBadRequest)
-				return
-			}
-			ops[i] = batchrun.Op{Kind: batchrun.Put, Key: []byte(op.Key), Value: op.Value}
-		default:
-			http.Error(w, fmt.Sprintf("op %d: unknown op %q (get|put|delete)", i, op.Op), http.StatusBadRequest)
-			return
-		}
-	}
-
-	sess := s.session()
-	defer s.release(sess)
-
-	runResults := make([]batchrun.Result, len(ops))
-	batchrun.Execute(sess, ops, runResults, nil)
-
-	results := make([]batchResult, len(ops))
-	for i, res := range runResults {
-		switch {
-		case res.Err != nil:
-			results[i] = opVerdict(res.Err)
-		case ops[i].Kind == batchrun.Get && !res.Found:
-			results[i] = batchResult{Status: "not_found"}
-		case ops[i].Kind == batchrun.Get:
-			results[i] = batchResult{Status: "ok", Value: res.Value}
-		default:
-			results[i] = batchResult{Status: "ok"}
-		}
-	}
-
-	s.writeBuffered(w, "/batch", "application/json", func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(struct {
-			Results []batchResult `json:"results"`
-		}{results})
-	})
-}
-
-// opVerdict maps a store error onto the per-op wire statuses.
-func opVerdict(err error) batchResult {
-	switch {
-	case errors.Is(err, scheme.ErrNotFound):
-		return batchResult{Status: "not_found"}
-	case errors.Is(err, scheme.ErrContended):
-		return batchResult{Status: "contended"}
-	case errors.Is(err, scheme.ErrFull), errors.Is(err, vlog.ErrLogFull):
-		return batchResult{Status: "full"}
-	default:
-		return batchResult{Status: "error", Error: err.Error()}
-	}
-}
-
-// contended answers a budget-exhausted operation: the request may succeed on
-// retry once the movement burst passes, so say exactly that.
-func contended(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	http.Error(w, "contended, retry", http.StatusServiceUnavailable)
 }
 
 // writeBuffered renders an exposition into memory before touching the
@@ -716,8 +416,7 @@ func (s *Server) metricsJSON(w http.ResponseWriter, _ *http.Request) {
 }
 
 // debugFlight serves the current flight trace. format=text (default) is the
-// human rendering, format=json the Chrome trace-event file Perfetto loads,
-// format=bin the binary dump hdnhinspect flight reads.
+// human rendering, format=json the Chrome trace-event file Perfetto loads.
 func (s *Server) debugFlight(w http.ResponseWriter, r *http.Request) {
 	if s.flight == nil {
 		http.Error(w, "flight recorder disabled (run with -debug)", http.StatusNotFound)
@@ -731,24 +430,7 @@ func (s *Server) debugFlight(w http.ResponseWriter, r *http.Request) {
 	case "json":
 		s.writeBuffered(w, "/debug/flight", "application/json",
 			func(w io.Writer) error { return flight.WriteChromeTrace(w, d) })
-	case "bin":
-		s.writeBuffered(w, "/debug/flight", "application/octet-stream",
-			func(w io.Writer) error { return flight.WriteBinary(w, d) })
 	default:
-		http.Error(w, fmt.Sprintf("unknown format %q (text|json|bin)", format), http.StatusBadRequest)
-	}
-}
-
-func (s *Server) stats(w http.ResponseWriter, _ *http.Request) {
-	idx := s.st.Index()
-	logs := s.st.Logs()
-	for i, tbl := range idx.Stats() {
-		if idx.NumShards() > 1 {
-			fmt.Fprintf(w, "shard %d: ", i)
-		}
-		fmt.Fprintln(w, tbl)
-		lg := logs[i]
-		fmt.Fprintf(w, "vlog: %d/%d words live, %d/%d segments free, %d recycles\n",
-			lg.LiveWords(), lg.Capacity(), lg.FreeSegments(), lg.Segments(), lg.Recycles())
+		http.Error(w, fmt.Sprintf("unknown format %q (text|json)", format), http.StatusBadRequest)
 	}
 }
