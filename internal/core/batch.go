@@ -20,7 +20,7 @@ import (
 //     instead of per key — and reports one merged probeStats for the whole
 //     walk. Hot-table re-caches are not applied one bucket-lock acquisition
 //     per key: they are collected, grouped by hot bucket pair, and each
-//     group is applied under a single lockBuckets/unlockBuckets round trip.
+//     group is applied under a single hotPair.lock/unlockBuckets round trip.
 //   - MultiPut and MultiDelete commit one batch chunk of keys per group:
 //     each chunk runs in bucket-sorted order (same-bucket keys touch
 //     adjacent NVT lines back-to-back) through the same staged protocol a
@@ -183,7 +183,7 @@ func (s *session) multiGet(keys []batchKey, vals []kv.Value, found []bool) int {
 
 // applyFills drains the batch's pending hot re-caches: fills are sorted by
 // their hot bucket pair and each run of same-bucket fills is applied under
-// one lockBuckets acquisition. Validation against the observed source OCF
+// one hotPair.lock acquisition. Validation against the observed source OCF
 // word happens under the lock, same as hotTable.fill.
 func (s *session) applyFills() {
 	bs := &s.batch
@@ -209,9 +209,12 @@ func (s *session) applyFills() {
 		for end < len(fills) && top.bucket(fills[end].h1) == gtb && bottom.bucket(fills[end].h1) == gbb {
 			end++
 		}
-		ltop, lbottom, tb, bb := ht.lockBuckets(fills[g].h1)
+		lp := ht.pair()
+		var ltop, lbottom hotBucket
+		lp.lock(fills[g].h1, &ltop, &lbottom)
+		tb, bb := lp.top.bucket(fills[g].h1), lp.bottom.bucket(fills[g].h1)
 		for _, f := range fills[g:end] {
-			if ltop.bucket(f.h1) != tb || lbottom.bucket(f.h1) != bb {
+			if lp.top.bucket(f.h1) != tb || lp.bottom.bucket(f.h1) != bb {
 				// A resize promoted the hot levels between grouping and
 				// locking; this fill's buckets moved. Take the singleton
 				// path for it after the group.
@@ -223,9 +226,9 @@ func (s *session) applyFills() {
 				continue // record moved or changed since it was read
 			}
 			ht.o.hotFill(false)
-			ht.putLocked(ltop, lbottom, tb, bb, f.k, f.v, f.fp, s.rng, false)
+			ht.putLocked(&ltop, &lbottom, f.k, f.v, f.fp, s.rng, false)
 		}
-		unlockBuckets(ltop, lbottom, tb, bb)
+		unlockBuckets(&ltop, &lbottom)
 		g = end
 	}
 	bs.leftover = leftover // keep any growth for the next batch

@@ -127,31 +127,36 @@ func (t *Table) checkHotCoherence(hh interface {
 	var errs []error
 	hp := t.hot.pair()
 	for li, l := range [2]*hotLevel{hp.top, hp.bottom} {
-		for idx := int64(0); idx < int64(len(l.ctrl)); idx++ {
-			c := l.loadCtrl(idx)
-			if c&hotValid == 0 {
-				continue
+		for b := int64(0); b < l.segments*l.m; b++ {
+			bk := l.at(b)
+			if bk.ctrl == nil {
+				continue // a chunk that does not exist holds no entry
 			}
-			var w [slotWords]uint64
-			l.loadSlot(idx, &w)
-			k := kv.UnpackKey(w[0], w[1])
-			v, _ := kv.UnpackValue(w[2], w[3])
-			ref, exists := nvt[k]
-			if !exists {
-				errs = append(errs, fmt.Errorf("hot level %d: phantom cache entry for absent key %q", li, k.String()))
-				continue
-			}
-			off := ref.wordOff()
-			nw2 := hh.Load(off + 2)
-			nw3 := hh.Load(off + 3)
-			nv, _ := kv.UnpackValue(nw2, nw3)
-			if nv != v {
-				errs = append(errs, fmt.Errorf("hot level %d: stale cache for key %q (cached %q, NVT %q)", li, k.String(), v.String(), nv.String()))
-			}
-			// Placement: the entry must sit in the key's hot bucket.
-			h1 := hashfn.Hash1(k[:])
-			if want := l.bucket(h1); idx/int64(l.slotsPer) != want {
-				errs = append(errs, fmt.Errorf("hot level %d: key %q cached in bucket %d, hashes to %d", li, k.String(), idx/int64(l.slotsPer), want))
+			for idx := bk.first; idx < bk.first+int64(l.slotsPer); idx++ {
+				c := bk.loadCtrl(idx)
+				if c&hotValid == 0 {
+					continue
+				}
+				var w [slotWords]uint64
+				loadSlot(bk.words, idx, &w)
+				k := kv.UnpackKey(w[0], w[1])
+				v, _ := kv.UnpackValue(w[2], w[3])
+				ref, exists := nvt[k]
+				if !exists {
+					errs = append(errs, fmt.Errorf("hot level %d: phantom cache entry for absent key %q", li, k.String()))
+					continue
+				}
+				off := ref.wordOff()
+				nw2 := hh.Load(off + 2)
+				nw3 := hh.Load(off + 3)
+				nv, _ := kv.UnpackValue(nw2, nw3)
+				if nv != v {
+					errs = append(errs, fmt.Errorf("hot level %d: stale cache for key %q (cached %q, NVT %q)", li, k.String(), v.String(), nv.String()))
+				}
+				// Placement: the entry must sit in the key's hot bucket.
+				if want := l.bucket(hashfn.Hash1(k[:])); b != want {
+					errs = append(errs, fmt.Errorf("hot level %d: key %q cached in bucket %d, hashes to %d", li, k.String(), b, want))
+				}
 			}
 		}
 	}

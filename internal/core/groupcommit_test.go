@@ -200,9 +200,11 @@ func TestDrainBarrierCounts(t *testing.T) {
 				t.Fatalf("%s: key %d reads %v (ok=%v) after the drain", c.name, j, v, ok)
 			}
 		}
-		for w := range src.ocf {
-			if ocfIsValid(src.ocf[w]) {
-				t.Fatalf("%s: source slot %d still valid after the drain", c.name, w)
+		for b := int64(0); b < src.buckets(); b++ {
+			for slot := 0; slot < SlotsPerBucket; slot++ {
+				if ocfIsValid(src.ocfLoad(b, slot)) {
+					t.Fatalf("%s: source bucket %d slot %d still valid after the drain", c.name, b, slot)
+				}
 			}
 		}
 		if errs := tbl.CheckInvariants(); len(errs) != 0 {

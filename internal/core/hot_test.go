@@ -74,24 +74,35 @@ func TestHotGetSetsHotBit(t *testing.T) {
 	ht.put(k, kv.MustValue([]byte("v")), h1, fp, r)
 	w0, w1, kfp := mustPack(k)
 	top := ht.pair().top
-	b := top.bucket(h1)
-	idx := top.findKey(b, w0, w1, kfp)
+	var bk hotBucket
+	top.own(top.bucket(h1), &bk)
+	idx := bk.findKey(top.slotsPer, w0, w1, kfp)
 	if idx < 0 {
 		// Entry may be in the bottom level.
 		bot := ht.pair().bottom
-		idx = bot.findKey(bot.bucket(h1), w0, w1, kfp)
-		top = bot
+		bot.own(bot.bucket(h1), &bk)
+		idx = bk.findKey(bot.slotsPer, w0, w1, kfp)
 	}
 	if idx < 0 {
 		t.Fatal("entry not found in either level")
 	}
-	if top.loadCtrl(idx)&hotHot != 0 {
+	if bk.loadCtrl(idx)&hotHot != 0 {
 		t.Fatal("fresh entry is already hot (must enter cold)")
 	}
 	ht.get(k, h1, fp)
-	if top.loadCtrl(idx)&hotHot == 0 {
+	if bk.loadCtrl(idx)&hotHot == 0 {
 		t.Fatal("search did not set the hotmap bit")
 	}
+}
+
+// ctrlAt reads slot s of bucket b's control word: zero, an empty slot,
+// while its chunk does not exist.
+func (l *hotLevel) ctrlAt(b int64, s int) uint32 {
+	i, first := l.chunkOf(b)
+	if c := l.ctrl.load(i); c != nil {
+		return atomic.LoadUint32(&c[first+int64(s)])
+	}
+	return 0
 }
 
 func mustPack(k kv.Key) (uint64, uint64, uint8) {
@@ -188,7 +199,7 @@ func TestRAFLRandomReplacementClearsHotBits(t *testing.T) {
 	ht.put(ks[4], val, h1s[4], fps[4], r)
 	// All hotmap bits in the top bucket must now be clear.
 	for s := 0; s < top.slotsPer; s++ {
-		if top.loadCtrl(top.slotIdx(tt, s))&hotHot != 0 {
+		if top.ctrlAt(tt, s)&hotHot != 0 {
 			t.Fatal("hotmap bit survived an all-hot replacement")
 		}
 	}
@@ -263,7 +274,7 @@ func TestHotPromote(t *testing.T) {
 // computed the same bucket twice, and took that non-reentrant spinLock
 // twice — spinning forever with the lock held, with every later mutator of
 // the bucket queued behind it. A promote loop races every mutator here; the
-// pair every lockBuckets returns must be two distinct levels, and the
+// pair every hotPair.lock returns must be two distinct levels, and the
 // watchdog turns a wedge into a failure that names this test instead of a
 // package timeout.
 func TestHotPromoteRacesMutators(t *testing.T) {
@@ -306,12 +317,13 @@ func TestHotPromoteRacesMutators(t *testing.T) {
 	})
 	race(func(i int, _ *rng.Xorshift128) {
 		_, h1, _ := hk(i % 16)
-		top, bottom, tb, bb := ht.lockBuckets(h1)
-		if top == bottom {
-			t.Error("lockBuckets returned a half-promoted pair: top == bottom")
+		var top, bottom hotBucket
+		ht.pair().lock(h1, &top, &bottom)
+		if top.lock == bottom.lock {
+			t.Error("hotPair.lock returned a half-promoted pair: top == bottom")
 			stop.Store(true)
 		}
-		unlockBuckets(top, bottom, tb, bb)
+		unlockBuckets(&top, &bottom)
 	})
 
 	done := make(chan struct{})

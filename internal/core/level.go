@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"hdnh/internal/hashfn"
 )
@@ -9,24 +11,115 @@ import (
 // level is the in-DRAM view of one NVT level: the NVM base address plus the
 // level's OCF — one control word per slot — and the packed per-bucket SWAR
 // fingerprint words the probe loops use to find candidate slots with one
-// load instead of SlotsPerBucket scattered uint32 loads.
+// load instead of SlotsPerBucket scattered uint32 loads. Both live in
+// chunks that appear on their first store (see chunked): a level starts as
+// its two pointer arrays, so creating, growing or reopening a table zeroes
+// no DRAM index.
 type level struct {
 	base     int64 // NVM word offset of the first bucket
 	segments int64
-	m        int64    // buckets per segment
-	ocf      []uint32 // one control word per slot, indexed bucket*8+slot
-	fpw      []uint64 // one packed fingerprint word per bucket (8 fp bytes)
+	m        int64           // buckets per segment
+	shift    uint            // log2 of the buckets a chunk holds
+	mask     int64           // 1<<shift - 1
+	ocf      chunked[uint32] // SlotsPerBucket control words per bucket
+	fpw      chunked[uint64] // one packed fingerprint word per bucket
+}
+
+// chunkShift caps a chunk at 512 buckets, so a large level is made of few
+// allocations; smaller levels get smaller chunks (chunkShiftFor). A chunk
+// always holds a power of two of buckets, so locating a bucket's chunk is a
+// shift and a mask.
+const chunkShift = 9
+
+// chunkShiftFor is the log2 of the buckets a chunk of a level of buckets
+// buckets holds: the largest power of two up to 1<<max that divides the
+// level, so the chunks tile it exactly and a level whose every chunk exists
+// holds what a flat array would, whatever its size.
+func chunkShiftFor(buckets int64, max uint) uint {
+	return min(uint(bits.TrailingZeros64(uint64(buckets))), max)
 }
 
 func newLevel(base, segments, m int64) *level {
+	buckets := segments * m
+	shift := chunkShiftFor(buckets, chunkShift)
 	return &level{
 		base:     base,
 		segments: segments,
 		m:        m,
-		ocf:      make([]uint32, segments*m*SlotsPerBucket),
-		fpw:      make([]uint64, segments*m),
+		shift:    shift,
+		mask:     1<<shift - 1,
+		ocf:      newChunked[uint32](buckets>>shift, SlotsPerBucket<<shift),
+		fpw:      newChunked[uint64](buckets>>shift, 1<<shift),
 	}
 }
+
+// chunked is an array of T held in chunks of n elements, one pointer per
+// chunk. A chunk is created on the first store into it (own): made zeroed,
+// installed with one CAS, and the loser of a race adopts the winner's.
+// Nothing is stored into a chunk before it is installed, and an installed
+// pointer never changes, so a reader that loads nil has seen every element
+// of the chunk as it was before any store: zero, what a fresh flat array
+// would hold (INTERNALS §7). T must hold no pointer. A chunk is a plain
+// make([]T, n) kept by its first element's address, which unsafe.Slice
+// turns back into the slice: the chunk length is the level's, not a
+// constant, yet a load is one pointer and no header.
+type chunked[T any] struct {
+	ptrs []atomic.Pointer[T]
+	n    uint32 // elements per chunk
+}
+
+func newChunked[T any](chunks, n int64) chunked[T] {
+	return chunked[T]{ptrs: make([]atomic.Pointer[T], chunks), n: uint32(n)}
+}
+
+// load returns chunk i, or nil while it does not exist.
+func (c *chunked[T]) load(i int64) []T {
+	if p := c.ptrs[i].Load(); p != nil {
+		return unsafe.Slice(p, c.n)
+	}
+	return nil
+}
+
+// own returns chunk i, creating it first if it does not exist yet: every
+// store into a chunked array goes through it.
+func (c *chunked[T]) own(i int64) []T {
+	if p := c.ptrs[i].Load(); p != nil {
+		return unsafe.Slice(p, c.n)
+	}
+	return c.create(i)
+}
+
+// create makes chunk i and installs it, or adopts the chunk a racing
+// creator installed first.
+//
+//go:noinline
+func (c *chunked[T]) create(i int64) []T {
+	p := &make([]T, c.n)[0]
+	if !c.ptrs[i].CompareAndSwap(nil, p) {
+		p = c.ptrs[i].Load()
+	}
+	return unsafe.Slice(p, c.n)
+}
+
+// bytes is what the array holds in DRAM: its pointers, and each chunk that
+// exists.
+func (c *chunked[T]) bytes() int64 {
+	var zero T
+	n := int64(len(c.ptrs)) * int64(unsafe.Sizeof(c.ptrs[0]))
+	for i := range c.ptrs {
+		if c.ptrs[i].Load() != nil {
+			n += int64(c.n) * int64(unsafe.Sizeof(zero))
+		}
+	}
+	return n
+}
+
+// dramBytes is what the level holds in DRAM: its pointer arrays and the
+// chunks that exist.
+func (l *level) dramBytes() int64 { return l.ocf.bytes() + l.fpw.bytes() }
+
+// chunkOf splits global bucket b into its chunk and its offset there.
+func (l *level) chunkOf(b int64) (chunk, off int64) { return b >> (l.shift & 63), b & l.mask }
 
 func (l *level) buckets() int64 { return l.segments * l.m }
 func (l *level) slots() int64   { return l.buckets() * SlotsPerBucket }
@@ -71,16 +164,35 @@ func ocfFP(w uint32) uint8      { return uint8(w >> ocfFPShift) }
 func ocfIsValid(w uint32) bool  { return w&ocfValid != 0 }
 func ocfIsLocked(w uint32) bool { return w&ocfOp != 0 }
 
-// ocfLoad atomically reads the control word for slot s of bucket b.
+// ocfLoad atomically reads the control word for slot s of bucket b: zero
+// while its chunk does not exist.
 func (l *level) ocfLoad(b int64, s int) uint32 {
-	return atomic.LoadUint32(&l.ocf[b*SlotsPerBucket+int64(s)])
+	i, off := l.chunkOf(b)
+	if c := l.ocf.load(i); c != nil {
+		return atomic.LoadUint32(&c[off*SlotsPerBucket+int64(s)])
+	}
+	return 0
+}
+
+// ocfAddr is the address of slot s of bucket b's control word, in a chunk
+// that exists.
+func (l *level) ocfAddr(b int64, s int) *uint32 {
+	i, off := l.chunkOf(b)
+	return &l.ocf.own(i)[off*SlotsPerBucket+int64(s)]
+}
+
+// fpwAddr is the address of bucket b's packed fingerprint word, in a chunk
+// that exists.
+func (l *level) fpwAddr(b int64) *uint64 {
+	i, off := l.chunkOf(b)
+	return &l.fpw.own(i)[off]
 }
 
 // ocfTryLock attempts to CAS the observed control word old (which must be
 // unlocked) to its locked form. All NVT slot writes happen with the lock
 // held, which is what makes the lock-free reader's version check sound.
 func (l *level) ocfTryLock(b int64, s int, old uint32) bool {
-	return atomic.CompareAndSwapUint32(&l.ocf[b*SlotsPerBucket+int64(s)], old, old|ocfOp)
+	return atomic.CompareAndSwapUint32(l.ocfAddr(b, s), old, old|ocfOp)
 }
 
 // ocfRelease publishes the slot's new state: op cleared, version bumped.
@@ -104,11 +216,11 @@ func (l *level) ocfTryLock(b int64, s int, old uint32) bool {
 func (l *level) ocfRelease(b int64, s int, valid bool, fp uint8, prevVer uint32) {
 	if valid {
 		l.fpwSet(b, s, fp)
-		atomic.StoreUint32(&l.ocf[b*SlotsPerBucket+int64(s)], ocfWord(true, fp, prevVer+1))
+		atomic.StoreUint32(l.ocfAddr(b, s), ocfWord(true, fp, prevVer+1))
 		return
 	}
 	l.fpwSet(b, s, 0)
-	atomic.StoreUint32(&l.ocf[b*SlotsPerBucket+int64(s)], ocfWord(false, 0, prevVer+1))
+	atomic.StoreUint32(l.ocfAddr(b, s), ocfWord(false, 0, prevVer+1))
 }
 
 // ocfAnnounce publishes fp on a slot the caller has locked empty, leaving it
@@ -118,17 +230,24 @@ func (l *level) ocfRelease(b int64, s int, valid bool, fp uint8, prevVer uint32)
 // key (see session.stage). SWAR byte before the word store, as in ocfRelease.
 func (l *level) ocfAnnounce(b int64, s int, fp uint8, locked uint32) {
 	l.fpwSet(b, s, fp)
-	atomic.StoreUint32(&l.ocf[b*SlotsPerBucket+int64(s)], ocfWord(false, fp, ocfVer(locked))|ocfOp)
+	atomic.StoreUint32(l.ocfAddr(b, s), ocfWord(false, fp, ocfVer(locked))|ocfOp)
 }
 
-// fpwLoad reads bucket b's packed fingerprint word.
-func (l *level) fpwLoad(b int64) uint64 { return atomic.LoadUint64(&l.fpw[b]) }
+// fpwLoad reads bucket b's packed fingerprint word: zero while its chunk
+// does not exist.
+func (l *level) fpwLoad(b int64) uint64 {
+	i, off := l.chunkOf(b)
+	if c := l.fpw.load(i); c != nil {
+		return atomic.LoadUint64(&c[off])
+	}
+	return 0
+}
 
 // fpwSet writes slot s's fingerprint byte in bucket b's packed word. CAS
 // loop: the per-slot OCF lock does not cover the bucket-shared word, so
 // concurrent writers of sibling slots compose through the CAS.
 func (l *level) fpwSet(b int64, s int, fp uint8) {
-	addr := &l.fpw[b]
+	addr := l.fpwAddr(b)
 	shift := uint(s) * 8
 	for {
 		old := atomic.LoadUint64(addr)

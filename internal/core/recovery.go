@@ -21,7 +21,7 @@ import (
 type RecoveryStats struct {
 	// Serve is how long Open spent on the table before it could serve: the
 	// resize replay, any resumed drain, an unclean image's dedup and the
-	// empty DRAM arrays the sweep fills.
+	// DRAM index's chunk pointer arrays, whose chunks the sweep creates.
 	Serve time.Duration
 	// Sweep runs from the start of recovery until the sweep built the last
 	// segment: what Open followed by WaitRecovered costs.
@@ -361,10 +361,12 @@ func (t *Table) stopSweep() {
 // and each committed key hashed once; the bucket's eight OCF words and its
 // SWAR word are built locally and stored whole. Invalid slots are stored
 // too, so scanning a level whose OCF is already built (after a resumed
-// drain) leaves it as a fresh build would. Plain stores are safe: nobody
-// else touches these buckets' words until the build publishes them (the
-// sweep's built state, or the return of recover). With visit non-nil every
-// record is handed to it. With hot non-nil every record then enters it —
+// drain) leaves it as a fresh build would. The routine creates the chunks
+// holding the buckets, so a built range has all its chunks. Plain stores
+// are safe: nobody else touches these buckets' words until the build
+// publishes them (the sweep's built state, or the return of recover), and
+// own installed each chunk before the first of them. With visit non-nil
+// every record is handed to it. With hot non-nil every record then enters it —
 // cold, as after any other insert, and as a fresh fill: no operation has
 // reached the key yet, and RecoveryVisitor's contract (each key exactly
 // once) means no other build meets it, so there is never an entry to update
@@ -375,6 +377,8 @@ func (t *Table) scanBuckets(h *nvm.Handle, lvl *level, lo, hi int64, hot *hotTab
 	var n int64
 	for b := lo; b < hi; b++ {
 		h.ReadAccess(lvl.bucketWord(b), BucketWords)
+		ci, cb := lvl.chunkOf(b)
+		ocf := lvl.ocf.own(ci)[cb*SlotsPerBucket:][:SlotsPerBucket]
 		var fpw uint64
 		for s := 0; s < SlotsPerBucket; s++ {
 			off := lvl.slotWord(b, s)
@@ -393,15 +397,16 @@ func (t *Table) scanBuckets(h *nvm.Handle, lvl *level, lo, hi int64, hot *hotTab
 						visit(k, v)
 					}
 					if hot != nil {
-						top, bottom, tb, bb := hot.lockBuckets(h1)
-						hot.putLocked(top, bottom, tb, bb, k, v, fp, r, true)
-						unlockBuckets(top, bottom, tb, bb)
+						var top, bottom hotBucket
+						hot.pair().lock(h1, &top, &bottom)
+						hot.putLocked(&top, &bottom, k, v, fp, r, true)
+						unlockBuckets(&top, &bottom)
 					}
 				}
 			}
-			lvl.ocf[b*SlotsPerBucket+int64(s)] = c
+			ocf[s] = c
 		}
-		lvl.fpw[b] = fpw
+		lvl.fpw.own(ci)[cb] = fpw
 	}
 	return n
 }

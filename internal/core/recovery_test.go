@@ -792,19 +792,32 @@ func TestRecoveryResolvesPlantedTornDuplicate(t *testing.T) {
 	}
 }
 
-// hotDigest hashes the hot table's control and record words, top level first.
+// hotDigest hashes the hot table's control and record words, top level
+// first, each in slot order, with a chunk that does not exist read as zeros.
 func hotDigest(ht *hotTable) string {
 	d := sha256.New()
 	var buf [8]byte
 	pr := ht.pair()
 	for _, l := range [2]*hotLevel{pr.top, pr.bottom} {
-		for _, c := range l.ctrl {
-			binary.LittleEndian.PutUint32(buf[:4], c)
-			d.Write(buf[:4])
+		buckets := l.segments * l.m
+		for b := int64(0); b < buckets; b++ {
+			for s := 0; s < l.slotsPer; s++ {
+				binary.LittleEndian.PutUint32(buf[:4], l.ctrlAt(b, s))
+				d.Write(buf[:4])
+			}
 		}
-		for _, w := range l.words {
-			binary.LittleEndian.PutUint64(buf[:], w)
-			d.Write(buf[:])
+		for b := int64(0); b < buckets; b++ {
+			bk := l.at(b)
+			for idx := bk.first; idx < bk.first+int64(l.slotsPer); idx++ {
+				var w [slotWords]uint64
+				if bk.words != nil {
+					loadSlot(bk.words, idx, &w)
+				}
+				for _, word := range w {
+					binary.LittleEndian.PutUint64(buf[:], word)
+					d.Write(buf[:])
+				}
+			}
 		}
 	}
 	return hex.EncodeToString(d.Sum(nil))

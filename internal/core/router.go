@@ -344,6 +344,9 @@ func (r *Router) gauges() obs.Gauges {
 	for i, t := range r.shards {
 		ts := t.shape()
 		g.RecoverySegmentsPending += t.segmentsPending()
+		ocf, hot := t.dramIndexBytes()
+		g.DRAMIndexOCFBytes += ocf
+		g.DRAMIndexHotBytes += hot
 		sg := obs.ShardGauges{
 			Shard:                 int64(i),
 			Items:                 ts.Items,

@@ -152,7 +152,7 @@ func TestInsertGrowthBlockReads(t *testing.T) {
 		for b := int64(0); b < l.segments*l.m; b++ {
 			var fps []uint8
 			for sl := 0; sl < l.slotsPer; sl++ {
-				if c := l.loadCtrl(l.slotIdx(b, sl)); c&hotValid != 0 {
+				if c := l.ctrlAt(b, sl); c&hotValid != 0 {
 					for _, fp := range fps {
 						pairs++
 						if fp == hotFP(c) {

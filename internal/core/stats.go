@@ -83,6 +83,21 @@ func (t *Table) shape() TableStats {
 	return st
 }
 
+// dramIndexBytes is what the table's DRAM index holds, by structure: the OCF
+// and SWAR words of every level a lookup walks, and the hot table. Each
+// counts its chunk pointer arrays and the chunks that exist, so it reads
+// what Open allocated until the sweep and the operations create chunks.
+func (t *Table) dramIndexBytes() (ocf, hot int64) {
+	var lv [3]*level
+	for _, l := range lv[:t.walkLevels(&lv)] {
+		ocf += l.dramBytes()
+	}
+	if t.hot != nil {
+		hot = t.hot.dramBytes()
+	}
+	return ocf, hot
+}
+
 // scan visits every committed record of the session's table once and calls
 // fn; fn returning false stops the scan early. scan returns the number of
 // records visited.

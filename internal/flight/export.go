@@ -18,7 +18,7 @@ type chromeEvent struct {
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
 	TS   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
+	Dur  *float64       `json:"dur,omitempty"` // set on every complete span, zero included
 	PID  int            `json:"pid"`
 	TID  uint32         `json:"tid"`
 	S    string         `json:"s,omitempty"`
@@ -59,12 +59,13 @@ func WriteChromeTrace(w io.Writer, d Dump) error {
 // span builds a complete-span chrome event whose end timestamp is ev.TS and
 // whose duration is durNs.
 func span(ev Event, name string, durNs uint64, args map[string]any) chromeEvent {
+	dur := float64(durNs) / 1e3
 	return chromeEvent{
 		Name: name,
 		Cat:  ev.Kind.String(),
 		Ph:   "X",
 		TS:   float64(ev.TS-int64(durNs)) / 1e3,
-		Dur:  float64(durNs) / 1e3,
+		Dur:  &dur,
 		PID:  chromePID,
 		TID:  ev.Ring,
 		Args: args,

@@ -264,7 +264,8 @@ func TestConcurrentEmitAndSnapshot(t *testing.T) {
 
 // TestWriteChromeTrace pins the one file format the recorder exports: the
 // output parses as JSON, every ring is declared as a named thread, and every
-// complete ("X") span has a non-negative duration on a declared thread.
+// complete ("X") span has a non-negative duration on a declared thread —
+// written even when it is zero, as the drain chunk's is here.
 func TestWriteChromeTrace(t *testing.T) {
 	r := New(Config{RingEvents: 64, SlowOpThreshold: -1})
 	tr := r.Handle("session")
@@ -308,11 +309,8 @@ func TestWriteChromeTrace(t *testing.T) {
 			continue
 		}
 		spans++
-		// dur is omitted when zero.
-		if dur, ok := ev["dur"]; ok {
-			if d, isNum := dur.(float64); !isNum || d < 0 {
-				t.Fatalf("span %v has dur %v, want a number >= 0", ev["name"], dur)
-			}
+		if d, isNum := ev["dur"].(float64); !isNum || d < 0 {
+			t.Fatalf("span %v has dur %v, want a number >= 0", ev["name"], ev["dur"])
 		}
 		if tid, ok := ev["tid"].(float64); !ok || !threads[tid] {
 			t.Fatalf("span %v on tid %v, which no thread_name declares", ev["name"], ev["tid"])

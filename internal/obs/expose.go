@@ -115,6 +115,9 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	gauge("hdnh_resizing", "1 while an incremental rehash is in flight.", "%d", s.Gauges.Resizing)
 	gauge("hdnh_drain_buckets_remaining", "Drain-level buckets not yet durably rehashed.", "%d", s.Gauges.DrainBucketsRemaining)
 	gauge("hdnh_recovery_segments_pending", "Segments the recovery sweep has yet to rebuild in DRAM.", "%d", s.Gauges.RecoverySegmentsPending)
+	header("hdnh_dram_index_bytes", "DRAM the index holds: chunk pointer arrays plus the chunks that exist.", "gauge")
+	p("hdnh_dram_index_bytes{structure=\"ocf\"} %d\n", s.Gauges.DRAMIndexOCFBytes)
+	p("hdnh_dram_index_bytes{structure=\"hot\"} %d\n", s.Gauges.DRAMIndexHotBytes)
 	if s.Gauges.VLogSegments > 0 {
 		gauge("hdnh_vlog_segments", "Value-log segment count.", "%d", s.Gauges.VLogSegments)
 		gauge("hdnh_vlog_free_segments", "Value-log segments on the free list.", "%d", s.Gauges.VLogFreeSegments)

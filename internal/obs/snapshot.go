@@ -52,6 +52,12 @@ type Gauges struct {
 	// recovery sweep has yet to build; 0 once it is over. Items counts only
 	// the built ones until then.
 	RecoverySegmentsPending int64 `json:"recovery_segments_pending"`
+	// DRAMIndexOCFBytes and DRAMIndexHotBytes are the DRAM the index holds:
+	// the OCF and SWAR words, and the hot table. Each counts its chunk
+	// pointer arrays and the chunks that exist, so after a reopen they grow
+	// from the pointer arrays as the sweep and the operations create chunks.
+	DRAMIndexOCFBytes int64 `json:"dram_index_ocf_bytes"`
+	DRAMIndexHotBytes int64 `json:"dram_index_hot_bytes"`
 	// Value-log shape (zero unless the store runs one — see bigkv):
 	// segment counts plus the live/used word totals whose ratio is the
 	// log's garbage fraction.
